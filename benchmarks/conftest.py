@@ -2,8 +2,11 @@
 
 Each benchmark regenerates one table or figure of the paper.  Results are
 printed to stdout (so ``pytest benchmarks/ --benchmark-only -s`` shows the
-regenerated rows/series) and also written to ``results/`` as plain-text
-files for inclusion in EXPERIMENTS.md.
+regenerated rows/series) and also written as plain-text files, plus the
+machine-readable ``BENCH_kernel.json``, to a results directory.  That is a
+per-session temporary directory unless ``--results-dir DIR`` names one, so a
+plain test run never rewrites the tracked ``results/``; regenerate them with
+``pytest benchmarks/ --results-dir results``.
 """
 
 from __future__ import annotations
@@ -13,20 +16,34 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 KERNEL_JSON = "BENCH_kernel.json"
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--results-dir",
+        default=None,
+        metavar="DIR",
+        help="write regenerated tables and BENCH_kernel.json to DIR (default: a session temp dir)",
+    )
+
+
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(request, tmp_path_factory) -> Path:
     """Directory where benchmarks drop their regenerated tables/series."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+    # getoption's default covers runs where this conftest was not loaded at
+    # start-up (e.g. a bare ``pytest`` from the repository root).
+    option = request.config.getoption("results_dir", default=None)
+    if option is None:
+        return tmp_path_factory.mktemp("results")
+    path = Path(option)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @pytest.fixture()
 def save_result(results_dir):
-    """Callable that writes one experiment's textual output to results/<name>.txt."""
+    """Callable that writes one experiment's textual output to <results_dir>/<name>.txt."""
 
     def _save(name: str, text: str) -> Path:
         path = results_dir / f"{name}.txt"
@@ -39,7 +56,7 @@ def save_result(results_dir):
 
 @pytest.fixture()
 def save_kernel_json(results_dir):
-    """Callable merging one benchmark section into results/BENCH_kernel.json
+    """Callable merging one benchmark section into <results_dir>/BENCH_kernel.json
     (the machine-readable artifact the CI perf-regression job consumes)."""
 
     def _save(section: str, payload: dict) -> Path:

@@ -114,15 +114,7 @@ class ExecutionUnit:
         if self.state is ExecutionState.IDLE:
             return
         self.busy_cycles += 1
-        handler = {
-            ExecutionState.FETCH: self._tick_fetch,
-            ExecutionState.ISSUE_READ: self._tick_issue_read,
-            ExecutionState.READ_WAIT: self._tick_read_wait,
-            ExecutionState.ISSUE_WRITE: self._tick_issue_write,
-            ExecutionState.WRITE_WAIT: self._tick_write_wait,
-            ExecutionState.WAITING: self._tick_waiting,
-        }[self.state]
-        handler(cycle)
+        _STATE_HANDLERS[self.state](self, cycle)
 
     # ------------------------------------------------------------------- states
 
@@ -314,3 +306,14 @@ class ExecutionUnit:
         self.last_completion_cycle = None
         self.last_bus_write_cycle = None
         self.first_action_cycle = None
+
+
+# One dispatch table for :meth:`ExecutionUnit.tick`, built once at import.
+_STATE_HANDLERS: Dict[ExecutionState, Callable[[ExecutionUnit, int], None]] = {
+    ExecutionState.FETCH: ExecutionUnit._tick_fetch,
+    ExecutionState.ISSUE_READ: ExecutionUnit._tick_issue_read,
+    ExecutionState.READ_WAIT: ExecutionUnit._tick_read_wait,
+    ExecutionState.ISSUE_WRITE: ExecutionUnit._tick_issue_write,
+    ExecutionState.WRITE_WAIT: ExecutionUnit._tick_write_wait,
+    ExecutionState.WAITING: ExecutionUnit._tick_waiting,
+}

@@ -111,6 +111,25 @@ class Link:
             self._open_record = LinkEventRecord(trigger_cycle=entry.cycle)
             self.events_serviced += 1
 
+    def step_idle(self, events: int) -> bool:
+        """Take this cycle as an idle step if :meth:`step` would do no more.
+
+        With the execution unit idle, the FIFO empty, no open record, and no
+        selected event line active, :meth:`step` can only count one trigger
+        evaluation: exactly ``skip_idle(1)``.  Returns whether that fast path
+        applied; if not, the caller must :meth:`step` the link.
+        """
+        trigger = self.trigger
+        if (
+            events & trigger.mask
+            or self.execution.state is not ExecutionState.IDLE
+            or self._open_record is not None
+            or not trigger.fifo.empty
+        ):
+            return False
+        self.skip_idle(1)
+        return True
+
     def _close_record_if_done(self) -> None:
         record = self._open_record
         if record is None or self.execution.state is not ExecutionState.IDLE:
@@ -124,10 +143,12 @@ class Link:
     def skip_idle(self, cycles: int) -> None:
         """Replay ``cycles`` idle steps (``events == 0``) in one batch.
 
-        Only valid while :attr:`quiescent`: the execution unit stays idle, no
-        trigger can fire on an empty event vector, and the only per-cycle
-        effects of :meth:`step` are the trigger unit's evaluation counter and
-        its (zero) masked-vector history.
+        Only valid while the execution unit is idle (or counting a ``wait``
+        down), the trigger FIFO is empty and no completed-event record awaits
+        closing (record closing is a per-step side effect the latency
+        analysis depends on): no trigger can fire on an empty event vector,
+        so the only per-cycle trigger effects of :meth:`step` are the
+        evaluation counter and the (zero) masked-vector history.
         """
         self.trigger.evaluations += cycles
         self.trigger._previous_masked = 0
@@ -138,16 +159,6 @@ class Link:
     def busy(self) -> bool:
         """Whether the execution unit is servicing a linking event."""
         return not self.execution.idle
-
-    @property
-    def quiescent(self) -> bool:
-        """Whether idle :meth:`step` calls are batchable by :meth:`skip_idle`.
-
-        Requires an idle execution unit, an empty trigger FIFO, *and* no
-        completed-event record still waiting to be closed (record closing is a
-        per-step side effect the latency analysis depends on).
-        """
-        return self.execution.idle and self.trigger.fifo.empty and self._open_record is None
 
     @property
     def last_record(self) -> Optional[LinkEventRecord]:

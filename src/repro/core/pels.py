@@ -26,11 +26,13 @@ from repro.bus.apb import ApbBus
 from repro.bus.transaction import BusRequest
 from repro.core.assembler import Program
 from repro.core.config import PelsConfig
+from repro.core.execution import ExecutionState
 from repro.core.isa import Command, decode_command
 from repro.core.link import Link
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.sim.component import Component
+from repro.sim.simulator import SimulationError
 
 # Register map constants (byte offsets within the PELS configuration window).
 REG_GLOBAL_CTRL = 0x000
@@ -309,6 +311,8 @@ class Pels(Component):
         events = self.fabric.active_mask() if self.enabled else 0
         busy_links = 0
         for link in self.links:
+            if link.step_idle(events):
+                continue
             link.step(events, cycle)
             if link.busy:
                 busy_links += 1
@@ -331,31 +335,71 @@ class Pels(Component):
 
     # ------------------------------------------------------------ wake protocol
 
-    def _quiescent(self) -> bool:
-        # PELS must see the very next cycle whenever anything is in motion: a
-        # registered loopback pulse to apply, an event on the fabric to
-        # broadcast (it also owns the end-of-cycle pulse clearing), a link
-        # executing microcode or holding queued triggers, a completed event
-        # record awaiting closure, or SCM traffic (e.g. host-side microcode
-        # programming) not yet attributed to the activity counters.
-        if self._pending_loopback or self.fabric.active_mask():
-            return False
-        if not all(link.quiescent for link in self.links):
-            return False
-        return (
-            sum(link.scm.read_count for link in self.links) == self._scm_reads_seen
-            and sum(link.scm.write_count for link in self.links) == self._scm_writes_seen
-        )
+    def next_event(self) -> Optional[int]:
+        """Cycles until the next tick that does more than count waits down.
 
-    def next_event(self):
-        return None if self._quiescent() else 1
+        ``None`` when every link is quiescent; the smallest remaining
+        ``wait`` when every busy link sits in a WAIT window (the ticks before
+        it only decrement wait counters, which :meth:`skip` replays); ``1``
+        whenever anything else is in motion: a registered loopback pulse to
+        apply, an event on the fabric to broadcast (PELS also owns the
+        end-of-cycle pulse clearing), a link fetching or on the bus, queued
+        triggers, a completed event record awaiting closure, or SCM traffic
+        (e.g. host-side microcode programming) not yet attributed to the
+        activity counters.
+        """
+        if self._pending_loopback or self.fabric.active_mask():
+            return 1
+        horizon = None
+        for link in self.links:
+            if not link.trigger.fifo.empty:
+                return 1
+            execution = link.execution
+            state = execution.state
+            if state is ExecutionState.IDLE:
+                if link._open_record is not None:
+                    return 1
+            elif state is ExecutionState.WAITING:
+                remaining = execution._wait_remaining
+                if horizon is None or remaining < horizon:
+                    horizon = remaining
+            else:
+                return 1
+        if (
+            sum(link.scm.read_count for link in self.links) != self._scm_reads_seen
+            or sum(link.scm.write_count for link in self.links) != self._scm_writes_seen
+        ):
+            return 1
+        return horizon
 
     def skip(self, cycles: int) -> None:
-        if not self._quiescent():
-            return
-        self.record("idle_cycles", cycles)
+        """Replay ``cycles`` ticks inside the horizon :meth:`next_event` promised.
+
+        Waiting links count their waits down and accrue busy cycles, idle
+        links only count trigger evaluations, and the activity matches what
+        the dense ticks record: busy and per-link busy cycles while any link
+        waits, idle cycles otherwise.  Raises :class:`SimulationError` when
+        asked to replay a tick that would do real work, so a scheduler bug
+        cannot silently drop cycles.
+        """
+        horizon = self.next_event()
+        if horizon is not None and cycles >= horizon:
+            raise SimulationError(
+                f"{self.name}: cannot skip {cycles} cycles; its next tick that does work is {horizon} away"
+            )
+        waiting = 0
         for link in self.links:
+            execution = link.execution
+            if execution.state is ExecutionState.WAITING:
+                execution._wait_remaining -= cycles
+                execution.busy_cycles += cycles
+                waiting += 1
             link.skip_idle(cycles)
+        if waiting:
+            self.record("busy_cycles", cycles)
+            self.record("link_busy_cycles", waiting * cycles)
+        else:
+            self.record("idle_cycles", cycles)
 
     def reset(self) -> None:
         for link in self.links:

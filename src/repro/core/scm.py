@@ -9,9 +9,14 @@ would dominate [Teman et al.].
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 from repro.core.isa import COMMAND_BITS, Command, decode_command, encode_command
+
+# Decoding is a pure function of the 48-bit line and commands are immutable,
+# so fetches share one memo: a looping program decodes each line once.
+_decode_line = lru_cache(maxsize=4096)(decode_command)
 
 
 class ScmMemory:
@@ -39,7 +44,7 @@ class ScmMemory:
 
     def fetch(self, index: int) -> Command:
         """Read and decode the command at ``index``."""
-        return decode_command(self.read_line(index))
+        return _decode_line(self.read_line(index))
 
     def write_line(self, index: int, encoded: int) -> None:
         """Store an encoded command at ``index``."""

@@ -110,11 +110,18 @@ class Component:
     # ---------------------------------------------------------------- activity
 
     def record(self, event: str, amount: int = 1) -> None:
-        """Record ``amount`` occurrences of ``event`` for this component."""
-        if self._simulator is not None:
-            self._simulator.activity.add(self.name, event, amount)
-        else:
-            self._local_activity.add(self.name, event, amount)
+        """Record ``amount`` occurrences of ``event`` for this component.
+
+        The hot path of every dense tick: it bumps the counter directly
+        instead of going through the simulator's ``activity`` property and
+        :meth:`ActivityCounters.add` (whose name checks the non-empty
+        component name and literal event names make redundant).
+        """
+        if amount < 0:
+            raise ValueError("activity increments must be non-negative")
+        simulator = self._simulator
+        counters = self._local_activity if simulator is None else simulator._state.activity
+        counters._counts[(self.name, event)] += amount
 
     # --------------------------------------------------------------- behaviour
 

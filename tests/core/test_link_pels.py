@@ -1,10 +1,13 @@
 """Tests for the Link composition and the PELS top level."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bus.apb import ApbBus
 from repro.core.assembler import assemble
-from repro.core.config import PelsConfig
+from repro.core.config import LinkConfig, PelsConfig
+from repro.core.execution import ExecutionState
 from repro.core.isa import Command
 from repro.core.pels import (
     LINK_REG_BASE_ADDR,
@@ -21,10 +24,11 @@ from repro.core.pels import (
     REG_SCM_LINES,
     Pels,
 )
+from repro.core.link import Link
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 
 def build_pels(n_links=2, scm_lines=6, with_gpio=True):
@@ -275,3 +279,127 @@ class TestReset:
         pels.reset()
         assert pels.total_events_serviced() == 0
         assert not pels.busy
+
+
+def _link_state(link):
+    """Trigger, FIFO, execution, and record state of one link."""
+    trigger = {key: value for key, value in vars(link.trigger).items() if key != "fifo"}
+    fifo = {key: value for key, value in vars(link.trigger.fifo).items() if key != "_entries"}
+    execution = {
+        key: value
+        for key, value in vars(link.execution).items()
+        if key not in ("scm", "bus_submit", "action_sink", "_pending_request")
+    }
+    return (
+        trigger,
+        fifo,
+        tuple(link.trigger.fifo._entries),
+        execution,
+        link.events_serviced,
+        tuple(link.records),
+        link._open_record,
+    )
+
+
+class TestIdleLinkFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        program=st.sampled_from(("end", "wait 2\nend", "action 0 0x1\nwait 1\nend")),
+        mask=st.integers(min_value=0, max_value=0xF),
+        condition=st.sampled_from(tuple(TriggerCondition)),
+        enabled=st.booleans(),
+        vectors=st.lists(st.integers(min_value=0, max_value=0xF), min_size=1, max_size=12),
+    )
+    def test_fast_path_leaves_the_same_state_as_step(self, program, mask, condition, enabled, vectors):
+        fast, reference = (Link(0, LinkConfig(scm_lines=4, fifo_depth=2)) for _ in range(2))
+        for link in (fast, reference):
+            link.load_program(assemble(program))
+            link.configure_trigger(mask, condition, enabled)
+        for cycle, events in enumerate(vectors):
+            eligible = (
+                fast.execution.idle
+                and fast.trigger.fifo.empty
+                and fast._open_record is None
+                and not events & mask
+            )
+            took_fast_path = fast.step_idle(events)
+            assert took_fast_path == eligible
+            if not took_fast_path:
+                fast.step(events, cycle)
+            reference.step(events, cycle)
+            assert _link_state(fast) == _link_state(reference)
+
+
+class TestSkipReplay:
+    """``Pels.skip`` replays only the ticks ``next_event`` promised."""
+
+    def _waiting_pels(self, wait=10):
+        simulator, fabric, _, _, pels = build_pels()
+        pels.program_link(0, assemble(f"wait {wait}\nend"), trigger_mask=0b1)
+        fabric.pulse("ext.event0")
+        simulator.step(2)  # trigger + start, then fetch the wait
+        assert pels.link(0).execution.state is ExecutionState.WAITING
+        return simulator, fabric, pels
+
+    def test_quiet_pels_skips_any_span(self):
+        simulator, _, _, _, pels = build_pels()
+        simulator.step(1)  # attribute construction-time SCM traffic
+        assert pels.next_event() is None
+        pels.skip(1_000)
+        assert simulator.activity.get("pels", "idle_cycles") == 1_001
+
+    def test_wait_window_replays_up_to_the_horizon(self):
+        simulator, _, pels = self._waiting_pels(wait=10)
+        execution = pels.link(0).execution
+        assert pels.next_event() == 10
+        with pytest.raises(SimulationError):
+            pels.skip(10)
+        busy = simulator.activity.get("pels", "busy_cycles")
+        pels.skip(9)
+        assert execution._wait_remaining == 1
+        assert simulator.activity.get("pels", "busy_cycles") == busy + 9
+        with pytest.raises(SimulationError):
+            pels.skip(1)
+
+    def test_busy_states_refuse_to_skip(self):
+        simulator, fabric, _, _, pels = build_pels()
+        pels.program_link(0, assemble("set 0x401 0x1\nend"), trigger_mask=0b1)
+        fabric.pulse("ext.event0")
+        seen = set()
+        for _ in range(12):
+            simulator.step(1)
+            state = pels.link(0).execution.state
+            if state is not ExecutionState.IDLE:
+                seen.add(state)
+                with pytest.raises(SimulationError):
+                    pels.skip(1)
+        assert {
+            ExecutionState.FETCH,
+            ExecutionState.ISSUE_READ,
+            ExecutionState.READ_WAIT,
+            ExecutionState.ISSUE_WRITE,
+            ExecutionState.WRITE_WAIT,
+        } <= seen
+
+    def test_queued_trigger_refuses_to_skip(self):
+        simulator, fabric, pels = self._waiting_pels()
+        fabric.pulse("ext.event0")
+        simulator.step(1)
+        assert pels.link(0).trigger.fifo.level == 1
+        with pytest.raises(SimulationError):
+            pels.skip(1)
+
+    def test_active_fabric_refuses_to_skip(self):
+        simulator, fabric, _, _, pels = build_pels()
+        simulator.step(1)
+        fabric.pulse("ext.event1")
+        with pytest.raises(SimulationError):
+            pels.skip(1)
+
+    def test_pending_loopback_refuses_to_skip(self):
+        simulator, _, _, _, pels = build_pels()
+        loopback = pels.add_loopback_line("wake")
+        simulator.step(1)
+        pels._pending_loopback.append(loopback)
+        with pytest.raises(SimulationError):
+            pels.skip(1)

@@ -1,0 +1,248 @@
+"""Differential property tests for PELS WAIT-window horizons (hypothesis).
+
+While every busy link counts a ``wait`` down and nothing else moves, PELS
+promises the event kernel a horizon of the smallest remaining wait and
+replays the ticks before it in one :meth:`~repro.core.pels.Pels.skip`.  The
+claim is cycle-exact equivalence with dense stepping, so these tests run
+random ``wait``/``loop``/``action``/``write`` microcode on 1–4 links — with
+ANY/ALL trigger conditions, loopback routes between links, and external
+triggers that land mid-wait (the FIFO fills and the horizon must fall back
+to 1) — under the dense kernel, the event kernel, and both batch backends,
+at several I/O clock divisors and ``step()`` chunkings.  At every boundary
+they compare the activity counters, the link records, the execution units'
+statistics and wait counters, the trigger evaluations and masked-vector
+history, and the FIFO counters.
+"""
+
+from bisect import bisect_left
+from importlib.util import find_spec
+from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bus.apb import ApbBus
+from repro.core.config import PelsConfig
+from repro.core.isa import Command
+from repro.core.pels import Pels
+from repro.core.trigger import TriggerCondition
+from repro.peripherals.events import EventFabric
+from repro.peripherals.gpio import Gpio
+from repro.sim import BatchSimulator, Simulator
+from repro.sim.component import Component
+
+BACKENDS = ("python", "numpy") if find_spec("numpy") else ("python",)
+EXTERNAL_LINES = ("ext.a", "ext.b")
+SCM_LINES = 8
+BASE_HZ = 48e6
+GPIO_BASE = 0x1000
+
+
+class Stimulus(Component):
+    """Pulses external fabric lines at fixed cycles of its (base) domain."""
+
+    def __init__(self, fabric, pulses):
+        super().__init__("stimulus")
+        self.fabric = fabric
+        self.pulses = {}
+        for cycle, line in pulses:
+            self.pulses.setdefault(cycle, []).append(line)
+        self.cycles = sorted(self.pulses)
+
+    def tick(self, cycle):
+        for line in self.pulses.get(cycle, ()):
+            self.fabric.pulse(line)
+
+    def next_event(self):
+        now = self.clock.cycles
+        index = bisect_left(self.cycles, now)
+        return self.cycles[index] - now + 1 if index < len(self.cycles) else None
+
+
+@st.composite
+def link_programs(draw):
+    """A random program of up to SCM_LINES commands with at most one loop."""
+    commands = []
+    looped = False
+    for pc in range(draw(st.integers(min_value=1, max_value=SCM_LINES))):
+        kind = draw(st.sampled_from(("wait", "wait", "action", "write", "loop", "end")))
+        if kind == "wait":
+            commands.append(Command.wait(draw(st.integers(min_value=0, max_value=64))))
+        elif kind == "action":
+            group = draw(st.integers(min_value=0, max_value=1))
+            commands.append(Command.action(group, draw(st.integers(min_value=1, max_value=3))))
+        elif kind == "write":
+            offset = draw(st.integers(min_value=0, max_value=5))
+            commands.append(Command.write(offset, draw(st.integers(min_value=0, max_value=0xFF))))
+        elif kind == "loop" and pc > 0 and not looped:
+            looped = True
+            target = draw(st.integers(min_value=0, max_value=pc - 1))
+            commands.append(Command.loop(target, draw(st.integers(min_value=0, max_value=3))))
+        else:
+            commands.append(Command.end())
+    return commands
+
+
+links = st.fixed_dictionaries(
+    {
+        "program": link_programs(),
+        # Bits 0-1: external lines; bits 2-3: the two loopback lines.  Most
+        # links listen to ``ext.a`` so that several links wait at once.
+        "mask": st.one_of(st.integers(min_value=0, max_value=0xF), st.sampled_from((0x1, 0x5, 0x9))),
+        "condition": st.sampled_from(tuple(TriggerCondition)),
+        "enabled": st.sampled_from((True, True, True, False)),
+    }
+)
+
+scenarios = st.fixed_dictionaries(
+    {
+        "links": st.lists(links, min_size=1, max_size=4),
+        "divisor": st.sampled_from((1, 2, 4)),
+        "pulses": st.lists(
+            st.tuples(st.integers(min_value=0, max_value=1_200), st.sampled_from(EXTERNAL_LINES)),
+            max_size=16,
+        ),
+        "chunks": st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
+    }
+)
+
+
+def _build(scenario, dense=False):
+    simulator = Simulator(default_frequency_hz=BASE_HZ, dense=dense)
+    io = simulator.add_clock_domain("io", BASE_HZ / scenario["divisor"])
+    fabric = EventFabric()
+    for line in EXTERNAL_LINES:
+        fabric.add_line(line, producer="stimulus")
+    bus = ApbBus("apb")
+    gpio = Gpio("gpio")
+    gpio.connect_events(fabric)
+    bus.attach_slave(GPIO_BASE, 0x1000, gpio)
+    pels = Pels(PelsConfig(n_links=len(scenario["links"]), scm_lines=SCM_LINES), fabric, peripheral_bus=bus)
+    loopbacks = [pels.add_loopback_line(f"loop{bit}") for bit in range(2)]
+    for bit, line in enumerate(loopbacks):
+        pels.route_action_to_fabric(group=0, bit=bit, line_name=line)
+    for bit in range(2):
+        pels.route_action_to_callback(group=1, bit=bit, label=f"sink{bit}", callback=lambda: None)
+    lines = [fabric.index_of(name) for name in (*EXTERNAL_LINES, *loopbacks)]
+    for index, spec in enumerate(scenario["links"]):
+        mask = 0
+        for bit, line in enumerate(lines):
+            if spec["mask"] >> bit & 1:
+                mask |= 1 << line
+        link = pels.program_link(index, spec["program"], trigger_mask=mask, condition=spec["condition"])
+        link.set_base_address(GPIO_BASE)
+        link.trigger.enabled = spec["enabled"]
+    pels._sync_observed_lines()
+    simulator.add_component(Stimulus(fabric, scenario["pulses"]))
+    for component in (gpio, pels, bus):
+        simulator.add_component(component, io)
+    return simulator, pels
+
+
+def _public(obj, *skip):
+    return {key: value for key, value in vars(obj).items() if key not in skip}
+
+
+def observe(simulator, pels):
+    """Everything a WAIT-window skip must reproduce exactly."""
+    links = []
+    for link in pels.links:
+        fifo = link.trigger.fifo
+        links.append(
+            (
+                link.events_serviced,
+                tuple(link.records),
+                link._open_record,
+                _public(link.execution, "scm", "bus_submit", "action_sink", "_pending_request"),
+                _public(link.trigger, "fifo"),
+                (tuple(fifo._entries), fifo.pushed, fifo.popped, fifo.dropped, fifo.high_watermark),
+                (link.scm.read_count, link.scm.write_count),
+            )
+        )
+    return (
+        simulator.current_cycle,
+        simulator.activity.as_dict(),
+        tuple(links),
+        (pels.instant_actions_delivered, pels.unrouted_actions),
+    )
+
+
+def run_stepped(scenario, dense):
+    simulator, pels = _build(scenario, dense=dense)
+    observations = []
+    for chunk in scenario["chunks"]:
+        simulator.step(chunk)
+        observations.append(observe(simulator, pels))
+    return observations, simulator.kernel_stats
+
+
+def run_batched(scenario, backend):
+    simulator, pels = _build(scenario)
+    observations = []
+    batch = BatchSimulator(backend=backend)
+    stops = accumulate(scenario["chunks"])
+    batch.add(simulator, [(stop, lambda elapsed: observations.append(observe(simulator, pels))) for stop in stops])
+    batch.run()
+    return observations
+
+
+class TestWaitWindowDifferential:
+    @settings(max_examples=100, deadline=None)
+    @given(scenarios)
+    def test_every_kernel_matches_dense_at_every_boundary(self, scenario):
+        dense, _ = run_stepped(scenario, dense=True)
+        event, stats = run_stepped(scenario, dense=False)
+        assert event == dense
+        assert stats["dense_ticks"] + stats["cycles_skipped"] == sum(scenario["chunks"])
+        for backend in BACKENDS:
+            assert run_batched(scenario, backend) == dense
+
+
+class TestWaitWindowHorizon:
+    """Hand-built cases pinning the horizon itself, not just equivalence."""
+
+    @staticmethod
+    def _scenario(waits, pulses):
+        """One link per entry of ``waits``, each running ``action; wait N; action``
+        on every ``ext.a`` pulse."""
+        program = [Command.action(1, 0x1), None, Command.action(1, 0x1), Command.end()]
+        links = [
+            {
+                "program": [Command.wait(wait) if command is None else command for command in program],
+                "mask": 0x1,
+                "condition": TriggerCondition.ANY_SELECTED_ACTIVE,
+                "enabled": True,
+            }
+            for wait in waits
+        ]
+        return {"links": links, "divisor": 1, "pulses": pulses, "chunks": [200]}
+
+    def test_a_wait_window_is_skipped_in_one_span(self):
+        scenario = self._scenario([40], [(0, "ext.a")])
+        simulator, pels = _build(scenario)
+        simulator.step(3)  # trigger + start, fetch action, fetch wait
+        assert pels.links[0].execution._wait_remaining == 40
+        assert pels.next_event() == 40
+        event, stats = run_stepped(scenario, dense=False)
+        dense, dense_stats = run_stepped(scenario, dense=True)
+        assert event == dense
+        # The 39 pure countdown ticks are replayed by one skip.
+        assert stats["dense_ticks"] <= dense_stats["dense_ticks"] - 39
+
+    def test_the_horizon_is_the_smallest_remaining_wait(self):
+        scenario = self._scenario([30, 10, 20], [(0, "ext.a")])
+        simulator, pels = _build(scenario)
+        simulator.step(3)
+        assert [link.execution._wait_remaining for link in pels.links] == [30, 10, 20]
+        assert pels.next_event() == 10
+        assert run_stepped(scenario, dense=False)[0] == run_stepped(scenario, dense=True)[0]
+
+    def test_a_trigger_landing_mid_wait_drops_the_horizon_to_one(self):
+        scenario = self._scenario([40], [(0, "ext.a"), (20, "ext.a"), (25, "ext.a")])
+        simulator, pels = _build(scenario)
+        simulator.step(21)  # through the mid-wait pulse at cycle 20
+        link = pels.links[0]
+        assert link.execution._wait_remaining > 1
+        assert link.trigger.fifo.level == 1
+        assert pels.next_event() == 1
+        assert run_stepped(scenario, dense=False)[0] == run_stepped(scenario, dense=True)[0]

@@ -16,6 +16,7 @@ must wake exactly once per PWM period.
 """
 
 from repro.power.scenarios import build_idle_measurement_soc
+from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
 
 HORIZON = 50_000
 PWM_PERIOD = 128
@@ -80,3 +81,32 @@ class TestLegacyKernelCounts:
         assert (
             cached.pwm.regs.reg("COUNT").value == legacy.pwm.regs.reg("COUNT").value
         )
+
+
+class TestMultiLinkPipelineCounts:
+    """Pinned counts for the default multi-link pipeline (PELS-heavy).
+
+    The blinker link spends most of each sampling period counting ``wait``
+    microcode down.  PELS reports those WAIT windows as horizons and its
+    ``skip`` replays them, so the kernel skips them instead of ticking every
+    cycle; idle links are not stepped either.  ``dense_ticks`` is the
+    load-independent proxy for the PELS dense-tick cost (4,159 before WAIT
+    windows were skipped).
+    """
+
+    PIPELINE_HORIZON = 10_000
+
+    def _run(self):
+        prepared = prepare_multi_link_pipeline(MultiLinkPipelineConfig(horizon_cycles=self.PIPELINE_HORIZON))
+        prepared.simulator.step(self.PIPELINE_HORIZON)
+        return prepared.simulator.kernel_stats
+
+    def test_wait_windows_are_skipped(self):
+        stats = self._run()
+        assert stats["dense_ticks"] == 1849
+        assert stats["cycles_skipped"] == 8151
+        assert stats["spans_skipped"] == 463
+
+    def test_time_accounting_is_complete(self):
+        stats = self._run()
+        assert stats["dense_ticks"] + stats["cycles_skipped"] == self.PIPELINE_HORIZON
