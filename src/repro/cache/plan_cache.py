@@ -73,10 +73,7 @@ def group_cache_key(
     non-horizon params, and the horizon list.  Horizons are part of the
     identity because ``batch_prepare`` sizes drive scripts off the full
     horizon list; two campaigns sharing a prefix of horizons get separate
-    entries rather than risky reuse.  The backend is deliberately *not*
-    in the key: snapshots are backend-neutral (see ``SimState.
-    __getstate__``), so a numpy fleet can warm-start from a pure-python
-    seed run and vice versa.
+    entries rather than risky reuse.
     """
     material = {
         "schema": SNAPSHOT_SCHEMA_VERSION,

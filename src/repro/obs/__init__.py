@@ -1,13 +1,13 @@
 """repro.obs — the unified telemetry layer.
 
 Three small, dependency-free pieces give every layer of the system (the
-simulation kernel, the batch backends, the sweep executor, the CLI) one
+simulation kernel, the batch loop, the sweep executor, the CLI) one
 observability vocabulary:
 
 * :mod:`repro.obs.metrics` — a **metrics registry**: counters, gauges, and
   histograms with labels, plus the fixed-key :class:`~repro.obs.metrics.CounterSet`
   the kernel's ``kernel_stats`` is built from.  ``KERNEL_STAT_KEYS`` is the
-  canonical key set every kernel/backend must agree on, and the
+  canonical key set every kernel mode must agree on, and the
   snapshot/diff protocol is what the stats-parity tests compare.
 * :mod:`repro.obs.tracing` — **structured span tracing**: a process-global
   :class:`~repro.obs.tracing.SpanTracer` that instrumented code consults

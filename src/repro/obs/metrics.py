@@ -5,12 +5,12 @@ Two consumers shape this module:
 * the **simulation kernel** needs a fixed, canonical set of integer
   counters (``kernel_stats``) that is cheap to increment on the hot path,
   comparable with ``==`` in the parity tests, and identical across the
-  dense, event-driven, and cached kernels and across every batch backend.
+  dense, event-driven, and cached kernels and the batch loop.
   That is :class:`CounterSet` plus :data:`KERNEL_STAT_KEYS` — the *single*
   definition of which keys exist (``tests/sim/test_kernel_stat_keys.py``
-  asserts every kernel/backend produces exactly this set);
+  asserts every kernel mode produces exactly this set);
 * the **sweep executor** needs to aggregate heterogeneous measurements —
-  kernel counters summed across points, batch-backend round counts,
+  kernel counters summed across points, batch round counts,
   per-point wall-time distributions — into one deterministic, JSON-ready
   structure for the manifest's ``execution.telemetry`` block.  That is
   :class:`MetricsRegistry`.
@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 #: The canonical scheduler-instrumentation key set.  Every
 #: ``SimState.kernel_stats`` mapping — dense kernel, event-driven kernel
-#: with or without cached wakes, any batch backend — carries exactly these
+#: with or without cached wakes, batched or not — carries exactly these
 #: keys, in this order.  Grow the kernel's instrumentation *here*, never by
 #: sprinkling ad-hoc keys at increment sites.
 KERNEL_STAT_KEYS: Tuple[str, ...] = (

@@ -1,6 +1,6 @@
 """Structured span tracing with a zero-overhead disabled mode.
 
-Instrumented code — the kernel's span loop, the batch backends, the sweep
+Instrumented code — the kernel's span loop, the batch round loop, the sweep
 executor, the artifacts writer — consults the process-global
 :data:`TRACER` through a single ``is not None`` check per instrumented
 region.  When no tracer is installed (the default) that check is the

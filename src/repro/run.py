@@ -12,9 +12,7 @@ artifacts plus a reproducibility manifest under ``results/sweeps/``.
 Batched execution (``--batch``, on by default where the scenario supports
 it) lets points that differ only in their horizon share one simulation,
 advanced in lockstep with the chunk's other instances — byte-identical
-artifacts, measured ≥1.5x faster on multi-horizon campaigns (≥3x with the
-vectorised ``--backend numpy`` round loop, the default when numpy is
-importable).
+artifacts, measured ≥3x faster on multi-horizon campaigns.
 ``--shard I/N`` restricts a run to one slice of the grid for multi-host
 distribution, ``sweep merge`` stitches the per-host artifact directories
 back into the single-host artifacts, and ``sweep merge --heal`` emits the
@@ -193,21 +191,12 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "whenever the scenario supports it)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help="batch kernel loop: 'python' is the reference per-instance "
-        "round loop, 'numpy' vectorises span selection across the batch "
-        "(identical results), 'auto' picks numpy when importable "
-        "(default: %(default)s); recorded in the manifest execution block",
-    )
-    parser.add_argument(
         "--plan-cache",
         default=None,
         metavar="DIR",
         help="persistent prepared-state snapshot cache: batched groups "
-        "warm-start from snapshots published by earlier runs (any process, "
-        "any backend) and publish their own at every horizon stop; results "
+        "warm-start from snapshots published by earlier runs (any process) "
+        "and publish their own at every horizon stop; results "
         "are byte-identical to a cold run, hit/miss totals land in the "
         "manifest's execution.cache block; the fleet provisions one shared "
         "cache dir automatically",
@@ -479,16 +468,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
         except ValueError as exc:
             print(f"error: --shard: {exc}", file=sys.stderr)
             return 2
-    # Validate the backend up front: an explicit --backend numpy on a host
-    # without numpy is a usage error, not a mid-campaign crash.
-    from repro.sim.backend import resolve_backend
-    from repro.sim.simulator import SimulationError
-
-    try:
-        resolve_backend(args.backend)
-    except SimulationError as exc:
-        print(f"error: --backend: {exc}", file=sys.stderr)
-        return 2
     try:
         spec = campaign(args.campaign)
     except KeyError as exc:
@@ -595,7 +574,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             reuse=reuse,
             shard=shard,
             batch=batch,
-            backend=args.backend,
             trace=args.trace_out is not None,
             profile=args.profile,
             plan_cache=args.plan_cache,
@@ -651,9 +629,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     paths = write_artifacts(spec, result, Path(args.out), subdir=shard_subdir)
     sharded = f"shard {shard}, " if shard is not None else ""
     reused = f", {result.n_reused} reused" if result.n_reused else ""
-    batched = (
-        f", {result.batched_points} batched ({result.backend})" if result.batched_points else ""
-    )
+    batched = f", {result.batched_points} batched" if result.batched_points else ""
     if result.batch_fallbacks:
         fallen = sum(len(record["points"]) for record in result.batch_fallbacks)
         batched += f", {fallen} fell back"

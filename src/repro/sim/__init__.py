@@ -23,7 +23,6 @@ protocol.
 from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.activity import ActivityCounters
-from repro.sim.backend import available_backends, resolve_backend
 from repro.sim.batch import BatchInstance, BatchSimulator
 from repro.sim.simulator import SchedulePlan, SimState, Simulator, SimulationError
 from repro.sim.trace import SignalTrace, TraceRecorder
@@ -40,6 +39,4 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "TraceRecorder",
-    "available_backends",
-    "resolve_backend",
 ]

@@ -39,13 +39,10 @@ one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
-from repro.sim.simulator import SimulationError, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.sim.backend.base import BatchBackend
+from repro.sim.simulator import SimState, SimulationError, Simulator
 
 #: A stop callback: receives the instance-relative elapsed cycle count; the
 #: simulator is paused exactly on that cycle while the callback runs.
@@ -139,22 +136,12 @@ class BatchSimulator:
     instance advances exactly one span boundary, capped at its next stop.
     Stops fire as soon as their cycle is reached.  The batch is done when
     every instance has fired its last stop.
-
-    The round loop itself is pluggable (:mod:`repro.sim.backend`):
-    ``backend`` picks the pure-python reference loop (``"python"``), the
-    vectorised struct-of-arrays loop (``"numpy"``), or the best available
-    (``"auto"``/``None``, the default).  All backends produce identical
-    component state, kernel stats, and stop observation order; the name of
-    the loop that actually ran is recorded in :attr:`backend_name`.
     """
 
-    def __init__(self, backend: Union[None, str, "BatchBackend"] = None) -> None:
+    def __init__(self) -> None:
         self.instances: List[BatchInstance] = []
         #: Scheduling rounds executed by :meth:`run` (diagnostics).
         self.rounds = 0
-        self._backend = backend
-        #: Name of the backend resolved by the last :meth:`run` call.
-        self.backend_name: Optional[str] = None
         self._running = False
 
     def add(
@@ -179,43 +166,63 @@ class BatchSimulator:
         return instance
 
     def run(self) -> None:
-        """Advance every instance through all of its stops."""
-        from repro.sim.backend import resolve_backend
+        """Advance every instance through all of its stops.
 
-        backend = resolve_backend(self._backend)
-        self.backend_name = backend.name
-        live: List[Tuple[BatchInstance, object, bool]] = []
+        Each round gives every live instance exactly one
+        :meth:`~repro.sim.simulator.SimState.advance_span` step, capped at
+        its next stop, then fires the stops that step reached; instances are
+        visited in enrollment order, so stops observed in the same round
+        fire in that order too.  An instance that makes no progress raises
+        :func:`stall_error` instead of spinning.
+        """
+        live: List[Tuple[BatchInstance, SimState, bool]] = []
         for instance in self.instances:
             if instance.done:
                 continue
             simulator = instance.simulator
             # Resolve (and share) the plan once per instance up front; the
-            # backend round loop then drives the bound state directly,
-            # exactly like Simulator.step does for a single instance.
+            # round loop then drives the bound state directly, exactly like
+            # Simulator.step does for a single instance.
             plan = simulator._schedule_plan()
             dense = simulator.dense or plan.forces_dense
             live.append((instance, simulator._state, dense))
         self._running = True
         tracer = tracing.TRACER
-        if tracer is None:
-            try:
-                backend.run(self, live)
-            finally:
-                self._running = False
-            return
-        start_ns = tracer.now_ns()
+        start_ns = tracer.now_ns() if tracer is not None else 0
         try:
-            backend.run(self, live)
+            while live:
+                self.rounds += 1
+                if tracer is not None and self.rounds % 64 == 1:
+                    tracer.counter("batch.live", "batch", {"instances": len(live)})
+                still_live = []
+                for entry in live:
+                    instance, state, dense = entry
+                    limit = instance.next_stop - instance.elapsed
+                    advanced = state.advance_span(limit, dense=dense)
+                    if advanced <= 0:
+                        raise stall_error(instance)
+                    instance.elapsed += advanced
+                    instance._fire_due_stops()
+                    if not instance.done:
+                        still_live.append(entry)
+                live = still_live
         finally:
             self._running = False
-            tracer.event(
-                "batch.run",
-                "batch",
-                start_ns,
-                tracer.now_ns() - start_ns,
-                {
-                    "instances": len(self.instances),
-                    "backend": self.backend_name,
-                    "rounds": self.rounds,
-                },
-            )
+            if tracer is not None:
+                tracer.event(
+                    "batch.run",
+                    "batch",
+                    start_ns,
+                    tracer.now_ns() - start_ns,
+                    {"instances": len(self.instances), "rounds": self.rounds},
+                )
+
+
+def stall_error(instance: BatchInstance) -> SimulationError:
+    """The zero-progress diagnostic: a mis-wired scenario, not a hang."""
+    return SimulationError(
+        f"batch instance {instance.label} made no progress at elapsed cycle "
+        f"{instance.elapsed} with a stop pending at cycle {instance.next_stop}; "
+        f"the scenario's wake scheduling is mis-wired (e.g. an empty wake heap "
+        f"with work outstanding)"
+    )

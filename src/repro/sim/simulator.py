@@ -599,13 +599,6 @@ class SchedulePlan:
         self.n_components = len(entries)
 
 
-#: Sentinel stored in an attached wake-deadline column for "no deadline"
-#: (``deadlines[i] is None``).  Large enough that ``WAKE_NONE - base_tick``
-#: never caps a span, small enough that int64 column arithmetic cannot
-#: overflow.
-WAKE_NONE = 1 << 62
-
-
 class SimState:
     """Per-instance mutable scheduling state.
 
@@ -622,16 +615,6 @@ class SimState:
     next boundary.  Absolute deadlines survive skips unchanged — only firing
     (deadline expiry, detected in :meth:`dense_tick`) or an explicit
     :meth:`invalidate_wake` moves them.
-
-    **Column extraction (batched execution).**  A struct-of-arrays batch
-    backend (:mod:`repro.sim.backend`) may hand this instance one row of a
-    shared int64 deadline matrix via :meth:`attach_wake_row`.  The row then
-    mirrors the authoritative ``deadlines`` list at every mutation site
-    (re-poll, expiry, cache clear) with :data:`WAKE_NONE` standing in for
-    ``None``, so the backend computes every instance's earliest cached wake
-    as one vectorised row-min instead of a per-instance heap peek.  The heap
-    keeps running regardless — it still drives deadline expiry in
-    :meth:`dense_tick` and the solo stepping path.
     """
 
     def __init__(self) -> None:
@@ -640,7 +623,7 @@ class SimState:
         self.traces = TraceRecorder()
         # The canonical scheduler counters: the key set is defined once in
         # repro.obs.metrics (KERNEL_STAT_KEYS) and shared by every kernel
-        # and batch backend; writing an undeclared key raises at the
+        # and the batch loop; writing an undeclared key raises at the
         # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
         self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
         #: The plan these bound lists were derived from (identity-compared).
@@ -657,23 +640,16 @@ class SimState:
         self.deadlines: List[Optional[int]] = []
         self._dirty: set = set()
         self._heap: List[Tuple[int, int]] = []
-        #: Optional backend-owned int64 row mirroring ``deadlines``
-        #: (:data:`WAKE_NONE` for ``None``); see :meth:`attach_wake_row`.
-        self._wake_row = None
         #: Component whose tick()/skip() is currently executing; its *self*
         #: invalidations are suppressed (see invalidate_wake).
         self._active_component: Optional[Component] = None
 
     def __getstate__(self) -> Dict[str, object]:
         # Prepared-state snapshots (repro.sim.snapshot) pickle whole
-        # simulators between processes and across batch backends.  The wake
-        # row is a backend-owned view into a shared deadline matrix — the
-        # authoritative ``deadlines`` list carries the same information, and
-        # whichever backend runs the restored instance re-attaches its own
-        # row.  ``_active_component`` only ever holds a value *during* a
-        # tick/skip dispatch, never at a stop boundary.
+        # simulators between processes.  ``_active_component`` only ever
+        # holds a value *during* a tick/skip dispatch, never at a stop
+        # boundary.
         state = self.__dict__.copy()
-        state["_wake_row"] = None
         state["_active_component"] = None
         return state
 
@@ -682,9 +658,6 @@ class SimState:
     def bind(self, plan: SchedulePlan, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:
         """Bind ``plan``'s component positions to this instance's objects."""
         self.bound_plan = plan
-        # A rebind can change the cached-component count; an attached wake
-        # row has the old width and must not survive it.
-        self._wake_row = None
         self.ticking = [pairs[index] for index in plan.ticking]
         self.volatile = [pairs[index] for index in plan.volatile]
         self.cached = [pairs[index] for index in plan.cached]
@@ -743,46 +716,13 @@ class SimState:
         self.deadlines = [None] * len(self.cached)
         self._dirty = set(range(len(self.cached)))
         self._heap = []
-        if self._wake_row is not None:
-            self._wake_row[:] = WAKE_NONE
-
-    # ------------------------------------------------------------ wake columns
-
-    def attach_wake_row(self, row) -> None:
-        """Mirror this instance's cached deadlines into ``row``.
-
-        ``row`` is one row of a batch backend's shared int64 deadline matrix
-        (any mutable int sequence of length ``len(self.cached)``; in practice
-        a numpy view).  From this call on, every deadline mutation —
-        :meth:`_repoll`, the expiry sweep in :meth:`dense_tick`,
-        :meth:`clear_wake_cache` — is written through to the row with
-        :data:`WAKE_NONE` standing in for ``None``, so
-        ``row.min() - base_tick`` is this instance's earliest cached wake
-        gap.  Rebinding to a different plan detaches the row (its width would
-        be stale).
-        """
-        if len(row) != len(self.cached):
-            raise SimulationError(
-                f"wake row has width {len(row)}, expected {len(self.cached)} "
-                f"(one slot per cached component)"
-            )
-        self._wake_row = row
-        for index, deadline in enumerate(self.deadlines):
-            row[index] = WAKE_NONE if deadline is None else deadline
-
-    def detach_wake_row(self) -> None:
-        """Stop mirroring deadlines into the attached row (if any)."""
-        self._wake_row = None
 
     def _repoll(self, index: int) -> None:
         """Recompute one cached component's absolute deadline."""
         component, clock = self.cached[index]
         horizon = component.next_event()
-        row = self._wake_row
         if horizon is None:
             self.deadlines[index] = None
-            if row is not None:
-                row[index] = WAKE_NONE
             return
         if horizon < 1:
             horizon = 1
@@ -795,8 +735,6 @@ class SimState:
             first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
             deadline = first + (horizon - 1) * divisor
         self.deadlines[index] = deadline
-        if row is not None:
-            row[index] = deadline
         heappush(self._heap, (deadline, index))
         # Lazy heaps accumulate stale entries; compact when they dominate.
         if len(self._heap) > 4 * len(self.cached) + 16:
@@ -841,7 +779,6 @@ class SimState:
             base_tick = self.base_tick
             deadlines = self.deadlines
             dirty = self._dirty
-            row = self._wake_row
             while heap:
                 deadline, index = heap[0]
                 if deadlines[index] != deadline:
@@ -851,8 +788,6 @@ class SimState:
                     break
                 heappop(heap)
                 deadlines[index] = None
-                if row is not None:
-                    row[index] = WAKE_NONE
                 dirty.add(index)
 
     # ------------------------------------------------------------ event-driven
@@ -886,10 +821,7 @@ class SimState:
         everything before that is quiescent by the component's promise.
 
         Composed from :meth:`poll_dirty` + :meth:`volatile_bound` + the lazy
-        heap peek over cached deadlines; batch backends call the first two
-        directly and replace the peek with a vectorised row-min over attached
-        wake rows (same value by construction — the row mirrors
-        ``deadlines``).
+        heap peek over cached deadlines.
         """
         self.poll_dirty()
         span = self.volatile_bound(limit)
@@ -925,9 +857,8 @@ class SimState:
         """Span cap from the volatile components alone, in ``[0, limit]``.
 
         Returns 0 when a volatile component needs a dense tick right now.
-        Does **not** consult the cached-deadline heap — callers combine this
-        with the heap peek (:meth:`quiescent_span`) or with a wake-row min
-        (the numpy batch backend).
+        Does **not** consult the cached-deadline heap; :meth:`quiescent_span`
+        combines the two.
         """
         stats = self.kernel_stats
         base_tick = self.base_tick

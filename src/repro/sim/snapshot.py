@@ -26,11 +26,8 @@ object — the simulator, its :class:`SimState` (base tick, authoritative
 wake-deadline list + lazy heap, divisors, kernel-stat counters, activity
 counters, trace recorder positions), and every component's register/
 architectural state.  **What it deliberately drops** (via
-``SimState.__getstate__``): the backend-owned ``_wake_row`` view (each
-batch backend re-attaches its own row on enrollment, rebuilt from the
-authoritative ``deadlines`` list) and the transient ``_active_component``
-marker — which is why one snapshot restores identically under the pure
-python and the numpy backend.
+``SimState.__getstate__``): the transient ``_active_component`` marker,
+which is only ever set inside a tick/skip dispatch.
 
 Every integrity failure — bad magic, truncation, checksum mismatch, a
 stale schema version, an unresolvable class — raises :class:`SnapshotError`

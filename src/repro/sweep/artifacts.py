@@ -136,9 +136,6 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
             # downstream (merge --heal, the fleet) treats them as missing
             # coverage and re-runs exactly those points.
             "failed_points": [dict(record) for record in result.failed_points],
-            # The batch kernel loop that produced the batched points
-            # (null when nothing ran batched); see repro.sim.backend.
-            "backend": result.backend,
             "wall_seconds": result.wall_seconds,
             "point_wall_seconds": {
                 str(point.index): point.wall_seconds for point in result.points

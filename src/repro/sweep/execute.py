@@ -126,9 +126,6 @@ class CampaignResult:
     #: (``{"reason": ..., "points": [indices]}``), recorded in the manifest
     #: next to ``batched_points`` and surfaced in the CLI summary.
     batch_fallbacks: List[Dict[str, object]] = field(default_factory=list)
-    #: The resolved batch backend name (``"python"``/``"numpy"``; ``None``
-    #: when nothing ran batched).
-    backend: Optional[str] = None
     #: Points whose execution raised: one structured record per failure
     #: (see :func:`_failed_record`), sorted by index.  Failed points are
     #: absent from ``points`` — their records never enter the comparable
@@ -568,7 +565,6 @@ def _enroll_group(
 
 def run_point_groups(
     groups: Sequence[Sequence[SweepPoint]],
-    backend: Optional[str] = None,
     trace: bool = False,
     profile: bool = False,
     plan_cache: Optional[str] = None,
@@ -577,9 +573,9 @@ def run_point_groups(
 
     All of the chunk's instances advance through one
     :class:`~repro.sim.batch.BatchSimulator` — in lockstep over span
-    boundaries, under one shared schedule plan, on the requested backend —
-    and every point's record is snapshotted exactly when its horizon is
-    reached.  A group whose batch-prepare hook declines
+    boundaries, under one shared schedule plan — and every point's record
+    is snapshotted exactly when its horizon is reached.  A group whose
+    batch-prepare hook declines
     (:class:`BatchUnsupported` — e.g. heterogeneous derived parameters) or
     whose enrollment fails runs per-instance inside this same task, with the
     reason recorded in the outcome's ``fallbacks``.  ``plan_cache`` (a
@@ -596,7 +592,7 @@ def run_point_groups(
 
         cache = PlanCache(plan_cache)
     try:
-        batch = BatchSimulator(backend=backend)
+        batch = BatchSimulator()
         outcome = ChunkOutcome()
         results = outcome.results
         clocks = []
@@ -699,7 +695,6 @@ def execute_campaign(
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
     batch: Optional[bool] = None,
-    backend: Optional[str] = None,
     trace: bool = False,
     profile: bool = False,
     plan_cache: Optional[str] = None,
@@ -718,14 +713,11 @@ def execute_campaign(
     batch-prepare hook, ``True`` requests it, ``False`` forces the
     per-instance path.  Groups (or whole scenarios) that cannot batch fall
     back to per-instance execution with the reason recorded in
-    ``batch_fallbacks`` — never silently.  ``backend`` picks the batch
-    kernel loop (``None``/``"auto"`` → numpy when importable, else the
-    python reference; see :mod:`repro.sim.backend`); the resolved name is
-    recorded on the result.  ``progress`` (if given) is called after each
-    completed point with ``(completed, total, result)`` where ``total`` is
-    the shard-local point count — note that under sharding or batching the
-    completion *order* is nondeterministic even though the aggregated
-    results are not.
+    ``batch_fallbacks`` — never silently.  ``progress`` (if given) is
+    called after each completed point with ``(completed, total, result)``
+    where ``total`` is the shard-local point count — note that under
+    sharding or batching the completion *order* is nondeterministic even
+    though the aggregated results are not.
 
     ``trace``/``profile`` turn on telemetry collection (``--trace-out`` /
     ``--profile``): the result gains a ``telemetry`` block (phase profile
@@ -746,14 +738,6 @@ def execute_campaign(
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be at least 1")
     use_batch = batch is not False and scenario(spec.scenario).batch_prepare is not None
-    backend_name: Optional[str] = None
-    if use_batch:
-        from repro.sim.backend import resolve_backend
-
-        # Resolve up front: an explicit --backend numpy without numpy must
-        # fail loudly before any point runs, and the workers must all use
-        # the concrete backend the parent resolved (not re-resolve "auto").
-        backend_name = resolve_backend(backend).name
     telemetry = trace or profile
     timer = PhaseTimer() if telemetry else None
     kernel_totals = CounterSet(KERNEL_STAT_KEYS) if telemetry else None
@@ -792,7 +776,6 @@ def execute_campaign(
         chunks: List = _chunked_groups(batch_groups(points), chunk_size)
         task: Callable = partial(
             run_point_groups,
-            backend=backend_name,
             trace=trace,
             profile=profile,
             plan_cache=plan_cache,
@@ -890,7 +873,6 @@ def execute_campaign(
         batched_points=batched_points,
         batch_fallbacks=fallbacks,
         failed_points=failed,
-        backend=backend_name if batched_points else None,
         telemetry=telemetry_payload,
         trace_events=trace_events,
         trace_dropped=trace_dropped,

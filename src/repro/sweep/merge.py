@@ -535,7 +535,6 @@ def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
             "batched_points": 0,
             "batch_fallbacks": [],
             "failed_points": [],
-            "backend": None,
             "wall_seconds": result.wall_seconds,
             "point_wall_seconds": {
                 str(point.index): point.wall_seconds for point in result.points

@@ -7,7 +7,7 @@ claim is cycle-exact equivalence with dense stepping, so these tests run
 random ``wait``/``loop``/``action``/``write`` microcode on 1–4 links — with
 ANY/ALL trigger conditions, loopback routes between links, and external
 triggers that land mid-wait (the FIFO fills and the horizon must fall back
-to 1) — under the dense kernel, the event kernel, and both batch backends,
+to 1) — under the dense kernel, the event kernel, and the batch round loop,
 at several I/O clock divisors and ``step()`` chunkings.  At every boundary
 they compare the activity counters, the link records, the execution units'
 statistics and wait counters, the trigger evaluations and masked-vector
@@ -15,7 +15,6 @@ history, and the FIFO counters.
 """
 
 from bisect import bisect_left
-from importlib.util import find_spec
 from itertools import accumulate
 
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ from repro.peripherals.gpio import Gpio
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.component import Component
 
-BACKENDS = ("python", "numpy") if find_spec("numpy") else ("python",)
 EXTERNAL_LINES = ("ext.a", "ext.b")
 SCM_LINES = 8
 BASE_HZ = 48e6
@@ -176,10 +174,10 @@ def run_stepped(scenario, dense):
     return observations, simulator.kernel_stats
 
 
-def run_batched(scenario, backend):
+def run_batched(scenario):
     simulator, pels = _build(scenario)
     observations = []
-    batch = BatchSimulator(backend=backend)
+    batch = BatchSimulator()
     stops = accumulate(scenario["chunks"])
     batch.add(simulator, [(stop, lambda elapsed: observations.append(observe(simulator, pels))) for stop in stops])
     batch.run()
@@ -194,8 +192,7 @@ class TestWaitWindowDifferential:
         event, stats = run_stepped(scenario, dense=False)
         assert event == dense
         assert stats["dense_ticks"] + stats["cycles_skipped"] == sum(scenario["chunks"])
-        for backend in BACKENDS:
-            assert run_batched(scenario, backend) == dense
+        assert run_batched(scenario) == dense
 
 
 class TestWaitWindowHorizon:

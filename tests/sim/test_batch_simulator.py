@@ -14,10 +14,7 @@ Covers the two halves of the plan/state split:
 import pytest
 
 from repro.sim import BatchSimulator, SimulationError, Simulator
-from repro.sim.backend import available_backends
 from repro.sim.component import Component
-
-BACKENDS = available_backends()
 
 
 class Blinker(Component):
@@ -97,10 +94,9 @@ class TestPlanSharing:
 
 
 class TestBatchSimulator:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batched_instances_match_standalone_runs(self, backend):
+    def test_batched_instances_match_standalone_runs(self):
         # Heterogeneous periods and horizons: every instance must end in
-        # exactly the state of its own standalone run — on every backend.
+        # exactly the state of its own standalone run.
         configs = [([7, 50], 1_000), ([13, 990], 2_500), ([1, 3], 311)]
         solo = []
         for periods, horizon in configs:
@@ -108,14 +104,13 @@ class TestBatchSimulator:
             simulator.step(horizon)
             solo.append([(b.pulses, b.idle_cycles, b.countdown) for b in blinkers])
 
-        batch = BatchSimulator(backend=backend)
+        batch = BatchSimulator()
         batched_states = []
         for periods, horizon in configs:
             simulator, blinkers = _build(periods)
             batched_states.append(blinkers)
             batch.add(simulator, [(horizon, lambda elapsed: None)])
         batch.run()
-        assert batch.backend_name == backend
         batched = [
             [(b.pulses, b.idle_cycles, b.countdown) for b in blinkers]
             for blinkers in batched_states
@@ -201,14 +196,13 @@ class TestBatchSimulator:
         with pytest.raises(SimulationError, match="while the batch is running"):
             batch.run()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_progress_raises_instead_of_spinning(self, backend):
+    def test_zero_progress_raises_instead_of_spinning(self):
         # Regression: a live instance whose advance_span returns 0 (mis-wired
         # wake scheduling) used to spin run() forever.  It must raise,
         # naming the instance, its elapsed cycle, and the pending stop.
         simulator, _ = _build([10])
-        simulator.dense = True  # both backends route dense via advance_span
-        batch = BatchSimulator(backend=backend)
+        simulator.dense = True  # the round loop routes dense via advance_span
+        batch = BatchSimulator()
         batch.add(simulator, [(50, lambda elapsed: None)], label="stuck-instance")
         simulator.state.advance_span = lambda limit, dense=False: 0
         with pytest.raises(SimulationError) as excinfo:
@@ -217,10 +211,3 @@ class TestBatchSimulator:
         assert "stuck-instance" in message
         assert "elapsed cycle 0" in message
         assert "cycle 50" in message
-
-    def test_backend_selection_validates_names(self):
-        simulator, _ = _build([10])
-        batch = BatchSimulator(backend="fortran")
-        batch.add(simulator, [(10, lambda elapsed: None)])
-        with pytest.raises(SimulationError, match="unknown batch backend"):
-            batch.run()

@@ -1,8 +1,8 @@
-"""One canonical kernel_stats key set across every kernel and backend.
+"""One canonical kernel_stats key set across every kernel mode.
 
 ``repro.obs.metrics.KERNEL_STAT_KEYS`` is the single definition of the
 scheduler-counter contract: the dense kernel, the cached event-driven
-kernel, the legacy uncached kernel, and every batch backend must produce
+kernel, the legacy uncached kernel, and the batch round loop must produce
 ``kernel_stats`` with exactly this key set — no more, no fewer.  The
 telemetry layer (``MetricsRegistry.absorb_kernel_stats``, sweep manifests,
 ``repro.run stats``) aggregates these dicts blindly across workers and
@@ -15,10 +15,7 @@ import pytest
 
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
 from repro.sim import BatchSimulator, Simulator
-from repro.sim.backend import available_backends
 from repro.sim.component import Component
-
-BACKENDS = available_backends()
 
 HORIZON = 2_000
 
@@ -73,15 +70,13 @@ class TestCanonicalKeySet:
     def test_dense_kernel(self):
         assert tuple(_run_kernel(dense=True)) == KERNEL_STAT_KEYS
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_backends(self, backend):
-        batch = BatchSimulator(backend=backend)
+    def test_batch_round_loop(self):
+        batch = BatchSimulator()
         for period in (7, 11):
             simulator = Simulator()
             simulator.add_component(Pulse(period))
             batch.add(simulator, [(HORIZON, lambda elapsed: None)])
         batch.run()
-        assert batch.backend_name == backend
         for instance in batch.instances:
             assert tuple(instance.simulator.kernel_stats) == KERNEL_STAT_KEYS
 

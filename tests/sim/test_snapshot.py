@@ -191,7 +191,6 @@ class TestRestoreOracle:
         prepared = _prepare()
         prepared.simulator.step(HORIZONS[0])
         state = pickle.loads(pickle.dumps(prepared.simulator._state))
-        assert state._wake_row is None
         assert state._active_component is None
 
     @settings(max_examples=8, deadline=None)

@@ -2,9 +2,7 @@
 
 The acceptance oracle of the batched executor is byte-identity: for every
 registry campaign, ``--batch`` artifacts must equal the per-instance
-``--jobs 1`` artifacts bit for bit — on every available backend (the pure
-python reference loop and, when importable, the vectorised numpy loop).
-Groups that cannot batch (no batch-prepare hook, or heterogeneous derived
+``--jobs 1`` artifacts bit for bit.  Groups that cannot batch (no batch-prepare hook, or heterogeneous derived
 drives) must fall back with the reason recorded in the manifest, and
 batching must compose with ``--jobs``/``--chunk``/``--shard``/``--resume``.
 """
@@ -14,7 +12,6 @@ import json
 import pytest
 
 from repro.run import main
-from repro.sim.backend import available_backends
 from repro.sweep import (
     CampaignSpec,
     ShardSpec,
@@ -40,8 +37,6 @@ SMALL_SPEC = CampaignSpec(
         "sample_period_cycles": (1_000, 2_000),
     },
 )
-
-BACKENDS = available_backends()
 
 
 def _payload_bytes(result):
@@ -99,17 +94,13 @@ def serial_campaign():
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(campaign_names()))
-    def test_every_registry_campaign_is_batch_identical(
-        self, name, backend, tmp_path, serial_campaign
-    ):
+    def test_every_registry_campaign_is_batch_identical(self, name, tmp_path, serial_campaign):
         """The acceptance criterion: batched == per-instance, bit for bit,
-        for results.json *and* results.csv of every registry campaign, on
-        every available backend."""
+        for results.json *and* results.csv of every registry campaign."""
         spec = campaign(name)
         serial = serial_campaign(name)
-        batched = execute_campaign(spec, jobs=1, batch=True, backend=backend)
+        batched = execute_campaign(spec, jobs=1, batch=True)
         assert _payload_bytes(serial) == _payload_bytes(batched)
         serial_paths = write_artifacts(spec, serial, tmp_path / "serial")
         batched_paths = write_artifacts(spec, batched, tmp_path / "batched")
@@ -119,13 +110,7 @@ class TestByteIdentity:
     def test_batchable_scenarios_report_batched_points(self):
         batched = execute_campaign(SMALL_SPEC, jobs=1, batch=True)
         assert batched.batched_points == batched.n_points == 4
-        assert batched.backend in BACKENDS
         assert batched.batch_fallbacks == []
-
-    def test_explicit_backend_is_recorded(self):
-        batched = execute_campaign(SMALL_SPEC, jobs=1, batch=True, backend="python")
-        assert batched.backend == "python"
-        assert batched.batched_points == 4
 
     def test_watchdog_recovery_batches(self):
         """The two-segment drive (fault injection) is replayed as a drive
@@ -157,7 +142,6 @@ class TestByteIdentity:
         serial = execute_campaign(spec, jobs=1, batch=False)
         batched = execute_campaign(spec, jobs=1, batch=True)
         assert batched.batched_points == 0
-        assert batched.backend is None
         [record] = batched.batch_fallbacks
         assert "different fault-injection drives" in record["reason"]
         assert record["points"] == [0, 1]
@@ -207,7 +191,6 @@ class TestComposition:
         resumed = execute_campaign(SMALL_SPEC, jobs=1, reuse=reuse, batch=True)
         assert resumed.n_reused == 4
         assert resumed.batched_points == 0  # nothing left to execute
-        assert resumed.backend is None
         assert _payload_bytes(first) == _payload_bytes(resumed)
 
     def test_manifest_records_batch_execution(self, tmp_path):
@@ -215,11 +198,9 @@ class TestComposition:
         execution = manifest_payload(SMALL_SPEC, result)["execution"]
         assert execution["batched_points"] == 4
         assert execution["batch_fallbacks"] == []
-        assert execution["backend"] in BACKENDS
         serial = execute_campaign(SMALL_SPEC, jobs=1, batch=False)
         serial_execution = manifest_payload(SMALL_SPEC, serial)["execution"]
         assert serial_execution["batched_points"] == 0
-        assert serial_execution["backend"] is None
 
 
 class TestCli:
@@ -234,16 +215,7 @@ class TestCli:
         on_manifest = json.loads((on_dir / "smoke" / "manifest.json").read_text())
         off_manifest = json.loads((off_dir / "smoke" / "manifest.json").read_text())
         assert on_manifest["execution"]["batched_points"] == 4
-        assert on_manifest["execution"]["backend"] in BACKENDS
         assert off_manifest["execution"]["batched_points"] == 0
-        assert off_manifest["execution"]["backend"] is None
-
-    def test_backend_flag_round_trip(self, tmp_path, capsys):
-        out_dir = tmp_path / "py"
-        assert main(["sweep", "smoke", "--backend", "python", "--out", str(out_dir)]) == 0
-        assert "4 batched (python)" in capsys.readouterr().out
-        manifest = json.loads((out_dir / "smoke" / "manifest.json").read_text())
-        assert manifest["execution"]["backend"] == "python"
 
     def test_batch_on_warns_for_non_batchable_scenario(self, tmp_path, capsys):
         spec = _non_batchable_campaign()

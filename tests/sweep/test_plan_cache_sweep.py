@@ -2,8 +2,8 @@
 
 The acceptance oracle of the cache-fed executor: for every registry
 campaign, a warm run against a populated cache must produce artifacts
-byte-identical to a cold run and to a run with no cache at all, on every
-available backend — while actually using the cache (hit counters in
+byte-identical to a cold run and to a run with no cache at all — while
+actually using the cache (hit counters in
 ``execution.cache``).  Around that: partial caches (missing and corrupt
 entries) must degrade to simulation and heal the cache, the manifest must
 record warm-run provenance, and the CLI flag must round-trip.
@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.run import main
-from repro.sim.backend import available_backends
 from repro.sweep import (
     CampaignSpec,
     campaign,
@@ -25,10 +24,8 @@ from repro.sweep import (
 )
 from repro.sweep.artifacts import manifest_payload
 
-BACKENDS = available_backends()
-
 #: Registry campaigns small enough for per-test execution; fleet-scale's
-#: 1008 points are covered by one single (default-backend) identity pass.
+#: 1008 points are covered by one single identity pass.
 FAST_CAMPAIGNS = sorted(set(campaign_names()) - {"fleet-scale"})
 
 SMALL_SPEC = CampaignSpec(
@@ -49,7 +46,7 @@ def _payload_bytes(result):
 @pytest.fixture(scope="module")
 def reference_and_cache(tmp_path_factory):
     """Per-campaign: the no-cache reference payload plus a populated cache
-    directory (computed once, shared by the per-backend warm tests)."""
+    directory (computed once per campaign)."""
     root = tmp_path_factory.mktemp("plan-caches")
     state = {}
 
@@ -67,15 +64,12 @@ def reference_and_cache(tmp_path_factory):
 
 
 class TestWarmByteIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", FAST_CAMPAIGNS)
-    def test_registry_campaigns_warm_identical(self, name, backend, reference_and_cache):
+    def test_registry_campaigns_warm_identical(self, name, reference_and_cache):
         """The acceptance criterion: warm == cold == uncached, bit for bit,
-        for every registry campaign on every available backend."""
+        for every registry campaign."""
         reference, cache_dir = reference_and_cache(name)
-        warm = execute_campaign(
-            campaign(name), jobs=1, plan_cache=str(cache_dir), backend=backend
-        )
+        warm = execute_campaign(campaign(name), jobs=1, plan_cache=str(cache_dir))
         assert _payload_bytes(warm) == reference
         assert warm.cache["hits"] == warm.n_points
         assert warm.cache["misses"] == 0 and warm.cache["errors"] == 0

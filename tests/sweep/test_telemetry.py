@@ -22,11 +22,8 @@ from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.obs.profile import SWEEP_PHASES
 from repro.obs.traceio import validate_trace_file
 from repro.run import _resolve_trace_path, main
-from repro.sim.backend import available_backends
 from repro.sweep import batch_groups, campaign, expand_campaign
 from repro.sweep.execute import run_point_groups, run_points
-
-BACKENDS = available_backends()
 
 RESULT_ARTIFACTS = ("results.json", "results.csv")
 
@@ -48,12 +45,9 @@ def _manifest(campaign_dir):
 
 
 class TestTelemetryNeutrality:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_result_artifacts_are_byte_identical(self, tmp_path, backend):
-        plain = _run_sweep(tmp_path / "plain", "--backend", backend)
-        traced = _run_sweep(
-            tmp_path / "traced", "--backend", backend, "--trace-out", "trace.json", "--profile"
-        )
+    def test_result_artifacts_are_byte_identical(self, tmp_path):
+        plain = _run_sweep(tmp_path / "plain")
+        traced = _run_sweep(tmp_path / "traced", "--trace-out", "trace.json", "--profile")
         for artifact in RESULT_ARTIFACTS:
             assert (traced / artifact).read_bytes() == (plain / artifact).read_bytes()
 

@@ -5,6 +5,11 @@ A downstream user should be able to drive the whole library from the
 exercise the documented quickstart flow end to end.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 
 
@@ -52,3 +57,13 @@ class TestPublicApi:
         assert model.estimate({}, 10, 55e6).total_uw > 0
         area = repro.PelsAreaModel().estimate(repro.PelsConfig(n_links=1, scm_lines=4))
         assert area.total_kge > 0
+
+    def test_import_does_not_load_numpy(self):
+        # The kernel is pure python; importing it must not drag numpy in
+        # (start-up time and memory of every worker process).
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        code = "import sys, repro; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
