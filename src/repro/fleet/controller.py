@@ -475,7 +475,7 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
             attempt.detail = str(exc)
         else:
             attempt.accepted = True
-            delivered = len(artifacts.results.get("points", []))
+            delivered = len(artifacts.records)
     span = _span_points(attempt.shard, spec.n_points)
     if attempt.accepted:
         attempt.outcome = COMPLETED if delivered >= span else PARTIAL_DELIVERY

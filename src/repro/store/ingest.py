@@ -4,13 +4,12 @@
 ``--shard I/N`` slice, a merged multi-host run, or a partial merge — and
 folds its point records into the database:
 
-* **Validation reuses the resume machinery.**  The manifest is parsed
-  through :func:`repro.sweep.resume.load_artifact_json`, its campaign
-  block reconstructed with :func:`~repro.sweep.resume.spec_from_manifest`
-  and re-hashed with :func:`~repro.sweep.resume.spec_hash`; a manifest
-  whose stored ``spec_hash`` disagrees with its own campaign block is
-  rejected the same way ``sweep merge`` rejects it.  Records are checked
-  for the full point-record shape and in-range indices before anything is
+* **Validation is merge's validation.**  Each directory goes through the
+  one artifact reader, :func:`repro.sweep.artifacts.read_artifact_dir`,
+  which also serves ``--resume``, ``sweep merge`` and the fleet's
+  acceptance gate: a manifest whose ``spec_hash`` disagrees with its own
+  campaign block, a malformed or out-of-range record, or a non-numeric
+  wall timing is rejected (as a :class:`StoreError`) before anything is
   written.
 * **Dedup is keyed on ``(spec_hash, point_index)``** — the same identity
   ``--resume`` trusts.  A record already in the store with the same
@@ -40,35 +39,13 @@ import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.store.schema import StoreError
-from repro.sweep.artifacts import MANIFEST_JSON, RESULTS_JSON, SCHEMA_VERSION
+from repro.sweep.artifacts import SCHEMA_VERSION, point_record, read_artifact_dir
 from repro.sweep.campaign import CampaignSpec
-from repro.sweep.resume import (
-    ResumeError,
-    load_artifact_json,
-    spec_from_manifest,
-    spec_hash,
-)
-
-#: The exact key set of one results.json point record
-#: (:func:`repro.sweep.artifacts.point_record`); anything more or less is
-#: not an artifact this code base wrote.
-RECORD_KEYS = frozenset(
-    {
-        "index",
-        "scenario",
-        "horizon_cycles",
-        "seed",
-        "params",
-        "stats",
-        "activity",
-        "power_uw",
-        "area_kge",
-    }
-)
+from repro.sweep.resume import ResumeError, spec_hash
 
 
 def canonical_json(value: object) -> str:
@@ -175,69 +152,6 @@ def _artifact_kind(manifest: Dict[str, object]) -> Tuple[str, List[str]]:
     return "full", merged_from
 
 
-def _load_validated(directory: Path) -> Tuple[Dict[str, object], Dict[str, object], CampaignSpec]:
-    """Load and validate one directory's artifact pair; return
-    ``(results, manifest, spec)``.  All failures are :class:`StoreError`
-    naming the path — ingest never writes from artifacts it cannot trust."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise StoreError(
-            f"{directory}: not a directory — pass each campaign/shard artifact "
-            f"directory (the one that directly contains {RESULTS_JSON})"
-        )
-    try:
-        results = load_artifact_json(directory / RESULTS_JSON, required=True)
-        manifest = load_artifact_json(directory / MANIFEST_JSON, required=True)
-    except ResumeError as exc:
-        raise StoreError(str(exc)) from None
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise StoreError(
-            f"{directory}: artifact schema version "
-            f"{manifest.get('schema_version')!r} != {SCHEMA_VERSION} — re-run the "
-            f"campaign with this version of the code before ingesting"
-        )
-    stored_hash = manifest.get("spec_hash")
-    if not stored_hash:
-        raise StoreError(f"{directory}: manifest has no spec_hash — artifacts predate resume support")
-    try:
-        spec = spec_from_manifest(manifest)
-    except ValueError as exc:
-        raise StoreError(f"{directory / MANIFEST_JSON}: {exc}") from None
-    if spec_hash(spec) != stored_hash:
-        raise StoreError(
-            f"{directory}: manifest spec_hash {stored_hash} does not match its own "
-            f"campaign block (recomputed {spec_hash(spec)}) — the manifest was "
-            f"edited or corrupted"
-        )
-    if results.get("campaign") != spec.name or results.get("scenario") != spec.scenario:
-        raise StoreError(
-            f"{directory / RESULTS_JSON}: results are for campaign "
-            f"{results.get('campaign')!r} / scenario {results.get('scenario')!r} but "
-            f"the manifest describes {spec.name!r} / {spec.scenario!r} — the "
-            f"artifact pair is inconsistent"
-        )
-    if not isinstance(results.get("points"), list):
-        raise StoreError(f"{directory / RESULTS_JSON}: has no points list")
-    return results, manifest, spec
-
-
-def _points_total(manifest: Dict[str, object], spec: CampaignSpec, directory: Path) -> int:
-    """The full-grid point count these artifacts are a slice of."""
-    for block_name, key in (("shard", "points_total"), ("partial", "points_total")):
-        block = manifest.get(block_name)
-        if isinstance(block, dict):
-            try:
-                return int(block[key])
-            except (KeyError, TypeError, ValueError):
-                raise StoreError(
-                    f"{directory}: manifest {block_name} block is malformed: {block!r}"
-                ) from None
-    try:
-        return int(manifest["n_points"])
-    except (KeyError, TypeError, ValueError):
-        raise StoreError(f"{directory}: manifest has no usable n_points") from None
-
-
 def _upsert_campaign(
     conn: sqlite3.Connection, spec: CampaignSpec, points_total: int
 ) -> int:
@@ -266,37 +180,6 @@ def _upsert_campaign(
     return int(cursor.lastrowid)
 
 
-def _validated_record(
-    record: object, points_total: int, directory: Path
-) -> Dict[str, object]:
-    """One results.json record, shape-checked: exact key set, integer
-    identity fields, in-range index, mapping payloads."""
-    if not isinstance(record, dict) or set(record) != RECORD_KEYS:
-        raise StoreError(
-            f"{directory / RESULTS_JSON}: point record {str(record)[:80]!r} does not "
-            f"have the expected record shape — results.json is truncated or corrupt"
-        )
-    try:
-        index = int(record["index"])
-        int(record["horizon_cycles"])
-        int(record["seed"])
-        str(record["scenario"])
-        for key in ("params", "stats", "activity", "power_uw", "area_kge"):
-            if not isinstance(record[key], dict):
-                raise TypeError(f"{key} is not a mapping")
-    except (TypeError, ValueError) as exc:
-        raise StoreError(
-            f"{directory / RESULTS_JSON}: point record {record.get('index')!r} is "
-            f"malformed ({exc!r})"
-        ) from None
-    if not 0 <= index < points_total:
-        raise StoreError(
-            f"{directory / RESULTS_JSON}: record index {index} is outside the "
-            f"campaign's {points_total} points"
-        )
-    return record
-
-
 def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryReport:
     """Ingest one artifact directory in one transaction.
 
@@ -307,37 +190,27 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
     raise :class:`StoreError` before anything is written.
     """
     directory = Path(directory)
-    results, manifest, spec = _load_validated(directory)
-    kind, merged_from = _artifact_kind(manifest)
-    points_total = _points_total(manifest, spec, directory)
-    execution = manifest.get("execution")
-    walls = execution.get("point_wall_seconds", {}) if isinstance(execution, dict) else {}
-    if not isinstance(walls, dict):
-        walls = {}
+    try:
+        artifacts = read_artifact_dir(directory)
+    except ResumeError as exc:
+        raise StoreError(str(exc)) from None
+    spec = artifacts.spec
+    kind, merged_from = _artifact_kind(artifacts.manifest)
 
     report = DirectoryReport(
-        source=str(directory), kind=kind, campaign=spec.name, spec_hash=spec_hash(spec)
+        source=str(directory), kind=kind, campaign=spec.name, spec_hash=artifacts.spec_hash
     )
     tracer = tracing.TRACER
     start_ns = tracer.now_ns() if tracer is not None else 0
     try:
         with conn:  # one transaction per directory
-            campaign_id = _upsert_campaign(conn, spec, points_total)
-            seen_indices: Dict[int, str] = {}
-            for raw in results["points"]:
-                record = _validated_record(raw, points_total, directory)
-                index = int(record["index"])
-                sha = record_sha(record)
-                if index in seen_indices:
-                    raise StoreError(
-                        f"{directory / RESULTS_JSON}: duplicate record for point "
-                        f"{index} within one results.json — the artifacts are corrupt"
-                    )
-                seen_indices[index] = sha
+            campaign_id = _upsert_campaign(conn, spec, artifacts.points_total)
+            for point in artifacts.points():
+                sha = record_sha(point_record(point))
                 report.n_records += 1
                 existing = conn.execute(
                     "SELECT record_sha FROM points WHERE campaign_id = ? AND point_index = ?",
-                    (campaign_id, index),
+                    (campaign_id, point.index),
                 ).fetchone()
                 if existing is not None:
                     if existing["record_sha"] == sha:
@@ -345,16 +218,12 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
                     else:
                         report.conflicts.append(
                             {
-                                "index": index,
+                                "index": point.index,
                                 "stored_sha": existing["record_sha"],
                                 "incoming_sha": sha,
                             }
                         )
                     continue
-                try:
-                    wall = float(walls.get(str(index), 0.0))
-                except (TypeError, ValueError):
-                    wall = 0.0
                 conn.execute(
                     "INSERT INTO points (campaign_id, point_index, scenario,"
                     " horizon_cycles, seed, params, stats, activity, power_uw,"
@@ -362,16 +231,16 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
                     " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         campaign_id,
-                        index,
-                        str(record["scenario"]),
-                        int(record["horizon_cycles"]),
-                        int(record["seed"]),
-                        canonical_json(record["params"]),
-                        canonical_json(record["stats"]),
-                        canonical_json(record["activity"]),
-                        canonical_json(record["power_uw"]),
-                        canonical_json(record["area_kge"]),
-                        wall,
+                        point.index,
+                        point.scenario,
+                        point.horizon_cycles,
+                        point.seed,
+                        canonical_json(point.params),
+                        canonical_json(point.stats),
+                        canonical_json(point.activity),
+                        canonical_json(point.power_uw),
+                        canonical_json(point.area_kge),
+                        point.wall_seconds,
                         sha,
                     ),
                 )

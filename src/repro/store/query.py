@@ -18,13 +18,12 @@ Three layers:
   table, JSON, or CSV (stdout or ``--out`` file).
 
 :func:`campaign_points` and :func:`reconstruct_results_payload` are the
-store's fidelity seam: they rebuild the exact
-:func:`repro.sweep.artifacts.point_record` dicts and the exact
-``results.json`` payload from the stored canonical JSON — byte-identical
-once dumped with the artifact serialiser (proven by
-``tests/store/test_roundtrip.py``).  ``--resume-from-store`` rests on the
-same reconstruction.  Queries emit a ``store.query`` span when a tracer
-is installed.
+store's fidelity seam: they decode the stored canonical JSON through the
+artifact codec (:func:`repro.sweep.artifacts.point_from_record`) and
+rebuild the exact ``results.json`` payload — byte-identical once dumped
+with the artifact serialiser (proven by ``tests/store/test_ingest.py``).
+``--resume-from-store`` rests on the same decoding.  Queries emit a
+``store.query`` span when a tracer is installed.
 """
 
 from __future__ import annotations
@@ -38,6 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.store.schema import StoreError, schema_version
+from repro.sweep.artifacts import (
+    RECORD_IDENTITY_KEYS,
+    RECORD_PAYLOAD_KEYS,
+    point_from_record,
+    point_record,
+)
+from repro.sweep.execute import PointResult
 
 #: Scalar columns stored directly on the points table.
 SCALAR_COLUMNS = ("index", "scenario", "horizon_cycles", "seed", "wall_seconds")
@@ -300,33 +306,25 @@ def campaign_row(conn: sqlite3.Connection, campaign: str) -> sqlite3.Row:
     return row
 
 
-def campaign_points(conn: sqlite3.Connection, campaign_id: int) -> List[Dict[str, object]]:
-    """Exact :func:`repro.sweep.artifacts.point_record` dicts for every
-    stored point of one campaign, in index order.
+def campaign_points(conn: sqlite3.Connection, campaign_id: int) -> List[PointResult]:
+    """Every stored point of one campaign, in index order, with its wall time.
 
-    The payload columns were stored as the canonical JSON of the original
-    record's sub-objects, so parsing them back yields objects equal to the
-    originals — and the artifact serialiser (sorted keys) then re-emits
-    byte-identical records.
+    The payload columns hold the canonical JSON of the original record's
+    sub-objects, so the parsed row is the original record, and the artifact
+    codec decodes it like any ``results.json`` record.
     """
-    records: List[Dict[str, object]] = []
+    points: List[PointResult] = []
     for row in conn.execute(
-        "SELECT * FROM points WHERE campaign_id = ? ORDER BY point_index", (campaign_id,)
+        'SELECT point_index AS "index", * FROM points WHERE campaign_id = ?'
+        " ORDER BY point_index",
+        (campaign_id,),
     ):
-        records.append(
-            {
-                "index": row["point_index"],
-                "scenario": row["scenario"],
-                "horizon_cycles": row["horizon_cycles"],
-                "seed": row["seed"],
-                "params": json.loads(row["params"]),
-                "stats": json.loads(row["stats"]),
-                "activity": json.loads(row["activity"]),
-                "power_uw": json.loads(row["power_uw"]),
-                "area_kge": json.loads(row["area_kge"]),
-            }
-        )
-    return records
+        record = {key: row[key] for key in RECORD_IDENTITY_KEYS}
+        record.update((key, json.loads(row[key])) for key in RECORD_PAYLOAD_KEYS)
+        point = point_from_record(record, f"store campaign #{campaign_id}")
+        point.wall_seconds = row["wall_seconds"]
+        points.append(point)
+    return points
 
 
 def reconstruct_results_payload(conn: sqlite3.Connection, campaign: str) -> Dict[str, object]:
@@ -340,7 +338,7 @@ def reconstruct_results_payload(conn: sqlite3.Connection, campaign: str) -> Dict
     """
     row = campaign_row(conn, campaign)
     points = campaign_points(conn, int(row["id"]))
-    missing = sorted(set(range(int(row["points_total"]))) - {int(r["index"]) for r in points})
+    missing = sorted(set(range(int(row["points_total"]))) - {point.index for point in points})
     if missing:
         shown = ", ".join(str(index) for index in missing[:12])
         extra = len(missing) - 12
@@ -355,7 +353,7 @@ def reconstruct_results_payload(conn: sqlite3.Connection, campaign: str) -> Dict
         "campaign": row["name"],
         "scenario": row["scenario"],
         "n_points": len(points),
-        "points": points,
+        "points": [point_record(point) for point in points],
     }
 
 

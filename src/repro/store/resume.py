@@ -4,11 +4,11 @@ directory hunt.
 Manifest-based ``--resume`` walks the campaign's output directory looking
 for artifact sets whose ``spec_hash`` matches.  The store already indexes
 every ingested point by exactly that hash, so resume becomes one lookup:
-find the campaign row, reconstruct its point records
-(:func:`repro.store.query.campaign_points` returns them byte-faithful),
-and push every record through the **same** validation gate manifest
-resume uses — :func:`repro.sweep.resume.point_result_from_record` — so
-the two paths cannot drift.  ``tests/store/test_resume_from_store.py``
+find the campaign row, decode its points through the artifact codec
+(:func:`repro.store.query.campaign_points`), and push every point through
+the **same** expansion check manifest resume uses —
+:func:`repro.sweep.resume.reusable_point` — so the two paths cannot
+drift.  ``tests/store/test_resume_from_store.py``
 pins that a store resume and a manifest resume of the same campaign
 produce byte-identical artifacts with zero recomputed points.
 
@@ -33,7 +33,7 @@ from repro.store import schema
 from repro.store.query import campaign_points
 from repro.store.schema import SchemaVersionError, StoreError
 from repro.sweep.campaign import CampaignSpec, expand_campaign
-from repro.sweep.resume import ResumeError, point_result_from_record, spec_hash
+from repro.sweep.resume import ResumeError, reusable_point, spec_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sweep.execute import PointResult
@@ -44,9 +44,10 @@ def load_reusable_results_from_store(spec: CampaignSpec, db_path: Path) -> Dict[
 
     Returns an empty mapping when the store has no campaign row for this
     spec hash (nothing to reuse).  Raises :class:`StoreError` for a
-    missing database file and :class:`ResumeError` (via the shared record
-    gate) for stored records that contradict the current expansion —
-    the same trust boundary as manifest resume.
+    missing database file and :class:`ResumeError` (via the shared codec
+    and expansion check) for stored records that are malformed or
+    contradict the current expansion — the same trust boundary as
+    manifest resume.
     """
     conn = schema.connect(db_path, create=False)
     try:
@@ -55,28 +56,15 @@ def load_reusable_results_from_store(spec: CampaignSpec, db_path: Path) -> Dict[
         ).fetchone()
         if row is None:
             return {}
-        walls = {
-            str(wall_row["point_index"]): float(wall_row["wall_seconds"])
-            for wall_row in conn.execute(
-                "SELECT point_index, wall_seconds FROM points WHERE campaign_id = ?",
-                (int(row["id"]),),
-            )
-        }
-        records = campaign_points(conn, int(row["id"]))
+        points = campaign_points(conn, int(row["id"]))
     finally:
         conn.close()
     points_by_index = {point.index: point for point in expand_campaign(spec)}
-    reusable: Dict[int, "PointResult"] = {}
-    for record in records:
-        result = point_result_from_record(
-            record,
-            spec,
-            points_by_index,
-            walls=walls,
-            source=f"{db_path} (campaign {spec.name!r})",
-        )
-        reusable[result.index] = result
-    return reusable
+    source = f"{db_path} (campaign {spec.name!r})"
+    return {
+        point.index: reusable_point(point, spec, points_by_index, source=source)
+        for point in points
+    }
 
 
 __all__ = [

@@ -26,8 +26,11 @@ Full documentation: ``docs/sweeps.md`` and ``docs/observability.md``.
 
 from repro.sweep.artifacts import (
     SCHEMA_VERSION,
+    ArtifactDir,
     manifest_payload,
+    point_from_record,
     point_record,
+    read_artifact_dir,
     results_payload,
     shard_dirname,
     write_artifacts,
@@ -60,7 +63,6 @@ from repro.sweep.merge import (
     IncompleteCoverageError,
     MergedCampaign,
     MergeError,
-    ShardArtifacts,
     load_shard_dir,
     merge_shard_traces,
     merge_shards,
@@ -74,12 +76,13 @@ from repro.sweep.resume import (
     load_artifact_json,
     load_point_walls,
     load_reusable_results,
-    point_result_from_record,
+    reusable_point,
     spec_from_manifest,
     spec_hash,
 )
 
 __all__ = [
+    "ArtifactDir",
     "CampaignResult",
     "CampaignSpec",
     "HEAL_JSON",
@@ -89,7 +92,6 @@ __all__ = [
     "PointResult",
     "ResumeError",
     "SCHEMA_VERSION",
-    "ShardArtifacts",
     "ShardSpec",
     "SweepPoint",
     "auto_chunk",
@@ -109,10 +111,12 @@ __all__ = [
     "merge_shard_traces",
     "merge_shards",
     "plan_heal",
+    "point_from_record",
     "point_record",
-    "point_result_from_record",
+    "read_artifact_dir",
     "register_campaign",
     "results_payload",
+    "reusable_point",
     "run_point",
     "run_point_groups",
     "shard_dirname",

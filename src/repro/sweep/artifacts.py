@@ -21,6 +21,13 @@ and ``manifest.json`` with a ``shard`` block (index, count, covered index
 range, full-grid point count); ``n_points`` counts the shard's own points.
 An unsharded run's artifacts carry no ``shard`` block, which is exactly the
 shape :mod:`repro.sweep.merge` reconstructs when stitching shards together.
+
+This module owns the format in both directions.  :func:`point_record` writes
+one point and :func:`point_from_record` is its only inverse;
+:func:`read_artifact_dir` is the one reader of an artifact directory behind
+``--resume``, ``sweep merge``, ``store ingest`` and the fleet's acceptance
+gate.  Every damaged artifact it meets raises
+:class:`~repro.sweep.resume.ResumeError` naming the file and the problem.
 """
 
 from __future__ import annotations
@@ -29,11 +36,13 @@ import csv
 import json
 import platform
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.sweep.campaign import CampaignSpec, ShardSpec
 from repro.sweep.execute import CampaignResult, PointResult
+from repro.sweep.resume import ResumeError, load_artifact_json, spec_from_manifest, spec_hash
 
 #: Bump when the shape of results.json / results.csv / manifest.json changes.
 SCHEMA_VERSION = 1
@@ -43,19 +52,54 @@ RESULTS_CSV = "results.csv"
 MANIFEST_JSON = "manifest.json"
 
 
+#: A point record's exact key set: the identity fields, then the mapping
+#: payloads.  The key names are the :class:`PointResult` field names.
+RECORD_IDENTITY_KEYS = ("index", "scenario", "horizon_cycles", "seed")
+RECORD_PAYLOAD_KEYS = ("params", "stats", "activity", "power_uw", "area_kge")
+RECORD_KEYS = frozenset(RECORD_IDENTITY_KEYS + RECORD_PAYLOAD_KEYS)
+
+
 def point_record(result: PointResult) -> Dict[str, object]:
     """The deterministic JSON record of one point (no timing)."""
-    return {
-        "index": result.index,
-        "scenario": result.scenario,
-        "horizon_cycles": result.horizon_cycles,
-        "seed": result.seed,
-        "params": dict(result.params),
-        "stats": dict(result.stats),
-        "activity": dict(result.activity),
-        "power_uw": dict(result.power_uw),
-        "area_kge": dict(result.area_kge),
-    }
+    record: Dict[str, object] = {key: getattr(result, key) for key in RECORD_IDENTITY_KEYS}
+    for key in RECORD_PAYLOAD_KEYS:
+        record[key] = dict(getattr(result, key))
+    return record
+
+
+def _int_field(block: Mapping[str, object], key: str, where: str) -> int:
+    value = block.get(key)
+    # type() rather than isinstance(): a bool is an int subclass, not an index.
+    if type(value) is not int:
+        raise ResumeError(f"{where}: {key} {value!r} is not an integer")
+    return value
+
+
+def point_from_record(record: object, source: str) -> PointResult:
+    """The :class:`PointResult` one stored record describes: the inverse of
+    :func:`point_record`, and the only place a record becomes a result.
+
+    Strict, so that every reader gives one verdict: the exact key set,
+    ``int`` identity fields (a bool or a float is not an index, horizon or
+    seed), a ``str`` scenario and mapping payloads.  Raises
+    :class:`ResumeError` naming ``source``.  ``wall_seconds`` stays 0.0:
+    timings live in the manifest, not in the record.
+    """
+    if not isinstance(record, dict):
+        raise ResumeError(f"{source}: point record {str(record)[:80]!r} is malformed (not an object)")
+    where = f"{source}: point record {record.get('index')!r} is malformed"
+    if record.keys() != RECORD_KEYS:
+        missing = sorted(RECORD_KEYS - record.keys())
+        extra = sorted(record.keys() - RECORD_KEYS)
+        raise ResumeError(f"{where}: missing keys {missing}, unexpected keys {extra}")
+    for key in ("index", "horizon_cycles", "seed"):
+        _int_field(record, key, where)
+    if not isinstance(record["scenario"], str):
+        raise ResumeError(f"{where}: scenario {record['scenario']!r} is not a string")
+    for key in RECORD_PAYLOAD_KEYS:
+        if not isinstance(record[key], dict):
+            raise ResumeError(f"{where}: {key} is not a mapping")
+    return PointResult(**record)
 
 
 def shard_record(result: CampaignResult) -> Optional[Dict[str, object]]:
@@ -98,8 +142,6 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
     ``spec_hash`` is the campaign-identity digest ``--resume`` validates
     before reusing any stored point (see :mod:`repro.sweep.resume`).
     """
-    from repro.sweep.resume import spec_hash
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec_hash(spec),
@@ -254,3 +296,170 @@ def write_artifacts(
         json.dumps(manifest_payload(spec, result), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return paths
+
+
+@dataclass
+class ArtifactDir:
+    """One artifact directory, read and checked by :func:`read_artifact_dir`."""
+
+    directory: Path
+    manifest: Dict[str, object]
+    #: The campaign the manifest describes, checked against its own hash.
+    spec: CampaignSpec
+    #: The ``[start, stop)`` range a shard block declares (None when unsharded).
+    declared_range: Optional[Tuple[int, int]]
+    #: The ``results.json`` records, in file order, all checked by the reader.
+    records: List[Dict[str, object]]
+    #: ``execution.point_wall_seconds`` by point index.
+    walls: Dict[int, float]
+
+    @property
+    def spec_hash(self) -> str:
+        return str(self.manifest["spec_hash"])
+
+    @property
+    def points_total(self) -> int:
+        """Size of the full grid these artifacts are a slice of."""
+        return self.spec.n_points
+
+    def points(self) -> Iterator[PointResult]:
+        """The records decoded one at a time, each with its wall time, so no
+        second full copy of the points is ever held."""
+        source = str(self.directory / RESULTS_JSON)
+        for record in self.records:
+            point = point_from_record(record, source)
+            point.wall_seconds = self.walls.get(point.index, 0.0)
+            yield point
+
+    @property
+    def shard_label(self) -> str:
+        """Human label for diagnostics: ``dir (shard I/N)`` or just ``dir``."""
+        shard = self.manifest.get("shard")
+        if isinstance(shard, dict):
+            return f"{self.directory} (shard {shard.get('index')}/{shard.get('count')})"
+        return str(self.directory)
+
+
+def point_walls(manifest: Mapping[str, object], source: str) -> Dict[int, float]:
+    """The manifest's ``execution.point_wall_seconds``, parsed once into
+    ``index -> seconds``.  An absent block is empty; a non-numeric entry is
+    damage and raises :class:`ResumeError`."""
+    execution = manifest.get("execution")
+    walls = execution.get("point_wall_seconds") if isinstance(execution, dict) else None
+    if walls is None:
+        return {}
+    if not isinstance(walls, dict):
+        raise ResumeError(f"{source}: point_wall_seconds is not a mapping — the manifest is corrupt")
+    parsed: Dict[int, float] = {}
+    for key, value in walls.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not key.isdigit():
+            raise ResumeError(
+                f"{source}: point_wall_seconds entry {key!r}: {value!r} is not numeric — "
+                f"the manifest is corrupt"
+            )
+        parsed[int(key)] = float(value)
+    return parsed
+
+
+def _declared_range(
+    manifest: Mapping[str, object], spec: CampaignSpec, source: str
+) -> Optional[Tuple[int, int]]:
+    """The ``[start, stop)`` range a ``shard`` block declares (None when
+    unsharded), once the block's ``points_total`` (or a ``partial``
+    salvage's) is checked against the spec's grid.  An unsharded run covers
+    the whole grid even when its ``n_points`` falls short: points that
+    failed or were interrupted are simply missing."""
+    shard = manifest.get("shard")
+    partial = manifest.get("partial")
+    declared = None
+    if isinstance(shard, dict):
+        where = f"{source}: shard block"
+        start, stop, total = (_int_field(shard, key, where) for key in ("start", "stop", "points_total"))
+        if not 0 <= start <= stop <= total:
+            raise ResumeError(f"{where}: declared index range [{start}, {stop}) is outside [0, {total})")
+        declared = (start, stop)
+    elif isinstance(partial, dict):
+        total = _int_field(partial, "points_total", f"{source}: partial block")
+    else:
+        total = spec.n_points
+    if total != spec.n_points:
+        raise ResumeError(
+            f"{source}: the manifest says the campaign has {total} points, but its "
+            f"campaign block expands to {spec.n_points}"
+        )
+    return declared
+
+
+def parse_artifact_dir(
+    directory: Path, results: Dict[str, object], manifest: Dict[str, object]
+) -> ArtifactDir:
+    """Check one directory's parsed ``results.json``/``manifest.json`` pair
+    and decode its records (see :func:`read_artifact_dir`)."""
+    directory = Path(directory)
+    results_path = str(directory / RESULTS_JSON)
+    manifest_path = str(directory / MANIFEST_JSON)
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise ResumeError(
+            f"{manifest_path}: artifact schema version {manifest.get('schema_version')!r} "
+            f"!= {SCHEMA_VERSION} — re-run the campaign with this version of the code"
+        )
+    stored_hash = manifest.get("spec_hash")
+    if not stored_hash:
+        raise ResumeError(
+            f"{manifest_path}: manifest has no spec_hash (written before resume "
+            f"support) — re-run the campaign"
+        )
+    try:
+        spec = spec_from_manifest(manifest)
+    except ValueError as exc:
+        raise ResumeError(f"{manifest_path}: {exc}") from None
+    if spec_hash(spec) != stored_hash:
+        raise ResumeError(
+            f"{manifest_path}: manifest spec_hash {stored_hash} does not match its own "
+            f"campaign block (recomputed {spec_hash(spec)}) — the manifest was edited "
+            f"or corrupted"
+        )
+    if results.get("campaign") != spec.name or results.get("scenario") != spec.scenario:
+        raise ResumeError(
+            f"{results_path}: results are for campaign {results.get('campaign')!r} / "
+            f"scenario {results.get('scenario')!r} but the manifest describes "
+            f"{spec.name!r} / {spec.scenario!r} — the artifact pair is inconsistent"
+        )
+    declared = _declared_range(manifest, spec, manifest_path)
+    start, stop = declared if declared is not None else (0, spec.n_points)
+    records = results.get("points")
+    if not isinstance(records, list):
+        raise ResumeError(f"{results_path}: has no points list")
+    artifacts = ArtifactDir(directory, manifest, spec, declared, records, point_walls(manifest, manifest_path))
+    seen = set()
+    for point in artifacts.points():
+        if not start <= point.index < stop:
+            raise ResumeError(f"{results_path}: record index {point.index} is outside [{start}, {stop})")
+        if point.index in seen:
+            raise ResumeError(f"{results_path}: duplicate record for point {point.index}")
+        seen.add(point.index)
+    return artifacts
+
+
+def read_artifact_dir(directory: Path) -> ArtifactDir:
+    """Read one artifact directory (a full run, a shard slice, a merge or a
+    partial salvage) and check everything one directory can be checked for.
+
+    Both JSON files must parse; the schema version must match and a
+    ``spec_hash`` be present; the manifest's campaign block must rebuild a
+    spec that hashes to it; ``results.json`` must name the same campaign and
+    scenario; a ``shard`` or ``partial`` block's ``points_total`` must match
+    the spec's grid (:func:`_declared_range`); every record must decode
+    (:func:`point_from_record`) with an index in range, inside any declared
+    shard range, and not duplicated; and the walls must be numeric.  Every
+    failure raises :class:`ResumeError` naming the file.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise ResumeError(
+            f"{directory}: not a directory — pass the campaign or shard artifact "
+            f"directory (the one that directly contains {RESULTS_JSON})"
+        )
+    results = load_artifact_json(directory / RESULTS_JSON, required=True)
+    manifest = load_artifact_json(directory / MANIFEST_JSON, required=True)
+    return parse_artifact_dir(directory, results, manifest)

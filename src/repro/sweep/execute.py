@@ -216,18 +216,6 @@ def _finalize_point(point: SweepPoint, outcome: ScenarioOutcome, wall: float) ->
     )
 
 
-def run_point(point: SweepPoint) -> PointResult:
-    """Execute one sweep point and derive its power/area records."""
-    start = time.perf_counter()
-    outcome = run_scenario_instrumented(
-        point.scenario,
-        horizon_cycles=point.horizon_cycles,
-        dense=point.dense,
-        params=point.params,
-    )
-    return _finalize_point(point, outcome, time.perf_counter() - start)
-
-
 @dataclass
 class ChunkOutcome:
     """What one pool task produced: the chunk's point records plus the
@@ -306,14 +294,15 @@ def _finish_chunk(
     return outcome
 
 
-def _point_task(point: SweepPoint, tele: Optional[_ChunkTelemetry]) -> PointResult:
-    """:func:`run_point` with phase attribution, kernel-stat absorption, and
-    a ``sweep.point`` trace span (per-instance points report their scenario
-    build inside ``simulate``; only the batched path has a distinct
-    ``prepare``)."""
+def run_point(point: SweepPoint, tele: Optional[_ChunkTelemetry] = None) -> PointResult:
+    """Execute one sweep point and derive its power/area records.
+
+    With chunk telemetry ``tele`` the point's ``simulate``/``finalize``
+    seconds and kernel stats are absorbed into it; an installed tracer gets
+    a ``sweep.point`` span (per-instance points report their scenario build
+    inside ``simulate``; only the batched path has a distinct ``prepare``).
+    """
     tracer = tracing.TRACER
-    if tele is None and tracer is None:
-        return run_point(point)
     start_ns = tracer.now_ns() if tracer is not None else 0
     start = time.perf_counter()
     outcome = run_scenario_instrumented(
@@ -367,10 +356,7 @@ def _run_point_guarded(
     (the chunk's other points, and the whole campaign with them, used to die
     with it)."""
     try:
-        if tele is None and tracing.TRACER is None:
-            outcome.results.append(run_point(point))
-        else:
-            outcome.results.append(_point_task(point, tele))
+        outcome.results.append(run_point(point, tele))
     except Exception as exc:
         outcome.failures.append(_failed_record(point, exc))
 
@@ -378,10 +364,6 @@ def _run_point_guarded(
 def run_points(points: Sequence[SweepPoint], trace: bool = False, profile: bool = False) -> ChunkOutcome:
     """Pool task: execute one chunk of points in order (per-instance)."""
     outcome = ChunkOutcome()
-    if not (trace or profile) and tracing.TRACER is None:
-        for point in points:
-            _run_point_guarded(point, outcome, None)
-        return outcome
     tele, tracer, owned = _chunk_scope(trace, profile)
     try:
         for point in points:

@@ -5,18 +5,20 @@ per host, each holding the shard's ``results.json``/``results.csv``/
 ``manifest.json`` slice.  :func:`merge_shards` stitches those slices back
 into the single-host artifacts:
 
-* every shard directory must be readable and carry the **same**
-  ``spec_hash`` — the campaign-identity digest ``--resume`` validates — and
-  the same campaign/scenario/schema; the manifest's campaign block is
-  additionally reconstructed into a :class:`~repro.sweep.campaign.CampaignSpec`
-  and re-hashed, so a hand-edited manifest whose hash and grid disagree is
-  rejected rather than trusted;
-* the shards' records must cover the full grid **exactly once** — duplicate
-  records, out-of-range indices, and missing points are each diagnosed with
-  the offending indices and directories named.  Declared ranges may overlap
-  as long as the records do not: a shard that lost points to a failure and
-  the heal shard that re-ran exactly those points both declare the same
-  indices, and that pair must merge;
+* every directory goes through the one artifact reader,
+  :func:`repro.sweep.artifacts.read_artifact_dir`, which also serves
+  ``--resume`` and ``store ingest`` (a reader failure becomes a
+  :class:`MergeError` here).  Any artifact directory of the campaign is a
+  valid input: a shard slice, a full or merged run, or a fleet's
+  ``partial/`` salvage;
+* all directories must carry the **same** ``spec_hash`` — the
+  campaign-identity digest ``--resume`` validates;
+* the records must cover the full grid **exactly once** — duplicates across
+  directories and missing points are each diagnosed with the offending
+  indices and directories named.  Declared ranges may overlap as long as the
+  records do not: a shard that lost points to a failure and the heal shard
+  that re-ran exactly those points both declare the same indices, and that
+  pair must merge;
 * records are re-sorted into row-major point order and written through the
   same serialisers as a local run, so the merged
   ``results.json``/``results.csv`` are **byte-identical** to a single-host
@@ -53,12 +55,14 @@ from repro.sweep.artifacts import (
     RESULTS_CSV,
     RESULTS_JSON,
     SCHEMA_VERSION,
+    ArtifactDir,
+    read_artifact_dir,
     results_payload,
     write_results_csv,
 )
 from repro.sweep.campaign import CampaignSpec
 from repro.sweep.execute import CampaignResult, PointResult
-from repro.sweep.resume import _point_walls, spec_from_manifest, spec_hash
+from repro.sweep.resume import ResumeError, spec_hash
 
 
 class MergeError(ValueError):
@@ -78,7 +82,7 @@ class IncompleteCoverageError(MergeError):
         spec: CampaignSpec,
         points_total: int,
         missing: List[int],
-        shards: Sequence["ShardArtifacts"],
+        shards: Sequence[ArtifactDir],
     ) -> None:
         super().__init__(message)
         self.spec = spec
@@ -88,65 +92,12 @@ class IncompleteCoverageError(MergeError):
 
 
 @dataclass
-class ShardArtifacts:
-    """One shard directory's parsed artifacts."""
-
-    directory: Path
-    manifest: Dict[str, object]
-    results: Dict[str, object]
-
-    @property
-    def spec_hash(self) -> str:
-        return str(self.manifest.get("spec_hash", ""))
-
-    @property
-    def campaign_name(self) -> str:
-        return str(self.results.get("campaign", ""))
-
-    @property
-    def shard_label(self) -> str:
-        """Human label for diagnostics: ``dir (shard I/N)`` or just ``dir``."""
-        shard = self.manifest.get("shard")
-        if isinstance(shard, dict):
-            return f"{self.directory} (shard {shard.get('index')}/{shard.get('count')})"
-        return str(self.directory)
-
-    def declared_range(self) -> Optional[Tuple[int, int]]:
-        """The ``[start, stop)`` index range the manifest declares, when the
-        artifacts came from a sharded run (None for unsharded artifacts)."""
-        shard = self.manifest.get("shard")
-        if not isinstance(shard, dict):
-            return None
-        try:
-            return int(shard["start"]), int(shard["stop"])
-        except (KeyError, TypeError, ValueError):
-            raise MergeError(
-                f"{self.directory}: manifest shard block is malformed: {shard!r}"
-            ) from None
-
-    def points_total(self) -> int:
-        """Size of the full campaign grid these artifacts are a slice of."""
-        shard = self.manifest.get("shard")
-        if isinstance(shard, dict):
-            try:
-                return int(shard["points_total"])
-            except (KeyError, TypeError, ValueError):
-                raise MergeError(
-                    f"{self.directory}: manifest shard block is malformed: {shard!r}"
-                ) from None
-        try:
-            return int(self.manifest["n_points"])
-        except (KeyError, TypeError, ValueError):
-            raise MergeError(f"{self.directory}: manifest has no usable n_points") from None
-
-
-@dataclass
 class MergedCampaign:
     """The validated, re-assembled single-host view of a shard set."""
 
     spec: CampaignSpec
     result: CampaignResult
-    sources: List[ShardArtifacts]
+    sources: List[ArtifactDir]
     #: Point indices absent from every source (non-empty only under
     #: ``merge_shards(..., allow_missing=True)`` — a **partial** merge).  A
     #: partial merge's artifacts carry a ``partial`` manifest block and must
@@ -154,28 +105,13 @@ class MergedCampaign:
     missing: List[int] = field(default_factory=list)
 
 
-def load_shard_dir(directory: Path) -> ShardArtifacts:
-    """Read one shard directory's ``results.json`` + ``manifest.json``."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise MergeError(f"{directory}: not a directory")
-    payloads: Dict[str, Dict[str, object]] = {}
-    for filename in (RESULTS_JSON, MANIFEST_JSON):
-        path = directory / filename
-        try:
-            payloads[filename] = json.loads(path.read_text(encoding="utf-8"))
-        except OSError:
-            raise MergeError(
-                f"{directory}: missing or unreadable {filename} — pass each shard's "
-                f"campaign directory (the one that directly contains {RESULTS_JSON})"
-            ) from None
-        except ValueError as exc:
-            raise MergeError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(payloads[filename], dict):
-            raise MergeError(f"{path}: expected a JSON object at the top level")
-    return ShardArtifacts(
-        directory=directory, manifest=payloads[MANIFEST_JSON], results=payloads[RESULTS_JSON]
-    )
+def load_shard_dir(directory: Path) -> ArtifactDir:
+    """Read one directory through the artifact reader; a damaged artifact
+    becomes a :class:`MergeError` here, at merge's boundary."""
+    try:
+        return read_artifact_dir(directory)
+    except ResumeError as exc:
+        raise MergeError(str(exc)) from None
 
 
 def _summarise(indices: Sequence[int], limit: int = 12) -> str:
@@ -184,166 +120,59 @@ def _summarise(indices: Sequence[int], limit: int = 12) -> str:
     return shown + (f", … ({extra} more)" if extra > 0 else "")
 
 
-def _validate_identity(shards: Sequence[ShardArtifacts]) -> CampaignSpec:
+def _validate_identity(shards: Sequence[ArtifactDir]) -> CampaignSpec:
     """All shards must describe the same campaign; return its spec."""
     reference = shards[0]
-    for shard in shards:
-        if shard.manifest.get("schema_version") != SCHEMA_VERSION:
-            raise MergeError(
-                f"{shard.directory}: artifact schema version "
-                f"{shard.manifest.get('schema_version')!r} != {SCHEMA_VERSION} — "
-                f"re-run the shard with this version of the code"
-            )
-        if not shard.spec_hash:
-            raise MergeError(
-                f"{shard.directory}: manifest has no spec_hash (pre-distribution "
-                f"schema?) — re-run the shard to get mergeable artifacts"
-            )
-        if shard.spec_hash != reference.spec_hash:
-            raise MergeError(
-                "shards disagree on the campaign identity (spec_hash):\n"
-                + "\n".join(
-                    f"  {other.shard_label}: {other.spec_hash or '<missing>'}" for other in shards
-                )
-                + "\nall shards must come from the same campaign definition"
-            )
-        if shard.campaign_name != reference.campaign_name:
-            raise MergeError(
-                f"{shard.directory}: results are for campaign "
-                f"{shard.campaign_name!r}, expected {reference.campaign_name!r}"
-            )
-    try:
-        spec = spec_from_manifest(reference.manifest)
-    except ValueError as exc:
-        raise MergeError(f"{reference.directory}: {exc}") from None
-    if spec_hash(spec) != reference.spec_hash:
+    if any(shard.spec_hash != reference.spec_hash for shard in shards):
         raise MergeError(
-            f"{reference.directory}: manifest spec_hash {reference.spec_hash} does not "
-            f"match its own campaign block (recomputed {spec_hash(spec)}) — the "
-            f"manifest was edited or corrupted"
+            "shards disagree on the campaign identity (spec_hash):\n"
+            + "\n".join(f"  {shard.shard_label}: {shard.spec_hash}" for shard in shards)
+            + "\nall shards must come from the same campaign definition"
         )
-    return spec
+    return reference.spec
 
 
-def _validate_ranges(shards: Sequence[ShardArtifacts], points_total: int) -> None:
-    """Declared shard ranges must fit the campaign grid.
-
-    Disjointness is deliberately enforced at the **record** level (in
-    :func:`_collect_records`), not on the declared ranges: a shard that lost
-    points to a failure still declares its full range, and the heal shard
-    that re-runs exactly those points declares an overlapping one — their
-    *records* are disjoint, which is what byte-identity actually needs.
-    """
+def _collect_points(shards: Sequence[ArtifactDir]) -> Dict[int, Tuple[PointResult, ArtifactDir]]:
+    """Index every point across the shards, diagnosing duplicates (the
+    reader has already checked each directory's own indices)."""
+    owners: Dict[int, Tuple[PointResult, ArtifactDir]] = {}
     for shard in shards:
-        bounds = shard.declared_range()
-        if bounds is None:
-            continue
-        start, stop = bounds
-        if not 0 <= start <= stop <= points_total:
-            raise MergeError(
-                f"{shard.shard_label}: declared index range [{start}, {stop}) is "
-                f"outside the campaign's {points_total} points"
-            )
-
-
-def _collect_records(
-    shards: Sequence[ShardArtifacts], points_total: int
-) -> Dict[int, Tuple[Dict[str, object], ShardArtifacts]]:
-    """Index every point record, diagnosing duplicates and bad indices."""
-    records: Dict[int, Tuple[Dict[str, object], ShardArtifacts]] = {}
-    for shard in shards:
-        points = shard.results.get("points")
-        if not isinstance(points, list):
-            raise MergeError(f"{shard.directory}: {RESULTS_JSON} has no points list")
         duplicates: List[int] = []
-        for record in points:
-            try:
-                index = int(record["index"])
-            except (KeyError, TypeError, ValueError):
-                raise MergeError(
-                    f"{shard.directory}: {RESULTS_JSON} contains a record without a "
-                    f"valid index: {str(record)[:80]}"
-                ) from None
-            if not 0 <= index < points_total:
-                raise MergeError(
-                    f"{shard.shard_label}: record index {index} is outside the "
-                    f"campaign's {points_total} points"
-                )
-            if index in records:
-                duplicates.append(index)
+        for point in shard.points():
+            if point.index in owners:
+                duplicates.append(point.index)
                 continue
-            records[index] = (record, shard)
+            owners[point.index] = (point, shard)
         if duplicates:
-            others = sorted({records[index][1].shard_label for index in duplicates})
+            others = sorted({owners[index][1].shard_label for index in duplicates})
             raise MergeError(
                 f"duplicate point record(s) {_summarise(duplicates)}: present in "
                 f"{shard.shard_label} and in {', '.join(others)} — overlapping "
                 f"shards, or the same shard directory was passed twice"
             )
-    return records
+    return owners
 
 
-def _point_from_record(record: Dict[str, object], wall_seconds: float) -> PointResult:
-    try:
-        return PointResult(
-            index=int(record["index"]),
-            scenario=str(record["scenario"]),
-            horizon_cycles=int(record["horizon_cycles"]),
-            params=dict(record["params"]),
-            seed=int(record["seed"]),
-            stats=dict(record["stats"]),
-            activity=dict(record["activity"]),
-            power_uw=dict(record["power_uw"]),
-            area_kge=dict(record["area_kge"]),
-            wall_seconds=wall_seconds,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MergeError(
-            f"point record {record.get('index')!r} is malformed ({exc!r}) — "
-            f"the shard's results.json was truncated or hand-edited"
-        ) from None
-
-
-def validate_shard_dir(directory: Path, spec: CampaignSpec) -> ShardArtifacts:
+def validate_shard_dir(directory: Path, spec: CampaignSpec) -> ArtifactDir:
     """Load one shard directory and validate it against campaign ``spec``.
 
     The fleet's acceptance gate: every worker's artifact directory goes
     through this **regardless of how the worker exited** — a timeout-killed
     worker that flushed valid artifacts first is accepted, a zero-exit
-    worker with a truncated ``results.json`` is not.  Checks everything a
-    single directory can be checked for: parseable artifacts, schema
-    version, a ``spec_hash`` matching *this* campaign (not merely
-    self-consistent), an in-bounds declared range, and in-range,
-    duplicate-free records that all fall inside the declared range.  Raises
-    :class:`MergeError` naming the problem; cross-shard properties
-    (duplicates between shards, full coverage) remain :func:`merge_shards`'
-    job.
+    worker with a truncated or malformed ``results.json`` is not.  It is the
+    artifact reader (every record decoded, indices inside the declared
+    range) plus one check: the ``spec_hash`` must match *this* campaign, not
+    merely be self-consistent.  Raises :class:`MergeError` naming the
+    problem; cross-shard properties (duplicates between shards, full
+    coverage) remain :func:`merge_shards`' job.
     """
     artifacts = load_shard_dir(directory)
-    _validate_identity([artifacts])
     expected = spec_hash(spec)
     if artifacts.spec_hash != expected:
         raise MergeError(
             f"{directory}: artifacts belong to a different campaign definition "
             f"(spec_hash {artifacts.spec_hash}, expected {expected})"
         )
-    points_total = artifacts.points_total()
-    if points_total != spec.n_points:
-        raise MergeError(
-            f"{directory}: manifest says the campaign has {points_total} points, "
-            f"but {spec.name!r} expands to {spec.n_points}"
-        )
-    _validate_ranges([artifacts], points_total)
-    records = _collect_records([artifacts], points_total)
-    declared = artifacts.declared_range()
-    if declared is not None:
-        start, stop = declared
-        strays = sorted(index for index in records if not start <= index < stop)
-        if strays:
-            raise MergeError(
-                f"{artifacts.shard_label}: record index(es) {_summarise(strays)} fall "
-                f"outside the declared range [{start}, {stop})"
-            )
     return artifacts
 
 
@@ -364,21 +193,14 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
         raise MergeError("nothing to merge: pass at least one shard directory")
     shards = [load_shard_dir(directory) for directory in directories]
     spec = _validate_identity(shards)
-    totals = {shard.points_total() for shard in shards}
-    if len(totals) != 1:
-        raise MergeError(
-            "shards disagree on the campaign's total point count: "
-            + ", ".join(f"{shard.directory}: {shard.points_total()}" for shard in shards)
-        )
-    points_total = totals.pop()
-    _validate_ranges(shards, points_total)
-    records = _collect_records(shards, points_total)
+    points_total = spec.n_points
+    owners = _collect_points(shards)
 
-    missing = sorted(set(range(points_total)) - set(records))
+    missing = sorted(set(range(points_total)) - set(owners))
     if missing and not allow_missing:
         covered = []
         for shard in shards:
-            bounds = shard.declared_range()
+            bounds = shard.declared_range
             covered.append(
                 f"  {shard.shard_label}: "
                 + (f"indices [{bounds[0]}, {bounds[1]})" if bounds else "unsharded")
@@ -394,14 +216,7 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
             shards=shards,
         )
 
-    walls = {id(shard): _point_walls(shard.manifest) for shard in shards}
-    points: List[PointResult] = []
-    for index in range(points_total):
-        if index not in records:
-            continue
-        record, shard = records[index]
-        wall = float(walls[id(shard)].get(str(index), 0.0))
-        points.append(_point_from_record(record, wall))
+    points = [owners[index][0] for index in sorted(owners)]
 
     wall_seconds = 0.0
     for shard in shards:
@@ -426,7 +241,7 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
     return MergedCampaign(spec=spec, result=result, sources=shards, missing=missing)
 
 
-def _shard_telemetry(shard: ShardArtifacts) -> Optional[Dict[str, object]]:
+def _shard_telemetry(shard: ArtifactDir) -> Optional[Dict[str, object]]:
     """The shard manifest's ``execution.telemetry`` block, when present."""
     execution = shard.manifest.get("execution")
     if isinstance(execution, dict):
@@ -436,7 +251,7 @@ def _shard_telemetry(shard: ShardArtifacts) -> Optional[Dict[str, object]]:
     return None
 
 
-def _merged_telemetry(shards: Sequence[ShardArtifacts]) -> Optional[Dict[str, object]]:
+def _merged_telemetry(shards: Sequence[ArtifactDir]) -> Optional[Dict[str, object]]:
     """Fold the shards' telemetry blocks into one campaign-level block.
 
     Phase profiles sum (worker-summed semantics carry straight through),
@@ -468,7 +283,7 @@ def _merged_telemetry(shards: Sequence[ShardArtifacts]) -> Optional[Dict[str, ob
     }
 
 
-def _shard_lane_label(shard: ShardArtifacts) -> str:
+def _shard_lane_label(shard: ArtifactDir) -> str:
     """The lane-prefix label a shard's trace gets in the merged document."""
     block = shard.manifest.get("shard")
     if isinstance(block, dict) and "index" in block and "count" in block:
@@ -517,7 +332,7 @@ def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
             {
                 "directory": str(shard.directory),
                 "shard": dict(block) if isinstance(block, dict) else None,
-                "n_points": len(shard.results.get("points", [])),
+                "n_points": len(shard.records),
             }
         )
     payload: Dict[str, object] = {

@@ -162,115 +162,69 @@ def load_reusable_results(
     missing artifacts, a manifest without a spec hash (pre-resume schema), or
     a spec hash that does not match the current campaign definition (a
     *different* campaign's artifacts are not damage).  Artifacts that exist
-    but cannot be trusted raise :class:`ResumeError` instead — truncated or
-    invalid JSON, a results/manifest pair that disagree with each other, a
-    malformed point record, or a record that contradicts the *current*
-    expansion of the campaign under a matching hash (the hash covers the
-    `CampaignSpec` fields, but expansion also depends on registry state —
-    the scenario's default horizon, the seed-injection rule).  Silently
-    recomputing on top of a half-written results.json would mask a disk or
-    truncation problem, so the damage is named and surfaced (the CLI exits
-    2).
+    but cannot be trusted raise :class:`ResumeError` instead: everything
+    :func:`repro.sweep.artifacts.read_artifact_dir` rejects, plus a record
+    that contradicts the *current* expansion of the campaign
+    (:func:`reusable_point`).  Silently recomputing on top of a half-written
+    results.json would mask a disk or truncation problem, so the damage is
+    named and surfaced (the CLI exits 2).
     """
+    from repro.sweep.artifacts import MANIFEST_JSON, RESULTS_JSON, parse_artifact_dir
     from repro.sweep.campaign import expand_campaign
-    from repro.sweep.execute import PointResult
 
     campaign_dir = Path(out_dir) / spec.name
     if subdir is not None:
         campaign_dir = campaign_dir / subdir
-    results_path = campaign_dir / "results.json"
-    manifest_path = campaign_dir / "manifest.json"
-    results = load_artifact_json(results_path)
-    manifest = load_artifact_json(manifest_path)
-    if results is None or manifest is None:
+    results = load_artifact_json(campaign_dir / RESULTS_JSON)
+    manifest = load_artifact_json(campaign_dir / MANIFEST_JSON)
+    if results is None or manifest is None or manifest.get("spec_hash") != spec_hash(spec):
         return {}
-    if manifest.get("spec_hash") != spec_hash(spec):
-        return {}
-    if results.get("campaign") != spec.name or results.get("scenario") != spec.scenario:
-        raise ResumeError(
-            f"{results_path}: results are for campaign "
-            f"{results.get('campaign')!r} / scenario {results.get('scenario')!r} "
-            f"but the manifest's spec_hash matches {spec.name!r} / "
-            f"{spec.scenario!r} — the artifact pair is inconsistent"
-        )
+    artifacts = parse_artifact_dir(campaign_dir, results, manifest)
     points_by_index = {point.index: point for point in expand_campaign(spec)}
-    point_walls = _point_walls(manifest)
-    reusable: Dict[int, PointResult] = {}
-    for record in results.get("points", ()):
-        result = point_result_from_record(
-            record,
-            spec,
-            points_by_index,
-            walls=point_walls,
-            source=str(results_path),
-        )
-        reusable[result.index] = result
-    return reusable
+    source = str(campaign_dir / RESULTS_JSON)
+    return {
+        point.index: reusable_point(point, spec, points_by_index, source=source)
+        for point in artifacts.points()
+    }
 
 
-def point_result_from_record(
-    record: Mapping[str, object],
+def reusable_point(
+    point: "PointResult",
     spec: CampaignSpec,
     points_by_index: Mapping[int, object],
     *,
-    walls: Mapping[str, float],
     source: str,
 ) -> "PointResult":
-    """Validate one stored point record against the campaign's current
-    expansion and return it as a reusable :class:`PointResult`.
+    """Check one decoded point against the campaign's current expansion and
+    mark it reused.
 
-    The single validation gate for *every* resume source — a previous
-    run's ``results.json`` and the results store both go through here, so
-    the two paths cannot drift.  The record's identity fields (scenario,
-    horizon, params, seed) must match the expansion's point at that index
-    exactly; the spec hash covers the ``CampaignSpec`` fields, but
-    expansion also depends on registry state (the scenario's default
-    horizon, the seed-injection rule), so a matching hash alone is not
-    enough.  Raises :class:`ResumeError` naming ``source`` for a record
-    that is malformed or contradicts the expansion.
+    The one expansion check for *every* resume source — a previous run's
+    ``results.json`` and the results store both go through here, so the two
+    paths cannot drift.  The point's identity fields (scenario, horizon,
+    params, seed) must match the expansion's point at that index exactly;
+    the spec hash covers the ``CampaignSpec`` fields, but expansion also
+    depends on registry state (the scenario's default horizon, the
+    seed-injection rule), so a matching hash alone is not enough.  Raises
+    :class:`ResumeError` naming ``source`` for a point that contradicts the
+    expansion.
     """
-    from repro.sweep.execute import PointResult
-
-    try:
-        index = int(record["index"])
-        point = points_by_index.get(index)
-        if (
-            point is None
-            or record["scenario"] != point.scenario
-            or int(record["horizon_cycles"]) != point.horizon_cycles
-            or dict(record["params"]) != dict(point.params)
-            or int(record["seed"]) != point.seed
-        ):
-            raise ResumeError(
-                f"{source}: point record {record.get('index')!r} disagrees "
-                f"with the current expansion of campaign {spec.name!r} "
-                f"(scenario/horizon/params/seed mismatch) — the artifacts were "
-                f"edited or the registry changed; delete them or rerun without "
-                f"--resume"
-            )
-        return PointResult(
-            index=index,
-            scenario=record["scenario"],
-            horizon_cycles=int(record["horizon_cycles"]),
-            params=dict(record["params"]),
-            seed=int(record["seed"]),
-            stats=dict(record["stats"]),
-            activity=dict(record["activity"]),
-            power_uw=dict(record["power_uw"]),
-            area_kge=dict(record["area_kge"]),
-            wall_seconds=walls.get(str(index), 0.0),
-            reused=True,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ResumeError):
-            raise
-        # One malformed record condemns the artifact set: a partially
-        # written results.json must not silently contribute half its
-        # points next to a fresh recomputation of the rest.
+    expected = points_by_index.get(point.index)
+    if (
+        expected is None
+        or point.scenario != expected.scenario
+        or point.horizon_cycles != expected.horizon_cycles
+        or point.params != dict(expected.params)
+        or point.seed != expected.seed
+    ):
         raise ResumeError(
-            f"{source}: point record {str(record)[:80]!r} failed to "
-            f"parse ({exc!r}) — results.json is truncated or corrupt"
-        ) from None
+            f"{source}: point record {point.index!r} disagrees "
+            f"with the current expansion of campaign {spec.name!r} "
+            f"(scenario/horizon/params/seed mismatch) — the artifacts were "
+            f"edited or the registry changed; delete them or rerun without "
+            f"--resume"
+        )
+    point.reused = True
+    return point
 
 
 def load_point_walls(directory: Path, spec: CampaignSpec) -> Dict[int, float]:
@@ -284,24 +238,10 @@ def load_point_walls(directory: Path, spec: CampaignSpec) -> Dict[int, float]:
     (same validation as ``--resume``) for a manifest that exists but cannot
     be parsed, so damage is surfaced rather than silently priced at zero.
     """
-    manifest = load_artifact_json(Path(directory) / "manifest.json")
+    from repro.sweep.artifacts import MANIFEST_JSON, point_walls
+
+    path = Path(directory) / MANIFEST_JSON
+    manifest = load_artifact_json(path)
     if manifest is None or manifest.get("spec_hash") != spec_hash(spec):
         return {}
-    walls: Dict[int, float] = {}
-    for key, value in _point_walls(manifest).items():
-        try:
-            walls[int(key)] = float(value)
-        except (TypeError, ValueError):
-            raise ResumeError(
-                f"{Path(directory) / 'manifest.json'}: point_wall_seconds entry "
-                f"{key!r}: {value!r} is not numeric — the manifest is corrupt"
-            ) from None
-    return walls
-
-
-def _point_walls(manifest: Dict[str, object]) -> Dict[str, float]:
-    execution = manifest.get("execution")
-    if not isinstance(execution, dict):
-        return {}
-    walls = execution.get("point_wall_seconds")
-    return dict(walls) if isinstance(walls, dict) else {}
+    return point_walls(manifest, str(path))

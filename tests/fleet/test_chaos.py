@@ -117,6 +117,35 @@ class TestChaosHealing:
         assert_byte_identical(result.campaign_dir, serial_dir)
 
 
+class TestAcceptance:
+    def test_malformed_record_is_rejected_and_rerun(self, tmp_path, serial_dir, monkeypatch):
+        # A worker that exits cleanly but leaves a malformed record must not
+        # be accepted: the acceptance gate decodes every record, and the
+        # next heal round re-runs the shard.
+        from repro.fleet import controller
+
+        validate = controller.validate_shard_dir
+        damaged = []
+
+        def damage_first_shard(directory, spec):
+            if not damaged:
+                path = Path(directory) / "results.json"
+                payload = json.loads(path.read_text())
+                payload["points"][0]["seed"] = 12.7
+                path.write_text(json.dumps(payload))
+                damaged.append(directory)
+            return validate(directory, spec)
+
+        monkeypatch.setattr(controller, "validate_shard_dir", damage_first_shard)
+        result = run_fleet(make_config(tmp_path))
+        assert result.status == "complete" and result.rounds == 2
+        rejected = [a for a in round_attempts(result, 0) if not a["accepted"]]
+        assert len(rejected) == 1
+        assert rejected[0]["outcome"] == "corrupt-artifacts"
+        assert "seed 12.7 is not an integer" in rejected[0]["detail"]
+        assert_byte_identical(result.campaign_dir, serial_dir)
+
+
 class TestGracefulDegradation:
     def test_budget_exhaustion_writes_partial_artifacts(self, tmp_path):
         # Worker 0 is killed and there are zero heal rounds: the fleet must
@@ -138,6 +167,23 @@ class TestGracefulDegradation:
         assert sorted(heal["missing"]) == sorted(result.missing)
         ledger = json.loads(result.ledger_path.read_text())
         assert ledger["status"] == "partial" and ledger["exit_code"] == EXIT_PARTIAL
+
+    def test_partial_salvage_merges_with_the_heal_shards(self, tmp_path, serial_dir):
+        # Finishing a budget-exhausted campaign by hand: run heal.json's
+        # commands, then merge partial/ with the shards they produced.
+        result = run_fleet(
+            make_config(tmp_path, chaos=parse_chaos("kill:0"), max_retries=0)
+        )
+        assert result.exit_code == EXIT_PARTIAL
+        heal = json.loads((result.campaign_dir / HEAL_JSON).read_text())
+        for command in heal["commands"]:
+            assert command["argv"][:3] == ["python", "-m", "repro.run"]
+            assert main(command["argv"][3:]) == 0
+        merged = tmp_path / "merged"
+        heal_dirs = [command["artifact_dir"] for command in heal["commands"]]
+        partial_dir = str(result.campaign_dir / "partial")
+        assert main(["sweep", "merge", partial_dir, *heal_dirs, "--out", str(merged)]) == 0
+        assert_byte_identical(merged / "smoke", serial_dir)
 
     def test_total_loss_still_writes_ledger_and_heal(self, tmp_path):
         result = run_fleet(
