@@ -1,11 +1,11 @@
 """E12 — Batched multi-instance execution on pipeline-clock-ratio.
 
 Runs the full ``pipeline-clock-ratio`` campaign (56 points: 4 clock ratios
-x 2 sampling periods x 7 horizon depths) through two executors:
+x 2 sampling periods x 7 horizon depths) two ways:
 
-* **per-instance** (``--batch off``): every point builds and simulates its
-  own SoC — the pre-batching behaviour;
-* **batched** (the default): the points of one (ratio, period) pair share a
+* **per-instance**: :func:`~repro.sweep.execute.run_point` over every point,
+  each building and simulating its own SoC — the solo reference;
+* **batched** (the sweep executor): the points of one (ratio, period) pair share a
   single prepared simulation under one interned schedule plan; only the
   70k-cycle horizon is actually simulated, and the six shorter horizons are
   snapshotted in passing.
@@ -24,17 +24,29 @@ section) for the CI perf-regression job.
 import json
 import time
 
-from repro.sweep import campaign, execute_campaign, results_payload
+from repro.sweep import campaign, execute_campaign, expand_campaign, point_record
+from repro.sweep.execute import run_point
 
 CAMPAIGN = "pipeline-clock-ratio"
 GROUPS = 8
 MIN_BATCH_SPEEDUP = 3.0
 
 
-def _timed(batch):
+def _timed_solo():
+    points = expand_campaign(campaign(CAMPAIGN))
     start = time.perf_counter()
-    result = execute_campaign(campaign(CAMPAIGN), jobs=1, batch=batch)
+    results = [run_point(point) for point in points]
+    return time.perf_counter() - start, results
+
+
+def _timed_batched():
+    start = time.perf_counter()
+    result = execute_campaign(campaign(CAMPAIGN), jobs=1)
     return time.perf_counter() - start, result
+
+
+def _records(points):
+    return json.dumps([point_record(point) for point in points], sort_keys=True)
 
 
 def test_bench_batched_execution_speedup(save_result, save_kernel_json):
@@ -44,17 +56,15 @@ def test_bench_batched_execution_speedup(save_result, save_kernel_json):
     # Counterbalanced order (serial, batched, batched, serial), scored by the
     # min of each pair: the passes are seconds long and shared hosts drift
     # between back-to-back measurements.
-    serial_a, serial = _timed(batch=False)
-    batched_a, batched = _timed(batch=True)
-    batched_b, _ = _timed(batch=True)
-    serial_b, _ = _timed(batch=False)
+    serial_a, serial = _timed_solo()
+    batched_a, batched = _timed_batched()
+    batched_b, _ = _timed_batched()
+    serial_b, _ = _timed_solo()
     serial_seconds = min(serial_a, serial_b)
     batched_seconds = min(batched_a, batched_b)
 
-    reference = json.dumps(results_payload(serial), sort_keys=True)
-    assert json.dumps(results_payload(batched), sort_keys=True) == reference
+    assert _records(batched.points) == _records(serial)
     assert batched.batched_points == spec.n_points
-    assert serial.batched_points == 0
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
     serial_rate = spec.n_points / serial_seconds
@@ -79,9 +89,9 @@ def test_bench_batched_execution_speedup(save_result, save_kernel_json):
             [
                 f"Batched execution on {CAMPAIGN} ({spec.n_points} points, "
                 f"{GROUPS} shared-prefix groups x 7 horizons):",
-                f"  per-instance (--batch off)  : {serial_seconds * 1e3:8.1f} ms "
+                f"  per-instance (run_point)    : {serial_seconds * 1e3:8.1f} ms "
                 f"({serial_rate:.2f} points/s)",
-                f"  batched (--batch on)        : {batched_seconds * 1e3:8.1f} ms "
+                f"  batched (sweep)             : {batched_seconds * 1e3:8.1f} ms "
                 f"({batched_rate:.2f} points/s, {speedup:.2f}x)",
                 "  structural ceiling          :     4.00x (28 vs 7 work units per group)",
                 "  aggregated artifacts        : byte-identical",

@@ -85,32 +85,40 @@ def _enabled_run():
     return simulator
 
 
-def _best_of(fn, repeats=REPEATS):
-    """Minimum wall time over ``repeats`` passes — the standard noise shield
-    for ratio benchmarks on shared hosts (matches test_bench_sweep.py)."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _interleaved_best(fns, repeats=REPEATS):
+    """``(min wall time, last result)`` per function over ``repeats`` rounds.
+
+    Each round runs every function once, in alternating order, so host
+    drift during the measurement lands on all of them alike instead of on
+    whichever block ran second — the min is the standard noise shield for
+    ratio benchmarks on shared hosts (matches test_bench_sweep.py).
+    """
+    best = [float("inf")] * len(fns)
+    results = [None] * len(fns)
+    for round_index in range(repeats):
+        order = range(len(fns)) if round_index % 2 == 0 else reversed(range(len(fns)))
+        for index in order:
+            start = time.perf_counter()
+            results[index] = fns[index]()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return list(zip(best, results))
 
 
 def test_bench_telemetry_disabled_overhead(save_result, save_kernel_json):
     # Warm the interned plan so no pass pays the one-time plan build.
     _fresh().step(64)
 
-    baseline_seconds, baseline_sim = _best_of(_baseline_run)
-    disabled_seconds, disabled_sim = _best_of(_disabled_run)
-    enabled_seconds, enabled_sim = _best_of(_enabled_run)
+    (baseline_seconds, baseline_sim), (disabled_seconds, disabled_sim) = _interleaved_best(
+        (_baseline_run, _disabled_run)
+    )
+    [(enabled_seconds, enabled_sim)] = _interleaved_best((_enabled_run,))
 
     overhead = max(0.0, disabled_seconds / max(baseline_seconds, 1e-9) - 1.0)
     enabled_cost = enabled_seconds / max(baseline_seconds, 1e-9) - 1.0
 
     lines = [
         f"Telemetry overhead on a span-heavy run ({HORIZON_CYCLES} cycles, "
-        f"{PULSE_PERIOD}-cycle pulse period, best of {REPEATS}):",
+        f"{PULSE_PERIOD}-cycle pulse period, best of {REPEATS} interleaved rounds):",
         f"  raw span loop (no dispatch) : {baseline_seconds * 1e3:8.1f} ms",
         f"  step(), telemetry disabled  : {disabled_seconds * 1e3:8.1f} ms "
         f"({overhead * 100:+.1f}%)",

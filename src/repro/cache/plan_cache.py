@@ -71,7 +71,7 @@ def group_cache_key(
     Hashes the snapshot schema version (so a schema bump cold-starts the
     whole cache), the scenario name, the dense flag, the sorted
     non-horizon params, and the horizon list.  Horizons are part of the
-    identity because ``batch_prepare`` sizes drive scripts off the full
+    identity because a scenario's ``prepare`` hook sizes drive scripts off the full
     horizon list; two campaigns sharing a prefix of horizons get separate
     entries rather than risky reuse.
     """

@@ -4,9 +4,9 @@
 the executor charges every second of work to one of five phases —
 
 * ``expand``   — grid expansion into concrete sweep points;
-* ``prepare``  — scenario construction (batched groups: the batch-prepare
-  hook plus enrolment; per-instance points prepare inside their run and
-  report 0 here);
+* ``prepare``  — scenario construction (batched groups: the prepare hook
+  plus enrolment; solo points prepare inside their run and report 0
+  here);
 * ``simulate`` — advancing the kernel (the scenario run, or the batch
   round loop);
 * ``finalize`` — post-processing outcomes into point records (activity

@@ -9,10 +9,9 @@ skipping is validated end to end from the command line.
 The ``sweep`` subcommand executes a whole campaign of scenario points
 (:mod:`repro.sweep`), sharded across a process pool, and writes JSON + CSV
 artifacts plus a reproducibility manifest under ``results/sweeps/``.
-Batched execution (``--batch``, on by default where the scenario supports
-it) lets points that differ only in their horizon share one simulation,
-advanced in lockstep with the chunk's other instances — byte-identical
-artifacts, measured ≥3x faster on multi-horizon campaigns.
+Points that differ only in their horizon share one simulation, advanced in
+lockstep with the chunk's other instances — byte-identical to running each
+point alone, measured ≥3x faster on multi-horizon campaigns.
 ``--shard I/N`` restricts a run to one slice of the grid for multi-host
 distribution, ``sweep merge`` stitches the per-host artifact directories
 back into the single-host artifacts, and ``sweep merge --heal`` emits the
@@ -179,16 +178,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "instead of hunting artifact directories; validated against the same "
         "campaign identity as --resume and byte-identical to it; combinable "
         "with --resume (directory artifacts win ties)",
-    )
-    parser.add_argument(
-        "--batch",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="batched multi-instance execution: points differing only in "
-        "horizon_cycles share one simulation, advanced in lockstep with the "
-        "chunk's other instances under one schedule plan; results are "
-        "byte-identical to per-point execution (default: %(default)s — on "
-        "whenever the scenario supports it)",
     )
     parser.add_argument(
         "--plan-cache",
@@ -559,7 +548,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
 
-    batch = {"auto": None, "on": True, "off": False}[args.batch]
     tracer = None
     if args.trace_out is not None:
         from repro.obs import tracing
@@ -573,7 +561,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             chunk=args.chunk,
             reuse=reuse,
             shard=shard,
-            batch=batch,
             trace=args.trace_out is not None,
             profile=args.profile,
             plan_cache=args.plan_cache,
@@ -583,12 +570,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             from repro.obs import tracing
 
             tracing.uninstall()
-    if batch is True and not result.batched_points and result.n_computed:
-        print(
-            f"batch: scenario {spec.scenario!r} does not support batched "
-            f"execution; points ran per-instance",
-            file=sys.stderr,
-        )
     for record in result.batch_fallbacks:
         # A group that quietly lost batching is a perf bug waiting to hide;
         # name every reason (the manifest keeps the same records).

@@ -23,7 +23,7 @@ point snapshots its results at its own stop.  Because a span split at a
 stop boundary is replayed through the same
 :meth:`~repro.sim.component.Component.skip` contract as an uncapped span,
 the state observed at a stop is byte-identical to a standalone run of that
-horizon — the property the sweep layer's ``--batch`` mode builds its
+horizon — the property the sweep layer's batched execution builds its
 artifact-identity guarantee on.
 
 Callbacks observe the paused simulator (read counters, copy activity,

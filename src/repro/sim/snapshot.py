@@ -155,7 +155,7 @@ class RestoredSnapshot:
     """A successfully restored prepared scenario.
 
     ``prepared`` is the live object (same duck type the scenario
-    registry's ``batch_prepare`` returns); ``base_tick`` is the simulated
+    registry's ``prepare`` hook returns); ``base_tick`` is the simulated
     cycle the snapshot was taken at — a warm consumer resumes simulating
     from there.  ``plan_shared`` reports whether the embedded plan matched
     an already-interned one in this process.

@@ -3,15 +3,17 @@
 A **campaign** (:class:`~repro.sweep.campaign.CampaignSpec`) crosses one
 scenario from :mod:`repro.workloads.registry` with a parameter grid —
 horizons, clock ratios, duty cycles, fault-injection seeds.  The executor
-(:func:`~repro.sweep.execute.execute_campaign`) shards the expanded run
-matrix across a process pool with deterministic per-point seeding, and the
-artifacts layer (:func:`~repro.sweep.artifacts.write_artifacts`) aggregates
+(:func:`~repro.sweep.execute.execute_campaign`) groups the expanded run
+matrix so points differing only in their horizon share one simulation
+(byte-identical to the solo reference,
+:func:`~repro.sweep.execute.run_point`) and shards the groups across a
+process pool with deterministic per-point seeding; the artifacts layer (:func:`~repro.sweep.artifacts.write_artifacts`) aggregates
 each point's stats, activity counters, and power/area model outputs into
 structured JSON + CSV under ``results/sweeps/``, with a campaign manifest
 for reproducibility.
 
 CLI front end: ``python -m repro.run sweep <campaign> [--jobs N] [--chunk K]
-[--resume] [--shard I/N]``.  ``--chunk`` batches points into per-worker
+[--resume] [--shard I/N]``.  ``--chunk`` packs groups into per-worker
 chunks (auto-sized by default), ``--resume`` reuses points already present
 in ``results.json`` under an identical campaign manifest
 (:mod:`repro.sweep.resume`), and ``--shard I/N`` executes one contiguous

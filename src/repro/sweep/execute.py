@@ -1,21 +1,31 @@
 """Sweep execution: run every point of a campaign, serially or sharded.
 
-The unit of work is one :class:`~repro.sweep.campaign.SweepPoint`.
-:func:`run_point` runs the scenario through the registry's instrumented
-entry point and post-processes the SoC into the structured record the
-artifacts layer serialises: scalar stats, flattened activity counters, the
-Figure 5 power breakdown, and the Figure 6a area breakdown.
+The unit of work is one **group** of :class:`~repro.sweep.campaign.SweepPoint`
+(:func:`batch_groups`): points of one scenario that differ only in
+``horizon_cycles`` share one prepared simulation, and every group of a chunk
+is advanced together by a :class:`~repro.sim.batch.BatchSimulator`, which
+interleaves the instances over span boundaries under one shared schedule
+plan.  Each point's record is snapshotted the instant its horizon is
+reached.  Points of a scenario without a prepare hook (see
+:mod:`repro.workloads.registry`) are singleton groups run by
+:func:`run_point`, the solo reference: it runs the scenario through the
+registry's instrumented entry point.  Both paths post-process the SoC
+through :func:`_finalize_point` into the structured record the artifacts
+layer serialises — scalar stats, flattened activity counters, the Figure 5
+power breakdown, and the Figure 6a area breakdown — so batched artifacts
+are byte-identical to solo ones (``tests/sweep/test_batch.py`` pins this for
+every registry campaign).
 
-:func:`execute_campaign` fans the points out:
+:func:`execute_campaign` packs whole groups into chunks and runs each chunk
+through one pool task, :func:`run_point_groups`:
 
 * ``jobs == 1`` (or one usable core, or a single chunk) — plain serial loop
-  in this process (the reference path);
-* otherwise — a ``multiprocessing`` pool over **chunks** of points.  Points
-  are batched into per-worker chunks (auto-sized to a few chunks per worker,
-  overridable via ``chunk=``/``--chunk``) so small campaigns amortise the
-  pickling/dispatch overhead that used to make ``--jobs 2`` *slower* than
-  serial; worker processes are additionally capped at the machine's core
-  count, because oversubscribing a small host only adds context-switching.
+  in this process;
+* otherwise — a ``multiprocessing`` pool over the chunks (auto-sized to a
+  few chunks per worker, overridable via ``chunk=``/``--chunk``) so small
+  campaigns amortise the pickling/dispatch overhead; worker processes are
+  additionally capped at the machine's core count, because oversubscribing a
+  small host only adds context-switching.
 
 Results are keyed and re-sorted by point index, and every per-point output is
 a pure function of the point itself (wall-clock timing is kept out of the
@@ -37,20 +47,6 @@ and with ``reuse`` (reusable indices outside the shard are simply never
 consulted), and the shard's artifacts record the slice so
 :mod:`repro.sweep.merge` can validate coverage when stitching shards back
 together.
-
-**Batched execution** (:func:`execute_campaign` with ``batch=``): scenarios
-that register a batch-prepare hook (see
-:mod:`repro.workloads.registry`) have their points grouped by parameters —
-points that differ only in ``horizon_cycles`` share one prepared simulation
-— and every group of a chunk is advanced together by a
-:class:`~repro.sim.batch.BatchSimulator`, which interleaves the instances
-over span boundaries under one shared schedule plan.  Each point's record
-is snapshotted the instant its horizon is reached, through exactly the same
-post-processing as :func:`run_point`, so batched artifacts are
-byte-identical to per-instance ones (``tests/sweep/test_batch.py`` pins
-this for every registry campaign).  ``batch=None`` auto-enables batching
-whenever the scenario supports it; batching composes with ``jobs``/
-``chunk`` (groups are packed whole into chunks), ``shard``, and ``reuse``.
 """
 
 from __future__ import annotations
@@ -70,12 +66,7 @@ from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
 from repro.power.model import PowerModel
 from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, expand_campaign
-from repro.workloads.registry import (
-    BatchUnsupported,
-    ScenarioOutcome,
-    run_scenario_instrumented,
-    scenario,
-)
+from repro.workloads.registry import ScenarioOutcome, run_scenario_instrumented, scenario
 
 
 @dataclass
@@ -120,7 +111,7 @@ class CampaignResult:
     #: Size of the *full* expanded grid (equals ``n_points`` when unsharded).
     points_total: int = 0
     #: How many points were executed through the batched (shared-prefix)
-    #: executor rather than the per-instance path; recorded in the manifest.
+    #: executor rather than solo; recorded in the manifest.
     batched_points: int = 0
     #: Why points that could have batched did not: one record per fallback
     #: (``{"reason": ..., "points": [indices]}``), recorded in the manifest
@@ -176,9 +167,9 @@ ProgressCallback = Callable[[int, int, PointResult], None]
 def _finalize_point(point: SweepPoint, outcome: ScenarioOutcome, wall: float) -> PointResult:
     """Derive one point's record from its scenario outcome.
 
-    Shared by the per-instance path (:func:`run_point`, at end of run) and
-    the batched path (:func:`run_point_groups`, at the instant the point's
-    horizon is reached) — one code path, so the two modes cannot drift.
+    Shared by the solo path (:func:`run_point`, at end of run) and the
+    batched path (:func:`_enroll_group`, at the instant the point's horizon
+    is reached) — one code path, so the two cannot drift.
     """
     activity: Dict[str, int] = {}
     power_uw: Dict[str, float] = {}
@@ -220,7 +211,7 @@ def _finalize_point(point: SweepPoint, outcome: ScenarioOutcome, wall: float) ->
 class ChunkOutcome:
     """What one pool task produced: the chunk's point records plus the
     batching bookkeeping (how many points actually shared a prepared
-    simulation, and why any group fell back to per-instance execution).
+    simulation, and why any group fell back to solo runs).
     Under ``trace=``/``profile=`` the task additionally ships its telemetry
     home: worker-summed phase seconds, summed kernel stats, batch rounds,
     and (when this process owned its tracer) the buffered trace events."""
@@ -236,7 +227,7 @@ class ChunkOutcome:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed ``kernel_stats`` across the chunk's simulations.
     kernel_stats: Dict[str, int] = field(default_factory=dict)
-    #: Batch scheduling rounds this chunk executed (batched path only).
+    #: Batch scheduling rounds this chunk executed.
     rounds: int = 0
     #: Buffered Chrome trace events from a worker-owned tracer (empty when
     #: the parent owns the tracer — serial mode — or tracing is off).
@@ -297,10 +288,12 @@ def _finish_chunk(
 def run_point(point: SweepPoint, tele: Optional[_ChunkTelemetry] = None) -> PointResult:
     """Execute one sweep point and derive its power/area records.
 
-    With chunk telemetry ``tele`` the point's ``simulate``/``finalize``
-    seconds and kernel stats are absorbed into it; an installed tracer gets
-    a ``sweep.point`` span (per-instance points report their scenario build
-    inside ``simulate``; only the batched path has a distinct ``prepare``).
+    The solo reference the batched path must equal, and how points of a
+    scenario without a prepare hook run.  With chunk telemetry ``tele`` the
+    point's ``simulate``/``finalize`` seconds and kernel stats are absorbed
+    into it; an installed tracer gets a ``sweep.point`` span (solo points
+    report their scenario build inside ``simulate``; only the batched path
+    has a distinct ``prepare``).
     """
     tracer = tracing.TRACER
     start_ns = tracer.now_ns() if tracer is not None else 0
@@ -361,19 +354,6 @@ def _run_point_guarded(
         outcome.failures.append(_failed_record(point, exc))
 
 
-def run_points(points: Sequence[SweepPoint], trace: bool = False, profile: bool = False) -> ChunkOutcome:
-    """Pool task: execute one chunk of points in order (per-instance)."""
-    outcome = ChunkOutcome()
-    tele, tracer, owned = _chunk_scope(trace, profile)
-    try:
-        for point in points:
-            _run_point_guarded(point, outcome, tele)
-    finally:
-        if owned:
-            tracing.uninstall()
-    return _finish_chunk(outcome, tele, tracer if owned else None)
-
-
 # ------------------------------------------------------------------ batching
 
 
@@ -383,12 +363,16 @@ def batch_groups(points: Sequence[SweepPoint]) -> List[List[SweepPoint]]:
     Points of the same scenario with identical parameters (and kernel) that
     differ only in ``horizon_cycles`` form one group: the simulation of the
     largest horizon passes through every smaller one, so a single instance
-    serves the whole group.  Groups preserve first-occurrence order and each
-    group is sorted by horizon.
+    serves the whole group.  A point of a scenario without a prepare hook
+    shares nothing and is a group of its own.  Groups preserve
+    first-occurrence order and each group is sorted by horizon.
     """
     grouped: Dict[Tuple, List[SweepPoint]] = {}
     for point in points:
-        key = (point.scenario, point.dense, tuple(sorted(point.params.items())))
+        if scenario(point.scenario).prepare is None:
+            key: Tuple = (point.index,)
+        else:
+            key = (point.scenario, point.dense, tuple(sorted(point.params.items())))
         grouped.setdefault(key, []).append(point)
     return [sorted(group, key=lambda point: point.horizon_cycles) for group in grouped.values()]
 
@@ -409,10 +393,11 @@ def _enroll_group(
 
     Returns the group's wall clock; the caller restamps it when the batch
     actually starts running so no group is charged another group's
-    preparation time.  Raises :class:`BatchUnsupported` (from the scenario's
-    batch-prepare hook) or :class:`SimulationError` (from enrollment) when
-    the group cannot share a prepared instance — the caller falls back to
-    per-instance execution for just that group.
+    preparation time.  Raises when the group cannot share a prepared
+    instance — :class:`~repro.workloads.registry.BatchUnsupported` from a
+    declining prepare hook, :class:`~repro.sim.simulator.SimulationError`
+    from enrollment, or whatever the hook raises for a bad point — and the
+    caller then runs just that group's points solo.
 
     With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
     has an exact-match snapshot is served straight from the cache: the
@@ -454,7 +439,7 @@ def _enroll_group(
                 prepared = restored.prepared
                 base = restored.base_tick
     if pending and prepared is None:
-        prepared = spec.batch_prepare(horizons, first.dense, **dict(first.params))
+        prepared = spec.prepare(horizons, first.dense, **dict(first.params))
     # Wall-clock attribution under interleaving is approximate by nature:
     # each stop is charged the time since this instance's previous stop
     # (manifest diagnostics only — never part of the comparable payload).
@@ -551,21 +536,24 @@ def run_point_groups(
     profile: bool = False,
     plan_cache: Optional[str] = None,
 ) -> ChunkOutcome:
-    """Pool task: execute one chunk of shared-prefix groups, batched.
+    """The pool task: execute one chunk of shared-prefix groups.
 
-    All of the chunk's instances advance through one
+    All of the chunk's prepared instances advance through one
     :class:`~repro.sim.batch.BatchSimulator` — in lockstep over span
     boundaries, under one shared schedule plan — and every point's record
-    is snapshotted exactly when its horizon is reached.  A group whose
-    batch-prepare hook declines
-    (:class:`BatchUnsupported` — e.g. heterogeneous derived parameters) or
-    whose enrollment fails runs per-instance inside this same task, with the
-    reason recorded in the outcome's ``fallbacks``.  ``plan_cache`` (a
-    directory path) warm-starts groups from published prepared-state
-    snapshots and publishes new ones; see :mod:`repro.cache.plan_cache`.
+    is snapshotted exactly when its horizon is reached.  Points of a
+    scenario without a prepare hook run solo (:func:`run_point`).  A group
+    that cannot enroll — its prepare hook declines
+    (:class:`~repro.workloads.registry.BatchUnsupported`, e.g. heterogeneous
+    derived parameters) or rejects a bad point, or enrollment fails — runs
+    its points solo inside this same task, with the reason recorded in the
+    outcome's ``fallbacks``: every bad point then lands in ``failures``
+    exactly as its solo run fails, and the rest of the chunk survives.
+    ``plan_cache`` (a directory path) warm-starts groups from published
+    prepared-state snapshots and publishes new ones; see
+    :mod:`repro.cache.plan_cache`.
     """
     from repro.sim.batch import BatchSimulator
-    from repro.sim.simulator import SimulationError
 
     tele, tracer, owned = _chunk_scope(trace, profile)
     cache = None
@@ -580,6 +568,10 @@ def run_point_groups(
         clocks = []
         enrolled: List[SweepPoint] = []
         for group in groups:
+            if scenario(group[0].scenario).prepare is None:
+                for point in group:
+                    _run_point_guarded(point, outcome, tele)
+                continue
             try:
                 if tele is None:
                     clocks.append(_enroll_group(batch, group, results, cache=cache))
@@ -588,7 +580,11 @@ def run_point_groups(
                         clocks.append(
                             _enroll_group(batch, group, results, tele=tele, cache=cache)
                         )
-            except (BatchUnsupported, SimulationError) as exc:
+            except Exception as exc:
+                # The hook declined (BatchUnsupported), enrollment failed, or
+                # the hook rejected a bad point: the group's points run solo,
+                # so each completes or fails (into ``failures``) exactly as it
+                # would alone, and the manifest says why they did not batch.
                 outcome.fallbacks.append(_fallback_record(group, str(exc)))
                 for point in group:
                     _run_point_guarded(point, outcome, tele)
@@ -607,7 +603,7 @@ def run_point_groups(
         except Exception as exc:
             # A mid-run batch failure loses only the enrolled points whose
             # horizons had not been snapshotted yet; everything already
-            # snapshotted (and every fallback result) survives in ``results``.
+            # snapshotted (and every solo result) survives in ``results``.
             done = {result.index for result in results}
             lost = [point for point in enrolled if point.index not in done]
             outcome.failures.extend(_failed_record(point, exc) for point in lost)
@@ -665,10 +661,6 @@ def auto_chunk(n_points: int, jobs: int) -> int:
     return max(1, n_points // (jobs * 4))
 
 
-def _chunked(points: Sequence[SweepPoint], chunk: int) -> List[List[SweepPoint]]:
-    return [list(points[start : start + chunk]) for start in range(0, len(points), chunk)]
-
-
 def execute_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
@@ -676,7 +668,6 @@ def execute_campaign(
     chunk: Optional[int] = None,
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
-    batch: Optional[bool] = None,
     trace: bool = False,
     profile: bool = False,
     plan_cache: Optional[str] = None,
@@ -690,11 +681,9 @@ def execute_campaign(
     results (see :mod:`repro.sweep.resume`); those points are not re-run.
     ``shard`` restricts execution to one contiguous index range of the grid
     (see :class:`~repro.sweep.campaign.ShardSpec`); ``reuse`` entries outside
-    the shard are ignored.  ``batch`` selects the batched (shared-prefix)
-    executor: ``None`` auto-enables it when the scenario registers a
-    batch-prepare hook, ``True`` requests it, ``False`` forces the
-    per-instance path.  Groups (or whole scenarios) that cannot batch fall
-    back to per-instance execution with the reason recorded in
+    the shard are ignored.  Points that share parameters run as one batched
+    group (:func:`batch_groups`); groups (or whole scenarios) that cannot
+    batch run their points solo with the reason recorded in
     ``batch_fallbacks`` — never silently.  ``progress`` (if given) is
     called after each completed point with ``(completed, total, result)``
     where ``total`` is the shard-local point count — note that under
@@ -707,7 +696,7 @@ def execute_campaign(
     events.  Telemetry never touches the comparable payload — results are
     byte-identical with it on or off (``tests/sweep/test_telemetry.py``).
 
-    ``plan_cache`` (``--plan-cache DIR``) points the batched path at a
+    ``plan_cache`` (``--plan-cache DIR``) points the batched groups at a
     persistent prepared-state snapshot cache: groups warm-start from
     snapshots published by earlier runs (same campaign, another shard,
     another fleet worker) and publish their own at every horizon stop.
@@ -719,7 +708,6 @@ def execute_campaign(
         raise ValueError("jobs must be at least 1")
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be at least 1")
-    use_batch = batch is not False and scenario(spec.scenario).batch_prepare is not None
     telemetry = trace or profile
     timer = PhaseTimer() if telemetry else None
     kernel_totals = CounterSet(KERNEL_STAT_KEYS) if telemetry else None
@@ -744,8 +732,8 @@ def execute_campaign(
             result.reused = True
             if progress is not None:
                 progress(completed, total, result)
-    if batch is not False and not use_batch and points:
-        # The scenario has no batch-prepare hook at all: one campaign-level
+    if scenario(spec.scenario).prepare is None and points:
+        # The scenario has no prepare hook at all: one campaign-level
         # fallback record covering every executed point.
         fallbacks.append(
             _fallback_record(
@@ -754,17 +742,8 @@ def execute_campaign(
         )
 
     chunk_size = chunk if chunk is not None else auto_chunk(len(points), jobs)
-    if use_batch:
-        chunks: List = _chunked_groups(batch_groups(points), chunk_size)
-        task: Callable = partial(
-            run_point_groups,
-            trace=trace,
-            profile=profile,
-            plan_cache=plan_cache,
-        )
-    else:
-        chunks = _chunked(points, chunk_size)
-        task = partial(run_points, trace=trace, profile=profile) if telemetry else run_points
+    chunks = _chunked_groups(batch_groups(points), chunk_size)
+    task = partial(run_point_groups, trace=trace, profile=profile, plan_cache=plan_cache)
     # Workers beyond the core count (or the chunk count) only add overhead;
     # the aggregated artifacts are independent of the pool geometry anyway.
     workers = min(jobs, os.cpu_count() or 1, len(chunks))

@@ -46,8 +46,6 @@ from repro.workloads.registry import (
     PreparedScenario,
     ScenarioOutcome,
     ScenarioSpec,
-    prepare_scenario_batch,
-    register_batch_prepare,
     register_scenario,
     run_scenario,
     run_scenario_instrumented,
@@ -89,8 +87,6 @@ __all__ = [
     "prepare_burst_stream",
     "prepare_duty_cycled_logging",
     "prepare_multi_link_pipeline",
-    "prepare_scenario_batch",
-    "register_batch_prepare",
     "register_scenario",
     "run_burst_stream",
     "run_duty_cycled_logging",

@@ -32,6 +32,7 @@ from typing import Optional
 from repro.core.assembler import Assembler
 from repro.peripherals.sensor import SensorWaveform
 from repro.soc.pulpissimo import PulpissimoSoc, SocConfig, build_soc
+from repro.workloads.registry import run_prepared
 
 
 def _soc_for(config_dense: bool, waveform: SensorWaveform, spi_cycles_per_word: int = 4) -> PulpissimoSoc:
@@ -188,9 +189,8 @@ def run_duty_cycled_logging(
 ) -> DutyCycledLoggingResult:
     """Run the duty-cycled multi-sensor logging scenario (see
     :func:`prepare_duty_cycled_logging` for the wiring)."""
-    prepared = prepare_duty_cycled_logging(config)
-    prepared.soc.run(config.horizon_cycles)
-    return prepared.result(config.horizon_cycles)
+    horizon = config.horizon_cycles
+    return run_prepared(prepare_duty_cycled_logging(config), horizon).result(horizon)
 
 
 # -------------------------------------------------------------------- bursting
@@ -310,9 +310,8 @@ def prepare_burst_stream(config: BurstStreamConfig = BurstStreamConfig()) -> Pre
 def run_burst_stream(config: BurstStreamConfig = BurstStreamConfig()) -> BurstStreamResult:
     """Run the burst SPI→DMA streaming scenario (see
     :func:`prepare_burst_stream` for the wiring)."""
-    prepared = prepare_burst_stream(config)
-    prepared.soc.run(config.horizon_cycles)
-    return prepared.result(config.horizon_cycles)
+    horizon = config.horizon_cycles
+    return run_prepared(prepare_burst_stream(config), horizon).result(horizon)
 
 
 # -------------------------------------------------------------------- recovery
@@ -396,10 +395,9 @@ class PreparedWatchdogRecovery:
     Unlike the other long-run workloads this scenario is *two-segment*: the
     testbench interferes mid-run (stopping the timer at the stall instant).
     The prepared object therefore exposes the interference as a **drive
-    stop** — ``(stall_cycles, inject_stall)`` — which the batched executor
-    merges into its snapshot schedule, so the batch fires the injection
-    while paused exactly on the stall cycle, byte-identical to the
-    standalone two-phase run.
+    stop** — ``(stall_cycles, inject_stall)`` — which the solo driver
+    (:func:`~repro.workloads.registry.run_prepared`) and the batched
+    executor both fire while paused exactly on the stall cycle.
     """
 
     def __init__(self, config: WatchdogRecoveryConfig, soc: PulpissimoSoc) -> None:
@@ -509,16 +507,8 @@ def run_watchdog_recovery(
     (injecting the fault the supervision exists for).  The watchdog counts
     down and *barks*; the bark event is linked to the timer's ``start``
     input, so PELS restarts the loop autonomously — the *bite* (system
-    reset) never fires and the CPU never wakes.
+    reset) never fires and the CPU never wakes.  The injection is the
+    prepared instance's drive stop, fired on the stall cycle.
     """
-    prepared = prepare_watchdog_recovery(config)
-    soc = prepared.soc
-
-    # Phase 1: healthy loop until the stall point.
-    stall_cycles = prepared.stall_cycles
-    soc.run(stall_cycles)
-    prepared.inject_stall(stall_cycles)
-
-    # Phase 2: the watchdog detects the stall, PELS restarts the loop.
-    soc.run(config.horizon_cycles - stall_cycles)
-    return prepared.result(config.horizon_cycles)
+    horizon = config.horizon_cycles
+    return run_prepared(prepare_watchdog_recovery(config), horizon).result(horizon)

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.core.assembler import Assembler
 from repro.core.config import PelsConfig
 from repro.soc.pulpissimo import PulpissimoSoc, SocConfig, build_soc
+from repro.workloads.registry import run_prepared
 
 #: Base service times at clock ratio 1 (in base-clock cycles).
 BASE_ADC_CONVERSION_CYCLES = 8
@@ -187,6 +188,5 @@ def run_multi_link_pipeline(
     config: MultiLinkPipelineConfig = MultiLinkPipelineConfig(),
 ) -> MultiLinkPipelineResult:
     """Run the multi-link pipeline scenario."""
-    prepared = prepare_multi_link_pipeline(config)
-    prepared.soc.run(config.horizon_cycles)
-    return prepared.result(config.horizon_cycles)
+    horizon = config.horizon_cycles
+    return run_prepared(prepare_multi_link_pipeline(config), horizon).result(horizon)

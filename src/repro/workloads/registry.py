@@ -6,54 +6,60 @@ summarises one workload over a caller-chosen horizon.  The registry is what
 campaign grids over, and it gives tests and benchmarks a single place to
 enumerate "everything the model can do".
 
-Scenario callables take ``(horizon_cycles, dense, **params)`` and return a
-:class:`ScenarioOutcome`; ``horizon_cycles`` is the simulated horizon in
-base-clock cycles, ``dense`` selects the legacy cycle-driven kernel
-(:mod:`repro.sim.simulator`) for A/B comparisons, and ``params`` are the
-scenario's declared sweepable parameters (see :class:`ScenarioSpec.params`).
-The outcome carries the flat scalar statistics plus (where available) the SoC
-itself, so downstream consumers — the power and area models in the sweep
-worker — can read activity counters and configuration without re-running.
+Each scenario registers once (:func:`register_scenario`), in one of two
+shapes:
+
+* a **prepare hook** ``(horizons, dense, **params) -> PreparedScenario``
+  (``prepared=True``): it validates every requested horizon, builds the
+  scenario once for the largest, and returns the ready-to-advance instance.
+  The scenario's solo runner is derived from it — prepare with ``[h]``,
+  :func:`run_prepared` to ``h``, read :meth:`PreparedScenario.outcome` —
+  and the sweep layer advances one prepared instance per shared-prefix
+  group through :class:`repro.sim.batch.BatchSimulator`, snapshotting the
+  outcome at each point's horizon.  That is byte-identical to running each
+  point alone: the simulation is deterministic and a shorter horizon is a
+  strict prefix of a longer one.  Only scenarios whose setup does not depend
+  on the horizon can take this shape.
+* a plain **runner** ``(horizon_cycles, dense, **params) ->
+  ScenarioOutcome``, for the scenarios whose setup is horizon-derived
+  (always-on-monitor's sample count) or whose host loop stops at
+  data-dependent cycles (threshold-pels' ``run_until``).  The sweep layer
+  runs their points one at a time.
+
+``horizon_cycles`` is the simulated horizon in base-clock cycles, ``dense``
+selects the legacy cycle-driven kernel (:mod:`repro.sim.simulator`) for A/B
+comparisons, and ``params`` are the scenario's declared sweepable parameters
+(see :class:`ScenarioSpec.params`).  The outcome carries the flat scalar
+statistics plus (where available) the SoC itself, so downstream consumers —
+the power and area models in the sweep worker — can read activity counters
+and configuration without re-running.
 
 :func:`run_scenario` keeps the original "stats dict" contract;
 :func:`run_scenario_instrumented` exposes the full outcome.
-
-**Batched execution.**  A scenario whose setup does not depend on the
-horizon (the horizon only bounds how long the prepared system runs) may
-additionally register a *batch-prepare* hook
-(:func:`register_batch_prepare`): a callable taking ``(horizons, dense,
-**params)`` that validates every requested horizon, builds the scenario
-once for the largest, and returns a :class:`PreparedScenario`.  The sweep
-layer's ``--batch`` mode advances such prepared instances through
-:class:`repro.sim.batch.BatchSimulator` and snapshots
-:meth:`PreparedScenario.outcome` at each point's horizon — one simulation
-serving every point that shares its parameters, byte-identical to running
-each point alone (the simulation is deterministic and a shorter horizon is
-a strict prefix of a longer one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 ScenarioRunner = Callable[..., "ScenarioOutcome"]
+DriveStop = Tuple[int, Callable[[int], None]]
 
 
 class BatchUnsupported(ValueError):
-    """A batch-prepare hook declining this particular point group.
+    """A prepare hook declining to serve several horizons with one instance.
 
     Raised when the scenario supports batching in general but the requested
     parameters cannot share one prepared instance (e.g. a fault-injection
     seed that derives *different* drives at different horizons).  The sweep
-    executor catches it, runs the group per-instance, and records the reason
-    in the manifest's ``batch_fallbacks`` — unlike a plain ``ValueError``,
-    which still means "bad point" and propagates.
+    executor catches it, runs the group's points one at a time, and records
+    the reason in the manifest's ``batch_fallbacks``.
     """
 
 
 class PreparedScenario:
-    """One built, ready-to-advance scenario instance (batched execution).
+    """One built, ready-to-advance scenario instance.
 
     Subclasses expose the system under simulation and summarise it at any
     *elapsed* cycle count — which must equal what a standalone run with
@@ -63,7 +69,7 @@ class PreparedScenario:
 
     @property
     def simulator(self):
-        """The :class:`repro.sim.Simulator` the batch driver advances."""
+        """The :class:`repro.sim.Simulator` the drivers advance."""
         raise NotImplementedError
 
     def outcome(self, elapsed_cycles: int) -> "ScenarioOutcome":
@@ -74,20 +80,44 @@ class PreparedScenario:
         """
         raise NotImplementedError
 
-    def drive_stops(self) -> Sequence[Tuple[int, Callable[[int], None]]]:
+    def drive_stops(self) -> Sequence[DriveStop]:
         """Mid-run testbench interference as ``(cycle, callback)`` stops.
 
         Most scenarios run uninterrupted and return nothing.  Two-segment
         scenarios (watchdog-recovery's fault injection) return the resumable
-        drive script here; the batch executor merges these into its snapshot
-        schedule so the interference fires while the batch is paused exactly
-        on that cycle — callbacks may mutate the system (that is their
-        point) but must never advance the clock.
+        drive script here; both drivers fire each callback while paused
+        exactly on its cycle — callbacks may mutate the system (that is
+        their point) but must never advance the clock.
         """
         return ()
 
 
 BatchPrepare = Callable[..., PreparedScenario]
+
+
+def run_prepared(prepared, horizon_cycles: int):
+    """Advance a prepared instance to ``horizon_cycles``; return it.
+
+    The solo driver: steps to each drive stop at or before the horizon and
+    fires it (a drive on the horizon itself fires before the caller
+    observes, as in the batch executor), then steps to the horizon.  Works
+    on anything with a ``simulator`` and an optional ``drive_stops()`` — the
+    registry's :class:`PreparedScenario` and the workload modules' prepared
+    objects alike.
+    """
+    simulator = prepared.simulator
+    for cycle, drive in sorted(_drive_stops(prepared), key=lambda stop: stop[0]):
+        if cycle > horizon_cycles:
+            break
+        simulator.step(cycle - simulator.current_cycle)
+        drive(cycle)
+    simulator.step(horizon_cycles - simulator.current_cycle)
+    return prepared
+
+
+def _drive_stops(prepared) -> Tuple[DriveStop, ...]:
+    stops = getattr(prepared, "drive_stops", None)
+    return tuple(stops()) if stops is not None else ()
 
 
 @dataclass
@@ -111,19 +141,27 @@ class ScenarioSpec:
     name: str
     description: str
     default_horizon_cycles: int
+    #: The solo runner ``(horizon_cycles, dense, **params) -> ScenarioOutcome``
+    #: (derived from :attr:`prepare` when the scenario registered a hook).
     run: ScenarioRunner
     #: Names of the keyword parameters the runner accepts beyond the horizon
     #: and kernel selection — the axes a sweep campaign may put in its grid.
     params: Tuple[str, ...] = ()
-    #: Optional hook for batched execution: ``(horizons, dense, **params) ->
-    #: PreparedScenario``.  ``None`` means the scenario cannot share a
-    #: prepared instance across horizons (its setup depends on the horizon,
-    #: or its drive pattern is not a single uninterrupted run) and the sweep
-    #: layer falls back to per-point execution.
-    batch_prepare: Optional[BatchPrepare] = None
+    #: The prepare hook ``(horizons, dense, **params) -> PreparedScenario``;
+    #: ``None`` means the scenario cannot share a prepared instance across
+    #: horizons and the sweep layer runs its points one at a time.
+    prepare: Optional[BatchPrepare] = None
 
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
+
+
+def _solo_runner(prepare: BatchPrepare) -> ScenarioRunner:
+    def run(horizon_cycles: int, dense: bool, **params: object) -> ScenarioOutcome:
+        prepared = prepare([horizon_cycles], dense, **params)
+        return run_prepared(prepared, horizon_cycles).outcome(horizon_cycles)
+
+    return run
 
 
 def register_scenario(
@@ -131,10 +169,19 @@ def register_scenario(
     description: str,
     default_horizon_cycles: int,
     params: Tuple[str, ...] = (),
-) -> Callable[[ScenarioRunner], ScenarioRunner]:
-    """Decorator registering ``fn(horizon_cycles, dense, **params)`` under ``name``."""
+    prepared: bool = False,
+) -> Callable[[Callable], Callable]:
+    """Decorator registering a scenario under ``name``.
 
-    def decorator(fn: ScenarioRunner) -> ScenarioRunner:
+    The decorated function is the scenario's runner ``fn(horizon_cycles,
+    dense, **params)`` — or, with ``prepared=True``, its prepare hook
+    ``fn(horizons, dense, **params)``, which must validate each ascending
+    horizon exactly as a solo run of it would (so a bad point fails the same
+    way batched or not) and return a :class:`PreparedScenario` built for the
+    largest.  The solo runner is then derived from the hook.
+    """
+
+    def decorator(fn: Callable) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"scenario {name!r} is already registered")
         if default_horizon_cycles < 1:
@@ -143,52 +190,13 @@ def register_scenario(
             name=name,
             description=description,
             default_horizon_cycles=default_horizon_cycles,
-            run=fn,
+            run=_solo_runner(fn) if prepared else fn,
             params=tuple(params),
+            prepare=fn if prepared else None,
         )
         return fn
 
     return decorator
-
-
-def register_batch_prepare(name: str) -> Callable[[BatchPrepare], BatchPrepare]:
-    """Decorator attaching a batch-prepare hook to the scenario ``name``.
-
-    The hook takes ``(horizons, dense, **params)`` where ``horizons`` is the
-    ascending list of horizons the prepared instance must serve; it validates
-    each of them exactly as the plain runner would (so a bad point fails the
-    same way batched or not) and returns a :class:`PreparedScenario` built
-    for the largest.
-    """
-
-    def decorator(fn: BatchPrepare) -> BatchPrepare:
-        spec = scenario(name)
-        if spec.batch_prepare is not None:
-            raise ValueError(f"scenario {name!r} already has a batch-prepare hook")
-        _REGISTRY[name] = replace(spec, batch_prepare=fn)
-        return fn
-
-    return decorator
-
-
-def prepare_scenario_batch(
-    name: str,
-    horizons: Sequence[int],
-    dense: bool = False,
-    params: Optional[Mapping[str, object]] = None,
-) -> PreparedScenario:
-    """Build one prepared instance of ``name`` serving every horizon in
-    ``horizons`` (ascending).  Raises ``ValueError`` when the scenario has no
-    batch-prepare hook or rejects the parameters/horizons."""
-    spec = scenario(name)
-    if spec.batch_prepare is None:
-        raise ValueError(f"scenario {name!r} does not support batched execution")
-    horizons = sorted(horizons)
-    if not horizons:
-        raise ValueError("prepare_scenario_batch needs at least one horizon")
-    if horizons[0] < 1:
-        raise ValueError("the horizon must be at least one cycle")
-    return spec.batch_prepare(horizons, dense, **_validated_params(spec, params))
 
 
 def scenario(name: str) -> ScenarioSpec:
@@ -249,7 +257,9 @@ def run_scenario(
     return dict(run_scenario_instrumented(name, horizon_cycles, dense, params).stats)
 
 
-# --------------------------------------------------------------- registrations
+# ------------------------------------------------------------------ runners
+#
+# Horizon-dependent setup or host loops: these run point by point.
 
 
 @register_scenario(
@@ -292,68 +302,6 @@ def _run_always_on_monitor(
 
 
 @register_scenario(
-    "duty-cycled-logging",
-    "Duty-cycled multi-sensor logging: ADC + SPI readouts, µDMA log, PWM loop",
-    default_horizon_cycles=500_000,
-    params=("sample_period_cycles", "words_per_readout", "spi_cycles_per_word", "pwm_period"),
-)
-def _run_duty_cycled_logging(horizon_cycles: int, dense: bool, **params: object) -> ScenarioOutcome:
-    from repro.workloads.longrun import DutyCycledLoggingConfig, run_duty_cycled_logging
-
-    result = run_duty_cycled_logging(
-        DutyCycledLoggingConfig(horizon_cycles=horizon_cycles, dense=dense, **params)
-    )
-    return ScenarioOutcome(stats=result.summary(), soc=result.soc)
-
-
-@register_scenario(
-    "burst-spi-dma",
-    "Burst SPI→µDMA streaming to L2 with long silent gaps",
-    default_horizon_cycles=1_000_000,
-    params=("burst_period_cycles", "words_per_burst", "spi_cycles_per_word"),
-)
-def _run_burst_stream(horizon_cycles: int, dense: bool, **params: object) -> ScenarioOutcome:
-    from repro.workloads.longrun import BurstStreamConfig, run_burst_stream
-
-    result = run_burst_stream(BurstStreamConfig(horizon_cycles=horizon_cycles, dense=dense, **params))
-    return ScenarioOutcome(stats=result.summary(), soc=result.soc)
-
-
-@register_scenario(
-    "watchdog-recovery",
-    "Stalled sampling loop detected by the watchdog and restarted by PELS",
-    default_horizon_cycles=200_000,
-    params=("sample_period_cycles", "stall_after_samples", "seed"),
-)
-def _run_watchdog_recovery(
-    horizon_cycles: int,
-    dense: bool,
-    seed: Optional[int] = None,
-    **params: object,
-) -> ScenarioOutcome:
-    from repro.workloads.longrun import (
-        WatchdogRecoveryConfig,
-        run_watchdog_recovery,
-        seeded_watchdog_recovery_config,
-    )
-
-    if seed is not None:
-        if params:
-            raise ValueError(
-                "watchdog-recovery takes either a fault-injection seed or explicit "
-                f"parameters, not both (got seed={seed} and {sorted(params)})"
-            )
-        config = seeded_watchdog_recovery_config(seed, horizon_cycles=horizon_cycles, dense=dense)
-    else:
-        config = WatchdogRecoveryConfig(horizon_cycles=horizon_cycles, dense=dense, **params)
-    result = run_watchdog_recovery(config)
-    stats = result.summary()
-    stats["sample_period_cycles"] = config.sample_period_cycles
-    stats["stall_after_samples"] = config.stall_after_samples
-    return ScenarioOutcome(stats=stats, soc=result.soc)
-
-
-@register_scenario(
     "threshold-pels",
     "Paper workload: threshold check after µDMA-managed SPI readout (PELS-linked)",
     default_horizon_cycles=50_000,
@@ -380,95 +328,13 @@ def _run_threshold_pels(
     return ScenarioOutcome(stats=stats, soc=soc)
 
 
-@register_scenario(
-    "multi-link-pipeline",
-    "Chained timer→ADC→UART→blinker pipeline across three specialised links",
-    default_horizon_cycles=50_000,
-    params=("timer_period_cycles", "clock_ratio", "blink_count"),
-)
-def _run_multi_link_pipeline(horizon_cycles: int, dense: bool, **params: object) -> ScenarioOutcome:
-    from repro.workloads.pipeline import MultiLinkPipelineConfig, run_multi_link_pipeline
-
-    result = run_multi_link_pipeline(
-        MultiLinkPipelineConfig(horizon_cycles=horizon_cycles, dense=dense, **params)
-    )
-    return ScenarioOutcome(stats=result.summary(), soc=result.soc)
-
-
-class _PreparedFigure5Idle(PreparedScenario):
-    """Built idle-measurement SoC serving the ``figure5-idle`` scenario."""
-
-    def __init__(self, soc, mode: str, frequency_mhz: float, pwm_period: int) -> None:
-        self.soc = soc
-        self.mode = mode
-        self.frequency_mhz = frequency_mhz
-        self.pwm_period = pwm_period
-
-    @property
-    def simulator(self):
-        return self.soc.simulator
-
-    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
-        soc = self.soc
-        activity = soc.activity
-        stats = {
-            "mode": self.mode,
-            "frequency_mhz": self.frequency_mhz,
-            "cpu_sleep_cycles": soc.cpu.sleep_cycles,
-            "cpu_interrupts": soc.cpu.interrupts_serviced,
-            "pels_idle_cycles": activity.get("pels", "idle_cycles"),
-            "sram_reads": activity.get("sram", "reads"),
-            "horizon_cycles": elapsed_cycles,
-        }
-        if self.pwm_period:
-            stats["pwm_periods_elapsed"] = soc.pwm.periods_elapsed
-        return ScenarioOutcome(stats=stats, soc=soc)
-
-
-def _prepare_figure5_idle(
-    dense: bool, mode: str, frequency_mhz: float, pwm_period: int
-) -> _PreparedFigure5Idle:
-    from repro.power.scenarios import build_idle_measurement_soc
-
-    soc = build_idle_measurement_soc(mode, frequency_hz=frequency_mhz * 1e6, dense=dense)
-    if pwm_period:
-        # Arm the PWM actuator (as the always-on monitor keeps it running
-        # while idle).  Nothing consumes its ``period`` event line here, so
-        # this is the workload the consumer-aware fabric exists for: the
-        # legacy kernel wakes every period, the cached kernel free-runs.
-        soc.pwm.regs.reg("PERIOD").write(int(pwm_period))
-        soc.pwm.start()
-    return _PreparedFigure5Idle(soc, mode, frequency_mhz, pwm_period)
-
-
-@register_scenario(
-    "figure5-idle",
-    "Paper-scale idle power study: armed threshold link waiting for events (Figure 5 idle bars)",
-    default_horizon_cycles=110_000,
-    params=("mode", "frequency_mhz", "pwm_period"),
-)
-def _run_figure5_idle(
-    horizon_cycles: int,
-    dense: bool,
-    mode: str = "pels",
-    frequency_mhz: float = 27.0,
-    pwm_period: int = 0,
-) -> ScenarioOutcome:
-    prepared = _prepare_figure5_idle(dense, mode, frequency_mhz, pwm_period)
-    prepared.soc.run(horizon_cycles)
-    return prepared.outcome(horizon_cycles)
-
-
-# ------------------------------------------------------- batch-prepare hooks
+# ------------------------------------------------------------ prepare hooks
 #
-# Only scenarios whose setup is horizon-independent may register here: the
-# batched executor builds the instance once for the largest horizon and
-# snapshots the outcome at each smaller one, so any horizon-derived setup
-# (always-on-monitor's sample count) or unscriptable mid-run host
-# interaction (threshold-pels' run_until loop) would break the byte-identity
-# guarantee.  Scripted interference is fine: watchdog-recovery exposes its
-# fault injection as a drive stop (:meth:`PreparedScenario.drive_stops`)
-# that the executor replays at the exact stall cycle.
+# Horizon-independent setup: one prepared instance serves every horizon of a
+# group, and the solo runner is the same hook driven to one horizon.
+# Scripted interference is fine: watchdog-recovery exposes its fault
+# injection as a drive stop (:meth:`PreparedScenario.drive_stops`) that both
+# drivers fire at the exact stall cycle.
 
 
 class _PreparedFromRunner(PreparedScenario):
@@ -487,55 +353,63 @@ class _PreparedFromRunner(PreparedScenario):
         result = self._prepared.result(elapsed_cycles)
         return ScenarioOutcome(stats=result.summary(), soc=result.soc)
 
-    def drive_stops(self) -> Sequence[Tuple[int, Callable[[int], None]]]:
-        stops = getattr(self._prepared, "drive_stops", None)
-        return tuple(stops()) if stops is not None else ()
+    def drive_stops(self) -> Sequence[DriveStop]:
+        return _drive_stops(self._prepared)
 
 
-def _register_prepared_hook(name: str, load: Callable[[], Tuple[type, Callable]]) -> None:
-    """Batch-prepare hook for the config/prepare/result workload shape.
-
-    ``load`` lazily imports and returns ``(config_cls, prepare_fn)``; the
-    hook validates a config per requested horizon (exactly like the plain
-    runner would point by point) and prepares one instance for the largest.
-    """
-
-    def hook(horizons: Sequence[int], dense: bool, **params: object) -> PreparedScenario:
-        config_cls, prepare = load()
-        configs = [
-            config_cls(horizon_cycles=horizon, dense=dense, **params) for horizon in horizons
-        ]
-        return _PreparedFromRunner(prepare(configs[-1]))
-
-    register_batch_prepare(name)(hook)
+def _prepare_workload(config_cls, prepare, horizons, dense, params) -> PreparedScenario:
+    """Validate a config per horizon (as a solo run of it would) and prepare
+    one instance for the largest."""
+    configs = [config_cls(horizon_cycles=horizon, dense=dense, **params) for horizon in horizons]
+    return _PreparedFromRunner(prepare(configs[-1]))
 
 
-def _load_multi_link_pipeline() -> Tuple[type, Callable]:
-    from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
-
-    return MultiLinkPipelineConfig, prepare_multi_link_pipeline
-
-
-def _load_duty_cycled_logging() -> Tuple[type, Callable]:
+@register_scenario(
+    "duty-cycled-logging",
+    "Duty-cycled multi-sensor logging: ADC + SPI readouts, µDMA log, PWM loop",
+    default_horizon_cycles=500_000,
+    params=("sample_period_cycles", "words_per_readout", "spi_cycles_per_word", "pwm_period"),
+    prepared=True,
+)
+def _prepare_duty_cycled_logging(horizons, dense: bool, **params: object) -> PreparedScenario:
     from repro.workloads.longrun import DutyCycledLoggingConfig, prepare_duty_cycled_logging
 
-    return DutyCycledLoggingConfig, prepare_duty_cycled_logging
+    return _prepare_workload(
+        DutyCycledLoggingConfig, prepare_duty_cycled_logging, horizons, dense, params
+    )
 
 
-def _load_burst_stream() -> Tuple[type, Callable]:
+@register_scenario(
+    "burst-spi-dma",
+    "Burst SPI→µDMA streaming to L2 with long silent gaps",
+    default_horizon_cycles=1_000_000,
+    params=("burst_period_cycles", "words_per_burst", "spi_cycles_per_word"),
+    prepared=True,
+)
+def _prepare_burst_stream(horizons, dense: bool, **params: object) -> PreparedScenario:
     from repro.workloads.longrun import BurstStreamConfig, prepare_burst_stream
 
-    return BurstStreamConfig, prepare_burst_stream
+    return _prepare_workload(BurstStreamConfig, prepare_burst_stream, horizons, dense, params)
 
 
-_register_prepared_hook("multi-link-pipeline", _load_multi_link_pipeline)
-_register_prepared_hook("duty-cycled-logging", _load_duty_cycled_logging)
-_register_prepared_hook("burst-spi-dma", _load_burst_stream)
+@register_scenario(
+    "multi-link-pipeline",
+    "Chained timer→ADC→UART→blinker pipeline across three specialised links",
+    default_horizon_cycles=50_000,
+    params=("timer_period_cycles", "clock_ratio", "blink_count"),
+    prepared=True,
+)
+def _prepare_multi_link_pipeline(horizons, dense: bool, **params: object) -> PreparedScenario:
+    from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
+
+    return _prepare_workload(
+        MultiLinkPipelineConfig, prepare_multi_link_pipeline, horizons, dense, params
+    )
 
 
 class _PreparedWatchdogRecoveryScenario(_PreparedFromRunner):
-    """Watchdog-recovery adapter mirroring the plain runner's stats shape
-    (the runner appends the resolved drive parameters to the summary)."""
+    """Watchdog-recovery adapter: the summary also names the resolved drive
+    parameters (a seeded point derives them from the seed)."""
 
     def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
         outcome = super().outcome(elapsed_cycles)
@@ -545,8 +419,14 @@ class _PreparedWatchdogRecoveryScenario(_PreparedFromRunner):
         return outcome
 
 
-@register_batch_prepare("watchdog-recovery")
-def _batch_watchdog_recovery(
+@register_scenario(
+    "watchdog-recovery",
+    "Stalled sampling loop detected by the watchdog and restarted by PELS",
+    default_horizon_cycles=200_000,
+    params=("sample_period_cycles", "stall_after_samples", "seed"),
+    prepared=True,
+)
+def _prepare_watchdog_recovery(
     horizons: Sequence[int],
     dense: bool,
     seed: Optional[int] = None,
@@ -584,12 +464,58 @@ def _batch_watchdog_recovery(
     return _PreparedWatchdogRecoveryScenario(prepare_watchdog_recovery(configs[-1]))
 
 
-@register_batch_prepare("figure5-idle")
-def _batch_figure5_idle(
+class _PreparedFigure5Idle(PreparedScenario):
+    """Built idle-measurement SoC serving the ``figure5-idle`` scenario."""
+
+    def __init__(self, soc, mode: str, frequency_mhz: float, pwm_period: int) -> None:
+        self.soc = soc
+        self.mode = mode
+        self.frequency_mhz = frequency_mhz
+        self.pwm_period = pwm_period
+
+    @property
+    def simulator(self):
+        return self.soc.simulator
+
+    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
+        soc = self.soc
+        activity = soc.activity
+        stats = {
+            "mode": self.mode,
+            "frequency_mhz": self.frequency_mhz,
+            "cpu_sleep_cycles": soc.cpu.sleep_cycles,
+            "cpu_interrupts": soc.cpu.interrupts_serviced,
+            "pels_idle_cycles": activity.get("pels", "idle_cycles"),
+            "sram_reads": activity.get("sram", "reads"),
+            "horizon_cycles": elapsed_cycles,
+        }
+        if self.pwm_period:
+            stats["pwm_periods_elapsed"] = soc.pwm.periods_elapsed
+        return ScenarioOutcome(stats=stats, soc=soc)
+
+
+@register_scenario(
+    "figure5-idle",
+    "Paper-scale idle power study: armed threshold link waiting for events (Figure 5 idle bars)",
+    default_horizon_cycles=110_000,
+    params=("mode", "frequency_mhz", "pwm_period"),
+    prepared=True,
+)
+def _prepare_figure5_idle(
     horizons: Sequence[int],
     dense: bool,
     mode: str = "pels",
     frequency_mhz: float = 27.0,
     pwm_period: int = 0,
 ) -> PreparedScenario:
-    return _prepare_figure5_idle(dense, mode, frequency_mhz, pwm_period)
+    from repro.power.scenarios import build_idle_measurement_soc
+
+    soc = build_idle_measurement_soc(mode, frequency_hz=frequency_mhz * 1e6, dense=dense)
+    if pwm_period:
+        # Arm the PWM actuator (as the always-on monitor keeps it running
+        # while idle).  Nothing consumes its ``period`` event line here, so
+        # this is the workload the consumer-aware fabric exists for: the
+        # legacy kernel wakes every period, the cached kernel free-runs.
+        soc.pwm.regs.reg("PERIOD").write(int(pwm_period))
+        soc.pwm.start()
+    return _PreparedFigure5Idle(soc, mode, frequency_mhz, pwm_period)

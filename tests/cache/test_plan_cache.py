@@ -20,7 +20,7 @@ HORIZONS = [30_000, 60_000]
 
 @pytest.fixture()
 def prepared():
-    instance = scenario("duty-cycled-logging").batch_prepare(list(HORIZONS), False)
+    instance = scenario("duty-cycled-logging").prepare(list(HORIZONS), False)
     instance.simulator.step(HORIZONS[0])
     return instance
 

@@ -35,7 +35,7 @@ HORIZONS = [30_000, 60_000]
 
 
 def _prepare(dense=False, **params):
-    return scenario(SCENARIO).batch_prepare(list(HORIZONS), dense, **params)
+    return scenario(SCENARIO).prepare(list(HORIZONS), dense, **params)
 
 
 def _plan_of(prepared):

@@ -1,10 +1,12 @@
-"""Batched sweep execution (--batch): grouping, byte-identity, composition.
+"""Batched sweep execution: grouping, byte-identity, composition, failures.
 
 The acceptance oracle of the batched executor is byte-identity: for every
-registry campaign, ``--batch`` artifacts must equal the per-instance
-``--jobs 1`` artifacts bit for bit.  Groups that cannot batch (no batch-prepare hook, or heterogeneous derived
-drives) must fall back with the reason recorded in the manifest, and
-batching must compose with ``--jobs``/``--chunk``/``--shard``/``--resume``.
+registry campaign, the sweep's artifacts must equal those of the solo
+reference — :func:`~repro.sweep.execute.run_point` over every point — bit
+for bit.  Groups that cannot batch (no prepare hook, or heterogeneous
+derived drives) must fall back with the reason recorded in the manifest, a
+bad point must fail alone without taking the campaign down, and batching
+must compose with ``--jobs``/``--chunk``/``--shard``/``--resume``.
 """
 
 import json
@@ -26,11 +28,12 @@ from repro.sweep import (
     write_artifacts,
 )
 from repro.sweep.artifacts import manifest_payload
+from repro.sweep.execute import CampaignResult, run_point
 from repro.workloads.registry import scenario
 
 SMALL_SPEC = CampaignSpec(
     name="batch-test",
-    description="small batchable campaign for the --batch tests",
+    description="small batchable campaign for the batching tests",
     scenario="duty-cycled-logging",
     grid={
         "horizon_cycles": (20_000, 40_000),
@@ -43,14 +46,27 @@ def _payload_bytes(result):
     return json.dumps(results_payload(result), indent=2, sort_keys=True)
 
 
+def _solo(spec):
+    """The solo reference: every point of ``spec`` run alone."""
+    points = [run_point(point) for point in expand_campaign(spec)]
+    return CampaignResult(
+        campaign=spec.name,
+        scenario=spec.scenario,
+        points=points,
+        jobs=1,
+        wall_seconds=0.0,
+        points_total=len(points),
+    )
+
+
 def _non_batchable_campaign():
-    """A campaign over a scenario without a batch-prepare hook (registered
-    lazily so it does not leak into the registry-campaign parametrisation)."""
+    """A campaign over a scenario without a prepare hook (registered lazily
+    so it does not leak into the registry-campaign parametrisation)."""
     name = "monitor-non-batchable-test"
     try:
         return campaign(name)
     except KeyError:
-        assert scenario("always-on-monitor").batch_prepare is None
+        assert scenario("always-on-monitor").prepare is None
         return register_campaign(
             CampaignSpec(
                 name=name,
@@ -80,27 +96,14 @@ class TestBatchGroups:
         assert sum(len(group) for group in groups) == len(points)
 
 
-@pytest.fixture(scope="module")
-def serial_campaign():
-    """Per-instance reference results, computed once per registry campaign."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cache[name] = execute_campaign(campaign(name), jobs=1, batch=False)
-        return cache[name]
-
-    return get
-
-
 class TestByteIdentity:
     @pytest.mark.parametrize("name", sorted(campaign_names()))
-    def test_every_registry_campaign_is_batch_identical(self, name, tmp_path, serial_campaign):
-        """The acceptance criterion: batched == per-instance, bit for bit,
-        for results.json *and* results.csv of every registry campaign."""
+    def test_every_registry_campaign_is_batch_identical(self, name, tmp_path):
+        """The acceptance criterion: batched == solo, bit for bit, for
+        results.json *and* results.csv of every registry campaign."""
         spec = campaign(name)
-        serial = serial_campaign(name)
-        batched = execute_campaign(spec, jobs=1, batch=True)
+        serial = _solo(spec)
+        batched = execute_campaign(spec, jobs=1)
         assert _payload_bytes(serial) == _payload_bytes(batched)
         serial_paths = write_artifacts(spec, serial, tmp_path / "serial")
         batched_paths = write_artifacts(spec, batched, tmp_path / "batched")
@@ -108,7 +111,7 @@ class TestByteIdentity:
             assert serial_paths[key].read_bytes() == batched_paths[key].read_bytes()
 
     def test_batchable_scenarios_report_batched_points(self):
-        batched = execute_campaign(SMALL_SPEC, jobs=1, batch=True)
+        batched = execute_campaign(SMALL_SPEC, jobs=1)
         assert batched.batched_points == batched.n_points == 4
         assert batched.batch_fallbacks == []
 
@@ -121,9 +124,9 @@ class TestByteIdentity:
             scenario="watchdog-recovery",
             grid={"horizon_cycles": (200_000, 400_000), "seed": (0, 1)},
         )
-        assert scenario(spec.scenario).batch_prepare is not None
-        serial = execute_campaign(spec, jobs=1, batch=False)
-        batched = execute_campaign(spec, jobs=1, batch=True)
+        assert scenario(spec.scenario).prepare is not None
+        serial = _solo(spec)
+        batched = execute_campaign(spec, jobs=1)
         assert batched.batched_points == 4
         assert batched.batch_fallbacks == []
         assert _payload_bytes(serial) == _payload_bytes(batched)
@@ -139,8 +142,8 @@ class TestByteIdentity:
             scenario="watchdog-recovery",
             grid={"horizon_cycles": (5_000, 200_000), "seed": (0,)},
         )
-        serial = execute_campaign(spec, jobs=1, batch=False)
-        batched = execute_campaign(spec, jobs=1, batch=True)
+        serial = _solo(spec)
+        batched = execute_campaign(spec, jobs=1)
         assert batched.batched_points == 0
         [record] = batched.batch_fallbacks
         assert "different fault-injection drives" in record["reason"]
@@ -151,29 +154,57 @@ class TestByteIdentity:
 
     def test_non_batchable_scenario_falls_back_with_reason(self):
         spec = _non_batchable_campaign()
-        serial = execute_campaign(spec, jobs=1, batch=False)
-        batched = execute_campaign(spec, jobs=1, batch=True)
+        serial = _solo(spec)
+        batched = execute_campaign(spec, jobs=1)
         assert batched.batched_points == 0
         [record] = batched.batch_fallbacks
         assert "does not support batched execution" in record["reason"]
         assert record["points"] == [0, 1]
         assert _payload_bytes(serial) == _payload_bytes(batched)
-        # batch=False means nobody asked for batching: no fallback records.
-        assert serial.batch_fallbacks == []
+
+
+class TestBadPoints:
+    """A prepare hook rejecting its parameters fails those points alone: the
+    group falls back to solo runs, the campaign completes and writes
+    artifacts, and the manifest records each bad point and the fallback."""
+
+    SPEC = CampaignSpec(
+        name="batch-bad-points",
+        description="a zero sampling period is rejected by the prepare hook",
+        scenario="duty-cycled-logging",
+        grid={"horizon_cycles": (20_000, 40_000), "sample_period_cycles": (1_000, 0)},
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejected_group_fails_only_its_points(self, jobs, tmp_path):
+        result = execute_campaign(self.SPEC, jobs=jobs, chunk=1)
+        assert [record["index"] for record in result.failed_points] == [1, 3]
+        for record in result.failed_points:
+            assert record["error"] == "ValueError: duty-cycled sampling needs a period >= 100 cycles"
+        assert [point.index for point in result.points] == [0, 2]
+        assert result.batched_points == 2
+        assert result.batch_fallbacks == [
+            {"reason": "duty-cycled sampling needs a period >= 100 cycles", "points": [1, 3]}
+        ]
+        good = [run_point(point) for point in expand_campaign(self.SPEC) if point.index in (0, 2)]
+        assert [point.stats for point in result.points] == [point.stats for point in good]
+        paths = write_artifacts(self.SPEC, result, tmp_path)
+        execution = json.loads(paths["manifest_json"].read_text())["execution"]
+        assert [record["index"] for record in execution["failed_points"]] == [1, 3]
 
 
 class TestComposition:
     def test_batch_composes_with_jobs_and_chunk(self):
-        serial = execute_campaign(SMALL_SPEC, jobs=1, batch=False)
-        pooled = execute_campaign(SMALL_SPEC, jobs=2, chunk=1, batch=True)
+        serial = _solo(SMALL_SPEC)
+        pooled = execute_campaign(SMALL_SPEC, jobs=2, chunk=1)
         assert _payload_bytes(serial) == _payload_bytes(pooled)
         # chunk=1 cannot split a 2-point group: sharing survives chunking.
         assert pooled.batched_points == 4
 
     def test_batch_composes_with_shard(self):
-        serial = execute_campaign(SMALL_SPEC, jobs=1, batch=False)
+        serial = _solo(SMALL_SPEC)
         shards = [
-            execute_campaign(SMALL_SPEC, shard=ShardSpec(index=index, count=2), batch=True)
+            execute_campaign(SMALL_SPEC, shard=ShardSpec(index=index, count=2))
             for index in range(2)
         ]
         merged = [point for shard in shards for point in shard.points]
@@ -184,42 +215,32 @@ class TestComposition:
         assert serial_records == shard_records
 
     def test_batch_composes_with_resume(self, tmp_path):
-        first = execute_campaign(SMALL_SPEC, jobs=1, batch=True)
+        first = execute_campaign(SMALL_SPEC, jobs=1)
         write_artifacts(SMALL_SPEC, first, tmp_path)
         reuse = load_reusable_results(SMALL_SPEC, tmp_path)
         assert len(reuse) == 4
-        resumed = execute_campaign(SMALL_SPEC, jobs=1, reuse=reuse, batch=True)
+        resumed = execute_campaign(SMALL_SPEC, jobs=1, reuse=reuse)
         assert resumed.n_reused == 4
         assert resumed.batched_points == 0  # nothing left to execute
         assert _payload_bytes(first) == _payload_bytes(resumed)
 
     def test_manifest_records_batch_execution(self, tmp_path):
-        result = execute_campaign(SMALL_SPEC, jobs=1, batch=True)
+        result = execute_campaign(SMALL_SPEC, jobs=1)
         execution = manifest_payload(SMALL_SPEC, result)["execution"]
         assert execution["batched_points"] == 4
         assert execution["batch_fallbacks"] == []
-        serial = execute_campaign(SMALL_SPEC, jobs=1, batch=False)
-        serial_execution = manifest_payload(SMALL_SPEC, serial)["execution"]
-        assert serial_execution["batched_points"] == 0
 
 
 class TestCli:
-    def test_batch_flag_round_trip(self, tmp_path, capsys):
-        on_dir, off_dir = tmp_path / "on", tmp_path / "off"
-        assert main(["sweep", "smoke", "--batch", "on", "--out", str(on_dir)]) == 0
-        assert main(["sweep", "smoke", "--batch", "off", "--out", str(off_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "4 batched" in out
-        for name in ("results.json", "results.csv"):
-            assert (on_dir / "smoke" / name).read_bytes() == (off_dir / "smoke" / name).read_bytes()
-        on_manifest = json.loads((on_dir / "smoke" / "manifest.json").read_text())
-        off_manifest = json.loads((off_dir / "smoke" / "manifest.json").read_text())
-        assert on_manifest["execution"]["batched_points"] == 4
-        assert off_manifest["execution"]["batched_points"] == 0
+    def test_sweep_reports_batched_points(self, tmp_path, capsys):
+        assert main(["sweep", "smoke", "--out", str(tmp_path)]) == 0
+        assert "4 batched" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "smoke" / "manifest.json").read_text())
+        assert manifest["execution"]["batched_points"] == 4
 
-    def test_batch_on_warns_for_non_batchable_scenario(self, tmp_path, capsys):
+    def test_sweep_warns_for_non_batchable_scenario(self, tmp_path, capsys):
         spec = _non_batchable_campaign()
-        assert main(["sweep", spec.name, "--batch", "on", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", spec.name, "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
         assert "does not support batched execution" in err
         assert "fell back to per-instance execution" in err

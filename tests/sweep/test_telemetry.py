@@ -22,8 +22,8 @@ from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.obs.profile import SWEEP_PHASES
 from repro.obs.traceio import validate_trace_file
 from repro.run import _resolve_trace_path, main
-from repro.sweep import batch_groups, campaign, expand_campaign
-from repro.sweep.execute import run_point_groups, run_points
+from repro.sweep import CampaignSpec, batch_groups, campaign, expand_campaign
+from repro.sweep.execute import run_point_groups
 
 RESULT_ARTIFACTS = ("results.json", "results.csv")
 
@@ -180,15 +180,26 @@ class TestShardedTraceMerge:
 
 
 class TestWorkerOwnedTracer:
-    """The forked-pool contract, exercised directly: ``run_points`` /
-    ``run_point_groups`` called with ``trace=True`` and no usable inherited
-    tracer must install their own and drain it into the outcome."""
+    """The forked-pool contract, exercised directly: ``run_point_groups``
+    called with ``trace=True`` and no usable inherited tracer must install
+    its own and drain it into the outcome — for batched groups and for the
+    solo points of a scenario without a prepare hook alike."""
+
+    SOLO_SPEC = CampaignSpec(
+        name="telemetry-solo",
+        description="always-on-monitor has no prepare hook: its points run solo",
+        scenario="always-on-monitor",
+        grid={"horizon_cycles": (10_000, 20_000)},
+    )
 
     def _points(self):
         return expand_campaign(campaign("smoke"))[:2]
 
-    def test_run_points_drains_an_owned_tracer_into_the_outcome(self):
-        outcome = run_points(self._points(), trace=True, profile=True)
+    def _solo_groups(self):
+        return batch_groups(expand_campaign(self.SOLO_SPEC))
+
+    def test_solo_groups_drain_an_owned_tracer(self):
+        outcome = run_point_groups(self._solo_groups(), trace=True, profile=True)
         assert tracing.TRACER is None  # the owned tracer never leaks
         assert len(outcome.results) == 2
         names = {event["name"] for event in outcome.trace_events}
@@ -196,9 +207,9 @@ class TestWorkerOwnedTracer:
         assert outcome.phase_seconds["simulate"] > 0
         assert set(outcome.kernel_stats) == set(KERNEL_STAT_KEYS)
 
-    def test_run_points_defers_to_an_inherited_tracer(self):
+    def test_solo_groups_defer_to_an_inherited_tracer(self):
         tracer = tracing.install()
-        outcome = run_points(self._points(), trace=True, profile=False)
+        outcome = run_point_groups(self._solo_groups(), trace=True, profile=False)
         assert outcome.trace_events == []  # parent drains its own tracer
         assert {event["name"] for event in tracer.events} >= {"sweep.point"}
         assert tracing.TRACER is tracer
@@ -215,12 +226,12 @@ class TestWorkerOwnedTracer:
         assert outcome.rounds > 0
 
     def test_profile_only_chunks_carry_no_trace_events(self):
-        outcome = run_points(self._points(), trace=False, profile=True)
+        outcome = run_point_groups(batch_groups(self._points()), trace=False, profile=True)
         assert outcome.trace_events == []
         assert outcome.phase_seconds["simulate"] > 0
 
     def test_disabled_chunks_report_nothing(self):
-        outcome = run_points(self._points())
+        outcome = run_point_groups(batch_groups(self._points()))
         assert outcome.trace_events == []
         assert outcome.phase_seconds == {}
         assert outcome.kernel_stats == {}
