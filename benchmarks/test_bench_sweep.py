@@ -1,4 +1,4 @@
-"""E11 — Sweep sharding: chunked dispatch must never lose to serial.
+"""E11 — Sweep sharding: the pool's group-cut tasks must never lose to serial.
 
 Runs a 12-point dense-kernel campaign (dense points are compute-heavy, so
 pool overhead is measurable but amortisable) serially and with a 2-worker
@@ -8,8 +8,9 @@ execution-policy contract:
 * on a single-core host the pool is clamped away entirely, so ``--jobs 2``
   degenerates to the serial path and must be *no slower* than ``--jobs 1``
   (the pre-chunking dispatcher measured 0.86x here);
-* where two or more cores exist, chunked sharding must deliver near-linear
-  throughput (floor 1.5x).
+* where two or more cores exist, the pool's tasks (whole batch groups cut
+  by cost, :data:`~repro.sweep.execute.TASKS_PER_WORKER` per worker) must
+  deliver near-linear throughput (floor 1.5x).
 
 The measurements are appended to ``results/BENCH_kernel.json`` for the CI
 perf-regression job, next to the human-readable txt artifact.
@@ -18,7 +19,9 @@ perf-regression job, next to the human-readable txt artifact.
 import os
 import time
 
-from repro.sweep import CampaignSpec, auto_chunk, execute_campaign, results_payload
+from repro.sweep import CampaignSpec, batch_groups, cut_groups, execute_campaign, expand_campaign, results_payload
+from repro.sweep.campaign import estimate_costs
+from repro.sweep.execute import TASKS_PER_WORKER
 
 BENCH_SPEC = CampaignSpec(
     name="bench-sharding",
@@ -70,10 +73,13 @@ def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
 
     speedup = serial_seconds / max(sharded_seconds, 1e-9)
     cores = os.cpu_count() or 1
-    chunk = auto_chunk(BENCH_SPEC.n_points, JOBS)
+    # The pool's task count, as execute_campaign cuts it for this host.
+    workers = min(JOBS, cores)
+    groups = batch_groups(expand_campaign(BENCH_SPEC))
+    tasks = len(cut_groups(groups, estimate_costs(groups, {}), TASKS_PER_WORKER * workers if workers > 1 else 1))
     lines = [
         f"Sweep sharding on {BENCH_SPEC.n_points} dense duty-cycled-logging points "
-        f"({JOBS}-worker request, chunk {chunk}, {cores} core(s) available, "
+        f"({JOBS}-worker request, {tasks} task(s), {cores} core(s) available, "
         f"best of {PAIRS} interleaved pairs):",
         f"  serial (--jobs 1)   : {serial_seconds * 1e3:8.1f} ms wall-clock",
         f"  sharded (--jobs {JOBS})  : {sharded_seconds * 1e3:8.1f} ms wall-clock",
@@ -87,7 +93,7 @@ def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
         {
             "n_points": BENCH_SPEC.n_points,
             "jobs": JOBS,
-            "chunk": chunk,
+            "tasks": tasks,
             "cores": cores,
             "serial_seconds": serial_seconds,
             "sharded_seconds": sharded_seconds,

@@ -1,21 +1,22 @@
 """repro.fleet — fault-tolerant autonomous campaign orchestration.
 
 The fleet drives a whole sweep campaign through ordinary ``sweep --shard``
-workers: cost-weighted shard cuts, pluggable worker transports, heartbeat
-supervision with timeouts and kill discipline, validation-driven acceptance,
-heal-driven retry with exponential backoff, and graceful degradation to
-partial artifacts when the retry budget runs out.  With ``--store DB``
+workers: cost-weighted cuts of whole batch groups, local subprocess
+workers, heartbeat supervision with timeouts and kill discipline,
+validation-driven acceptance, heal-driven retry with exponential backoff,
+and graceful degradation to partial artifacts when the retry budget runs
+out.  With ``--store DB``
 every accepted shard is also ingested into the results store
 (:mod:`repro.store`) the moment validation accepts it.  Entry point:
 ``python -m repro.run fleet <campaign> --workers N``.
 
 Module map:
 
-* :mod:`~repro.fleet.cost` — per-point cost estimation and span cuts
-  (calibrated from past manifests and, with ``--store``, from the
-  results store's accumulated timings);
-* :mod:`~repro.fleet.transport` — how one shard runs somewhere (local
-  subprocess today; the registry is where ssh/object-storage slot in);
+* :mod:`~repro.fleet.cost` — the price list for cuts of whole batch
+  groups: timings scavenged from past manifests and, with ``--store``,
+  from the results store;
+* :mod:`~repro.fleet.transport` — how one shard runs (a local subprocess
+  behind a pollable, killable handle);
 * :mod:`~repro.fleet.supervisor` — bounded concurrency, deadlines, kills,
   exit classification;
 * :mod:`~repro.fleet.controller` — the orchestration loop itself;
@@ -23,6 +24,7 @@ Module map:
   ``fleet status`` rendering.
 """
 
+from repro.sweep.campaign import cut_shards
 from repro.fleet.controller import (
     CHAOS_FAULTS,
     CORRUPT_ARTIFACTS,
@@ -35,14 +37,7 @@ from repro.fleet.controller import (
     parse_chaos,
     run_fleet,
 )
-from repro.fleet.cost import (
-    DEFAULT_SECONDS_PER_CYCLE,
-    cut_shards,
-    cut_spans,
-    estimate_costs,
-    scavenge_point_walls,
-    store_point_walls,
-)
+from repro.fleet.cost import scavenge_point_walls, store_point_walls
 from repro.fleet.ledger import (
     FLEET_JSON,
     LEDGER_SCHEMA_VERSION,
@@ -60,21 +55,13 @@ from repro.fleet.supervisor import (
     Attempt,
     Supervisor,
 )
-from repro.fleet.transport import (
-    LocalSubprocessTransport,
-    Transport,
-    WorkerHandle,
-    WorkerSpec,
-    default_worker_argv,
-    resolve_transport,
-)
+from repro.fleet.transport import WorkerHandle, WorkerSpec, default_worker_argv, launch_local
 
 __all__ = [
     "CHAOS_FAULTS",
     "COMPLETED",
     "CORRUPT_ARTIFACTS",
     "CRASH",
-    "DEFAULT_SECONDS_PER_CYCLE",
     "EXIT_COMPLETE",
     "EXIT_PARTIAL",
     "EXITED",
@@ -89,19 +76,15 @@ __all__ = [
     "FleetConfig",
     "FleetLedger",
     "FleetResult",
-    "LocalSubprocessTransport",
     "Supervisor",
-    "Transport",
     "WorkerHandle",
     "WorkerSpec",
     "cut_shards",
-    "cut_spans",
     "default_worker_argv",
-    "estimate_costs",
+    "launch_local",
     "load_ledger",
     "parse_chaos",
     "render_ledger",
-    "resolve_transport",
     "run_fleet",
     "scavenge_point_walls",
     "store_point_walls",

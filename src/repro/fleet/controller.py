@@ -2,13 +2,13 @@
 
 One call to :func:`run_fleet` drives a whole campaign end to end:
 
-1. **Cut** — the expanded grid is split into cost-weighted contiguous spans
-   (:mod:`repro.fleet.cost`), calibrated from any past manifest timings
-   found under ``--out``.
-2. **Dispatch** — each span runs as an ordinary ``python -m repro.run sweep
-   <campaign> --shard I/N@START:STOP`` worker through the configured
-   :mod:`transport <repro.fleet.transport>`, so artifacts are produced by
-   exactly the code path a human would use and stay byte-identical.
+1. **Cut** — the campaign's batch groups are cut into cost-weighted shards
+   of whole groups (:mod:`repro.fleet.cost`), priced from any past
+   manifest timings found under ``--out`` (and ``--store``).
+2. **Dispatch** — each shard runs as an ordinary ``python -m repro.run
+   sweep <campaign> --shard I/N@START:STOP,…`` worker in a local subprocess
+   (:mod:`repro.fleet.transport`), so artifacts are produced by exactly the
+   code path a human would use and stay byte-identical.
 3. **Supervise** — the :class:`~repro.fleet.supervisor.Supervisor` polls
    every worker, SIGKILLs any that outlive the timeout, and classifies the
    exits (timeout / crash / nonzero-exit); acceptance is then decided by
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sweep.artifacts import MANIFEST_JSON, RESULTS_JSON, shard_dirname
-from repro.sweep.campaign import CampaignSpec, ShardSpec, expand_campaign
+from repro.sweep.campaign import CampaignSpec, ShardSpec, batch_groups, cut_shards, estimate_costs, expand_campaign
 from repro.sweep.merge import (
     HEAL_JSON,
     IncompleteCoverageError,
@@ -58,15 +58,10 @@ from repro.sweep.merge import (
 )
 from repro.sweep.resume import spec_hash
 
-from repro.fleet.cost import cut_shards, estimate_costs, scavenge_point_walls, store_point_walls
+from repro.fleet.cost import scavenge_point_walls, store_point_walls
 from repro.fleet.ledger import STATUS_COMPLETE, STATUS_PARTIAL, FleetLedger
 from repro.fleet.supervisor import CRASH, EXITED, NONZERO_EXIT, TIMEOUT, Attempt, Supervisor
-from repro.fleet.transport import (
-    Transport,
-    WorkerSpec,
-    default_worker_argv,
-    resolve_transport,
-)
+from repro.fleet.transport import WorkerSpec, default_worker_argv, launch_local
 
 #: Fleet exit codes.  0 = complete; 4 = retry budget exhausted but partial
 #: artifacts + heal.json + ledger written (distinct from the sweep CLI's
@@ -123,7 +118,6 @@ class FleetConfig:
     #: ``--jobs`` passed to each worker (workers already parallelise across
     #: shards, so per-worker pools default to serial).
     worker_jobs: int = 1
-    transport: str = "local"
     #: Thread telemetry through the workers (--trace-out/--profile) so the
     #: merged artifacts carry a stitched multi-lane Perfetto trace.
     trace: bool = False
@@ -215,11 +209,6 @@ def _worker_argv(config: FleetConfig, shard: ShardSpec) -> List[str]:
     return argv
 
 
-def _span_points(shard: ShardSpec, points_total: int) -> int:
-    start, stop = shard.bounds(points_total)
-    return stop - start
-
-
 def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> FleetResult:
     """Drive ``config.campaign`` end to end; see the module docstring.
 
@@ -242,7 +231,6 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
     points_total = len(points)
     campaign_dir = Path(config.out) / spec.name
     log_dir = campaign_dir / "fleet-logs"
-    transport = resolve_transport(config.transport)
     if config.plan_cache_enabled:
         # One shared snapshot cache for the whole fleet: the first worker to
         # reach a horizon publishes, every later worker (and every heal-round
@@ -256,7 +244,6 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         spec_hash=spec_hash(spec),
         points_total=points_total,
         workers=config.workers,
-        transport=transport.name,
         timeout=config.timeout,
         max_retries=config.max_retries,
         backoff_base=config.backoff_base,
@@ -281,11 +268,12 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         for note in store_notes:
             ledger.note(f"store timing calibration: {note}")
             config.echo(f"fleet: store: {note}")
-    costs = estimate_costs(points, walls)
-    shards = cut_shards(costs, config.workers)
+    groups = batch_groups(points)
+    costs = estimate_costs(groups, walls)
+    shards = cut_shards(groups, costs, config.workers)
     config.echo(
-        f"fleet {spec.name}: {points_total} points cut into {len(shards)} "
-        f"cost-weighted shard(s) for {config.workers} worker(s)"
+        f"fleet {spec.name}: {points_total} points in {len(groups)} group(s) cut into "
+        f"{len(shards)} cost-weighted shard(s) for {config.workers} worker(s)"
         + (f" (calibrated from {len(walls)} past timings)" if walls else "")
     )
 
@@ -303,9 +291,7 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         if backoff > 0:
             config.echo(f"fleet: backing off {backoff:.2f}s before heal round {round_index}")
             time.sleep(backoff)
-        attempts = _dispatch_round(
-            config, spec, shards, transport, log_dir, chaos, attempt_counts
-        )
+        attempts = _dispatch_round(config, spec, shards, log_dir, chaos, attempt_counts)
         for attempt in attempts:
             delivered = _validate_attempt(attempt, spec)
             if attempt.accepted and attempt.artifact_dir not in accepted_set:
@@ -393,16 +379,12 @@ def _dispatch_round(
     config: FleetConfig,
     spec: CampaignSpec,
     shards: Sequence[ShardSpec],
-    transport: Transport,
     log_dir: Path,
     chaos: _ChaosInjector,
     attempt_counts: Dict[str, int],
 ) -> List[Attempt]:
     """Launch one round's shards under supervision; return finished attempts."""
-    launches = [
-        _make_launch(config, spec, shard, transport, log_dir, chaos, attempt_counts)
-        for shard in shards
-    ]
+    launches = [_make_launch(config, spec, shard, log_dir, chaos, attempt_counts) for shard in shards]
     supervisor = Supervisor(
         max_workers=config.workers, poll_interval=config.poll_interval
     )
@@ -419,7 +401,6 @@ def _make_launch(
     config: FleetConfig,
     spec: CampaignSpec,
     shard: ShardSpec,
-    transport: Transport,
     log_dir: Path,
     chaos: _ChaosInjector,
     attempt_counts: Dict[str, int],
@@ -441,7 +422,7 @@ def _make_launch(
             argv=argv,
             log_path=log_dir / f"{dirname}.a{number}.log",
         )
-        handle = transport.launch(worker_spec)
+        handle = launch_local(worker_spec)
         now = time.monotonic()
         attempt = Attempt(
             shard=shard,
@@ -476,9 +457,12 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
         else:
             attempt.accepted = True
             delivered = len(artifacts.records)
-    span = _span_points(attempt.shard, spec.n_points)
     if attempt.accepted:
-        attempt.outcome = COMPLETED if delivered >= span else PARTIAL_DELIVERY
+        # Coverage is a set: the shard delivered when every point of its
+        # index set has a record.
+        declared = {index for start, stop in attempt.shard.runs for index in range(start, stop)}
+        delivered_all = declared <= {record["index"] for record in artifacts.records}
+        attempt.outcome = COMPLETED if delivered_all else PARTIAL_DELIVERY
     elif attempt.exit_class in (TIMEOUT, CRASH, NONZERO_EXIT):
         attempt.outcome = attempt.exit_class
     elif attempt.exit_class == EXITED:

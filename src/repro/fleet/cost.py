@@ -1,36 +1,32 @@
-"""Per-point cost estimation and cost-weighted shard cuts.
+"""The fleet's price list: observed wall timings of past runs.
 
-A balanced ``--shard I/N`` cut gives every worker the same number of
-*points*, but points are wildly unequal in wall time: campaign grids sweep
-``horizon_cycles`` over orders of magnitude, so the worker that drew the
-long-horizon tail finishes long after the rest.  The fleet instead cuts the
-expanded grid by estimated **cost**:
+Points are wildly unequal in wall time (campaign grids sweep
+``horizon_cycles`` over orders of magnitude), and a batch group costs one
+simulation to its deepest horizon however many points it serves.  The fleet
+therefore cuts the campaign's batch groups by estimated **cost**, with the
+same cut the pool and ``--shard I/N`` use, priced from real timings:
 
-* :func:`scavenge_point_walls` harvests real per-point wall timings from any
+* :func:`scavenge_point_walls` harvests per-point wall timings from any
   past artifacts of the same campaign found under ``--out`` — the campaign
   directory itself, shard slices, merged and partial runs — using the same
   ``spec_hash`` validation as ``--resume`` (a damaged manifest is skipped
   with a note, never silently priced at zero; see
-  :class:`~repro.sweep.resume.ResumeError`);
-* :func:`estimate_costs` prices every point: an observed wall when one was
-  scavenged, otherwise the point's ``horizon_cycles`` scaled by the median
-  observed seconds-per-cycle (or alone, when nothing was observed — cost is
-  only ever *compared*, so any common scale works);
-* :func:`cut_shards` walks the cost prefix and emits contiguous
-  explicit-span shards (``I/N@START:STOP``) with equal-as-possible cost,
-  which ride the ordinary ``sweep --shard`` worker path unchanged.
-
-Contiguity is non-negotiable: it keeps every shard's artifacts in row-major
-index order, which is what makes the merge a validated concatenation.
+  :class:`~repro.sweep.resume.ResumeError`), and :func:`store_point_walls`
+  does the same from a results store;
+* :func:`~repro.sweep.campaign.estimate_costs` prices every group from
+  those walls;
+* :func:`~repro.sweep.campaign.cut_shards` turns the cut into explicit
+  index-set shards (``I/N@START:STOP,…``), which ride the ordinary
+  ``sweep --shard`` worker path unchanged.  A shard never splits a group,
+  so no two workers simulate the same prefix.
 """
 
 from __future__ import annotations
 
-import statistics
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint
+from repro.sweep.campaign import CampaignSpec
 from repro.sweep.resume import ResumeError, load_point_walls
 
 
@@ -99,81 +95,3 @@ def store_point_walls(spec: CampaignSpec, db_path: Path) -> Tuple[Dict[int, floa
     except StoreError as exc:
         notes.append(str(exc))
     return walls, notes
-
-
-#: Fallback price per simulated cycle when no timing was ever observed.
-#: Arbitrary but positive: with zero observations every point is priced
-#: purely proportionally to its horizon, which is all a *cut* needs.
-DEFAULT_SECONDS_PER_CYCLE = 1e-6
-
-
-def estimate_costs(points: Sequence[SweepPoint], walls: Dict[int, float]) -> List[float]:
-    """Price every point of the expanded grid in (estimated) seconds.
-
-    Observed walls are used verbatim; unobserved points get
-    ``horizon_cycles`` times the median observed seconds-per-cycle, so one
-    prior run of *any* subset calibrates the whole grid.  Every estimate is
-    clamped strictly positive: a zero-cost point could make a cut emit
-    degenerate empty spans.
-    """
-    rates = [
-        walls[point.index] / point.horizon_cycles
-        for point in points
-        if walls.get(point.index, 0.0) > 0.0 and point.horizon_cycles > 0
-    ]
-    rate = statistics.median(rates) if rates else DEFAULT_SECONDS_PER_CYCLE
-    costs: List[float] = []
-    for point in points:
-        observed = walls.get(point.index, 0.0)
-        estimate = observed if observed > 0.0 else point.horizon_cycles * rate
-        costs.append(max(estimate, 1e-12))
-    return costs
-
-
-def cut_spans(costs: Sequence[float], workers: int) -> List[Tuple[int, int]]:
-    """Cut ``range(len(costs))`` into ≤ ``workers`` contiguous spans of
-    equal-as-possible total cost.
-
-    Greedy prefix walk: each span closes once it reaches the remaining
-    average cost, except that a span never swallows so many points that a
-    later worker would starve (every remaining worker is guaranteed at least
-    one point while points remain).  Returns fewer spans than ``workers``
-    when there are fewer points than workers; never returns an empty span.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    n_points = len(costs)
-    spans: List[Tuple[int, int]] = []
-    start = 0
-    remaining_cost = float(sum(costs))
-    for worker in range(workers):
-        if start >= n_points:
-            break
-        workers_left = workers - worker
-        target = remaining_cost / workers_left
-        stop = start
-        span_cost = 0.0
-        # Leave at least one point per remaining worker; the last worker
-        # takes everything left.
-        limit = n_points - (workers_left - 1)
-        while stop < max(limit, start + 1) and (span_cost < target or stop == start):
-            span_cost += costs[stop]
-            stop += 1
-            if workers_left > 1 and span_cost >= target:
-                break
-        if workers_left == 1:
-            stop = n_points
-            span_cost = remaining_cost
-        spans.append((start, stop))
-        start = stop
-        remaining_cost -= span_cost
-    return spans
-
-
-def cut_shards(costs: Sequence[float], workers: int) -> List[ShardSpec]:
-    """Cost-weighted fleet cut: one explicit-span :class:`ShardSpec` per
-    span of :func:`cut_spans`, numbered ``i/len(spans)`` in index order."""
-    spans = cut_spans(costs, workers)
-    return [
-        ShardSpec(index=i, count=len(spans), span=span) for i, span in enumerate(spans)
-    ]

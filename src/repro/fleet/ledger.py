@@ -47,7 +47,6 @@ class FleetLedger:
         spec_hash: str,
         points_total: int,
         workers: int,
-        transport: str,
         timeout: Optional[float],
         max_retries: int,
         backoff_base: float,
@@ -58,7 +57,6 @@ class FleetLedger:
         self.points_total = points_total
         self.config = {
             "workers": workers,
-            "transport": transport,
             "timeout_seconds": timeout,
             "max_retries": max_retries,
             "backoff_base_seconds": backoff_base,
@@ -94,10 +92,10 @@ class FleetLedger:
         self, round_record: Dict[str, object], attempt: Attempt, points_delivered: int
     ) -> None:
         """Append one finished attempt to its round."""
-        start, stop = attempt.shard.span or (None, None)
+        runs = attempt.shard.runs
         entry: Dict[str, object] = {
             "shard": str(attempt.shard),
-            "span": [start, stop] if start is not None else None,
+            "runs": [list(run) for run in runs] if runs is not None else None,
             "attempt": attempt.number,
             "outcome": attempt.outcome,
             "exit_class": attempt.exit_class,
@@ -203,7 +201,7 @@ def render_ledger(payload: Dict[str, object]) -> str:
         + (f" (sample: {payload.get('missing_sample')})" if payload.get("missing") else "")
     )
     lines.append(
-        f"  config: workers={config.get('workers')} transport={config.get('transport')} "
+        f"  config: workers={config.get('workers')} "
         f"timeout={config.get('timeout_seconds')}s max-retries={config.get('max_retries')} "
         f"backoff={config.get('backoff_base_seconds')}s..{config.get('backoff_cap_seconds')}s"
     )

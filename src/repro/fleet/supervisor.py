@@ -41,7 +41,7 @@ class Attempt:
     """One execution attempt of one shard."""
 
     shard: ShardSpec
-    #: 1-based attempt number for this shard's span (ledger bookkeeping).
+    #: 1-based attempt number for this shard (ledger bookkeeping).
     number: int
     #: The artifact directory this attempt is expected to produce.
     artifact_dir: "object"

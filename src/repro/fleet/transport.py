@@ -1,19 +1,13 @@
-"""Pluggable worker transports: how the fleet runs one shard somewhere.
+"""How the fleet runs one shard: a local subprocess behind a handle.
 
 The controller speaks one tiny vocabulary: *launch this argv, give me a
 handle I can poll and kill*.  Everything campaign-specific (the ``sweep
---shard`` argv, artifact directories, validation) stays in the controller;
-everything host-specific (process creation, log capture, environment) lives
-behind :class:`Transport`.  That split is what lets an ssh or
-object-storage transport slot in later without touching the orchestration
-logic: implement :meth:`Transport.launch` returning a
-:class:`WorkerHandle`, and make the shard's artifact directory appear under
-``--out`` by the time the handle reports an exit.
-
-:class:`LocalSubprocessTransport` is the first (and default)
-implementation: one OS subprocess per shard, stdout+stderr captured to a
-per-attempt log file, the repo's ``src/`` prepended to ``PYTHONPATH`` so
-workers import the same code as the controller.
+--shard`` argv, artifact directories, validation) stays in the controller.
+:func:`launch_local` starts one OS subprocess per shard, captures
+stdout+stderr to a per-attempt log file, and prepends the package's
+``src/`` to ``PYTHONPATH`` so workers import the same code as the
+controller.  The supervisor only sees :class:`WorkerHandle`, which is also
+what its tests substitute with a fake.
 """
 
 from __future__ import annotations
@@ -58,19 +52,7 @@ class WorkerHandle(abc.ABC):
     @property
     @abc.abstractmethod
     def ident(self) -> str:
-        """A transport-specific identity for logs (e.g. ``pid:1234``)."""
-
-
-class Transport(abc.ABC):
-    """Factory for :class:`WorkerHandle`\\ s.  Implementations must be safe
-    to call from a single-threaded supervision loop (launch returns
-    immediately; all waiting happens via :meth:`WorkerHandle.poll`)."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def launch(self, spec: WorkerSpec) -> WorkerHandle:
-        """Start one worker; never blocks on its completion."""
+        """The worker's identity for logs (e.g. ``pid:1234``)."""
 
 
 class LocalProcessHandle(WorkerHandle):
@@ -104,49 +86,32 @@ class LocalProcessHandle(WorkerHandle):
         return f"pid:{self._process.pid}"
 
 
-class LocalSubprocessTransport(Transport):
-    """Run each shard as a local subprocess with captured logs."""
+def launch_local(spec: WorkerSpec) -> WorkerHandle:
+    """Start one worker as a local subprocess with captured logs; never
+    blocks on its completion."""
+    env = dict(os.environ)
+    env.update(spec.env)
+    # Workers must import the same repro tree as the controller even
+    # when the controller was started via a path hack rather than an
+    # installed package.
+    import repro
 
-    name = "local"
-
-    def launch(self, spec: WorkerSpec) -> WorkerHandle:
-        env = dict(os.environ)
-        env.update(spec.env)
-        # Workers must import the same repro tree as the controller even
-        # when the controller was started via a path hack rather than an
-        # installed package.
-        import repro
-
-        src_dir = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        if src_dir not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-        spec.log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_file = spec.log_path.open("wb")
-        process = subprocess.Popen(
-            spec.argv,
-            stdout=log_file,
-            stderr=subprocess.STDOUT,
-            stdin=subprocess.DEVNULL,
-            env=env,
-            cwd=str(spec.cwd) if spec.cwd is not None else None,
-            start_new_session=True,
-        )
-        return LocalProcessHandle(spec, process, log_file)
-
-
-_TRANSPORTS = {LocalSubprocessTransport.name: LocalSubprocessTransport}
-
-
-def resolve_transport(name: str) -> Transport:
-    """Instantiate a registered transport by name (``local`` today; the
-    registry is where ssh/object-storage implementations will appear)."""
-    try:
-        factory = _TRANSPORTS[name]
-    except KeyError:
-        known = ", ".join(sorted(_TRANSPORTS))
-        raise ValueError(f"unknown transport {name!r} (known: {known})") from None
-    return factory()
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    existing = env.get("PYTHONPATH", "")
+    if src_dir not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
+    spec.log_path.parent.mkdir(parents=True, exist_ok=True)
+    log_file = spec.log_path.open("wb")
+    process = subprocess.Popen(
+        spec.argv,
+        stdout=log_file,
+        stderr=subprocess.STDOUT,
+        stdin=subprocess.DEVNULL,
+        env=env,
+        cwd=str(spec.cwd) if spec.cwd is not None else None,
+        start_new_session=True,
+    )
+    return LocalProcessHandle(spec, process, log_file)
 
 
 def default_worker_argv() -> List[str]:

@@ -10,8 +10,8 @@ The ``sweep`` subcommand executes a whole campaign of scenario points
 (:mod:`repro.sweep`), sharded across a process pool, and writes JSON + CSV
 artifacts plus a reproducibility manifest under ``results/sweeps/``.
 Points that differ only in their horizon share one simulation, advanced in
-lockstep with the chunk's other instances — byte-identical to running each
-point alone, measured ≥3x faster on multi-horizon campaigns.
+lockstep with the pool task's other instances — byte-identical to running
+each point alone, measured ≥3x faster on multi-horizon campaigns.
 ``--shard I/N`` restricts a run to one slice of the grid for multi-host
 distribution, ``sweep merge`` stitches the per-host artifact directories
 back into the single-host artifacts, and ``sweep merge --heal`` emits the
@@ -158,13 +158,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         help="worker processes; 1 runs serially with identical results (default: %(default)s)",
     )
     parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        help="points dispatched per worker task; default auto-sizes to about "
-        "four chunks per worker so small campaigns amortise pool overhead",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="reuse points already present in <out>/<campaign>/results.json "
@@ -194,9 +187,10 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="I/N",
-        help="execute only shard I of N (contiguous index ranges of the "
-        "expanded grid, zero-based) for multi-host distribution; merge the "
-        "per-host artifacts with 'sweep merge'",
+        help="execute only shard I of N (zero-based; whole batch groups, cut "
+        "to balance their cost) for multi-host distribution, or the explicit "
+        "index set I/N@START:STOP[,START:STOP...]; merge the per-host "
+        "artifacts with 'sweep merge'",
     )
     parser.add_argument(
         "--out",
@@ -447,9 +441,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
-    if args.chunk is not None and args.chunk < 1:
-        print("error: --chunk must be at least 1", file=sys.stderr)
-        return 2
     shard = None
     if args.shard is not None:
         try:
@@ -472,16 +463,12 @@ def _sweep_main(argv: Sequence[str]) -> int:
     try:
         shard_points = shard.select(points) if shard is not None else points
     except ValueError as exc:
-        # An explicit span can overrun the grid (e.g. a heal plan for a
-        # since-edited campaign) — usage error, not a traceback.
+        # An explicit index set can overrun the grid (e.g. a heal plan for
+        # a since-edited campaign) — usage error, not a traceback.
         print(f"error: --shard: {exc}", file=sys.stderr)
         return 2
     if shard is not None:
-        start, stop = shard.bounds(len(points))
-        print(
-            f"shard {shard}: points [{start}, {stop}) of {len(points)}",
-            file=sys.stderr,
-        )
+        print(f"shard {shard}: {len(shard_points)} of {len(points)} points", file=sys.stderr)
 
     if args.dry_run:
         scope = f"shard {shard} = {len(shard_points)} of " if shard is not None else ""
@@ -558,7 +545,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             spec,
             jobs=args.jobs,
             progress=_sweep_progress,
-            chunk=args.chunk,
             reuse=reuse,
             shard=shard,
             trace=args.trace_out is not None,
@@ -624,7 +610,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
     rate = result.n_points / max(result.wall_seconds, 1e-9)
     print(
         f"campaign {spec.name}: {result.n_points} points over scenario {spec.scenario} "
-        f"({sharded}{args.jobs} job{'s' if args.jobs != 1 else ''}, chunk {result.chunk}, "
+        f"({sharded}{args.jobs} job{'s' if args.jobs != 1 else ''}, "
         f"{result.wall_seconds:.2f} s, {rate:.1f} points/s{reused}{batched})"
     )
     for label in ("results_json", "results_csv", "manifest_json"):
@@ -722,12 +708,6 @@ def _build_fleet_parser() -> argparse.ArgumentParser:
         "across shards; default: %(default)s)",
     )
     parser.add_argument(
-        "--transport",
-        default="local",
-        help="worker transport (default: %(default)s; the registry is where "
-        "ssh/object-storage transports slot in)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="run workers with --trace-out/--profile so the merged manifest "
@@ -800,7 +780,6 @@ def _fleet_main(argv: Sequence[str]) -> int:
         backoff_base=args.backoff_base,
         backoff_cap=args.backoff_cap,
         worker_jobs=args.worker_jobs,
-        transport=args.transport,
         trace=args.trace,
         store=Path(args.store) if args.store else None,
         plan_cache=Path(args.plan_cache) if args.plan_cache else None,

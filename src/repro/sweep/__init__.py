@@ -12,12 +12,13 @@ each point's stats, activity counters, and power/area model outputs into
 structured JSON + CSV under ``results/sweeps/``, with a campaign manifest
 for reproducibility.
 
-CLI front end: ``python -m repro.run sweep <campaign> [--jobs N] [--chunk K]
-[--resume] [--shard I/N]``.  ``--chunk`` packs groups into per-worker
-chunks (auto-sized by default), ``--resume`` reuses points already present
-in ``results.json`` under an identical campaign manifest
-(:mod:`repro.sweep.resume`), and ``--shard I/N`` executes one contiguous
-index range of the grid for multi-host distribution — the per-host artifact
+CLI front end: ``python -m repro.run sweep <campaign> [--jobs N] [--resume]
+[--shard I/N]``.  One cost-balanced cut of whole batch groups
+(:func:`~repro.sweep.campaign.cut_groups`) sizes the pool's tasks and the
+shards; ``--resume`` reuses points already present in ``results.json``
+under an identical campaign manifest (:mod:`repro.sweep.resume`), and
+``--shard I/N`` executes part ``I`` of that cut into ``N`` for multi-host
+distribution — the per-host artifact
 directories merge back into the single-host artifacts with
 ``python -m repro.run sweep merge <dir>...`` (:mod:`repro.sweep.merge`).
 ``--trace-out``/``--profile`` record telemetry (:mod:`repro.obs`) into the
@@ -41,6 +42,8 @@ from repro.sweep.campaign import (
     CampaignSpec,
     ShardSpec,
     SweepPoint,
+    batch_groups,
+    cut_groups,
     derive_point_seed,
     expand_campaign,
     grid_from_lists,
@@ -54,8 +57,6 @@ from repro.sweep.campaigns import (
 from repro.sweep.execute import (
     CampaignResult,
     PointResult,
-    auto_chunk,
-    batch_groups,
     execute_campaign,
     run_point,
     run_point_groups,
@@ -96,11 +97,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "ShardSpec",
     "SweepPoint",
-    "auto_chunk",
     "batch_groups",
     "campaign",
     "campaign_names",
     "campaigns",
+    "cut_groups",
     "derive_point_seed",
     "execute_campaign",
     "expand_campaign",

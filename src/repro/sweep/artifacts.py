@@ -17,8 +17,9 @@ One campaign execution writes three files under ``<out_dir>/<campaign>/``:
   *only* here so the two result files stay comparable across executions.
 
 **Sharded runs** (``--shard I/N``) additionally stamp both ``results.json``
-and ``manifest.json`` with a ``shard`` block (index, count, covered index
-range, full-grid point count); ``n_points`` counts the shard's own points.
+and ``manifest.json`` with a ``shard`` block (index, count, the covered
+index set as half-open ``runs``, full-grid point count); ``n_points``
+counts the shard's own points.
 An unsharded run's artifacts carry no ``shard`` block, which is exactly the
 shape :mod:`repro.sweep.merge` reconstructs when stitching shards together.
 
@@ -33,12 +34,13 @@ gate.  Every damaged artifact it meets raises
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional
 
 from repro.sweep.campaign import CampaignSpec, ShardSpec
 from repro.sweep.execute import CampaignResult, PointResult
@@ -107,12 +109,10 @@ def shard_record(result: CampaignResult) -> Optional[Dict[str, object]]:
     execution covered the whole grid)."""
     if result.shard is None:
         return None
-    start, stop = result.shard.bounds(result.points_total)
     return {
         "index": result.shard.index,
         "count": result.shard.count,
-        "start": start,
-        "stop": stop,
+        "runs": [list(run) for run in result.shard.runs],
         "points_total": result.points_total,
     }
 
@@ -164,7 +164,6 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
         "artifacts": [RESULTS_JSON, RESULTS_CSV],
         "execution": {
             "jobs": result.jobs,
-            "chunk": result.chunk,
             "reused_points": result.n_reused,
             "computed_points": result.n_computed,
             "batched_points": result.batched_points,
@@ -258,13 +257,17 @@ def shard_dirname(shard: "ShardSpec") -> str:
     """The shard-qualified artifact subdirectory name a sharded CLI run
     nests under the campaign directory, so shard slices never overwrite the
     campaign-level (full or merged) artifacts: ``shard-I-of-N`` for balanced
-    shards, ``shard-I-of-N-span-START-STOP`` for explicit-range shards (the
-    span is part of the identity — two cuts sharing an index must not
-    clobber each other's artifacts)."""
-    if shard.span is not None:
-        start, stop = shard.span
-        return f"shard-{shard.index}-of-{shard.count}-span-{start}-{stop}"
-    return f"shard-{shard.index}-of-{shard.count}"
+    shards, ``shard-I-of-N-span-START-STOP`` for a one-run explicit shard
+    and ``shard-I-of-N-set-<digest>`` for a longer index set.  The index set
+    is part of the identity: two cuts sharing an index must not clobber
+    each other's artifacts."""
+    name = f"shard-{shard.index}-of-{shard.count}"
+    if shard.runs is None:
+        return name
+    if len(shard.runs) == 1:
+        ((start, stop),) = shard.runs
+        return f"{name}-span-{start}-{stop}"
+    return f"{name}-set-{hashlib.sha256(str(shard).encode('utf-8')).hexdigest()[:12]}"
 
 
 def write_artifacts(
@@ -306,8 +309,8 @@ class ArtifactDir:
     manifest: Dict[str, object]
     #: The campaign the manifest describes, checked against its own hash.
     spec: CampaignSpec
-    #: The ``[start, stop)`` range a shard block declares (None when unsharded).
-    declared_range: Optional[Tuple[int, int]]
+    #: The point indices a shard block declares (None when unsharded).
+    declared_points: Optional[FrozenSet[int]]
     #: The ``results.json`` records, in file order, all checked by the reader.
     records: List[Dict[str, object]]
     #: ``execution.point_wall_seconds`` by point index.
@@ -361,23 +364,32 @@ def point_walls(manifest: Mapping[str, object], source: str) -> Dict[int, float]
     return parsed
 
 
-def _declared_range(
-    manifest: Mapping[str, object], spec: CampaignSpec, source: str
-) -> Optional[Tuple[int, int]]:
-    """The ``[start, stop)`` range a ``shard`` block declares (None when
-    unsharded), once the block's ``points_total`` (or a ``partial``
-    salvage's) is checked against the spec's grid.  An unsharded run covers
-    the whole grid even when its ``n_points`` falls short: points that
-    failed or were interrupted are simply missing."""
+def _declared_points(manifest: Mapping[str, object], spec: CampaignSpec, source: str) -> Optional[FrozenSet[int]]:
+    """The point indices a ``shard`` block declares (None when unsharded),
+    once the block's ``points_total`` (or a ``partial`` salvage's) is
+    checked against the spec's grid.  A block lists its index set as
+    ``runs``; older blocks declare one ``start``/``stop`` range.  An
+    unsharded run covers the whole grid even when its ``n_points`` falls
+    short: points that failed or were interrupted are simply missing."""
     shard = manifest.get("shard")
     partial = manifest.get("partial")
     declared = None
     if isinstance(shard, dict):
         where = f"{source}: shard block"
-        start, stop, total = (_int_field(shard, key, where) for key in ("start", "stop", "points_total"))
-        if not 0 <= start <= stop <= total:
-            raise ResumeError(f"{where}: declared index range [{start}, {stop}) is outside [0, {total})")
-        declared = (start, stop)
+        total = _int_field(shard, "points_total", where)
+        runs = shard["runs"] if "runs" in shard else [[shard.get("start"), shard.get("stop")]]
+        if not isinstance(runs, list):
+            raise ResumeError(f"{where}: runs {runs!r} is not a list")
+        declared = set()
+        for run in runs:
+            # type() rather than isinstance(): a bool is not an index.
+            if not isinstance(run, list) or len(run) != 2 or any(type(edge) is not int for edge in run):
+                raise ResumeError(f"{where}: run {run!r} is not a [start, stop] pair of integers")
+            start, stop = run
+            if not 0 <= start <= stop <= total:
+                raise ResumeError(f"{where}: declared index range [{start}, {stop}) is outside [0, {total})")
+            declared.update(range(start, stop))
+        declared = frozenset(declared)
     elif isinstance(partial, dict):
         total = _int_field(partial, "points_total", f"{source}: partial block")
     else:
@@ -425,16 +437,16 @@ def parse_artifact_dir(
             f"scenario {results.get('scenario')!r} but the manifest describes "
             f"{spec.name!r} / {spec.scenario!r} — the artifact pair is inconsistent"
         )
-    declared = _declared_range(manifest, spec, manifest_path)
-    start, stop = declared if declared is not None else (0, spec.n_points)
+    declared = _declared_points(manifest, spec, manifest_path)
+    allowed = declared if declared is not None else range(spec.n_points)
     records = results.get("points")
     if not isinstance(records, list):
         raise ResumeError(f"{results_path}: has no points list")
     artifacts = ArtifactDir(directory, manifest, spec, declared, records, point_walls(manifest, manifest_path))
     seen = set()
     for point in artifacts.points():
-        if not start <= point.index < stop:
-            raise ResumeError(f"{results_path}: record index {point.index} is outside [{start}, {stop})")
+        if point.index not in allowed:
+            raise ResumeError(f"{results_path}: record index {point.index} is outside the declared points")
         if point.index in seen:
             raise ResumeError(f"{results_path}: duplicate record for point {point.index}")
         seen.add(point.index)
@@ -449,9 +461,9 @@ def read_artifact_dir(directory: Path) -> ArtifactDir:
     ``spec_hash`` be present; the manifest's campaign block must rebuild a
     spec that hashes to it; ``results.json`` must name the same campaign and
     scenario; a ``shard`` or ``partial`` block's ``points_total`` must match
-    the spec's grid (:func:`_declared_range`); every record must decode
+    the spec's grid (:func:`_declared_points`); every record must decode
     (:func:`point_from_record`) with an index in range, inside any declared
-    shard range, and not duplicated; and the walls must be numeric.  Every
+    shard index set, and not duplicated; and the walls must be numeric.  Every
     failure raises :class:`ResumeError` naming the file.
     """
     directory = Path(directory)

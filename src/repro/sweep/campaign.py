@@ -13,11 +13,13 @@ A :class:`CampaignSpec` names one scenario from
   grid, so point indices — and therefore artifacts — are stable across
   executions, process counts, and machines.
 
-For multi-host distribution, a :class:`ShardSpec` (``--shard I/N`` on the
-CLI) deterministically partitions the expanded point list into ``N``
-contiguous index ranges; because points are keyed by index, the shards'
-artifacts merge back (:mod:`repro.sweep.merge`) into exactly the single-host
-run.
+Points that differ only in their horizon form one **batch group**
+(:func:`batch_groups`), the unit of work everywhere: :func:`cut_groups`
+cuts the groups, priced by :func:`estimate_costs`, into cost-balanced runs
+of whole groups, and that one cut sizes pool tasks, balanced
+``--shard I/N`` slices (:class:`ShardSpec`), fleet shards and heal shards.
+Because points are keyed by index, the shards' artifacts merge back
+(:mod:`repro.sweep.merge`) into exactly the single-host run.
 
 Every point carries a **deterministic seed** derived from the campaign name,
 the campaign's base seed, and the point's index (:func:`derive_point_seed`).
@@ -33,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workloads.registry import ScenarioSpec, scenario
 
@@ -90,33 +92,134 @@ class SweepPoint:
     seed: int = 0
 
 
+#: Price per simulated cycle when no timing was ever observed.  Arbitrary
+#: but positive: costs are only ever compared, so any common scale works.
+DEFAULT_SECONDS_PER_CYCLE = 1e-6
+
+
+def batch_groups(points: Sequence[SweepPoint]) -> List[List[SweepPoint]]:
+    """Group points that can share one prepared simulation.
+
+    Points of the same scenario with identical parameters (and kernel) that
+    differ only in ``horizon_cycles`` form one group: the simulation of the
+    largest horizon passes through every smaller one, so a single instance
+    serves the whole group.  A point of a scenario without a prepare hook
+    shares nothing and is a group of its own.  Groups preserve
+    first-occurrence order and each group is sorted by horizon.
+    """
+    grouped: Dict[Tuple, List[SweepPoint]] = {}
+    for point in points:
+        if scenario(point.scenario).prepare is None:
+            key: Tuple = (point.index,)
+        else:
+            key = (point.scenario, point.dense, tuple(sorted(point.params.items())))
+        grouped.setdefault(key, []).append(point)
+    return [sorted(group, key=lambda point: point.horizon_cycles) for group in grouped.values()]
+
+
+def estimate_costs(groups: Sequence[Sequence[SweepPoint]], walls: Mapping[int, float]) -> List[float]:
+    """Price every group in (estimated) seconds.
+
+    A group whose every point has an observed wall costs the sum of those
+    walls: a batched point's wall is its share of the shared simulation, so
+    the sum is what the group took.  Any other group costs its deepest
+    horizon, because one simulation to that horizon serves every shallower
+    point, times the median seconds per cycle of the observed groups
+    (:data:`DEFAULT_SECONDS_PER_CYCLE` when none was observed).  Every price
+    is clamped strictly positive so that no cut ever sees a free group.
+    """
+    def deepest(group: Sequence[SweepPoint]) -> int:
+        return max(point.horizon_cycles for point in group)
+
+    observed: List[Optional[float]] = []
+    for group in groups:
+        group_walls = [walls.get(point.index, 0.0) for point in group]
+        observed.append(sum(group_walls) if all(wall > 0.0 for wall in group_walls) else None)
+    rates = [cost / deepest(group) for group, cost in zip(groups, observed) if cost is not None]
+    rate = DEFAULT_SECONDS_PER_CYCLE
+    if rates:
+        # Imported here: statistics pulls in decimal and fractions, which
+        # every worker would otherwise pay for on start.
+        from statistics import median
+
+        rate = median(rates)
+    return [max(cost if cost is not None else deepest(group) * rate, 1e-12) for group, cost in zip(groups, observed)]
+
+
+def cut_groups(
+    groups: Sequence[Sequence[SweepPoint]], costs: Sequence[float], parts: int
+) -> List[List[Sequence[SweepPoint]]]:
+    """Cut ``groups`` into at most ``parts`` contiguous runs of whole groups,
+    in group order, with equal-as-possible total cost.
+
+    The one cut behind pool tasks, balanced ``--shard I/N``, fleet shards
+    and heal shards.  A group is never split: each fragment would
+    re-simulate the shared prefix.  Greedy walk: a part takes the next
+    group while that brings its cost nearer the remaining average, always
+    takes at least one, and leaves at least one group for every later part;
+    the last part takes the rest.  Fewer than ``parts`` parts come back only
+    when there are fewer groups than parts, and no part is empty.
+    """
+    if parts < 1:
+        raise ValueError(f"parts must be at least 1, got {parts}")
+    cut: List[List[Sequence[SweepPoint]]] = []
+    start, remaining = 0, float(sum(costs))
+    for left in range(parts, 0, -1):
+        if start >= len(groups):
+            break
+        stop, taken, target = start + 1, costs[start], remaining / left
+        while stop < len(groups) - (left - 1) and taken + costs[stop] / 2 < target:
+            taken += costs[stop]
+            stop += 1
+        if left == 1:
+            stop = len(groups)
+        cut.append(list(groups[start:stop]))
+        remaining -= sum(costs[start:stop])
+        start = stop
+    return cut
+
+
+def _merge_runs(runs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """Sort half-open runs, drop empty ones and join touching ones."""
+    merged: List[Tuple[int, int]] = []
+    for start, stop in sorted(run for run in runs if run[0] < run[1]):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
+
+
+def index_runs(indices: Iterable[int]) -> Tuple[Tuple[int, int], ...]:
+    """An index set as its sorted half-open ``(start, stop)`` runs."""
+    return _merge_runs((index, index + 1) for index in indices)
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """One slice of a campaign for multi-host distribution: shard ``index``
-    of ``count`` **contiguous index ranges** of the expanded point list.
+    of ``count``, always made of whole batch groups (:func:`batch_groups`).
 
-    Contiguous ranges (rather than striding) keep each shard's artifacts in
-    row-major order, so merging is a concatenation and every validation rule
-    in :mod:`repro.sweep.merge` is a statement about index intervals.
+    Two forms share this one type:
 
-    Two cut geometries share this one type:
+    * balanced (``runs is None``, CLI ``I/N``) is part ``I`` of
+      :func:`cut_groups` over the whole grid into ``N`` parts, priced from
+      the grid alone — what a human distributes by hand across N hosts.  A
+      part beyond the number of groups is empty;
+    * explicit (CLI ``I/N@A:B,C:D,…``) is exactly the point indices of the
+      half-open runs ``[A, B) ∪ [C, D) ∪ …``.  The fleet and heal plans name
+      the groups each shard runs this way; ``index``/``count`` keep the
+      shard's place in its cut so artifact directory names stay unique.
+      The single-run form ``I/N@START:STOP`` is what older fleets wrote.
 
-    * the balanced form (``span is None``, CLI ``I/N``) partitions the grid
-      into equal-as-possible ranges purely from the index count — what a
-      human distributes by hand across N hosts;
-    * the explicit form (CLI ``I/N@START:STOP``) pins the exact half-open
-      range ``[START, STOP)`` this shard covers, which is how the fleet
-      orchestrator (:mod:`repro.fleet`) expresses **cost-weighted** cuts and
-      grouped heal ranges while still riding the ordinary ``--shard``
-      execution path (``index``/``count`` remain the shard's position in its
-      fleet cut, so artifact directory names stay unique and stable).
+    Points are keyed by index, so the shards' artifacts merge back
+    (:mod:`repro.sweep.merge`) into exactly the single-host run.
     """
 
     index: int
     count: int
-    #: Explicit half-open index range overriding the balanced cut; validated
-    #: against the concrete grid size in :meth:`bounds`.
-    span: Optional[Tuple[int, int]] = None
+    #: Explicit point indices as sorted half-open runs (None = balanced).
+    runs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -127,73 +230,74 @@ class ShardSpec:
                 f"(shards are zero-based: the last of {self.count} is "
                 f"{self.count - 1}/{self.count})"
             )
-        if self.span is not None:
+        if self.runs is not None:
             try:
-                start, stop = (int(edge) for edge in self.span)
+                runs = [(int(start), int(stop)) for start, stop in self.runs]
             except (TypeError, ValueError):
-                raise ValueError(f"shard span must be a (start, stop) pair, got {self.span!r}") from None
-            if not 0 <= start <= stop:
-                raise ValueError(f"shard span must satisfy 0 <= start <= stop, got [{start}, {stop})")
-            object.__setattr__(self, "span", (start, stop))
+                raise ValueError(f"shard runs must be (start, stop) pairs, got {self.runs!r}") from None
+            for start, stop in runs:
+                if not 0 <= start <= stop:
+                    raise ValueError(f"shard run must satisfy 0 <= start <= stop, got [{start}, {stop})")
+            object.__setattr__(self, "runs", _merge_runs(runs))
 
     @classmethod
     def parse(cls, text: str) -> "ShardSpec":
         """Parse the CLI forms ``I/N`` (balanced, e.g. ``0/3``) and
-        ``I/N@START:STOP`` (explicit range, e.g. ``2/8@12:19``)."""
-        spec_text, at, span_text = text.partition("@")
+        ``I/N@START:STOP[,START:STOP…]`` (explicit, e.g. ``2/8@12:19,40:47``)."""
+        spec_text, at, runs_text = text.partition("@")
         index_text, sep, count_text = spec_text.partition("/")
         try:
             if not sep:
                 raise ValueError
             index, count = int(index_text), int(count_text)
-            span = None
+            runs = None
             if at:
-                start_text, colon, stop_text = span_text.partition(":")
-                if not colon:
-                    raise ValueError
-                span = (int(start_text), int(stop_text))
+                runs = []
+                for run_text in runs_text.split(","):
+                    start_text, colon, stop_text = run_text.partition(":")
+                    if not colon:
+                        raise ValueError
+                    runs.append((int(start_text), int(stop_text)))
         except ValueError:
             raise ValueError(
-                f"shard must look like I/N (e.g. 1/4) or I/N@START:STOP (e.g. 2/8@12:19), got {text!r}"
+                f"shard must look like I/N (e.g. 1/4) or I/N@START:STOP[,START:STOP...] "
+                f"(e.g. 2/8@12:19,40:47), got {text!r}"
             ) from None
         try:
-            return cls(index=index, count=count, span=span)
+            return cls(index=index, count=count, runs=runs)
         except ValueError as exc:
             raise ValueError(f"shard {text!r}: {exc}") from None
 
-    def bounds(self, n_points: int) -> Tuple[int, int]:
-        """Half-open index range ``[start, stop)`` this shard covers.
-
-        Balanced partition: every shard gets ``n_points // count`` points and
-        the first ``n_points % count`` shards one extra, with the union of
-        all shards exactly ``range(n_points)`` and no overlap.  A shard may
-        be empty when there are fewer points than shards.  An explicit
-        ``span`` overrides the balanced cut and must fit the grid.
-        """
-        if n_points < 0:
-            raise ValueError(f"n_points must be non-negative, got {n_points}")
-        if self.span is not None:
-            start, stop = self.span
-            if stop > n_points:
-                raise ValueError(
-                    f"shard {self} covers indices [{start}, {stop}) but the "
-                    f"campaign expands to only {n_points} points"
-                )
-            return self.span
-        return (
-            self.index * n_points // self.count,
-            (self.index + 1) * n_points // self.count,
-        )
-
     def select(self, points: Sequence[SweepPoint]) -> List[SweepPoint]:
-        """The sub-list of ``points`` this shard executes."""
-        start, stop = self.bounds(len(points))
-        return list(points[start:stop])
+        """The points of the full expanded grid ``points`` this shard
+        executes, in index order.  An explicit shard must fit the grid."""
+        if self.runs is None:
+            groups = batch_groups(points)
+            parts = cut_groups(groups, estimate_costs(groups, {}), self.count)
+            chosen = parts[self.index] if self.index < len(parts) else []
+            return sorted((point for group in chosen for point in group), key=lambda p: p.index)
+        if self.runs and self.runs[-1][1] > len(points):
+            raise ValueError(
+                f"shard {self} covers indices up to {self.runs[-1][1] - 1} but the "
+                f"campaign expands to only {len(points)} points"
+            )
+        return [point for start, stop in self.runs for point in points[start:stop]]
 
     def __str__(self) -> str:
-        if self.span is not None:
-            return f"{self.index}/{self.count}@{self.span[0]}:{self.span[1]}"
-        return f"{self.index}/{self.count}"
+        if self.runs is None:
+            return f"{self.index}/{self.count}"
+        return f"{self.index}/{self.count}@" + ",".join(f"{start}:{stop}" for start, stop in self.runs)
+
+
+def cut_shards(groups: Sequence[Sequence[SweepPoint]], costs: Sequence[float], parts: int) -> List[ShardSpec]:
+    """The cut as explicit index-set shards (fleet and heal shards): one
+    :class:`ShardSpec` per part of :func:`cut_groups`, numbered
+    ``i/len(parts)`` in group order."""
+    cut = cut_groups(groups, costs, parts)
+    return [
+        ShardSpec(index, len(cut), index_runs(point.index for group in part for point in group))
+        for index, part in enumerate(cut)
+    ]
 
 
 def derive_point_seed(campaign: str, base_seed: int, index: int) -> int:

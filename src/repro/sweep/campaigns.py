@@ -126,11 +126,12 @@ register_campaign(
         ),
         scenario="duty-cycled-logging",
         grid={
-            # Horizon is the fastest-varying axis so every contiguous fleet
-            # span contains whole horizon ladders: batched execution then
-            # collapses each (period, words, spi) group to one simulation of
-            # its longest horizon, which keeps 1008 points cheap enough to
-            # chaos-test in CI while still being a real 1000+-point campaign.
+            # Horizon is the fastest-varying axis, so each (period, words,
+            # spi) group is one contiguous run of indices and a shard of
+            # whole groups is one index range.  Batched execution collapses
+            # each group to one simulation of its longest horizon, which
+            # keeps 1008 points cheap enough to chaos-test in CI while
+            # still being a real 1000+-point campaign.
             "sample_period_cycles": (1_500, 2_000, 3_000, 4_000),
             "words_per_readout": (2, 4, 8),
             "spi_cycles_per_word": (8, 16, 24, 32),

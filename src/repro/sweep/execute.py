@@ -1,12 +1,12 @@
 """Sweep execution: run every point of a campaign, serially or sharded.
 
 The unit of work is one **group** of :class:`~repro.sweep.campaign.SweepPoint`
-(:func:`batch_groups`): points of one scenario that differ only in
-``horizon_cycles`` share one prepared simulation, and every group of a chunk
-is advanced together by a :class:`~repro.sim.batch.BatchSimulator`, which
-interleaves the instances over span boundaries under one shared schedule
-plan.  Each point's record is snapshotted the instant its horizon is
-reached.  Points of a scenario without a prepare hook (see
+(:func:`~repro.sweep.campaign.batch_groups`): points of one scenario that
+differ only in ``horizon_cycles`` share one prepared simulation, and every
+group of a pool task is advanced together by a
+:class:`~repro.sim.batch.BatchSimulator`, which interleaves the instances
+over span boundaries under one shared schedule plan.  Each point's record
+is snapshotted the instant its horizon is reached.  Points of a scenario without a prepare hook (see
 :mod:`repro.workloads.registry`) are singleton groups run by
 :func:`run_point`, the solo reference: it runs the scenario through the
 registry's instrumented entry point.  Both paths post-process the SoC
@@ -16,22 +16,23 @@ power breakdown, and the Figure 6a area breakdown — so batched artifacts
 are byte-identical to solo ones (``tests/sweep/test_batch.py`` pins this for
 every registry campaign).
 
-:func:`execute_campaign` packs whole groups into chunks and runs each chunk
-through one pool task, :func:`run_point_groups`:
+:func:`execute_campaign` cuts the groups into pool tasks with the one
+cost-balanced cut, :func:`~repro.sweep.campaign.cut_groups`, and runs each
+task through :func:`run_point_groups`:
 
-* ``jobs == 1`` (or one usable core, or a single chunk) — plain serial loop
-  in this process;
-* otherwise — a ``multiprocessing`` pool over the chunks (auto-sized to a
-  few chunks per worker, overridable via ``chunk=``/``--chunk``) so small
-  campaigns amortise the pickling/dispatch overhead; worker processes are
-  additionally capped at the machine's core count, because oversubscribing a
-  small host only adds context-switching.
+* ``jobs == 1`` (or one usable core) — one task holding every group, run in
+  this process;
+* otherwise — a ``multiprocessing`` pool over :data:`TASKS_PER_WORKER` tasks
+  per worker: few enough to amortise pickling and dispatch, enough that the
+  unordered collection still balances groups whose cost varies.  Worker
+  processes are capped at the machine's core count, because
+  oversubscribing a small host only adds context-switching.
 
 Results are keyed and re-sorted by point index, and every per-point output is
 a pure function of the point itself (wall-clock timing is kept out of the
 comparable payload), so the aggregated results of a sharded run are
-**byte-identical** to the serial run — for any ``jobs`` and any ``chunk`` —
-the property ``tests/sweep/test_execute.py`` pins.
+**byte-identical** to the serial run — for any ``jobs`` — the property
+``tests/sweep/test_execute.py`` pins.
 
 **Incremental re-execution** (:func:`execute_campaign` with ``reuse=``):
 records recovered from a previous run's ``results.json`` (see
@@ -40,11 +41,11 @@ points, which is how ``python -m repro.run sweep <campaign> --resume`` skips
 work that already exists under an identical campaign manifest.
 
 **Multi-host distribution** (:func:`execute_campaign` with ``shard=``): a
-:class:`~repro.sweep.campaign.ShardSpec` restricts execution to one
-contiguous index range of the expanded grid.  Sharding composes with
-``jobs``/``chunk`` (the shard's points still fan out over the local pool)
-and with ``reuse`` (reusable indices outside the shard are simply never
-consulted), and the shard's artifacts record the slice so
+:class:`~repro.sweep.campaign.ShardSpec` restricts execution to one set of
+whole groups of the expanded grid.  Sharding composes with ``jobs`` (the
+shard's groups still fan out over the local pool) and with ``reuse``
+(reusable indices outside the shard are simply never consulted), and the
+shard's artifacts record the slice as an index set so
 :mod:`repro.sweep.merge` can validate coverage when stitching shards back
 together.
 """
@@ -57,7 +58,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.area.model import PelsAreaModel
 from repro.cache.plan_cache import group_cache_key
@@ -65,7 +66,16 @@ from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
 from repro.power.model import PowerModel
-from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, expand_campaign
+from repro.sweep.campaign import (
+    CampaignSpec,
+    ShardSpec,
+    SweepPoint,
+    batch_groups,
+    cut_groups,
+    estimate_costs,
+    expand_campaign,
+    index_runs,
+)
 from repro.workloads.registry import ScenarioOutcome, run_scenario_instrumented, scenario
 
 
@@ -103,10 +113,9 @@ class CampaignResult:
     points: List[PointResult]
     jobs: int
     wall_seconds: float
-    #: Chunk size the pool dispatch used (1 when serial).
-    chunk: int = 1
-    #: The slice of the campaign this execution covered (None = the whole
-    #: grid); see :class:`~repro.sweep.campaign.ShardSpec`.
+    #: The slice of the campaign this execution covered, as its explicit
+    #: index set (None = the whole grid); see
+    #: :class:`~repro.sweep.campaign.ShardSpec`.
     shard: Optional[ShardSpec] = None
     #: Size of the *full* expanded grid (equals ``n_points`` when unsharded).
     points_total: int = 0
@@ -162,6 +171,9 @@ class CampaignResult:
 
 
 ProgressCallback = Callable[[int, int, PointResult], None]
+
+#: Pool tasks per worker process (see the module docstring).
+TASKS_PER_WORKER = 4
 
 
 def _finalize_point(point: SweepPoint, outcome: ScenarioOutcome, wall: float) -> PointResult:
@@ -357,47 +369,59 @@ def _run_point_guarded(
 # ------------------------------------------------------------------ batching
 
 
-def batch_groups(points: Sequence[SweepPoint]) -> List[List[SweepPoint]]:
-    """Group points that can share one prepared simulation.
-
-    Points of the same scenario with identical parameters (and kernel) that
-    differ only in ``horizon_cycles`` form one group: the simulation of the
-    largest horizon passes through every smaller one, so a single instance
-    serves the whole group.  A point of a scenario without a prepare hook
-    shares nothing and is a group of its own.  Groups preserve
-    first-occurrence order and each group is sorted by horizon.
-    """
-    grouped: Dict[Tuple, List[SweepPoint]] = {}
-    for point in points:
-        if scenario(point.scenario).prepare is None:
-            key: Tuple = (point.index,)
-        else:
-            key = (point.scenario, point.dense, tuple(sorted(point.params.items())))
-        grouped.setdefault(key, []).append(point)
-    return [sorted(group, key=lambda point: point.horizon_cycles) for group in grouped.values()]
-
-
 def _fallback_record(group: Sequence[SweepPoint], reason: str) -> Dict[str, object]:
     """One manifest ``batch_fallbacks`` entry (deterministic fields only)."""
     return {"reason": reason, "points": [point.index for point in group]}
+
+
+class _RunShare:
+    """Splits one batch run's wall time across the instances active in it.
+
+    Between two stop callbacks every live instance advanced, so each is
+    charged an equal share of the interval: ``total`` is the running sum of
+    ``interval / active``, and a stop charges its instance the growth of
+    ``total`` since that instance's previous stop.  The time a callback
+    spends on its own instance (drives, finalize, cache publish) is charged
+    to that instance alone.  All bookkeeping happens in stop callbacks,
+    never per round or per tick.
+    """
+
+    __slots__ = ("total", "mark", "active")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.mark = 0.0
+        self.active = 0
+
+    def advance(self, now: float) -> float:
+        """Share the time since the last mark out; return the running sum."""
+        if self.active:
+            self.total += (now - self.mark) / self.active
+        self.mark = now
+        return self.total
 
 
 def _enroll_group(
     batch,
     group: Sequence[SweepPoint],
     results: List[PointResult],
+    share: _RunShare,
     tele: Optional["_ChunkTelemetry"] = None,
     cache=None,
-) -> Optional[Dict[str, float]]:
+) -> None:
     """Prepare one shared-prefix group and register its snapshot stops.
 
-    Returns the group's wall clock; the caller restamps it when the batch
-    actually starts running so no group is charged another group's
-    preparation time.  Raises when the group cannot share a prepared
-    instance — :class:`~repro.workloads.registry.BatchUnsupported` from a
-    declining prepare hook, :class:`~repro.sim.simulator.SimulationError`
-    from enrollment, or whatever the hook raises for a bad point — and the
-    caller then runs just that group's points solo.
+    Raises when the group cannot share a prepared instance —
+    :class:`~repro.workloads.registry.BatchUnsupported` from a declining
+    prepare hook, :class:`~repro.sim.simulator.SimulationError` from
+    enrollment, or whatever the hook raises for a bad point — and the caller
+    then runs just that group's points solo.
+
+    Point walls are honest under batching: each stop gets its instance's
+    ``share`` of the run since its previous stop plus the time of its own
+    callback, split evenly over the stop's points, and the group's first
+    stop also carries its preparation.  A group's point walls therefore add
+    up to what the group cost.
 
     With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
     has an exact-match snapshot is served straight from the cache: the
@@ -418,54 +442,58 @@ def _enroll_group(
     for point in group:
         by_horizon.setdefault(point.horizon_cycles, []).append(point)
     horizons = sorted(by_horizon)
-    prepared = None
-    base = 0
-    key = None
-    pending = list(horizons)
-    served: List[Tuple[int, object]] = []
-    if cache is not None:
-        key = group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
-        for horizon in reversed(horizons):
-            restored = cache.lookup(key, horizon, exact=True)
-            if restored is not None:
-                served.append((horizon, restored.prepared))
-                pending.remove(horizon)
-        if pending:
-            # ``pending[0]`` itself cannot be on disk (its exact probe just
-            # missed), so the deepest usable base is strictly below it and
-            # every pending stop stays at least one cycle out.
-            restored = cache.lookup(key, pending[0])
-            if restored is not None:
-                prepared = restored.prepared
-                base = restored.base_tick
-    if pending and prepared is None:
-        prepared = spec.prepare(horizons, first.dense, **dict(first.params))
-    # Wall-clock attribution under interleaving is approximate by nature:
-    # each stop is charged the time since this instance's previous stop
-    # (manifest diagnostics only — never part of the comparable payload).
-    clock = {"last": time.perf_counter()}
+    key = None if cache is None else group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
+    # The group's seconds not yet charged to a point (its preparation, then
+    # its run share and drive-only stops), and the run share's running sum
+    # at its previous stop.
+    owed = {"seconds": 0.0, "share": 0.0}
 
-    def finalize(instance, elapsed: int, points: Sequence[SweepPoint]) -> None:
-        now = time.perf_counter()
-        wall, clock["last"] = now - clock["last"], now
+    def finalize(instance, elapsed: int, points: Sequence[SweepPoint], began: float) -> None:
+        start = time.perf_counter()
         outcome = instance.outcome(elapsed)
-        for point in points:
-            results.append(_finalize_point(point, outcome, wall))
+        finalized = [_finalize_point(point, outcome, 0.0) for point in points]
         if tele is not None:
-            tele.timer.add("finalize", time.perf_counter() - now)
+            tele.timer.add("finalize", time.perf_counter() - start)
         if cache is not None:
             publish_start = time.perf_counter()
             cache.publish(key, instance, elapsed)
             if tele is not None:
                 tele.timer.add("cache", time.perf_counter() - publish_start)
+        wall = owed["seconds"] + time.perf_counter() - began
+        owed["seconds"] = 0.0
+        for result in finalized:
+            result.wall_seconds = wall / len(finalized)
+        results.extend(finalized)
 
-    # Snapshot-served horizons finalize right now — BatchInstance stops must
-    # be at least one cycle out, and these have nothing left to simulate.
-    # Shallow-first keeps the (manifest-only) wall attribution in the same
-    # order a cold run would charge it; results are re-sorted by index
-    # anyway.
-    for horizon, instance in sorted(served):
-        finalize(instance, horizon, tuple(by_horizon[horizon]))
+    prepared = None
+    base = 0
+    pending = list(horizons)
+    served_stats = None
+    if cache is not None:
+        # An exact snapshot *is* the state at its horizon: finalize its
+        # points the moment it is restored (BatchInstance stops must be at
+        # least one cycle out, and these have nothing left to simulate), so
+        # only one restored instance is alive at a time.
+        for horizon in reversed(horizons):
+            began = time.perf_counter()
+            restored = cache.lookup(key, horizon, exact=True)
+            if restored is not None:
+                pending.remove(horizon)
+                if served_stats is None:
+                    served_stats = dict(restored.prepared.simulator.kernel_stats)
+                finalize(restored.prepared, horizon, tuple(by_horizon[horizon]), began)
+    began = time.perf_counter()
+    if pending and cache is not None:
+        # ``pending[0]`` itself cannot be on disk (its exact probe just
+        # missed), so the deepest usable base is strictly below it and
+        # every pending stop stays at least one cycle out.
+        restored = cache.lookup(key, pending[0])
+        if restored is not None:
+            prepared = restored.prepared
+            base = restored.base_tick
+    if pending and prepared is None:
+        prepared = spec.prepare(horizons, first.dense, **dict(first.params))
+    owed["seconds"] += time.perf_counter() - began
 
     if pending:
         # Merge the scenario's drive script (mid-run testbench interference,
@@ -474,10 +502,10 @@ def _enroll_group(
         # the standalone order (interfere, then keep running / observe).
         # Drives beyond the deepest pending horizon are dropped: the
         # instance never simulates past it (deeper horizons were served from
-        # snapshots or not requested).  Drives at-or-before a restored base
-        # already fired in the run that published the snapshot — their
-        # effects are *in* the restored state — so replaying them would
-        # double-apply.
+        # snapshots or not requested), so the deepest horizon is always the
+        # instance's last stop.  Drives at-or-before a restored base already
+        # fired in the run that published the snapshot — their effects are
+        # *in* the restored state — so replaying them would double-apply.
         drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
         for cycle, callback in prepared.drive_stops():
             if base < cycle <= pending[-1]:
@@ -488,10 +516,17 @@ def _enroll_group(
             points = tuple(by_horizon[horizon])
 
             def fire(elapsed: int) -> None:
+                now = time.perf_counter()
+                total = share.advance(now)
+                owed["seconds"] += total - owed["share"]
+                owed["share"] = total
                 absolute = base + elapsed
                 for drive in drives:
                     drive(absolute)
-                finalize(prepared, absolute, points)
+                finalize(prepared, absolute, points, now)
+                if horizon == pending[-1]:
+                    share.active -= 1
+                share.mark = time.perf_counter()
 
             return fire
 
@@ -502,18 +537,22 @@ def _enroll_group(
         for cycle, callbacks in drives_by_cycle.items():
 
             def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
+                now = time.perf_counter()
+                share.advance(now)
                 for drive in drives:
                     drive(base + elapsed)
+                share.mark = time.perf_counter()
+                owed["seconds"] += share.mark - now
 
             stops.append((cycle - base, fire_drives))
         batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
-    elif tele is not None and served:
+    elif tele is not None and served_stats is not None:
         # The whole group was served from snapshots; no simulator of its
         # enters the batch, so absorb kernel stats here instead of in the
         # caller's post-run sweep over ``batch.instances``.  Only the
         # deepest restore counts — it carries the group's fullest history,
         # and summing overlapping histories would inflate the counters.
-        tele.kernel.add(served[0][1].simulator.kernel_stats)
+        tele.kernel.add(served_stats)
     if tracer is not None:
         tracer.event(
             "sweep.enroll",
@@ -527,7 +566,6 @@ def _enroll_group(
                 "warm_base": base,
             },
         )
-    return clock
 
 
 def run_point_groups(
@@ -563,9 +601,9 @@ def run_point_groups(
         cache = PlanCache(plan_cache)
     try:
         batch = BatchSimulator()
+        share = _RunShare()
         outcome = ChunkOutcome()
         results = outcome.results
-        clocks = []
         enrolled: List[SweepPoint] = []
         for group in groups:
             if scenario(group[0].scenario).prepare is None:
@@ -574,12 +612,10 @@ def run_point_groups(
                 continue
             try:
                 if tele is None:
-                    clocks.append(_enroll_group(batch, group, results, cache=cache))
+                    _enroll_group(batch, group, results, share, cache=cache)
                 else:
                     with tele.timer.phase("prepare"):
-                        clocks.append(
-                            _enroll_group(batch, group, results, tele=tele, cache=cache)
-                        )
+                        _enroll_group(batch, group, results, share, tele=tele, cache=cache)
             except Exception as exc:
                 # The hook declined (BatchUnsupported), enrollment failed, or
                 # the hook rejected a bad point: the group's points run solo,
@@ -591,12 +627,8 @@ def run_point_groups(
             else:
                 outcome.batched_points += len(group)
                 enrolled.extend(group)
-        # Restamp every group's clock at the common start line: enrollment
-        # built the other groups' SoCs in between, and that cost must not
-        # land on the first group's first stop.
-        start = time.perf_counter()
-        for clock in clocks:
-            clock["last"] = start
+        start = share.mark = time.perf_counter()
+        share.active = len(batch.instances)
         finalize_before = tele.timer.seconds["finalize"] if tele is not None else 0.0
         try:
             batch.run()
@@ -626,46 +658,10 @@ def run_point_groups(
     return _finish_chunk(outcome, tele, tracer if owned else None)
 
 
-def _chunked_groups(
-    groups: Sequence[Sequence[SweepPoint]], chunk: int
-) -> List[List[List[SweepPoint]]]:
-    """Pack whole groups into chunks of roughly ``chunk`` points.
-
-    Groups are never split: splitting one would sever the shared prefix and
-    re-simulate it per fragment.  A group larger than ``chunk`` therefore
-    becomes its own chunk.
-    """
-    chunks: List[List[List[SweepPoint]]] = []
-    current: List[List[SweepPoint]] = []
-    count = 0
-    for group in groups:
-        if current and count + len(group) > chunk:
-            chunks.append(current)
-            current, count = [], 0
-        current.append(group)
-        count += len(group)
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def auto_chunk(n_points: int, jobs: int) -> int:
-    """Default chunk size: about four chunks per worker.
-
-    Large enough to amortise dispatch/pickling on small campaigns, small
-    enough that the unordered collection still load-balances points whose
-    cost varies (horizon axes span orders of magnitude).
-    """
-    if jobs <= 1:
-        return max(n_points, 1)
-    return max(1, n_points // (jobs * 4))
-
-
 def execute_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    chunk: Optional[int] = None,
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
     trace: bool = False,
@@ -675,14 +671,14 @@ def execute_campaign(
     """Run every point of ``spec`` and return the aggregated result.
 
     ``jobs`` is the requested number of worker processes (``1`` runs
-    everything in this process; the effective pool is additionally capped at
-    the core count and the chunk count).  ``chunk`` overrides the auto-sized
-    per-worker batch.  ``reuse`` maps point indices to previously computed
-    results (see :mod:`repro.sweep.resume`); those points are not re-run.
-    ``shard`` restricts execution to one contiguous index range of the grid
-    (see :class:`~repro.sweep.campaign.ShardSpec`); ``reuse`` entries outside
-    the shard are ignored.  Points that share parameters run as one batched
-    group (:func:`batch_groups`); groups (or whole scenarios) that cannot
+    everything in this process as one task; the effective pool is
+    additionally capped at the core count and the task count).  ``reuse``
+    maps point indices to previously computed results (see
+    :mod:`repro.sweep.resume`); those points are not re-run.  ``shard``
+    restricts execution to one set of whole groups of the grid (see
+    :class:`~repro.sweep.campaign.ShardSpec`); ``reuse`` entries outside the
+    shard are ignored.  Points that share parameters run as one batched
+    group (:func:`~repro.sweep.campaign.batch_groups`); groups (or whole scenarios) that cannot
     batch run their points solo with the reason recorded in
     ``batch_fallbacks`` — never silently.  ``progress`` (if given) is
     called after each completed point with ``(completed, total, result)``
@@ -706,8 +702,6 @@ def execute_campaign(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be at least 1")
     telemetry = trace or profile
     timer = PhaseTimer() if telemetry else None
     kernel_totals = CounterSet(KERNEL_STAT_KEYS) if telemetry else None
@@ -719,7 +713,12 @@ def execute_campaign(
     else:
         all_points = expand_campaign(spec)
     points_total = len(all_points)
-    points = shard.select(all_points) if shard is not None else all_points
+    points = all_points
+    if shard is not None:
+        points = shard.select(all_points)
+        # Record the slice as the explicit index set it resolved to, which
+        # is what the artifacts' shard block declares.
+        shard = ShardSpec(shard.index, shard.count, index_runs(point.index for point in points))
     total = len(points)
     start = time.perf_counter()
     results: List[PointResult] = []
@@ -741,12 +740,13 @@ def execute_campaign(
             )
         )
 
-    chunk_size = chunk if chunk is not None else auto_chunk(len(points), jobs)
-    chunks = _chunked_groups(batch_groups(points), chunk_size)
+    # Workers beyond the core count only add overhead; the aggregated
+    # artifacts are independent of the pool geometry anyway.
+    workers = min(jobs, os.cpu_count() or 1)
+    groups = batch_groups(points)
+    parts = 1 if workers <= 1 else TASKS_PER_WORKER * workers
+    tasks = cut_groups(groups, estimate_costs(groups, {}), parts)
     task = partial(run_point_groups, trace=trace, profile=profile, plan_cache=plan_cache)
-    # Workers beyond the core count (or the chunk count) only add overhead;
-    # the aggregated artifacts are independent of the pool geometry anyway.
-    workers = min(jobs, os.cpu_count() or 1, len(chunks))
     batched_points = 0
     batch_rounds = 0
     trace_events: List[Dict[str, object]] = []
@@ -773,12 +773,12 @@ def execute_campaign(
             if progress is not None:
                 progress(len(results), total, result)
 
-    if workers <= 1:
-        for piece in chunks:
-            collect(task(piece))
+    if workers <= 1 or len(tasks) <= 1:
+        for groups_of_task in tasks:
+            collect(task(groups_of_task))
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            for outcome in pool.imap_unordered(task, chunks):
+        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            for outcome in pool.imap_unordered(task, tasks):
                 collect(outcome)
     results.sort(key=lambda result: result.index)
     # Deterministic fallback/failure order regardless of pool completion order.
@@ -828,7 +828,6 @@ def execute_campaign(
         points=results,
         jobs=jobs,
         wall_seconds=wall_seconds,
-        chunk=chunk_size,
         shard=shard,
         points_total=points_total,
         batched_points=batched_points,

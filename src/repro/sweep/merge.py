@@ -15,10 +15,10 @@ into the single-host artifacts:
   campaign-identity digest ``--resume`` validates;
 * the records must cover the full grid **exactly once** — duplicates across
   directories and missing points are each diagnosed with the offending
-  indices and directories named.  Declared ranges may overlap as long as the
-  records do not: a shard that lost points to a failure and the heal shard
-  that re-ran exactly those points both declare the same indices, and that
-  pair must merge;
+  indices and directories named.  Coverage is a set of point indices, and
+  declared index sets may overlap as long as the records do not: a shard
+  that lost points to a failure and the heal shard that re-ran exactly
+  those points both declare the same indices, and that pair must merge;
 * records are re-sorted into row-major point order and written through the
   same serialisers as a local run, so the merged
   ``results.json``/``results.csv`` are **byte-identical** to a single-host
@@ -58,9 +58,10 @@ from repro.sweep.artifacts import (
     ArtifactDir,
     read_artifact_dir,
     results_payload,
+    shard_dirname,
     write_results_csv,
 )
-from repro.sweep.campaign import CampaignSpec
+from repro.sweep.campaign import CampaignSpec, batch_groups, cut_shards, estimate_costs, expand_campaign, index_runs
 from repro.sweep.execute import CampaignResult, PointResult
 from repro.sweep.resume import ResumeError, spec_hash
 
@@ -200,10 +201,14 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
     if missing and not allow_missing:
         covered = []
         for shard in shards:
-            bounds = shard.declared_range
+            declared = shard.declared_points
             covered.append(
                 f"  {shard.shard_label}: "
-                + (f"indices [{bounds[0]}, {bounds[1]})" if bounds else "unsharded")
+                + (
+                    "indices " + " ".join(f"[{start}, {stop})" for start, stop in index_runs(declared))
+                    if declared is not None
+                    else "unsharded"
+                )
             )
         raise IncompleteCoverageError(
             f"incomplete coverage: {len(missing)} of {points_total} point(s) missing "
@@ -233,7 +238,6 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
         points=points,
         jobs=0,  # merged, not executed here; the manifest names the sources
         wall_seconds=wall_seconds,
-        chunk=0,
         shard=None,
         points_total=points_total,
         telemetry=_merged_telemetry(shards),
@@ -344,7 +348,6 @@ def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
         "execution": {
             "merged_from": sources,
             "jobs": None,
-            "chunk": None,
             "reused_points": 0,
             "computed_points": result.n_points,
             "batched_points": 0,
@@ -373,69 +376,34 @@ def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
 HEAL_JSON = "heal.json"
 
 
-def _contiguous_runs(indices: Sequence[int]) -> List[Tuple[int, int]]:
-    """Collapse a sorted index set into half-open ``[start, stop)`` runs."""
-    runs: List[Tuple[int, int]] = []
-    for index in sorted(indices):
-        if runs and runs[-1][1] == index:
-            runs[-1] = (runs[-1][0], index + 1)
-        else:
-            runs.append((index, index + 1))
-    return runs
-
-
 def plan_heal(error: IncompleteCoverageError, out_dir: Path) -> Dict[str, object]:
     """Turn an incomplete-coverage failure into exact re-run commands.
 
-    Preference order: re-run whole shards of the fleet's original shard
-    count ``N`` whose ranges fell entirely into the gap (the common failure —
-    a dead fleet member), then close the remaining gaps by contiguous run:
-    an isolated point becomes the single-point shard ``i/points_total``
-    (shard ``i`` of ``P`` covers exactly ``[i, i+1)``) and a longer run
-    becomes one explicit-span shard ``start/points_total@start:stop`` — one
-    worker per gap rather than one per point, and never overlapping points
-    other shards already carry.  The returned payload is what ``sweep merge
-    --heal`` prints and writes to ``<out>/<campaign>/heal.json``:
+    The missing points are regrouped into their batch groups and cut with
+    the one cost cut (:func:`~repro.sweep.campaign.cut_groups`) into at most
+    as many parts as the widest surviving shard set had shards, so a heal
+    round runs as wide as the fleet that left the gap.  Each part becomes
+    one explicit index-set shard (``i/k@START:STOP,…``): it re-runs exactly
+    the missing points, never overlaps points other shards already carry,
+    and never splits one group's missing points across two shards.  The
+    returned payload is what ``sweep merge --heal`` prints and writes to
+    ``<out>/<campaign>/heal.json``:
 
     * ``commands`` — one entry per re-run with the ``--shard`` spec, the full
       argv, and the artifact directory the run will produce;
     * ``merge_after`` — every directory (the surviving shards plus the new
       ones) to pass to the next ``sweep merge``.
     """
-    from repro.sweep.artifacts import shard_dirname
-    from repro.sweep.campaign import ShardSpec
-
     spec = error.spec
-    points_total = error.points_total
-    missing = set(error.missing)
-    counts = sorted(
-        {
-            int(block["count"])
-            for shard in error.shards
-            for block in [shard.manifest.get("shard")]
-            if isinstance(block, dict) and str(block.get("count", "")).isdigit()
-        }
-    )
-    fleet_count = counts[-1] if counts else None
-
-    shard_specs: List[ShardSpec] = []
-    if fleet_count is not None:
-        for index in range(fleet_count):
-            shard = ShardSpec(index=index, count=fleet_count)
-            start, stop = shard.bounds(points_total)
-            if start < stop and all(point in missing for point in range(start, stop)):
-                shard_specs.append(shard)
-                missing.difference_update(range(start, stop))
-    # Whatever is left (partial-shard gaps, or no shard blocks to infer a
-    # fleet from) is healed run by run.
-    for start, stop in _contiguous_runs(missing):
-        if stop - start == 1:
-            shard_specs.append(ShardSpec(index=start, count=points_total))
-        else:
-            shard_specs.append(
-                ShardSpec(index=start, count=points_total, span=(start, stop))
-            )
-    shard_specs.sort(key=lambda shard: shard.bounds(points_total))
+    counts = [
+        block["count"]
+        for shard in error.shards
+        for block in [shard.manifest.get("shard")]
+        if isinstance(block, dict) and type(block.get("count")) is int
+    ]
+    points = expand_campaign(spec)
+    groups = batch_groups([points[index] for index in error.missing])
+    shard_specs = cut_shards(groups, estimate_costs(groups, {}), max(counts, default=1))
 
     out_dir = Path(out_dir)
     commands = []
@@ -453,11 +421,10 @@ def plan_heal(error: IncompleteCoverageError, out_dir: Path) -> Dict[str, object
             str(out_dir),
         ]
         artifact_dir = out_dir / spec.name / shard_dirname(shard)
-        start, stop = shard.bounds(points_total)
         commands.append(
             {
                 "shard": str(shard),
-                "points": list(range(start, stop)),
+                "points": [index for start, stop in shard.runs for index in range(start, stop)],
                 "argv": argv,
                 "command": " ".join(argv),
                 "artifact_dir": str(artifact_dir),
@@ -469,7 +436,7 @@ def plan_heal(error: IncompleteCoverageError, out_dir: Path) -> Dict[str, object
         "schema_version": SCHEMA_VERSION,
         "campaign": spec.name,
         "spec_hash": spec_hash(spec),
-        "points_total": points_total,
+        "points_total": error.points_total,
         "missing": list(error.missing),
         "commands": commands,
         "merge_after": [str(shard.directory) for shard in error.shards] + new_dirs,

@@ -243,7 +243,6 @@ class TestFleetCli:
         assert main(["fleet", "no-such-campaign", "--out", str(tmp_path)]) == 2
         assert main(["fleet", "smoke", "--chaos", "explode:0"]) == 2
         assert main(["fleet", "smoke", "--workers", "0"]) == 2
-        assert main(["fleet", "smoke", "--transport", "carrier-pigeon"]) == 2
         assert main(["fleet", "status", str(tmp_path / "nowhere")]) == 2
         assert main(["fleet"]) == 2
         capsys.readouterr()

@@ -1,18 +1,23 @@
-"""Cost model: per-point estimates, cost-weighted cuts, timing scavenging."""
+"""Cost model: group pricing, the one cut of whole groups, fleet shards,
+timing scavenging."""
 
 import json
 
 import pytest
 
-from repro.fleet.cost import (
-    DEFAULT_SECONDS_PER_CYCLE,
-    cut_shards,
-    cut_spans,
-    estimate_costs,
-    scavenge_point_walls,
-)
+from repro.fleet.cost import scavenge_point_walls
 from repro.sweep.artifacts import write_artifacts
-from repro.sweep.campaign import CampaignSpec, ShardSpec, expand_campaign
+from repro.sweep.campaign import (
+    DEFAULT_SECONDS_PER_CYCLE,
+    CampaignSpec,
+    ShardSpec,
+    SweepPoint,
+    batch_groups,
+    cut_groups,
+    cut_shards,
+    estimate_costs,
+    expand_campaign,
+)
 from repro.sweep.execute import execute_campaign
 
 SPEC = CampaignSpec(
@@ -26,89 +31,127 @@ SPEC = CampaignSpec(
 )
 
 
+def make_groups(sizes):
+    """Groups of consecutively numbered points, one group per size."""
+    groups, index = [], 0
+    for number, size in enumerate(sizes):
+        group = []
+        for _ in range(size):
+            group.append(
+                SweepPoint(
+                    index=index,
+                    campaign="cut",
+                    scenario="duty-cycled-logging",
+                    horizon_cycles=1_000 * (len(group) + 1),
+                    dense=False,
+                    params={"sample_period_cycles": number},
+                )
+            )
+            index += 1
+        groups.append(group)
+    return groups
+
+
+def part_sizes(parts):
+    return [len(part) for part in parts]
+
+
 class TestCutSpans:
+    """The one cut (:func:`cut_groups`): contiguous runs of whole groups."""
+
     @pytest.mark.parametrize("n_points", [1, 2, 3, 7, 24, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
     def test_partition_is_contiguous_and_complete(self, n_points, workers):
-        spans = cut_spans([1.0] * n_points, workers)
-        covered = [i for start, stop in spans for i in range(start, stop)]
-        assert covered == list(range(n_points))  # in order, no gap, no overlap
-        assert all(stop > start for start, stop in spans)  # never empty
-        assert len(spans) <= workers
+        groups = make_groups([1 + index % 3 for index in range(n_points)])
+        parts = cut_groups(groups, [1.0] * n_points, workers)
+        covered = [group for part in parts for group in part]
+        assert covered == groups  # in order, no gap, no overlap, none split
+        assert all(parts)  # never empty
+        assert len(parts) == min(workers, n_points)
 
     def test_uniform_costs_cut_balanced(self):
-        spans = cut_spans([1.0] * 12, 4)
-        assert [stop - start for start, stop in spans] == [3, 3, 3, 3]
+        parts = cut_groups(make_groups([2] * 12), [1.0] * 12, 4)
+        assert part_sizes(parts) == [3, 3, 3, 3]
 
     def test_expensive_head_gets_a_small_span(self):
-        # One point worth as much as all the rest together: it should be
-        # cut off alone, and the cheap tail shared among the other workers.
+        # One group worth as much as all the rest together: it should be
+        # cut off alone, and the cheap tail shared among the other parts.
         costs = [30.0] + [1.0] * 30
-        spans = cut_spans(costs, 4)
-        assert spans[0] == (0, 1)
-        sizes = [stop - start for start, stop in spans[1:]]
+        parts = cut_groups(make_groups([1] * 31), costs, 4)
+        assert part_sizes(parts)[0] == 1
+        sizes = part_sizes(parts)[1:]
         assert sum(sizes) == 30
         assert max(sizes) - min(sizes) <= 1
 
     def test_more_workers_than_points(self):
-        spans = cut_spans([1.0, 1.0], 5)
-        assert spans == [(0, 1), (1, 2)]
+        groups = make_groups([3, 2])
+        assert cut_groups(groups, [1.0, 1.0], 5) == [[groups[0]], [groups[1]]]
 
     def test_no_worker_starves_while_points_remain(self):
-        # A huge first point must not swallow the whole range: every
-        # remaining worker is guaranteed at least one point.
-        spans = cut_spans([1000.0, 1.0, 1.0, 1.0], 4)
-        assert len(spans) == 4
-        assert all(stop - start == 1 for start, stop in spans)
+        # A huge first group must not swallow the whole range: every
+        # remaining part is guaranteed at least one group.
+        parts = cut_groups(make_groups([1, 1, 1, 1]), [1000.0, 1.0, 1.0, 1.0], 4)
+        assert part_sizes(parts) == [1, 1, 1, 1]
 
     def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            cut_spans([1.0], 0)
+        with pytest.raises(ValueError, match="parts"):
+            cut_groups(make_groups([1]), [1.0], 0)
 
 
 class TestCutShards:
     def test_emits_explicit_span_shards_that_round_trip(self):
-        shards = cut_shards([1.0] * 10, 3)
-        assert all(isinstance(shard, ShardSpec) for shard in shards)
+        groups = make_groups([2] * 10)
+        shards = cut_shards(groups, [1.0] * 10, 3)
+        assert all(isinstance(shard, ShardSpec) and shard.runs for shard in shards)
         for shard in shards:
-            parsed = ShardSpec.parse(str(shard))
-            assert parsed.span == shard.span
+            assert ShardSpec.parse(str(shard)) == shard
         assert [shard.count for shard in shards] == [len(shards)] * len(shards)
 
     def test_spans_cover_the_grid(self):
-        shards = cut_shards([1.0] * 10, 3)
-        covered = []
-        for shard in shards:
-            start, stop = shard.bounds(10)
-            covered.extend(range(start, stop))
-        assert covered == list(range(10))
+        # pipeline-clock-ratio's shape: horizon is the slowest axis, so every
+        # group is strided and each shard is a set of several index runs.
+        spec = CampaignSpec(
+            name="strided-cut",
+            description="horizon-major grid",
+            scenario="duty-cycled-logging",
+            grid={"horizon_cycles": (20_000, 30_000, 40_000), "sample_period_cycles": (1_000, 2_000, 3_000)},
+        )
+        points = expand_campaign(spec)
+        groups = batch_groups(points)
+        shards = cut_shards(groups, estimate_costs(groups, {}), 2)
+        selected = [[point.index for point in shard.select(points)] for shard in shards]
+        assert sorted(index for part in selected for index in part) == list(range(len(points)))
+        for group in groups:
+            owners = [number for number, part in enumerate(selected) if group[0].index in part]
+            assert all(point.index in selected[owners[0]] for point in group)
+        assert len(shards[0].runs) > 1
 
 
 class TestEstimateCosts:
     def test_without_observations_costs_scale_with_horizon(self):
-        points = expand_campaign(SPEC)
-        costs = estimate_costs(points, {})
-        for point, cost in zip(points, costs):
-            assert cost == pytest.approx(point.horizon_cycles * DEFAULT_SECONDS_PER_CYCLE)
+        # A group costs its deepest horizon: one simulation to it serves
+        # every shallower point of the group.
+        groups = batch_groups(expand_campaign(SPEC))
+        for group, cost in zip(groups, estimate_costs(groups, {})):
+            assert cost == pytest.approx(60_000 * DEFAULT_SECONDS_PER_CYCLE)
 
     def test_observed_walls_are_used_verbatim(self):
-        points = expand_campaign(SPEC)
-        walls = {0: 2.5}
-        costs = estimate_costs(points, walls)
-        assert costs[0] == pytest.approx(2.5)
+        groups = batch_groups(expand_campaign(SPEC))
+        walls = {point.index: 0.5 + point.index for point in groups[0]}
+        assert estimate_costs(groups, walls)[0] == pytest.approx(sum(walls.values()))
 
     def test_observations_calibrate_unobserved_points(self):
-        points = expand_campaign(SPEC)
-        # One observed point prices the rest by its seconds-per-cycle rate.
-        rate = 1e-4
-        walls = {0: points[0].horizon_cycles * rate}
-        costs = estimate_costs(points, walls)
-        for point, cost in zip(points[1:], costs[1:]):
-            assert cost == pytest.approx(point.horizon_cycles * rate)
+        groups = batch_groups(expand_campaign(SPEC))
+        # One observed group prices the rest by its seconds per deepest cycle;
+        # a partly observed group counts as unobserved.
+        walls = {point.index: 3.0 for point in groups[0]}
+        walls[groups[1][0].index] = 100.0
+        costs = estimate_costs(groups, walls)
+        assert costs[1] == pytest.approx(60_000 * (6.0 / 60_000))
 
     def test_costs_are_strictly_positive(self):
-        points = expand_campaign(SPEC)
-        costs = estimate_costs(points, {index: 0.0 for index in range(len(points))})
+        groups = batch_groups(expand_campaign(SPEC))
+        costs = estimate_costs(groups, {index: 0.0 for index in range(SPEC.n_points)})
         assert all(cost > 0 for cost in costs)
 
 

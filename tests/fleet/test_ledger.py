@@ -32,7 +32,6 @@ def make_ledger() -> FleetLedger:
         spec_hash="abc123",
         points_total=10,
         workers=2,
-        transport="local",
         timeout=60.0,
         max_retries=3,
         backoff_base=0.5,
@@ -42,7 +41,7 @@ def make_ledger() -> FleetLedger:
 
 def make_attempt(**overrides) -> Attempt:
     attempt = Attempt(
-        shard=ShardSpec(index=0, count=2, span=(0, 5)),
+        shard=ShardSpec(index=0, count=2, runs=((0, 2), (4, 5))),
         number=1,
         artifact_dir=Path("/tmp/demo/shard-0"),
         handle=_Handle(),
@@ -77,7 +76,7 @@ class TestLedgerPayload:
         assert payload["missing"] == 2 and payload["missing_sample"] == [5, 6]
         (round_record,) = payload["rounds"]
         (entry,) = round_record["attempts"]
-        assert entry["shard"] == "0/2@0:5" and entry["span"] == [0, 5]
+        assert entry["shard"] == "0/2@0:2,4:5" and entry["runs"] == [[0, 2], [4, 5]]
         assert entry["outcome"] == CRASH and entry["chaos"] == "kill"
         assert entry["accepted"] is False and entry["returncode"] == -9
         assert entry["worker"] == "pid:42"
@@ -136,7 +135,20 @@ class TestRender:
         text = render_ledger(ledger.payload())
         assert "fleet demo: partial (exit 4)" in text
         assert "round 1 (backoff 0.50s)" in text
-        assert "shard 0/2@0:5 attempt 1: crash" in text
+        assert "shard 0/2@0:2,4:5 attempt 1: crash" in text
         assert "chaos=kill" in text
         assert "no artifacts produced" in text
         assert "note: scavenge skipped" in text
+
+    def test_render_reads_old_ledgers_with_a_transport(self):
+        # Ledgers written before the transport seam was deleted carry
+        # ``config.transport`` and a per-attempt ``span``; status still
+        # renders them.
+        ledger = make_ledger()
+        ledger.record_attempt(ledger.start_round(0, 0.0, [0]), make_attempt(), points_delivered=0)
+        payload = ledger.payload()
+        payload["config"]["transport"] = "local"
+        payload["rounds"][0]["attempts"][0]["span"] = [0, 5]
+        text = render_ledger(payload)
+        assert "config: workers=2 timeout=60.0s" in text
+        assert "shard 0/2@0:2,4:5 attempt 1: crash" in text

@@ -6,7 +6,7 @@ reference — :func:`~repro.sweep.execute.run_point` over every point — bit
 for bit.  Groups that cannot batch (no prepare hook, or heterogeneous
 derived drives) must fall back with the reason recorded in the manifest, a
 bad point must fail alone without taking the campaign down, and batching
-must compose with ``--jobs``/``--chunk``/``--shard``/``--resume``.
+must compose with ``--jobs``/``--shard``/``--resume``.
 """
 
 import json
@@ -177,7 +177,7 @@ class TestBadPoints:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rejected_group_fails_only_its_points(self, jobs, tmp_path):
-        result = execute_campaign(self.SPEC, jobs=jobs, chunk=1)
+        result = execute_campaign(self.SPEC, jobs=jobs)
         assert [record["index"] for record in result.failed_points] == [1, 3]
         for record in result.failed_points:
             assert record["error"] == "ValueError: duty-cycled sampling needs a period >= 100 cycles"
@@ -196,9 +196,9 @@ class TestBadPoints:
 class TestComposition:
     def test_batch_composes_with_jobs_and_chunk(self):
         serial = _solo(SMALL_SPEC)
-        pooled = execute_campaign(SMALL_SPEC, jobs=2, chunk=1)
+        pooled = execute_campaign(SMALL_SPEC, jobs=2)
         assert _payload_bytes(serial) == _payload_bytes(pooled)
-        # chunk=1 cannot split a 2-point group: sharing survives chunking.
+        # A pool task never splits a 2-point group: sharing survives the pool.
         assert pooled.batched_points == 4
 
     def test_batch_composes_with_shard(self):
@@ -229,6 +229,26 @@ class TestComposition:
         execution = manifest_payload(SMALL_SPEC, result)["execution"]
         assert execution["batched_points"] == 4
         assert execution["batch_fallbacks"] == []
+
+
+class TestHonestWalls:
+    def test_point_walls_add_up_to_the_run(self):
+        # Each batch interval is split across the instances live in it and
+        # each stop's share across its points, so the manifest's per-point
+        # walls of a serial batched run add up to the run's wall time
+        # (charging every point the full time since its instance's previous
+        # stop made them sum to several times it).
+        spec = CampaignSpec(
+            name="honest-walls",
+            description="two-horizon multi-link-pipeline groups",
+            scenario="multi-link-pipeline",
+            grid={"horizon_cycles": (10_000, 20_000), "clock_ratio": (1, 4), "timer_period_cycles": (150, 600)},
+        )
+        result = execute_campaign(spec, jobs=1)
+        assert result.batched_points == spec.n_points
+        execution = manifest_payload(spec, result)["execution"]
+        summed = sum(execution["point_wall_seconds"].values())
+        assert summed == pytest.approx(execution["wall_seconds"], rel=0.10)
 
 
 class TestCli:

@@ -13,9 +13,10 @@ from repro.sweep.artifacts import (
     results_payload,
     write_artifacts,
 )
-from repro.sweep.campaign import CampaignSpec, expand_campaign
+from repro.sweep import execute
+from repro.sweep.campaign import CampaignSpec, batch_groups, expand_campaign
 from repro.sweep.campaigns import campaign
-from repro.sweep.execute import execute_campaign, run_point
+from repro.sweep.execute import execute_campaign, run_point, run_point_groups
 from repro.workloads.registry import run_scenario
 
 SMALL_SPEC = CampaignSpec(
@@ -81,19 +82,53 @@ class TestShardingDeterminism:
         sharded = execute_campaign(SMALL_SPEC, jobs=2)
         assert results_payload(serial) == results_payload(sharded)
 
-    def test_chunk_size_never_changes_results(self):
+    def test_task_count_never_changes_results(self, monkeypatch):
         serial = execute_campaign(SMALL_SPEC, jobs=1)
-        for chunk in (1, 2, 3, 100):
-            chunked = execute_campaign(SMALL_SPEC, jobs=2, chunk=chunk)
-            assert results_payload(chunked) == results_payload(serial)
-            assert chunked.chunk == chunk
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(execute.os, "cpu_count", lambda: cores)
+            pooled = execute_campaign(SMALL_SPEC, jobs=3)
+            assert results_payload(pooled) == results_payload(serial)
 
-    def test_auto_chunk_batches_small_campaigns(self):
-        from repro.sweep.execute import auto_chunk
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pool_tasks_are_whole_groups(self, jobs, monkeypatch):
+        spec = CampaignSpec(
+            name="exec-test-tasks",
+            description="horizon-major grid: every group is strided",
+            scenario="duty-cycled-logging",
+            grid={"horizon_cycles": (20_000, 30_000), "sample_period_cycles": (1_000, 2_000, 3_000, 4_000, 5_000)},
+        )
+        tasks = []
 
-        assert auto_chunk(4, 1) == 4  # serial: one batch, no pool
-        assert auto_chunk(32, 2) == 4  # ~4 chunks per worker
-        assert auto_chunk(3, 8) == 1  # never zero
+        def recording_task(groups, **options):
+            tasks.append([[point.index for point in group] for group in groups])
+            return run_point_groups(groups, **options)
+
+        class InlinePool:
+            """The pool's task stream, run in this process so it is recorded."""
+
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, function, items):
+                return map(function, items)
+
+        monkeypatch.setattr(execute.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(execute, "run_point_groups", recording_task)
+        monkeypatch.setattr(execute.multiprocessing, "Pool", InlinePool)
+        groups = [[point.index for point in group] for group in batch_groups(expand_campaign(spec))]
+        result = execute_campaign(spec, jobs=jobs)
+        assert result.n_points == spec.n_points
+        if jobs == 1:
+            assert tasks == [groups]  # serial: exactly one task holding every group
+        else:
+            # 5 groups, 4 tasks per worker: one whole group per task.
+            assert sorted(tasks) == sorted([group] for group in groups)
 
     def test_progress_reports_every_point(self):
         seen = []
@@ -103,10 +138,6 @@ class TestShardingDeterminism:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs"):
             execute_campaign(SMALL_SPEC, jobs=0)
-
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk"):
-            execute_campaign(SMALL_SPEC, jobs=2, chunk=0)
 
 
 class TestAcceptanceCampaign:

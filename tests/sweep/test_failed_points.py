@@ -70,9 +70,9 @@ class TestFailureCapture:
         assert "RuntimeError" in record["traceback"]
 
     def test_pool_run_is_not_poisoned(self, spec):
-        # One failing chunk task must not take down the pool or lose the
-        # sibling chunks; the outcome matches the serial run exactly.
-        result = execute_campaign(spec, jobs=2, chunk=1)
+        # One failing pool task must not take down the pool or lose the
+        # sibling tasks; the outcome matches the serial run exactly.
+        result = execute_campaign(spec, jobs=2)
         assert result.n_failed == 1
         assert {r.index for r in result.points} == {0, 1, 3}
         assert result.failed_points[0]["index"] == FAILING_INDEX

@@ -45,50 +45,53 @@ def _write_fleet(tmp_path, count):
 
 
 class TestIncompleteCoverage:
+    # SPEC is horizon-major: its batch groups are {0, 2} and {1, 3}, so a
+    # balanced 4-way fleet is shards {0, 2}, {1, 3} and two empty ones.
+
     def test_missing_shard_raises_structured_error(self, tmp_path):
         directories = _write_fleet(tmp_path, 4)
         with pytest.raises(IncompleteCoverageError) as excinfo:
             merge_shards(directories[:1] + directories[2:])
         error = excinfo.value
-        assert error.missing == [1]
+        assert error.missing == [1, 3]
         assert error.points_total == 4
         assert error.spec.name == SPEC.name
         assert "--heal" in str(error)
 
     def test_plan_heal_reruns_the_dead_shard(self, tmp_path):
         directories = _write_fleet(tmp_path, 4)
+        survivors = [directories[0], directories[2], directories[3]]
         with pytest.raises(IncompleteCoverageError) as excinfo:
-            merge_shards([directories[0], directories[1], directories[3]])
+            merge_shards(survivors)
         plan = plan_heal(excinfo.value, tmp_path)
-        assert plan["missing"] == [2]
-        assert [command["shard"] for command in plan["commands"]] == ["2/4"]
+        assert plan["missing"] == [1, 3]
+        # The dead shard's one group comes back as one explicit index set.
+        assert [command["shard"] for command in plan["commands"]] == ["0/1@1:2,3:4"]
         command = plan["commands"][0]
-        assert command["points"] == [2]
+        assert command["points"] == [1, 3]
         assert command["argv"][:5] == ["python", "-m", "repro.run", "sweep", SPEC.name]
-        assert "--shard 2/4" in command["command"]
+        assert "--shard 0/1@1:2,3:4" in command["command"]
         assert str(tmp_path) in command["command"]
         # merge_after lists the survivors plus the shard the command creates.
-        assert [str(directory) for directory in directories if "2-of-4" not in str(directory)] == [
-            entry for entry in plan["merge_after"] if "2-of-4" not in entry
-        ]
-        assert any("shard-2-of-4" in entry for entry in plan["merge_after"])
+        assert plan["merge_after"] == [str(directory) for directory in survivors] + [command["artifact_dir"]]
 
-    def test_plan_heal_covers_partial_gaps_with_single_point_shards(self, tmp_path):
+    def test_plan_heal_never_splits_a_group(self, tmp_path):
         directories = _write_fleet(tmp_path, 2)
-        # Amputate one record from shard 0 (covers [0, 2)): the gap is now
-        # inside a shard range, so no 0/2 re-run can close it without
-        # overlapping the surviving record — heal must fall back to
-        # single-point shards.
-        results_path = directories[0] / "results.json"
-        payload = json.loads(results_path.read_text())
-        payload["points"] = [record for record in payload["points"] if record["index"] != 1]
-        results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # Amputate records from inside both shards: the whole group {0, 2}
+        # and point 1 of the group {1, 3}.  Heal cuts the missing points by
+        # group, as wide as the 2-shard fleet: one shard per group, and
+        # never one group's missing points across two shards.
+        for directory, lost in ((directories[0], {0, 2}), (directories[1], {1})):
+            results_path = directory / "results.json"
+            payload = json.loads(results_path.read_text())
+            payload["points"] = [record for record in payload["points"] if record["index"] not in lost]
+            results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         with pytest.raises(IncompleteCoverageError) as excinfo:
             merge_shards(directories)
         plan = plan_heal(excinfo.value, tmp_path)
-        assert plan["missing"] == [1]
-        assert [command["shard"] for command in plan["commands"]] == ["1/4"]
-        assert plan["commands"][0]["points"] == [1]
+        assert plan["missing"] == [0, 1, 2]
+        assert [command["shard"] for command in plan["commands"]] == ["0/2@0:1,2:3", "1/2@1:2"]
+        assert [command["points"] for command in plan["commands"]] == [[0, 2], [1]]
 
 
 class TestHealCli:
@@ -110,11 +113,12 @@ class TestHealCli:
         # With --heal: exit 3, commands on stdout, heal.json written.
         assert main(["sweep", "merge", *survivors, "--out", str(out), "--heal"]) == 3
         captured = capsys.readouterr()
-        assert f"sweep smoke --shard 1/3 --out {out}" in captured.out
+        # smoke's groups are {0, 2} and {1, 3}: the lost shard 1/3 held {1, 3}.
+        assert f"sweep smoke --shard 0/1@1:2,3:4 --out {out}" in captured.out
         heal = json.loads((out / "smoke" / "heal.json").read_text())
         assert heal["campaign"] == "smoke"
-        assert heal["missing"] == [1]
-        assert [command["shard"] for command in heal["commands"]] == ["1/3"]
+        assert heal["missing"] == [1, 3]
+        assert [command["shard"] for command in heal["commands"]] == ["0/1@1:2,3:4"]
         assert len(heal["merge_after"]) == 3
 
     def test_healed_fleet_merges_byte_identical(self, tmp_path, capsys):

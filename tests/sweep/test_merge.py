@@ -179,10 +179,13 @@ class TestMergeValidation:
             merge_shards([dirs[0], tmp_path / "alien" / other.name])
 
     def test_overlapping_shards_are_refused(self, tmp_path):
-        dirs = _shard_dirs(tmp_path, 2)
-        overlapping = _shard_dirs(tmp_path / "three", 3)
+        dirs = []
+        for index, text in enumerate(("0/2@0:2", "1/2@1:4")):  # overlap at point 1
+            result = execute_campaign(SPEC, shard=ShardSpec.parse(text))
+            write_artifacts(SPEC, result, tmp_path / f"shard{index}")
+            dirs.append(tmp_path / f"shard{index}" / SPEC.name)
         with pytest.raises(MergeError, match="overlapping"):
-            merge_shards([dirs[0], overlapping[1]])  # [0,2) vs [1,2)
+            merge_shards(dirs)
 
     def test_same_directory_twice_is_refused(self, tmp_path):
         dirs = _shard_dirs(tmp_path, 2)
@@ -197,8 +200,8 @@ class TestMergeValidation:
             merge_shards([dirs[0], dirs[2]])
         except MergeError as exc:
             message = str(exc)
-        # shard 1/3 of 4 points owns exactly index 1
-        assert "(1)" in message
+        # shard 1/3 of SPEC's two groups owns the group {1, 3}
+        assert "(1, 3)" in message
         assert "shard 0/3" in message and "shard 2/3" in message
 
     def test_missing_artifacts_are_refused_with_a_hint(self, tmp_path):

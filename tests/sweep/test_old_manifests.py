@@ -1,13 +1,19 @@
-"""Manifests written before ``execution.backend`` was dropped stay readable.
+"""Artifacts written in older formats stay readable.
 
 Older runs recorded which batch round loop produced them
-(``execution.backend``, e.g. ``"numpy"``).  The field is gone from new
-manifests, but artifact directories written with it must still resume,
-merge and ingest: every reader takes ``execution`` fields with ``.get`` and
-ignores keys it does not know.
+(``execution.backend``, e.g. ``"numpy"``) and the pool's points per task
+(``execution.chunk``), and their shard blocks declared one contiguous
+``start``/``stop`` range instead of an index set (``runs``): both an
+explicit ``I/N@START:STOP`` fleet shard in ``shard-I-of-N-span-START-STOP``
+and a balanced ``shard-I-of-N`` slice.  New manifests write neither field
+nor form, but artifact directories written with them must still resume,
+merge and ingest: every reader takes ``execution`` fields with ``.get``,
+ignores keys it does not know, and reads a ``start``/``stop`` block as the
+one-run index set.
 """
 
 import json
+import shutil
 
 from repro.run import main
 
@@ -17,7 +23,16 @@ def _age(campaign_dir):
     path = campaign_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest["execution"]["backend"] = "numpy"
+    manifest["execution"]["chunk"] = manifest["n_points"]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    if len(manifest.get("shard", {}).get("runs", ())) == 1:
+        # Older shard blocks declared one [start, stop) range.
+        for name in ("manifest.json", "results.json"):
+            path = campaign_dir / name
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            ((start, stop),) = payload["shard"].pop("runs")
+            payload["shard"].update(start=start, stop=stop)
+            path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def _execution(campaign_dir):
@@ -33,7 +48,7 @@ def test_resume_reuses_an_old_manifest(tmp_path):
     execution = _execution(campaign_dir)
     assert execution["reused_points"] == 4
     assert execution["computed_points"] == 0
-    assert "backend" not in execution
+    assert "backend" not in execution and "chunk" not in execution
     assert (campaign_dir / "results.json").read_bytes() == before
 
 
@@ -46,7 +61,7 @@ def test_merge_accepts_old_shard_manifests(tmp_path):
     shard_dirs = [str(shards / "smoke" / f"shard-{index}-of-2") for index in range(2)]
     assert main(["sweep", "merge", *shard_dirs, "--out", str(tmp_path / "merged")]) == 0
     merged = tmp_path / "merged" / "smoke"
-    assert "backend" not in _execution(merged)
+    assert "backend" not in _execution(merged) and "chunk" not in _execution(merged)
     for name in ("results.json", "results.csv"):
         assert (merged / name).read_bytes() == (tmp_path / "serial" / "smoke" / name).read_bytes()
 
@@ -57,3 +72,43 @@ def test_store_ingests_an_old_manifest(tmp_path, capsys):
     db = str(tmp_path / "store.sqlite")
     assert main(["store", "ingest", str(tmp_path / "smoke"), "--db", db]) == 0
     assert "4 inserted" in capsys.readouterr().out
+
+
+def _old_fleet(tmp_path):
+    """smoke as an older fleet left it: an explicit one-range shard in its
+    ``-span-`` directory and a balanced ``shard-I-of-N`` slice, both with
+    ``start``/``stop`` shard blocks and ``execution.chunk``."""
+    out = tmp_path / "old"
+    assert main(["sweep", "smoke", "--shard", "0/2@0:2", "--out", str(out)]) == 0
+    assert main(["sweep", "smoke", "--shard", "1/2@2:4", "--out", str(out)]) == 0
+    explicit = out / "smoke" / "shard-0-of-2-span-0-2"
+    balanced = out / "smoke" / "shard-1-of-2"
+    shutil.move(str(out / "smoke" / "shard-1-of-2-span-2-4"), str(balanced))
+    for directory in (explicit, balanced):
+        _age(directory)
+        assert "start" in json.loads((directory / "manifest.json").read_text())["shard"]
+    return out, [explicit, balanced]
+
+
+def test_old_shard_directories_resume_merge_and_ingest(tmp_path, capsys):
+    assert main(["sweep", "smoke", "--out", str(tmp_path / "serial")]) == 0
+    out, old_dirs = _old_fleet(tmp_path)
+
+    # Merge: byte-identical to the serial run.
+    assert main(["sweep", "merge", *map(str, old_dirs), "--out", str(tmp_path / "merged")]) == 0
+    for name in ("results.json", "results.csv"):
+        merged = (tmp_path / "merged" / "smoke" / name).read_bytes()
+        assert merged == (tmp_path / "serial" / "smoke" / name).read_bytes()
+
+    # Resume: the explicit shard re-run reuses its own old slice entirely.
+    assert main(["sweep", "smoke", "--shard", "0/2@0:2", "--resume", "--out", str(out)]) == 0
+    execution = _execution(old_dirs[0])
+    assert execution["reused_points"] == 2 and execution["computed_points"] == 0
+
+    # Ingest: everything is already in the store, so nothing is inserted.
+    db = str(tmp_path / "store.sqlite")
+    assert main(["store", "ingest", str(tmp_path / "serial" / "smoke"), "--db", db]) == 0
+    capsys.readouterr()
+    _, old_dirs = _old_fleet(tmp_path / "again")
+    assert main(["store", "ingest", *map(str, old_dirs), "--db", db]) == 0
+    assert "0 inserted, 4 deduplicated" in capsys.readouterr().out

@@ -167,10 +167,10 @@ class TestManifestProvenance:
     def test_composes_with_jobs_and_chunk(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         reference = _payload_bytes(execute_campaign(SMALL_SPEC, jobs=1))
-        cold = execute_campaign(SMALL_SPEC, jobs=2, chunk=2, plan_cache=cache_dir)
-        warm = execute_campaign(SMALL_SPEC, jobs=2, chunk=2, plan_cache=cache_dir)
+        cold = execute_campaign(SMALL_SPEC, jobs=2, plan_cache=cache_dir)
+        warm = execute_campaign(SMALL_SPEC, jobs=2, plan_cache=cache_dir)
         assert _payload_bytes(cold) == _payload_bytes(warm) == reference
-        assert warm.cache["hits"] == 4  # summed across pool chunks
+        assert warm.cache["hits"] == 4  # summed across pool tasks
 
 
 class TestCli:

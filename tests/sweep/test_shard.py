@@ -1,5 +1,5 @@
-"""Multi-host sharding (--shard I/N): partitioning, artifacts, composition
-with --jobs/--chunk/--resume."""
+"""Multi-host sharding (--shard I/N): partitioning into whole batch groups,
+artifacts, composition with --jobs/--resume."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.run import main
 from repro.sweep.artifacts import results_payload, write_artifacts
-from repro.sweep.campaign import CampaignSpec, ShardSpec, expand_campaign
+from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, batch_groups, expand_campaign
 from repro.sweep.execute import execute_campaign
 from repro.sweep.resume import load_reusable_results, spec_hash
 
@@ -20,6 +20,22 @@ SPEC = CampaignSpec(
         "sample_period_cycles": (2_000, 4_000),
     },
 )
+
+
+def _grid(n_points, groups=5):
+    """A horizon-major grid like pipeline-clock-ratio's: every batch group
+    is strided across the index range."""
+    return [
+        SweepPoint(
+            index=index,
+            campaign="shard-grid",
+            scenario="duty-cycled-logging",
+            horizon_cycles=1_000 * (1 + index // groups),
+            dense=False,
+            params={"sample_period_cycles": 1_000 * (1 + index % groups)},
+        )
+        for index in range(n_points)
+    ]
 
 
 class TestShardSpec:
@@ -44,21 +60,30 @@ class TestShardSpec:
     @pytest.mark.parametrize("n_points", [0, 1, 3, 4, 7, 24, 100])
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
     def test_partition_is_disjoint_and_complete(self, n_points, count):
-        covered = []
-        for index in range(count):
-            start, stop = ShardSpec(index=index, count=count).bounds(n_points)
-            assert 0 <= start <= stop <= n_points
-            covered.extend(range(start, stop))
-        assert covered == list(range(n_points))  # in order, no gap, no overlap
+        points = _grid(n_points)
+        selected = [ShardSpec(index=index, count=count).select(points) for index in range(count)]
+        covered = sorted(point.index for part in selected for point in part)
+        assert covered == list(range(n_points))  # no gap, no overlap
+        owner = {point.index: number for number, part in enumerate(selected) for point in part}
+        for group in batch_groups(points):
+            assert len({owner[point.index] for point in group}) == 1  # never split
 
     def test_partition_is_balanced(self):
-        sizes = [len(range(*ShardSpec(index=i, count=3).bounds(7))) for i in range(3)]
-        assert sorted(sizes) == [2, 2, 3]
+        # Twelve groups of equal depth: three shards of four whole groups.
+        points = _grid(36, groups=12)
+        groups_per_shard = [len(batch_groups(ShardSpec(index=i, count=3).select(points))) for i in range(3)]
+        assert groups_per_shard == [4, 4, 4]
 
     def test_select_returns_the_contiguous_slice(self):
+        # A balanced shard selects whole groups (SPEC is horizon-major, so
+        # its groups are {0, 2} and {1, 3}); an explicit one its index set.
         points = expand_campaign(SPEC)
         selected = ShardSpec(index=1, count=2).select(points)
-        assert [point.index for point in selected] == [2, 3]
+        assert [point.index for point in selected] == [1, 3]
+        explicit = ShardSpec.parse("0/1@0:1,2:4").select(points)
+        assert [point.index for point in explicit] == [0, 2, 3]
+        with pytest.raises(ValueError, match="only 4 points"):
+            ShardSpec.parse("0/1@2:5").select(points)
 
     def test_more_shards_than_points_leaves_empty_shards(self):
         points = expand_campaign(SPEC)  # 4 points
@@ -70,12 +95,6 @@ class TestShardSpec:
 class TestShardedExecution:
     def test_shards_union_to_the_serial_run(self):
         serial = execute_campaign(SPEC, jobs=1)
-        merged_points = []
-        for index in range(3):
-            part = execute_campaign(SPEC, shard=ShardSpec(index=index, count=3))
-            merged_points.extend(part.points)
-        assert [point.index for point in merged_points] == [0, 1, 2, 3]
-        serial_records = results_payload(serial)["points"]
         shard_records = [
             record
             for index in range(3)
@@ -83,12 +102,13 @@ class TestShardedExecution:
                 execute_campaign(SPEC, shard=ShardSpec(index=index, count=3))
             )["points"]
         ]
-        assert shard_records == serial_records
+        shard_records.sort(key=lambda record: record["index"])
+        assert shard_records == results_payload(serial)["points"]
 
     def test_shard_composes_with_jobs_and_chunk(self):
         shard = ShardSpec(index=0, count=2)
         reference = execute_campaign(SPEC, shard=shard)
-        pooled = execute_campaign(SPEC, jobs=2, chunk=1, shard=shard)
+        pooled = execute_campaign(SPEC, jobs=2, shard=shard)
         assert results_payload(pooled) == results_payload(reference)
 
     def test_progress_total_is_shard_local(self):
@@ -102,7 +122,8 @@ class TestShardedExecution:
 
     def test_shard_result_records_the_slice(self):
         result = execute_campaign(SPEC, shard=ShardSpec(index=1, count=2))
-        assert result.shard == ShardSpec(index=1, count=2)
+        # The balanced shard is recorded as the index set it resolved to.
+        assert result.shard == ShardSpec(index=1, count=2, runs=((1, 2), (3, 4)))
         assert result.points_total == 4
         assert result.n_points == 2
 
@@ -118,13 +139,13 @@ class TestShardedArtifacts:
         paths = write_artifacts(SPEC, result, tmp_path)
         results = json.loads(paths["results_json"].read_text())
         manifest = json.loads(paths["manifest_json"].read_text())
-        expected_shard = {"index": 1, "count": 3, "start": 1, "stop": 2, "points_total": 4}
+        expected_shard = {"index": 1, "count": 3, "runs": [[1, 2], [3, 4]], "points_total": 4}
         assert results["shard"] == expected_shard
-        assert results["n_points"] == 1
-        assert [record["index"] for record in results["points"]] == [1]
+        assert results["n_points"] == 2
+        assert [record["index"] for record in results["points"]] == [1, 3]
         assert manifest["shard"] == expected_shard
         assert manifest["spec_hash"] == spec_hash(SPEC)
-        assert manifest["execution"]["computed_points"] == 1
+        assert manifest["execution"]["computed_points"] == 2
         assert manifest["execution"]["reused_points"] == 0
 
     def test_unsharded_artifacts_have_no_shard_block(self, tmp_path):
@@ -149,17 +170,17 @@ class TestShardedResume:
         write_artifacts(SPEC, full, tmp_path)
         reuse = load_reusable_results(SPEC, tmp_path)
         # Hand the executor only the records the *other* shard owns.
-        other_only = {index: reuse[index] for index in (2, 3)}
+        other_only = {index: reuse[index] for index in (1, 3)}
         result = execute_campaign(SPEC, shard=ShardSpec(index=0, count=2), reuse=other_only)
         assert result.n_reused == 0
-        assert [point.index for point in result.points] == [0, 1]
+        assert [point.index for point in result.points] == [0, 2]
 
     def test_shard_artifacts_resume_the_same_shard(self, tmp_path):
         shard = ShardSpec(index=1, count=2)
         first = execute_campaign(SPEC, shard=shard)
         paths = write_artifacts(SPEC, first, tmp_path)
         reuse = load_reusable_results(SPEC, tmp_path)
-        assert sorted(reuse) == [2, 3]
+        assert sorted(reuse) == [1, 3]
         resumed = execute_campaign(SPEC, shard=shard, reuse=reuse)
         assert resumed.n_reused == 2
         repaths = write_artifacts(SPEC, resumed, tmp_path / "again")
@@ -171,7 +192,7 @@ class TestShardCli:
     def test_shard_runs_and_stamps_artifacts(self, capsys, tmp_path):
         assert main(["sweep", "smoke", "--shard", "0/2", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert "shard 0/2: points [0, 2) of 4" in captured.err
+        assert "shard 0/2: 2 of 4 points" in captured.err
         # Shard slices nest under the campaign dir so they never clobber
         # campaign-level (full or merged) artifacts.
         shard_dir = tmp_path / "smoke" / "shard-0-of-2"
@@ -203,34 +224,29 @@ class TestShardCli:
         assert main(["sweep", "smoke", "--shard", "1/2", "--dry-run", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "shard 1/2 = 2 of 4 points" in out
-        assert "point   2" in out
+        assert "point   1" in out and "point   3" in out
         assert "point   0" not in out
         assert not (tmp_path / "smoke").exists()
 
 
 class TestEmptyShards:
-    """Regression: --shard I/N with N > grid points must yield valid, empty,
-    mergeable artifacts (a fleet cut wider than the campaign is legal)."""
+    """Regression: --shard I/N with N > batch groups must yield valid, empty,
+    mergeable artifacts (a fleet cut wider than the campaign is legal).
+    SPEC has two groups, so shards 2..5 of 6 are empty."""
 
     def test_empty_shard_executes_to_zero_points(self):
-        result = execute_campaign(SPEC, shard=ShardSpec(index=0, count=6))
+        result = execute_campaign(SPEC, shard=ShardSpec(index=5, count=6))
         assert result.n_points == 0
         assert result.points_total == 4
         assert result.n_reused == result.n_computed == 0
 
     def test_empty_shard_writes_valid_artifacts(self, tmp_path):
-        result = execute_campaign(SPEC, shard=ShardSpec(index=0, count=6))
-        paths = write_artifacts(SPEC, result, tmp_path, subdir="shard-0-of-6")
+        result = execute_campaign(SPEC, shard=ShardSpec(index=5, count=6))
+        paths = write_artifacts(SPEC, result, tmp_path, subdir="shard-5-of-6")
         results = json.loads(paths["results_json"].read_text())
         assert results["n_points"] == 0
         assert results["points"] == []
-        assert results["shard"] == {
-            "index": 0,
-            "count": 6,
-            "start": 0,
-            "stop": 0,
-            "points_total": 4,
-        }
+        assert results["shard"] == {"index": 5, "count": 6, "runs": [], "points_total": 4}
         manifest = json.loads(paths["manifest_json"].read_text())
         assert manifest["n_points"] == 0
         assert manifest["spec_hash"] == spec_hash(SPEC)
@@ -238,8 +254,8 @@ class TestEmptyShards:
         assert paths["results_csv"].read_text().startswith("index,scenario,horizon_cycles,seed")
 
     def test_overwide_fleet_merges_byte_identical(self, tmp_path):
-        """6-way cut of a 4-point grid: two shards are empty; the merge must
-        accept them (even listed first) and reproduce the serial bytes."""
+        """6-way cut of a two-group grid: four shards are empty; the merge
+        must accept them (even listed first) and reproduce the serial bytes."""
         from repro.sweep.merge import merge_shards, write_merged_artifacts
 
         directories = []
@@ -248,13 +264,13 @@ class TestEmptyShards:
             result = execute_campaign(SPEC, shard=shard)
             paths = write_artifacts(SPEC, result, tmp_path, subdir=f"shard-{index}-of-6")
             directories.append(paths["results_json"].parent)
+        points = expand_campaign(SPEC)
         empties = [
             directory
             for index, directory in enumerate(directories)
-            if ShardSpec(index=index, count=6).bounds(4)[0]
-            == ShardSpec(index=index, count=6).bounds(4)[1]
+            if not ShardSpec(index=index, count=6).select(points)
         ]
-        assert len(empties) == 2  # the premise: the cut really over-shards
+        assert len(empties) == 4  # the premise: the cut really over-shards
         reordered = empties + [d for d in directories if d not in empties]
         merged = merge_shards(reordered)
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
@@ -264,12 +280,12 @@ class TestEmptyShards:
             assert merged_paths[key].read_bytes() == serial_paths[key].read_bytes()
 
     def test_empty_shard_cli_round_trip(self, capsys, tmp_path):
-        assert main(["sweep", "smoke", "--shard", "0/6", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "smoke", "--shard", "5/6", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert "shard 0/6: points [0, 0) of 4" in captured.err
+        assert "shard 5/6: 0 of 4 points" in captured.err
         assert "0 points" in captured.out
-        shard_dir = tmp_path / "smoke" / "shard-0-of-6"
+        shard_dir = tmp_path / "smoke" / "shard-5-of-6"
         for name in ("results.json", "results.csv", "manifest.json"):
             assert (shard_dir / name).exists()
         # An empty shard resumes (vacuously) without touching anything.
-        assert main(["sweep", "smoke", "--shard", "0/6", "--resume", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "smoke", "--shard", "5/6", "--resume", "--out", str(tmp_path)]) == 0
