@@ -6,9 +6,8 @@ x 2 sampling periods x 7 horizon depths) two ways:
 * **per-instance**: :func:`~repro.sweep.execute.run_point` over every point,
   each building and simulating its own SoC — the solo reference;
 * **batched** (the sweep executor): the points of one (ratio, period) pair share a
-  single prepared simulation under one interned schedule plan; only the
-  70k-cycle horizon is actually simulated, and the six shorter horizons are
-  snapshotted in passing.
+  single prepared simulation; only the 70k-cycle horizon is actually
+  simulated, and the six shorter horizons are snapshotted in passing.
 
 With the seven-step horizon ladder (10k..70k) the per-instance executor
 simulates 1+2+...+7 = 28 units of work per group where the batched one

@@ -11,13 +11,8 @@ warm cache eliminates the simulation entirely.
 
 **Key scheme.**  ``group_cache_key`` hashes the snapshot schema version
 plus the group identity into one sha256 hex digest — computable *before*
-any preparation happens, which is the whole point of the warm path.  The
-plan fingerprint itself cannot participate in the key (no prepared
-instance exists yet when a warm worker looks up); it travels in each
-snapshot blob's header instead, where :func:`~repro.sim.snapshot.
-restore_prepared` validates it against the restored simulator and seeds
-the process-wide plan intern table.  Entries are laid out as
-``<root>/<key[:2]>/<key>/<elapsed>.snap``.
+any preparation happens, which is the whole point of the warm path.
+Entries are laid out as ``<root>/<key[:2]>/<key>/<elapsed>.snap``.
 
 **Never wrong results.**  Every read failure — missing file, corrupt or
 truncated blob, stale schema, unresolvable class — is caught, counted in
@@ -198,7 +193,7 @@ class PlanCache:
                     "cache",
                     start_ns,
                     tracer.now_ns() - start_ns,
-                    {"key": key[:12], "elapsed": elapsed, "plan_shared": restored.plan_shared},
+                    {"key": key[:12], "elapsed": elapsed},
                 )
             return restored
         self.counters.misses += 1

@@ -134,7 +134,7 @@ class FleetConfig:
     #: writes the resolved path back here so every launch (including heal
     #: rounds) uses the same directory.  Workers running with a plan cache
     #: also run ``--profile`` so their manifests carry kernel stats and the
-    #: ledger can aggregate ``plan_shared``/cache counters fleet-wide.
+    #: ledger can aggregate the ``kernel.*`` and cache counters fleet-wide.
     plan_cache: Optional[Path] = None
     #: ``--no-plan-cache`` disables warm starts entirely.
     plan_cache_enabled: bool = True
@@ -204,7 +204,8 @@ def _worker_argv(config: FleetConfig, shard: ShardSpec) -> List[str]:
         argv += ["--plan-cache", str(config.plan_cache)]
         if not config.trace:
             # Kernel stats only reach the shard manifest under --profile;
-            # the ledger needs them to aggregate plan_shared fleet-wide.
+            # the ledger folds them (kernel.*) fleet-wide next to the cache
+            # counters.
             argv += ["--profile"]
     return argv
 
@@ -476,7 +477,7 @@ def _absorb_shard_telemetry(ledger: FleetLedger, directory: Path) -> None:
     """Fold one accepted shard manifest's cache + kernel counters into the
     ledger's metrics registry.
 
-    This is where ``kernel_stats.plan_shared`` (and the plan cache's
+    This is where the ``kernel.*`` counters (and the plan cache's
     hit/miss/write/error totals) become visible *fleet-wide*: each worker
     sums its own counters into its manifest, and the ledger sums across
     accepted shards.  Pure bookkeeping — any read failure degrades to a

@@ -207,12 +207,10 @@ def render_ledger(payload: Dict[str, object]) -> str:
     )
     counters = (payload.get("metrics") or {}).get("counter") or {}
     if any(key.startswith("cache.") for key in counters):
-        shared = counters.get("kernel.plan_shared")
         lines.append(
             f"  plan cache ({config.get('plan_cache')}): "
             f"{counters.get('cache.hit', 0)} hits, {counters.get('cache.miss', 0)} misses, "
             f"{counters.get('cache.write', 0)} writes, {counters.get('cache.error', 0)} errors"
-            + (f"; kernel.plan_shared={shared} fleet-wide" if shared is not None else "")
         )
     for round_record in payload.get("rounds", []):
         backoff = round_record.get("backoff_seconds", 0.0)

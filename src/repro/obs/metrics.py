@@ -34,8 +34,6 @@ KERNEL_STAT_KEYS: Tuple[str, ...] = (
     "spans_skipped",
     "cycles_skipped",
     "plan_builds",
-    "plan_shared",
-    "plan_evictions",
 )
 
 

@@ -24,7 +24,7 @@ from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.activity import ActivityCounters
 from repro.sim.batch import BatchInstance, BatchSimulator
-from repro.sim.simulator import SchedulePlan, SimState, Simulator, SimulationError
+from repro.sim.simulator import SimState, Simulator, SimulationError
 from repro.sim.trace import SignalTrace, TraceRecorder
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "BatchSimulator",
     "ClockDomain",
     "Component",
-    "SchedulePlan",
     "SignalTrace",
     "SimState",
     "SimulationError",

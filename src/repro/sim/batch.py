@@ -1,16 +1,16 @@
 """Batched multi-instance execution: advance N simulations together.
 
 A sweep campaign runs many *instances* of the same scenario topology —
-identical component structure, different parameters and horizons.  The
-plan/state split in :mod:`repro.sim.simulator` makes those instances cheap
-to co-schedule: every instance shares one interned
-:class:`~repro.sim.simulator.SchedulePlan`, and each owns only its mutable
-:class:`~repro.sim.simulator.SimState`.  :class:`BatchSimulator` is the
-driver that advances such a set of instances **in lockstep over span
-boundaries**: each scheduling round gives every live instance exactly one
-boundary step (one quiescent-span skip plus the dense tick at its wake), so
-the batch's progress interleaves at span granularity instead of running
-instances one after another.
+identical component structure, different parameters and horizons.  Each
+instance is a whole :class:`~repro.sim.simulator.Simulator` that owns its
+component classification and mutable
+:class:`~repro.sim.simulator.SimState`, so instances are cheap to
+co-schedule.  :class:`BatchSimulator` is the driver that advances such a
+set of instances **in lockstep over span boundaries**: each scheduling
+round gives every live instance exactly one boundary step (one
+quiescent-span skip plus the dense tick at its wake), so the batch's
+progress interleaves at span granularity instead of running instances one
+after another.
 
 **Stops and shared prefixes.**  Each instance carries a sorted list of
 *stops* — absolute cycle counts at which a callback fires while the
@@ -30,11 +30,10 @@ Callbacks observe the paused simulator (read counters, copy activity,
 estimate power) and must not advance it; :class:`BatchSimulator` checks the
 cycle counter after every callback and raises if one stepped the clock.
 
-Instances do not interact and need not share a topology — heterogeneous
-instances simply do not share a plan.  Each instance advances by its *own*
-span per round; rounds are a fairness/interleaving discipline, not a shared
-clock, so a slow instance never fragments the quiescent spans of a fast
-one.
+Instances do not interact and need not share a topology.  Each instance
+advances by its *own* span per round; rounds are a fairness/interleaving
+discipline, not a shared clock, so a slow instance never fragments the
+quiescent spans of a fast one.
 """
 
 from __future__ import annotations
@@ -180,12 +179,11 @@ class BatchSimulator:
             if instance.done:
                 continue
             simulator = instance.simulator
-            # Resolve (and share) the plan once per instance up front; the
-            # round loop then drives the bound state directly, exactly like
+            # Bind each instance's classification once up front; the round
+            # loop then drives the bound state directly, exactly like
             # Simulator.step does for a single instance.
-            plan = simulator._schedule_plan()
-            dense = simulator.dense or plan.forces_dense
-            live.append((instance, simulator._state, dense))
+            state = simulator._schedule_plan()
+            live.append((instance, state, simulator.dense or state.forces_dense))
         self._running = True
         tracer = tracing.TRACER
         start_ns = tracer.now_ns() if tracer is not None else 0

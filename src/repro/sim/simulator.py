@@ -32,20 +32,15 @@ The event-driven mode resolves wakes in two tiers:
   boundary, which is exactly the pre-cache behaviour and the safe default
   for reactive wakes (buses, DMA, CPU, PELS).
 
-**Plan vs. state.**  The kernel splits its scheduling data in two:
-
-* :class:`SchedulePlan` is the **immutable, shareable** half: which
-  components tick, which are volatile/cached, which must be replayed on a
-  skip, which clock-domain slot each belongs to, and whether anything forces
-  dense stepping.  Plans are *structural* — they reference components by
-  position, never by object — and are interned process-wide, so every
-  simulator instance of the same topology (every point of a sweep campaign,
-  every instance in a :class:`~repro.sim.batch.BatchSimulator`) shares one
-  plan object instead of re-deriving the classification per instance.
-* :class:`SimState` is the **per-instance, mutable** half: the base-tick
-  counter, the plan's index lists bound to this instance's component
-  objects, the deadline heap and dirty set of the wake cache, the clock
-  divisors, and the activity/trace recorders.
+**Plan vs. state.**  Each simulator classifies its own components: which
+tick, which are volatile/cached, which must be replayed on a skip, and
+whether anything forces dense stepping.  :meth:`SimState.bind` derives that
+classification from a structural *fingerprint* of the component set (hook
+overrides, cacheability, the cache toggle) and stores it next to the rest
+of the per-instance, mutable state: the base-tick counter, the deadline
+heap and dirty set of the wake cache, the clock divisors, and the
+activity/trace recorders.  The simulator re-binds only when the
+fingerprint changes.
 
 ``cached_wakes=False`` disables the deadline cache (every hinted component
 becomes volatile), which is how the benchmarks A/B the cached scheduler
@@ -100,7 +95,9 @@ class Simulator:
         self._components: List[Tuple[Component, ClockDomain]] = []
         self._components_by_name: Dict[str, Component] = {}
         self._state = SimState()
-        self._plan: Optional["SchedulePlan"] = None
+        #: Fingerprint the state's classification was bound from (None =
+        #: never bound).
+        self._fingerprint: Optional[Tuple] = None
         self._fastest_hz: float = 0.0
         self._default_domain = self.add_clock_domain("default", default_frequency_hz)
 
@@ -119,10 +116,9 @@ class Simulator:
     @property
     def kernel_stats(self) -> Dict[str, int]:
         """Scheduler instrumentation: ``next_event_calls`` (wake polls),
-        ``dense_ticks``, ``spans_skipped``, ``cycles_skipped``,
-        ``plan_builds`` (plan resolutions for this instance), and
-        ``plan_shared`` (resolutions satisfied by the process-wide interned
-        plan of an identical topology).  Monotonic; cleared by :meth:`reset`.
+        ``dense_ticks``, ``spans_skipped``, ``cycles_skipped``, and
+        ``plan_builds`` (classifications bound for this instance).
+        Monotonic; cleared by :meth:`reset`.
         """
         return self._state.kernel_stats
 
@@ -141,7 +137,6 @@ class Simulator:
         self._domains[name] = domain
         if frequency_hz > self._fastest_hz:
             self._fastest_hz = frequency_hz
-        self._plan = None
         return domain
 
     def clock_domain(self, name: str) -> ClockDomain:
@@ -173,7 +168,6 @@ class Simulator:
         component.attach(self, clock)
         self._components.append((component, clock))
         self._components_by_name[component.name] = component
-        self._plan = None
         return component
 
     def component(self, name: str) -> Component:
@@ -224,73 +218,61 @@ class Simulator:
             )
         return divisor
 
-    def _schedule_plan(self) -> "SchedulePlan":
-        """The (interned) schedule plan, re-resolved only when stale.
+    def _fingerprint_now(self) -> Tuple:
+        """Everything the classification in :meth:`SimState.bind` depends on.
 
-        A plan goes stale when the component set changes (tracked eagerly by
-        :meth:`add_component`/:meth:`add_clock_domain`) or when a component's
-        hook overrides change — e.g. a test double assigning ``tick`` on the
-        instance after registration — which the cheap fingerprint check
-        detects at the next :meth:`step`/:meth:`run_until` entry.  Because the
-        fingerprint is purely structural, resolution first consults the
-        process-wide intern table: a second simulator of the same topology
-        (another sweep point, another batch instance) binds the existing plan
-        instead of rebuilding the classification.  Clock ratios are
+        Per component: which hooks it overrides (via its class *or* as an
+        instance attribute — test doubles, monkey-patches) and whether it is
+        wake-cacheable; plus the ``cached_wakes`` toggle, so flipping it
+        between steps takes effect like the ``dense`` flag does.
+        """
+        return (
+            self.cached_wakes,
+            tuple(
+                (
+                    _overrides(component, "tick"),
+                    _overrides(component, "next_event"),
+                    _overrides(component, "skip"),
+                    bool(component.wake_cacheable),
+                )
+                for component, _ in self._components
+            ),
+        )
+
+    def _schedule_plan(self) -> "SimState":
+        """Bring the state's classification up to date; return the state.
+
+        The classification goes stale when the component set or a
+        component's hook overrides change — e.g. a test double assigning
+        ``tick`` on the instance after registration — which the fingerprint
+        check detects at the next :meth:`step`/:meth:`run_until` entry.  Each re-bind counts one ``plan_builds``.  Clock ratios are
         re-validated on every call (frequencies are mutable), but recomputed
         only when they actually changed.
         """
-        plan = self._plan
         state = self._state
-        if plan is None or plan.fingerprint != SchedulePlan.compute_fingerprint(self):
+        fingerprint = self._fingerprint_now()
+        if fingerprint != self._fingerprint:
             tracer = tracing.TRACER
             start_ns = tracer.now_ns() if tracer is not None else 0
-            plan, shared, evicted = SchedulePlan.resolve(self)
-            self._plan = plan
+            state.bind(fingerprint, self._components)
+            self._fingerprint = fingerprint
             state.kernel_stats["plan_builds"] += 1
-            if shared:
-                state.kernel_stats["plan_shared"] += 1
-            if evicted:
-                state.kernel_stats["plan_evictions"] += evicted
             if tracer is not None:
                 tracer.event(
                     "kernel.plan",
                     "kernel",
                     start_ns,
                     tracer.now_ns() - start_ns,
-                    {"shared": shared, "components": plan.n_components},
+                    {"components": len(self._components)},
                 )
-        if state.bound_plan is not plan:
-            state.bind(plan, self._components)
         state.refresh_divisors(self)
-        return plan
+        return state
 
     def _notify_wake_changed(self, component: Component) -> None:
         """Invalidate ``component``'s cached wake deadline (if it has one)."""
         self._state.invalidate_wake(component)
 
     # --------------------------------------------------------------------- run
-
-    def advance_span(self, limit: int) -> int:
-        """Advance past one span boundary; return the base ticks advanced.
-
-        One call performs exactly one iteration of the event-driven stepping
-        loop: skip the current quiescent span (capped at ``limit``) and, if
-        the span ended before ``limit``, execute the dense tick at the wake
-        boundary.  ``step(n)`` is equivalent to a loop over this primitive,
-        and :class:`~repro.sim.batch.BatchSimulator` uses it to interleave
-        many instances at span granularity (re-resolving the plan only at
-        entry, like :meth:`step` does).  In dense mode (or when an unhinted
-        ticking component forces it) the call runs ``limit`` dense ticks.
-
-        Returns a value in ``[1, limit]`` for ``limit >= 1`` and ``0`` for
-        ``limit == 0``.
-        """
-        if limit < 0:
-            raise SimulationError("cannot advance a negative number of cycles")
-        if limit == 0:
-            return 0
-        plan = self._schedule_plan()
-        return self._state.advance_span(limit, dense=self.dense or plan.forces_dense)
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` base ticks.
@@ -303,13 +285,12 @@ class Simulator:
             raise SimulationError("cannot step a negative number of cycles")
         if cycles == 0:
             return
-        plan = self._schedule_plan()
-        state = self._state
+        state = self._schedule_plan()
         # One global fetch per step() call; when no tracer is installed the
         # loops below are the untouched hot paths (the disabled-telemetry
         # overhead benchmark holds this to <5% of the raw span loop).
         tracer = tracing.TRACER
-        if self.dense or plan.forces_dense:
+        if self.dense or state.forces_dense:
             if tracer is None:
                 for _ in range(cycles):
                     state.dense_tick()
@@ -379,10 +360,9 @@ class Simulator:
         max_cycles: int,
         label: str,
     ) -> int:
-        state = self._state
+        state = self._schedule_plan()
         start = state.base_tick
-        plan = self._schedule_plan()
-        event_driven = not (self.dense or plan.forces_dense)
+        event_driven = not (self.dense or state.forces_dense)
         while not condition():
             elapsed = state.base_tick - start
             if elapsed >= max_cycles:
@@ -437,175 +417,18 @@ class Simulator:
         )
 
 
-#: Upper bound on the process-wide plan intern table.  A sweep campaign
-#: contributes exactly one topology, so this is generous for batch workers —
-#: the cap exists for long-lived processes (a fleet controller, a future HTTP
-#: server) that resolve plans for many unrelated topologies over their
-#: lifetime.  Evictions are charged to ``kernel_stats["plan_evictions"]`` on
-#: the simulator whose resolution crossed the bound.
-PLAN_INTERN_CAPACITY = 128
-
-#: Process-wide intern table of structural plans: every simulator whose
-#: topology hashes to the same fingerprint shares one plan object.  Ordered
-#: as an LRU (hits reinsert their key), bounded by
-#: :data:`PLAN_INTERN_CAPACITY`.
-_PLAN_INTERN: Dict[Tuple, "SchedulePlan"] = {}
-
-
-class SchedulePlan:
-    """Immutable, shareable stepping schedule for one component topology.
-
-    The plan classifies components by which hooks are actually overridden so
-    the hot loops only visit objects that can have an effect:
-
-    * ``ticking`` — positions of components with a real
-      :meth:`Component.tick` (a default tick is a no-op by definition and is
-      never called);
-    * ``volatile`` — positions of hinted components re-polled at every wake
-      boundary (reactive wakes, plus everything when ``cached_wakes`` is
-      off);
-    * ``cached`` — positions of hinted components flagged ``wake_cacheable``,
-      whose horizons live in the per-instance deadline heap and are
-      recomputed only on invalidation or deadline expiry;
-    * ``skippers`` — positions of components with a real
-      :meth:`Component.skip` (the only ones a skipped span must be replayed
-      on).
-
-    A component that ticks but gives no wake hint forces dense stepping
-    (``forces_dense``), in which case the event-driven loops are bypassed
-    entirely instead of recomputing a zero-length span every cycle.
-
-    Everything here is **structural**: component *positions* (registration
-    order) and domain *slots* (first-appearance order), never component or
-    domain objects.  Two simulators with the same topology — same component
-    types, hook overrides, cacheability, domain-slot pattern, and cache
-    toggle — produce equal fingerprints and share one interned plan; each
-    instance binds the positions to its own objects in its
-    :class:`SimState`.  A plan is never mutated after construction.
-    """
-
-    __slots__ = (
-        "fingerprint",
-        "ticking",
-        "volatile",
-        "cached",
-        "skippers",
-        "forces_dense",
-        "n_components",
-    )
-
-    @staticmethod
-    def _overrides(component: Component, name: str) -> bool:
-        """Whether ``component`` provides its own ``name`` hook — via its
-        class *or* as an instance attribute (test doubles, monkey-patches)."""
-        return (
-            getattr(type(component), name) is not getattr(Component, name)
-            or name in component.__dict__
-        )
-
-    @staticmethod
-    def compute_fingerprint(simulator: Simulator) -> Tuple:
-        """Structural staleness-and-sharing signature.
-
-        Covers everything the classification depends on — component types,
-        hook overrides (class- or instance-level), cacheability, the
-        domain-slot pattern, and the cache toggle (so flipping
-        ``cached_wakes`` between steps takes effect, like the ``dense`` flag
-        does) — and nothing instance-specific, so simulators of identical
-        topology share one interned plan.
-        """
-        overrides = SchedulePlan._overrides
-        slots: Dict[str, int] = {}
-        entries = []
-        for component, clock in simulator._components:
-            slot = slots.setdefault(clock.name, len(slots))
-            entries.append(
-                (
-                    type(component),
-                    overrides(component, "tick"),
-                    overrides(component, "next_event"),
-                    overrides(component, "skip"),
-                    bool(component.wake_cacheable),
-                    slot,
-                )
-            )
-        return (simulator.cached_wakes, tuple(entries))
-
-    @classmethod
-    def resolve(cls, simulator: Simulator) -> Tuple["SchedulePlan", bool, int]:
-        """Return the interned plan for ``simulator``'s topology.
-
-        The second element reports whether the plan was shared from the
-        intern table (True) or built fresh (False); the third is how many
-        older plans the insertion evicted (zero on a hit).
-        """
-        fingerprint = cls.compute_fingerprint(simulator)
-        plan = _PLAN_INTERN.get(fingerprint)
-        if plan is not None:
-            del _PLAN_INTERN[fingerprint]  # LRU refresh: reinsert as newest
-            _PLAN_INTERN[fingerprint] = plan
-            return plan, True, 0
-        return cls.adopt(cls(fingerprint))
-
-    @classmethod
-    def adopt(cls, plan: "SchedulePlan") -> Tuple["SchedulePlan", bool, int]:
-        """Intern ``plan``, or return the already-interned equal plan.
-
-        The canonical entry point for plans that arrive from *outside* a
-        live resolution — a deserialised snapshot header
-        (:mod:`repro.sim.snapshot`) re-enters the intern table here so a
-        later same-topology :meth:`resolve` counts ``plan_shared`` instead
-        of rebuilding.  Returns ``(canonical_plan, shared, evictions)``
-        with the same meaning as :meth:`resolve`.
-        """
-        existing = _PLAN_INTERN.get(plan.fingerprint)
-        if existing is not None:
-            del _PLAN_INTERN[plan.fingerprint]
-            _PLAN_INTERN[plan.fingerprint] = existing
-            return existing, True, 0
-        _PLAN_INTERN[plan.fingerprint] = plan
-        evicted = 0
-        while len(_PLAN_INTERN) > PLAN_INTERN_CAPACITY:
-            del _PLAN_INTERN[next(iter(_PLAN_INTERN))]
-            evicted += 1
-        return plan, False, evicted
-
-    def __init__(self, fingerprint: Tuple) -> None:
-        self.fingerprint = fingerprint
-        _, entries = fingerprint
-        cached_wakes = fingerprint[0]
-        ticking: List[int] = []
-        volatile: List[int] = []
-        cached: List[int] = []
-        skippers: List[int] = []
-        forces_dense = False
-        for index, (_, ticks, hinted, skips, cacheable, _) in enumerate(entries):
-            if ticks:
-                ticking.append(index)
-                if not hinted:
-                    forces_dense = True
-            if hinted:
-                if cached_wakes and cacheable:
-                    cached.append(index)
-                else:
-                    volatile.append(index)
-            if skips:
-                skippers.append(index)
-        self.ticking = tuple(ticking)
-        self.volatile = tuple(volatile)
-        self.cached = tuple(cached)
-        self.skippers = tuple(skippers)
-        self.forces_dense = forces_dense
-        self.n_components = len(entries)
+def _overrides(component: Component, name: str) -> bool:
+    """Whether ``component`` provides its own ``name`` hook — via its class
+    *or* as an instance attribute (test doubles, monkey-patches)."""
+    return getattr(type(component), name) is not getattr(Component, name) or name in component.__dict__
 
 
 class SimState:
     """Per-instance mutable scheduling state.
 
-    Owns everything that differs between two simulators sharing a
-    :class:`SchedulePlan`: the base-tick counter, the plan's component
-    positions bound to this instance's objects, the wake-deadline cache, the
-    clock-ratio snapshot, and the activity/trace recorders.
+    Owns the base-tick counter, the component classification bound by
+    :meth:`bind`, the wake-deadline cache, the clock-ratio snapshot, and the
+    activity/trace recorders.
 
     **Deadline cache.**  ``deadlines[i]`` is the authoritative absolute base
     tick at which cached component ``i`` next needs a dense tick (``None`` =
@@ -626,12 +449,11 @@ class SimState:
         # and the batch loop; writing an undeclared key raises at the
         # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
         self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
-        #: The plan these bound lists were derived from (identity-compared).
-        self.bound_plan: Optional[SchedulePlan] = None
         self.ticking: List[Tuple[Component, ClockDomain]] = []
         self.volatile: List[Tuple[Component, ClockDomain]] = []
         self.cached: List[Tuple[Component, ClockDomain]] = []
         self.skippers: List[Tuple[Component, ClockDomain]] = []
+        self.forces_dense = False
         self.clocks: List[ClockDomain] = []
         self.divisors: Dict[str, int] = {}
         self.single_rate = True
@@ -655,13 +477,38 @@ class SimState:
 
     # ----------------------------------------------------------------- binding
 
-    def bind(self, plan: SchedulePlan, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:
-        """Bind ``plan``'s component positions to this instance's objects."""
-        self.bound_plan = plan
-        self.ticking = [pairs[index] for index in plan.ticking]
-        self.volatile = [pairs[index] for index in plan.volatile]
-        self.cached = [pairs[index] for index in plan.cached]
-        self.skippers = [pairs[index] for index in plan.skippers]
+    def bind(self, fingerprint: Tuple, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:
+        """Classify ``pairs`` by ``fingerprint`` (see
+        :meth:`Simulator._fingerprint_now`) so the hot loops only visit
+        components that can have an effect:
+
+        * ``ticking`` — components with a real :meth:`Component.tick` (a
+          default tick is a no-op by definition and is never called);
+        * ``volatile`` — hinted components re-polled at every wake boundary
+          (reactive wakes, plus everything when ``cached_wakes`` is off);
+        * ``cached`` — hinted components flagged ``wake_cacheable``, whose
+          horizons live in the deadline heap and are recomputed only on
+          invalidation or deadline expiry;
+        * ``skippers`` — components with a real :meth:`Component.skip` (the
+          only ones a skipped span must be replayed on).
+
+        A component that ticks but gives no wake hint forces dense stepping
+        (``forces_dense``), in which case the event-driven loops are
+        bypassed entirely instead of recomputing a zero-length span every
+        cycle.
+        """
+        cached_wakes, entries = fingerprint
+        self.ticking, self.volatile, self.cached, self.skippers = [], [], [], []
+        self.forces_dense = False
+        for pair, (ticks, hinted, skips, cacheable) in zip(pairs, entries):
+            if ticks:
+                self.ticking.append(pair)
+                if not hinted:
+                    self.forces_dense = True
+            if hinted:
+                (self.cached if cached_wakes and cacheable else self.volatile).append(pair)
+            if skips:
+                self.skippers.append(pair)
         clocks: Dict[str, ClockDomain] = {}
         for _, clock in pairs:
             clocks.setdefault(clock.name, clock)
@@ -795,10 +642,10 @@ class SimState:
     def advance_span(self, limit: int, dense: bool) -> int:
         """One iteration of the stepping loop against already-bound state.
 
-        The caller (``Simulator.step``/``advance_span``,
+        The caller (``Simulator.step``,
         :class:`~repro.sim.batch.BatchSimulator`) is responsible for having
-        resolved the schedule plan first; this is the hot path and performs
-        no staleness checks.
+        bound the classification first (``Simulator._schedule_plan``); this
+        is the hot path and performs no staleness checks.
         """
         if dense:
             for _ in range(limit):

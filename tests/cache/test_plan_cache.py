@@ -13,6 +13,7 @@ import pytest
 
 from repro.cache import CacheError, PlanCache, group_cache_key
 from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION
+from repro.sweep import CampaignSpec, execute_campaign, results_payload
 from repro.workloads.registry import scenario
 
 HORIZONS = [30_000, 60_000]
@@ -132,12 +133,35 @@ class TestSilentFallback:
         self._expect_fallback(cache, "truncated")
 
     def test_stale_schema_entry(self, cache, snap_path):
-        blob = snap_path.read_bytes().replace(
-            b'"schema_version":%d' % SNAPSHOT_SCHEMA_VERSION,
-            b'"schema_version":%d' % (SNAPSHOT_SCHEMA_VERSION + 1),
+        current = snap_path.read_bytes()
+
+        def restamp(version):
+            snap_path.write_bytes(
+                current.replace(
+                    b'"schema_version":%d' % SNAPSHOT_SCHEMA_VERSION,
+                    b'"schema_version":%d' % version,
+                )
+            )
+
+        # A newer schema, and schema 1: the format written before the
+        # snapshot header stopped carrying the schedule plan.
+        for version in (SNAPSHOT_SCHEMA_VERSION + 1, 1):
+            restamp(version)
+            self._expect_fallback(cache, "stale snapshot schema")
+        # The cold start a stale entry degrades to writes the same records
+        # as a run with no cache at all.
+        restamp(1)
+        spec = CampaignSpec(
+            name="stale-schema-test",
+            description="the one batch group KEY names",
+            scenario="duty-cycled-logging",
+            grid={"horizon_cycles": tuple(HORIZONS)},
         )
-        snap_path.write_bytes(blob)
-        self._expect_fallback(cache, "stale snapshot schema")
+        reference = results_payload(execute_campaign(spec, jobs=1))
+        warm = execute_campaign(spec, jobs=1, plan_cache=str(cache.root))
+        assert results_payload(warm) == reference
+        assert warm.cache["errors"] == 1 and warm.cache["hits"] == 0
+        assert any("stale snapshot schema" in note for note in warm.cache["notes"])
 
     def test_unusable_entries_are_evicted_so_publish_can_heal(
         self, cache, prepared, snap_path

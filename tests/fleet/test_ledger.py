@@ -14,6 +14,7 @@ from repro.fleet.ledger import (
 )
 from repro.fleet.supervisor import Attempt, CRASH
 from repro.fleet.transport import WorkerSpec
+from repro.run import main
 from repro.sweep.campaign import ShardSpec
 
 
@@ -152,3 +153,17 @@ class TestRender:
         text = render_ledger(payload)
         assert "config: workers=2 timeout=60.0s" in text
         assert "shard 0/2@0:2,4:5 attempt 1: crash" in text
+
+    def test_status_reads_old_ledgers_with_plan_sharing_counters(self, tmp_path, capsys):
+        # Ledgers written while simulators shared one schedule plan per
+        # process carry a ``kernel.plan_shared`` counter; ``fleet status``
+        # still renders them.
+        ledger = make_ledger()
+        ledger.metrics.counter("cache.hit").inc(4)
+        ledger.metrics.counter("kernel.plan_shared").inc(7)
+        ledger.finish(status="complete", exit_code=0, wall_seconds=1.0, missing=[], artifacts={})
+        ledger.write(tmp_path)
+        assert main(["fleet", "status", str(tmp_path)]) == 0
+        text = capsys.readouterr().out
+        assert "plan cache (None): 4 hits, 0 misses, 0 writes, 0 errors" in text
+        assert "plan_shared" not in text

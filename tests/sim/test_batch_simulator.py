@@ -1,10 +1,11 @@
 """Kernel-level tests for batched multi-instance execution.
 
-Covers the two halves of the plan/state split:
+Covers the two halves of the per-instance kernel:
 
-* :class:`repro.sim.SchedulePlan` interning — simulators of identical
-  topology share one immutable plan object, and per-instance mutation
-  (deadline heaps, volatile-list reordering) never leaks across instances;
+* per-instance classification — simulators of identical topology each
+  bind the same classification from equal fingerprints, and per-instance
+  mutation (deadline heaps, volatile-list reordering) never leaks across
+  instances;
 * :class:`repro.sim.BatchSimulator` — N instances advanced in lockstep over
   span boundaries end in exactly the state of N standalone runs, and
   mid-run stops observe exactly the state a standalone run of that horizon
@@ -57,28 +58,29 @@ class TestPlanSharing:
         sim_b, _ = _build([13, 500])  # different parameters, same structure
         sim_a.step(10)
         sim_b.step(10)
-        assert sim_a.state.bound_plan is sim_b.state.bound_plan
+        # Equal fingerprints classify identically, but each simulator binds
+        # its own lists of its own components.
+        assert sim_a._fingerprint == sim_b._fingerprint
+        assert [c.name for c, _ in sim_a.state.cached] == [c.name for c, _ in sim_b.state.cached]
+        assert sim_a.state.cached[0][0] is not sim_b.state.cached[0][0]
         assert sim_a.kernel_stats["plan_builds"] == 1
         assert sim_b.kernel_stats["plan_builds"] == 1
-        assert sim_b.kernel_stats["plan_shared"] == 1
 
     def test_fresh_topology_builds_fresh_plan(self):
-        class Unique(Blinker):  # local class => new type => new fingerprint
+        class Unique(Blinker):  # a type no other simulator has bound
             pass
 
         simulator = Simulator()
         simulator.add_component(Unique(5))
         simulator.step(10)
         assert simulator.kernel_stats["plan_builds"] == 1
-        assert simulator.kernel_stats["plan_shared"] == 0
 
     def test_shared_plan_is_immutable_across_instances(self):
         sim_a, (a,) = _build([10])
         sim_b, (b,) = _build([10])
         sim_a.step(95)
         sim_b.step(25)
-        # Same plan object, independent per-instance state.
-        assert sim_a.state.bound_plan is sim_b.state.bound_plan
+        # Independent per-instance state.
         assert (a.pulses, b.pulses) == (9, 2)
         assert sim_a.current_cycle == 95
         assert sim_b.current_cycle == 25
@@ -86,10 +88,10 @@ class TestPlanSharing:
     def test_cached_wakes_toggle_selects_a_different_plan(self):
         sim_a, _ = _build([10])
         sim_a.step(5)
-        cached_plan = sim_a.state.bound_plan
+        assert len(sim_a.state.cached) == 1
         sim_a.cached_wakes = False
         sim_a.step(5)
-        assert sim_a.state.bound_plan is not cached_plan
+        assert (len(sim_a.state.cached), len(sim_a.state.volatile)) == (0, 1)
         assert sim_a.kernel_stats["plan_builds"] == 2
 
 

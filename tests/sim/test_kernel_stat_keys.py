@@ -57,8 +57,6 @@ class TestCanonicalKeySet:
             "spans_skipped",
             "cycles_skipped",
             "plan_builds",
-            "plan_shared",
-            "plan_evictions",
         )
 
     def test_event_driven_cached_kernel(self):

@@ -1,29 +1,27 @@
-"""Snapshot/restore of prepared scenarios and the serialisable plan format.
+"""Snapshot/restore of prepared scenarios.
 
 The acceptance oracle is the restore⇒identical-run property: a prepared
 scenario snapshotted mid-run and restored in (conceptually) another
 process must continue to exactly the outcome the original run produces —
-same stats, same activity counters, same kernel counters.  Around that
-sit the container-integrity checks (every corruption is a *named*
-``SnapshotError``), the registry-free plan serialisation, and the bounded
-plan intern table.
+same stats, same activity counters, same kernel counters, including
+``plan_builds`` (a restored simulator keeps the classification it was
+pickled with).  Around that sit the container-integrity checks: every
+corruption, including a payload that no longer unpickles, is a *named*
+``SnapshotError``.
 """
 
+import hashlib
+import json
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import simulator as simulator_module
-from repro.sim.simulator import PLAN_INTERN_CAPACITY, SchedulePlan
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_SCHEMA_VERSION,
     SnapshotError,
-    plan_digest,
-    plan_from_payload,
-    plan_to_payload,
     read_header,
     restore_prepared,
     snapshot_prepared,
@@ -38,48 +36,38 @@ def _prepare(dense=False, **params):
     return scenario(SCENARIO).prepare(list(HORIZONS), dense, **params)
 
 
-def _plan_of(prepared):
-    prepared.simulator.step(1)  # force plan resolution
-    return prepared.simulator._plan
-
-
-def _loop_stats(simulator):
-    """Kernel counters minus the plan_* keys: plan build/share/evict tallies
-    depend on the process-wide intern table (what earlier tests interned),
-    not on this run's stepping behaviour."""
-    return {k: v for k, v in simulator.kernel_stats.items() if not k.startswith("plan_")}
+def _frame(payload, base_tick=0):
+    """A well-framed blob around ``payload``: only unpickling can fail."""
+    header = {
+        "schema_version": SNAPSHOT_SCHEMA_VERSION,
+        "base_tick": base_tick,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    return SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + payload
 
 
 class TestPlanPayload:
-    def test_round_trip_returns_canonical_interned_plan(self):
-        plan = _plan_of(_prepare())
-        payload = plan_to_payload(plan)
-        assert payload["entries"], "expected a non-trivial topology"
-        for entry in payload["entries"]:
-            assert ":" in entry["component"]
-        rebuilt = plan_from_payload(payload)
-        assert rebuilt.fingerprint == plan.fingerprint
-        # adopt() returns the already-interned instance, not a twin.
-        assert rebuilt is plan
-
-    def test_digest_is_stable_and_structural(self):
-        plan_a = _plan_of(_prepare())
-        plan_b = _plan_of(_prepare())
-        assert plan_digest(plan_a) == plan_digest(plan_b)
-        assert len(plan_digest(plan_a)) == 64
+    """The classification travels inside the pickled simulator.  A payload
+    that cannot rebuild it (a class that moved, a foreign object) is a
+    named error, never a crash or a half-restored simulator."""
 
     def test_unresolvable_class_is_a_named_error(self):
-        payload = plan_to_payload(_plan_of(_prepare()))
-        payload["entries"][0]["component"] = "repro.no.such.module:Ghost"
-        with pytest.raises(SnapshotError, match="cannot resolve component class"):
-            plan_from_payload(payload)
-        payload["entries"][0]["component"] = "no-colon-here"
-        with pytest.raises(SnapshotError, match="malformed component class reference"):
-            plan_from_payload(payload)
+        prepared = _prepare()
+        prepared.simulator.step(HORIZONS[0])
+        _, payload = read_header(snapshot_prepared(prepared))
+        assert payload.count(b"\x8c\x05Timer") == 1
+        renamed = payload.replace(b"\x8c\x05Timer", b"\x8c\x05Tymer")
+        with pytest.raises(SnapshotError, match="unpickling failed.*Tymer"):
+            restore_prepared(_frame(renamed, HORIZONS[0]))
 
     def test_malformed_payload_is_a_named_error(self):
-        with pytest.raises(SnapshotError, match="malformed plan payload"):
-            plan_from_payload({"cached_wakes": True, "entries": [{"component": 3}]})
+        with pytest.raises(SnapshotError, match="has no .simulator"):
+            restore_prepared(_frame(pickle.dumps({"simulator": None})))
+        prepared = _prepare()
+        prepared.simulator.step(10)
+        with pytest.raises(SnapshotError, match="at cycle 10, header says 0"):
+            restore_prepared(_frame(pickle.dumps(prepared)))
 
 
 class TestContainerIntegrity:
@@ -94,7 +82,7 @@ class TestContainerIntegrity:
         assert header["schema_version"] == SNAPSHOT_SCHEMA_VERSION
         assert header["base_tick"] == HORIZONS[0]
         assert header["payload_bytes"] == len(payload)
-        assert header["plan"] is not None and header["plan_digest"] is not None
+        assert set(header) == {"schema_version", "base_tick", "payload_bytes", "payload_sha256"}
 
     def test_bad_magic(self, blob):
         with pytest.raises(SnapshotError, match="bad magic"):
@@ -123,21 +111,8 @@ class TestContainerIntegrity:
 
     def test_corrupt_pickle_with_valid_checksum(self):
         # A header that frames garbage correctly: only unpickling can fail.
-        import hashlib
-        import json
-
-        payload = b"\x80\x05garbage"
-        header = {
-            "schema_version": SNAPSHOT_SCHEMA_VERSION,
-            "base_tick": 0,
-            "plan": None,
-            "plan_digest": None,
-            "payload_bytes": len(payload),
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        }
-        blob = SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + payload
         with pytest.raises(SnapshotError, match="unpickling failed"):
-            restore_prepared(blob)
+            restore_prepared(_frame(b"\x80\x05garbage"))
 
     def test_unpicklable_prepared_is_a_named_error(self):
         class Unpicklable:
@@ -176,16 +151,22 @@ class TestRestoreOracle:
         fresh.simulator.step(HORIZONS[1] - HORIZONS[0])
         restored.prepared.simulator.step(HORIZONS[1] - HORIZONS[0])
         assert restored.prepared.outcome(HORIZONS[1]).stats == fresh.outcome(HORIZONS[1]).stats
-        assert _loop_stats(restored.prepared.simulator) == _loop_stats(fresh.simulator)
+        assert restored.prepared.simulator.kernel_stats == fresh.simulator.kernel_stats
 
-    def test_restore_adopts_the_canonical_interned_plan(self):
+    def test_restored_simulator_keeps_its_classification(self):
         fresh = _prepare()
-        plan = _plan_of(fresh)
-        restored = restore_prepared(snapshot_prepared(fresh))
-        simulator = restored.prepared.simulator
-        assert simulator._plan is plan
-        assert simulator._state.bound_plan is plan
-        assert restored.plan_shared is True
+        fresh.simulator.step(HORIZONS[0])
+        simulator = restore_prepared(snapshot_prepared(fresh)).prepared.simulator
+        state = simulator.state
+        assert simulator.kernel_stats["plan_builds"] == 1
+        deadlines, dirty = list(state.deadlines), set(state._dirty)
+        assert any(deadline is not None for deadline in deadlines)
+        # Stepping re-checks the fingerprint; an unchanged one must neither
+        # rebuild the classification nor clear the restored wake cache.
+        assert simulator._schedule_plan() is state
+        assert (state.deadlines, state._dirty) == (deadlines, dirty)
+        simulator.step(HORIZONS[1] - HORIZONS[0])
+        assert simulator.kernel_stats["plan_builds"] == 1
 
     def test_snapshot_is_backend_neutral(self):
         prepared = _prepare()
@@ -203,9 +184,10 @@ class TestRestoreOracle:
         """Snapshot at an arbitrary mid-run cycle (not just stop boundaries),
         restore, continue: the outcome and the simulated *work* (dense
         ticks, skipped cycles) must match a fresh uninterrupted run, and
-        every loop counter must match a twin that merely paused at the same
-        cycle without snapshotting — snapshot/restore adds nothing beyond
-        what pausing itself does.  Both kernel modes."""
+        every kernel counter (``plan_builds`` included) must match a twin
+        that merely paused at the same cycle without snapshotting —
+        snapshot/restore adds nothing beyond what pausing itself does.
+        Both kernel modes."""
         fresh = _prepare(dense=dense, sample_period_cycles=period)
         paused = _prepare(dense=dense, sample_period_cycles=period)
         interrupted = _prepare(dense=dense, sample_period_cycles=period)
@@ -216,43 +198,8 @@ class TestRestoreOracle:
         paused.simulator.step(HORIZONS[0] - cut)
         restored.simulator.step(HORIZONS[0] - cut)
         assert restored.outcome(HORIZONS[0]).stats == fresh.outcome(HORIZONS[0]).stats
-        assert _loop_stats(restored.simulator) == _loop_stats(paused.simulator)
+        assert restored.simulator.kernel_stats == paused.simulator.kernel_stats
         # Pausing may split a quiescent span (one extra next_event call);
         # the simulated work itself must be identical to the one-shot run.
         for key in ("dense_ticks", "cycles_skipped"):
             assert restored.simulator.kernel_stats[key] == fresh.simulator.kernel_stats[key]
-
-
-class TestPlanInternBounds:
-    def _fingerprint(self, index):
-        # Distinct structural fingerprints without building real topologies:
-        # the entry tuple shape is (cls, ticks, hinted, skips, cacheable,
-        # slot) — vary the slot to vary the fingerprint.
-        return (True, ((object, True, True, False, True, index),))
-
-    def test_adopt_evicts_least_recently_used_beyond_capacity(self, monkeypatch):
-        monkeypatch.setattr(simulator_module, "PLAN_INTERN_CAPACITY", 2)
-        monkeypatch.setattr(simulator_module, "_PLAN_INTERN", {})
-        table = simulator_module._PLAN_INTERN
-        plans = [SchedulePlan(self._fingerprint(i)) for i in range(3)]
-        assert SchedulePlan.adopt(plans[0]) == (plans[0], False, 0)
-        assert SchedulePlan.adopt(plans[1]) == (plans[1], False, 0)
-        # Refresh plan 0 so plan 1 is now the least recently used.
-        adopted, shared, evicted = SchedulePlan.adopt(SchedulePlan(self._fingerprint(0)))
-        assert adopted is plans[0] and shared and evicted == 0
-        _, _, evicted = SchedulePlan.adopt(plans[2])
-        assert evicted == 1
-        assert plans[1].fingerprint not in table
-        assert plans[0].fingerprint in table and plans[2].fingerprint in table
-
-    def test_evictions_are_charged_to_kernel_stats(self, monkeypatch):
-        monkeypatch.setattr(simulator_module, "PLAN_INTERN_CAPACITY", 0)
-        monkeypatch.setattr(simulator_module, "_PLAN_INTERN", {})
-        prepared = _prepare()
-        prepared.simulator.step(1)
-        stats = prepared.simulator.kernel_stats
-        assert stats["plan_builds"] == 1
-        assert stats["plan_evictions"] == 1  # capacity 0: every insert evicts
-
-    def test_default_capacity_is_sane(self):
-        assert PLAN_INTERN_CAPACITY >= 64
