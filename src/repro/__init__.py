@@ -16,8 +16,8 @@ reproduces the system and its evaluation in pure Python:
   across processes, aggregated into structured artifacts
   (``python -m repro.run sweep``).
 * :mod:`repro.obs` — the telemetry layer: metrics registry, structured span
-  tracing (Chrome trace-event export), and sweep profiling hooks
-  (``--trace-out``, ``--profile``, ``python -m repro.run stats``).
+  tracing (Chrome trace-event export), and the always-on sweep phase
+  profile (``--trace-out``, ``python -m repro.run stats``).
 
 Quickstart::
 

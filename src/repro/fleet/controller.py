@@ -118,8 +118,8 @@ class FleetConfig:
     #: ``--jobs`` passed to each worker (workers already parallelise across
     #: shards, so per-worker pools default to serial).
     worker_jobs: int = 1
-    #: Thread telemetry through the workers (--trace-out/--profile) so the
-    #: merged artifacts carry a stitched multi-lane Perfetto trace.
+    #: Thread tracing through the workers (--trace-out) so the merged
+    #: artifacts carry a stitched multi-lane Perfetto trace.
     trace: bool = False
     #: Results-store database to feed and feed from (``--store``): accepted
     #: shard artifacts are ingested the moment validation accepts them, and
@@ -132,9 +132,7 @@ class FleetConfig:
     #: (``--plan-cache``).  ``None`` auto-provisions
     #: ``<out>/<campaign>/plan-cache`` — :func:`run_fleet` resolves it and
     #: writes the resolved path back here so every launch (including heal
-    #: rounds) uses the same directory.  Workers running with a plan cache
-    #: also run ``--profile`` so their manifests carry kernel stats and the
-    #: ledger can aggregate the ``kernel.*`` and cache counters fleet-wide.
+    #: rounds) uses the same directory.
     plan_cache: Optional[Path] = None
     #: ``--no-plan-cache`` disables warm starts entirely.
     plan_cache_enabled: bool = True
@@ -199,14 +197,9 @@ def _worker_argv(config: FleetConfig, shard: ShardSpec) -> List[str]:
         str(config.worker_jobs),
     ]
     if config.trace:
-        argv += ["--trace-out", "trace.json", "--profile"]
+        argv += ["--trace-out", "trace.json"]
     if config.plan_cache_enabled and config.plan_cache is not None:
         argv += ["--plan-cache", str(config.plan_cache)]
-        if not config.trace:
-            # Kernel stats only reach the shard manifest under --profile;
-            # the ledger folds them (kernel.*) fleet-wide next to the cache
-            # counters.
-            argv += ["--profile"]
     return argv
 
 

@@ -4,7 +4,7 @@ Three small, dependency-free pieces give every layer of the system (the
 simulation kernel, the batch loop, the sweep executor, the CLI) one
 observability vocabulary:
 
-* :mod:`repro.obs.metrics` — a **metrics registry**: counters, gauges, and
+* :mod:`repro.obs.metrics` — a **metrics registry**: counters and
   histograms with labels, plus the fixed-key :class:`~repro.obs.metrics.CounterSet`
   the kernel's ``kernel_stats`` is built from.  ``KERNEL_STAT_KEYS`` is the
   canonical key set every kernel mode must agree on, and the
@@ -24,15 +24,15 @@ observability vocabulary:
   lanes and a ``sweep merge``-aware combiner that stitches shard traces
   into one document.
 * :mod:`repro.obs.profile` — the sweep executor's **per-phase wall-time
-  breakdown** (expand, prepare, simulate, finalize, write) that
-  ``sweep --profile`` records into the manifest's ``execution.telemetry``
-  block and ``python -m repro.run stats`` renders.
+  breakdown** (expand, prepare, simulate, finalize, write) that every
+  sweep records into the manifest's ``execution.telemetry`` block and
+  ``python -m repro.run stats`` renders.
 
-Telemetry is strictly *observational*: enabling it must not perturb
-results.  ``results.json``/``results.csv`` of a campaign run with tracing
-and profiling on are byte-identical to a run with telemetry off (pinned by
-``tests/sweep/test_telemetry.py`` and the ``telemetry-smoke`` CI job);
-telemetry output lands only in the manifest, the trace file, and stderr.
+Telemetry is strictly *observational*: it must not perturb results.
+``results.json``/``results.csv`` of a traced campaign are byte-identical
+to an untraced run (pinned by ``tests/sweep/test_telemetry.py`` and the
+``telemetry-smoke`` CI job); telemetry output lands only in the manifest,
+the trace file, and stderr.
 
 Full documentation: ``docs/observability.md``.
 """

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms with labels.
+"""Metrics registry: counters and histograms with labels.
 
 Two consumers shape this module:
 
@@ -122,18 +122,6 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
 class Histogram:
     """A streaming summary of observed values (count/sum/min/max).
 
@@ -178,7 +166,7 @@ class Histogram:
 class MetricsRegistry:
     """A process-local namespace of named, labelled metrics.
 
-    ``counter``/``gauge``/``histogram`` create-or-return the instrument for
+    ``counter``/``histogram`` create-or-return the instrument for
     ``(name, labels)``, so call sites never coordinate registration.
     :meth:`as_dict` renders everything into a deterministic (sorted)
     JSON-ready mapping — the shape embedded in the sweep manifest's
@@ -186,7 +174,6 @@ class MetricsRegistry:
 
         {"counter": {"kernel.dense_ticks": 12,
                      "sweep.points{kind=computed}": 4},
-         "gauge": {...},
          "histogram": {"sweep.point_wall_seconds": {"count": 4, ...}}}
 
     Label sets render into the name as ``{key=value,...}`` with sorted
@@ -195,14 +182,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
-        self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
 
     def counter(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Counter:
         return self._counters.setdefault((name, _labels_key(labels)), Counter())
-
-    def gauge(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Gauge:
-        return self._gauges.setdefault((name, _labels_key(labels)), Gauge())
 
     def histogram(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Histogram:
         return self._histograms.setdefault((name, _labels_key(labels)), Histogram())
@@ -230,10 +213,6 @@ class MetricsRegistry:
                 self._render(name, labels): counter.value
                 for (name, labels), counter in sorted(self._counters.items())
             },
-            "gauge": {
-                self._render(name, labels): gauge.value
-                for (name, labels), gauge in sorted(self._gauges.items())
-            },
             "histogram": {
                 self._render(name, labels): histogram.as_dict()
                 for (name, labels), histogram in sorted(self._histograms.items())
@@ -243,16 +222,13 @@ class MetricsRegistry:
     def merge_dict(self, rendered: Mapping[str, Mapping[str, object]]) -> None:
         """Accumulate an :meth:`as_dict` payload from another process.
 
-        Counters add, gauges last-write-win, histograms merge their
-        summaries — which is how the sweep executor folds each worker
+        Counters add and histograms merge their summaries — which is how the sweep executor folds each worker
         chunk's metrics into the campaign-level registry.  Rendered label
         strings round-trip as opaque names (they only need to stay stable
         and sorted, not to be re-parsed).
         """
         for name, value in rendered.get("counter", {}).items():
             self.counter(name).inc(int(value))
-        for name, value in rendered.get("gauge", {}).items():
-            self.gauge(name).set(float(value))
         for name, summary in rendered.get("histogram", {}).items():
             histogram = self.histogram(name)
             count = int(summary.get("count", 0))

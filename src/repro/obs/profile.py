@@ -1,6 +1,6 @@
 """Per-phase wall-time profiling for the sweep executor.
 
-``sweep --profile`` answers "where did the wall-clock go" for a campaign:
+Every sweep answers "where did the wall-clock go" for its campaign:
 the executor charges every second of work to one of five phases —
 
 * ``expand``   — grid expansion into concrete sweep points;
@@ -18,7 +18,7 @@ Worker processes time their own chunks and the parent sums them, so under
 the campaign's end-to-end wall clock — the ratio is the effective
 parallelism.  The breakdown lands in the manifest's
 ``execution.telemetry.profile`` block and is rendered by
-``python -m repro.run stats`` and the ``--profile`` end-of-run summary.
+``python -m repro.run stats``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class PhaseTimer:
 
 
 def format_profile(profile: Mapping[str, float], wall_seconds: float) -> str:
-    """Human-readable phase table (the ``--profile`` summary / ``stats``).
+    """Human-readable phase table (rendered by ``stats``).
 
     Percentages are of the summed phase time, not the end-to-end wall
     clock: under a worker pool the phases overlap, and the final line makes

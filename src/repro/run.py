@@ -37,7 +37,7 @@ Examples::
     python -m repro.run sweep smoke --shard 0/3 --out /tmp/shards
     python -m repro.run sweep merge /tmp/shards/smoke/shard-0-of-3 \\
         /tmp/shards/smoke/shard-1-of-3 /tmp/shards/smoke/shard-2-of-3
-    python -m repro.run sweep smoke --trace-out trace.json --profile
+    python -m repro.run sweep smoke --trace-out trace.json
     python -m repro.run fleet fleet-scale --workers 4 --timeout 120
     python -m repro.run fleet status results/sweeps/fleet-scale
     python -m repro.run stats results/sweeps/smoke
@@ -46,10 +46,11 @@ Examples::
     python -m repro.run store info
     python -m repro.run sweep smoke --resume-from-store results/store.sqlite
 
-Telemetry (``--trace-out``, ``--profile``, the ``stats`` subcommand) is the
-:mod:`repro.obs` layer — see ``docs/observability.md``.  It is purely
-observational: results.json/results.csv are byte-identical with it on or
-off, and with it off the instrumentation costs one pointer check per span.
+Telemetry is the :mod:`repro.obs` layer — see ``docs/observability.md``.
+Every sweep records its phase profile and metrics into the manifest, which
+``stats`` renders; ``--trace-out`` adds a Chrome trace.  It is purely
+observational: results.json/results.csv are byte-identical traced or not,
+and untraced the span instrumentation costs one pointer check per span.
 
 The ``store`` subcommand (:mod:`repro.store`) maintains the persistent,
 queryable corpus of every campaign ever ingested: ``store ingest`` folds
@@ -211,14 +212,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "A bare filename lands next to the campaign's artifacts; results "
         "stay byte-identical to an untraced run",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="record the per-phase wall-time breakdown (expand/prepare/"
-        "simulate/finalize/write) into the manifest's execution.telemetry "
-        "block and print it after the run; 'repro.run stats <dir>' renders "
-        "it again later",
-    )
     return parser
 
 
@@ -357,7 +350,15 @@ def _stats_main(argv: Sequence[str]) -> int:
         print(f"error: {manifest_path}: manifest has no execution block", file=sys.stderr)
         return 2
     n_points = manifest.get("n_points", "?")
-    wall = float(execution.get("wall_seconds") or 0.0)
+    try:
+        wall = float(execution.get("wall_seconds") or 0.0)
+    except (TypeError, ValueError):
+        print(
+            f"error: {manifest_path}: execution.wall_seconds is not a number: "
+            f"{execution.get('wall_seconds')!r}",
+            file=sys.stderr,
+        )
+        return 2
     rate = f", {float(n_points) / wall:.1f} points/s" if wall > 0 and n_points != "?" else ""
     print(f"campaign {name}: {n_points} points, {wall:.2f} s wall{rate}")
     cache_block = execution.get("cache")
@@ -372,8 +373,8 @@ def _stats_main(argv: Sequence[str]) -> int:
     telemetry = execution.get("telemetry")
     if not isinstance(telemetry, dict):
         print(
-            "no telemetry recorded — re-run the sweep with --profile and/or "
-            "--trace-out (see docs/observability.md)"
+            "no telemetry recorded — the manifest predates always-on telemetry; "
+            "re-run the sweep to record it (see docs/observability.md)"
         )
         return 1
     profile = telemetry.get("profile")
@@ -548,7 +549,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
             reuse=reuse,
             shard=shard,
             trace=args.trace_out is not None,
-            profile=args.profile,
             plan_cache=args.plan_cache,
         )
     finally:
@@ -587,12 +587,11 @@ def _sweep_main(argv: Sequence[str]) -> int:
             # A trace outside the artifact dir is recorded by absolute path
             # (sweep merge resolves relative names against the shard dir).
             file_ref = str(trace_path.resolve())
-        if result.telemetry is not None:
-            result.telemetry["trace"] = {
-                "file": file_ref,
-                "events": sum(1 for event in document["traceEvents"] if event.get("ph") != "M"),
-                "dropped": dropped,
-            }
+        result.telemetry["trace"] = {
+            "file": file_ref,
+            "events": sum(1 for event in document["traceEvents"] if event.get("ph") != "M"),
+            "dropped": dropped,
+        }
     paths = write_artifacts(spec, result, Path(args.out), subdir=shard_subdir)
     sharded = f"shard {shard}, " if shard is not None else ""
     reused = f", {result.n_reused} reused" if result.n_reused else ""
@@ -617,10 +616,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
         print(f"  {paths[label]}")
     if trace_path is not None:
         print(f"  {trace_path}")
-    if args.profile and result.telemetry is not None:
-        from repro.obs.profile import format_profile
-
-        print(format_profile(result.telemetry.get("profile", {}), result.wall_seconds))
     if result.failed_points:
         # Artifacts for the surviving points are already on disk (written
         # above); the failed ones are recorded in the manifest's execution
@@ -710,8 +705,8 @@ def _build_fleet_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="run workers with --trace-out/--profile so the merged manifest "
-        "carries telemetry and a stitched multi-shard trace",
+        help="run workers with --trace-out so the merged manifest points at "
+        "a stitched multi-shard trace",
     )
     parser.add_argument(
         "--store",

@@ -7,7 +7,7 @@ one writer) keyed by the same ``spec_hash`` + point index + seed identity
 that ``--resume`` and ``sweep merge`` already validate:
 
 * :mod:`repro.store.schema` — versioned DDL (``PRAGMA user_version`` +
-  ``store_meta``), migration hook, :func:`connect`;
+  ``store_meta``), :func:`connect`;
 * :mod:`repro.store.ingest` — idempotent ingestion of full/shard/merged/
   partial artifact directories with sha-keyed dedup and structured
   conflict reporting;
@@ -37,12 +37,10 @@ from repro.store.query import (
 from repro.store.resume import load_reusable_results_from_store
 from repro.store.schema import (
     DEFAULT_STORE_DB,
-    MIGRATIONS,
     STORE_SCHEMA_VERSION,
     SchemaVersionError,
     StoreError,
     connect,
-    register_migration,
     schema_version,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "DEFAULT_STORE_DB",
     "DirectoryReport",
     "IngestReport",
-    "MIGRATIONS",
     "STORE_SCHEMA_VERSION",
     "SchemaVersionError",
     "StoreError",
@@ -64,7 +61,6 @@ __all__ = [
     "parse_aggregate",
     "parse_filter",
     "reconstruct_results_payload",
-    "register_migration",
     "schema_version",
     "select_rows",
     "store_info",

@@ -21,10 +21,9 @@ ingested.  Three tables:
 
 **Versioning.** The schema version lives in sqlite's ``user_version``
 pragma (mirrored into ``store_meta`` for human introspection).  Opening a
-database written by a *newer* schema raises :class:`SchemaVersionError`;
-opening an *older* one walks the :data:`MIGRATIONS` hook table one step at
-a time (``register_migration``), raising when a step is missing.  A fresh
-file is initialised at :data:`STORE_SCHEMA_VERSION`.
+database at any other version raises :class:`SchemaVersionError`: schema 1
+is the only version there has been, so there is nothing to migrate from.
+A fresh file is initialised at :data:`STORE_SCHEMA_VERSION`.
 
 **Concurrency.** Connections run in WAL journal mode: many concurrent
 readers proceed while one writer appends — the many-readers/one-writer
@@ -35,9 +34,9 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Callable, Dict, Union
+from typing import Union
 
-#: Bump when the store DDL changes; pair every bump with a migration.
+#: Bump when the store DDL changes (and teach :func:`connect` to migrate).
 STORE_SCHEMA_VERSION = 1
 
 #: Default database location, next to the sweep artifact root.
@@ -51,30 +50,8 @@ class StoreError(ValueError):
 
 
 class SchemaVersionError(StoreError):
-    """The database's schema version cannot be used by this code: it is
-    newer than :data:`STORE_SCHEMA_VERSION`, or older with no registered
-    migration to walk it forward."""
-
-
-#: Migration hook table: ``from_version -> migrator``; each migrator
-#: upgrades an open connection one step (``from_version`` to
-#: ``from_version + 1``).  :func:`connect` walks these in order and stamps
-#: the new version; register one with :func:`register_migration` for every
-#: schema bump so old databases keep opening.
-Migration = Callable[[sqlite3.Connection], None]
-MIGRATIONS: Dict[int, Migration] = {}
-
-
-def register_migration(from_version: int) -> Callable[[Migration], Migration]:
-    """Decorator: register a one-step migrator for ``from_version``."""
-
-    def decorate(migrator: Migration) -> Migration:
-        if from_version in MIGRATIONS:
-            raise ValueError(f"a migration from schema version {from_version} is already registered")
-        MIGRATIONS[from_version] = migrator
-        return migrator
-
-    return decorate
+    """The database's schema version is not :data:`STORE_SCHEMA_VERSION`:
+    it is newer than this code, or older than any version it can read."""
 
 
 _DDL = """
@@ -132,7 +109,7 @@ CREATE TABLE store_meta (
 def connect(
     path: Union[str, Path], *, create: bool = True, timeout: float = 30.0
 ) -> sqlite3.Connection:
-    """Open (and if needed initialise or migrate) the store at ``path``.
+    """Open (and if needed initialise) the store at ``path``.
 
     Returns a WAL-mode connection with ``sqlite3.Row`` rows and foreign
     keys enforced.  ``create=False`` refuses to materialise a missing file
@@ -200,16 +177,8 @@ def _ensure_schema(conn: sqlite3.Connection, path: Path) -> None:
             f"{path}: store schema version {version} is newer than this code "
             f"supports ({STORE_SCHEMA_VERSION}) — upgrade the code, not the database"
         )
-    # Older database: walk the migration hooks one step at a time.
-    while version < STORE_SCHEMA_VERSION:
-        migrator = MIGRATIONS.get(version)
-        if migrator is None:
-            raise SchemaVersionError(
-                f"{path}: store schema version {version} predates this code "
-                f"({STORE_SCHEMA_VERSION}) and no migration from {version} is "
-                f"registered — re-ingest into a fresh database"
-            )
-        with conn:
-            migrator(conn)
-            version += 1
-            _stamp_version(conn, version)
+    raise SchemaVersionError(
+        f"{path}: store schema version {version} predates this code "
+        f"({STORE_SCHEMA_VERSION}) and there is no migration from it — re-ingest into "
+        f"a fresh database"
+    )

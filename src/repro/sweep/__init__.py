@@ -21,9 +21,9 @@ under an identical campaign manifest (:mod:`repro.sweep.resume`), and
 distribution — the per-host artifact
 directories merge back into the single-host artifacts with
 ``python -m repro.run sweep merge <dir>...`` (:mod:`repro.sweep.merge`).
-``--trace-out``/``--profile`` record telemetry (:mod:`repro.obs`) into the
-manifest and a Chrome trace file without perturbing the result artifacts;
-``python -m repro.run stats <dir>`` renders it back.
+Every run records its telemetry (:mod:`repro.obs`) into the manifest, and
+``--trace-out`` adds a Chrome trace file, without perturbing the result
+artifacts; ``python -m repro.run stats <dir>`` renders it back.
 Full documentation: ``docs/sweeps.md`` and ``docs/observability.md``.
 """
 

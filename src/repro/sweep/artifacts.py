@@ -184,11 +184,10 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
             "python_version": platform.python_version(),
         },
     }
-    if result.telemetry is not None:
-        # Telemetry (phase profile, metrics registry, trace pointer) lives
-        # only in the manifest: results.json/results.csv must stay
-        # byte-identical whether a run was traced/profiled or not.
-        payload["execution"]["telemetry"] = result.telemetry
+    # Telemetry (phase profile, metrics registry, trace pointer) lives only
+    # in the manifest: results.json/results.csv must stay byte-identical
+    # whether a run was traced or not.
+    payload["execution"]["telemetry"] = result.telemetry
     if result.cache is not None:
         # Warm-run provenance: the resolved --plan-cache path plus summed
         # hit/miss/write/error totals (and any swallowed corruption notes).
@@ -292,9 +291,8 @@ def write_artifacts(
         json.dumps(results_payload(result), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     write_results_csv(result, paths["results_csv"])
-    if result.telemetry is not None:
-        profile = result.telemetry.setdefault("profile", {})
-        profile["write"] = profile.get("write", 0.0) + (time.perf_counter() - write_start)
+    profile = result.telemetry.setdefault("profile", {})
+    profile["write"] = profile.get("write", 0.0) + (time.perf_counter() - write_start)
     paths["manifest_json"].write_text(
         json.dumps(manifest_payload(spec, result), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -132,10 +132,10 @@ class CampaignResult:
     #: payload — so downstream they look exactly like missing coverage,
     #: which is what lets ``merge --heal`` / the fleet re-run them.
     failed_points: List[Dict[str, object]] = field(default_factory=list)
-    #: Campaign-level telemetry (phase profile + metrics registry), present
-    #: only when the execution ran with ``trace=``/``profile=``; the
-    #: artifacts layer embeds it as the manifest's ``execution.telemetry``.
-    telemetry: Optional[Dict[str, object]] = None
+    #: Campaign-level telemetry: the phase ``profile`` and the ``metrics``
+    #: registry, plus a ``trace`` pointer when traced.  The artifacts layer
+    #: embeds it as the manifest's ``execution.telemetry``.
+    telemetry: Dict[str, object] = field(default_factory=dict)
     #: Chrome trace events buffered by worker-owned tracers (``trace=True``
     #: under a pool).  The caller combines these with its own installed
     #: tracer's buffer (which holds the serial/parent-side events) into one
@@ -224,9 +224,9 @@ class ChunkOutcome:
     """What one pool task produced: the chunk's point records plus the
     batching bookkeeping (how many points actually shared a prepared
     simulation, and why any group fell back to solo runs).
-    Under ``trace=``/``profile=`` the task additionally ships its telemetry
-    home: worker-summed phase seconds, summed kernel stats, batch rounds,
-    and (when this process owned its tracer) the buffered trace events."""
+    The task also ships its telemetry home: worker-summed phase seconds,
+    summed kernel stats, batch rounds, and (when this process owned its
+    tracer under ``trace=``) the buffered trace events."""
 
     results: List[PointResult] = field(default_factory=list)
     fallbacks: List[Dict[str, object]] = field(default_factory=list)
@@ -235,7 +235,7 @@ class ChunkOutcome:
     #: the chunk — the rest of the chunk's results still ship home.
     failures: List[Dict[str, object]] = field(default_factory=list)
     batched_points: int = 0
-    #: Worker-side per-phase wall seconds (empty when telemetry is off).
+    #: Worker-side per-phase wall seconds (phases that took no time omitted).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed ``kernel_stats`` across the chunk's simulations.
     kernel_stats: Dict[str, int] = field(default_factory=dict)
@@ -256,7 +256,7 @@ class ChunkOutcome:
 
 class _ChunkTelemetry:
     """One chunk task's telemetry accumulators (phase timer, kernel-stat
-    totals, batch rounds); ``None`` stands for telemetry-off everywhere."""
+    totals, batch rounds)."""
 
     __slots__ = ("timer", "kernel", "rounds")
 
@@ -266,7 +266,7 @@ class _ChunkTelemetry:
         self.rounds = 0
 
 
-def _chunk_scope(trace: bool, profile: bool):
+def _chunk_scope(trace: bool):
     """Set up one chunk task's telemetry: accumulators plus tracer ownership.
 
     A pool worker owns (installs and later drains) its own tracer; in serial
@@ -274,7 +274,7 @@ def _chunk_scope(trace: bool, profile: bool):
     stay with the parent.  The pid check distinguishes the two: a forked
     worker inherits the parent's tracer object, whose pid no longer matches.
     """
-    tele = _ChunkTelemetry() if (trace or profile) else None
+    tele = _ChunkTelemetry()
     tracer = tracing.TRACER
     owned = False
     if trace and (tracer is None or tracer.pid != os.getpid()):
@@ -283,14 +283,11 @@ def _chunk_scope(trace: bool, profile: bool):
     return tele, tracer, owned
 
 
-def _finish_chunk(
-    outcome: ChunkOutcome, tele: Optional[_ChunkTelemetry], owned_tracer
-) -> ChunkOutcome:
+def _finish_chunk(outcome: ChunkOutcome, tele: _ChunkTelemetry, owned_tracer) -> ChunkOutcome:
     """Stamp a chunk task's telemetry onto its outcome before it ships."""
-    if tele is not None:
-        outcome.phase_seconds = {name: s for name, s in tele.timer.as_dict().items() if s > 0.0}
-        outcome.kernel_stats = tele.kernel.snapshot()
-        outcome.rounds = tele.rounds
+    outcome.phase_seconds = {name: s for name, s in tele.timer.as_dict().items() if s > 0.0}
+    outcome.kernel_stats = tele.kernel.snapshot()
+    outcome.rounds = tele.rounds
     if owned_tracer is not None:
         outcome.trace_events = owned_tracer.drain()
         outcome.dropped_events = owned_tracer.dropped
@@ -353,9 +350,7 @@ def _failed_record(point: SweepPoint, exc: BaseException) -> Dict[str, object]:
     }
 
 
-def _run_point_guarded(
-    point: SweepPoint, outcome: ChunkOutcome, tele: Optional[_ChunkTelemetry]
-) -> None:
+def _run_point_guarded(point: SweepPoint, outcome: ChunkOutcome, tele: _ChunkTelemetry) -> None:
     """Run one point, routing success to ``outcome.results`` and an exception
     to ``outcome.failures`` — a raising point must not poison the pool task
     (the chunk's other points, and the whole campaign with them, used to die
@@ -406,7 +401,7 @@ def _enroll_group(
     group: Sequence[SweepPoint],
     results: List[PointResult],
     share: _RunShare,
-    tele: Optional["_ChunkTelemetry"] = None,
+    tele: _ChunkTelemetry,
     cache=None,
 ) -> None:
     """Prepare one shared-prefix group and register its snapshot stops.
@@ -452,13 +447,11 @@ def _enroll_group(
         start = time.perf_counter()
         outcome = instance.outcome(elapsed)
         finalized = [_finalize_point(point, outcome, 0.0) for point in points]
-        if tele is not None:
-            tele.timer.add("finalize", time.perf_counter() - start)
+        tele.timer.add("finalize", time.perf_counter() - start)
         if cache is not None:
             publish_start = time.perf_counter()
             cache.publish(key, instance, elapsed)
-            if tele is not None:
-                tele.timer.add("cache", time.perf_counter() - publish_start)
+            tele.timer.add("cache", time.perf_counter() - publish_start)
         wall = owed["seconds"] + time.perf_counter() - began
         owed["seconds"] = 0.0
         for result in finalized:
@@ -546,7 +539,7 @@ def _enroll_group(
 
             stops.append((cycle - base, fire_drives))
         batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
-    elif tele is not None and served_stats is not None:
+    elif served_stats is not None:
         # The whole group was served from snapshots; no simulator of its
         # enters the batch, so absorb kernel stats here instead of in the
         # caller's post-run sweep over ``batch.instances``.  Only the
@@ -571,7 +564,6 @@ def _enroll_group(
 def run_point_groups(
     groups: Sequence[Sequence[SweepPoint]],
     trace: bool = False,
-    profile: bool = False,
     plan_cache: Optional[str] = None,
 ) -> ChunkOutcome:
     """The pool task: execute one chunk of shared-prefix groups.
@@ -593,7 +585,7 @@ def run_point_groups(
     """
     from repro.sim.batch import BatchSimulator
 
-    tele, tracer, owned = _chunk_scope(trace, profile)
+    tele, tracer, owned = _chunk_scope(trace)
     cache = None
     if plan_cache is not None:
         from repro.cache import PlanCache
@@ -611,11 +603,8 @@ def run_point_groups(
                     _run_point_guarded(point, outcome, tele)
                 continue
             try:
-                if tele is None:
-                    _enroll_group(batch, group, results, share, cache=cache)
-                else:
-                    with tele.timer.phase("prepare"):
-                        _enroll_group(batch, group, results, share, tele=tele, cache=cache)
+                with tele.timer.phase("prepare"):
+                    _enroll_group(batch, group, results, share, tele, cache=cache)
             except Exception as exc:
                 # The hook declined (BatchUnsupported), enrollment failed, or
                 # the hook rejected a bad point: the group's points run solo,
@@ -629,7 +618,7 @@ def run_point_groups(
                 enrolled.extend(group)
         start = share.mark = time.perf_counter()
         share.active = len(batch.instances)
-        finalize_before = tele.timer.seconds["finalize"] if tele is not None else 0.0
+        finalize_before = tele.timer.seconds["finalize"]
         try:
             batch.run()
         except Exception as exc:
@@ -640,15 +629,14 @@ def run_point_groups(
             lost = [point for point in enrolled if point.index not in done]
             outcome.failures.extend(_failed_record(point, exc) for point in lost)
             outcome.batched_points -= len(lost)
-        if tele is not None:
-            # The stop callbacks finalize point records mid-run; that time
-            # is already charged to "finalize", so "simulate" gets the rest.
-            run_wall = time.perf_counter() - start
-            finalized = tele.timer.seconds["finalize"] - finalize_before
-            tele.timer.add("simulate", max(run_wall - finalized, 0.0))
-            tele.rounds += batch.rounds
-            for instance in batch.instances:
-                tele.kernel.add(instance.simulator.kernel_stats)
+        # The stop callbacks finalize point records mid-run; that time is
+        # already charged to "finalize", so "simulate" gets the rest.
+        run_wall = time.perf_counter() - start
+        finalized = tele.timer.seconds["finalize"] - finalize_before
+        tele.timer.add("simulate", max(run_wall - finalized, 0.0))
+        tele.rounds += batch.rounds
+        for instance in batch.instances:
+            tele.kernel.add(instance.simulator.kernel_stats)
         if cache is not None:
             outcome.cache_stats = cache.counters.as_dict()
             outcome.cache_notes = list(cache.notes)
@@ -665,7 +653,6 @@ def execute_campaign(
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
     trace: bool = False,
-    profile: bool = False,
     plan_cache: Optional[str] = None,
 ) -> CampaignResult:
     """Run every point of ``spec`` and return the aggregated result.
@@ -686,11 +673,11 @@ def execute_campaign(
     sharding or batching the completion *order* is nondeterministic even
     though the aggregated results are not.
 
-    ``trace``/``profile`` turn on telemetry collection (``--trace-out`` /
-    ``--profile``): the result gains a ``telemetry`` block (phase profile
-    plus metrics registry) and, under ``trace``, the worker-buffered trace
-    events.  Telemetry never touches the comparable payload — results are
-    byte-identical with it on or off (``tests/sweep/test_telemetry.py``).
+    Every execution records its ``telemetry`` block (phase profile plus
+    metrics registry); ``trace`` (``--trace-out``) also collects the
+    worker-buffered trace events.  Telemetry never touches the comparable
+    payload — results are byte-identical traced or not
+    (``tests/sweep/test_telemetry.py``).
 
     ``plan_cache`` (``--plan-cache DIR``) points the batched groups at a
     persistent prepared-state snapshot cache: groups warm-start from
@@ -702,15 +689,11 @@ def execute_campaign(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    telemetry = trace or profile
-    timer = PhaseTimer() if telemetry else None
-    kernel_totals = CounterSet(KERNEL_STAT_KEYS) if telemetry else None
+    timer = PhaseTimer()
+    kernel_totals = CounterSet(KERNEL_STAT_KEYS)
     campaign_tracer = tracing.TRACER
     campaign_ns = campaign_tracer.now_ns() if campaign_tracer is not None else 0
-    if timer is not None:
-        with timer.phase("expand"):
-            all_points = expand_campaign(spec)
-    else:
+    with timer.phase("expand"):
         all_points = expand_campaign(spec)
     points_total = len(all_points)
     points = all_points
@@ -746,7 +729,7 @@ def execute_campaign(
     groups = batch_groups(points)
     parts = 1 if workers <= 1 else TASKS_PER_WORKER * workers
     tasks = cut_groups(groups, estimate_costs(groups, {}), parts)
-    task = partial(run_point_groups, trace=trace, profile=profile, plan_cache=plan_cache)
+    task = partial(run_point_groups, trace=trace, plan_cache=plan_cache)
     batched_points = 0
     batch_rounds = 0
     trace_events: List[Dict[str, object]] = []
@@ -759,10 +742,9 @@ def execute_campaign(
         batched_points += outcome.batched_points
         fallbacks.extend(outcome.fallbacks)
         failed.extend(outcome.failures)
-        if timer is not None:
-            timer.merge(outcome.phase_seconds)
-            kernel_totals.add(outcome.kernel_stats)
-            batch_rounds += outcome.rounds
+        timer.merge(outcome.phase_seconds)
+        kernel_totals.add(outcome.kernel_stats)
+        batch_rounds += outcome.rounds
         trace_events.extend(outcome.trace_events)
         trace_dropped += outcome.dropped_events
         for name, value in outcome.cache_stats.items():
@@ -790,30 +772,23 @@ def execute_campaign(
         cache_payload = {"path": str(plan_cache)}
         cache_payload.update(cache_totals)
         cache_payload["notes"] = sorted(set(cache_notes))
-    telemetry_payload: Optional[Dict[str, object]] = None
-    if telemetry:
-        registry = MetricsRegistry()
-        registry.absorb_kernel_stats(kernel_totals)
-        computed = sum(1 for result in results if not result.reused)
-        registry.counter("sweep.points", {"kind": "computed"}).inc(computed)
-        registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
-        registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
-        registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
-        registry.counter("batch.rounds").inc(batch_rounds)
-        if plan_cache is not None:
-            registry.counter("cache.hit").inc(cache_totals["hits"])
-            registry.counter("cache.miss").inc(cache_totals["misses"])
-            registry.counter("cache.write").inc(cache_totals["writes"])
-            registry.counter("cache.error").inc(cache_totals["errors"])
-        walls = registry.histogram("sweep.point_wall_seconds")
-        for result in results:
-            if not result.reused:
-                walls.observe(result.wall_seconds)
-        telemetry_payload = {
-            "enabled": {"trace": trace, "profile": profile},
-            "profile": timer.as_dict(),
-            "metrics": registry.as_dict(),
-        }
+    registry = MetricsRegistry()
+    registry.absorb_kernel_stats(kernel_totals)
+    computed = sum(1 for result in results if not result.reused)
+    registry.counter("sweep.points", {"kind": "computed"}).inc(computed)
+    registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
+    registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
+    registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
+    registry.counter("batch.rounds").inc(batch_rounds)
+    if plan_cache is not None:
+        registry.counter("cache.hit").inc(cache_totals["hits"])
+        registry.counter("cache.miss").inc(cache_totals["misses"])
+        registry.counter("cache.write").inc(cache_totals["writes"])
+        registry.counter("cache.error").inc(cache_totals["errors"])
+    walls = registry.histogram("sweep.point_wall_seconds")
+    for result in results:
+        if not result.reused:
+            walls.observe(result.wall_seconds)
     if campaign_tracer is not None:
         campaign_tracer.event(
             "sweep.campaign",
@@ -833,7 +808,7 @@ def execute_campaign(
         batched_points=batched_points,
         batch_fallbacks=fallbacks,
         failed_points=failed,
-        telemetry=telemetry_payload,
+        telemetry={"profile": timer.as_dict(), "metrics": registry.as_dict()},
         trace_events=trace_events,
         trace_dropped=trace_dropped,
         cache=cache_payload,

@@ -255,36 +255,25 @@ def _shard_telemetry(shard: ArtifactDir) -> Optional[Dict[str, object]]:
     return None
 
 
-def _merged_telemetry(shards: Sequence[ArtifactDir]) -> Optional[Dict[str, object]]:
+def _merged_telemetry(shards: Sequence[ArtifactDir]) -> Dict[str, object]:
     """Fold the shards' telemetry blocks into one campaign-level block.
 
     Phase profiles sum (worker-summed semantics carry straight through),
-    metrics merge by the registry's counter/gauge/histogram rules.  Returns
-    ``None`` when no shard ran with telemetry; shards without telemetry
-    simply contribute nothing (a fleet may mix traced and untraced hosts).
+    metrics merge by the registry's counter/histogram rules.  A shard whose
+    manifest predates always-on telemetry has no block and contributes
+    nothing.
     """
-    blocks = [block for shard in shards if (block := _shard_telemetry(shard)) is not None]
-    if not blocks:
-        return None
     timer = PhaseTimer()
     registry = MetricsRegistry()
-    trace_on = profile_on = False
-    for block in blocks:
-        enabled = block.get("enabled")
-        if isinstance(enabled, dict):
-            trace_on = trace_on or bool(enabled.get("trace"))
-            profile_on = profile_on or bool(enabled.get("profile"))
+    for shard in shards:
+        block = _shard_telemetry(shard) or {}
         profile = block.get("profile")
         if isinstance(profile, dict):
             timer.merge({name: float(seconds) for name, seconds in profile.items()})
         metrics = block.get("metrics")
         if isinstance(metrics, dict):
             registry.merge_dict(metrics)
-    return {
-        "enabled": {"trace": trace_on, "profile": profile_on},
-        "profile": timer.as_dict(),
-        "metrics": registry.as_dict(),
-    }
+    return {"profile": timer.as_dict(), "metrics": registry.as_dict()}
 
 
 def _shard_lane_label(shard: ArtifactDir) -> str:
@@ -368,8 +357,7 @@ def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
             "points_total": result.points_total,
             "missing": list(merged.missing),
         }
-    if result.telemetry is not None:
-        payload["execution"]["telemetry"] = result.telemetry
+    payload["execution"]["telemetry"] = result.telemetry
     return payload
 
 
@@ -479,12 +467,7 @@ def write_merged_artifacts(
     if merged_trace is not None:
         trace_path = write_trace(campaign_dir / "trace.json", merged_trace)
         paths["trace_json"] = trace_path
-        telemetry = merged.result.telemetry
-        if telemetry is None:
-            telemetry = merged.result.telemetry = {
-                "enabled": {"trace": True, "profile": False}
-            }
-        telemetry["trace"] = {
+        merged.result.telemetry["trace"] = {
             "file": trace_path.name,
             "events": sum(
                 1 for event in merged_trace["traceEvents"] if event.get("ph") != "M"

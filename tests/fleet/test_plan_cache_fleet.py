@@ -3,8 +3,8 @@
 The fleet's contract with the snapshot cache: every worker (and every
 heal-round re-run) is pointed at ONE shared cache directory — explicit
 ``--plan-cache`` or the auto-provisioned ``<out>/<campaign>/plan-cache`` —
-and workers run ``--profile`` so the ledger can fold each accepted shard's
-cache + kernel counters into fleet-wide totals.  A warm fleet must produce
+and the ledger folds each accepted shard's cache + kernel counters into
+fleet-wide totals.  A warm fleet must produce
 artifacts byte-identical to a cold one, and ``--no-plan-cache`` must put
 everything back to always-cold.
 """
@@ -57,19 +57,22 @@ def ledger_payload(result) -> dict:
 class TestWorkerArgv:
     SHARD = ShardSpec(index=0, count=2)
 
-    def test_plan_cache_flag_implies_profile(self, tmp_path):
+    def test_plan_cache_flag_is_threaded(self, tmp_path):
         config = make_config(tmp_path, plan_cache=tmp_path / "cache")
         argv = _worker_argv(config, self.SHARD)
         index = argv.index("--plan-cache")
         assert argv[index + 1] == str(tmp_path / "cache")
-        # Kernel stats only reach the shard manifest under --profile.
-        assert argv.count("--profile") == 1
 
-    def test_trace_and_plan_cache_profile_only_once(self, tmp_path):
-        config = make_config(tmp_path, plan_cache=tmp_path / "cache", trace=True)
-        argv = _worker_argv(config, self.SHARD)
-        assert argv.count("--profile") == 1
-        assert "--trace-out" in argv
+    def test_no_worker_argv_carries_profile(self, tmp_path):
+        # Every sweep records its profile, so no worker needs a flag for it.
+        for trace in (False, True):
+            for enabled in (False, True):
+                config = make_config(
+                    tmp_path, plan_cache=tmp_path / "cache", plan_cache_enabled=enabled, trace=trace
+                )
+                argv = _worker_argv(config, self.SHARD)
+                assert "--profile" not in argv
+                assert ("--trace-out" in argv) == trace
 
     def test_disabled_cache_drops_both_flags(self, tmp_path):
         config = make_config(
@@ -93,7 +96,7 @@ class TestProvisioningAndAggregation:
         assert payload["config"]["plan_cache"] == str(cache_dir)
         counters = payload["metrics"]["counter"]
         assert counters["cache.write"] == len(snaps)
-        assert "kernel.plan_builds" in counters  # --profile reached the manifest
+        assert "kernel.plan_builds" in counters  # shard telemetry reached the ledger
 
         # A second fleet pointed at the same cache serves every point warm,
         # still byte-identical.
@@ -128,4 +131,6 @@ class TestProvisioningAndAggregation:
         assert payload["config"]["plan_cache"] is None
         counters = payload["metrics"]["counter"]
         assert not any(key.startswith("cache.") for key in counters)
+        # Kernel counters reach the ledger with or without a cache.
+        assert "kernel.dense_ticks" in counters
         assert "plan cache (" not in render_ledger(payload)

@@ -70,12 +70,6 @@ class TestMetricsRegistry:
         registry.counter("points", {"kind": "computed", "a": 1}).inc(4)
         assert registry.as_dict()["counter"] == {"points{a=1,kind=computed}": 4}
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3.0)
-        registry.gauge("depth").set(1.5)
-        assert registry.as_dict()["gauge"] == {"depth": 1.5}
-
     def test_histogram_summary(self):
         registry = MetricsRegistry()
         for value in (1.0, 3.0, 2.0):
@@ -98,7 +92,6 @@ class TestMetricsRegistry:
     def test_merge_dict_folds_a_worker_payload(self):
         worker = MetricsRegistry()
         worker.counter("hits").inc(2)
-        worker.gauge("depth").set(7.0)
         worker.histogram("wall").observe(1.0)
         worker.histogram("wall").observe(5.0)
         parent = MetricsRegistry()
@@ -107,7 +100,7 @@ class TestMetricsRegistry:
         parent.merge_dict(worker.as_dict())
         merged = parent.as_dict()
         assert merged["counter"]["hits"] == 3
-        assert merged["gauge"]["depth"] == 7.0
+        assert set(merged) == {"counter", "histogram"}
         hist = merged["histogram"]["wall"]
         assert hist["count"] == 3
         assert hist["min"] == 1.0

@@ -1,9 +1,8 @@
-"""Schema versioning: fresh init, newer-than-code rejection, migrations."""
+"""Schema versioning: fresh init, rejection of any other schema version."""
 
 import pytest
 
 from repro.store import (
-    MIGRATIONS,
     STORE_SCHEMA_VERSION,
     SchemaVersionError,
     StoreError,
@@ -68,37 +67,3 @@ class TestVersioning:
         monkeypatch.setattr(schema_module, "STORE_SCHEMA_VERSION", STORE_SCHEMA_VERSION + 1)
         with pytest.raises(SchemaVersionError, match="no migration"):
             connect(path)
-
-    def test_registered_migration_walks_old_database_forward(self, tmp_path, monkeypatch):
-        path = tmp_path / "store.sqlite"
-        connect(path).close()
-
-        monkeypatch.setattr(schema_module, "STORE_SCHEMA_VERSION", STORE_SCHEMA_VERSION + 2)
-        monkeypatch.setattr(schema_module, "MIGRATIONS", dict(MIGRATIONS))
-        applied = []
-
-        @schema_module.register_migration(STORE_SCHEMA_VERSION)
-        def _step_one(conn):
-            applied.append(STORE_SCHEMA_VERSION)
-            conn.execute("ALTER TABLE campaigns ADD COLUMN migrated_once INTEGER DEFAULT 0")
-
-        @schema_module.register_migration(STORE_SCHEMA_VERSION + 1)
-        def _step_two(conn):
-            applied.append(STORE_SCHEMA_VERSION + 1)
-
-        conn = connect(path)
-        try:
-            assert applied == [STORE_SCHEMA_VERSION, STORE_SCHEMA_VERSION + 1]
-            assert schema_version(conn) == STORE_SCHEMA_VERSION + 2
-            meta = conn.execute(
-                "SELECT value FROM store_meta WHERE key='schema_version'"
-            ).fetchone()
-            assert meta["value"] == str(STORE_SCHEMA_VERSION + 2)
-        finally:
-            conn.close()
-
-    def test_duplicate_migration_registration_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(schema_module, "MIGRATIONS", dict(MIGRATIONS))
-        schema_module.register_migration(41)(lambda conn: None)
-        with pytest.raises(ValueError, match="already registered"):
-            schema_module.register_migration(41)(lambda conn: None)

@@ -156,7 +156,7 @@ class TestManifestProvenance:
     def test_cache_counters_reach_telemetry(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir)
-        warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir, profile=True)
+        warm = execute_campaign(SMALL_SPEC, jobs=1, plan_cache=cache_dir)
         counters = warm.telemetry["metrics"]["counter"]
         assert counters["cache.hit"] == 4
         assert counters["cache.miss"] == 0
@@ -194,8 +194,8 @@ class TestCli:
         cache_dir = tmp_path / "plan-cache"
         out_dir = tmp_path / "out"
         args = ["sweep", "smoke", "--plan-cache", str(cache_dir), "--out", str(out_dir)]
-        assert main(args) == 0
-        assert main(args + ["--profile"]) == 0
+        for _ in ("cold", "warm"):
+            assert main(args) == 0
         capsys.readouterr()
         assert main(["stats", str(out_dir / "smoke")]) == 0
         out = capsys.readouterr().out

@@ -2,9 +2,11 @@
 
 The observability contract (``docs/observability.md``):
 
-* **Neutrality** — ``--trace-out``/``--profile`` must not change a single
-  byte of ``results.json`` or ``results.csv``; telemetry lives only in the
+* **Neutrality** — ``--trace-out`` must not change a single byte of
+  ``results.json`` or ``results.csv``; telemetry lives only in the
   manifest's ``execution.telemetry`` block, the trace file, and stderr.
+* **Always on** — every run records the phase profile and metrics, traced
+  or not, and ``stats`` renders them.
 * **Trace validity** — every trace the CLI writes (per-run and merged)
   conforms to the ``repro-trace/1`` schema and loads in Perfetto.
 * **Worker drainage** — a chunk executed without an inherited tracer (the
@@ -47,20 +49,29 @@ def _manifest(campaign_dir):
 class TestTelemetryNeutrality:
     def test_result_artifacts_are_byte_identical(self, tmp_path):
         plain = _run_sweep(tmp_path / "plain")
-        traced = _run_sweep(tmp_path / "traced", "--trace-out", "trace.json", "--profile")
+        traced = _run_sweep(tmp_path / "traced", "--trace-out", "trace.json")
         for artifact in RESULT_ARTIFACTS:
             assert (traced / artifact).read_bytes() == (plain / artifact).read_bytes()
 
-    def test_plain_manifest_has_no_telemetry_block(self, tmp_path):
+    def test_plain_manifest_carries_the_profile_and_kernel_counters(self, tmp_path, capsys):
         plain = _run_sweep(tmp_path / "plain")
-        assert "telemetry" not in _manifest(plain)["execution"]
+        telemetry = _manifest(plain)["execution"]["telemetry"]
+        assert set(telemetry) == {"profile", "metrics"}
+        assert set(SWEEP_PHASES) <= set(telemetry["profile"])
+        assert telemetry["profile"]["simulate"] > 0
+        assert telemetry["profile"]["write"] > 0
+        counters = telemetry["metrics"]["counter"]
+        assert {f"kernel.{key}" for key in KERNEL_STAT_KEYS} <= set(counters)
+        assert "batch.rounds" in counters
+        capsys.readouterr()
+        assert main(["stats", str(plain)]) == 0
+        assert "simulate" in capsys.readouterr().out
 
 
 class TestTraceAndProfileArtifacts:
     def test_trace_file_validates_and_is_pointed_at_by_the_manifest(self, tmp_path):
-        traced = _run_sweep(tmp_path / "out", "--trace-out", "trace.json", "--profile")
+        traced = _run_sweep(tmp_path / "out", "--trace-out", "trace.json")
         telemetry = _manifest(traced)["execution"]["telemetry"]
-        assert telemetry["enabled"] == {"trace": True, "profile": True}
         trace_block = telemetry["trace"]
         document = validate_trace_file(traced / trace_block["file"])
         spans = [event for event in document["traceEvents"] if event["ph"] != "M"]
@@ -71,7 +82,7 @@ class TestTraceAndProfileArtifacts:
         assert {"sweep.campaign", "sweep.enroll", "batch.run", "kernel.plan"} <= names
 
     def test_profile_covers_the_sweep_phases_and_metrics_the_kernel(self, tmp_path):
-        traced = _run_sweep(tmp_path / "out", "--profile")
+        traced = _run_sweep(tmp_path / "out")
         telemetry = _manifest(traced)["execution"]["telemetry"]
         profile = telemetry["profile"]
         assert set(profile) <= set(SWEEP_PHASES)
@@ -82,12 +93,13 @@ class TestTraceAndProfileArtifacts:
             assert f"kernel.{key}" in counters
         assert counters["sweep.points{kind=computed}"] == 4
 
-    def test_summary_line_reports_throughput_and_profile(self, tmp_path, capsys):
-        _run_sweep(tmp_path / "out", "--trace-out", "trace.json", "--profile")
+    def test_summary_line_reports_throughput_and_trace_path(self, tmp_path, capsys):
+        _run_sweep(tmp_path / "out", "--trace-out", "trace.json")
         out = capsys.readouterr().out
         assert "points/s" in out
         assert str(tmp_path / "out" / "smoke" / "trace.json") in out
-        assert "phase" in out and "simulate" in out
+        # The phase table is rendered by ``stats``, not at the end of a run.
+        assert "phase" not in out
 
     def test_trace_out_with_a_directory_part_is_taken_literally(self, tmp_path):
         target = tmp_path / "elsewhere" / "t.json"
@@ -107,7 +119,7 @@ class TestTraceAndProfileArtifacts:
 
 class TestStatsCommand:
     def test_stats_renders_profile_metrics_and_trace(self, tmp_path, capsys):
-        traced = _run_sweep(tmp_path / "out", "--trace-out", "trace.json", "--profile")
+        traced = _run_sweep(tmp_path / "out", "--trace-out", "trace.json")
         capsys.readouterr()
         assert main(["stats", str(traced)]) == 0
         out = capsys.readouterr().out
@@ -119,10 +131,23 @@ class TestStatsCommand:
         assert "spans" in out and "kernel" in out
 
     def test_stats_without_telemetry_explains_and_exits_1(self, tmp_path, capsys):
+        # Only a manifest written before telemetry was always on lacks it.
         plain = _run_sweep(tmp_path / "out")
+        manifest = _manifest(plain)
+        del manifest["execution"]["telemetry"]
+        (plain / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         capsys.readouterr()
         assert main(["stats", str(plain)]) == 1
         assert "no telemetry recorded" in capsys.readouterr().out
+
+    def test_stats_on_a_non_numeric_wall_exits_2(self, tmp_path, capsys):
+        plain = _run_sweep(tmp_path / "out")
+        manifest = _manifest(plain)
+        manifest["execution"]["wall_seconds"] = "n/a"
+        (plain / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", str(plain)]) == 2
+        assert "wall_seconds is not a number" in capsys.readouterr().err
 
     def test_stats_on_a_non_campaign_dir_exits_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path)]) == 2
@@ -146,7 +171,6 @@ class TestShardedTraceMerge:
                 f"{index}/2",
                 "--trace-out",
                 "trace.json",
-                "--profile",
             )
             dirs.append(tmp_path / "smoke" / f"shard-{index}-of-2")
         return dirs
@@ -199,7 +223,7 @@ class TestWorkerOwnedTracer:
         return batch_groups(expand_campaign(self.SOLO_SPEC))
 
     def test_solo_groups_drain_an_owned_tracer(self):
-        outcome = run_point_groups(self._solo_groups(), trace=True, profile=True)
+        outcome = run_point_groups(self._solo_groups(), trace=True)
         assert tracing.TRACER is None  # the owned tracer never leaks
         assert len(outcome.results) == 2
         names = {event["name"] for event in outcome.trace_events}
@@ -209,14 +233,14 @@ class TestWorkerOwnedTracer:
 
     def test_solo_groups_defer_to_an_inherited_tracer(self):
         tracer = tracing.install()
-        outcome = run_point_groups(self._solo_groups(), trace=True, profile=False)
+        outcome = run_point_groups(self._solo_groups(), trace=True)
         assert outcome.trace_events == []  # parent drains its own tracer
         assert {event["name"] for event in tracer.events} >= {"sweep.point"}
         assert tracing.TRACER is tracer
 
     def test_run_point_groups_drains_an_owned_tracer(self):
         groups = batch_groups(self._points())
-        outcome = run_point_groups(groups, trace=True, profile=True)
+        outcome = run_point_groups(groups, trace=True)
         assert tracing.TRACER is None
         assert len(outcome.results) == 2
         names = {event["name"] for event in outcome.trace_events}
@@ -226,12 +250,15 @@ class TestWorkerOwnedTracer:
         assert outcome.rounds > 0
 
     def test_profile_only_chunks_carry_no_trace_events(self):
-        outcome = run_point_groups(batch_groups(self._points()), trace=False, profile=True)
+        outcome = run_point_groups(batch_groups(self._points()), trace=False)
         assert outcome.trace_events == []
         assert outcome.phase_seconds["simulate"] > 0
 
-    def test_disabled_chunks_report_nothing(self):
+    def test_every_chunk_reports_phases_and_kernel_stats(self):
         outcome = run_point_groups(batch_groups(self._points()))
         assert outcome.trace_events == []
-        assert outcome.phase_seconds == {}
-        assert outcome.kernel_stats == {}
+        assert outcome.phase_seconds["prepare"] > 0
+        assert outcome.phase_seconds["simulate"] > 0
+        assert set(outcome.kernel_stats) == set(KERNEL_STAT_KEYS)
+        assert outcome.kernel_stats["dense_ticks"] > 0
+        assert outcome.rounds > 0
