@@ -30,6 +30,11 @@ ActionSink = Callable[[int, int, bool, int], None]
 # A bus submit function queues a request on the peripheral interconnect.
 BusSubmit = Callable[[BusRequest], BusRequest]
 
+#: Most commands :meth:`ExecutionUnit.quiet_ticks` walks ahead.  A shorter
+#: quiet run is always a valid horizon; the cap bounds the walk's cost and
+#: ends a ``jump_if`` loop that never leaves PELS.
+QUIET_WALK_LIMIT = 64
+
 
 class ExecutionState(enum.Enum):
     """FSM states of the execution unit."""
@@ -115,6 +120,81 @@ class ExecutionUnit:
             return
         self.busy_cycles += 1
         _STATE_HANDLERS[self.state](self, cycle)
+
+    # ------------------------------------------------------------- quiet runs
+
+    def quiet_ticks(self) -> int:
+        """Leading ticks from now that touch nothing outside PELS.
+
+        Those are the rest of a ``wait`` countdown (including the tick that
+        moves to FETCH ``pc + 1``), then the fetches of ``wait d`` (``1 + d``
+        ticks), ``loop`` and ``jump_if`` along the program's path.  The walk
+        stops before the fetch of any other command or of a line past the
+        SCM, and after :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM
+        with :meth:`ScmMemory.peek`, so it counts no SCM reads, and steps the
+        loop counter on a copy; the capture register cannot change inside
+        the run (only ``capture``, where the walk stops, writes it).
+        Returns 0 unless the unit is counting down or fetching.
+        """
+        state = self.state
+        if state is ExecutionState.WAITING:
+            ticks = self._wait_remaining
+            pc = self.pc + 1
+        elif state is ExecutionState.FETCH:
+            ticks = 0
+            pc = self.pc
+        else:
+            return 0
+        scm = self.scm
+        lines = scm.lines
+        loop_remaining = self._loop_remaining
+        for _ in range(QUIET_WALK_LIMIT):
+            if pc >= lines:
+                break
+            command = scm.peek(pc)
+            opcode = command.opcode
+            if opcode is Opcode.WAIT:
+                ticks += 1 + command.data
+                pc += 1
+            elif opcode is Opcode.LOOP:
+                ticks += 1
+                # Mirrors _execute_loop on a local copy of the counter.
+                if loop_remaining is None:
+                    loop_remaining = command.data
+                if loop_remaining > 0:
+                    loop_remaining -= 1
+                    pc = command.jump_target
+                else:
+                    loop_remaining = None
+                    pc += 1
+            elif opcode is Opcode.JUMP_IF:
+                ticks += 1
+                taken = command.jump_condition.evaluate(self.capture_register, command.data)
+                pc = command.jump_target if taken else pc + 1
+            else:
+                break
+        return ticks
+
+    def skip_quiet(self, cycles: int, cycle: int) -> None:
+        """Replay the first ``cycles`` of :meth:`quiet_ticks`, the first at ``cycle``.
+
+        Countdowns go in bulk; each fetch runs the dense tick's own handler
+        with its cycle number, so state and statistics match ``cycles``
+        calls of :meth:`tick`.
+        """
+        self.busy_cycles += cycles
+        end = cycle + cycles
+        while cycle < end:
+            if self.state is ExecutionState.WAITING:
+                step = min(self._wait_remaining, end - cycle)
+                self._wait_remaining -= step
+                cycle += step
+                if self._wait_remaining <= 0:
+                    self.pc += 1
+                    self.state = ExecutionState.FETCH
+            else:
+                self._tick_fetch(cycle)
+                cycle += 1
 
     # ------------------------------------------------------------------- states
 

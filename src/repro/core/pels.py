@@ -29,6 +29,7 @@ from repro.core.config import PelsConfig
 from repro.core.execution import ExecutionState
 from repro.core.isa import Command, decode_command
 from repro.core.link import Link
+from repro.core.scm import ScmTraffic
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.sim.component import Component
@@ -159,6 +160,11 @@ class Pels(Component):
         self._pending_loopback: List[str] = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0
+        #: SCM traffic of every link, and how much of it the activity
+        #: counters already hold.
+        self._scm_traffic = ScmTraffic()
+        for link in self.links:
+            link.scm.traffic = self._scm_traffic
         self._scm_reads_seen = 0
         self._scm_writes_seen = 0
 
@@ -322,63 +328,67 @@ class Pels(Component):
         else:
             self.record("idle_cycles")
         # 3. Attribute this cycle's SCM traffic to PELS for the power model.
-        scm_reads = sum(link.scm.read_count for link in self.links)
-        scm_writes = sum(link.scm.write_count for link in self.links)
-        if scm_reads > self._scm_reads_seen:
-            self.record("scm_reads", scm_reads - self._scm_reads_seen)
-            self._scm_reads_seen = scm_reads
-        if scm_writes > self._scm_writes_seen:
-            self.record("scm_writes", scm_writes - self._scm_writes_seen)
-            self._scm_writes_seen = scm_writes
+        self._record_scm_traffic()
         # 4. Event pulses are single-cycle: clear them after all links sampled.
         self.fabric.end_cycle()
+
+    def _record_scm_traffic(self) -> None:
+        traffic = self._scm_traffic
+        if traffic.reads != self._scm_reads_seen:
+            self.record("scm_reads", traffic.reads - self._scm_reads_seen)
+            self._scm_reads_seen = traffic.reads
+        if traffic.writes != self._scm_writes_seen:
+            self.record("scm_writes", traffic.writes - self._scm_writes_seen)
+            self._scm_writes_seen = traffic.writes
 
     # ------------------------------------------------------------ wake protocol
 
     def next_event(self) -> Optional[int]:
-        """Cycles until the next tick that does more than count waits down.
+        """Cycles until the next tick that does more than run quiet microcode.
 
-        ``None`` when every link is quiescent; the smallest remaining
-        ``wait`` when every busy link sits in a WAIT window (the ticks before
-        it only decrement wait counters, which :meth:`skip` replays); ``1``
-        whenever anything else is in motion: a registered loopback pulse to
-        apply, an event on the fabric to broadcast (PELS also owns the
-        end-of-cycle pulse clearing), a link fetching or on the bus, queued
-        triggers, a completed event record awaiting closure, or SCM traffic
-        (e.g. host-side microcode programming) not yet attributed to the
-        activity counters.
+        ``None`` when every link is quiescent.  When every busy link is in a
+        quiet run (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`:
+        ``wait`` countdowns and the fetches of ``wait``, ``loop`` and
+        ``jump_if``, which :meth:`skip` replays), one past the shortest run.
+        ``1`` whenever anything else is in motion: a registered loopback
+        pulse to apply, an event on the fabric to broadcast (PELS also owns
+        the end-of-cycle pulse clearing), a link about to fetch any other
+        command or on the bus, queued triggers, a completed event record
+        awaiting closure, or SCM traffic (e.g. host-side microcode
+        programming) not yet attributed to the activity counters.  A fetch of
+        ``end`` stays a wake because it changes what ``run_until`` conditions
+        poll: ``busy``, ``last_record`` and ``events_serviced``.
         """
         if self._pending_loopback or self.fabric.active_mask():
             return 1
-        horizon = None
+        traffic = self._scm_traffic
+        if traffic.reads != self._scm_reads_seen or traffic.writes != self._scm_writes_seen:
+            return 1
+        quiet = None
         for link in self.links:
             if not link.trigger.fifo.empty:
                 return 1
             execution = link.execution
-            state = execution.state
-            if state is ExecutionState.IDLE:
+            if execution.state is ExecutionState.IDLE:
                 if link._open_record is not None:
                     return 1
-            elif state is ExecutionState.WAITING:
-                remaining = execution._wait_remaining
-                if horizon is None or remaining < horizon:
-                    horizon = remaining
-            else:
+                continue
+            ticks = execution.quiet_ticks()
+            if ticks == 0:
                 return 1
-        if (
-            sum(link.scm.read_count for link in self.links) != self._scm_reads_seen
-            or sum(link.scm.write_count for link in self.links) != self._scm_writes_seen
-        ):
-            return 1
-        return horizon
+            if quiet is None or ticks < quiet:
+                quiet = ticks
+        return None if quiet is None else quiet + 1
 
     def skip(self, cycles: int) -> None:
         """Replay ``cycles`` ticks inside the horizon :meth:`next_event` promised.
 
-        Waiting links count their waits down and accrue busy cycles, idle
-        links only count trigger evaluations, and the activity matches what
-        the dense ticks record: busy and per-link busy cycles while any link
-        waits, idle cycles otherwise.  Raises :class:`SimulationError` when
+        Every busy link stays busy for the whole span and idle links stay
+        idle, and links do not interact, so each busy link replays its quiet
+        run on its own; idle links only count trigger evaluations.  The
+        activity matches what the dense ticks record: busy and per-link busy
+        cycles while any link is busy, idle cycles otherwise, and the SCM
+        reads of the replayed fetches.  Raises :class:`SimulationError` when
         asked to replay a tick that would do real work, so a scheduler bug
         cannot silently drop cycles.
         """
@@ -387,17 +397,17 @@ class Pels(Component):
             raise SimulationError(
                 f"{self.name}: cannot skip {cycles} cycles; its next tick that does work is {horizon} away"
             )
-        waiting = 0
+        busy = 0
         for link in self.links:
             execution = link.execution
-            if execution.state is ExecutionState.WAITING:
-                execution._wait_remaining -= cycles
-                execution.busy_cycles += cycles
-                waiting += 1
+            if execution.state is not ExecutionState.IDLE:
+                execution.skip_quiet(cycles, self.clock.cycles)
+                busy += 1
             link.skip_idle(cycles)
-        if waiting:
+        if busy:
             self.record("busy_cycles", cycles)
-            self.record("link_busy_cycles", waiting * cycles)
+            self.record("link_busy_cycles", busy * cycles)
+            self._record_scm_traffic()
         else:
             self.record("idle_cycles", cycles)
 
@@ -407,8 +417,8 @@ class Pels(Component):
         self._pending_loopback = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0
-        self._scm_reads_seen = sum(link.scm.read_count for link in self.links)
-        self._scm_writes_seen = sum(link.scm.write_count for link in self.links)
+        self._scm_reads_seen = self._scm_traffic.reads
+        self._scm_writes_seen = self._scm_traffic.writes
         self.enabled = True
 
     # --------------------------------------------------------- bus slave interface

@@ -19,11 +19,29 @@ from repro.core.isa import COMMAND_BITS, Command, decode_command, encode_command
 _decode_line = lru_cache(maxsize=4096)(decode_command)
 
 
+class ScmTraffic:
+    """Running read/write totals over a group of SCMs (all links of one PELS).
+
+    Unlike a memory's own counts, the totals never go down:
+    :meth:`ScmMemory.clear` leaves them alone, so PELS attributes new traffic
+    to its activity counters by comparing one integer per direction.
+    """
+
+    __slots__ = ("reads", "writes")
+
+    def __init__(self) -> None:
+        self.reads = 0
+        self.writes = 0
+
+
 class ScmMemory:
     """A tiny instruction memory with single-cycle read latency.
 
     Lines hold 48-bit encoded commands.  Reads and writes are tracked so the
-    power model can attribute fetch energy to the SCM rather than the SRAM.
+    power model can attribute fetch energy to the SCM rather than the SRAM:
+    ``read_count``/``write_count`` are this memory's own (reset by
+    :meth:`clear`), and every access also bumps :attr:`traffic`, which PELS
+    points at the one total its links share.
     """
 
     def __init__(self, lines: int) -> None:
@@ -33,6 +51,7 @@ class ScmMemory:
         self._storage: List[int] = [0] * lines
         self.read_count = 0
         self.write_count = 0
+        self.traffic = ScmTraffic()
 
     # ------------------------------------------------------------------ access
 
@@ -40,11 +59,16 @@ class ScmMemory:
         """Read the encoded command at ``index`` (counts as one SCM access)."""
         self._check_index(index)
         self.read_count += 1
+        self.traffic.reads += 1
         return self._storage[index]
 
     def fetch(self, index: int) -> Command:
         """Read and decode the command at ``index``."""
         return _decode_line(self.read_line(index))
+
+    def peek(self, index: int) -> Command:
+        """Decode the command at ``index`` without counting a read (for lookahead)."""
+        return _decode_line(self._storage[index])
 
     def write_line(self, index: int, encoded: int) -> None:
         """Store an encoded command at ``index``."""
@@ -53,6 +77,7 @@ class ScmMemory:
             raise ValueError(f"encoded command 0x{encoded:x} does not fit in {COMMAND_BITS} bits")
         self._storage[index] = encoded
         self.write_count += 1
+        self.traffic.writes += 1
 
     def store(self, index: int, command: Command) -> None:
         """Encode and store ``command`` at ``index``."""
@@ -80,7 +105,7 @@ class ScmMemory:
         return [decode_command(encoded) for encoded in self._storage]
 
     def clear(self) -> None:
-        """Zero the memory and reset access statistics."""
+        """Zero the memory and reset its own access counts (:attr:`traffic` keeps counting)."""
         self._storage = [0] * self.lines
         self.read_count = 0
         self.write_count = 0

@@ -29,6 +29,7 @@ from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
 from repro.sim.simulator import SimulationError, Simulator
+from repro.soc.pulpissimo import SocConfig, build_soc
 
 
 def build_pels(n_links=2, scm_lines=6, with_gpio=True):
@@ -351,13 +352,15 @@ class TestSkipReplay:
     def test_wait_window_replays_up_to_the_horizon(self):
         simulator, _, pels = self._waiting_pels(wait=10)
         execution = pels.link(0).execution
-        assert pels.next_event() == 10
+        # The whole countdown is quiet; the fetch of ``end`` is the wake.
+        assert pels.next_event() == 11
         with pytest.raises(SimulationError):
-            pels.skip(10)
+            pels.skip(11)
         busy = simulator.activity.get("pels", "busy_cycles")
-        pels.skip(9)
-        assert execution._wait_remaining == 1
-        assert simulator.activity.get("pels", "busy_cycles") == busy + 9
+        pels.skip(10)
+        assert execution._wait_remaining == 0
+        assert execution.state is ExecutionState.FETCH
+        assert simulator.activity.get("pels", "busy_cycles") == busy + 10
         with pytest.raises(SimulationError):
             pels.skip(1)
 
@@ -403,3 +406,34 @@ class TestSkipReplay:
         pels._pending_loopback.append(loopback)
         with pytest.raises(SimulationError):
             pels.skip(1)
+
+
+class TestScmTraffic:
+    def test_clearing_a_link_scm_does_not_wedge_pels(self):
+        """``ScmMemory.clear`` resets the memory's own counts, never the PELS total."""
+        soc = build_soc(SocConfig())
+        pels = soc.pels
+        program = assemble("wait 5\nend")
+        timer_bit = 1 << soc.fabric.index_of(soc.timer.event_line_name("overflow"))
+        soc.timer.regs.reg("COMPARE").hw_write(100)
+        pels.program_link(0, program, trigger_mask=timer_bit)
+        soc.timer.start()
+        soc.run(1_000)
+        soc.timer.stop()
+        soc.run(50)
+        scm = pels.link(0).scm
+        scm.clear()
+        pels.program_link(0, program, trigger_mask=timer_bit)
+        stats = soc.simulator.kernel_stats
+        dense_before = stats["dense_ticks"]
+        soc.run(10_000)
+        assert not pels.busy
+        assert pels.next_event() is None
+        assert stats["dense_ticks"] - dense_before <= 2
+        # Every fetch after the clear reaches the activity counters.
+        reads_before = soc.activity.get("pels", "scm_reads")
+        soc.timer.start()
+        soc.run(1_000)
+        fetched = scm.read_count
+        assert fetched > 0
+        assert soc.activity.get("pels", "scm_reads") - reads_before == fetched

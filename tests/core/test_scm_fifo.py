@@ -20,8 +20,10 @@ class TestScmMemory:
         scm.store(0, Command.end())
         scm.fetch(0)
         scm.fetch(0)
+        assert scm.peek(0).opcode is Opcode.END  # a lookahead is not a read
         assert scm.write_count == 1
         assert scm.read_count == 2
+        assert (scm.traffic.reads, scm.traffic.writes) == (2, 1)
 
     def test_load_program_pads_with_end(self):
         scm = ScmMemory(4)
@@ -52,9 +54,13 @@ class TestScmMemory:
     def test_clear(self):
         scm = ScmMemory(2)
         scm.store(0, Command.write(1, 2))
+        scm.fetch(0)
         scm.clear()
         assert scm.read_count == 0
+        assert scm.write_count == 0
         assert scm.dump()[0].opcode is Opcode.END
+        # The running total PELS attributes from never goes down.
+        assert (scm.traffic.reads, scm.traffic.writes) == (1, 1)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,19 @@
-"""Differential property tests for PELS WAIT-window horizons (hypothesis).
+"""Differential property tests for PELS quiet-microcode horizons (hypothesis).
 
-While every busy link counts a ``wait`` down and nothing else moves, PELS
-promises the event kernel a horizon of the smallest remaining wait and
+While every busy link runs quiet microcode (``wait`` countdowns and the
+fetches of ``wait``, ``loop`` and ``jump_if``) and nothing else moves, PELS
+promises the event kernel a horizon one past the shortest quiet run and
 replays the ticks before it in one :meth:`~repro.core.pels.Pels.skip`.  The
 claim is cycle-exact equivalence with dense stepping, so these tests run
-random ``wait``/``loop``/``action``/``write`` microcode on 1–4 links — with
-ANY/ALL trigger conditions, loopback routes between links, and external
-triggers that land mid-wait (the FIFO fills and the horizon must fall back
-to 1) — under the dense kernel, the event kernel, and the batch round loop,
-at several I/O clock divisors and ``step()`` chunkings.  At every boundary
-they compare the activity counters, the link records, the execution units'
-statistics and wait counters, the trigger evaluations and masked-vector
-history, and the FIFO counters.
+random ``wait``/``loop``/``jump_if``/``action``/``write``/``capture``/``set``
+microcode on 1–4 links — with ANY/ALL trigger conditions, loopback routes
+between links, and external triggers that land mid-wait (the FIFO fills and
+the horizon must fall back to 1) — under the dense kernel, the event kernel,
+and the batch round loop, at several I/O clock divisors and ``step()``
+chunkings.  At every boundary they compare the activity counters, the traced
+instant actions, the link records, the execution units' statistics and wait
+counters, the trigger evaluations and masked-vector history, and the FIFO
+counters.
 """
 
 from bisect import bisect_left
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.bus.apb import ApbBus
 from repro.core.config import PelsConfig
-from repro.core.isa import Command
+from repro.core.isa import Command, JumpCondition
 from repro.core.pels import Pels
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
@@ -59,23 +61,39 @@ class Stimulus(Component):
 
 @st.composite
 def link_programs(draw):
-    """A random program of up to SCM_LINES commands with at most one loop."""
+    """A random program of up to SCM_LINES commands.
+
+    It may hold several ``loop``s (sharing the one hardware counter), some
+    with counts past the quiet-run walk cap, ``jump_if`` forward, backward or
+    past the last line under every condition, and ``capture``/``set`` so the
+    capture register, and with it the branch outcomes, vary.
+    """
     commands = []
-    looped = False
     for pc in range(draw(st.integers(min_value=1, max_value=SCM_LINES))):
-        kind = draw(st.sampled_from(("wait", "wait", "action", "write", "loop", "end")))
+        kind = draw(
+            st.sampled_from(("wait", "wait", "action", "write", "loop", "jump_if", "capture", "set", "end"))
+        )
         if kind == "wait":
-            commands.append(Command.wait(draw(st.integers(min_value=0, max_value=64))))
+            cycles = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=64)))
+            commands.append(Command.wait(cycles))
         elif kind == "action":
             group = draw(st.integers(min_value=0, max_value=1))
             commands.append(Command.action(group, draw(st.integers(min_value=1, max_value=3))))
         elif kind == "write":
             offset = draw(st.integers(min_value=0, max_value=5))
             commands.append(Command.write(offset, draw(st.integers(min_value=0, max_value=0xFF))))
-        elif kind == "loop" and pc > 0 and not looped:
-            looped = True
+        elif kind == "loop" and pc > 0:
             target = draw(st.integers(min_value=0, max_value=pc - 1))
-            commands.append(Command.loop(target, draw(st.integers(min_value=0, max_value=3))))
+            count = draw(st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=60, max_value=100)))
+            commands.append(Command.loop(target, count))
+        elif kind == "jump_if":
+            target = draw(st.integers(min_value=0, max_value=SCM_LINES))
+            condition = draw(st.sampled_from(tuple(JumpCondition)))
+            commands.append(Command.jump_if(target, condition, draw(st.integers(min_value=0, max_value=3))))
+        elif kind in ("capture", "set"):
+            offset = draw(st.integers(min_value=0, max_value=5))
+            mask = draw(st.sampled_from((0x1, 0x3, 0xFF)))
+            commands.append(Command.capture(offset, mask) if kind == "capture" else Command.set(offset, mask))
         else:
             commands.append(Command.end())
     return commands
@@ -160,6 +178,9 @@ def observe(simulator, pels):
     return (
         simulator.current_cycle,
         simulator.activity.as_dict(),
+        # PELS traces every instant action at its base tick, so an action
+        # replayed inside a skip shows up at the wrong cycle.
+        tuple(simulator.traces.merged_timeline()),
         tuple(links),
         (pels.instant_actions_delivered, pels.unrouted_actions),
     )
@@ -219,20 +240,56 @@ class TestWaitWindowHorizon:
         simulator, pels = _build(scenario)
         simulator.step(3)  # trigger + start, fetch action, fetch wait
         assert pels.links[0].execution._wait_remaining == 40
-        assert pels.next_event() == 40
+        assert pels.next_event() == 41
         event, stats = run_stepped(scenario, dense=False)
         dense, dense_stats = run_stepped(scenario, dense=True)
         assert event == dense
-        # The 39 pure countdown ticks are replayed by one skip.
-        assert stats["dense_ticks"] <= dense_stats["dense_ticks"] - 39
+        # The whole 40-tick countdown is replayed by one skip.
+        assert stats["dense_ticks"] <= dense_stats["dense_ticks"] - 40
 
     def test_the_horizon_is_the_smallest_remaining_wait(self):
         scenario = self._scenario([30, 10, 20], [(0, "ext.a")])
         simulator, pels = _build(scenario)
         simulator.step(3)
         assert [link.execution._wait_remaining for link in pels.links] == [30, 10, 20]
-        assert pels.next_event() == 10
+        assert pels.next_event() == 11
         assert run_stepped(scenario, dense=False)[0] == run_stepped(scenario, dense=True)[0]
+
+    def test_a_loop_that_never_leaves_pels_is_cut_by_the_walk_cap(self):
+        """``L: wait 3; jump_if L always`` never reaches an external command."""
+        program = [Command.wait(3), Command.jump_if(0, JumpCondition.ALWAYS, 0)]
+        link = {"program": program, "mask": 0x1, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
+        scenario = {"links": [link], "divisor": 1, "pulses": [(0, "ext.a")], "chunks": [1_000] * 5}
+        dense, _ = run_stepped(scenario, dense=True)
+        event, stats = run_stepped(scenario, dense=False)
+        assert event == dense
+        assert run_batched(scenario) == dense
+        # Each horizon covers a capped walk (32 turns of the 5-tick loop),
+        # not one tick and not the whole run.
+        assert 5_000 // 161 <= stats["dense_ticks"] <= 5_000 // 64
+
+    def test_every_jump_if_outcome_matches_dense(self):
+        """``L: wait 3; jump_if L <cond> <operand>; action; end`` with the
+        capture register at 0: each condition taken (a loop the walk cap
+        cuts) and not taken (the walk must stop at the ``action``)."""
+        for condition in JumpCondition:
+            for operand in (0, 1):
+                program = [
+                    Command.wait(3),
+                    Command.jump_if(0, condition, operand),
+                    Command.action(1, 0x1),
+                    Command.end(),
+                ]
+                link = {
+                    "program": program,
+                    "mask": 0x1,
+                    "condition": TriggerCondition.ANY_SELECTED_ACTIVE,
+                    "enabled": True,
+                }
+                scenario = {"links": [link], "divisor": 1, "pulses": [(0, "ext.a")], "chunks": [150, 150]}
+                dense, _ = run_stepped(scenario, dense=True)
+                assert run_stepped(scenario, dense=False)[0] == dense, (condition, operand)
+                assert run_batched(scenario) == dense, (condition, operand)
 
     def test_a_trigger_landing_mid_wait_drops_the_horizon_to_one(self):
         scenario = self._scenario([40], [(0, "ext.a"), (20, "ext.a"), (25, "ext.a")])
