@@ -11,8 +11,9 @@ The on-disk format is the Chrome/Perfetto *JSON object* flavour::
        {"ph": "X", "name": "kernel.span", "cat": "kernel",
         "ts": 12.5, "dur": 3.2, "pid": 1234, "tid": 0,
         "args": {"cycles": 1999}},
-       {"ph": "C", "name": "batch.live", "cat": "batch",
-        "ts": 80.1, "pid": 1234, "tid": 0, "args": {"instances": 7}}]}
+       {"ph": "X", "name": "batch.stop", "cat": "batch",
+        "ts": 80.1, "dur": 0.4, "pid": 1234, "tid": 0,
+        "args": {"label": "multi-link-pipeline#0", "cycle": 10000}}]}
 
 Open it in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``; each
 worker process renders as its own lane.  ``ts``/``dur`` are microseconds

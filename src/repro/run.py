@@ -9,9 +9,9 @@ skipping is validated end to end from the command line.
 The ``sweep`` subcommand executes a whole campaign of scenario points
 (:mod:`repro.sweep`), sharded across a process pool, and writes JSON + CSV
 artifacts plus a reproducibility manifest under ``results/sweeps/``.
-Points that differ only in their horizon share one simulation, advanced in
-lockstep with the pool task's other instances — byte-identical to running
-each point alone, measured ≥3x faster on multi-horizon campaigns.
+Points that differ only in their horizon share one simulation, run to
+completion before the pool task prepares its next one — byte-identical to
+running each point alone, measured ≥3x faster on multi-horizon campaigns.
 ``--shard I/N`` restricts a run to one slice of the grid for multi-host
 distribution, ``sweep merge`` stitches the per-host artifact directories
 back into the single-host artifacts, and ``sweep merge --heal`` emits the
@@ -208,7 +208,7 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="export a Chrome trace-event JSON of the whole campaign "
-        "(kernel spans, batch rounds, per-point lanes; open in Perfetto). "
+        "(kernel spans, batch runs and stops, per-point lanes; open in Perfetto). "
         "A bare filename lands next to the campaign's artifacts; results "
         "stay byte-identical to an untraced run",
     )

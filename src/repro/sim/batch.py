@@ -1,26 +1,21 @@
-"""Batched multi-instance execution: advance N simulations together.
+"""Batched multi-instance execution: run N simulations through their stops.
 
 A sweep campaign runs many *instances* of the same scenario topology —
 identical component structure, different parameters and horizons.  Each
 instance is a whole :class:`~repro.sim.simulator.Simulator` that owns its
 component classification and mutable
-:class:`~repro.sim.simulator.SimState`, so instances are cheap to
-co-schedule.  :class:`BatchSimulator` is the driver that advances such a
-set of instances **in lockstep over span boundaries**: each scheduling
-round gives every live instance exactly one boundary step (one
-quiescent-span skip plus the dense tick at its wake), so the batch's
-progress interleaves at span granularity instead of running instances one
-after another.
+:class:`~repro.sim.simulator.SimState`.  :class:`BatchSimulator` enrolls a
+set of such instances and runs each one through all of its stops in
+enrollment order; the instances never interact, so nothing is gained by
+interleaving them.
 
 **Stops and shared prefixes.**  Each instance carries a sorted list of
 *stops* — absolute cycle counts at which a callback fires while the
 instance is paused exactly on that cycle.  The instance's quiescent spans
-are capped at the next stop (the min over that instance's remaining
-stops — the batched skip math replays one capped span for every stop it
-serves), which is what lets one simulation serve several sweep points at
-once: points that differ only in their horizon share the instance, and each
-point snapshots its results at its own stop.  Because a span split at a
-stop boundary is replayed through the same
+are capped at the next stop, which is what lets one simulation serve
+several sweep points at once: points that differ only in their horizon
+share the instance, and each point snapshots its results at its own stop.
+Because a span split at a stop boundary is replayed through the same
 :meth:`~repro.sim.component.Component.skip` contract as an uncapped span,
 the state observed at a stop is byte-identical to a standalone run of that
 horizon — the property the sweep layer's batched execution builds its
@@ -29,11 +24,6 @@ artifact-identity guarantee on.
 Callbacks observe the paused simulator (read counters, copy activity,
 estimate power) and must not advance it; :class:`BatchSimulator` checks the
 cycle counter after every callback and raises if one stepped the clock.
-
-Instances do not interact and need not share a topology.  Each instance
-advances by its *own* span per round; rounds are a fairness/interleaving
-discipline, not a shared clock, so a slow instance never fragments the
-quiescent spans of a fast one.
 """
 
 from __future__ import annotations
@@ -41,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
-from repro.sim.simulator import SimState, SimulationError, Simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 #: A stop callback: receives the instance-relative elapsed cycle count; the
 #: simulator is paused exactly on that cycle while the callback runs.
@@ -82,11 +72,6 @@ class BatchInstance:
         self._next = 0
 
     @property
-    def horizon(self) -> int:
-        """The last stop — the total cycles this instance will run."""
-        return self._stops[-1][0]
-
-    @property
     def done(self) -> bool:
         """Whether every stop has fired."""
         return self._next >= len(self._stops)
@@ -122,7 +107,7 @@ class BatchInstance:
 
 
 class BatchSimulator:
-    """Advance many simulator instances in lockstep over span boundaries.
+    """Run many simulator instances, one after another, through their stops.
 
     Usage::
 
@@ -131,17 +116,16 @@ class BatchSimulator:
         batch.add(sim_b, [(60_000, snapshot_b)])
         batch.run()
 
-    :meth:`run` loops scheduling rounds; in each round every unfinished
-    instance advances exactly one span boundary, capped at its next stop.
-    Stops fire as soon as their cycle is reached.  The batch is done when
-    every instance has fired its last stop.
+    :meth:`run` takes the instances in enrollment order and advances each
+    one span boundary at a time, capped at its next stop, until its last
+    stop has fired.  Stops fire as soon as their cycle is reached.
     """
 
     def __init__(self) -> None:
         self.instances: List[BatchInstance] = []
-        #: Scheduling rounds executed by :meth:`run` (diagnostics).
+        #: Boundary steps (``advance_span`` calls) executed by :meth:`run`
+        #: (diagnostics).
         self.rounds = 0
-        self._running = False
 
     def add(
         self,
@@ -150,11 +134,6 @@ class BatchSimulator:
         label: Optional[str] = None,
     ) -> BatchInstance:
         """Enroll ``simulator`` with its ``(cycles, callback)`` stops."""
-        if self._running:
-            raise SimulationError(
-                "cannot enroll an instance while the batch is running; "
-                "build a second BatchSimulator for late arrivals"
-            )
         for instance in self.instances:
             if instance.simulator is simulator:
                 raise SimulationError(
@@ -167,45 +146,35 @@ class BatchSimulator:
     def run(self) -> None:
         """Advance every instance through all of its stops.
 
-        Each round gives every live instance exactly one
-        :meth:`~repro.sim.simulator.SimState.advance_span` step, capped at
-        its next stop, then fires the stops that step reached; instances are
-        visited in enrollment order, so stops observed in the same round
-        fire in that order too.  An instance that makes no progress raises
-        :func:`stall_error` instead of spinning.
+        Each instance in turn takes
+        :meth:`~repro.sim.simulator.SimState.advance_span` steps, each capped
+        at its next stop, and fires the stops each step reaches.  An
+        instance that makes no progress raises
+        :class:`~repro.sim.simulator.SimulationError` instead of spinning.
         """
-        live: List[Tuple[BatchInstance, SimState, bool]] = []
-        for instance in self.instances:
-            if instance.done:
-                continue
-            simulator = instance.simulator
-            # Bind each instance's classification once up front; the round
-            # loop then drives the bound state directly, exactly like
-            # Simulator.step does for a single instance.
-            state = simulator._schedule_plan()
-            live.append((instance, state, simulator.dense or state.forces_dense))
-        self._running = True
         tracer = tracing.TRACER
         start_ns = tracer.now_ns() if tracer is not None else 0
         try:
-            while live:
-                self.rounds += 1
-                if tracer is not None and self.rounds % 64 == 1:
-                    tracer.counter("batch.live", "batch", {"instances": len(live)})
-                still_live = []
-                for entry in live:
-                    instance, state, dense = entry
-                    limit = instance.next_stop - instance.elapsed
-                    advanced = state.advance_span(limit, dense=dense)
+            for instance in self.instances:
+                simulator = instance.simulator
+                # Bind the instance's classification once; the loop then
+                # drives the bound state directly, exactly like
+                # Simulator.step does.
+                state = simulator._schedule_plan()
+                dense = simulator.dense or state.forces_dense
+                while not instance.done:
+                    self.rounds += 1
+                    advanced = state.advance_span(instance.next_stop - instance.elapsed, dense=dense)
                     if advanced <= 0:
-                        raise stall_error(instance)
+                        raise SimulationError(
+                            f"batch instance {instance.label} made no progress at elapsed "
+                            f"cycle {instance.elapsed} with a stop pending at cycle "
+                            f"{instance.next_stop}; the scenario's wake scheduling is "
+                            f"mis-wired (e.g. an empty wake heap with work outstanding)"
+                        )
                     instance.elapsed += advanced
                     instance._fire_due_stops()
-                    if not instance.done:
-                        still_live.append(entry)
-                live = still_live
         finally:
-            self._running = False
             if tracer is not None:
                 tracer.event(
                     "batch.run",
@@ -214,13 +183,3 @@ class BatchSimulator:
                     tracer.now_ns() - start_ns,
                     {"instances": len(self.instances), "rounds": self.rounds},
                 )
-
-
-def stall_error(instance: BatchInstance) -> SimulationError:
-    """The zero-progress diagnostic: a mis-wired scenario, not a hang."""
-    return SimulationError(
-        f"batch instance {instance.label} made no progress at elapsed cycle "
-        f"{instance.elapsed} with a stop pending at cycle {instance.next_stop}; "
-        f"the scenario's wake scheduling is mis-wired (e.g. an empty wake heap "
-        f"with work outstanding)"
-    )

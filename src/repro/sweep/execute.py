@@ -2,11 +2,11 @@
 
 The unit of work is one **group** of :class:`~repro.sweep.campaign.SweepPoint`
 (:func:`~repro.sweep.campaign.batch_groups`): points of one scenario that
-differ only in ``horizon_cycles`` share one prepared simulation, and every
-group of a pool task is advanced together by a
-:class:`~repro.sim.batch.BatchSimulator`, which interleaves the instances
-over span boundaries under one shared schedule plan.  Each point's record
-is snapshotted the instant its horizon is reached.  Points of a scenario without a prepare hook (see
+differ only in ``horizon_cycles`` share one prepared simulation, and a pool
+task runs its groups one at a time, each to completion through its own
+:class:`~repro.sim.batch.BatchSimulator`.  Each point's record is
+snapshotted the instant its horizon is reached.  Points of a scenario
+without a prepare hook (see
 :mod:`repro.workloads.registry`) are singleton groups run by
 :func:`run_point`, the solo reference: it runs the scenario through the
 registry's instrumented entry point.  Both paths post-process the SoC
@@ -66,6 +66,7 @@ from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
 from repro.power.model import PowerModel
+from repro.sim.batch import BatchSimulator
 from repro.sweep.campaign import (
     CampaignSpec,
     ShardSpec,
@@ -239,7 +240,7 @@ class ChunkOutcome:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: Summed ``kernel_stats`` across the chunk's simulations.
     kernel_stats: Dict[str, int] = field(default_factory=dict)
-    #: Batch scheduling rounds this chunk executed.
+    #: Batch boundary steps (``BatchSimulator.rounds``) this chunk took.
     rounds: int = 0
     #: Buffered Chrome trace events from a worker-owned tracer (empty when
     #: the parent owns the tracer — serial mode — or tracing is off).
@@ -369,38 +370,10 @@ def _fallback_record(group: Sequence[SweepPoint], reason: str) -> Dict[str, obje
     return {"reason": reason, "points": [point.index for point in group]}
 
 
-class _RunShare:
-    """Splits one batch run's wall time across the instances active in it.
-
-    Between two stop callbacks every live instance advanced, so each is
-    charged an equal share of the interval: ``total`` is the running sum of
-    ``interval / active``, and a stop charges its instance the growth of
-    ``total`` since that instance's previous stop.  The time a callback
-    spends on its own instance (drives, finalize, cache publish) is charged
-    to that instance alone.  All bookkeeping happens in stop callbacks,
-    never per round or per tick.
-    """
-
-    __slots__ = ("total", "mark", "active")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.mark = 0.0
-        self.active = 0
-
-    def advance(self, now: float) -> float:
-        """Share the time since the last mark out; return the running sum."""
-        if self.active:
-            self.total += (now - self.mark) / self.active
-        self.mark = now
-        return self.total
-
-
 def _enroll_group(
     batch,
     group: Sequence[SweepPoint],
     results: List[PointResult],
-    share: _RunShare,
     tele: _ChunkTelemetry,
     cache=None,
 ) -> None:
@@ -412,11 +385,11 @@ def _enroll_group(
     enrollment, or whatever the hook raises for a bad point — and the caller
     then runs just that group's points solo.
 
-    Point walls are honest under batching: each stop gets its instance's
-    ``share`` of the run since its previous stop plus the time of its own
-    callback, split evenly over the stop's points, and the group's first
-    stop also carries its preparation.  A group's point walls therefore add
-    up to what the group cost.
+    Point walls are honest under batching: each snapshot stop is charged the
+    time since the group's previous one (the first also carries the group's
+    enrollment, and a drive-only stop rolls into the next snapshot stop),
+    split evenly over the stop's points.  A group's point walls therefore
+    add up to what the group cost.
 
     With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
     has an exact-match snapshot is served straight from the cache: the
@@ -438,12 +411,12 @@ def _enroll_group(
         by_horizon.setdefault(point.horizon_cycles, []).append(point)
     horizons = sorted(by_horizon)
     key = None if cache is None else group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
-    # The group's seconds not yet charged to a point (its preparation, then
-    # its run share and drive-only stops), and the run share's running sum
-    # at its previous stop.
-    owed = {"seconds": 0.0, "share": 0.0}
+    # When the group's previous snapshot stop was charged (its enrollment
+    # start until the first one).
+    charged = time.perf_counter()
 
-    def finalize(instance, elapsed: int, points: Sequence[SweepPoint], began: float) -> None:
+    def finalize(instance, elapsed: int, points: Sequence[SweepPoint]) -> None:
+        nonlocal charged
         start = time.perf_counter()
         outcome = instance.outcome(elapsed)
         finalized = [_finalize_point(point, outcome, 0.0) for point in points]
@@ -452,10 +425,10 @@ def _enroll_group(
             publish_start = time.perf_counter()
             cache.publish(key, instance, elapsed)
             tele.timer.add("cache", time.perf_counter() - publish_start)
-        wall = owed["seconds"] + time.perf_counter() - began
-        owed["seconds"] = 0.0
+        now = time.perf_counter()
         for result in finalized:
-            result.wall_seconds = wall / len(finalized)
+            result.wall_seconds = (now - charged) / len(finalized)
+        charged = now
         results.extend(finalized)
 
     prepared = None
@@ -468,14 +441,12 @@ def _enroll_group(
         # least one cycle out, and these have nothing left to simulate), so
         # only one restored instance is alive at a time.
         for horizon in reversed(horizons):
-            began = time.perf_counter()
             restored = cache.lookup(key, horizon, exact=True)
             if restored is not None:
                 pending.remove(horizon)
                 if served_stats is None:
                     served_stats = dict(restored.prepared.simulator.kernel_stats)
-                finalize(restored.prepared, horizon, tuple(by_horizon[horizon]), began)
-    began = time.perf_counter()
+                finalize(restored.prepared, horizon, tuple(by_horizon[horizon]))
     if pending and cache is not None:
         # ``pending[0]`` itself cannot be on disk (its exact probe just
         # missed), so the deepest usable base is strictly below it and
@@ -486,7 +457,6 @@ def _enroll_group(
             base = restored.base_tick
     if pending and prepared is None:
         prepared = spec.prepare(horizons, first.dense, **dict(first.params))
-    owed["seconds"] += time.perf_counter() - began
 
     if pending:
         # Merge the scenario's drive script (mid-run testbench interference,
@@ -509,17 +479,10 @@ def _enroll_group(
             points = tuple(by_horizon[horizon])
 
             def fire(elapsed: int) -> None:
-                now = time.perf_counter()
-                total = share.advance(now)
-                owed["seconds"] += total - owed["share"]
-                owed["share"] = total
                 absolute = base + elapsed
                 for drive in drives:
                     drive(absolute)
-                finalize(prepared, absolute, points, now)
-                if horizon == pending[-1]:
-                    share.active -= 1
-                share.mark = time.perf_counter()
+                finalize(prepared, absolute, points)
 
             return fire
 
@@ -530,19 +493,15 @@ def _enroll_group(
         for cycle, callbacks in drives_by_cycle.items():
 
             def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
-                now = time.perf_counter()
-                share.advance(now)
                 for drive in drives:
                     drive(base + elapsed)
-                share.mark = time.perf_counter()
-                owed["seconds"] += share.mark - now
 
             stops.append((cycle - base, fire_drives))
         batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
     elif served_stats is not None:
         # The whole group was served from snapshots; no simulator of its
         # enters the batch, so absorb kernel stats here instead of in the
-        # caller's post-run sweep over ``batch.instances``.  Only the
+        # caller's post-run read of ``batch.instances``.  Only the
         # deepest restore counts — it carries the group's fullest history,
         # and summing overlapping histories would inflate the counters.
         tele.kernel.add(served_stats)
@@ -561,6 +520,49 @@ def _enroll_group(
         )
 
 
+def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkTelemetry, cache) -> None:
+    """Run one shared-prefix group to completion: enroll it (cache lookups
+    and prepare), run its instance, then absorb the run's telemetry.
+
+    Everything the group prepared dies with this call, so a pool task holds
+    one prepared SoC at a time.
+    """
+    batch = BatchSimulator()
+    results = outcome.results
+    before = len(results)
+    try:
+        with tele.timer.phase("prepare"):
+            _enroll_group(batch, group, results, tele, cache=cache)
+    except Exception as exc:
+        # The hook declined (BatchUnsupported), enrollment failed, or the
+        # hook rejected a bad point: the group's points run solo, so each
+        # completes or fails (into ``failures``) exactly as it would alone,
+        # and the manifest says why they did not batch.
+        outcome.fallbacks.append(_fallback_record(group, str(exc)))
+        for point in group:
+            _run_point_guarded(point, outcome, tele)
+        return
+    outcome.batched_points += len(group)
+    start = time.perf_counter()
+    finalize_before = tele.timer.seconds["finalize"]
+    try:
+        batch.run()
+    except Exception as exc:
+        # A mid-run failure loses only this group's points whose horizons
+        # had not been snapshotted yet.
+        done = {result.index for result in results[before:]}
+        lost = [point for point in group if point.index not in done]
+        outcome.failures.extend(_failed_record(point, exc) for point in lost)
+        outcome.batched_points -= len(lost)
+    # The stop callbacks finalize point records mid-run; that time is
+    # already charged to "finalize", so "simulate" gets the rest.
+    finalized = tele.timer.seconds["finalize"] - finalize_before
+    tele.timer.add("simulate", max(time.perf_counter() - start - finalized, 0.0))
+    tele.rounds += batch.rounds
+    for instance in batch.instances:
+        tele.kernel.add(instance.simulator.kernel_stats)
+
+
 def run_point_groups(
     groups: Sequence[Sequence[SweepPoint]],
     trace: bool = False,
@@ -568,23 +570,23 @@ def run_point_groups(
 ) -> ChunkOutcome:
     """The pool task: execute one chunk of shared-prefix groups.
 
-    All of the chunk's prepared instances advance through one
-    :class:`~repro.sim.batch.BatchSimulator` — in lockstep over span
-    boundaries, under one shared schedule plan — and every point's record
-    is snapshotted exactly when its horizon is reached.  Points of a
-    scenario without a prepare hook run solo (:func:`run_point`).  A group
-    that cannot enroll — its prepare hook declines
-    (:class:`~repro.workloads.registry.BatchUnsupported`, e.g. heterogeneous
-    derived parameters) or rejects a bad point, or enrollment fails — runs
-    its points solo inside this same task, with the reason recorded in the
-    outcome's ``fallbacks``: every bad point then lands in ``failures``
-    exactly as its solo run fails, and the rest of the chunk survives.
+    The groups run one at a time, each to completion: enroll it (cache
+    lookups and prepare), then run its one prepared instance through a
+    :class:`~repro.sim.batch.BatchSimulator`, snapshotting every point's
+    record exactly when its horizon is reached — so one prepared SoC is
+    alive at a time.  A group that raises mid-run loses only its own points
+    not yet snapshotted.  Points of a scenario without a prepare hook run
+    solo (:func:`run_point`).  A group that cannot enroll — its prepare
+    hook declines (:class:`~repro.workloads.registry.BatchUnsupported`,
+    e.g. heterogeneous derived parameters) or rejects a bad point, or
+    enrollment fails — runs its points solo inside this same task, with the
+    reason recorded in the outcome's ``fallbacks``: every bad point then
+    lands in ``failures`` exactly as its solo run fails, and the rest of
+    the chunk survives.
     ``plan_cache`` (a directory path) warm-starts groups from published
     prepared-state snapshots and publishes new ones; see
     :mod:`repro.cache.plan_cache`.
     """
-    from repro.sim.batch import BatchSimulator
-
     tele, tracer, owned = _chunk_scope(trace)
     cache = None
     if plan_cache is not None:
@@ -592,51 +594,13 @@ def run_point_groups(
 
         cache = PlanCache(plan_cache)
     try:
-        batch = BatchSimulator()
-        share = _RunShare()
         outcome = ChunkOutcome()
-        results = outcome.results
-        enrolled: List[SweepPoint] = []
         for group in groups:
             if scenario(group[0].scenario).prepare is None:
                 for point in group:
                     _run_point_guarded(point, outcome, tele)
-                continue
-            try:
-                with tele.timer.phase("prepare"):
-                    _enroll_group(batch, group, results, share, tele, cache=cache)
-            except Exception as exc:
-                # The hook declined (BatchUnsupported), enrollment failed, or
-                # the hook rejected a bad point: the group's points run solo,
-                # so each completes or fails (into ``failures``) exactly as it
-                # would alone, and the manifest says why they did not batch.
-                outcome.fallbacks.append(_fallback_record(group, str(exc)))
-                for point in group:
-                    _run_point_guarded(point, outcome, tele)
             else:
-                outcome.batched_points += len(group)
-                enrolled.extend(group)
-        start = share.mark = time.perf_counter()
-        share.active = len(batch.instances)
-        finalize_before = tele.timer.seconds["finalize"]
-        try:
-            batch.run()
-        except Exception as exc:
-            # A mid-run batch failure loses only the enrolled points whose
-            # horizons had not been snapshotted yet; everything already
-            # snapshotted (and every solo result) survives in ``results``.
-            done = {result.index for result in results}
-            lost = [point for point in enrolled if point.index not in done]
-            outcome.failures.extend(_failed_record(point, exc) for point in lost)
-            outcome.batched_points -= len(lost)
-        # The stop callbacks finalize point records mid-run; that time is
-        # already charged to "finalize", so "simulate" gets the rest.
-        run_wall = time.perf_counter() - start
-        finalized = tele.timer.seconds["finalize"] - finalize_before
-        tele.timer.add("simulate", max(run_wall - finalized, 0.0))
-        tele.rounds += batch.rounds
-        for instance in batch.instances:
-            tele.kernel.add(instance.simulator.kernel_stats)
+                _run_group(group, outcome, tele, cache)
         if cache is not None:
             outcome.cache_stats = cache.counters.as_dict()
             outcome.cache_notes = list(cache.notes)

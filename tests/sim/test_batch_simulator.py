@@ -6,8 +6,8 @@ Covers the two halves of the per-instance kernel:
   bind the same classification from equal fingerprints, and per-instance
   mutation (deadline heaps, volatile-list reordering) never leaks across
   instances;
-* :class:`repro.sim.BatchSimulator` — N instances advanced in lockstep over
-  span boundaries end in exactly the state of N standalone runs, and
+* :class:`repro.sim.BatchSimulator` — N instances run one after another,
+  in enrollment order, end in exactly the state of N standalone runs, and
   mid-run stops observe exactly the state a standalone run of that horizon
   would have finished in.
 """
@@ -150,15 +150,18 @@ class TestBatchSimulator:
         assert blinker.pulses == 10
         assert simulator.kernel_stats["dense_ticks"] == 100
 
-    def test_rounds_interleave_instances(self):
+    def test_instances_run_in_enrollment_order(self):
+        # Every stop of an instance fires before any stop of the instance
+        # enrolled after it; rounds count the boundary steps of all of them.
         batch = BatchSimulator()
-        for _ in range(3):
+        fired = []
+        for index in range(3):
             simulator, _ = _build([10])
-            batch.add(simulator, [(1_000, lambda elapsed: None)])
+            stops = [(cycles, lambda elapsed, index=index: fired.append((index, elapsed))) for cycles in (300, 1_000)]
+            batch.add(simulator, stops)
         batch.run()
-        # Lockstep: the batch needed one round per span boundary, not one
-        # round per instance.
-        assert batch.rounds >= 100
+        assert fired == [(index, cycles) for index in range(3) for cycles in (300, 1_000)]
+        assert batch.rounds >= 3 * 100
 
     def test_stop_validation(self):
         simulator, _ = _build([10])
@@ -184,26 +187,12 @@ class TestBatchSimulator:
         with pytest.raises(SimulationError, match="advanced the simulator"):
             batch.run()
 
-    def test_mid_run_enrollment_is_rejected(self):
-        # add() during run() would give the new instance a partial round and
-        # desynchronise the lockstep; it must fail loudly, not corrupt state.
-        simulator, _ = _build([10])
-        batch = BatchSimulator()
-
-        def sneak(elapsed):
-            extra, _ = _build([10])
-            batch.add(extra, [(10, lambda e: None)])
-
-        batch.add(simulator, [(20, sneak)])
-        with pytest.raises(SimulationError, match="while the batch is running"):
-            batch.run()
-
     def test_zero_progress_raises_instead_of_spinning(self):
         # Regression: a live instance whose advance_span returns 0 (mis-wired
         # wake scheduling) used to spin run() forever.  It must raise,
         # naming the instance, its elapsed cycle, and the pending stop.
         simulator, _ = _build([10])
-        simulator.dense = True  # the round loop routes dense via advance_span
+        simulator.dense = True  # the run loop routes dense via advance_span
         batch = BatchSimulator()
         batch.add(simulator, [(50, lambda elapsed: None)], label="stuck-instance")
         simulator.state.advance_span = lambda limit, dense=False: 0

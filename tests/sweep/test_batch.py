@@ -9,7 +9,10 @@ bad point must fail alone without taking the campaign down, and batching
 must compose with ``--jobs``/``--shard``/``--resume``.
 """
 
+import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -29,7 +32,8 @@ from repro.sweep import (
 )
 from repro.sweep.artifacts import manifest_payload
 from repro.sweep.execute import CampaignResult, run_point
-from repro.workloads.registry import scenario
+from repro.workloads import registry
+from repro.workloads.registry import PreparedScenario, scenario
 
 SMALL_SPEC = CampaignSpec(
     name="batch-test",
@@ -233,11 +237,10 @@ class TestComposition:
 
 class TestHonestWalls:
     def test_point_walls_add_up_to_the_run(self):
-        # Each batch interval is split across the instances live in it and
-        # each stop's share across its points, so the manifest's per-point
-        # walls of a serial batched run add up to the run's wall time
-        # (charging every point the full time since its instance's previous
-        # stop made them sum to several times it).
+        # Groups run one at a time and each stop is charged the time since
+        # its group's previous stop (the first one also its enrollment),
+        # split across its points, so the manifest's per-point walls of a
+        # serial batched run add up to the run's wall time.
         spec = CampaignSpec(
             name="honest-walls",
             description="two-horizon multi-link-pipeline groups",
@@ -249,6 +252,98 @@ class TestHonestWalls:
         execution = manifest_payload(spec, result)["execution"]
         summed = sum(execution["point_wall_seconds"].values())
         assert summed == pytest.approx(execution["wall_seconds"], rel=0.10)
+
+
+def _wrap_prepare(monkeypatch, name, wrap):
+    """Swap ``name``'s prepare hook for ``wrap(hook)`` for one test."""
+    spec = scenario(name)
+    monkeypatch.setitem(registry._REGISTRY, name, dataclasses.replace(spec, prepare=wrap(spec.prepare)))
+
+
+class _Detonating(PreparedScenario):
+    """A prepared scenario that raises mid-run: from ``outcome`` at its
+    first horizon, or from an extra drive stop between the two horizons."""
+
+    def __init__(self, inner, how, horizons):
+        self.inner, self.how, self.horizons = inner, how, horizons
+
+    @property
+    def simulator(self):
+        return self.inner.simulator
+
+    def outcome(self, elapsed_cycles):
+        if self.how == "outcome" and elapsed_cycles == self.horizons[0]:
+            raise RuntimeError(f"injected outcome failure at cycle {elapsed_cycles}")
+        return self.inner.outcome(elapsed_cycles)
+
+    def drive_stops(self):
+        stops = list(self.inner.drive_stops())
+        if self.how == "drive":
+            cycle = (self.horizons[0] + self.horizons[-1]) // 2
+
+            def detonate(at):
+                raise RuntimeError(f"injected drive failure at cycle {at}")
+
+            stops.append((cycle, detonate))
+        return stops
+
+
+class TestOneGroupAtATime:
+    """A task runs each batch group to completion before preparing the next."""
+
+    @pytest.mark.parametrize("how", ["outcome", "drive"])
+    @pytest.mark.parametrize("raising_period", [1_000, 2_000])
+    def test_a_raising_group_loses_only_its_unsnapshotted_points(self, monkeypatch, how, raising_period):
+        clean = execute_campaign(SMALL_SPEC, jobs=1)
+
+        def wrap(hook):
+            def prepare(horizons, dense, **params):
+                prepared = hook(horizons, dense, **params)
+                if params["sample_period_cycles"] == raising_period:
+                    return _Detonating(prepared, how, horizons)
+                return prepared
+
+            return prepare
+
+        _wrap_prepare(monkeypatch, SMALL_SPEC.scenario, wrap)
+        result = execute_campaign(SMALL_SPEC, jobs=1)
+        points = expand_campaign(SMALL_SPEC)
+        # "outcome" raises at the first horizon, so the group snapshots
+        # nothing; "drive" raises between the horizons, after the first.
+        lost = [
+            point.index
+            for point in points
+            if point.params["sample_period_cycles"] == raising_period
+            and (how == "outcome" or point.horizon_cycles == 40_000)
+        ]
+        assert [record["index"] for record in result.failed_points] == lost
+        for record in result.failed_points:
+            assert record["error"].startswith(f"RuntimeError: injected {how} failure")
+        assert result.batched_points == SMALL_SPEC.n_points - len(lost)
+        assert result.batch_fallbacks == []
+        survivors = [point for point in clean.points if point.index not in lost]
+        assert [json.dumps(r.stats, sort_keys=True) for r in result.points] == [
+            json.dumps(r.stats, sort_keys=True) for r in survivors
+        ]
+
+    def test_one_prepared_soc_is_alive_per_task(self, monkeypatch):
+        refs = []
+        alive = []
+
+        def wrap(hook):
+            def prepare(horizons, dense, **params):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+                prepared = hook(horizons, dense, **params)
+                refs.append(weakref.ref(prepared.simulator))
+                return prepared
+
+            return prepare
+
+        _wrap_prepare(monkeypatch, SMALL_SPEC.scenario, wrap)
+        result = execute_campaign(SMALL_SPEC, jobs=1)
+        assert result.batched_points == SMALL_SPEC.n_points
+        assert alive == [0, 0]
 
 
 class TestCli:
