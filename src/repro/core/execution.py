@@ -26,6 +26,8 @@ from repro.core.isa import Command, Opcode
 from repro.core.scm import ScmMemory
 
 # An action sink receives (group, mask, toggle, cycle) when an instant action fires.
+# It may also offer ``passive(group, mask) -> bool`` (see ExecutionUnit.quiet_ticks);
+# a sink without it has no passive actions.
 ActionSink = Callable[[int, int, bool, int], None]
 # A bus submit function queues a request on the peripheral interconnect.
 BusSubmit = Callable[[BusRequest], BusRequest]
@@ -128,9 +130,11 @@ class ExecutionUnit:
 
         Those are the rest of a ``wait`` countdown (including the tick that
         moves to FETCH ``pc + 1``), then the fetches of ``wait d`` (``1 + d``
-        ticks), ``loop`` and ``jump_if`` along the program's path.  The walk
-        stops before the fetch of any other command or of a line past the
-        SCM, and after :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM
+        ticks), ``loop``, ``jump_if`` and every ``action`` the action sink
+        calls ``passive`` (one that only reaches passive peripheral inputs)
+        along the program's path.  The walk stops before the fetch of any
+        other command or of a line past the SCM, and after
+        :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM
         with :meth:`ScmMemory.peek`, so it counts no SCM reads, and steps the
         loop counter on a copy; the capture register cannot change inside
         the run (only ``capture``, where the walk stops, writes it).
@@ -171,6 +175,12 @@ class ExecutionUnit:
                 ticks += 1
                 taken = command.jump_condition.evaluate(self.capture_register, command.data)
                 pc = command.jump_target if taken else pc + 1
+            elif opcode is Opcode.ACTION:
+                passive = getattr(self.action_sink, "passive", None)
+                if passive is None or not passive(command.action_group, command.data):
+                    break
+                ticks += 1
+                pc += 1
             else:
                 break
         return ticks
@@ -180,7 +190,8 @@ class ExecutionUnit:
 
         Countdowns go in bulk; each fetch runs the dense tick's own handler
         with its cycle number, so state and statistics match ``cycles``
-        calls of :meth:`tick`.
+        calls of :meth:`tick`, and a passive action reaches the sink with
+        its own cycle.
         """
         self.busy_cycles += cycles
         end = cycle + cycles

@@ -143,8 +143,9 @@ class Link:
     def skip_idle(self, cycles: int) -> None:
         """Replay ``cycles`` idle steps (``events == 0``) in one batch.
 
-        Only valid while the execution unit is idle (or counting a ``wait``
-        down), the trigger FIFO is empty and no completed-event record awaits
+        Only valid while the execution unit is idle or running quiet
+        microcode (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`),
+        the trigger FIFO is empty and no completed-event record awaits
         closing (record closing is a per-step side effect the latency
         analysis depends on): no trigger can fire on an empty event vector,
         so the only per-cycle trigger effects of :meth:`step` are the

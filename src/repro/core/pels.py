@@ -20,6 +20,7 @@ issue sequenced actions on the peripheral interconnect).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bus.apb import ApbBus
@@ -100,6 +101,15 @@ class _ActionSink:
     def __call__(self, group: int, mask: int, toggle: bool, cycle: int) -> None:
         self.pels._deliver_action(self.link_index, group, mask, toggle, cycle)
 
+    def passive(self, group: int, mask: int) -> bool:
+        """Whether ``action group mask`` only reaches passive inputs.
+
+        True when ``mask`` is non-zero and every set bit is routed to an
+        input in its peripheral's ``passive_inputs``.  Such an action may be
+        replayed inside a quiet run (:meth:`Pels.skip`).
+        """
+        return mask != 0 and mask & self.pels._passive_masks.get(group, 0) == mask
+
 
 class _PeripheralDelivery:
     """Routed instant action: pulse one peripheral event input."""
@@ -157,6 +167,11 @@ class Pels(Component):
         ]
         # (group, bit) -> ActionTarget
         self._action_routes: Dict[Tuple[int, int], ActionTarget] = {}
+        #: group -> bits routed to a passive peripheral input.
+        self._passive_masks: Dict[int, int] = {}
+        #: ``(cycle, label)`` of the actions a :meth:`skip` replays, traced
+        #: once the skip has run every link; ``None`` outside a skip.
+        self._replayed_actions: Optional[List[Tuple[int, str]]] = None
         self._pending_loopback: List[str] = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0
@@ -180,13 +195,12 @@ class Pels(Component):
 
     def route_action_to_peripheral(self, group: int, bit: int, peripheral, port: str) -> None:
         """Connect output line (``group``, ``bit``) to a peripheral event input."""
-        self._check_route(group, bit)
         target = ActionTarget(
             kind="peripheral",
             label=f"{peripheral.name}.{port}",
             deliver=_PeripheralDelivery(peripheral, port),
         )
-        self._action_routes[(group, bit)] = target
+        self._route(group, bit, target, passive=port in peripheral.passive_inputs)
 
     def route_action_to_fabric(self, group: int, bit: int, line_name: str) -> None:
         """Loop output line (``group``, ``bit``) back into the event fabric.
@@ -194,30 +208,33 @@ class Pels(Component):
         The pulse is applied at the start of the *next* cycle, modelling the
         registered loopback path that enables inter-link triggering.
         """
-        self._check_route(group, bit)
         self.fabric.line(line_name)  # validate early
         target = ActionTarget(
             kind="fabric",
             label=line_name,
             deliver=_FabricLoopback(self, line_name),
         )
-        self._action_routes[(group, bit)] = target
+        self._route(group, bit, target, passive=False)
 
     def route_action_to_callback(self, group: int, bit: int, label: str, callback: Callable[[], None]) -> None:
         """Connect output line (``group``, ``bit``) to an arbitrary callback."""
-        self._check_route(group, bit)
-        self._action_routes[(group, bit)] = ActionTarget(kind="callback", label=label, deliver=callback)
+        self._route(group, bit, ActionTarget(kind="callback", label=label, deliver=callback), passive=False)
 
     def add_loopback_line(self, name: str) -> str:
         """Create a dedicated fabric line for inter-link triggering and return its name."""
         line = self.fabric.add_line(f"{self.name}.{name}", producer=self.name)
         return line.name
 
-    def _check_route(self, group: int, bit: int) -> None:
+    def _route(self, group: int, bit: int, target: ActionTarget, passive: bool) -> None:
         if not 0 <= group < self.config.action_groups:
             raise ValueError(f"action group {group} out of range [0, {self.config.action_groups})")
         if not 0 <= bit < self.config.action_group_width:
             raise ValueError(f"action bit {bit} out of range [0, {self.config.action_group_width})")
+        self._action_routes[(group, bit)] = target
+        passive_mask = self._passive_masks.get(group, 0) & ~(1 << bit)
+        if passive:
+            passive_mask |= 1 << bit
+        self._passive_masks[group] = passive_mask
 
     def _deliver_action(self, link_index: int, group: int, mask: int, toggle: bool, cycle: int) -> None:
         self.record("instant_actions")
@@ -232,7 +249,11 @@ class Pels(Component):
             target.deliver()
             self.instant_actions_delivered += 1
             if self.is_attached:
-                self.simulator.trace(f"{self.name}.action", f"link{link_index}->{target.label}")
+                label = f"link{link_index}->{target.label}"
+                if self._replayed_actions is None:
+                    self.simulator.trace(f"{self.name}.action", label)
+                else:
+                    self._replayed_actions.append((cycle, label))
 
     @property
     def action_routes(self) -> Dict[Tuple[int, int], str]:
@@ -348,16 +369,20 @@ class Pels(Component):
 
         ``None`` when every link is quiescent.  When every busy link is in a
         quiet run (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`:
-        ``wait`` countdowns and the fetches of ``wait``, ``loop`` and
-        ``jump_if``, which :meth:`skip` replays), one past the shortest run.
-        ``1`` whenever anything else is in motion: a registered loopback
-        pulse to apply, an event on the fabric to broadcast (PELS also owns
-        the end-of-cycle pulse clearing), a link about to fetch any other
-        command or on the bus, queued triggers, a completed event record
-        awaiting closure, or SCM traffic (e.g. host-side microcode
-        programming) not yet attributed to the activity counters.  A fetch of
-        ``end`` stays a wake because it changes what ``run_until`` conditions
-        poll: ``busy``, ``last_record`` and ``events_serviced``.
+        ``wait`` countdowns and the fetches of ``wait``, ``loop``,
+        ``jump_if`` and passive ``action`` commands, which :meth:`skip`
+        replays), one past the shortest run.  An ``action`` is passive when
+        its mask is non-zero and every set bit is routed to a peripheral's
+        passive input (:meth:`_ActionSink.passive`); an unrouted bit, a
+        loopback or a callback keeps it a wake.  ``1`` whenever anything
+        else is in motion: a registered loopback pulse to apply, an event on
+        the fabric to broadcast (PELS also owns the end-of-cycle pulse
+        clearing), a link about to fetch any other command or on the bus,
+        queued triggers, a completed event record awaiting closure, or SCM
+        traffic (e.g. host-side microcode programming) not yet attributed to
+        the activity counters.  A fetch of ``end`` stays a wake because it
+        changes what ``run_until`` conditions poll: ``busy``,
+        ``last_record`` and ``events_serviced``.
         """
         if self._pending_loopback or self.fabric.active_mask():
             return 1
@@ -385,7 +410,9 @@ class Pels(Component):
 
         Every busy link stays busy for the whole span and idle links stay
         idle, and links do not interact, so each busy link replays its quiet
-        run on its own; idle links only count trigger evaluations.  The
+        run on its own; idle links only count trigger evaluations.  A passive
+        action is delivered at its own cycle and traced at its own base tick,
+        in the order dense ticks trace them (by cycle, then link).  The
         activity matches what the dense ticks record: busy and per-link busy
         cycles while any link is busy, idle cycles otherwise, and the SCM
         reads of the replayed fetches.  Raises :class:`SimulationError` when
@@ -398,12 +425,21 @@ class Pels(Component):
                 f"{self.name}: cannot skip {cycles} cycles; its next tick that does work is {horizon} away"
             )
         busy = 0
-        for link in self.links:
-            execution = link.execution
-            if execution.state is not ExecutionState.IDLE:
-                execution.skip_quiet(cycles, self.clock.cycles)
-                busy += 1
-            link.skip_idle(cycles)
+        replayed = self._replayed_actions = []
+        try:
+            for link in self.links:
+                execution = link.execution
+                if execution.state is not ExecutionState.IDLE:
+                    execution.skip_quiet(cycles, self.clock.cycles)
+                    busy += 1
+                link.skip_idle(cycles)
+        finally:
+            self._replayed_actions = None
+        if replayed:
+            replayed.sort(key=itemgetter(0))  # stable: links in order within a cycle
+            signal = f"{self.name}.action"
+            for cycle, label in replayed:
+                self.simulator.trace_at(self.clock, cycle, signal, label)
         if busy:
             self.record("busy_cycles", cycles)
             self.record("link_busy_cycles", busy * cycles)

@@ -20,6 +20,13 @@ class Peripheral(Component):
     pulses.
     """
 
+    #: Event inputs whose effect depends only on how many times, and at which
+    #: cycles, they are delivered: no event pulse, bus transfer, interrupt or
+    #: wake of this peripheral may follow from one.  PELS replays an instant
+    #: action that only reaches such inputs inside its quiet runs instead of
+    #: spending a dense tick on it.  Empty by default.
+    passive_inputs: frozenset = frozenset()
+
     def __init__(self, name: str, wait_states: int = 0) -> None:
         super().__init__(name)
         self.regs = RegisterFile(name)

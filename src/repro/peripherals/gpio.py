@@ -32,6 +32,10 @@ class Gpio(Peripheral):
     ========  =========  =======================================================
     """
 
+    #: The pad inputs only touch ``OUT`` and ``toggle_count``: the instant
+    #: path never runs edge detection, and the GPIO has no tick or wake.
+    passive_inputs = frozenset({"set_pad0", "clear_pad0", "toggle_pad0"})
+
     def __init__(self, name: str = "gpio") -> None:
         super().__init__(name)
         self.regs.define("DIR", 0x00)

@@ -409,6 +409,21 @@ class Simulator:
         state = self._state
         state.traces.record(state.base_tick, signal, value)
 
+    def trace_at(self, clock: ClockDomain, cycle: int, signal: str, value: object) -> None:
+        """Record a value change of ``signal`` at the base tick of ``clock``'s local ``cycle``.
+
+        For the ticks a component's :meth:`~Component.skip` replays: inside a
+        skip the base tick still marks the span's start, and the component's
+        first replayed tick is local cycle ``clock.cycles`` at the first base
+        tick of its domain from there.
+        """
+        state = self._state
+        divisor = state.divisors.get(clock.name, 1)
+        base_tick = state.base_tick
+        remainder = base_tick % divisor
+        first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
+        state.traces.record(first + (cycle - clock.cycles) * divisor, signal, value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "dense" if self.dense else "event-driven"
         return (

@@ -40,7 +40,7 @@ from typing import Dict, Tuple
 #: graph changes shape (new SimState fields, component refactors that move
 #: architectural state).  Stale-version blobs restore as a named
 #: :class:`SnapshotError`, which the cache layer turns into a cold start.
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 #: Container magic: identifies a snapshot blob and pins the container
 #: framing (header line + pickle payload) independent of the schema number.

@@ -144,9 +144,10 @@ class TestSilentFallback:
             )
 
         # A newer schema; schema 1, the format written before the snapshot
-        # header stopped carrying the schedule plan; and schema 2, whose
-        # pickled PELS and SCMs have no shared SCM traffic total.
-        for version in (SNAPSHOT_SCHEMA_VERSION + 1, 1, 2):
+        # header stopped carrying the schedule plan; schema 2, whose pickled
+        # PELS and SCMs have no shared SCM traffic total; and schema 3, whose
+        # pickled PELS has no passive action masks.
+        for version in (SNAPSHOT_SCHEMA_VERSION + 1, 1, 2, 3):
             restamp(version)
             self._expect_fallback(cache, "stale snapshot schema")
         # The cold start a stale entry degrades to writes the same records

@@ -26,6 +26,7 @@ from repro.core.pels import (
 )
 from repro.core.link import Link
 from repro.core.trigger import TriggerCondition
+from repro.peripherals.adc import Adc
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
 from repro.sim.simulator import SimulationError, Simulator
@@ -174,6 +175,46 @@ class TestInstantActions:
         simulator.step(10)
         assert gpio.pad(0)
         assert pels.link(1).events_serviced == 1
+
+
+class TestPassiveActions:
+    """Which ``action`` masks a link may replay inside a quiet run."""
+
+    @staticmethod
+    def _passive(pels, group, mask):
+        return pels.link(0).execution.action_sink.passive(group, mask)
+
+    def test_gpio_pad_inputs_are_passive(self):
+        _, _, _, gpio, pels = build_pels()
+        for bit, port in enumerate(("toggle_pad0", "set_pad0", "clear_pad0")):
+            pels.route_action_to_peripheral(group=0, bit=bit, peripheral=gpio, port=port)
+        assert all(self._passive(pels, 0, mask) for mask in range(1, 8))
+        assert not self._passive(pels, 1, 0x1)  # another group, unrouted
+
+    def test_rerouting_a_passive_bit_clears_its_passivity(self):
+        _, _, _, gpio, pels = build_pels()
+        loopback = pels.add_loopback_line("probe")
+        for bit in range(2):
+            pels.route_action_to_peripheral(group=0, bit=bit, peripheral=gpio, port="toggle_pad0")
+        pels.route_action_to_fabric(group=0, bit=0, line_name=loopback)
+        assert not self._passive(pels, 0, 0x1)
+        assert not self._passive(pels, 0, 0x3)  # mixed: a loopback and a pad bit
+        assert self._passive(pels, 0, 0x2)
+        pels.route_action_to_callback(group=0, bit=1, label="probe", callback=lambda: None)
+        assert not self._passive(pels, 0, 0x2)
+        pels.route_action_to_peripheral(group=0, bit=1, peripheral=gpio, port="set_pad0")
+        assert self._passive(pels, 0, 0x2)
+
+    def test_zero_unrouted_and_non_gpio_masks_are_never_passive(self):
+        _, _, _, gpio, pels = build_pels()
+        adc = Adc("adc")
+        pels.route_action_to_peripheral(group=0, bit=0, peripheral=gpio, port="toggle_pad0")
+        pels.route_action_to_peripheral(group=0, bit=1, peripheral=adc, port="soc")
+        assert not self._passive(pels, 0, 0x0)
+        assert not self._passive(pels, 0, 0x5)  # bit 2 is unrouted
+        assert not self._passive(pels, 0, 0x2)  # adc.soc starts a conversion
+        assert not self._passive(pels, 0, 0x3)
+        assert self._passive(pels, 0, 0x1)
 
 
 class TestTriggerConditions:

@@ -7,13 +7,15 @@ replays the ticks before it in one :meth:`~repro.core.pels.Pels.skip`.  The
 claim is cycle-exact equivalence with dense stepping, so these tests run
 random ``wait``/``loop``/``jump_if``/``action``/``write``/``capture``/``set``
 microcode on 1–4 links — with ANY/ALL trigger conditions, loopback routes
-between links, and external triggers that land mid-wait (the FIFO fills and
-the horizon must fall back to 1) — under the dense kernel, the event kernel,
-and the batch round loop, at several I/O clock divisors and ``step()``
-chunkings.  At every boundary they compare the activity counters, the traced
-instant actions, the link records, the execution units' statistics and wait
-counters, the trigger evaluations and masked-vector history, and the FIFO
-counters.
+between links, GPIO pad actions (passive, so replayed inside quiet runs)
+alone and mixed with loopback bits in one mask, and external triggers that
+land mid-wait (the FIFO fills and the horizon must fall back to 1) — under
+the dense kernel, the event kernel, and the batch round loop, at several I/O
+clock divisors and ``step()`` chunkings.  At every boundary they compare the
+activity counters, the traced instant actions, the link records, the
+execution units' statistics and wait counters, the trigger evaluations and
+masked-vector history, the FIFO counters, and the GPIO latch, toggle count
+and edge-detection history.
 """
 
 from bisect import bisect_left
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.bus.apb import ApbBus
 from repro.core.config import PelsConfig
+from repro.core.execution import ExecutionState
 from repro.core.isa import Command, JumpCondition
 from repro.core.pels import Pels
 from repro.core.trigger import TriggerCondition
@@ -71,16 +74,18 @@ def link_programs(draw):
     commands = []
     for pc in range(draw(st.integers(min_value=1, max_value=SCM_LINES))):
         kind = draw(
-            st.sampled_from(("wait", "wait", "action", "write", "loop", "jump_if", "capture", "set", "end"))
+            st.sampled_from(("wait", "wait", "action", "action", "write", "loop", "jump_if", "capture", "set", "end"))
         )
         if kind == "wait":
             cycles = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=64)))
             commands.append(Command.wait(cycles))
         elif kind == "action":
-            group = draw(st.integers(min_value=0, max_value=1))
-            commands.append(Command.action(group, draw(st.integers(min_value=1, max_value=3))))
+            # Group 2 first: its masks are all passive (see _build).
+            group = draw(st.sampled_from((2, 0, 1)))
+            commands.append(Command.action(group, draw(st.integers(min_value=1, max_value=7))))
         elif kind == "write":
-            offset = draw(st.integers(min_value=0, max_value=5))
+            # Offset 6 is the GPIO's RISE_EVT register.
+            offset = draw(st.integers(min_value=0, max_value=6))
             commands.append(Command.write(offset, draw(st.integers(min_value=0, max_value=0xFF))))
         elif kind == "loop" and pc > 0:
             target = draw(st.integers(min_value=0, max_value=pc - 1))
@@ -114,10 +119,14 @@ scenarios = st.fixed_dictionaries(
     {
         "links": st.lists(links, min_size=1, max_size=4),
         "divisor": st.sampled_from((1, 2, 4)),
+        # Whether a rising edge on GPIO pad 0 pulses ``gpio.rise``.
+        "rise_evt": st.integers(min_value=0, max_value=1),
+        # Always an ``ext.a`` pulse at cycle 0, so that most draws start a
+        # link even when their horizon ends before the other pulses.
         "pulses": st.lists(
             st.tuples(st.integers(min_value=0, max_value=1_200), st.sampled_from(EXTERNAL_LINES)),
             max_size=16,
-        ),
+        ).map(lambda pulses: [(0, "ext.a"), *pulses]),
         "chunks": st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=5),
     }
 )
@@ -132,13 +141,20 @@ def _build(scenario, dense=False):
     bus = ApbBus("apb")
     gpio = Gpio("gpio")
     gpio.connect_events(fabric)
+    gpio.regs.write(gpio.register_offset("RISE_EVT"), scenario.get("rise_evt", 0))
     bus.attach_slave(GPIO_BASE, 0x1000, gpio)
     pels = Pels(PelsConfig(n_links=len(scenario["links"]), scm_lines=SCM_LINES), fabric, peripheral_bus=bus)
+    # Group 0: bits 0-1 loop back, bit 2 toggles a pad (a mixed mask is no
+    # passive action).  Group 1: bits 0-1 call back, bit 2 is unrouted.
+    # Group 2: bits 0-2 drive the GPIO's passive pad inputs.
     loopbacks = [pels.add_loopback_line(f"loop{bit}") for bit in range(2)]
     for bit, line in enumerate(loopbacks):
         pels.route_action_to_fabric(group=0, bit=bit, line_name=line)
+    pels.route_action_to_peripheral(group=0, bit=2, peripheral=gpio, port="toggle_pad0")
     for bit in range(2):
         pels.route_action_to_callback(group=1, bit=bit, label=f"sink{bit}", callback=lambda: None)
+    for bit, port in enumerate(("toggle_pad0", "set_pad0", "clear_pad0")):
+        pels.route_action_to_peripheral(group=2, bit=bit, peripheral=gpio, port=port)
     lines = [fabric.index_of(name) for name in (*EXTERNAL_LINES, *loopbacks)]
     for index, spec in enumerate(scenario["links"]):
         mask = 0
@@ -152,14 +168,14 @@ def _build(scenario, dense=False):
     simulator.add_component(Stimulus(fabric, scenario["pulses"]))
     for component in (gpio, pels, bus):
         simulator.add_component(component, io)
-    return simulator, pels
+    return simulator, pels, gpio
 
 
 def _public(obj, *skip):
     return {key: value for key, value in vars(obj).items() if key not in skip}
 
 
-def observe(simulator, pels):
+def observe(simulator, pels, gpio):
     """Everything a WAIT-window skip must reproduce exactly."""
     links = []
     for link in pels.links:
@@ -183,24 +199,27 @@ def observe(simulator, pels):
         tuple(simulator.traces.merged_timeline()),
         tuple(links),
         (pels.instant_actions_delivered, pels.unrouted_actions),
+        (gpio.output_value, gpio.toggle_count, gpio._previous_out),
     )
 
 
 def run_stepped(scenario, dense):
-    simulator, pels = _build(scenario, dense=dense)
+    simulator, pels, gpio = _build(scenario, dense=dense)
     observations = []
     for chunk in scenario["chunks"]:
         simulator.step(chunk)
-        observations.append(observe(simulator, pels))
+        observations.append(observe(simulator, pels, gpio))
     return observations, simulator.kernel_stats
 
 
 def run_batched(scenario):
-    simulator, pels = _build(scenario)
+    simulator, pels, gpio = _build(scenario)
     observations = []
     batch = BatchSimulator()
     stops = accumulate(scenario["chunks"])
-    batch.add(simulator, [(stop, lambda elapsed: observations.append(observe(simulator, pels))) for stop in stops])
+    batch.add(
+        simulator, [(stop, lambda elapsed: observations.append(observe(simulator, pels, gpio))) for stop in stops]
+    )
     batch.run()
     return observations
 
@@ -237,7 +256,7 @@ class TestWaitWindowHorizon:
 
     def test_a_wait_window_is_skipped_in_one_span(self):
         scenario = self._scenario([40], [(0, "ext.a")])
-        simulator, pels = _build(scenario)
+        simulator, pels, _ = _build(scenario)
         simulator.step(3)  # trigger + start, fetch action, fetch wait
         assert pels.links[0].execution._wait_remaining == 40
         assert pels.next_event() == 41
@@ -249,7 +268,7 @@ class TestWaitWindowHorizon:
 
     def test_the_horizon_is_the_smallest_remaining_wait(self):
         scenario = self._scenario([30, 10, 20], [(0, "ext.a")])
-        simulator, pels = _build(scenario)
+        simulator, pels, _ = _build(scenario)
         simulator.step(3)
         assert [link.execution._wait_remaining for link in pels.links] == [30, 10, 20]
         assert pels.next_event() == 11
@@ -293,10 +312,65 @@ class TestWaitWindowHorizon:
 
     def test_a_trigger_landing_mid_wait_drops_the_horizon_to_one(self):
         scenario = self._scenario([40], [(0, "ext.a"), (20, "ext.a"), (25, "ext.a")])
-        simulator, pels = _build(scenario)
+        simulator, pels, _ = _build(scenario)
         simulator.step(21)  # through the mid-wait pulse at cycle 20
         link = pels.links[0]
         assert link.execution._wait_remaining > 1
         assert link.trigger.fifo.level == 1
         assert pels.next_event() == 1
         assert run_stepped(scenario, dense=False)[0] == run_stepped(scenario, dense=True)[0]
+
+    @staticmethod
+    def _blinker(group, mask, divisor=1):
+        """The paper's blinker, ``BLINK: action <group> <mask>; wait 10;
+        loop BLINK 3; end``, started by an ``ext.a`` pulse at cycle 0."""
+        program = [Command.action(group, mask), Command.wait(10), Command.loop(0, 3), Command.end()]
+        link = {"program": program, "mask": 0x1, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
+        return {"links": [link], "divisor": divisor, "pulses": [(0, "ext.a")], "chunks": [30, 300]}
+
+    def test_a_blinker_toggling_a_pad_runs_to_end_in_one_horizon(self):
+        simulator, pels, _ = _build(self._blinker(2, 0x1))
+        simulator.step(1)  # the trigger starts the link; it fetches the action next
+        execution = pels.links[0].execution
+        assert (execution.state, execution.pc) == (ExecutionState.FETCH, 0)
+        # Four turns of action (1) + wait 10 (11) + loop (1); the tick after
+        # them fetches ``end``.
+        assert pels.next_event() == 4 * 13 + 1
+        for divisor in (1, 2, 4):
+            scenario = self._blinker(2, 0x1, divisor)
+            dense, _ = run_stepped(scenario, dense=True)
+            event, stats = run_stepped(scenario, dense=False)
+            assert event == dense, divisor
+            assert run_batched(scenario) == dense, divisor
+            # Only the trigger and the ``end`` fetch are dense ticks.
+            assert stats["dense_ticks"] <= 2, divisor
+            simulator, _, gpio = _build(scenario)
+            simulator.step(sum(scenario["chunks"]))
+            actions = simulator.traces.trace("pels.action").changes()
+            assert [action.cycle for action in actions] == [divisor * cycle for cycle in (1, 14, 27, 40)]
+            assert gpio.toggle_count == 4
+
+    def test_two_blinkers_trace_their_toggles_in_dense_order(self):
+        """Links replay one after another inside a skip; their interleaved
+        toggles must still be traced by cycle, then link."""
+        scenario = self._blinker(2, 0x1)
+        fast = [Command.action(2, 0x2), Command.wait(3), Command.loop(0, 3), Command.end()]
+        scenario["links"].append(dict(scenario["links"][0], program=fast))
+        dense, _ = run_stepped(scenario, dense=True)
+        event, stats = run_stepped(scenario, dense=False)
+        assert event == dense
+        assert run_batched(scenario) == dense
+        assert stats["cycles_skipped"] > stats["dense_ticks"]
+
+    def test_a_blinker_action_that_is_not_passive_stays_a_wake(self):
+        """The same blinker with its action looped back (group 0 bit 0), with
+        a mask mixing a loopback bit and a pad bit (0x5), calling back, or
+        with an unrouted bit next to a callback (group 1, 0x5)."""
+        for group, mask in ((0, 0x1), (0, 0x5), (1, 0x1), (1, 0x5)):
+            scenario = self._blinker(group, mask)
+            simulator, pels, _ = _build(scenario)
+            simulator.step(1)
+            assert pels.links[0].execution.quiet_ticks() == 0, (group, mask)
+            assert pels.next_event() == 1, (group, mask)
+            dense, _ = run_stepped(scenario, dense=True)
+            assert run_stepped(scenario, dense=False)[0] == dense, (group, mask)
