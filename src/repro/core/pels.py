@@ -69,9 +69,9 @@ class ActionTarget:
     deliver: Callable[[], None]
 
 
-# The wiring callables below are module-level classes rather than closures so
-# a fully built SoC graph stays picklable (the prepared-state snapshot cache
-# serialises whole prepared scenarios; see repro.sim.snapshot).
+# The wiring callables below are module-level classes rather than closures:
+# each holds only a reference to its PELS instance, so a fully built SoC
+# graph stays plain, picklable Python data.
 
 
 class _BusSubmit:

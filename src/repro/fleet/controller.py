@@ -13,8 +13,8 @@ One call to :func:`run_fleet` drives a whole campaign end to end:
    every worker, SIGKILLs any that outlive the timeout, and classifies the
    exits (timeout / crash / nonzero-exit); acceptance is then decided by
    **artifact validation** (:func:`repro.sweep.merge.validate_shard_dir`),
-   never by exit status alone — a killed worker that flushed valid
-   artifacts is salvaged, a clean exit with a truncated results.json is
+   never by exit status alone — a killed worker's checkpoint of the groups
+   it finished is salvaged, a clean exit with a truncated results.json is
    classified ``corrupt-artifacts`` and rejected.
 4. **Heal** — the accepted directories are merged; on incomplete coverage
    the standard heal plan is written to ``heal.json`` and **consumed right
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sweep.artifacts import MANIFEST_JSON, RESULTS_JSON, shard_dirname
+from repro.sweep.artifacts import CHECKPOINT_JSONL, MANIFEST_JSON, RESULTS_JSON, shard_dirname
 from repro.sweep.campaign import CampaignSpec, ShardSpec, batch_groups, cut_shards, estimate_costs, expand_campaign
 from repro.sweep.merge import (
     HEAL_JSON,
@@ -128,18 +128,12 @@ class FleetConfig:
     #: failures degrade to ledger notes — the store is an accelerant, never
     #: a dependency of campaign completion.
     store: Optional[Path] = None
-    #: Shared prepared-state snapshot cache directory passed to every worker
-    #: (``--plan-cache``).  ``None`` auto-provisions
-    #: ``<out>/<campaign>/plan-cache`` — :func:`run_fleet` resolves it and
-    #: writes the resolved path back here so every launch (including heal
-    #: rounds) uses the same directory.
-    plan_cache: Optional[Path] = None
-    #: ``--no-plan-cache`` disables warm starts entirely.
-    plan_cache_enabled: bool = True
     #: Fault injection: launch ordinal -> fault (see :func:`parse_chaos`).
     chaos: Dict[int, str] = field(default_factory=dict)
-    #: Seconds after launch at which a ``kill`` chaos fault fires.
-    chaos_kill_delay: float = 0.15
+    #: Seconds after launch at which a ``kill`` chaos fault fires: before a
+    #: worker has imported the simulator, so it dies before its first group
+    #: is checkpointed even when the supervisor is scheduled late.
+    chaos_kill_delay: float = 0.05
     poll_interval: float = 0.05
     #: Progress sink (fleet progress lines; default stderr).
     echo: Callable[[str], None] = lambda message: print(message, file=sys.stderr, flush=True)
@@ -186,6 +180,9 @@ class _ChaosInjector:
 
 
 def _worker_argv(config: FleetConfig, shard: ShardSpec) -> List[str]:
+    """One worker's ``sweep --shard`` command.  Every worker resumes: a
+    rerun into a finished fleet's directory reuses the merged results.json,
+    and a shard's own killed attempt its checkpoint."""
     argv = default_worker_argv() + [
         "sweep",
         config.campaign,
@@ -195,11 +192,10 @@ def _worker_argv(config: FleetConfig, shard: ShardSpec) -> List[str]:
         str(config.out),
         "--jobs",
         str(config.worker_jobs),
+        "--resume",
     ]
     if config.trace:
         argv += ["--trace-out", "trace.json"]
-    if config.plan_cache_enabled and config.plan_cache is not None:
-        argv += ["--plan-cache", str(config.plan_cache)]
     return argv
 
 
@@ -225,14 +221,6 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
     points_total = len(points)
     campaign_dir = Path(config.out) / spec.name
     log_dir = campaign_dir / "fleet-logs"
-    if config.plan_cache_enabled:
-        # One shared snapshot cache for the whole fleet: the first worker to
-        # reach a horizon publishes, every later worker (and every heal-round
-        # re-run) warm-starts from it.
-        if config.plan_cache is None:
-            config.plan_cache = campaign_dir / "plan-cache"
-        config.plan_cache.mkdir(parents=True, exist_ok=True)
-        config.echo(f"fleet: shared plan cache at {config.plan_cache}")
     ledger = FleetLedger(
         campaign=spec.name,
         spec_hash=spec_hash(spec),
@@ -242,9 +230,6 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         max_retries=config.max_retries,
         backoff_base=config.backoff_base,
         backoff_cap=config.backoff_cap,
-    )
-    ledger.config["plan_cache"] = (
-        str(config.plan_cache) if config.plan_cache_enabled else None
     )
     chaos = _ChaosInjector(config.chaos, config.chaos_kill_delay)
     started = time.monotonic()
@@ -439,7 +424,9 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
     number of point records the attempt delivered."""
     directory = Path(attempt.artifact_dir)
     delivered = 0
-    if not (directory / RESULTS_JSON).exists():
+    # A killed worker leaves only its checkpoint: the groups it finished
+    # are delivered, and the heal round re-runs the rest.
+    if not ((directory / RESULTS_JSON).exists() or (directory / CHECKPOINT_JSONL).exists()):
         attempt.accepted = False
         attempt.detail = f"{directory}: no artifacts produced"
     else:
@@ -467,15 +454,17 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
 
 
 def _absorb_shard_telemetry(ledger: FleetLedger, directory: Path) -> None:
-    """Fold one accepted shard manifest's cache + kernel counters into the
-    ledger's metrics registry.
+    """Fold one accepted shard manifest's kernel counters into the ledger's
+    metrics registry.
 
-    This is where the ``kernel.*`` counters (and the plan cache's
-    hit/miss/write/error totals) become visible *fleet-wide*: each worker
-    sums its own counters into its manifest, and the ledger sums across
-    accepted shards.  Pure bookkeeping — any read failure degrades to a
-    ledger note, never fleet failure.
+    This is where the ``kernel.*`` counters become visible *fleet-wide*:
+    each worker sums its own counters into its manifest, and the ledger
+    sums across accepted shards.  A killed worker's checkpoint carries no
+    telemetry.  Pure bookkeeping — any read failure degrades to a ledger
+    note, never fleet failure.
     """
+    if (Path(directory) / CHECKPOINT_JSONL).exists():
+        return
     manifest_path = Path(directory) / MANIFEST_JSON
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -483,17 +472,6 @@ def _absorb_shard_telemetry(ledger: FleetLedger, directory: Path) -> None:
     except (OSError, ValueError, AttributeError) as exc:
         ledger.note(f"telemetry aggregation skipped {manifest_path}: {exc}")
         return
-    cache_block = execution.get("cache")
-    if isinstance(cache_block, dict):
-        for name, counter in (
-            ("hits", "cache.hit"),
-            ("misses", "cache.miss"),
-            ("writes", "cache.write"),
-            ("errors", "cache.error"),
-        ):
-            ledger.metrics.counter(counter).inc(int(cache_block.get(name) or 0))
-        for note in cache_block.get("notes") or []:
-            ledger.note(f"plan cache ({directory.name}): {note}")
     telemetry = execution.get("telemetry")
     if isinstance(telemetry, dict):
         counters = (telemetry.get("metrics") or {}).get("counter") or {}

@@ -205,13 +205,6 @@ def render_ledger(payload: Dict[str, object]) -> str:
         f"timeout={config.get('timeout_seconds')}s max-retries={config.get('max_retries')} "
         f"backoff={config.get('backoff_base_seconds')}s..{config.get('backoff_cap_seconds')}s"
     )
-    counters = (payload.get("metrics") or {}).get("counter") or {}
-    if any(key.startswith("cache.") for key in counters):
-        lines.append(
-            f"  plan cache ({config.get('plan_cache')}): "
-            f"{counters.get('cache.hit', 0)} hits, {counters.get('cache.miss', 0)} misses, "
-            f"{counters.get('cache.write', 0)} writes, {counters.get('cache.error', 0)} errors"
-        )
     for round_record in payload.get("rounds", []):
         backoff = round_record.get("backoff_seconds", 0.0)
         heading = (

@@ -66,13 +66,6 @@ class CounterSet(dict):
             )
         super().__setitem__(key, value)
 
-    def __reduce__(self):
-        # The default dict-subclass pickling rebuilds an *empty* instance and
-        # replays items through the guarded ``__setitem__`` (which rejects
-        # every key on an empty set).  Rebuild from a snapshot instead so
-        # prepared-state snapshots (repro.sim.snapshot) round-trip.
-        return (_counter_set_from_snapshot, (dict(self),))
-
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict point-in-time copy of every counter."""
         return dict(self)
@@ -91,14 +84,6 @@ class CounterSet(dict):
         for key, value in other.items():
             if key in self:
                 super().__setitem__(key, self[key] + value)
-
-
-def _counter_set_from_snapshot(snapshot: Dict[str, int]) -> "CounterSet":
-    """Rebuild a :class:`CounterSet` from a key→value snapshot (pickle)."""
-    counters = CounterSet(snapshot)
-    for key, value in snapshot.items():
-        dict.__setitem__(counters, key, value)
-    return counters
 
 
 Labels = Tuple[Tuple[str, str], ...]

@@ -161,8 +161,9 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="reuse points already present in <out>/<campaign>/results.json "
-        "when its manifest hash matches the campaign definition",
+        help="reuse points already present in <out>/<campaign>/results.json, "
+        "or in the checkpoint a killed run left, when its spec hash matches "
+        "the campaign definition",
     )
     parser.add_argument(
         "--resume-from-store",
@@ -172,17 +173,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "instead of hunting artifact directories; validated against the same "
         "campaign identity as --resume and byte-identical to it; combinable "
         "with --resume (directory artifacts win ties)",
-    )
-    parser.add_argument(
-        "--plan-cache",
-        default=None,
-        metavar="DIR",
-        help="persistent prepared-state snapshot cache: batched groups "
-        "warm-start from snapshots published by earlier runs (any process) "
-        "and publish their own at every horizon stop; results "
-        "are byte-identical to a cold run, hit/miss totals land in the "
-        "manifest's execution.cache block; the fleet provisions one shared "
-        "cache dir automatically",
     )
     parser.add_argument(
         "--shard",
@@ -361,15 +351,6 @@ def _stats_main(argv: Sequence[str]) -> int:
         return 2
     rate = f", {float(n_points) / wall:.1f} points/s" if wall > 0 and n_points != "?" else ""
     print(f"campaign {name}: {n_points} points, {wall:.2f} s wall{rate}")
-    cache_block = execution.get("cache")
-    if isinstance(cache_block, dict):
-        print(
-            f"plan cache {cache_block.get('path')}: "
-            f"{cache_block.get('hits', 0)} hits, {cache_block.get('misses', 0)} misses, "
-            f"{cache_block.get('writes', 0)} writes, {cache_block.get('errors', 0)} errors"
-        )
-        for note in cache_block.get("notes") or []:
-            print(f"  note: {note}")
     telemetry = execution.get("telemetry")
     if not isinstance(telemetry, dict):
         print(
@@ -417,6 +398,7 @@ def _stats_main(argv: Sequence[str]) -> int:
 
 def _sweep_main(argv: Sequence[str]) -> int:
     from repro.sweep import (
+        Checkpoint,
         ShardSpec,
         campaign,
         campaigns,
@@ -483,6 +465,9 @@ def _sweep_main(argv: Sequence[str]) -> int:
     # clobber campaign-level (full or merged) artifacts — in-place re-cutting
     # a fleet from a merged directory must not destroy its resume source.
     shard_subdir = shard_dirname(shard) if shard is not None else None
+    artifact_dir = Path(args.out) / spec.name
+    if shard_subdir is not None:
+        artifact_dir = artifact_dir / shard_subdir
 
     reuse = None
     if args.resume or args.resume_from_store:
@@ -536,6 +521,14 @@ def _sweep_main(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
 
+    # Every finished group lands in the directory's checkpoint, so a killed
+    # run's work is reused by --resume, merge and the fleet's heal rounds.
+    checkpoint = Checkpoint(spec, artifact_dir, shard_points, shard=shard, reused=reuse or ())
+
+    def progress(completed: int, total: int, result) -> None:
+        _sweep_progress(completed, total, result)
+        checkpoint.add(result)
+
     tracer = None
     if args.trace_out is not None:
         from repro.obs import tracing
@@ -545,11 +538,10 @@ def _sweep_main(argv: Sequence[str]) -> int:
         result = execute_campaign(
             spec,
             jobs=args.jobs,
-            progress=_sweep_progress,
+            progress=progress,
             reuse=reuse,
             shard=shard,
             trace=args.trace_out is not None,
-            plan_cache=args.plan_cache,
         )
     finally:
         if tracer is not None:
@@ -568,9 +560,6 @@ def _sweep_main(argv: Sequence[str]) -> int:
     if tracer is not None:
         from repro.obs.traceio import trace_document, write_trace
 
-        artifact_dir = Path(args.out) / spec.name
-        if shard_subdir is not None:
-            artifact_dir = artifact_dir / shard_subdir
         trace_path = _resolve_trace_path(args.trace_out, artifact_dir)
         events = tracer.drain() + result.trace_events
         dropped = tracer.dropped + result.trace_dropped
@@ -593,19 +582,13 @@ def _sweep_main(argv: Sequence[str]) -> int:
             "dropped": dropped,
         }
     paths = write_artifacts(spec, result, Path(args.out), subdir=shard_subdir)
+    checkpoint.discard()
     sharded = f"shard {shard}, " if shard is not None else ""
     reused = f", {result.n_reused} reused" if result.n_reused else ""
     batched = f", {result.batched_points} batched" if result.batched_points else ""
     if result.batch_fallbacks:
         fallen = sum(len(record["points"]) for record in result.batch_fallbacks)
         batched += f", {fallen} fell back"
-    if result.cache is not None:
-        batched += (
-            f", cache {result.cache['hits']} hit{'s' if result.cache['hits'] != 1 else ''}"
-            f"/{result.cache['misses']} miss"
-        )
-        if result.cache["errors"]:
-            batched += f"/{result.cache['errors']} errors"
     rate = result.n_points / max(result.wall_seconds, 1e-9)
     print(
         f"campaign {spec.name}: {result.n_points} points over scenario {spec.scenario} "
@@ -718,20 +701,6 @@ def _build_fleet_parser() -> argparse.ArgumentParser:
         "fleet failure (see docs/store.md)",
     )
     parser.add_argument(
-        "--plan-cache",
-        default=None,
-        metavar="DIR",
-        help="shared prepared-state snapshot cache passed to every worker "
-        "(default: <out>/<campaign>/plan-cache, provisioned automatically); "
-        "warm workers skip preparation and the already-simulated prefix, "
-        "and the ledger aggregates hit/miss totals fleet-wide",
-    )
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="disable the shared plan cache (workers always cold-start)",
-    )
-    parser.add_argument(
         "--chaos",
         default=None,
         metavar="SPEC",
@@ -777,8 +746,6 @@ def _fleet_main(argv: Sequence[str]) -> int:
         worker_jobs=args.worker_jobs,
         trace=args.trace,
         store=Path(args.store) if args.store else None,
-        plan_cache=Path(args.plan_cache) if args.plan_cache else None,
-        plan_cache_enabled=not args.no_plan_cache,
         chaos=chaos,
         poll_interval=args.poll_interval,
     )

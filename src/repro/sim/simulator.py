@@ -481,15 +481,6 @@ class SimState:
         #: invalidations are suppressed (see invalidate_wake).
         self._active_component: Optional[Component] = None
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Prepared-state snapshots (repro.sim.snapshot) pickle whole
-        # simulators between processes.  ``_active_component`` only ever
-        # holds a value *during* a tick/skip dispatch, never at a stop
-        # boundary.
-        state = self.__dict__.copy()
-        state["_active_component"] = None
-        return state
-
     # ----------------------------------------------------------------- binding
 
     def bind(self, fingerprint: Tuple, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:

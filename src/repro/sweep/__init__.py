@@ -30,6 +30,7 @@ Full documentation: ``docs/sweeps.md`` and ``docs/observability.md``.
 from repro.sweep.artifacts import (
     SCHEMA_VERSION,
     ArtifactDir,
+    Checkpoint,
     manifest_payload,
     point_from_record,
     point_record,
@@ -88,6 +89,7 @@ __all__ = [
     "ArtifactDir",
     "CampaignResult",
     "CampaignSpec",
+    "Checkpoint",
     "HEAL_JSON",
     "IncompleteCoverageError",
     "MergeError",

@@ -23,6 +23,12 @@ counts the shard's own points.
 An unsharded run's artifacts carry no ``shard`` block, which is exactly the
 shape :mod:`repro.sweep.merge` reconstructs when stitching shards together.
 
+While a run is writing, its directory also holds ``checkpoint.jsonl``
+(:class:`Checkpoint`): an identity header line, then one line per finished
+point, appended once per finished batch group.  It is deleted once the
+three files above are written, so only a killed run leaves one behind, and
+its finished groups are then read back like any other artifacts.
+
 This module owns the format in both directions.  :func:`point_record` writes
 one point and :func:`point_from_record` is its only inverse;
 :func:`read_artifact_dir` is the one reader of an artifact directory behind
@@ -36,13 +42,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sweep.campaign import CampaignSpec, ShardSpec
+from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, batch_groups, index_runs
 from repro.sweep.execute import CampaignResult, PointResult
 from repro.sweep.resume import ResumeError, load_artifact_json, spec_from_manifest, spec_hash
 
@@ -52,6 +59,7 @@ SCHEMA_VERSION = 1
 RESULTS_JSON = "results.json"
 RESULTS_CSV = "results.csv"
 MANIFEST_JSON = "manifest.json"
+CHECKPOINT_JSONL = "checkpoint.jsonl"
 
 
 #: A point record's exact key set: the identity fields, then the mapping
@@ -104,17 +112,22 @@ def point_from_record(record: object, source: str) -> PointResult:
     return PointResult(**record)
 
 
+def shard_block(shard: ShardSpec, points_total: int) -> Dict[str, object]:
+    """The ``shard`` block of one resolved (explicit index set) shard."""
+    return {
+        "index": shard.index,
+        "count": shard.count,
+        "runs": [list(run) for run in shard.runs],
+        "points_total": points_total,
+    }
+
+
 def shard_record(result: CampaignResult) -> Optional[Dict[str, object]]:
     """The ``shard`` block stamped into sharded artifacts (None when the
     execution covered the whole grid)."""
     if result.shard is None:
         return None
-    return {
-        "index": result.shard.index,
-        "count": result.shard.count,
-        "runs": [list(run) for run in result.shard.runs],
-        "points_total": result.points_total,
-    }
+    return shard_block(result.shard, result.points_total)
 
 
 def results_payload(result: CampaignResult) -> Dict[str, object]:
@@ -136,6 +149,25 @@ def results_payload(result: CampaignResult) -> Dict[str, object]:
     return payload
 
 
+def campaign_block(spec: CampaignSpec) -> Dict[str, object]:
+    """The manifest's (and the checkpoint header's) campaign block."""
+    return {
+        "name": spec.name,
+        "description": spec.description,
+        "scenario": spec.scenario,
+        "grid": {axis: list(values) for axis, values in spec.grid.items()},
+        # The manifest is dumped with sorted keys, which would scramble the
+        # grid's axis order — but axis order *is* campaign identity
+        # (row-major expansion numbers the points with it).  Record it
+        # explicitly so the spec can be reconstructed exactly
+        # (resume.spec_from_manifest, sweep merge).
+        "axis_order": list(spec.grid),
+        "base_seed": spec.base_seed,
+        "dense": spec.dense,
+        "seed_scheme": "sha256(name:base_seed:index)[:4 bytes]",
+    }
+
+
 def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, object]:
     """The manifest.json payload (reproducibility + execution record).
 
@@ -145,21 +177,7 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec_hash(spec),
-        "campaign": {
-            "name": spec.name,
-            "description": spec.description,
-            "scenario": spec.scenario,
-            "grid": {axis: list(values) for axis, values in spec.grid.items()},
-            # The manifest is dumped with sorted keys, which would scramble
-            # the grid's axis order — but axis order *is* campaign identity
-            # (row-major expansion numbers the points with it).  Record it
-            # explicitly so the spec can be reconstructed exactly
-            # (resume.spec_from_manifest, sweep merge).
-            "axis_order": list(spec.grid),
-            "base_seed": spec.base_seed,
-            "dense": spec.dense,
-            "seed_scheme": "sha256(name:base_seed:index)[:4 bytes]",
-        },
+        "campaign": campaign_block(spec),
         "n_points": result.n_points,
         "artifacts": [RESULTS_JSON, RESULTS_CSV],
         "execution": {
@@ -188,13 +206,6 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
     # in the manifest: results.json/results.csv must stay byte-identical
     # whether a run was traced or not.
     payload["execution"]["telemetry"] = result.telemetry
-    if result.cache is not None:
-        # Warm-run provenance: the resolved --plan-cache path plus summed
-        # hit/miss/write/error totals (and any swallowed corruption notes).
-        # Manifest-only, like telemetry: the cache changes wall-clock, never
-        # the comparable payload, so results.json/csv stay byte-identical
-        # between cold and warm runs.
-        payload["execution"]["cache"] = result.cache
     shard = shard_record(result)
     if shard is not None:
         payload["shard"] = shard
@@ -299,6 +310,138 @@ def write_artifacts(
     return paths
 
 
+class Checkpoint:
+    """``checkpoint.jsonl``: the finished points of a run still writing its
+    artifact directory.
+
+    The process that owns the directory hands every finished point to
+    :meth:`add`; the sweep CLI does so from its ``progress`` callback.  The
+    first line is an identity header: the campaign block, ``spec_hash``,
+    ``schema_version`` and any shard block.  Every further line is one
+    :func:`point_record` plus its wall time.  Lines go out in one append and
+    one flush per finished batch group of ``points`` (the run's points, less
+    the ``reused`` ones), so a killed run loses only the groups it had not
+    finished.  Reused points ride along with the first append, and a run
+    that computes nothing writes nothing.  :meth:`discard` deletes the file
+    once the three artifacts are written.
+    """
+
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        directory: Path,
+        points: Sequence[SweepPoint],
+        shard: Optional[ShardSpec] = None,
+        reused: Iterable[int] = (),
+    ) -> None:
+        self.path = Path(directory) / CHECKPOINT_JSONL
+        self._partial = self.path.with_name(CHECKPOINT_JSONL + ".tmp")
+        header = {"campaign": campaign_block(spec), "schema_version": SCHEMA_VERSION, "spec_hash": spec_hash(spec)}
+        if shard is not None:
+            resolved = ShardSpec(shard.index, shard.count, index_runs(point.index for point in points))
+            header["shard"] = shard_block(resolved, spec.n_points)
+        self._lines = [json.dumps(header, sort_keys=True) + "\n"]
+        skip = set(reused)
+        groups = batch_groups([point for point in points if point.index not in skip])
+        self._group_of = {point.index: number for number, group in enumerate(groups) for point in group}
+        self._left = [len(group) for group in groups]
+        self._handle = None
+
+    def add(self, result: PointResult) -> None:
+        """Take one finished point; append every pending line once its
+        group is complete."""
+        entry = {"record": point_record(result), "wall_seconds": result.wall_seconds}
+        self._lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        group = self._group_of.get(result.index)
+        if group is None:  # a reused point
+            return
+        self._left[group] -= 1
+        if self._left[group] == 0:
+            first = self._handle is None
+            if first:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._handle = self._partial.open("w", encoding="utf-8")
+            self._handle.write("".join(self._lines))
+            self._handle.flush()
+            self._lines.clear()
+            if first:
+                # An older checkpoint (the one a resumed run reuses) is
+                # replaced only once this one holds everything it held.
+                os.replace(self._partial, self.path)
+
+    def discard(self) -> None:
+        """Delete the checkpoint (the run's artifacts are written)."""
+        if self._handle is not None:
+            self._handle.close()
+        self.path.unlink(missing_ok=True)
+        self._partial.unlink(missing_ok=True)
+
+
+def read_checkpoint(path: Path) -> Optional[Tuple[Dict[str, object], Dict[str, object]]]:
+    """The ``(results, manifest)`` pair a checkpoint stands for, shaped like
+    the two JSON files so :func:`parse_artifact_dir` checks it the same way.
+
+    A final line with no newline is the one a kill can cut short, so it is
+    dropped, and a checkpoint with no complete line holds nothing (None).
+    Any other line that is not a JSON object, and a point line that is not
+    exactly ``record`` plus ``wall_seconds``, raises :class:`ResumeError`
+    naming the file and the line.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    except OSError as exc:
+        raise ResumeError(f"{path}: unreadable: {exc}") from None
+    if not lines:
+        return None
+    entries = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:
+            raise ResumeError(f"{path}: line {number} is not valid JSON (truncated or corrupt): {exc}") from None
+        if not isinstance(entry, dict):
+            raise ResumeError(f"{path}: line {number} is not a JSON object")
+        if number > 1 and entry.keys() != {"record", "wall_seconds"}:
+            raise ResumeError(f"{path}: line {number} is not a point line (keys {sorted(entry)})")
+        entries.append(entry)
+    header, points = entries[0], entries[1:]
+    walls = {}
+    for entry in points:
+        record = entry["record"]
+        if isinstance(record, dict) and type(record.get("index")) is int:
+            walls[str(record["index"])] = entry["wall_seconds"]
+    campaign = header.get("campaign") if isinstance(header.get("campaign"), dict) else {}
+    results = {
+        "campaign": campaign.get("name"),
+        "scenario": campaign.get("scenario"),
+        "points": [entry["record"] for entry in points],
+    }
+    return results, dict(header, execution={"point_wall_seconds": walls})
+
+
+def load_artifact_pair(
+    directory: Path, required: bool = False
+) -> Tuple[Optional[Dict[str, object]], Optional[Dict[str, object]], bool]:
+    """``(results, manifest, from_checkpoint)`` of one artifact directory.
+
+    A checkpoint is the newest state of its directory: it exists only while
+    a run writes or after one was killed, and it holds every point that run
+    had, reused ones included.  So it is read in place of the two JSON
+    files whenever it holds anything; otherwise each file is ``None`` when
+    missing (unless ``required``), as :func:`load_artifact_json` reads it.
+    """
+    directory = Path(directory)
+    checkpoint = directory / CHECKPOINT_JSONL
+    if checkpoint.exists():
+        pair = read_checkpoint(checkpoint)
+        if pair is not None:
+            return pair[0], pair[1], True
+    results = load_artifact_json(directory / RESULTS_JSON, required=required)
+    manifest = load_artifact_json(directory / MANIFEST_JSON, required=required)
+    return results, manifest, False
+
+
 @dataclass
 class ArtifactDir:
     """One artifact directory, read and checked by :func:`read_artifact_dir`."""
@@ -313,10 +456,17 @@ class ArtifactDir:
     records: List[Dict[str, object]]
     #: ``execution.point_wall_seconds`` by point index.
     walls: Dict[int, float]
+    #: Read from a killed run's ``checkpoint.jsonl`` rather than its JSON files.
+    from_checkpoint: bool = False
 
     @property
     def spec_hash(self) -> str:
         return str(self.manifest["spec_hash"])
+
+    @property
+    def results_path(self) -> Path:
+        """The file the records were read from."""
+        return self.directory / (CHECKPOINT_JSONL if self.from_checkpoint else RESULTS_JSON)
 
     @property
     def points_total(self) -> int:
@@ -326,7 +476,7 @@ class ArtifactDir:
     def points(self) -> Iterator[PointResult]:
         """The records decoded one at a time, each with its wall time, so no
         second full copy of the points is ever held."""
-        source = str(self.directory / RESULTS_JSON)
+        source = str(self.results_path)
         for record in self.records:
             point = point_from_record(record, source)
             point.wall_seconds = self.walls.get(point.index, 0.0)
@@ -401,13 +551,16 @@ def _declared_points(manifest: Mapping[str, object], spec: CampaignSpec, source:
 
 
 def parse_artifact_dir(
-    directory: Path, results: Dict[str, object], manifest: Dict[str, object]
+    directory: Path, results: Dict[str, object], manifest: Dict[str, object], from_checkpoint: bool = False
 ) -> ArtifactDir:
-    """Check one directory's parsed ``results.json``/``manifest.json`` pair
-    and decode its records (see :func:`read_artifact_dir`)."""
+    """Check one directory's parsed ``results.json``/``manifest.json`` pair,
+    or the pair its checkpoint stands for, and decode its records (see
+    :func:`read_artifact_dir`)."""
     directory = Path(directory)
-    results_path = str(directory / RESULTS_JSON)
-    manifest_path = str(directory / MANIFEST_JSON)
+    if from_checkpoint:
+        results_path = manifest_path = str(directory / CHECKPOINT_JSONL)
+    else:
+        results_path, manifest_path = str(directory / RESULTS_JSON), str(directory / MANIFEST_JSON)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ResumeError(
             f"{manifest_path}: artifact schema version {manifest.get('schema_version')!r} "
@@ -440,7 +593,8 @@ def parse_artifact_dir(
     records = results.get("points")
     if not isinstance(records, list):
         raise ResumeError(f"{results_path}: has no points list")
-    artifacts = ArtifactDir(directory, manifest, spec, declared, records, point_walls(manifest, manifest_path))
+    walls = point_walls(manifest, manifest_path)
+    artifacts = ArtifactDir(directory, manifest, spec, declared, records, walls, from_checkpoint)
     seen = set()
     for point in artifacts.points():
         if point.index not in allowed:
@@ -452,8 +606,9 @@ def parse_artifact_dir(
 
 
 def read_artifact_dir(directory: Path) -> ArtifactDir:
-    """Read one artifact directory (a full run, a shard slice, a merge or a
-    partial salvage) and check everything one directory can be checked for.
+    """Read one artifact directory (a full run, a shard slice, a merge, a
+    partial salvage or a killed run's checkpoint) and check everything one
+    directory can be checked for.
 
     Both JSON files must parse; the schema version must match and a
     ``spec_hash`` be present; the manifest's campaign block must rebuild a
@@ -461,8 +616,9 @@ def read_artifact_dir(directory: Path) -> ArtifactDir:
     scenario; a ``shard`` or ``partial`` block's ``points_total`` must match
     the spec's grid (:func:`_declared_points`); every record must decode
     (:func:`point_from_record`) with an index in range, inside any declared
-    shard index set, and not duplicated; and the walls must be numeric.  Every
-    failure raises :class:`ResumeError` naming the file.
+    shard index set, and not duplicated; and the walls must be numeric.  A
+    checkpoint goes through the same checks (:func:`load_artifact_pair`).
+    Every failure raises :class:`ResumeError` naming the file.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -470,6 +626,4 @@ def read_artifact_dir(directory: Path) -> ArtifactDir:
             f"{directory}: not a directory — pass the campaign or shard artifact "
             f"directory (the one that directly contains {RESULTS_JSON})"
         )
-    results = load_artifact_json(directory / RESULTS_JSON, required=True)
-    manifest = load_artifact_json(directory / MANIFEST_JSON, required=True)
-    return parse_artifact_dir(directory, results, manifest)
+    return parse_artifact_dir(directory, *load_artifact_pair(directory, required=True))

@@ -61,7 +61,6 @@ from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.area.model import PelsAreaModel
-from repro.cache.plan_cache import group_cache_key
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
 from repro.obs.profile import PhaseTimer
@@ -144,11 +143,6 @@ class CampaignResult:
     trace_events: List[Dict[str, object]] = field(default_factory=list)
     #: Events the worker tracers dropped at their buffer caps.
     trace_dropped: int = 0
-    #: Plan-cache provenance (``--plan-cache``): the resolved cache path
-    #: plus hit/miss/write/error totals summed across workers and any
-    #: swallowed-failure notes; ``None`` when the execution ran without a
-    #: cache.  The artifacts layer embeds it as ``execution.cache``.
-    cache: Optional[Dict[str, object]] = None
 
     @property
     def n_points(self) -> int:
@@ -247,12 +241,6 @@ class ChunkOutcome:
     trace_events: List[Dict[str, object]] = field(default_factory=list)
     #: Events the worker-owned tracer dropped at its buffer cap.
     dropped_events: int = 0
-    #: Plan-cache hit/miss/write/error counts for this chunk (empty when the
-    #: task ran without ``plan_cache``); summed into ``execution.cache``.
-    cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Swallowed cache-integrity failures ("<entry>: <why>"), surfaced in
-    #: the manifest so silent cold-start fallbacks stay visible.
-    cache_notes: List[str] = field(default_factory=list)
 
 
 class _ChunkTelemetry:
@@ -375,7 +363,6 @@ def _enroll_group(
     group: Sequence[SweepPoint],
     results: List[PointResult],
     tele: _ChunkTelemetry,
-    cache=None,
 ) -> None:
     """Prepare one shared-prefix group and register its snapshot stops.
 
@@ -390,17 +377,6 @@ def _enroll_group(
     enrollment, and a drive-only stop rolls into the next snapshot stop),
     split evenly over the stop's points.  A group's point walls therefore
     add up to what the group cost.
-
-    With a ``cache`` (:class:`~repro.cache.PlanCache`), every horizon that
-    has an exact-match snapshot is served straight from the cache: the
-    restore *is* the state at that horizon (a cold run's stop order is
-    drives-then-snapshot, so the snapshot already contains the stop's drive
-    effects), and its point records are finalized immediately at enrollment
-    without simulating a single cycle.  Horizons without an exact snapshot
-    are covered the classic way — one instance warm-started from the
-    deepest snapshot below the shallowest of them (or a cold prepare),
-    publishing fresh snapshots at every stop it reaches, which heals the
-    missing entries for the next run.
     """
     first = group[0]
     spec = scenario(first.scenario)
@@ -410,7 +386,6 @@ def _enroll_group(
     for point in group:
         by_horizon.setdefault(point.horizon_cycles, []).append(point)
     horizons = sorted(by_horizon)
-    key = None if cache is None else group_cache_key(first.scenario, first.dense, dict(first.params), horizons)
     # When the group's previous snapshot stop was charged (its enrollment
     # start until the first one).
     charged = time.perf_counter()
@@ -420,109 +395,58 @@ def _enroll_group(
         start = time.perf_counter()
         outcome = instance.outcome(elapsed)
         finalized = [_finalize_point(point, outcome, 0.0) for point in points]
-        tele.timer.add("finalize", time.perf_counter() - start)
-        if cache is not None:
-            publish_start = time.perf_counter()
-            cache.publish(key, instance, elapsed)
-            tele.timer.add("cache", time.perf_counter() - publish_start)
         now = time.perf_counter()
+        tele.timer.add("finalize", now - start)
         for result in finalized:
             result.wall_seconds = (now - charged) / len(finalized)
         charged = now
         results.extend(finalized)
 
-    prepared = None
-    base = 0
-    pending = list(horizons)
-    served_stats = None
-    if cache is not None:
-        # An exact snapshot *is* the state at its horizon: finalize its
-        # points the moment it is restored (BatchInstance stops must be at
-        # least one cycle out, and these have nothing left to simulate), so
-        # only one restored instance is alive at a time.
-        for horizon in reversed(horizons):
-            restored = cache.lookup(key, horizon, exact=True)
-            if restored is not None:
-                pending.remove(horizon)
-                if served_stats is None:
-                    served_stats = dict(restored.prepared.simulator.kernel_stats)
-                finalize(restored.prepared, horizon, tuple(by_horizon[horizon]))
-    if pending and cache is not None:
-        # ``pending[0]`` itself cannot be on disk (its exact probe just
-        # missed), so the deepest usable base is strictly below it and
-        # every pending stop stays at least one cycle out.
-        restored = cache.lookup(key, pending[0])
-        if restored is not None:
-            prepared = restored.prepared
-            base = restored.base_tick
-    if pending and prepared is None:
-        prepared = spec.prepare(horizons, first.dense, **dict(first.params))
+    prepared = spec.prepare(horizons, first.dense, **dict(first.params))
+    # Merge the scenario's drive script (mid-run testbench interference,
+    # e.g. watchdog-recovery's fault injection) into the stop schedule.  A
+    # drive sharing a cycle with a snapshot stop fires first — exactly the
+    # standalone order (interfere, then keep running / observe).  Drives
+    # beyond the deepest horizon are dropped: the instance never simulates
+    # past it, so the deepest horizon is always the instance's last stop.
+    drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
+    for cycle, callback in prepared.drive_stops():
+        if 0 < cycle <= horizons[-1]:
+            drives_by_cycle.setdefault(cycle, []).append(callback)
 
-    if pending:
-        # Merge the scenario's drive script (mid-run testbench interference,
-        # e.g. watchdog-recovery's fault injection) into the stop schedule.
-        # A drive sharing a cycle with a snapshot stop fires first — exactly
-        # the standalone order (interfere, then keep running / observe).
-        # Drives beyond the deepest pending horizon are dropped: the
-        # instance never simulates past it (deeper horizons were served from
-        # snapshots or not requested), so the deepest horizon is always the
-        # instance's last stop.  Drives at-or-before a restored base already
-        # fired in the run that published the snapshot — their effects are
-        # *in* the restored state — so replaying them would double-apply.
-        drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
-        for cycle, callback in prepared.drive_stops():
-            if base < cycle <= pending[-1]:
-                drives_by_cycle.setdefault(cycle, []).append(callback)
+    def stop_at(horizon: int) -> Callable[[int], None]:
+        drives = tuple(drives_by_cycle.pop(horizon, ()))
+        points = tuple(by_horizon[horizon])
 
-        def stop_at(horizon: int) -> Callable[[int], None]:
-            drives = tuple(drives_by_cycle.pop(horizon, ()))
-            points = tuple(by_horizon[horizon])
+        def fire(elapsed: int) -> None:
+            for drive in drives:
+                drive(elapsed)
+            finalize(prepared, elapsed, points)
 
-            def fire(elapsed: int) -> None:
-                absolute = base + elapsed
-                for drive in drives:
-                    drive(absolute)
-                finalize(prepared, absolute, points)
+        return fire
 
-            return fire
+    stops = [(horizon, stop_at(horizon)) for horizon in horizons]
+    for cycle, callbacks in drives_by_cycle.items():
 
-        # Stop cycles are instance-relative (measured from enrollment); a
-        # warm instance enrolls at ``base``, so every remaining absolute
-        # cycle shifts down by it.
-        stops = [(horizon - base, stop_at(horizon)) for horizon in pending]
-        for cycle, callbacks in drives_by_cycle.items():
+        def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
+            for drive in drives:
+                drive(elapsed)
 
-            def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
-                for drive in drives:
-                    drive(base + elapsed)
-
-            stops.append((cycle - base, fire_drives))
-        batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
-    elif served_stats is not None:
-        # The whole group was served from snapshots; no simulator of its
-        # enters the batch, so absorb kernel stats here instead of in the
-        # caller's post-run read of ``batch.instances``.  Only the
-        # deepest restore counts — it carries the group's fullest history,
-        # and summing overlapping histories would inflate the counters.
-        tele.kernel.add(served_stats)
+        stops.append((cycle, fire_drives))
+    batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
     if tracer is not None:
         tracer.event(
             "sweep.enroll",
             "sweep",
             enroll_ns,
             tracer.now_ns() - enroll_ns,
-            {
-                "scenario": first.scenario,
-                "points": len(group),
-                "horizons": len(horizons),
-                "warm_base": base,
-            },
+            {"scenario": first.scenario, "points": len(group), "horizons": len(horizons)},
         )
 
 
-def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkTelemetry, cache) -> None:
-    """Run one shared-prefix group to completion: enroll it (cache lookups
-    and prepare), run its instance, then absorb the run's telemetry.
+def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkTelemetry) -> None:
+    """Run one shared-prefix group to completion: enroll (prepare) it, run
+    its instance, then absorb the run's telemetry.
 
     Everything the group prepared dies with this call, so a pool task holds
     one prepared SoC at a time.
@@ -532,7 +456,7 @@ def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkT
     before = len(results)
     try:
         with tele.timer.phase("prepare"):
-            _enroll_group(batch, group, results, tele, cache=cache)
+            _enroll_group(batch, group, results, tele)
     except Exception as exc:
         # The hook declined (BatchUnsupported), enrollment failed, or the
         # hook rejected a bad point: the group's points run solo, so each
@@ -566,12 +490,12 @@ def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkT
 def run_point_groups(
     groups: Sequence[Sequence[SweepPoint]],
     trace: bool = False,
-    plan_cache: Optional[str] = None,
+    on_group: Optional[Callable[[List[PointResult]], None]] = None,
 ) -> ChunkOutcome:
     """The pool task: execute one chunk of shared-prefix groups.
 
-    The groups run one at a time, each to completion: enroll it (cache
-    lookups and prepare), then run its one prepared instance through a
+    The groups run one at a time, each to completion: prepare it, then run
+    its one prepared instance through a
     :class:`~repro.sim.batch.BatchSimulator`, snapshotting every point's
     record exactly when its horizon is reached — so one prepared SoC is
     alive at a time.  A group that raises mid-run loses only its own points
@@ -582,28 +506,21 @@ def run_point_groups(
     enrollment fails — runs its points solo inside this same task, with the
     reason recorded in the outcome's ``fallbacks``: every bad point then
     lands in ``failures`` exactly as its solo run fails, and the rest of
-    the chunk survives.
-    ``plan_cache`` (a directory path) warm-starts groups from published
-    prepared-state snapshots and publishes new ones; see
-    :mod:`repro.cache.plan_cache`.
+    the chunk survives.  ``on_group`` (in process only) is handed each
+    group's records as soon as the group finishes.
     """
     tele, tracer, owned = _chunk_scope(trace)
-    cache = None
-    if plan_cache is not None:
-        from repro.cache import PlanCache
-
-        cache = PlanCache(plan_cache)
     try:
         outcome = ChunkOutcome()
         for group in groups:
+            before = len(outcome.results)
             if scenario(group[0].scenario).prepare is None:
                 for point in group:
                     _run_point_guarded(point, outcome, tele)
             else:
-                _run_group(group, outcome, tele, cache)
-        if cache is not None:
-            outcome.cache_stats = cache.counters.as_dict()
-            outcome.cache_notes = list(cache.notes)
+                _run_group(group, outcome, tele)
+            if on_group is not None:
+                on_group(outcome.results[before:])
     finally:
         if owned:
             tracing.uninstall()
@@ -617,7 +534,6 @@ def execute_campaign(
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
     trace: bool = False,
-    plan_cache: Optional[str] = None,
 ) -> CampaignResult:
     """Run every point of ``spec`` and return the aggregated result.
 
@@ -635,21 +551,16 @@ def execute_campaign(
     called after each completed point with ``(completed, total, result)``
     where ``total`` is the shard-local point count — note that under
     sharding or batching the completion *order* is nondeterministic even
-    though the aggregated results are not.
+    though the aggregated results are not.  It sees reused points first,
+    then each finished group's points together: in process as each group
+    finishes, under a pool as each task returns.  That is what lets the
+    sweep CLI checkpoint every finished group.
 
     Every execution records its ``telemetry`` block (phase profile plus
     metrics registry); ``trace`` (``--trace-out``) also collects the
     worker-buffered trace events.  Telemetry never touches the comparable
     payload — results are byte-identical traced or not
     (``tests/sweep/test_telemetry.py``).
-
-    ``plan_cache`` (``--plan-cache DIR``) points the batched groups at a
-    persistent prepared-state snapshot cache: groups warm-start from
-    snapshots published by earlier runs (same campaign, another shard,
-    another fleet worker) and publish their own at every horizon stop.
-    The cache affects wall-clock only — warm artifacts are byte-identical
-    to cold ones (``tests/sweep/test_plan_cache_sweep.py``) — and its
-    hit/miss totals land in the result's ``cache`` block.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -693,13 +604,17 @@ def execute_campaign(
     groups = batch_groups(points)
     parts = 1 if workers <= 1 else TASKS_PER_WORKER * workers
     tasks = cut_groups(groups, estimate_costs(groups, {}), parts)
-    task = partial(run_point_groups, trace=trace, plan_cache=plan_cache)
+    task = partial(run_point_groups, trace=trace)
     batched_points = 0
     batch_rounds = 0
     trace_events: List[Dict[str, object]] = []
     trace_dropped = 0
-    cache_totals: Dict[str, int] = {"hits": 0, "misses": 0, "writes": 0, "errors": 0}
-    cache_notes: List[str] = []
+
+    def report(finished: Sequence[PointResult]) -> None:
+        for result in finished:
+            results.append(result)
+            if progress is not None:
+                progress(len(results), total, result)
 
     def collect(outcome: ChunkOutcome) -> None:
         nonlocal batched_points, batch_rounds, trace_dropped
@@ -711,31 +626,20 @@ def execute_campaign(
         batch_rounds += outcome.rounds
         trace_events.extend(outcome.trace_events)
         trace_dropped += outcome.dropped_events
-        for name, value in outcome.cache_stats.items():
-            cache_totals[name] = cache_totals.get(name, 0) + value
-        cache_notes.extend(outcome.cache_notes)
-        for result in outcome.results:
-            results.append(result)
-            if progress is not None:
-                progress(len(results), total, result)
 
     if workers <= 1 or len(tasks) <= 1:
         for groups_of_task in tasks:
-            collect(task(groups_of_task))
+            collect(task(groups_of_task, on_group=report))
     else:
         with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
             for outcome in pool.imap_unordered(task, tasks):
                 collect(outcome)
+                report(outcome.results)
     results.sort(key=lambda result: result.index)
     # Deterministic fallback/failure order regardless of pool completion order.
     fallbacks.sort(key=lambda record: record["points"])
     failed.sort(key=lambda record: record["index"])
     wall_seconds = time.perf_counter() - start
-    cache_payload: Optional[Dict[str, object]] = None
-    if plan_cache is not None:
-        cache_payload = {"path": str(plan_cache)}
-        cache_payload.update(cache_totals)
-        cache_payload["notes"] = sorted(set(cache_notes))
     registry = MetricsRegistry()
     registry.absorb_kernel_stats(kernel_totals)
     computed = sum(1 for result in results if not result.reused)
@@ -744,11 +648,6 @@ def execute_campaign(
     registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
     registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
     registry.counter("batch.rounds").inc(batch_rounds)
-    if plan_cache is not None:
-        registry.counter("cache.hit").inc(cache_totals["hits"])
-        registry.counter("cache.miss").inc(cache_totals["misses"])
-        registry.counter("cache.write").inc(cache_totals["writes"])
-        registry.counter("cache.error").inc(cache_totals["errors"])
     walls = registry.histogram("sweep.point_wall_seconds")
     for result in results:
         if not result.reused:
@@ -775,5 +674,4 @@ def execute_campaign(
         telemetry={"profile": timer.as_dict(), "metrics": registry.as_dict()},
         trace_events=trace_events,
         trace_dropped=trace_dropped,
-        cache=cache_payload,
     )

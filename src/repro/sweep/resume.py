@@ -169,19 +169,18 @@ def load_reusable_results(
     results.json would mask a disk or truncation problem, so the damage is
     named and surfaced (the CLI exits 2).
     """
-    from repro.sweep.artifacts import MANIFEST_JSON, RESULTS_JSON, parse_artifact_dir
+    from repro.sweep.artifacts import load_artifact_pair, parse_artifact_dir
     from repro.sweep.campaign import expand_campaign
 
     campaign_dir = Path(out_dir) / spec.name
     if subdir is not None:
         campaign_dir = campaign_dir / subdir
-    results = load_artifact_json(campaign_dir / RESULTS_JSON)
-    manifest = load_artifact_json(campaign_dir / MANIFEST_JSON)
+    results, manifest, from_checkpoint = load_artifact_pair(campaign_dir)
     if results is None or manifest is None or manifest.get("spec_hash") != spec_hash(spec):
         return {}
-    artifacts = parse_artifact_dir(campaign_dir, results, manifest)
+    artifacts = parse_artifact_dir(campaign_dir, results, manifest, from_checkpoint)
     points_by_index = {point.index: point for point in expand_campaign(spec)}
-    source = str(campaign_dir / RESULTS_JSON)
+    source = str(artifacts.results_path)
     return {
         point.index: reusable_point(point, spec, points_by_index, source=source)
         for point in artifacts.points()

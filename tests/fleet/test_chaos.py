@@ -12,6 +12,7 @@ missing, and the merged artifacts are byte-identical to a serial
 
 import filecmp
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from repro.fleet import (
     parse_chaos,
     run_fleet,
 )
+from repro.fleet.controller import _worker_argv
 from repro.run import main
+from repro.sweep.campaign import ShardSpec
 from repro.sweep.campaigns import campaign
 from repro.sweep.merge import HEAL_JSON
 
@@ -56,6 +59,22 @@ def assert_byte_identical(campaign_dir: Path, serial_dir: Path) -> None:
         )
 
 
+#: A ``sweep`` worker that SIGKILLs itself right after its first group's
+#: checkpoint append (argv after ``-c`` is the sweep command line).
+DIE_AFTER_FIRST_GROUP = """
+import os, signal, sys
+from repro.sweep import artifacts
+from repro.run import main
+add = artifacts.Checkpoint.add
+def add_then_die(self, result):
+    add(self, result)
+    if self._handle is not None:  # the first append happened
+        os.kill(os.getpid(), signal.SIGKILL)
+artifacts.Checkpoint.add = add_then_die
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def round_attempts(result, round_index):
     payload = json.loads(result.ledger_path.read_text())
     return payload["rounds"][round_index]["attempts"]
@@ -75,6 +94,37 @@ class TestChaosHealing:
         healed = sum(a["points_delivered"] for a in round_attempts(result, 1))
         assert survivors + healed == SMOKE.n_points
         assert healed < SMOKE.n_points  # the surviving work was NOT redone
+
+    def test_killed_worker_keeps_its_checkpointed_groups(self, tmp_path, serial_dir, monkeypatch):
+        # One worker holds both of smoke's groups and dies right after its
+        # first group's checkpoint append: that group counts as delivered,
+        # and the heal round recomputes only the other one.
+        from repro.fleet import controller
+
+        worker_argv = controller._worker_argv
+        launches = []
+
+        def first_worker_dies(config, shard):
+            argv = worker_argv(config, shard)
+            launches.append(argv)
+            if len(launches) == 1:
+                argv = [sys.executable, "-c", DIE_AFTER_FIRST_GROUP, *argv[3:]]
+            return argv
+
+        monkeypatch.setattr(controller, "_worker_argv", first_worker_dies)
+        result = run_fleet(make_config(tmp_path, workers=1))
+        assert result.status == "complete" and result.rounds == 2
+        (killed,) = round_attempts(result, 0)
+        assert killed["returncode"] == -9 and killed["accepted"]
+        assert killed["outcome"] == "partial-delivery" and killed["points_delivered"] == 2
+        healed = round_attempts(result, 1)
+        assert sum(a["points_delivered"] for a in healed) == 2
+        computed = [
+            json.loads((Path(a["artifact_dir"]) / "manifest.json").read_text())["execution"]["computed_points"]
+            for a in healed
+        ]
+        assert sum(computed) == 2
+        assert_byte_identical(result.campaign_dir, serial_dir)
 
     def test_hang_times_out_and_heals(self, tmp_path, serial_dir):
         result = run_fleet(
@@ -115,6 +165,17 @@ class TestChaosHealing:
         assert backoffs[0] == 0.0 and backoffs[1] > 0
         assert backoffs[2] == pytest.approx(min(backoffs[1] * 2, FAST["backoff_cap"]))
         assert_byte_identical(result.campaign_dir, serial_dir)
+
+
+class TestWorkerArgv:
+    def test_every_worker_resumes_and_carries_no_profile(self, tmp_path):
+        # Every sweep records its profile, so no worker needs a flag for it;
+        # every worker resumes, so reruns and heal rounds reuse records.
+        shard = ShardSpec(0, 2, ((0, 2),))
+        for trace in (False, True):
+            argv = _worker_argv(make_config(tmp_path, trace=trace), shard)
+            assert "--resume" in argv and "--profile" not in argv
+            assert ("--trace-out" in argv) == trace
 
 
 class TestAcceptance:

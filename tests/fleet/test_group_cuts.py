@@ -7,7 +7,7 @@ worker a slice of every group and make each re-simulate the groups' shared
 prefixes; the one group cut instead gives each shard whole groups as an
 index set.  Both the balanced ``--shard I/3`` slices and a cold fleet must
 cut on group boundaries and merge byte-identically to ``--jobs 1``, and a
-warm fleet re-run must find every horizon of its groups in the plan cache.
+warm fleet re-run must reuse every point of the merged results it left.
 """
 
 import filecmp
@@ -70,10 +70,17 @@ def test_fleet_cuts_whole_groups_and_warm_rerun_misses_nothing(tmp_path, serial_
     assert_byte_identical(cold.campaign_dir, serial_dir)
 
     # The warm re-run prices its cut from the cold run's walls; whatever it
-    # cuts, each shard's whole groups were published by the cold run.
+    # cuts, every worker resumes from the merged results.json the cold run
+    # left, so no shard computes a point.
+    merged_before = (cold.campaign_dir / "results.json").read_bytes()
     warm = run_fleet(FleetConfig(**config))
     assert warm.exit_code == EXIT_COMPLETE
-    counters = json.loads(warm.ledger_path.read_text())["metrics"]["counter"]
-    assert counters["cache.hit"] == campaign(CAMPAIGN).n_points
-    assert counters.get("cache.miss", 0) == 0
+    accepted = [a for a in json.loads(warm.ledger_path.read_text())["rounds"][0]["attempts"] if a["accepted"]]
+    reused = 0
+    for attempt in accepted:
+        execution = json.loads((Path(attempt["artifact_dir"]) / "manifest.json").read_text())["execution"]
+        assert execution["computed_points"] == 0, attempt["artifact_dir"]
+        reused += execution["reused_points"]
+    assert reused == campaign(CAMPAIGN).n_points
+    assert (warm.campaign_dir / "results.json").read_bytes() == merged_before
     assert_byte_identical(warm.campaign_dir, serial_dir)

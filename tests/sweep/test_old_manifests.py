@@ -9,12 +9,17 @@ and a balanced ``shard-I-of-N`` slice.  New manifests write neither field
 nor form, but artifact directories written with them must still resume,
 merge and ingest: every reader takes ``execution`` fields with ``.get``,
 ignores keys it does not know, and reads a ``start``/``stop`` block as the
-one-run index set.
+one-run index set.  Manifests and fleet ledgers written while the sweep
+had a plan cache carry ``execution.cache`` blocks and ``cache.*`` counters,
+which every reader now ignores.
 """
 
 import json
 import shutil
 
+import pytest
+
+from repro.fleet import FleetConfig, run_fleet
 from repro.run import main
 
 
@@ -112,3 +117,50 @@ def test_old_shard_directories_resume_merge_and_ingest(tmp_path, capsys):
     _, old_dirs = _old_fleet(tmp_path / "again")
     assert main(["store", "ingest", *map(str, old_dirs), "--db", db]) == 0
     assert "0 inserted, 4 deduplicated" in capsys.readouterr().out
+
+
+@pytest.fixture
+def plan_cache_era_fleet(tmp_path):
+    """A finished smoke fleet as it was written while the fleet had a plan
+    cache: every manifest carries an ``execution.cache`` block, and the
+    ledger carries ``cache.*`` counters and ``config.plan_cache``."""
+    out = tmp_path / "fleet"
+    result = run_fleet(FleetConfig(campaign="smoke", workers=2, out=out, echo=lambda message: None))
+    assert result.exit_code == 0
+    cache_dir = str(result.campaign_dir / "plan-cache")
+    for path in result.campaign_dir.rglob("manifest.json"):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["execution"]["cache"] = {
+            "path": cache_dir, "hits": 2, "misses": 0, "writes": 0, "errors": 1, "notes": ["entry: stale"]
+        }
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    ledger = json.loads(result.ledger_path.read_text(encoding="utf-8"))
+    ledger["config"]["plan_cache"] = cache_dir
+    ledger["metrics"]["counter"].update({"cache.hit": 4, "cache.miss": 0, "cache.write": 4, "cache.error": 0})
+    result.ledger_path.write_text(json.dumps(ledger, indent=2, sort_keys=True), encoding="utf-8")
+    return result.campaign_dir
+
+
+def test_plan_cache_era_artifacts_resume_merge_ingest_and_render(tmp_path, capsys, plan_cache_era_fleet):
+    campaign_dir = plan_cache_era_fleet
+    shard_dirs = sorted(str(path) for path in campaign_dir.glob("shard-*"))
+    before = {name: (campaign_dir / name).read_bytes() for name in ("results.json", "results.csv")}
+
+    assert main(["sweep", "merge", *shard_dirs, "--out", str(tmp_path / "merged")]) == 0
+    for name, content in before.items():
+        assert (tmp_path / "merged" / "smoke" / name).read_bytes() == content
+    assert main(["store", "ingest", str(campaign_dir), *shard_dirs, "--db", str(tmp_path / "store.sqlite")]) == 0
+    assert "4 inserted" in capsys.readouterr().out
+    for directory in (campaign_dir, shard_dirs[0]):
+        assert main(["stats", str(directory)]) == 0
+    assert main(["fleet", "status", str(campaign_dir)]) == 0
+    rendered = capsys.readouterr().out
+    assert "fleet smoke: complete" in rendered and "campaign smoke" in rendered
+    assert "plan cache" not in rendered
+
+    assert main(["sweep", "smoke", "--resume", "--out", str(campaign_dir.parent)]) == 0
+    execution = _execution(campaign_dir)
+    assert execution["reused_points"] == 4 and execution["computed_points"] == 0
+    assert "cache" not in execution
+    for name, content in before.items():
+        assert (campaign_dir / name).read_bytes() == content
