@@ -20,7 +20,9 @@ One call to :func:`run_fleet` drives a whole campaign end to end:
    the standard heal plan is written to ``heal.json`` and **consumed right
    back**: its shard specs are re-dispatched after an exponential backoff
    (``base·2^(round-1)``, capped), for at most ``--max-retries`` heal
-   rounds.  Only missing points are ever re-run.
+   rounds.  Only missing points are ever re-run.  A complete merge then
+   prunes this campaign's ``shard-*`` directories it did not read (a
+   previous run's cut).
 5. **Degrade** — if the retry budget runs out, every completed point is
    salvaged into partial merged artifacts under ``<campaign>/partial/``,
    the final ``heal.json`` stays as the hand-off, and the fleet exits with
@@ -37,13 +39,14 @@ which is what ``tests/fleet/`` and the ``fleet-chaos`` CI job drive.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sweep.artifacts import CHECKPOINT_JSONL, MANIFEST_JSON, RESULTS_JSON, shard_dirname
+from repro.sweep.artifacts import RESULTS_JSON, ArtifactDir, read_campaign_artifacts, shard_dirname
 from repro.sweep.campaign import CampaignSpec, ShardSpec, batch_groups, cut_shards, estimate_costs, expand_campaign
 from repro.sweep.merge import (
     HEAL_JSON,
@@ -56,7 +59,7 @@ from repro.sweep.merge import (
     write_heal_plan,
     write_merged_artifacts,
 )
-from repro.sweep.resume import spec_hash
+from repro.sweep.resume import ResumeError, spec_hash
 
 from repro.fleet.cost import scavenge_point_walls, store_point_walls
 from repro.fleet.ledger import STATUS_COMPLETE, STATUS_PARTIAL, FleetLedger
@@ -272,11 +275,12 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
             time.sleep(backoff)
         attempts = _dispatch_round(config, spec, shards, log_dir, chaos, attempt_counts)
         for attempt in attempts:
-            delivered = _validate_attempt(attempt, spec)
-            if attempt.accepted and attempt.artifact_dir not in accepted_set:
+            artifacts = _validate_attempt(attempt, spec)
+            delivered = len(artifacts.records) if artifacts is not None else 0
+            if artifacts is not None and attempt.artifact_dir not in accepted_set:
                 accepted_set.add(attempt.artifact_dir)
                 accepted_dirs.append(Path(attempt.artifact_dir))
-                _absorb_shard_telemetry(ledger, Path(attempt.artifact_dir))
+                _absorb_shard_telemetry(ledger, artifacts)
                 if config.store is not None:
                     _ingest_accepted(config, ledger, Path(attempt.artifact_dir))
             ledger.record_attempt(round_record, attempt, delivered)
@@ -315,6 +319,7 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
     if merged is not None:
         paths = write_merged_artifacts(merged, config.out)
         artifacts = dict(paths)
+        _prune_superseded(ledger, merged, campaign_dir)
         status, exit_code = STATUS_COMPLETE, EXIT_COMPLETE
         config.echo(
             f"fleet {spec.name}: complete — {merged.result.n_points} points merged "
@@ -419,26 +424,18 @@ def _make_launch(
     return launch
 
 
-def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
-    """Validate one attempt's artifacts; set outcome/accepted; return the
-    number of point records the attempt delivered."""
-    directory = Path(attempt.artifact_dir)
-    delivered = 0
-    # A killed worker leaves only its checkpoint: the groups it finished
-    # are delivered, and the heal round re-runs the rest.
-    if not ((directory / RESULTS_JSON).exists() or (directory / CHECKPOINT_JSONL).exists()):
-        attempt.accepted = False
-        attempt.detail = f"{directory}: no artifacts produced"
-    else:
-        try:
-            artifacts = validate_shard_dir(directory, spec)
-        except MergeError as exc:
-            attempt.accepted = False
-            attempt.detail = str(exc)
-        else:
-            attempt.accepted = True
-            delivered = len(artifacts.records)
-    if attempt.accepted:
+def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> Optional[ArtifactDir]:
+    """Validate one attempt's artifacts and set its outcome; return what
+    the accepted attempt delivered (None when rejected).  A killed worker
+    leaves only its checkpoint: the groups it finished are delivered, and
+    the heal round re-runs the rest."""
+    try:
+        artifacts = validate_shard_dir(Path(attempt.artifact_dir), spec)
+    except MergeError as exc:
+        artifacts = None
+        attempt.detail = str(exc)
+    attempt.accepted = artifacts is not None
+    if artifacts is not None:
         # Coverage is a set: the shard delivered when every point of its
         # index set has a record.
         declared = {index for start, stop in attempt.shard.runs for index in range(start, stop)}
@@ -450,34 +447,51 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> int:
         attempt.outcome = CORRUPT_ARTIFACTS
     else:
         attempt.outcome = attempt.exit_class or "unknown"
-    return delivered
+    return artifacts
 
 
-def _absorb_shard_telemetry(ledger: FleetLedger, directory: Path) -> None:
+def _absorb_shard_telemetry(ledger: FleetLedger, artifacts: ArtifactDir) -> None:
     """Fold one accepted shard manifest's kernel counters into the ledger's
     metrics registry.
 
     This is where the ``kernel.*`` counters become visible *fleet-wide*:
     each worker sums its own counters into its manifest, and the ledger
-    sums across accepted shards.  A killed worker's checkpoint carries no
-    telemetry.  Pure bookkeeping — any read failure degrades to a ledger
-    note, never fleet failure.
+    sums across accepted shards.  The manifest is the one validation
+    already read; a killed worker's checkpoint carries no telemetry.
     """
-    if (Path(directory) / CHECKPOINT_JSONL).exists():
-        return
-    manifest_path = Path(directory) / MANIFEST_JSON
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        execution = manifest.get("execution") or {}
-    except (OSError, ValueError, AttributeError) as exc:
-        ledger.note(f"telemetry aggregation skipped {manifest_path}: {exc}")
-        return
-    telemetry = execution.get("telemetry")
+    execution = artifacts.manifest.get("execution")
+    telemetry = execution.get("telemetry") if isinstance(execution, dict) else None
     if isinstance(telemetry, dict):
         counters = (telemetry.get("metrics") or {}).get("counter") or {}
         for name, value in counters.items():
             if name.startswith("kernel."):
                 ledger.metrics.counter(name).inc(int(value))
+
+
+def _prune_superseded(ledger: FleetLedger, merged: MergedCampaign, campaign_dir: Path) -> None:
+    """Delete every ``shard-*`` directory of this campaign that a complete
+    merge did not read: a previous run's cut, superseded by the merged
+    artifacts (which a rerun resumes from).  A directory of another
+    campaign, or one the reader rejects as damaged, is left alone with a
+    ledger note.  A partial merge never prunes: heal needs every shard."""
+    sources = {shard.directory.resolve() for shard in merged.sources}
+    for directory in sorted(campaign_dir.glob("shard-*")):
+        if directory.resolve() in sources:
+            continue
+        try:
+            artifacts = read_campaign_artifacts(directory, merged.spec)
+        except ResumeError as exc:
+            ledger.note(f"kept damaged shard directory {directory}: {exc}")
+            continue
+        if artifacts is None:
+            ledger.note(f"kept shard directory {directory}: it holds no artifacts of this campaign")
+            continue
+        try:
+            shutil.rmtree(directory)
+        except OSError as exc:
+            ledger.note(f"could not prune superseded shard directory {directory}: {exc}")
+            continue
+        ledger.note(f"pruned superseded shard directory {directory}")
 
 
 def _ingest_accepted(config: FleetConfig, ledger: FleetLedger, directory: Path) -> None:

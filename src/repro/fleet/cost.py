@@ -8,9 +8,9 @@ same cut the pool and ``--shard I/N`` use, priced from real timings:
 
 * :func:`scavenge_point_walls` harvests per-point wall timings from any
   past artifacts of the same campaign found under ``--out`` — the campaign
-  directory itself, shard slices, merged and partial runs — using the same
-  ``spec_hash`` validation as ``--resume`` (a damaged manifest is skipped
-  with a note, never silently priced at zero; see
+  directory itself, shard slices, merged and partial runs, killed workers'
+  checkpoints — through the same reader as ``--resume`` (a damaged
+  directory is skipped with a note, never silently priced at zero; see
   :class:`~repro.sweep.resume.ResumeError`), and :func:`store_point_walls`
   does the same from a results store;
 * :func:`~repro.sweep.campaign.estimate_costs` prices every group from
@@ -26,8 +26,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from repro.sweep.artifacts import read_campaign_artifacts
 from repro.sweep.campaign import CampaignSpec
-from repro.sweep.resume import ResumeError, load_point_walls
+from repro.sweep.resume import ResumeError
 
 
 def scavenge_point_walls(
@@ -35,11 +36,13 @@ def scavenge_point_walls(
 ) -> Tuple[Dict[int, float], List[str]]:
     """Harvest per-point wall timings for ``spec`` from ``out_dir``.
 
-    Scans ``<out>/<campaign>/`` and every directory directly under it (shard
-    slices, ``partial/``) for manifests whose ``spec_hash`` matches the
-    campaign.  Returns ``(walls, notes)``: the per-index timings (later
-    directories win ties — they are at least as fresh) and one note per
-    directory that *looked* like an artifact dir but failed validation.
+    Reads ``<out>/<campaign>/`` and every directory directly under it (shard
+    slices, ``partial/``) through
+    :func:`~repro.sweep.artifacts.read_campaign_artifacts`, so a killed
+    worker's checkpoint counts like a finished run's manifest.  Returns
+    ``(walls, notes)``: the per-index timings (later directories win ties —
+    they are at least as fresh) and one note per directory the reader
+    rejected as damaged, which then contributes nothing.
     """
     campaign_dir = Path(out_dir) / spec.name
     walls: Dict[int, float] = {}
@@ -50,12 +53,13 @@ def scavenge_point_walls(
         child for child in campaign_dir.iterdir() if child.is_dir()
     )
     for directory in candidates:
-        if not (directory / "manifest.json").exists():
-            continue
         try:
-            walls.update(load_point_walls(directory, spec))
+            artifacts = read_campaign_artifacts(directory, spec)
         except ResumeError as exc:
             notes.append(str(exc))
+            continue
+        if artifacts is not None:
+            walls.update(artifacts.walls)
     return walls, notes
 
 

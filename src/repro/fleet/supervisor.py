@@ -71,23 +71,16 @@ LaunchFn = Callable[[], Attempt]
 class Supervisor:
     """Run launch thunks with bounded concurrency and kill discipline."""
 
-    def __init__(
-        self,
-        max_workers: int,
-        poll_interval: float = 0.05,
-        on_exit: Optional[Callable[[Attempt], None]] = None,
-    ) -> None:
+    def __init__(self, max_workers: int, poll_interval: float = 0.05) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
         self.poll_interval = poll_interval
-        self.on_exit = on_exit
 
     def run(self, launches: Sequence[LaunchFn]) -> List[Attempt]:
         """Run every launch to completion; return attempts in launch order."""
         pending = list(launches)
         running: List[Attempt] = []
-        finished: List[Attempt] = []
         order: List[Attempt] = []
         while pending or running:
             while pending and len(running) < self.max_workers:
@@ -95,15 +88,7 @@ class Supervisor:
                 order.append(attempt)
                 running.append(attempt)
             now = time.monotonic()
-            still_running: List[Attempt] = []
-            for attempt in running:
-                if self._sweep(attempt, now):
-                    finished.append(attempt)
-                    if self.on_exit is not None:
-                        self.on_exit(attempt)
-                else:
-                    still_running.append(attempt)
-            running = still_running
+            running = [attempt for attempt in running if not self._sweep(attempt, now)]
             if running and not (pending and len(running) < self.max_workers):
                 time.sleep(self.poll_interval)
         return order

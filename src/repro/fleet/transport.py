@@ -17,9 +17,9 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -29,9 +29,6 @@ class WorkerSpec:
     name: str
     argv: List[str]
     log_path: Path
-    #: Extra environment entries layered over the inherited environment.
-    env: Dict[str, str] = field(default_factory=dict)
-    cwd: Optional[Path] = None
 
 
 class WorkerHandle(abc.ABC):
@@ -90,7 +87,6 @@ def launch_local(spec: WorkerSpec) -> WorkerHandle:
     """Start one worker as a local subprocess with captured logs; never
     blocks on its completion."""
     env = dict(os.environ)
-    env.update(spec.env)
     # Workers must import the same repro tree as the controller even
     # when the controller was started via a path hack rather than an
     # installed package.
@@ -108,7 +104,6 @@ def launch_local(spec: WorkerSpec) -> WorkerHandle:
         stderr=subprocess.STDOUT,
         stdin=subprocess.DEVNULL,
         env=env,
-        cwd=str(spec.cwd) if spec.cwd is not None else None,
         start_new_session=True,
     )
     return LocalProcessHandle(spec, process, log_file)

@@ -226,8 +226,8 @@ def _build_merge_parser() -> argparse.ArgumentParser:
         "shard_dirs",
         nargs="+",
         metavar="SHARD_DIR",
-        help="one shard's campaign directory (directly containing results.json "
-        "and manifest.json); pass every shard of the campaign",
+        help="one shard's campaign directory (directly containing its results "
+        "and manifest); pass every shard of the campaign",
     )
     parser.add_argument(
         "--out",
@@ -306,36 +306,32 @@ def _build_stats_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "campaign_dir",
-        help="artifact directory containing manifest.json (a campaign, "
-        "shard, or merged directory)",
+        help="sweep artifact directory, the one holding its manifest (a "
+        "campaign, shard, or merged directory)",
     )
     return parser
 
 
 def _stats_main(argv: Sequence[str]) -> int:
-    import json
-
     from repro.obs.profile import SWEEP_PHASES, format_profile
     from repro.obs.traceio import summarize_trace, validate_trace_file
+    from repro.sweep.artifacts import MANIFEST_JSON
+    from repro.sweep.resume import ResumeError, load_artifact_json
 
     args = _build_stats_parser().parse_args(argv)
     directory = Path(args.campaign_dir)
-    manifest_path = directory / "manifest.json"
+    manifest_path = directory / MANIFEST_JSON
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError:
+        manifest = load_artifact_json(manifest_path, required=True)
+    except ResumeError as exc:
         print(
-            f"error: {manifest_path}: no readable manifest.json — pass a sweep "
-            f"artifact directory (campaign, shard, or merged)",
+            f"error: {exc} — pass a sweep artifact directory (campaign, shard, or merged)",
             file=sys.stderr,
         )
         return 2
-    except ValueError as exc:
-        print(f"error: {manifest_path}: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    campaign_block = manifest.get("campaign") if isinstance(manifest, dict) else None
+    campaign_block = manifest.get("campaign")
     name = campaign_block.get("name", "?") if isinstance(campaign_block, dict) else "?"
-    execution = manifest.get("execution") if isinstance(manifest, dict) else None
+    execution = manifest.get("execution")
     if not isinstance(execution, dict):
         print(f"error: {manifest_path}: manifest has no execution block", file=sys.stderr)
         return 2

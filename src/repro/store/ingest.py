@@ -24,7 +24,10 @@ folds its point records into the database:
 * **Provenance is logged**, not inferred: every accepted directory gets
   an ``ingests`` row recording its kind (``full``/``shard``/``merged``/
   ``partial``) and, for merged artifacts, the source shard directories
-  from the manifest's ``execution.merged_from`` block.
+  from the manifest's ``execution.merged_from`` block (both read through
+  :attr:`~repro.sweep.artifacts.ArtifactDir.kind` and
+  :attr:`~repro.sweep.artifacts.ArtifactDir.merged_from`, next to the
+  writer that stamps them).
 
 Wall timings ride along from ``execution.point_wall_seconds`` so the
 fleet's cost model (:func:`repro.fleet.cost.store_point_walls`) can price
@@ -39,7 +42,7 @@ import json
 import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.obs import tracing
 from repro.store.schema import StoreError
@@ -128,30 +131,6 @@ class IngestReport:
         }
 
 
-def _artifact_kind(manifest: Dict[str, object]) -> Tuple[str, List[str]]:
-    """Classify the directory and extract merged-from provenance.
-
-    ``shard`` block → a shard slice; ``partial`` block → a partial merge;
-    ``execution.merged_from`` → a complete merge (the block `sweep merge`
-    stamps); otherwise a plain full run.
-    """
-    execution = manifest.get("execution")
-    merged_from: List[str] = []
-    if isinstance(execution, dict):
-        sources = execution.get("merged_from")
-        if isinstance(sources, list):
-            merged_from = [
-                str(entry.get("directory", "")) for entry in sources if isinstance(entry, dict)
-            ]
-    if isinstance(manifest.get("shard"), dict):
-        return "shard", merged_from
-    if isinstance(manifest.get("partial"), dict):
-        return "partial", merged_from
-    if merged_from:
-        return "merged", merged_from
-    return "full", merged_from
-
-
 def _upsert_campaign(
     conn: sqlite3.Connection, spec: CampaignSpec, points_total: int
 ) -> int:
@@ -195,7 +174,7 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
     except ResumeError as exc:
         raise StoreError(str(exc)) from None
     spec = artifacts.spec
-    kind, merged_from = _artifact_kind(artifacts.manifest)
+    kind = artifacts.kind
 
     report = DirectoryReport(
         source=str(directory), kind=kind, campaign=spec.name, spec_hash=artifacts.spec_hash
@@ -261,7 +240,7 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
                     report.inserted,
                     report.deduplicated,
                     0,
-                    canonical_json(merged_from),
+                    canonical_json(artifacts.merged_from),
                 ),
             )
     except _ConflictRollback:

@@ -78,7 +78,6 @@ from repro.sweep.merge import (
 from repro.sweep.resume import (
     ResumeError,
     load_artifact_json,
-    load_point_walls,
     load_reusable_results,
     reusable_point,
     spec_from_manifest,
@@ -109,7 +108,6 @@ __all__ = [
     "expand_campaign",
     "grid_from_lists",
     "load_artifact_json",
-    "load_point_walls",
     "load_reusable_results",
     "load_shard_dir",
     "manifest_payload",

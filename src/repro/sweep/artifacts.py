@@ -31,9 +31,12 @@ its finished groups are then read back like any other artifacts.
 
 This module owns the format in both directions.  :func:`point_record` writes
 one point and :func:`point_from_record` is its only inverse;
-:func:`read_artifact_dir` is the one reader of an artifact directory behind
-``--resume``, ``sweep merge``, ``store ingest`` and the fleet's acceptance
-gate.  Every damaged artifact it meets raises
+:func:`write_artifacts` is the one writer of a directory, merges included
+(:func:`manifest_payload` stamps ``merged_from`` and ``partial``), and
+:func:`read_artifact_dir` is the one reader behind ``sweep merge``,
+``store ingest`` and the fleet's acceptance gate, with
+:func:`read_campaign_artifacts` its form for ``--resume`` and the fleet's
+timing scavenger.  Every damaged artifact it meets raises
 :class:`~repro.sweep.resume.ResumeError` naming the file and the problem.
 """
 
@@ -172,8 +175,21 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
     """The manifest.json payload (reproducibility + execution record).
 
     ``spec_hash`` is the campaign-identity digest ``--resume`` validates
-    before reusing any stored point (see :mod:`repro.sweep.resume`).
+    before reusing any stored point (see :mod:`repro.sweep.resume`).  A
+    merged result (``result.merged_from`` set) records its sources in
+    ``execution.merged_from`` and ``jobs: null``, and a partial one the
+    points it lacks in a ``partial`` block.
     """
+    if result.merged_from is None:
+        jobs, reused, computed, batched = result.jobs, result.n_reused, result.n_computed, result.batched_points
+    else:
+        # A merge ran nothing itself: its counts are the ones its sources
+        # counted, which the merged telemetry already sums.
+        counters = result.telemetry.get("metrics", {}).get("counter", {})
+        jobs = None
+        reused, computed, batched = (
+            int(counters.get(f"sweep.points{{kind={kind}}}", 0)) for kind in ("reused", "computed", "batched")
+        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec_hash(spec),
@@ -181,10 +197,10 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
         "n_points": result.n_points,
         "artifacts": [RESULTS_JSON, RESULTS_CSV],
         "execution": {
-            "jobs": result.jobs,
-            "reused_points": result.n_reused,
-            "computed_points": result.n_computed,
-            "batched_points": result.batched_points,
+            "jobs": jobs,
+            "reused_points": reused,
+            "computed_points": computed,
+            "batched_points": batched,
             # Why points that could have batched did not (empty when every
             # executed point batched, or when batching was off): audit trail
             # for a campaign that quietly lost its shared-prefix execution.
@@ -206,6 +222,13 @@ def manifest_payload(spec: CampaignSpec, result: CampaignResult) -> Dict[str, ob
     # in the manifest: results.json/results.csv must stay byte-identical
     # whether a run was traced or not.
     payload["execution"]["telemetry"] = result.telemetry
+    if result.merged_from is not None:
+        payload["execution"]["merged_from"] = result.merged_from
+    if result.missing:
+        # A partial merge (fleet retry budget exhausted) must say so in its
+        # own manifest, so nothing downstream mistakes the salvage for the
+        # campaign.
+        payload["partial"] = {"points_total": result.points_total, "missing": list(result.missing)}
     shard = shard_record(result)
     if shard is not None:
         payload["shard"] = shard
@@ -483,6 +506,27 @@ class ArtifactDir:
             yield point
 
     @property
+    def merged_from(self) -> List[str]:
+        """The source directories a merge's ``execution.merged_from`` names
+        (empty for anything but a merge)."""
+        execution = self.manifest.get("execution")
+        sources = execution.get("merged_from") if isinstance(execution, dict) else None
+        if not isinstance(sources, list):
+            return []
+        return [str(entry.get("directory", "")) for entry in sources if isinstance(entry, dict)]
+
+    @property
+    def kind(self) -> str:
+        """``shard`` (a shard block), ``partial`` (a partial merge's
+        ``partial`` block), ``merged`` (a complete merge) or ``full``: the
+        blocks :func:`manifest_payload` stamps."""
+        if isinstance(self.manifest.get("shard"), dict):
+            return "shard"
+        if isinstance(self.manifest.get("partial"), dict):
+            return "partial"
+        return "merged" if self.merged_from else "full"
+
+    @property
     def shard_label(self) -> str:
         """Human label for diagnostics: ``dir (shard I/N)`` or just ``dir``."""
         shard = self.manifest.get("shard")
@@ -627,3 +671,20 @@ def read_artifact_dir(directory: Path) -> ArtifactDir:
             f"directory (the one that directly contains {RESULTS_JSON})"
         )
     return parse_artifact_dir(directory, *load_artifact_pair(directory, required=True))
+
+
+def read_campaign_artifacts(directory: Path, spec: CampaignSpec) -> Optional[ArtifactDir]:
+    """What one directory holds of campaign ``spec``, read like
+    :func:`read_artifact_dir`; the reader behind ``--resume`` and the
+    fleet's timing scavenger.
+
+    ``None`` means there is nothing of this campaign to read: the directory
+    is missing or lacks one of the two files (and holds no checkpoint), or
+    its ``spec_hash`` names another campaign.  Damage raises
+    :class:`ResumeError` as the full reader does.
+    """
+    directory = Path(directory)
+    results, manifest, from_checkpoint = load_artifact_pair(directory)
+    if results is None or manifest is None or manifest.get("spec_hash") != spec_hash(spec):
+        return None
+    return parse_artifact_dir(directory, results, manifest, from_checkpoint)

@@ -143,6 +143,14 @@ class CampaignResult:
     trace_events: List[Dict[str, object]] = field(default_factory=list)
     #: Events the worker tracers dropped at their buffer caps.
     trace_dropped: int = 0
+    #: Set only by :func:`repro.sweep.merge.merge_shards`: one entry per
+    #: source directory.  The manifest then records ``merged_from`` in
+    #: place of a pool size, and takes its point counts from the merged
+    #: ``sweep.points{…}`` counters, since nothing ran here.
+    merged_from: Optional[List[Dict[str, object]]] = None
+    #: Points a partial merge lacks, written as the manifest's ``partial``
+    #: block (empty for every complete result).
+    missing: List[int] = field(default_factory=list)
 
     @property
     def n_points(self) -> int:

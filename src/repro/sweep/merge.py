@@ -25,8 +25,11 @@ into the single-host artifacts:
   ``--jobs 1`` execution of the campaign (``tests/sweep/test_merge.py`` and
   the ``sweep-distributed`` CI job both ``cmp`` this).
 
-The merged ``manifest.json`` carries the campaign block, the ``spec_hash``,
-and the per-point wall timings aggregated from the shards — which makes the
+The merged ``manifest.json`` comes from the same writer as a local run's
+(:func:`repro.sweep.artifacts.manifest_payload`).  It carries the campaign
+block, the ``spec_hash``, the sources as ``execution.merged_from``, point
+counts equal to the summed ``sweep.points{…}`` counters, and the per-point
+wall timings aggregated from the shards — which makes the
 merged directory a first-class ``--resume`` source: any later run of the
 same campaign, *including a re-cut to a different shard count*, reuses every
 merged point instead of recomputing it.
@@ -42,25 +45,14 @@ that directly contains ``results.json`` and ``manifest.json``).
 from __future__ import annotations
 
 import json
-import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PhaseTimer
 from repro.obs.traceio import merge_trace_documents, validate_trace_file, write_trace
-from repro.sweep.artifacts import (
-    MANIFEST_JSON,
-    RESULTS_CSV,
-    RESULTS_JSON,
-    SCHEMA_VERSION,
-    ArtifactDir,
-    read_artifact_dir,
-    results_payload,
-    shard_dirname,
-    write_results_csv,
-)
+from repro.sweep.artifacts import SCHEMA_VERSION, ArtifactDir, read_artifact_dir, shard_dirname, write_artifacts
 from repro.sweep.campaign import CampaignSpec, batch_groups, cut_shards, estimate_costs, expand_campaign, index_runs
 from repro.sweep.execute import CampaignResult, PointResult
 from repro.sweep.resume import ResumeError, spec_hash
@@ -99,11 +91,14 @@ class MergedCampaign:
     spec: CampaignSpec
     result: CampaignResult
     sources: List[ArtifactDir]
-    #: Point indices absent from every source (non-empty only under
-    #: ``merge_shards(..., allow_missing=True)`` — a **partial** merge).  A
-    #: partial merge's artifacts carry a ``partial`` manifest block and must
-    #: never masquerade as the complete campaign.
-    missing: List[int] = field(default_factory=list)
+
+    @property
+    def missing(self) -> List[int]:
+        """Point indices absent from every source (non-empty only under
+        ``merge_shards(..., allow_missing=True)`` — a **partial** merge).  A
+        partial merge's artifacts carry a ``partial`` manifest block and
+        must never masquerade as the complete campaign."""
+        return self.result.missing
 
 
 def load_shard_dir(directory: Path) -> ArtifactDir:
@@ -241,8 +236,17 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
         shard=None,
         points_total=points_total,
         telemetry=_merged_telemetry(shards),
+        merged_from=[
+            {
+                "directory": str(shard.directory),
+                "shard": dict(shard.manifest["shard"]) if isinstance(shard.manifest.get("shard"), dict) else None,
+                "n_points": len(shard.records),
+            }
+            for shard in shards
+        ],
+        missing=missing,
     )
-    return MergedCampaign(spec=spec, result=result, sources=shards, missing=missing)
+    return MergedCampaign(spec=spec, result=result, sources=shards)
 
 
 def _shard_telemetry(shard: ArtifactDir) -> Optional[Dict[str, object]]:
@@ -309,56 +313,6 @@ def merge_shard_traces(merged: MergedCampaign) -> Optional[Dict[str, object]]:
     if not documents:
         return None
     return merge_trace_documents(documents, labels)
-
-
-def merged_manifest_payload(merged: MergedCampaign) -> Dict[str, object]:
-    """The manifest of a merged run: campaign identity + ``spec_hash`` (so
-    the merged directory is a valid ``--resume`` source) plus a merge record
-    in place of the single-host execution block."""
-    reference = merged.sources[0].manifest
-    campaign_block = dict(reference["campaign"]) if isinstance(reference.get("campaign"), dict) else {}
-    result = merged.result
-    sources = []
-    for shard in merged.sources:
-        block = shard.manifest.get("shard")
-        sources.append(
-            {
-                "directory": str(shard.directory),
-                "shard": dict(block) if isinstance(block, dict) else None,
-                "n_points": len(shard.records),
-            }
-        )
-    payload: Dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec_hash(merged.spec),
-        "campaign": campaign_block,
-        "n_points": result.n_points,
-        "artifacts": [RESULTS_JSON, RESULTS_CSV],
-        "execution": {
-            "merged_from": sources,
-            "jobs": None,
-            "reused_points": 0,
-            "computed_points": result.n_points,
-            "batched_points": 0,
-            "batch_fallbacks": [],
-            "failed_points": [],
-            "wall_seconds": result.wall_seconds,
-            "point_wall_seconds": {
-                str(point.index): point.wall_seconds for point in result.points
-            },
-            "python_version": platform.python_version(),
-        },
-    }
-    if merged.missing:
-        # A partial merge (fleet retry budget exhausted) must say so in its
-        # own manifest: which indices are absent and how big the full grid
-        # is, so nothing downstream mistakes the salvage for the campaign.
-        payload["partial"] = {
-            "points_total": result.points_total,
-            "missing": list(merged.missing),
-        }
-    payload["execution"]["telemetry"] = result.telemetry
-    return payload
 
 
 HEAL_JSON = "heal.json"
@@ -443,12 +397,13 @@ def write_heal_plan(plan: Dict[str, object], out_dir: Path) -> Path:
 def write_merged_artifacts(
     merged: MergedCampaign, out_dir: Path, subdir: Optional[str] = None
 ) -> Dict[str, Path]:
-    """Write the merged artifacts under ``out_dir / campaign [/ subdir]``;
-    return paths.
+    """Write the merged artifacts under ``out_dir / campaign [/ subdir]``
+    through :func:`~repro.sweep.artifacts.write_artifacts`; return paths.
 
-    ``results.json``/``results.csv`` go through the same serialisers as a
-    local run, so they are byte-identical to a single-host execution.  When
-    any shard ran with ``--trace-out``, the shards' traces are stitched into
+    ``results.json``/``results.csv`` are therefore byte-identical to a
+    single-host execution, and the manifest carries ``merged_from`` (and a
+    partial merge's ``partial`` block).  When any shard ran with
+    ``--trace-out``, the shards' traces are first stitched into
     ``trace.json`` next to the merged artifacts (per-shard process lanes)
     and the merged manifest's telemetry block points at it.  ``subdir`` is
     how the fleet keeps a *partial* merge (``partial/``) from shadowing the
@@ -457,16 +412,11 @@ def write_merged_artifacts(
     campaign_dir = Path(out_dir) / merged.spec.name
     if subdir is not None:
         campaign_dir = campaign_dir / subdir
-    campaign_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "results_json": campaign_dir / RESULTS_JSON,
-        "results_csv": campaign_dir / RESULTS_CSV,
-        "manifest_json": campaign_dir / MANIFEST_JSON,
-    }
     merged_trace = merge_shard_traces(merged)
+    trace_path = None
     if merged_trace is not None:
+        campaign_dir.mkdir(parents=True, exist_ok=True)
         trace_path = write_trace(campaign_dir / "trace.json", merged_trace)
-        paths["trace_json"] = trace_path
         merged.result.telemetry["trace"] = {
             "file": trace_path.name,
             "events": sum(
@@ -474,15 +424,9 @@ def write_merged_artifacts(
             ),
             "dropped": merged_trace["metadata"]["dropped_events"],
         }
-    paths["results_json"].write_text(
-        json.dumps(results_payload(merged.result), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    write_results_csv(merged.result, paths["results_csv"])
-    paths["manifest_json"].write_text(
-        json.dumps(merged_manifest_payload(merged), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    paths = write_artifacts(merged.spec, merged.result, out_dir, subdir)
+    if trace_path is not None:
+        paths["trace_json"] = trace_path
     # A successful *complete* merge supersedes any heal plan a previous
     # failed attempt left here — a stale heal.json next to complete
     # artifacts would tell automation to re-run shards that are already

@@ -169,16 +169,15 @@ def load_reusable_results(
     results.json would mask a disk or truncation problem, so the damage is
     named and surfaced (the CLI exits 2).
     """
-    from repro.sweep.artifacts import load_artifact_pair, parse_artifact_dir
+    from repro.sweep.artifacts import read_campaign_artifacts
     from repro.sweep.campaign import expand_campaign
 
     campaign_dir = Path(out_dir) / spec.name
     if subdir is not None:
         campaign_dir = campaign_dir / subdir
-    results, manifest, from_checkpoint = load_artifact_pair(campaign_dir)
-    if results is None or manifest is None or manifest.get("spec_hash") != spec_hash(spec):
+    artifacts = read_campaign_artifacts(campaign_dir, spec)
+    if artifacts is None:
         return {}
-    artifacts = parse_artifact_dir(campaign_dir, results, manifest, from_checkpoint)
     points_by_index = {point.index: point for point in expand_campaign(spec)}
     source = str(artifacts.results_path)
     return {
@@ -224,23 +223,3 @@ def reusable_point(
         )
     point.reused = True
     return point
-
-
-def load_point_walls(directory: Path, spec: CampaignSpec) -> Dict[int, float]:
-    """Scavenge per-point wall timings from one artifact directory.
-
-    The fleet's cost model calibrates its per-point estimates with the
-    ``execution.point_wall_seconds`` of past runs found under ``--out`` —
-    shard slices, merged artifacts, full runs, all of them.  Returns ``{}``
-    when the directory has no manifest or the manifest belongs to a
-    different campaign (``spec_hash`` mismatch); raises :class:`ResumeError`
-    (same validation as ``--resume``) for a manifest that exists but cannot
-    be parsed, so damage is surfaced rather than silently priced at zero.
-    """
-    from repro.sweep.artifacts import MANIFEST_JSON, point_walls
-
-    path = Path(directory) / MANIFEST_JSON
-    manifest = load_artifact_json(path)
-    if manifest is None or manifest.get("spec_hash") != spec_hash(spec):
-        return {}
-    return point_walls(manifest, str(path))

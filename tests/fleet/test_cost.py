@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.fleet.cost import scavenge_point_walls
-from repro.sweep.artifacts import write_artifacts
+from repro.sweep.artifacts import Checkpoint, write_artifacts
 from repro.sweep.campaign import (
     DEFAULT_SECONDS_PER_CYCLE,
     CampaignSpec,
@@ -195,3 +195,32 @@ class TestScavenge:
         walls, notes = scavenge_point_walls(SPEC, out)
         assert walls == {}
         assert len(notes) == 1 and "not numeric" in notes[0]
+
+    def test_killed_runs_checkpoint_yields_its_walls(self, tmp_path):
+        # A run killed after its first group leaves only checkpoint.jsonl;
+        # the walls of the points it finished still calibrate the next cut.
+        result = execute_campaign(SPEC, jobs=1)
+        points = expand_campaign(SPEC)
+        checkpoint = Checkpoint(SPEC, tmp_path / SPEC.name / "shard-0-of-1", points)
+        first_group = {point.index for point in batch_groups(points)[0]}
+        finished = [point for point in result.points if point.index in first_group]
+        for point in finished:
+            checkpoint.add(point)
+        assert [path.name for path in checkpoint.path.parent.iterdir()] == ["checkpoint.jsonl"]
+        walls, notes = scavenge_point_walls(SPEC, tmp_path)
+        assert notes == []
+        assert walls == {point.index: point.wall_seconds for point in finished}
+
+    def test_truncated_results_are_noted_and_contribute_no_walls(self, artifacts_dir, tmp_path):
+        # Merge and --resume refuse a directory whose results.json is cut
+        # short; the scavenger decides the same, even though its manifest
+        # still parses.
+        import shutil
+
+        out = tmp_path / "truncated"
+        shutil.copytree(artifacts_dir, out)
+        results = out / SPEC.name / "results.json"
+        results.write_text(results.read_text()[:200])
+        walls, notes = scavenge_point_walls(SPEC, out)
+        assert walls == {}
+        assert len(notes) == 1 and "results.json" in notes[0] and "invalid JSON" in notes[0]

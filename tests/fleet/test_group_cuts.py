@@ -84,3 +84,13 @@ def test_fleet_cuts_whole_groups_and_warm_rerun_misses_nothing(tmp_path, serial_
     assert reused == campaign(CAMPAIGN).n_points
     assert (warm.campaign_dir / "results.json").read_bytes() == merged_before
     assert_byte_identical(warm.campaign_dir, serial_dir)
+
+    # The merged manifest's counts are its own summed counters, and the
+    # cold run's shards the warm merge did not read are pruned.
+    merged = json.loads((warm.campaign_dir / "manifest.json").read_text())["execution"]
+    counters = merged["telemetry"]["metrics"]["counter"]
+    for kind in ("reused", "computed", "batched"):
+        assert merged[f"{kind}_points"] == counters.get(f"sweep.points{{kind={kind}}}", 0), kind
+    assert merged["computed_points"] == 0 and merged["reused_points"] == campaign(CAMPAIGN).n_points
+    remaining = {str(path) for path in warm.campaign_dir.glob("shard-*")}
+    assert remaining == {source["directory"] for source in merged["merged_from"]}

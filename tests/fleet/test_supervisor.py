@@ -134,14 +134,6 @@ class TestScheduling:
         # The queue drains strictly as slots free: only 2 launched up front.
         assert order == [f"w{i}" for i in range(5)]
 
-    def test_on_exit_hook_fires_once_per_attempt(self):
-        seen = []
-        supervisor = Supervisor(
-            max_workers=2, poll_interval=0.01, on_exit=lambda a: seen.append(a)
-        )
-        attempts = supervisor.run([make_launch(f"w{i}") for i in range(3)])
-        assert sorted(id(a) for a in seen) == sorted(id(a) for a in attempts)
-
     def test_max_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="max_workers"):
             Supervisor(max_workers=0)

@@ -150,6 +150,23 @@ class TestMergedManifest:
         sources = manifest["execution"]["merged_from"]
         assert [source["shard"]["index"] for source in sources] == [0, 1]
         assert manifest["execution"]["point_wall_seconds"].keys() == {"0", "1", "2", "3"}
+        assert manifest["execution"]["jobs"] is None
+
+    def test_counts_are_the_merged_point_counters(self, tmp_path):
+        # One shard computes its points, the other reuses them from a
+        # previous run: the merged counts add up the shards' own counts.
+        dirs = _shard_dirs(tmp_path, 2)
+        reuse = load_reusable_results(SPEC, tmp_path / "shard1")
+        resumed = execute_campaign(SPEC, shard=ShardSpec(index=1, count=2), reuse=reuse)
+        write_artifacts(SPEC, resumed, tmp_path / "resumed")
+        merge_argv = ["sweep", "merge", str(dirs[0]), str(tmp_path / "resumed" / SPEC.name)]
+        assert main(merge_argv + ["--out", str(tmp_path / "merged")]) == 0
+        manifest_path = tmp_path / "merged" / SPEC.name / "manifest.json"
+        execution = json.loads(manifest_path.read_text())["execution"]
+        counters = execution["telemetry"]["metrics"]["counter"]
+        for kind in ("reused", "computed", "batched"):
+            assert execution[f"{kind}_points"] == counters[f"sweep.points{{kind={kind}}}"], kind
+        assert (execution["reused_points"], execution["computed_points"]) == (2, 2)
 
     def test_wall_timings_are_carried_over_from_the_shards(self, tmp_path):
         dirs = _shard_dirs(tmp_path, 2)
