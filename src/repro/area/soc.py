@@ -38,11 +38,6 @@ class PulpissimoAreaModel:
     pels_model: PelsAreaModel = field(default_factory=PelsAreaModel)
 
     @property
-    def logic_kge_without_pels(self) -> float:
-        """Logic area excluding PELS and SRAM."""
-        return self.processing_domain_kge + self.peripherals_kge + self.interconnect_kge
-
-    @property
     def sram_kge(self) -> float:
         """Gate-equivalent area of the L2 SRAM."""
         return self.sram_bytes * 8 * SRAM_GE_PER_BIT / 1000.0

@@ -255,11 +255,6 @@ class Pels(Component):
                 else:
                     self._replayed_actions.append((cycle, label))
 
-    @property
-    def action_routes(self) -> Dict[Tuple[int, int], str]:
-        """Readable summary of the current routing table."""
-        return {key: target.label for key, target in self._action_routes.items()}
-
     # ------------------------------------------------------- host-side configuration
 
     def link(self, index: int) -> Link:

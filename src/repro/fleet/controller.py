@@ -16,7 +16,9 @@ One call to :func:`run_fleet` drives a whole campaign end to end:
    never by exit status alone — a killed worker's checkpoint of the groups
    it finished is salvaged, a clean exit with a truncated results.json is
    classified ``corrupt-artifacts`` and rejected.
-4. **Heal** — the accepted directories are merged; on incomplete coverage
+4. **Heal** — the accepted shards are merged from the
+   :class:`~repro.sweep.artifacts.ArtifactDir` validation returned (each
+   directory is read once per run); on incomplete coverage
    the standard heal plan is written to ``heal.json`` and **consumed right
    back**: its shard specs are re-dispatched after an exponential backoff
    (``base·2^(round-1)``, capped), for at most ``--max-retries`` heal
@@ -259,8 +261,10 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         + (f" (calibrated from {len(walls)} past timings)" if walls else "")
     )
 
-    accepted_dirs: List[Path] = []
-    accepted_set: set = set()
+    # What validation read of each accepted directory, the one copy the
+    # merges and the store see; a later acceptance of the same directory
+    # replaces the earlier read, as re-reading the disk would.
+    accepted: Dict[Path, ArtifactDir] = {}
     attempt_counts: Dict[str, int] = {}
     missing_before = list(range(points_total))
     merged: Optional[MergedCampaign] = None
@@ -276,13 +280,13 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         attempts = _dispatch_round(config, spec, shards, log_dir, chaos, attempt_counts)
         for attempt in attempts:
             artifacts = _validate_attempt(attempt, spec)
-            delivered = len(artifacts.records) if artifacts is not None else 0
-            if artifacts is not None and attempt.artifact_dir not in accepted_set:
-                accepted_set.add(attempt.artifact_dir)
-                accepted_dirs.append(Path(attempt.artifact_dir))
-                _absorb_shard_telemetry(ledger, artifacts)
-                if config.store is not None:
-                    _ingest_accepted(config, ledger, Path(attempt.artifact_dir))
+            delivered = len(artifacts.points) if artifacts is not None else 0
+            if artifacts is not None:
+                if artifacts.directory not in accepted:
+                    _absorb_shard_telemetry(ledger, artifacts)
+                    if config.store is not None:
+                        _ingest_accepted(config, ledger, artifacts)
+                accepted[artifacts.directory] = artifacts
             ledger.record_attempt(round_record, attempt, delivered)
             config.echo(
                 f"fleet: shard {attempt.shard} attempt {attempt.number}: "
@@ -290,7 +294,7 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
                 f"{delivered} point(s), {attempt.wall_seconds:.2f}s)"
                 + (f" chaos={attempt.chaos}" if attempt.chaos else "")
             )
-        merged, gap = _try_merge(accepted_dirs, spec, points_total)
+        merged, gap = _try_merge(list(accepted.values()), spec, points_total)
         if merged is not None:
             break
         plan = plan_heal(gap, config.out)
@@ -327,8 +331,8 @@ def run_fleet(config: FleetConfig, spec: Optional[CampaignSpec] = None) -> Fleet
         )
     else:
         status, exit_code = STATUS_PARTIAL, EXIT_PARTIAL
-        if accepted_dirs:
-            partial = merge_shards(accepted_dirs, allow_missing=True)
+        if accepted:
+            partial = merge_shards(list(accepted.values()), allow_missing=True)
             paths = write_merged_artifacts(partial, config.out, subdir="partial")
             artifacts = dict(paths)
             config.echo(
@@ -439,7 +443,7 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> Optional[Artifact
         # Coverage is a set: the shard delivered when every point of its
         # index set has a record.
         declared = {index for start, stop in attempt.shard.runs for index in range(start, stop)}
-        delivered_all = declared <= {record["index"] for record in artifacts.records}
+        delivered_all = declared <= {point.index for point in artifacts.points}
         attempt.outcome = COMPLETED if delivered_all else PARTIAL_DELIVERY
     elif attempt.exit_class in (TIMEOUT, CRASH, NONZERO_EXIT):
         attempt.outcome = attempt.exit_class
@@ -494,21 +498,22 @@ def _prune_superseded(ledger: FleetLedger, merged: MergedCampaign, campaign_dir:
         ledger.note(f"pruned superseded shard directory {directory}")
 
 
-def _ingest_accepted(config: FleetConfig, ledger: FleetLedger, directory: Path) -> None:
-    """Fold one just-accepted shard directory into the results store.
+def _ingest_accepted(config: FleetConfig, ledger: FleetLedger, artifacts: ArtifactDir) -> None:
+    """Fold one just-accepted shard into the results store.
 
-    Every accepted shard is already past :func:`validate_shard_dir`, so
-    ingestion should only ever insert or deduplicate; anything else —
-    a locked/corrupt database, a content conflict — degrades to a ledger
-    note and a metrics count.  The fleet's outcome never depends on the
-    store: the merge still works from the directories alone.
+    Every accepted shard is already past :func:`validate_shard_dir`, whose
+    read is what gets ingested, so ingestion should only ever insert or
+    deduplicate; anything else — a locked/corrupt database, a content
+    conflict — degrades to a ledger note and a metrics count.  The fleet's
+    outcome never depends on the store: the merge never touches it.
     """
-    from repro.store import StoreError, connect, ingest_directory
+    from repro.store import StoreError, connect, ingest_artifacts
 
+    directory = artifacts.directory
     try:
         conn = connect(config.store)
         try:
-            report = ingest_directory(conn, directory)
+            report = ingest_artifacts(conn, artifacts)
         finally:
             conn.close()
     except StoreError as exc:
@@ -534,14 +539,14 @@ def _ingest_accepted(config: FleetConfig, ledger: FleetLedger, directory: Path) 
 
 
 def _try_merge(
-    accepted_dirs: Sequence[Path], spec: CampaignSpec, points_total: int
+    accepted: Sequence[ArtifactDir], spec: CampaignSpec, points_total: int
 ) -> Tuple[Optional[MergedCampaign], Optional[IncompleteCoverageError]]:
-    """Merge the accepted directories, or explain the gap.
+    """Merge the accepted shards, or explain the gap.
 
-    With zero accepted directories there is nothing to load, so the gap is
+    With zero accepted shards there is nothing to merge, so the gap is
     synthesised directly: every point missing, no surviving shards.
     """
-    if not accepted_dirs:
+    if not accepted:
         return None, IncompleteCoverageError(
             "no shard delivered valid artifacts",
             spec=spec,
@@ -550,6 +555,6 @@ def _try_merge(
             shards=[],
         )
     try:
-        return merge_shards(list(accepted_dirs)), None
+        return merge_shards(accepted), None
     except IncompleteCoverageError as exc:
         return None, exc

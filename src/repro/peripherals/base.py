@@ -33,7 +33,6 @@ class Peripheral(Component):
         self.wait_states = wait_states
         self._fabric: Optional[EventFabric] = None
         self._output_events: Dict[str, str] = {}
-        self._input_events: Dict[str, str] = {}
         # Wake-invalidation wiring: any register mutation may move this
         # peripheral's next wake, so the whole file notifies the scheduler.
         # Installed here (not at attach time) so pre-attach writes are also
@@ -65,10 +64,6 @@ class Peripheral(Component):
         self._fabric.register_producer(full_name, self)
         self._output_events[local_name] = full_name
         return full_name
-
-    def register_input_event(self, local_name: str, line_name: str) -> None:
-        """Declare that the fabric line ``line_name`` feeds input ``local_name``."""
-        self._input_events[local_name] = line_name
 
     def emit_event(self, local_name: str) -> None:
         """Pulse the output event line registered as ``local_name``."""
@@ -119,11 +114,6 @@ class Peripheral(Component):
             raise KeyError(f"{self.name}: unknown output event {local_name!r}")
         self._fabric.account_unobserved_pulses(full_name, count)
         self.record(f"event_{local_name}", count)
-
-    @property
-    def output_events(self) -> Dict[str, str]:
-        """Mapping of local output event names to fabric line names."""
-        return dict(self._output_events)
 
     def on_event_input(self, local_name: str) -> None:
         """React to an input event pulse.  Default: record and ignore."""

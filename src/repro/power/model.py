@@ -75,10 +75,6 @@ class PowerModel:
     def _get(activity: ActivitySnapshot, component: str, event: str) -> int:
         return activity.get((component, event), 0)
 
-    @staticmethod
-    def _component_event_total(activity: ActivitySnapshot, event: str) -> int:
-        return sum(count for (comp, evt), count in activity.items() if evt == event)
-
     def _peripheral_accesses(self, activity: ActivitySnapshot) -> int:
         peripherals = ("gpio", "spi", "adc", "uart", "i2c", "pwm", "wdt", "timer")
         total = 0

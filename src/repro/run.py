@@ -248,6 +248,7 @@ def _merge_main(argv: Sequence[str]) -> int:
     from repro.sweep import (
         IncompleteCoverageError,
         MergeError,
+        load_shard_dir,
         merge_shards,
         plan_heal,
         write_heal_plan,
@@ -256,7 +257,7 @@ def _merge_main(argv: Sequence[str]) -> int:
 
     args = _build_merge_parser().parse_args(argv)
     try:
-        merged = merge_shards([Path(directory) for directory in args.shard_dirs])
+        merged = merge_shards([load_shard_dir(Path(directory)) for directory in args.shard_dirs])
     except IncompleteCoverageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if not args.heal:

@@ -23,7 +23,7 @@ Store operations emit ``store.ingest`` / ``store.query`` spans through
 ``docs/store.md`` for the schema reference and query cookbook.
 """
 
-from repro.store.ingest import DirectoryReport, IngestReport, ingest_directories, ingest_directory
+from repro.store.ingest import DirectoryReport, IngestReport, ingest_artifacts, ingest_directories
 from repro.store.query import (
     aggregate_rows,
     campaign_points,
@@ -55,8 +55,8 @@ __all__ = [
     "campaign_points",
     "connect",
     "format_rows",
+    "ingest_artifacts",
     "ingest_directories",
-    "ingest_directory",
     "load_reusable_results_from_store",
     "parse_aggregate",
     "parse_filter",

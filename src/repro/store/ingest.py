@@ -1,16 +1,18 @@
 """Idempotent ingestion of sweep artifact directories into the store.
 
-:func:`ingest_directory` takes one artifact directory — a full run, a
-``--shard I/N`` slice, a merged multi-host run, or a partial merge — and
-folds its point records into the database:
+:func:`ingest_artifacts` takes one artifact directory — a full run, a
+``--shard I/N`` slice, a merged multi-host run, or a partial merge — as
+the artifact reader returned it, and folds its points into the database:
 
-* **Validation is merge's validation.**  Each directory goes through the
-  one artifact reader, :func:`repro.sweep.artifacts.read_artifact_dir`,
-  which also serves ``--resume``, ``sweep merge`` and the fleet's
-  acceptance gate: a manifest whose ``spec_hash`` disagrees with its own
-  campaign block, a malformed or out-of-range record, or a non-numeric
-  wall timing is rejected (as a :class:`StoreError`) before anything is
-  written.
+* **Validation is merge's validation.**  :func:`ingest_directories` reads
+  each directory through the one artifact reader,
+  :func:`repro.sweep.artifacts.read_artifact_dir`, which also serves
+  ``--resume``, ``sweep merge`` and the fleet's acceptance gate: a manifest
+  whose ``spec_hash`` disagrees with its own campaign block, a malformed
+  or out-of-range record, or a non-numeric wall timing is rejected (as a
+  :class:`StoreError`) before anything is written.  The fleet passes the
+  :class:`~repro.sweep.artifacts.ArtifactDir` its acceptance gate already
+  read, so an accepted shard is not read again.
 * **Dedup is keyed on ``(spec_hash, point_index)``** — the same identity
   ``--resume`` trusts.  A record already in the store with the same
   ``record_sha`` (sha256 over the canonical compact JSON of the record)
@@ -46,7 +48,7 @@ from typing import Dict, List, Sequence
 
 from repro.obs import tracing
 from repro.store.schema import StoreError
-from repro.sweep.artifacts import SCHEMA_VERSION, point_record, read_artifact_dir
+from repro.sweep.artifacts import SCHEMA_VERSION, ArtifactDir, point_record, read_artifact_dir
 from repro.sweep.campaign import CampaignSpec
 from repro.sweep.resume import ResumeError, spec_hash
 
@@ -159,20 +161,15 @@ def _upsert_campaign(
     return int(cursor.lastrowid)
 
 
-def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryReport:
-    """Ingest one artifact directory in one transaction.
+def ingest_artifacts(conn: sqlite3.Connection, artifacts: ArtifactDir) -> DirectoryReport:
+    """Ingest one read artifact directory in one transaction.
 
     Returns the per-directory report.  Conflicting records (same
     ``(spec_hash, point_index)``, different content) roll back the whole
     directory — partial ingestion of an inconsistent directory would be a
-    corrupt store — and land in ``report.conflicts``; validation failures
-    raise :class:`StoreError` before anything is written.
+    corrupt store — and land in ``report.conflicts``.
     """
-    directory = Path(directory)
-    try:
-        artifacts = read_artifact_dir(directory)
-    except ResumeError as exc:
-        raise StoreError(str(exc)) from None
+    directory = artifacts.directory
     spec = artifacts.spec
     kind = artifacts.kind
 
@@ -184,7 +181,7 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
     try:
         with conn:  # one transaction per directory
             campaign_id = _upsert_campaign(conn, spec, artifacts.points_total)
-            for point in artifacts.points():
+            for point in artifacts.points:
                 sha = record_sha(point_record(point))
                 report.n_records += 1
                 existing = conn.execute(
@@ -263,7 +260,8 @@ def ingest_directory(conn: sqlite3.Connection, directory: Path) -> DirectoryRepo
 
 
 def ingest_directories(conn: sqlite3.Connection, directories: Sequence[Path]) -> IngestReport:
-    """Ingest several artifact directories; one transaction each.
+    """Read and ingest several artifact directories, one at a time and one
+    transaction each.
 
     A directory with content conflicts is rolled back and reported but
     does not stop the remaining directories; a directory that fails
@@ -272,5 +270,9 @@ def ingest_directories(conn: sqlite3.Connection, directories: Sequence[Path]) ->
     """
     report = IngestReport()
     for directory in directories:
-        report.directories.append(ingest_directory(conn, directory))
+        try:
+            artifacts = read_artifact_dir(directory)
+        except ResumeError as exc:
+            raise StoreError(str(exc)) from None
+        report.directories.append(ingest_artifacts(conn, artifacts))
     return report

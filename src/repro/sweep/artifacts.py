@@ -38,6 +38,8 @@ one point and :func:`point_from_record` is its only inverse;
 :func:`read_campaign_artifacts` its form for ``--resume`` and the fleet's
 timing scavenger.  Every damaged artifact it meets raises
 :class:`~repro.sweep.resume.ResumeError` naming the file and the problem.
+The :class:`ArtifactDir` it returns holds the decoded points, and merge and
+ingest take that object, so the fleet reads each shard directory once.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sweep.campaign import CampaignSpec, ShardSpec, SweepPoint, batch_groups, index_runs
 from repro.sweep.execute import CampaignResult, PointResult
@@ -467,7 +469,12 @@ def load_artifact_pair(
 
 @dataclass
 class ArtifactDir:
-    """One artifact directory, read and checked by :func:`read_artifact_dir`."""
+    """One artifact directory, read and checked by :func:`read_artifact_dir`.
+
+    The one in-memory copy of a directory's contents: merge
+    (:func:`repro.sweep.merge.merge_shards`), ``store ingest`` and the fleet
+    take this object rather than re-reading the path.
+    """
 
     directory: Path
     manifest: Dict[str, object]
@@ -475,8 +482,9 @@ class ArtifactDir:
     spec: CampaignSpec
     #: The point indices a shard block declares (None when unsharded).
     declared_points: Optional[FrozenSet[int]]
-    #: The ``results.json`` records, in file order, all checked by the reader.
-    records: List[Dict[str, object]]
+    #: The decoded records in file order, each with its wall time attached.
+    #: A point shares its payload dicts with the parsed JSON.
+    points: List[PointResult]
     #: ``execution.point_wall_seconds`` by point index.
     walls: Dict[int, float]
     #: Read from a killed run's ``checkpoint.jsonl`` rather than its JSON files.
@@ -495,15 +503,6 @@ class ArtifactDir:
     def points_total(self) -> int:
         """Size of the full grid these artifacts are a slice of."""
         return self.spec.n_points
-
-    def points(self) -> Iterator[PointResult]:
-        """The records decoded one at a time, each with its wall time, so no
-        second full copy of the points is ever held."""
-        source = str(self.results_path)
-        for record in self.records:
-            point = point_from_record(record, source)
-            point.wall_seconds = self.walls.get(point.index, 0.0)
-            yield point
 
     @property
     def merged_from(self) -> List[str]:
@@ -598,7 +597,7 @@ def parse_artifact_dir(
     directory: Path, results: Dict[str, object], manifest: Dict[str, object], from_checkpoint: bool = False
 ) -> ArtifactDir:
     """Check one directory's parsed ``results.json``/``manifest.json`` pair,
-    or the pair its checkpoint stands for, and decode its records (see
+    or the pair its checkpoint stands for, and decode each record once (see
     :func:`read_artifact_dir`)."""
     directory = Path(directory)
     if from_checkpoint:
@@ -638,15 +637,18 @@ def parse_artifact_dir(
     if not isinstance(records, list):
         raise ResumeError(f"{results_path}: has no points list")
     walls = point_walls(manifest, manifest_path)
-    artifacts = ArtifactDir(directory, manifest, spec, declared, records, walls, from_checkpoint)
+    points = []
     seen = set()
-    for point in artifacts.points():
+    for record in records:
+        point = point_from_record(record, results_path)
         if point.index not in allowed:
             raise ResumeError(f"{results_path}: record index {point.index} is outside the declared points")
         if point.index in seen:
             raise ResumeError(f"{results_path}: duplicate record for point {point.index}")
         seen.add(point.index)
-    return artifacts
+        point.wall_seconds = walls.get(point.index, 0.0)
+        points.append(point)
+    return ArtifactDir(directory, manifest, spec, declared, points, walls, from_checkpoint)
 
 
 def read_artifact_dir(directory: Path) -> ArtifactDir:

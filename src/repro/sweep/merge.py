@@ -5,12 +5,15 @@ per host, each holding the shard's ``results.json``/``results.csv``/
 ``manifest.json`` slice.  :func:`merge_shards` stitches those slices back
 into the single-host artifacts:
 
-* every directory goes through the one artifact reader,
-  :func:`repro.sweep.artifacts.read_artifact_dir`, which also serves
-  ``--resume`` and ``store ingest`` (a reader failure becomes a
-  :class:`MergeError` here).  Any artifact directory of the campaign is a
-  valid input: a shard slice, a full or merged run, or a fleet's
-  ``partial/`` salvage;
+* it takes what the one artifact reader,
+  :func:`repro.sweep.artifacts.read_artifact_dir`, returned: each
+  :class:`~repro.sweep.artifacts.ArtifactDir` already holds its decoded
+  points, so nothing is read twice.  :func:`load_shard_dir` is the
+  path-to-``ArtifactDir`` gate (a reader failure becomes a
+  :class:`MergeError` there); the ``sweep merge`` CLI and the fleet's
+  acceptance gate (:func:`validate_shard_dir`) both read through it.  Any
+  artifact directory of the campaign is a valid input: a shard slice, a
+  full or merged run, or a fleet's ``partial/`` salvage;
 * all directories must carry the **same** ``spec_hash`` — the
   campaign-identity digest ``--resume`` validates;
 * the records must cover the full grid **exactly once** — duplicates across
@@ -134,7 +137,7 @@ def _collect_points(shards: Sequence[ArtifactDir]) -> Dict[int, Tuple[PointResul
     owners: Dict[int, Tuple[PointResult, ArtifactDir]] = {}
     for shard in shards:
         duplicates: List[int] = []
-        for point in shard.points():
+        for point in shard.points:
             if point.index in owners:
                 duplicates.append(point.index)
                 continue
@@ -172,8 +175,9 @@ def validate_shard_dir(directory: Path, spec: CampaignSpec) -> ArtifactDir:
     return artifacts
 
 
-def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> MergedCampaign:
-    """Validate and merge the shard directories into one campaign result.
+def merge_shards(shards: Sequence[ArtifactDir], allow_missing: bool = False) -> MergedCampaign:
+    """Validate and merge shard artifacts, as :func:`load_shard_dir` read
+    them, into one campaign result.
 
     Raises :class:`MergeError` (with the offending directories and point
     indices named) instead of ever writing artifacts from an inconsistent
@@ -185,9 +189,8 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
     salvages every completed point into partial artifacts rather than losing
     them.
     """
-    if not directories:
+    if not shards:
         raise MergeError("nothing to merge: pass at least one shard directory")
-    shards = [load_shard_dir(directory) for directory in directories]
     spec = _validate_identity(shards)
     points_total = spec.n_points
     owners = _collect_points(shards)
@@ -240,7 +243,7 @@ def merge_shards(directories: Sequence[Path], allow_missing: bool = False) -> Me
             {
                 "directory": str(shard.directory),
                 "shard": dict(shard.manifest["shard"]) if isinstance(shard.manifest.get("shard"), dict) else None,
-                "n_points": len(shard.records),
+                "n_points": len(shard.points),
             }
             for shard in shards
         ],

@@ -182,7 +182,7 @@ def load_reusable_results(
     source = str(artifacts.results_path)
     return {
         point.index: reusable_point(point, spec, points_by_index, source=source)
-        for point in artifacts.points()
+        for point in artifacts.points
     }
 
 

@@ -13,6 +13,7 @@ missing, and the merged artifacts are byte-identical to a serial
 import filecmp
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from repro.fleet import (
 )
 from repro.fleet.controller import _worker_argv
 from repro.run import main
+from repro.sweep import artifacts
 from repro.sweep.campaign import ShardSpec
 from repro.sweep.campaigns import campaign
 from repro.sweep.merge import HEAL_JSON
@@ -165,6 +167,46 @@ class TestChaosHealing:
         assert backoffs[0] == 0.0 and backoffs[1] > 0
         assert backoffs[2] == pytest.approx(min(backoffs[1] * 2, FAST["backoff_cap"]))
         assert_byte_identical(result.campaign_dir, serial_dir)
+
+
+class TestReadOnce:
+    """The controller reads each accepted shard directory once per run:
+    acceptance, the ledger, store ingest and every merge (each heal round's
+    included) share the ``ArtifactDir`` acceptance returned."""
+
+    @pytest.mark.parametrize("mode", ["cold", "store", "heal"])
+    def test_each_accepted_shard_is_parsed_and_decoded_once(self, tmp_path, monkeypatch, serial_dir, mode):
+        parse, decode = artifacts.parse_artifact_dir, artifacts.point_from_record
+        parsed, decoded = Counter(), Counter()
+
+        def counting_parse(directory, *args, **kwargs):
+            parsed[Path(directory)] += 1
+            return parse(directory, *args, **kwargs)
+
+        def counting_decode(record, source):
+            decoded[(Path(source).parent, record["index"])] += 1
+            return decode(record, source)
+
+        monkeypatch.setattr(artifacts, "parse_artifact_dir", counting_parse)
+        monkeypatch.setattr(artifacts, "point_from_record", counting_decode)
+        overrides = {
+            "cold": {},
+            "store": {"store": tmp_path / "store.sqlite"},
+            "heal": {"chaos": parse_chaos("kill:0")},
+        }[mode]
+        result = run_fleet(make_config(tmp_path, **overrides))
+        assert result.status == "complete" and result.exit_code == EXIT_COMPLETE
+        assert result.rounds == (2 if mode == "heal" else 1)
+        assert_byte_identical(result.campaign_dir, serial_dir)
+
+        payload = json.loads(result.ledger_path.read_text())
+        accepted = [a for r in payload["rounds"] for a in r["attempts"] if a["accepted"]]
+        delivered = {Path(a["artifact_dir"]): a["points_delivered"] for a in accepted}
+        assert sum(delivered.values()) == SMOKE.n_points
+        assert parsed == Counter({directory: 1 for directory in delivered})
+        assert set(decoded.values()) == {1}
+        per_dir = Counter(directory for directory, _ in decoded)
+        assert per_dir == Counter(delivered)
 
 
 class TestWorkerArgv:

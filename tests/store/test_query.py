@@ -9,7 +9,7 @@ from repro.store import (
     aggregate_rows,
     connect,
     format_rows,
-    ingest_directory,
+    ingest_directories,
     parse_aggregate,
     parse_filter,
     select_rows,
@@ -36,7 +36,7 @@ def store(tmp_path):
     result = execute_campaign(SPEC, jobs=1)
     write_artifacts(SPEC, result, tmp_path)
     conn = connect(tmp_path / "store.sqlite")
-    ingest_directory(conn, tmp_path / SPEC.name)
+    ingest_directories(conn, [tmp_path / SPEC.name])
     yield conn
     conn.close()
 
@@ -119,7 +119,7 @@ class TestAggregates:
         other = replace(SPEC, name="store-query-test-b", base_seed=9)
         result = execute_campaign(other, jobs=1)
         write_artifacts(other, result, tmp_path / "b")
-        ingest_directory(store, tmp_path / "b" / other.name)
+        ingest_directories(store, [tmp_path / "b" / other.name])
 
         out = aggregate_rows(select_rows(store), [("count", None)], group_by=("campaign",))
         assert out == [
@@ -144,7 +144,7 @@ class TestRendering:
 
 class TestStoreInfo:
     def test_summary_counts_coverage_and_ingests(self, store, tmp_path):
-        ingest_directory(store, tmp_path / SPEC.name)  # dedup pass -> 2nd ingest row
+        ingest_directories(store, [tmp_path / SPEC.name])  # dedup pass -> 2nd ingest row
         info = store_info(store)
         assert info["total_points"] == 4
         (campaign,) = info["campaigns"]

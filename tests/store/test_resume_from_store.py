@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.store import StoreError, connect, ingest_directory, load_reusable_results_from_store
+from repro.store import StoreError, connect, ingest_directories, load_reusable_results_from_store
 from repro.sweep.artifacts import write_artifacts
 from repro.sweep.campaign import CampaignSpec
 from repro.sweep.execute import execute_campaign
@@ -28,7 +28,7 @@ def populated(tmp_path):
     paths = write_artifacts(SPEC, result, tmp_path / "fresh")
     db_path = tmp_path / "store.sqlite"
     conn = connect(db_path)
-    ingest_directory(conn, tmp_path / "fresh" / SPEC.name)
+    ingest_directories(conn, [tmp_path / "fresh" / SPEC.name])
     conn.close()
     return paths, db_path
 

@@ -23,6 +23,7 @@ from repro.sweep import (
     campaign,
     expand_campaign,
     load_reusable_results,
+    load_shard_dir,
     merge_shards,
     plan_heal,
     read_artifact_dir,
@@ -79,7 +80,7 @@ def test_merge_and_heal_recompute_only_the_unfinished_group(tmp_path, monkeypatc
     assert finished == {point.index for point in GROUPS[0]}
 
     with pytest.raises(IncompleteCoverageError) as gap:
-        merge_shards([shard_dir])
+        merge_shards([load_shard_dir(shard_dir)])
     unfinished = sorted(set(range(SMOKE.n_points)) - finished)
     assert gap.value.missing == unfinished and len(unfinished) == 2
     plan = plan_heal(gap.value, out)
@@ -126,7 +127,7 @@ def test_a_line_cut_short_by_the_kill_is_dropped(tmp_path, monkeypatch):
     assert len(lines) == 3  # header + the first group's two points
     path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
     loaded = read_artifact_dir(tmp_path / "smoke")
-    assert loaded.from_checkpoint and [record["index"] for record in loaded.records] == [GROUPS[0][0].index]
+    assert loaded.from_checkpoint and [point.index for point in loaded.points] == [GROUPS[0][0].index]
     assert list(load_reusable_results(SMOKE, tmp_path)) == [GROUPS[0][0].index]
     # A header cut short leaves nothing: the directory holds no artifacts.
     path.write_text(lines[0][:10])

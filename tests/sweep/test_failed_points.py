@@ -16,7 +16,7 @@ from repro.sweep.campaign import CampaignSpec, ShardSpec
 from repro.sweep.campaigns import campaign as campaign_lookup
 from repro.sweep.campaigns import register_campaign
 from repro.sweep.execute import execute_campaign
-from repro.sweep.merge import IncompleteCoverageError, merge_shards, plan_heal
+from repro.sweep.merge import IncompleteCoverageError, load_shard_dir, merge_shards, plan_heal
 from repro.workloads.registry import register_scenario, scenario
 
 SCENARIO = "failing-point-test"
@@ -103,7 +103,7 @@ class TestFailureHealsAsMissingPoint:
             write_artifacts(spec, result, tmp_path, subdir=f"shard-{shard.index}-of-2")
         directories = [tmp_path / spec.name / f"shard-{i}-of-2" for i in range(2)]
         with pytest.raises(IncompleteCoverageError) as excinfo:
-            merge_shards(directories)
+            merge_shards([load_shard_dir(directory) for directory in directories])
         gap = excinfo.value
         assert gap.missing == [FAILING_INDEX]
         plan = plan_heal(gap, tmp_path)
@@ -117,6 +117,6 @@ class TestFailureHealsAsMissingPoint:
             result = execute_campaign(spec, jobs=1, shard=shard)
             write_artifacts(spec, result, tmp_path, subdir=f"shard-{shard.index}-of-2")
         directories = [tmp_path / spec.name / f"shard-{i}-of-2" for i in range(2)]
-        merged = merge_shards(directories, allow_missing=True)
+        merged = merge_shards([load_shard_dir(directory) for directory in directories], allow_missing=True)
         assert merged.missing == [FAILING_INDEX]
         assert {r.index for r in merged.result.points} == {0, 1, 3}

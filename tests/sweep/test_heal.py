@@ -17,6 +17,7 @@ from repro.sweep import (
     IncompleteCoverageError,
     ShardSpec,
     execute_campaign,
+    load_shard_dir,
     merge_shards,
     plan_heal,
     write_artifacts,
@@ -44,6 +45,11 @@ def _write_fleet(tmp_path, count):
     return directories
 
 
+def _read(directories):
+    """Read each directory through merge's path gate, as ``sweep merge`` does."""
+    return [load_shard_dir(directory) for directory in directories]
+
+
 class TestIncompleteCoverage:
     # SPEC is horizon-major: its batch groups are {0, 2} and {1, 3}, so a
     # balanced 4-way fleet is shards {0, 2}, {1, 3} and two empty ones.
@@ -51,7 +57,7 @@ class TestIncompleteCoverage:
     def test_missing_shard_raises_structured_error(self, tmp_path):
         directories = _write_fleet(tmp_path, 4)
         with pytest.raises(IncompleteCoverageError) as excinfo:
-            merge_shards(directories[:1] + directories[2:])
+            merge_shards(_read(directories[:1] + directories[2:]))
         error = excinfo.value
         assert error.missing == [1, 3]
         assert error.points_total == 4
@@ -62,7 +68,7 @@ class TestIncompleteCoverage:
         directories = _write_fleet(tmp_path, 4)
         survivors = [directories[0], directories[2], directories[3]]
         with pytest.raises(IncompleteCoverageError) as excinfo:
-            merge_shards(survivors)
+            merge_shards(_read(survivors))
         plan = plan_heal(excinfo.value, tmp_path)
         assert plan["missing"] == [1, 3]
         # The dead shard's one group comes back as one explicit index set.
@@ -87,7 +93,7 @@ class TestIncompleteCoverage:
             payload["points"] = [record for record in payload["points"] if record["index"] not in lost]
             results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         with pytest.raises(IncompleteCoverageError) as excinfo:
-            merge_shards(directories)
+            merge_shards(_read(directories))
         plan = plan_heal(excinfo.value, tmp_path)
         assert plan["missing"] == [0, 1, 2]
         assert [command["shard"] for command in plan["commands"]] == ["0/2@0:1,2:3", "1/2@1:2"]

@@ -13,11 +13,11 @@ import shutil
 
 import pytest
 
-from repro.store import StoreError, connect, ingest_directory
+from repro.store import StoreError, connect, ingest_directories
 from repro.sweep.artifacts import write_artifacts
 from repro.sweep.campaign import CampaignSpec
 from repro.sweep.execute import execute_campaign
-from repro.sweep.merge import MergeError, merge_shards, validate_shard_dir
+from repro.sweep.merge import MergeError, load_shard_dir, merge_shards, validate_shard_dir
 from repro.sweep.resume import ResumeError, load_reusable_results
 
 SPEC = CampaignSpec(
@@ -71,7 +71,7 @@ def _resume(campaign_dir, tmp_path):
 
 
 def _merge(campaign_dir, tmp_path):
-    merge_shards([campaign_dir])
+    merge_shards([load_shard_dir(campaign_dir)])
 
 
 def _accept(campaign_dir, tmp_path):
@@ -81,7 +81,7 @@ def _accept(campaign_dir, tmp_path):
 def _ingest(campaign_dir, tmp_path):
     conn = connect(tmp_path / "store.sqlite")
     try:
-        ingest_directory(conn, campaign_dir)
+        ingest_directories(conn, [campaign_dir])
     finally:
         conn.close()
 

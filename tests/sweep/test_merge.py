@@ -33,6 +33,11 @@ def _serial_artifacts(tmp_path):
     return write_artifacts(SPEC, result, tmp_path / "serial")
 
 
+def _read(directories):
+    """Read each directory through merge's path gate, as ``sweep merge`` does."""
+    return [load_shard_dir(directory) for directory in directories]
+
+
 def _shard_dirs(tmp_path, count, spec=SPEC):
     dirs = []
     for index in range(count):
@@ -48,14 +53,14 @@ class TestMergeByteIdentity:
         """The acceptance criterion: any shard count merges back to the
         byte-exact single-host --jobs 1 artifacts."""
         serial_paths = _serial_artifacts(tmp_path)
-        merged = merge_shards(_shard_dirs(tmp_path, count))
+        merged = merge_shards(_read(_shard_dirs(tmp_path, count)))
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         for key in ("results_json", "results_csv"):
             assert merged_paths[key].read_bytes() == serial_paths[key].read_bytes()
 
     def test_more_shards_than_points_still_merges(self, tmp_path):
         serial_paths = _serial_artifacts(tmp_path)
-        merged = merge_shards(_shard_dirs(tmp_path, 6))  # 4 points, 2 empty shards
+        merged = merge_shards(_read(_shard_dirs(tmp_path, 6)))  # 4 points, 2 empty shards
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         for key in ("results_json", "results_csv"):
             assert merged_paths[key].read_bytes() == serial_paths[key].read_bytes()
@@ -63,13 +68,13 @@ class TestMergeByteIdentity:
     def test_shard_order_does_not_matter(self, tmp_path):
         serial_paths = _serial_artifacts(tmp_path)
         dirs = _shard_dirs(tmp_path, 3)
-        merged = merge_shards([dirs[2], dirs[0], dirs[1]])
+        merged = merge_shards(_read([dirs[2], dirs[0], dirs[1]]))
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         assert merged_paths["results_json"].read_bytes() == serial_paths["results_json"].read_bytes()
 
     def test_merging_an_unsharded_run_is_the_identity(self, tmp_path):
         serial_paths = _serial_artifacts(tmp_path)
-        merged = merge_shards([tmp_path / "serial" / SPEC.name])
+        merged = merge_shards(_read([tmp_path / "serial" / SPEC.name]))
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         for key in ("results_json", "results_csv"):
             assert merged_paths[key].read_bytes() == serial_paths[key].read_bytes()
@@ -104,7 +109,7 @@ class TestAxisOrderRoundTrip:
     def test_non_alphabetical_campaign_merges_byte_identically(self, tmp_path):
         serial = execute_campaign(self.REORDERED, jobs=1)
         serial_paths = write_artifacts(self.REORDERED, serial, tmp_path / "serial")
-        merged = merge_shards(_shard_dirs(tmp_path, 2, spec=self.REORDERED))
+        merged = merge_shards(_read(_shard_dirs(tmp_path, 2, spec=self.REORDERED)))
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         for key in ("results_json", "results_csv"):
             assert merged_paths[key].read_bytes() == serial_paths[key].read_bytes()
@@ -115,14 +120,14 @@ class TestAxisOrderRoundTrip:
         manifest["campaign"]["axis_order"] = ["horizon_cycles"]  # drops an axis
         (dir0 / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(MergeError, match="axis_order"):
-            merge_shards([dir0])
+            merge_shards(_read([dir0]))
 
 
 class TestMergedManifest:
     def test_manifest_is_a_resume_source_with_every_point_reused(self, tmp_path):
         """The resume-aware half of the tentpole: a merged results.json is a
         valid --resume source and reuses every point."""
-        merged = merge_shards(_shard_dirs(tmp_path, 3))
+        merged = merge_shards(_read(_shard_dirs(tmp_path, 3)))
         write_merged_artifacts(merged, tmp_path / "merged")
         reuse = load_reusable_results(SPEC, tmp_path / "merged")
         assert sorted(reuse) == [0, 1, 2, 3]
@@ -131,7 +136,7 @@ class TestMergedManifest:
         assert resumed.n_computed == 0
 
     def test_recutting_to_a_different_shard_count_reuses_everything(self, tmp_path):
-        merged = merge_shards(_shard_dirs(tmp_path, 3))
+        merged = merge_shards(_read(_shard_dirs(tmp_path, 3)))
         write_merged_artifacts(merged, tmp_path / "merged")
         reuse = load_reusable_results(SPEC, tmp_path / "merged")
         for index in range(2):  # re-cut the fleet from 3 shards to 2
@@ -142,7 +147,7 @@ class TestMergedManifest:
 
     def test_manifest_records_sources_and_spec_hash(self, tmp_path):
         dirs = _shard_dirs(tmp_path, 2)
-        merged = merge_shards(dirs)
+        merged = merge_shards(_read(dirs))
         paths = write_merged_artifacts(merged, tmp_path / "merged")
         manifest = json.loads(paths["manifest_json"].read_text())
         assert manifest["spec_hash"] == spec_hash(SPEC)
@@ -174,7 +179,7 @@ class TestMergedManifest:
         for directory in dirs:
             manifest = json.loads((directory / "manifest.json").read_text())
             shard_walls.update(manifest["execution"]["point_wall_seconds"])
-        merged = merge_shards(dirs)
+        merged = merge_shards(_read(dirs))
         paths = write_merged_artifacts(merged, tmp_path / "merged")
         manifest = json.loads(paths["manifest_json"].read_text())
         assert manifest["execution"]["point_wall_seconds"] == shard_walls
@@ -193,7 +198,7 @@ class TestMergeValidation:
         result = execute_campaign(other, shard=ShardSpec(index=1, count=2))
         write_artifacts(other, result, tmp_path / "alien")
         with pytest.raises(MergeError, match="spec_hash"):
-            merge_shards([dirs[0], tmp_path / "alien" / other.name])
+            merge_shards(_read([dirs[0], tmp_path / "alien" / other.name]))
 
     def test_overlapping_shards_are_refused(self, tmp_path):
         dirs = []
@@ -202,19 +207,19 @@ class TestMergeValidation:
             write_artifacts(SPEC, result, tmp_path / f"shard{index}")
             dirs.append(tmp_path / f"shard{index}" / SPEC.name)
         with pytest.raises(MergeError, match="overlapping"):
-            merge_shards(dirs)
+            merge_shards(_read(dirs))
 
     def test_same_directory_twice_is_refused(self, tmp_path):
         dirs = _shard_dirs(tmp_path, 2)
         with pytest.raises(MergeError, match="overlapping|duplicate"):
-            merge_shards([dirs[0], dirs[0], dirs[1]])
+            merge_shards(_read([dirs[0], dirs[0], dirs[1]]))
 
     def test_incomplete_coverage_names_missing_indices(self, tmp_path):
         dirs = _shard_dirs(tmp_path, 3)
         with pytest.raises(MergeError, match=r"incomplete coverage.*missing"):
-            merge_shards([dirs[0], dirs[2]])
+            merge_shards(_read([dirs[0], dirs[2]]))
         try:
-            merge_shards([dirs[0], dirs[2]])
+            merge_shards(_read([dirs[0], dirs[2]]))
         except MergeError as exc:
             message = str(exc)
         # shard 1/3 of SPEC's two groups owns the group {1, 3}
@@ -225,9 +230,9 @@ class TestMergeValidation:
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(MergeError, match="results.json"):
-            merge_shards([empty])
+            merge_shards(_read([empty]))
         with pytest.raises(MergeError, match="not a directory"):
-            merge_shards([tmp_path / "nope"])
+            merge_shards(_read([tmp_path / "nope"]))
 
     def test_nothing_to_merge_is_an_error(self):
         with pytest.raises(MergeError, match="at least one"):
@@ -237,7 +242,7 @@ class TestMergeValidation:
         (dir0,) = _shard_dirs(tmp_path, 1)
         (dir0 / "results.json").write_text("{not json")
         with pytest.raises(MergeError, match="invalid JSON"):
-            merge_shards([dir0])
+            merge_shards(_read([dir0]))
 
     def test_edited_manifest_hash_mismatch_is_refused(self, tmp_path):
         (dir0,) = _shard_dirs(tmp_path, 1)
@@ -245,7 +250,7 @@ class TestMergeValidation:
         manifest["campaign"]["base_seed"] += 1  # hash no longer matches block
         (dir0 / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(MergeError, match="edited or corrupted"):
-            merge_shards([dir0])
+            merge_shards(_read([dir0]))
 
     def test_load_shard_dir_round_trips(self, tmp_path):
         (dir0,) = _shard_dirs(tmp_path, 1)

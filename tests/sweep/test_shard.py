@@ -256,7 +256,7 @@ class TestEmptyShards:
     def test_overwide_fleet_merges_byte_identical(self, tmp_path):
         """6-way cut of a two-group grid: four shards are empty; the merge
         must accept them (even listed first) and reproduce the serial bytes."""
-        from repro.sweep.merge import merge_shards, write_merged_artifacts
+        from repro.sweep.merge import load_shard_dir, merge_shards, write_merged_artifacts
 
         directories = []
         for index in range(6):
@@ -272,7 +272,7 @@ class TestEmptyShards:
         ]
         assert len(empties) == 4  # the premise: the cut really over-shards
         reordered = empties + [d for d in directories if d not in empties]
-        merged = merge_shards(reordered)
+        merged = merge_shards([load_shard_dir(directory) for directory in reordered])
         merged_paths = write_merged_artifacts(merged, tmp_path / "merged")
         serial = execute_campaign(SPEC, jobs=1)
         serial_paths = write_artifacts(SPEC, serial, tmp_path / "serial")
