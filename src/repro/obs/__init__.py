@@ -11,13 +11,15 @@ observability vocabulary:
   snapshot/diff protocol is what the stats-parity tests compare.
 * :mod:`repro.obs.tracing` — **structured span tracing**: a process-global
   :class:`~repro.obs.tracing.SpanTracer` that instrumented code consults
-  through one ``tracing.TRACER is not None`` check.  When no tracer is
-  installed (the default), the hot span loop pays a single identity check
-  per boundary — enforced below 5% by ``benchmarks/test_bench_telemetry.py``.
-  When installed, spans (plan builds, quiescent/skip/advance spans, batch
-  enrolment, snapshot stops, sweep phases, artifact writes, and the
-  results store's ``store.ingest``/``store.query`` operations) buffer in
-  memory per process.
+  through ``tracing.TRACER``.  Every cold region is one
+  ``with tracing.span(name, cat, **args):`` block; ``Simulator.step`` and
+  the batch loop check ``TRACER`` once per call.  When no tracer is
+  installed (the default), that check is the whole cost — enforced below
+  5% by ``benchmarks/test_bench_telemetry.py``.  When installed, spans
+  (plan builds, quiescent/skip/dense spans, batch runs and snapshot stops,
+  sweep enrolment, points and campaigns, and the results store's
+  ``store.ingest``/``store.query`` operations) buffer in memory per
+  process.
 * :mod:`repro.obs.traceio` — export, validation, and merging of the
   buffered spans as **Chrome trace-event JSON** (``--trace-out trace.json``,
   loadable in Perfetto / ``chrome://tracing``), with per-worker process
@@ -43,7 +45,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import SWEEP_PHASES, PhaseTimer, format_profile
-from repro.obs.tracing import SpanTracer, active_tracer, capture, install, uninstall
+from repro.obs.tracing import SpanTracer, capture, install, uninstall
 from repro.obs.traceio import (
     TRACE_SCHEMA,
     merge_trace_documents,
@@ -62,7 +64,6 @@ __all__ = [
     "SWEEP_PHASES",
     "SpanTracer",
     "TRACE_SCHEMA",
-    "active_tracer",
     "capture",
     "format_profile",
     "install",

@@ -1,23 +1,23 @@
 """Structured span tracing with a zero-overhead disabled mode.
 
 Instrumented code — the kernel's span loop, the batch round loop, the sweep
-executor, the artifacts writer — consults the process-global
-:data:`TRACER` through a single ``is not None`` check per instrumented
-region.  When no tracer is installed (the default) that check is the
-*entire* cost of the telemetry layer on the hot path;
-``benchmarks/test_bench_telemetry.py`` measures it against the raw span
-loop and asserts it stays under 5%.  When a tracer is installed
-(``--trace-out``, :func:`capture`), events buffer in memory as Chrome
-trace-event dicts and are exported by :mod:`repro.obs.traceio`.
+executor, the store — consults the process-global :data:`TRACER`.  When no
+tracer is installed (the default) that check is the *entire* cost of the
+telemetry layer: a cold region (a plan build, a batch run, a sweep point)
+pays one :func:`span` entry, and the span loop of ``Simulator.step`` one
+``is None`` check per call;
+``benchmarks/test_bench_telemetry.py`` measures the disabled ``step()``
+against the raw span loop and asserts it stays under 5%.  When a tracer is
+installed (``--trace-out``, :func:`capture`), events buffer in memory as
+Chrome trace-event dicts and are exported by :mod:`repro.obs.traceio`.
 
-The hot-path idiom::
+The idiom for a traced region::
 
     from repro.obs import tracing
     ...
-    tracer = tracing.TRACER          # one global fetch per step()/run() entry
-    ...
-    if tracer is not None:           # one identity check per span boundary
-        tracer.event("kernel.span", "kernel", start_ns, dur_ns, {...})
+    with tracing.span("batch.run", "batch", instances=n) as args:
+        ...                          # the region's work
+        args["rounds"] = rounds      # results attached before the span closes
 
 Buffers are per process: a multiprocessing sweep worker installs its own
 tracer, drains it into the chunk outcome, and the parent stitches every
@@ -43,11 +43,11 @@ class SpanTracer:
     """An in-memory buffer of Chrome trace events for one process.
 
     Events are plain dicts in the Chrome trace-event format (``ph: "X"``
-    complete events with microsecond ``ts``/``dur``, ``ph: "C"`` counter
-    samples), stamped with this process's pid so multi-process traces merge
-    into per-worker lanes.  Timestamps come from ``perf_counter_ns`` — they
-    are comparable *within* a process; the exporter re-bases each process
-    lane so merged documents line up at zero.
+    complete events with microsecond ``ts``/``dur``), stamped with this
+    process's pid so multi-process traces merge into per-worker lanes.
+    Timestamps come from ``perf_counter_ns`` — they are comparable *within*
+    a process; the exporter re-bases each process lane so merged documents
+    line up at zero.
     """
 
     __slots__ = ("events", "dropped", "pid")
@@ -86,38 +86,6 @@ class SpanTracer:
             record["args"] = dict(args)
         self.events.append(record)
 
-    def counter(
-        self, name: str, cat: str, values: Mapping[str, object], tid: int = 0
-    ) -> None:
-        """Record one counter ("C") sample (rendered as a graph lane)."""
-        if len(self.events) >= DEFAULT_MAX_EVENTS:
-            self.dropped += 1
-            return
-        self.events.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "C",
-                "ts": self.now_ns() / 1_000.0,
-                "pid": self.pid,
-                "tid": tid,
-                "args": dict(values),
-            }
-        )
-
-    @contextmanager
-    def span(self, name: str, cat: str, **args: object) -> Iterator[Dict[str, object]]:
-        """Context manager emitting one complete event around its body.
-
-        Yields the (mutable) args mapping so the body can attach results
-        (e.g. the number of cycles a run actually advanced)."""
-        mutable: Dict[str, object] = dict(args)
-        start = self.now_ns()
-        try:
-            yield mutable
-        finally:
-            self.event(name, cat, start, self.now_ns() - start, mutable or None)
-
     def drain(self) -> List[Dict[str, object]]:
         """Return and clear the buffered events (drop counter kept)."""
         events, self.events = self.events, []
@@ -125,14 +93,28 @@ class SpanTracer:
 
 
 #: The process-global tracer instrumented code checks.  ``None`` (the
-#: default) disables tracing; hot paths fetch this once per entry and pay
-#: one ``is not None`` per span boundary.
+#: default) disables tracing; :func:`span` and ``Simulator.step`` fetch it
+#: once per entry.
 TRACER: Optional[SpanTracer] = None
 
 
-def active_tracer() -> Optional[SpanTracer]:
-    """The installed tracer, or ``None`` when tracing is disabled."""
-    return TRACER
+@contextmanager
+def span(name: str, cat: str, **args: object) -> Iterator[Dict[str, object]]:
+    """Emit one complete event around the body when a tracer is installed.
+
+    Yields the (mutable) args mapping so the body can attach results (e.g.
+    the number of cycles a run actually advanced).  The event is emitted
+    even when the body raises; with no tracer installed the body just runs.
+    """
+    tracer = TRACER
+    if tracer is None:
+        yield args
+        return
+    start = tracer.now_ns()
+    try:
+        yield args
+    finally:
+        tracer.event(name, cat, start, tracer.now_ns() - start, args)
 
 
 def install(tracer: Optional[SpanTracer] = None) -> SpanTracer:

@@ -66,9 +66,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
+from repro.obs import tracing
 from repro.workloads.registry import run_scenario, scenario, scenarios
 
 DEFAULT_FREQUENCY_MHZ = 55.0
@@ -526,25 +528,8 @@ def _sweep_main(argv: Sequence[str]) -> int:
         _sweep_progress(completed, total, result)
         checkpoint.add(result)
 
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs import tracing
-
-        tracer = tracing.install()
-    try:
-        result = execute_campaign(
-            spec,
-            jobs=args.jobs,
-            progress=progress,
-            reuse=reuse,
-            shard=shard,
-            trace=args.trace_out is not None,
-        )
-    finally:
-        if tracer is not None:
-            from repro.obs import tracing
-
-            tracing.uninstall()
+    with tracing.capture() if args.trace_out is not None else nullcontext() as tracer:
+        result = execute_campaign(spec, jobs=args.jobs, progress=progress, reuse=reuse, shard=shard)
     for record in result.batch_fallbacks:
         # A group that quietly lost batching is a perf bug waiting to hide;
         # name every reason (the manifest keeps the same records).
@@ -822,7 +807,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         if args.trace_out is not None:
-            from repro.obs import tracing
             from repro.obs.traceio import trace_document, write_trace
 
             with tracing.capture() as tracer:

@@ -82,23 +82,12 @@ class BatchInstance:
         return self._stops[self._next][0]
 
     def _fire_due_stops(self) -> None:
-        tracer = tracing.TRACER
         while not self.done and self._stops[self._next][0] == self.elapsed:
             cycles, callback = self._stops[self._next]
             self._next += 1
             before = self.simulator.current_cycle
-            if tracer is None:
+            with tracing.span("batch.stop", "batch", label=self.label, cycle=cycles):
                 callback(cycles)
-            else:
-                start_ns = tracer.now_ns()
-                callback(cycles)
-                tracer.event(
-                    "batch.stop",
-                    "batch",
-                    start_ns,
-                    tracer.now_ns() - start_ns,
-                    {"label": self.label, "cycle": cycles},
-                )
             if self.simulator.current_cycle != before:
                 raise SimulationError(
                     f"batch stop callback at cycle {cycles} of {self.label} "
@@ -148,38 +137,22 @@ class BatchSimulator:
 
         Each instance in turn takes
         :meth:`~repro.sim.simulator.SimState.advance_span` steps, each capped
-        at its next stop, and fires the stops each step reaches.  An
-        instance that makes no progress raises
-        :class:`~repro.sim.simulator.SimulationError` instead of spinning.
+        at its next stop, and fires the stops each step reaches.
         """
-        tracer = tracing.TRACER
-        start_ns = tracer.now_ns() if tracer is not None else 0
-        try:
-            for instance in self.instances:
-                simulator = instance.simulator
-                # Bind the instance's classification once; the loop then
-                # drives the bound state directly, exactly like
-                # Simulator.step does.
-                state = simulator._schedule_plan()
-                dense = simulator.dense or state.forces_dense
-                while not instance.done:
-                    self.rounds += 1
-                    advanced = state.advance_span(instance.next_stop - instance.elapsed, dense=dense)
-                    if advanced <= 0:
-                        raise SimulationError(
-                            f"batch instance {instance.label} made no progress at elapsed "
-                            f"cycle {instance.elapsed} with a stop pending at cycle "
-                            f"{instance.next_stop}; the scenario's wake scheduling is "
-                            f"mis-wired (e.g. an empty wake heap with work outstanding)"
+        with tracing.span("batch.run", "batch", instances=len(self.instances)) as args:
+            try:
+                for instance in self.instances:
+                    simulator = instance.simulator
+                    # Bind the instance's classification once; the loop then
+                    # drives the bound state directly, exactly like
+                    # Simulator.step does.
+                    state = simulator._schedule_plan()
+                    dense = simulator.dense or state.forces_dense
+                    while not instance.done:
+                        self.rounds += 1
+                        instance.elapsed += state.advance_span(
+                            instance.next_stop - instance.elapsed, dense
                         )
-                    instance.elapsed += advanced
-                    instance._fire_due_stops()
-        finally:
-            if tracer is not None:
-                tracer.event(
-                    "batch.run",
-                    "batch",
-                    start_ns,
-                    tracer.now_ns() - start_ns,
-                    {"instances": len(self.instances), "rounds": self.rounds},
-                )
+                        instance._fire_due_stops()
+            finally:
+                args["rounds"] = self.rounds

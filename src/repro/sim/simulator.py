@@ -252,19 +252,10 @@ class Simulator:
         state = self._state
         fingerprint = self._fingerprint_now()
         if fingerprint != self._fingerprint:
-            tracer = tracing.TRACER
-            start_ns = tracer.now_ns() if tracer is not None else 0
-            state.bind(fingerprint, self._components)
-            self._fingerprint = fingerprint
-            state.kernel_stats["plan_builds"] += 1
-            if tracer is not None:
-                tracer.event(
-                    "kernel.plan",
-                    "kernel",
-                    start_ns,
-                    tracer.now_ns() - start_ns,
-                    {"components": len(self._components)},
-                )
+            with tracing.span("kernel.plan", "kernel", components=len(self._components)):
+                state.bind(fingerprint, self._components)
+                self._fingerprint = fingerprint
+                state.kernel_stats["plan_builds"] += 1
         state.refresh_divisors(self)
         return state
 
@@ -286,34 +277,24 @@ class Simulator:
         if cycles == 0:
             return
         state = self._schedule_plan()
-        # One global fetch per step() call; when no tracer is installed the
-        # loops below are the untouched hot paths (the disabled-telemetry
-        # overhead benchmark holds this to <5% of the raw span loop).
-        tracer = tracing.TRACER
-        if self.dense or state.forces_dense:
-            if tracer is None:
-                for _ in range(cycles):
-                    state.dense_tick()
-                return
-            start_ns = tracer.now_ns()
-            for _ in range(cycles):
-                state.dense_tick()
-            tracer.event(
-                "kernel.dense", "kernel", start_ns, tracer.now_ns() - start_ns, {"cycles": cycles}
-            )
-            return
+        dense = self.dense or state.forces_dense
         remaining = cycles
+        # One global fetch per step() call; when no tracer is installed the
+        # loop below is the whole hot path (the disabled-telemetry overhead
+        # benchmark holds this to <5% of the raw span loop).
+        tracer = tracing.TRACER
         if tracer is None:
             while remaining > 0:
-                remaining -= state.advance_span(remaining, dense=False)
+                remaining -= state.advance_span(remaining, dense)
             return
+        name = "kernel.dense" if dense else "kernel.span"
         stats = state.kernel_stats
         while remaining > 0:
             start_ns = tracer.now_ns()
             skipped_before = stats["cycles_skipped"]
-            advanced = state.advance_span(remaining, dense=False)
+            advanced = state.advance_span(remaining, dense)
             tracer.event(
-                "kernel.span",
+                name,
                 "kernel",
                 start_ns,
                 tracer.now_ns() - start_ns,
@@ -338,43 +319,24 @@ class Simulator:
         event line nothing observes) is only seen at the span's end — use
         ``dense=True`` for cycle-level polling of such state.
         """
-        tracer = tracing.TRACER
-        if tracer is None:
-            return self._run_until(condition, max_cycles, label)
-        start_ns = tracer.now_ns()
-        before = self._state.base_tick
-        try:
-            return self._run_until(condition, max_cycles, label)
-        finally:
-            tracer.event(
-                "kernel.run_until",
-                "kernel",
-                start_ns,
-                tracer.now_ns() - start_ns,
-                {"label": label, "cycles": self._state.base_tick - before},
-            )
-
-    def _run_until(
-        self,
-        condition: Callable[[], bool],
-        max_cycles: int,
-        label: str,
-    ) -> int:
-        state = self._schedule_plan()
+        state = self._state
         start = state.base_tick
-        event_driven = not (self.dense or state.forces_dense)
-        while not condition():
-            elapsed = state.base_tick - start
-            if elapsed >= max_cycles:
-                raise SimulationError(
-                    f"{label} not reached within {max_cycles} cycles"
-                )
-            if event_driven:
-                span = state.quiescent_span(max_cycles - elapsed)
-                if span > 0:
-                    state.skip_span(span)
-                    continue
-            state.dense_tick()
+        with tracing.span("kernel.run_until", "kernel", label=label) as args:
+            try:
+                self._schedule_plan()
+                event_driven = not (self.dense or state.forces_dense)
+                while not condition():
+                    elapsed = state.base_tick - start
+                    if elapsed >= max_cycles:
+                        raise SimulationError(f"{label} not reached within {max_cycles} cycles")
+                    if event_driven:
+                        span = state.quiescent_span(max_cycles - elapsed)
+                        if span > 0:
+                            state.skip_span(span)
+                            continue
+                    state.dense_tick()
+            finally:
+                args["cycles"] = state.base_tick - start
         return state.base_tick - start
 
     def run_for_time(self, seconds: float) -> int:

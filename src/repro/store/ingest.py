@@ -176,86 +176,72 @@ def ingest_artifacts(conn: sqlite3.Connection, artifacts: ArtifactDir) -> Direct
     report = DirectoryReport(
         source=str(directory), kind=kind, campaign=spec.name, spec_hash=artifacts.spec_hash
     )
-    tracer = tracing.TRACER
-    start_ns = tracer.now_ns() if tracer is not None else 0
-    try:
-        with conn:  # one transaction per directory
-            campaign_id = _upsert_campaign(conn, spec, artifacts.points_total)
-            for point in artifacts.points:
-                sha = record_sha(point_record(point))
-                report.n_records += 1
-                existing = conn.execute(
-                    "SELECT record_sha FROM points WHERE campaign_id = ? AND point_index = ?",
-                    (campaign_id, point.index),
-                ).fetchone()
-                if existing is not None:
-                    if existing["record_sha"] == sha:
-                        report.deduplicated += 1
-                    else:
-                        report.conflicts.append(
-                            {
-                                "index": point.index,
-                                "stored_sha": existing["record_sha"],
-                                "incoming_sha": sha,
-                            }
-                        )
-                    continue
+    with tracing.span("store.ingest", "store", source=str(directory), kind=kind) as args:
+        try:
+            with conn:  # one transaction per directory
+                campaign_id = _upsert_campaign(conn, spec, artifacts.points_total)
+                for point in artifacts.points:
+                    sha = record_sha(point_record(point))
+                    report.n_records += 1
+                    existing = conn.execute(
+                        "SELECT record_sha FROM points WHERE campaign_id = ? AND point_index = ?",
+                        (campaign_id, point.index),
+                    ).fetchone()
+                    if existing is not None:
+                        if existing["record_sha"] == sha:
+                            report.deduplicated += 1
+                        else:
+                            report.conflicts.append(
+                                {
+                                    "index": point.index,
+                                    "stored_sha": existing["record_sha"],
+                                    "incoming_sha": sha,
+                                }
+                            )
+                        continue
+                    conn.execute(
+                        "INSERT INTO points (campaign_id, point_index, scenario,"
+                        " horizon_cycles, seed, params, stats, activity, power_uw,"
+                        " area_kge, wall_seconds, record_sha)"
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        (
+                            campaign_id,
+                            point.index,
+                            point.scenario,
+                            point.horizon_cycles,
+                            point.seed,
+                            canonical_json(point.params),
+                            canonical_json(point.stats),
+                            canonical_json(point.activity),
+                            canonical_json(point.power_uw),
+                            canonical_json(point.area_kge),
+                            point.wall_seconds,
+                            sha,
+                        ),
+                    )
+                    report.inserted += 1
+                if report.conflicts:
+                    # Roll the whole directory back: determinism says a campaign
+                    # point has exactly one record, so a content collision means
+                    # these artifacts cannot be trusted at all.
+                    report.inserted = 0
+                    raise _ConflictRollback()
                 conn.execute(
-                    "INSERT INTO points (campaign_id, point_index, scenario,"
-                    " horizon_cycles, seed, params, stats, activity, power_uw,"
-                    " area_kge, wall_seconds, record_sha)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    "INSERT INTO ingests (campaign_id, source, kind, inserted,"
+                    " deduplicated, conflicts, merged_from) VALUES (?, ?, ?, ?, ?, ?, ?)",
                     (
                         campaign_id,
-                        point.index,
-                        point.scenario,
-                        point.horizon_cycles,
-                        point.seed,
-                        canonical_json(point.params),
-                        canonical_json(point.stats),
-                        canonical_json(point.activity),
-                        canonical_json(point.power_uw),
-                        canonical_json(point.area_kge),
-                        point.wall_seconds,
-                        sha,
+                        str(directory),
+                        kind,
+                        report.inserted,
+                        report.deduplicated,
+                        0,
+                        canonical_json(artifacts.merged_from),
                     ),
                 )
-                report.inserted += 1
-            if report.conflicts:
-                # Roll the whole directory back: determinism says a campaign
-                # point has exactly one record, so a content collision means
-                # these artifacts cannot be trusted at all.
-                report.inserted = 0
-                raise _ConflictRollback()
-            conn.execute(
-                "INSERT INTO ingests (campaign_id, source, kind, inserted,"
-                " deduplicated, conflicts, merged_from) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    str(directory),
-                    kind,
-                    report.inserted,
-                    report.deduplicated,
-                    0,
-                    canonical_json(artifacts.merged_from),
-                ),
-            )
-    except _ConflictRollback:
-        pass
-    if tracer is not None:
-        tracer.event(
-            "store.ingest",
-            "store",
-            start_ns,
-            tracer.now_ns() - start_ns,
-            {
-                "source": str(directory),
-                "kind": kind,
-                "inserted": report.inserted,
-                "deduplicated": report.deduplicated,
-                "conflicts": len(report.conflicts),
-            },
-        )
+        except _ConflictRollback:
+            pass
+        args.update(inserted=report.inserted, deduplicated=report.deduplicated, conflicts=len(report.conflicts))
     return report
 
 

@@ -146,45 +146,34 @@ def select_rows(
     the flattened namespace; ``columns`` projects (unknown columns come
     back as ``None`` so sparse campaigns stay queryable side by side).
     """
-    tracer = tracing.TRACER
-    start_ns = tracer.now_ns() if tracer is not None else 0
-    sql = (
-        "SELECT campaigns.name AS name, points.* FROM points"
-        " JOIN campaigns ON campaigns.id = points.campaign_id"
-    )
-    clauses: List[str] = []
-    params: List[object] = []
-    if campaign is not None:
-        # Resolve name-or-spec_hash up front so an unknown campaign is a
-        # named error rather than a silent empty result set.
-        clauses.append("campaigns.id = ?")
-        params.append(campaign_row(conn, campaign)["id"])
-    if scenario is not None:
-        clauses.append("points.scenario = ?")
-        params.append(scenario)
-    if clauses:
-        sql += " WHERE " + " AND ".join(clauses)
-    sql += " ORDER BY campaigns.name, points.point_index"
-    rows = []
-    for db_row in conn.execute(sql, params):
-        row = _row_from_db(db_row)
-        if all(condition.matches(row.get(condition.column)) for condition in where):
-            if columns:
-                row = {column: row.get(column) for column in columns}
-            rows.append(row)
-    if tracer is not None:
-        tracer.event(
-            "store.query",
-            "store",
-            start_ns,
-            tracer.now_ns() - start_ns,
-            {
-                "campaign": campaign or "*",
-                "scenario": scenario or "*",
-                "filters": len(where),
-                "rows": len(rows),
-            },
+    with tracing.span(
+        "store.query", "store", campaign=campaign or "*", scenario=scenario or "*", filters=len(where)
+    ) as args:
+        sql = (
+            "SELECT campaigns.name AS name, points.* FROM points"
+            " JOIN campaigns ON campaigns.id = points.campaign_id"
         )
+        clauses: List[str] = []
+        params: List[object] = []
+        if campaign is not None:
+            # Resolve name-or-spec_hash up front so an unknown campaign is a
+            # named error rather than a silent empty result set.
+            clauses.append("campaigns.id = ?")
+            params.append(campaign_row(conn, campaign)["id"])
+        if scenario is not None:
+            clauses.append("points.scenario = ?")
+            params.append(scenario)
+        if clauses:
+            sql += " WHERE " + " AND ".join(clauses)
+        sql += " ORDER BY campaigns.name, points.point_index"
+        rows = []
+        for db_row in conn.execute(sql, params):
+            row = _row_from_db(db_row)
+            if all(condition.matches(row.get(condition.column)) for condition in where):
+                if columns:
+                    row = {column: row.get(column) for column in columns}
+                rows.append(row)
+        args["rows"] = len(rows)
     return rows
 
 

@@ -136,10 +136,10 @@ class CampaignResult:
     #: registry, plus a ``trace`` pointer when traced.  The artifacts layer
     #: embeds it as the manifest's ``execution.telemetry``.
     telemetry: Dict[str, object] = field(default_factory=dict)
-    #: Chrome trace events buffered by worker-owned tracers (``trace=True``
-    #: under a pool).  The caller combines these with its own installed
-    #: tracer's buffer (which holds the serial/parent-side events) into one
-    #: exported document.
+    #: Chrome trace events buffered by worker-owned tracers (a traced
+    #: campaign under a pool).  The caller combines these with its own
+    #: installed tracer's buffer (which holds the serial/parent-side events)
+    #: into one exported document.
     trace_events: List[Dict[str, object]] = field(default_factory=list)
     #: Events the worker tracers dropped at their buffer caps.
     trace_dropped: int = 0
@@ -301,30 +301,21 @@ def run_point(point: SweepPoint, tele: Optional[_ChunkTelemetry] = None) -> Poin
     report their scenario build inside ``simulate``; only the batched path
     has a distinct ``prepare``).
     """
-    tracer = tracing.TRACER
-    start_ns = tracer.now_ns() if tracer is not None else 0
-    start = time.perf_counter()
-    outcome = run_scenario_instrumented(
-        point.scenario,
-        horizon_cycles=point.horizon_cycles,
-        dense=point.dense,
-        params=point.params,
-    )
-    sim_seconds = time.perf_counter() - start
-    result = _finalize_point(point, outcome, sim_seconds)
-    if tele is not None:
-        tele.timer.add("simulate", sim_seconds)
-        tele.timer.add("finalize", time.perf_counter() - start - sim_seconds)
-        if outcome.soc is not None:
-            tele.kernel.add(outcome.soc.simulator.kernel_stats)
-    if tracer is not None:
-        tracer.event(
-            "sweep.point",
-            "sweep",
-            start_ns,
-            tracer.now_ns() - start_ns,
-            {"index": point.index, "scenario": point.scenario, "horizon": point.horizon_cycles},
+    with tracing.span("sweep.point", "sweep", index=point.index, scenario=point.scenario, horizon=point.horizon_cycles):
+        start = time.perf_counter()
+        outcome = run_scenario_instrumented(
+            point.scenario,
+            horizon_cycles=point.horizon_cycles,
+            dense=point.dense,
+            params=point.params,
         )
+        sim_seconds = time.perf_counter() - start
+        result = _finalize_point(point, outcome, sim_seconds)
+        if tele is not None:
+            tele.timer.add("simulate", sim_seconds)
+            tele.timer.add("finalize", time.perf_counter() - start - sim_seconds)
+            if outcome.soc is not None:
+                tele.kernel.add(outcome.soc.simulator.kernel_stats)
     return result
 
 
@@ -388,68 +379,60 @@ def _enroll_group(
     """
     first = group[0]
     spec = scenario(first.scenario)
-    tracer = tracing.TRACER
-    enroll_ns = tracer.now_ns() if tracer is not None else 0
-    by_horizon: Dict[int, List[SweepPoint]] = {}
-    for point in group:
-        by_horizon.setdefault(point.horizon_cycles, []).append(point)
-    horizons = sorted(by_horizon)
-    # When the group's previous snapshot stop was charged (its enrollment
-    # start until the first one).
-    charged = time.perf_counter()
+    with tracing.span("sweep.enroll", "sweep", scenario=first.scenario, points=len(group)) as args:
+        by_horizon: Dict[int, List[SweepPoint]] = {}
+        for point in group:
+            by_horizon.setdefault(point.horizon_cycles, []).append(point)
+        horizons = sorted(by_horizon)
+        args["horizons"] = len(horizons)
+        # When the group's previous snapshot stop was charged (its enrollment
+        # start until the first one).
+        charged = time.perf_counter()
 
-    def finalize(instance, elapsed: int, points: Sequence[SweepPoint]) -> None:
-        nonlocal charged
-        start = time.perf_counter()
-        outcome = instance.outcome(elapsed)
-        finalized = [_finalize_point(point, outcome, 0.0) for point in points]
-        now = time.perf_counter()
-        tele.timer.add("finalize", now - start)
-        for result in finalized:
-            result.wall_seconds = (now - charged) / len(finalized)
-        charged = now
-        results.extend(finalized)
+        def finalize(instance, elapsed: int, points: Sequence[SweepPoint]) -> None:
+            nonlocal charged
+            start = time.perf_counter()
+            outcome = instance.outcome(elapsed)
+            finalized = [_finalize_point(point, outcome, 0.0) for point in points]
+            now = time.perf_counter()
+            tele.timer.add("finalize", now - start)
+            for result in finalized:
+                result.wall_seconds = (now - charged) / len(finalized)
+            charged = now
+            results.extend(finalized)
 
-    prepared = spec.prepare(horizons, first.dense, **dict(first.params))
-    # Merge the scenario's drive script (mid-run testbench interference,
-    # e.g. watchdog-recovery's fault injection) into the stop schedule.  A
-    # drive sharing a cycle with a snapshot stop fires first — exactly the
-    # standalone order (interfere, then keep running / observe).  Drives
-    # beyond the deepest horizon are dropped: the instance never simulates
-    # past it, so the deepest horizon is always the instance's last stop.
-    drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
-    for cycle, callback in prepared.drive_stops():
-        if 0 < cycle <= horizons[-1]:
-            drives_by_cycle.setdefault(cycle, []).append(callback)
+        prepared = spec.prepare(horizons, first.dense, **dict(first.params))
+        # Merge the scenario's drive script (mid-run testbench interference,
+        # e.g. watchdog-recovery's fault injection) into the stop schedule.  A
+        # drive sharing a cycle with a snapshot stop fires first — exactly the
+        # standalone order (interfere, then keep running / observe).  Drives
+        # beyond the deepest horizon are dropped: the instance never simulates
+        # past it, so the deepest horizon is always the instance's last stop.
+        drives_by_cycle: Dict[int, List[Callable[[int], None]]] = {}
+        for cycle, callback in prepared.drive_stops():
+            if 0 < cycle <= horizons[-1]:
+                drives_by_cycle.setdefault(cycle, []).append(callback)
 
-    def stop_at(horizon: int) -> Callable[[int], None]:
-        drives = tuple(drives_by_cycle.pop(horizon, ()))
-        points = tuple(by_horizon[horizon])
+        def stop_at(horizon: int) -> Callable[[int], None]:
+            drives = tuple(drives_by_cycle.pop(horizon, ()))
+            points = tuple(by_horizon[horizon])
 
-        def fire(elapsed: int) -> None:
-            for drive in drives:
-                drive(elapsed)
-            finalize(prepared, elapsed, points)
+            def fire(elapsed: int) -> None:
+                for drive in drives:
+                    drive(elapsed)
+                finalize(prepared, elapsed, points)
 
-        return fire
+            return fire
 
-    stops = [(horizon, stop_at(horizon)) for horizon in horizons]
-    for cycle, callbacks in drives_by_cycle.items():
+        stops = [(horizon, stop_at(horizon)) for horizon in horizons]
+        for cycle, callbacks in drives_by_cycle.items():
 
-        def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
-            for drive in drives:
-                drive(elapsed)
+            def fire_drives(elapsed: int, drives=tuple(callbacks)) -> None:
+                for drive in drives:
+                    drive(elapsed)
 
-        stops.append((cycle, fire_drives))
-    batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
-    if tracer is not None:
-        tracer.event(
-            "sweep.enroll",
-            "sweep",
-            enroll_ns,
-            tracer.now_ns() - enroll_ns,
-            {"scenario": first.scenario, "points": len(group), "horizons": len(horizons)},
-        )
+            stops.append((cycle, fire_drives))
+        batch.add(prepared.simulator, stops, label=f"{first.scenario}#{first.index}")
 
 
 def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkTelemetry) -> None:
@@ -541,7 +524,6 @@ def execute_campaign(
     progress: Optional[ProgressCallback] = None,
     reuse: Optional[Mapping[int, PointResult]] = None,
     shard: Optional[ShardSpec] = None,
-    trace: bool = False,
 ) -> CampaignResult:
     """Run every point of ``spec`` and return the aggregated result.
 
@@ -565,109 +547,102 @@ def execute_campaign(
     sweep CLI checkpoint every finished group.
 
     Every execution records its ``telemetry`` block (phase profile plus
-    metrics registry); ``trace`` (``--trace-out``) also collects the
-    worker-buffered trace events.  Telemetry never touches the comparable
-    payload — results are byte-identical traced or not
+    metrics registry); with a tracer installed (``--trace-out``) it also
+    collects the worker-buffered trace events.  Telemetry never touches
+    the comparable payload — results are byte-identical traced or not
     (``tests/sweep/test_telemetry.py``).
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     timer = PhaseTimer()
     kernel_totals = CounterSet(KERNEL_STAT_KEYS)
-    campaign_tracer = tracing.TRACER
-    campaign_ns = campaign_tracer.now_ns() if campaign_tracer is not None else 0
-    with timer.phase("expand"):
-        all_points = expand_campaign(spec)
-    points_total = len(all_points)
-    points = all_points
-    if shard is not None:
-        points = shard.select(all_points)
-        # Record the slice as the explicit index set it resolved to, which
-        # is what the artifacts' shard block declares.
-        shard = ShardSpec(shard.index, shard.count, index_runs(point.index for point in points))
-    total = len(points)
-    start = time.perf_counter()
-    results: List[PointResult] = []
-    fallbacks: List[Dict[str, object]] = []
-    failed: List[Dict[str, object]] = []
-    if reuse:
-        results.extend(reuse[point.index] for point in points if point.index in reuse)
-        points = [point for point in points if point.index not in reuse]
-        for completed, result in enumerate(results, start=1):
-            result.reused = True
-            if progress is not None:
-                progress(completed, total, result)
-    if scenario(spec.scenario).prepare is None and points:
-        # The scenario has no prepare hook at all: one campaign-level
-        # fallback record covering every executed point.
-        fallbacks.append(
-            _fallback_record(
-                points, f"scenario {spec.scenario!r} does not support batched execution"
+    with tracing.span("sweep.campaign", "sweep", campaign=spec.name, jobs=jobs) as args:
+        with timer.phase("expand"):
+            all_points = expand_campaign(spec)
+        points_total = len(all_points)
+        points = all_points
+        if shard is not None:
+            points = shard.select(all_points)
+            # Record the slice as the explicit index set it resolved to, which
+            # is what the artifacts' shard block declares.
+            shard = ShardSpec(shard.index, shard.count, index_runs(point.index for point in points))
+        total = len(points)
+        start = time.perf_counter()
+        results: List[PointResult] = []
+        fallbacks: List[Dict[str, object]] = []
+        failed: List[Dict[str, object]] = []
+        if reuse:
+            results.extend(reuse[point.index] for point in points if point.index in reuse)
+            points = [point for point in points if point.index not in reuse]
+            for completed, result in enumerate(results, start=1):
+                result.reused = True
+                if progress is not None:
+                    progress(completed, total, result)
+        if scenario(spec.scenario).prepare is None and points:
+            # The scenario has no prepare hook at all: one campaign-level
+            # fallback record covering every executed point.
+            fallbacks.append(
+                _fallback_record(
+                    points, f"scenario {spec.scenario!r} does not support batched execution"
+                )
             )
-        )
 
-    # Workers beyond the core count only add overhead; the aggregated
-    # artifacts are independent of the pool geometry anyway.
-    workers = min(jobs, os.cpu_count() or 1)
-    groups = batch_groups(points)
-    parts = 1 if workers <= 1 else TASKS_PER_WORKER * workers
-    tasks = cut_groups(groups, estimate_costs(groups, {}), parts)
-    task = partial(run_point_groups, trace=trace)
-    batched_points = 0
-    batch_rounds = 0
-    trace_events: List[Dict[str, object]] = []
-    trace_dropped = 0
+        # Workers beyond the core count only add overhead; the aggregated
+        # artifacts are independent of the pool geometry anyway.
+        workers = min(jobs, os.cpu_count() or 1)
+        groups = batch_groups(points)
+        parts = 1 if workers <= 1 else TASKS_PER_WORKER * workers
+        tasks = cut_groups(groups, estimate_costs(groups, {}), parts)
+        # Pool workers trace exactly when this process does (--trace-out).
+        task = partial(run_point_groups, trace=tracing.TRACER is not None)
+        batched_points = 0
+        batch_rounds = 0
+        trace_events: List[Dict[str, object]] = []
+        trace_dropped = 0
 
-    def report(finished: Sequence[PointResult]) -> None:
-        for result in finished:
-            results.append(result)
-            if progress is not None:
-                progress(len(results), total, result)
+        def report(finished: Sequence[PointResult]) -> None:
+            for result in finished:
+                results.append(result)
+                if progress is not None:
+                    progress(len(results), total, result)
 
-    def collect(outcome: ChunkOutcome) -> None:
-        nonlocal batched_points, batch_rounds, trace_dropped
-        batched_points += outcome.batched_points
-        fallbacks.extend(outcome.fallbacks)
-        failed.extend(outcome.failures)
-        timer.merge(outcome.phase_seconds)
-        kernel_totals.add(outcome.kernel_stats)
-        batch_rounds += outcome.rounds
-        trace_events.extend(outcome.trace_events)
-        trace_dropped += outcome.dropped_events
+        def collect(outcome: ChunkOutcome) -> None:
+            nonlocal batched_points, batch_rounds, trace_dropped
+            batched_points += outcome.batched_points
+            fallbacks.extend(outcome.fallbacks)
+            failed.extend(outcome.failures)
+            timer.merge(outcome.phase_seconds)
+            kernel_totals.add(outcome.kernel_stats)
+            batch_rounds += outcome.rounds
+            trace_events.extend(outcome.trace_events)
+            trace_dropped += outcome.dropped_events
 
-    if workers <= 1 or len(tasks) <= 1:
-        for groups_of_task in tasks:
-            collect(task(groups_of_task, on_group=report))
-    else:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            for outcome in pool.imap_unordered(task, tasks):
-                collect(outcome)
-                report(outcome.results)
-    results.sort(key=lambda result: result.index)
-    # Deterministic fallback/failure order regardless of pool completion order.
-    fallbacks.sort(key=lambda record: record["points"])
-    failed.sort(key=lambda record: record["index"])
-    wall_seconds = time.perf_counter() - start
-    registry = MetricsRegistry()
-    registry.absorb_kernel_stats(kernel_totals)
-    computed = sum(1 for result in results if not result.reused)
-    registry.counter("sweep.points", {"kind": "computed"}).inc(computed)
-    registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
-    registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
-    registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
-    registry.counter("batch.rounds").inc(batch_rounds)
-    walls = registry.histogram("sweep.point_wall_seconds")
-    for result in results:
-        if not result.reused:
-            walls.observe(result.wall_seconds)
-    if campaign_tracer is not None:
-        campaign_tracer.event(
-            "sweep.campaign",
-            "sweep",
-            campaign_ns,
-            campaign_tracer.now_ns() - campaign_ns,
-            {"campaign": spec.name, "points": len(results), "jobs": jobs},
-        )
+        if workers <= 1 or len(tasks) <= 1:
+            for groups_of_task in tasks:
+                collect(task(groups_of_task, on_group=report))
+        else:
+            with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+                for outcome in pool.imap_unordered(task, tasks):
+                    collect(outcome)
+                    report(outcome.results)
+        results.sort(key=lambda result: result.index)
+        # Deterministic fallback/failure order regardless of pool completion order.
+        fallbacks.sort(key=lambda record: record["points"])
+        failed.sort(key=lambda record: record["index"])
+        wall_seconds = time.perf_counter() - start
+        registry = MetricsRegistry()
+        registry.absorb_kernel_stats(kernel_totals)
+        computed = sum(1 for result in results if not result.reused)
+        registry.counter("sweep.points", {"kind": "computed"}).inc(computed)
+        registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
+        registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
+        registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
+        registry.counter("batch.rounds").inc(batch_rounds)
+        walls = registry.histogram("sweep.point_wall_seconds")
+        for result in results:
+            if not result.reused:
+                walls.observe(result.wall_seconds)
+        args["points"] = len(results)
     return CampaignResult(
         campaign=spec.name,
         scenario=spec.scenario,

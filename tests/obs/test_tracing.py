@@ -26,13 +26,13 @@ def _no_leaked_tracer():
 
 class TestTracerLifecycle:
     def test_disabled_by_default(self):
-        assert tracing.active_tracer() is None
+        assert tracing.TRACER is None
 
     def test_install_uninstall_round_trip(self):
         tracer = tracing.install()
-        assert tracing.active_tracer() is tracer
+        assert tracing.TRACER is tracer
         assert tracing.uninstall() is tracer
-        assert tracing.active_tracer() is None
+        assert tracing.TRACER is None
 
     def test_capture_restores_the_previous_tracer(self):
         outer = tracing.install()
@@ -52,26 +52,37 @@ class TestTracerLifecycle:
         assert event["pid"] == tracer.pid
 
     def test_span_context_manager_times_its_body_and_takes_args(self):
-        tracer = SpanTracer()
-        with tracer.span("phase", "test", label="a") as args:
-            args["result"] = 42
+        with tracing.capture() as tracer:
+            with tracing.span("phase", "test", label="a") as args:
+                args["result"] = 42
         (event,) = tracer.events
         assert event["name"] == "phase"
+        assert event["ph"] == "X"
         assert event["args"] == {"label": "a", "result": 42}
         assert event["dur"] >= 0
 
-    def test_counter_records_a_sample(self):
-        tracer = SpanTracer()
-        tracer.counter("live", "test", {"instances": 3})
+    def test_span_is_emitted_when_its_body_raises(self):
+        with tracing.capture() as tracer:
+            with pytest.raises(RuntimeError, match="boom"):
+                with tracing.span("phase", "test", label="a"):
+                    raise RuntimeError("boom")
         (event,) = tracer.events
-        assert event["ph"] == "C"
-        assert event["args"] == {"instances": 3}
+        assert event["name"] == "phase"
+        assert event["args"] == {"label": "a"}
+
+    def test_span_emits_nothing_without_a_tracer(self):
+        with tracing.capture() as tracer:
+            tracing.uninstall()
+            with tracing.span("phase", "test", label="a") as args:
+                args["result"] = 42
+        assert args == {"label": "a", "result": 42}  # the body still runs
+        assert tracer.events == []
 
     def test_buffer_cap_counts_drops_instead_of_growing(self):
         tracer = SpanTracer()
         tracer.events = [{}] * DEFAULT_MAX_EVENTS
         tracer.event("over", "test", 0, 1)
-        tracer.counter("over", "test", {"n": 1})
+        tracer.event("over", "test", 1, 1)
         assert len(tracer.events) == DEFAULT_MAX_EVENTS
         assert tracer.dropped == 2
 
@@ -146,7 +157,18 @@ class TestMergeAndSummary:
     def _document(self, label):
         tracer = SpanTracer()
         tracer.event("kernel.span", "kernel", 1_000, 2_000)
-        tracer.counter("batch.live", "batch", {"instances": 2})
+        # A counter sample as traces written by earlier releases carry them.
+        tracer.events.append(
+            {
+                "name": "batch.live",
+                "cat": "batch",
+                "ph": "C",
+                "ts": 3.0,
+                "pid": tracer.pid,
+                "tid": 0,
+                "args": {"instances": 2},
+            }
+        )
         return trace_document(tracer.drain(), labels={tracer.pid: label})
 
     def test_merge_remaps_pids_into_disjoint_shard_lanes(self):

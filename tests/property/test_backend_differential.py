@@ -115,3 +115,23 @@ class TestBackendDifferential:
             final_snapshot, activity = finals[index]
             assert final_snapshot == dense_observations[-1][1]
             assert activity == dense_activity
+
+
+class TestAdvanceSpanContract:
+    """Every batch round advances its instance: ``advance_span(limit)``
+    returns a value in ``[1, limit]`` and moves the clock by exactly that."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+        st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=20),
+        st.booleans(),
+    )
+    def test_advance_span_returns_a_value_in_one_to_limit(self, periods, limits, dense):
+        simulator, _ = _build(periods)
+        state = simulator._schedule_plan()
+        for limit in limits:
+            before = simulator.current_cycle
+            advanced = state.advance_span(limit, dense)
+            assert 1 <= advanced <= limit
+            assert simulator.current_cycle - before == advanced

@@ -186,19 +186,3 @@ class TestBatchSimulator:
         batch.add(simulator, [(50, lambda elapsed: simulator.step(1))])
         with pytest.raises(SimulationError, match="advanced the simulator"):
             batch.run()
-
-    def test_zero_progress_raises_instead_of_spinning(self):
-        # Regression: a live instance whose advance_span returns 0 (mis-wired
-        # wake scheduling) used to spin run() forever.  It must raise,
-        # naming the instance, its elapsed cycle, and the pending stop.
-        simulator, _ = _build([10])
-        simulator.dense = True  # the run loop routes dense via advance_span
-        batch = BatchSimulator()
-        batch.add(simulator, [(50, lambda elapsed: None)], label="stuck-instance")
-        simulator.state.advance_span = lambda limit, dense=False: 0
-        with pytest.raises(SimulationError) as excinfo:
-            batch.run()
-        message = str(excinfo.value)
-        assert "stuck-instance" in message
-        assert "elapsed cycle 0" in message
-        assert "cycle 50" in message

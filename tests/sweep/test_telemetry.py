@@ -25,7 +25,7 @@ from repro.obs.profile import SWEEP_PHASES
 from repro.obs.traceio import validate_trace_file
 from repro.run import _resolve_trace_path, main
 from repro.sweep import CampaignSpec, batch_groups, campaign, expand_campaign
-from repro.sweep.execute import run_point_groups
+from repro.sweep.execute import execute_campaign, run_point_groups
 
 RESULT_ARTIFACTS = ("results.json", "results.csv")
 
@@ -262,3 +262,13 @@ class TestWorkerOwnedTracer:
         assert set(outcome.kernel_stats) == set(KERNEL_STAT_KEYS)
         assert outcome.kernel_stats["dense_ticks"] > 0
         assert outcome.rounds > 0
+
+    def test_a_campaign_traces_its_pool_workers_exactly_when_a_tracer_is_installed(self):
+        # No trace switch: an installed tracer is what makes pool workers
+        # own a tracer and ship their events back (on a single-core host the
+        # campaign runs in process and the parent's tracer sees them).
+        with tracing.capture() as tracer:
+            traced = execute_campaign(campaign("smoke"), jobs=2)
+        names = {event["name"] for event in tracer.events + traced.trace_events}
+        assert {"sweep.campaign", "sweep.enroll", "batch.run"} <= names
+        assert execute_campaign(campaign("smoke"), jobs=2).trace_events == []
