@@ -23,7 +23,8 @@ perf-regression job).
 import time
 
 from repro.power.scenarios import build_idle_measurement_soc
-from repro.workloads.longrun import DutyCycledLoggingConfig, run_duty_cycled_logging
+from repro.workloads.longrun import DutyCycledLoggingConfig, prepare_duty_cycled_logging
+from repro.workloads.registry import run_prepared
 
 HORIZON_CYCLES = 60_000
 SAMPLE_PERIOD = 2_000
@@ -41,7 +42,8 @@ def _run(dense: bool):
     config = DutyCycledLoggingConfig(
         sample_period_cycles=SAMPLE_PERIOD, horizon_cycles=HORIZON_CYCLES, dense=dense
     )
-    return run_duty_cycled_logging(config)
+    prepared = prepare_duty_cycled_logging(config)
+    return run_prepared(prepared, HORIZON_CYCLES).outcome(HORIZON_CYCLES).stats
 
 
 def test_bench_event_kernel_speedup(benchmark, save_result, save_kernel_json):
@@ -59,8 +61,8 @@ def test_bench_event_kernel_speedup(benchmark, save_result, save_kernel_json):
         f"  dense kernel        : {dense_seconds * 1e3:8.1f} ms wall-clock",
         f"  event-driven kernel : {event_seconds * 1e3:8.1f} ms wall-clock",
         f"  speedup             : {speedup:8.1f}x",
-        f"  samples taken       : {event_result.samples_taken} (identical under both kernels)",
-        f"  words logged        : {event_result.words_logged}",
+        f"  samples taken       : {event_result['samples_taken']} (identical under both kernels)",
+        f"  words logged        : {event_result['words_logged']}",
     ]
     save_result("event_kernel_speedup", "\n".join(lines))
     save_kernel_json(
@@ -76,7 +78,7 @@ def test_bench_event_kernel_speedup(benchmark, save_result, save_kernel_json):
     )
 
     # Both kernels must agree exactly on what happened...
-    assert dense_result.summary() == event_result.summary()
+    assert dense_result == event_result
     # ...and the event-driven kernel must make idle-heavy horizons cheap.
     # (Measured speedups are 30-100x; 3x keeps the assert robust on loaded CI.)
     assert speedup >= DENSE_MIN_SPEEDUP

@@ -58,13 +58,14 @@ GLOBAL_ENABLE_BIT = 0x1
 class ActionTarget:
     """Destination of one outgoing instant-action line.
 
-    ``kind`` is ``"peripheral"`` (call ``peripheral.on_event_input(port)``),
-    ``"fabric"`` (pulse the named fabric line next cycle — the loopback path
-    used for inter-link triggering), or ``"callback"`` (invoke an arbitrary
-    callable, used by tests and by co-designed peripherals).
+    ``deliver`` calls ``peripheral.on_event_input(port)``
+    (:meth:`Pels.route_action_to_peripheral`), pulses a fabric line next
+    cycle — the loopback path used for inter-link triggering
+    (:meth:`Pels.route_action_to_fabric`) — or invokes an arbitrary callable,
+    used by tests and by co-designed peripherals
+    (:meth:`Pels.route_action_to_callback`).  ``label`` names it in traces.
     """
 
-    kind: str
     label: str
     deliver: Callable[[], None]
 
@@ -155,13 +156,13 @@ class Pels(Component):
         #: Union of enabled links' trigger masks currently declared observed
         #: on the fabric (consumer-aware wake protocol).
         self._observed_mask = 0
-        submit = self._make_bus_submit() if peripheral_bus is not None else None
+        submit = _BusSubmit(self) if peripheral_bus is not None else None
         self.links: List[Link] = [
             Link(
                 index=index,
                 config=config.link_config(index),
                 bus_submit=submit,
-                action_sink=self._make_action_sink(index),
+                action_sink=_ActionSink(self, index),
             )
             for index in range(config.n_links)
         ]
@@ -183,23 +184,11 @@ class Pels(Component):
         self._scm_reads_seen = 0
         self._scm_writes_seen = 0
 
-    # ------------------------------------------------------------- bus mastering
-
-    def _make_bus_submit(self):
-        return _BusSubmit(self)
-
     # ------------------------------------------------------------ action routing
-
-    def _make_action_sink(self, link_index: int):
-        return _ActionSink(self, link_index)
 
     def route_action_to_peripheral(self, group: int, bit: int, peripheral, port: str) -> None:
         """Connect output line (``group``, ``bit``) to a peripheral event input."""
-        target = ActionTarget(
-            kind="peripheral",
-            label=f"{peripheral.name}.{port}",
-            deliver=_PeripheralDelivery(peripheral, port),
-        )
+        target = ActionTarget(label=f"{peripheral.name}.{port}", deliver=_PeripheralDelivery(peripheral, port))
         self._route(group, bit, target, passive=port in peripheral.passive_inputs)
 
     def route_action_to_fabric(self, group: int, bit: int, line_name: str) -> None:
@@ -209,16 +198,12 @@ class Pels(Component):
         registered loopback path that enables inter-link triggering.
         """
         self.fabric.line(line_name)  # validate early
-        target = ActionTarget(
-            kind="fabric",
-            label=line_name,
-            deliver=_FabricLoopback(self, line_name),
-        )
+        target = ActionTarget(label=line_name, deliver=_FabricLoopback(self, line_name))
         self._route(group, bit, target, passive=False)
 
     def route_action_to_callback(self, group: int, bit: int, label: str, callback: Callable[[], None]) -> None:
         """Connect output line (``group``, ``bit``) to an arbitrary callback."""
-        self._route(group, bit, ActionTarget(kind="callback", label=label, deliver=callback), passive=False)
+        self._route(group, bit, ActionTarget(label=label, deliver=callback), passive=False)
 
     def add_loopback_line(self, name: str) -> str:
         """Create a dedicated fabric line for inter-link triggering and return its name."""

@@ -340,6 +340,11 @@ def _stats_main(argv: Sequence[str]) -> int:
         return 2
     n_points = manifest.get("n_points", "?")
     try:
+        points = None if n_points == "?" else float(n_points)
+    except (TypeError, ValueError):
+        print(f"error: {manifest_path}: n_points is not a number: {n_points!r}", file=sys.stderr)
+        return 2
+    try:
         wall = float(execution.get("wall_seconds") or 0.0)
     except (TypeError, ValueError):
         print(
@@ -348,7 +353,7 @@ def _stats_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    rate = f", {float(n_points) / wall:.1f} points/s" if wall > 0 and n_points != "?" else ""
+    rate = f", {points / wall:.1f} points/s" if wall > 0 and points is not None else ""
     print(f"campaign {name}: {n_points} points, {wall:.2f} s wall{rate}")
     telemetry = execution.get("telemetry")
     if not isinstance(telemetry, dict):

@@ -17,31 +17,27 @@ drive exactly the same stimulus:
   (duty-cycled multi-sensor logging, burst SPI→DMA streaming, autonomous
   watchdog recovery) that are practical to simulate thanks to the
   event-driven kernel's quiescence skipping.
+* :mod:`repro.workloads.pipeline` — the chained timer→ADC→UART→blinker
+  pipeline across three specialised links, with a sweepable SoC-to-I/O
+  clock ratio.
 * :mod:`repro.workloads.registry` — the scenario registry behind the batch
-  runner (``python -m repro.run``).
+  runner (``python -m repro.run``).  The long-run and pipeline workloads
+  reach it as prepared instances: each ``prepare_*`` function returns a
+  :class:`PreparedScenario`, which
+  :func:`~repro.workloads.registry.run_prepared` advances and whose
+  ``outcome(horizon).stats`` is the scenario's record.
 """
 
 from repro.workloads.longrun import (
     BurstStreamConfig,
-    BurstStreamResult,
     DutyCycledLoggingConfig,
-    DutyCycledLoggingResult,
     WatchdogRecoveryConfig,
-    WatchdogRecoveryResult,
     prepare_burst_stream,
     prepare_duty_cycled_logging,
-    run_burst_stream,
-    run_duty_cycled_logging,
-    run_watchdog_recovery,
     seeded_watchdog_recovery_config,
 )
 from repro.workloads.minimal import MinimalLinkingResult, run_minimal_ibex_linking, run_minimal_pels_linking
-from repro.workloads.pipeline import (
-    MultiLinkPipelineConfig,
-    MultiLinkPipelineResult,
-    prepare_multi_link_pipeline,
-    run_multi_link_pipeline,
-)
+from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
 from repro.workloads.registry import (
     PreparedScenario,
     ScenarioOutcome,
@@ -68,12 +64,9 @@ from repro.workloads.threshold import (
 
 __all__ = [
     "BurstStreamConfig",
-    "BurstStreamResult",
     "DutyCycledLoggingConfig",
-    "DutyCycledLoggingResult",
     "MinimalLinkingResult",
     "MultiLinkPipelineConfig",
-    "MultiLinkPipelineResult",
     "PeriodicMonitorConfig",
     "PeriodicMonitorResult",
     "PreparedScenario",
@@ -83,22 +76,17 @@ __all__ = [
     "ThresholdWorkloadConfig",
     "ThresholdWorkloadResult",
     "WatchdogRecoveryConfig",
-    "WatchdogRecoveryResult",
     "prepare_burst_stream",
     "prepare_duty_cycled_logging",
     "prepare_multi_link_pipeline",
     "register_scenario",
-    "run_burst_stream",
-    "run_duty_cycled_logging",
     "run_ibex_threshold_workload",
     "run_minimal_ibex_linking",
     "run_minimal_pels_linking",
-    "run_multi_link_pipeline",
     "run_pels_threshold_workload",
     "run_periodic_monitor",
     "run_scenario",
     "run_scenario_instrumented",
-    "run_watchdog_recovery",
     "scenario",
     "scenario_names",
     "scenarios",

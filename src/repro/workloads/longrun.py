@@ -10,17 +10,23 @@ proportional to the *events*, not the horizon.
 
 Three scenarios, all fully autonomous (the Ibex core sleeps throughout):
 
-* :func:`run_duty_cycled_logging` — a timer paces simultaneous ADC sampling
-  and SPI sensor readouts at a low duty cycle; the µDMA logs the SPI words to
-  L2, each ADC sample closes a sensor→PWM actuator loop, and a watchdog
-  supervises progress.
-* :func:`run_burst_stream` — periodic bursts of SPI words streamed to memory
-  by the µDMA, with long silent gaps in between; the end-of-transfer event
-  kicks the watchdog.
-* :func:`run_watchdog_recovery` — a supervised sampling loop into which the
-  testbench injects a stall; the watchdog's *bark* event is linked back to
-  the timer's ``start`` input, so PELS restarts the loop autonomously before
-  the *bite* (system reset) would fire.
+* :func:`prepare_duty_cycled_logging` — a timer paces simultaneous ADC
+  sampling and SPI sensor readouts at a low duty cycle; the µDMA logs the
+  SPI words to L2, each ADC sample closes a sensor→PWM actuator loop, and a
+  watchdog supervises progress.
+* :func:`prepare_burst_stream` — periodic bursts of SPI words streamed to
+  memory by the µDMA, with long silent gaps in between; the end-of-transfer
+  event kicks the watchdog.
+* :func:`prepare_watchdog_recovery` — a supervised sampling loop into which
+  the testbench injects a stall; the watchdog's *bark* event is linked back
+  to the timer's ``start`` input, so PELS restarts the loop autonomously
+  before the *bite* (system reset) would fire.
+
+Each ``prepare_*`` function builds and programs the system without running
+it and returns a :class:`~repro.workloads.registry.PreparedScenario`; drive
+it with :func:`~repro.workloads.registry.run_prepared` and read the
+statistics from its ``outcome(horizon).stats``, or run it by scenario name
+through :func:`~repro.workloads.registry.run_scenario`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Optional
 from repro.core.assembler import Assembler
 from repro.peripherals.sensor import SensorWaveform
 from repro.soc.pulpissimo import PulpissimoSoc, SocConfig, build_soc
-from repro.workloads.registry import run_prepared
+from repro.workloads.registry import PreparedScenario, ScenarioOutcome
 
 
 def _soc_for(config_dense: bool, waveform: SensorWaveform, spi_cycles_per_word: int = 4) -> PulpissimoSoc:
@@ -65,62 +71,29 @@ class DutyCycledLoggingConfig:
             raise ValueError("each readout needs at least one word")
 
 
-@dataclass
-class DutyCycledLoggingResult:
-    """Outcome of one duty-cycled logging run."""
-
-    samples_taken: int
-    readouts_completed: int
-    words_logged: int
-    duty_updates: int
-    watchdog_kicks: int
-    watchdog_barks: int
-    cpu_interrupts: int
-    horizon_cycles: int
-    soc: Optional[PulpissimoSoc] = None
-
-    def summary(self) -> dict:
-        """Scalar statistics (used by the batch runner)."""
-        return {
-            "samples_taken": self.samples_taken,
-            "readouts_completed": self.readouts_completed,
-            "words_logged": self.words_logged,
-            "duty_updates": self.duty_updates,
-            "watchdog_kicks": self.watchdog_kicks,
-            "watchdog_barks": self.watchdog_barks,
-            "cpu_interrupts": self.cpu_interrupts,
-            "horizon_cycles": self.horizon_cycles,
-        }
-
-
-class PreparedDutyCycledLogging:
-    """A programmed duty-cycled logging system, ready to run — everything of
-    :func:`run_duty_cycled_logging` except the simulation itself."""
+class PreparedDutyCycledLogging(PreparedScenario):
+    """A programmed duty-cycled logging system, ready to run."""
 
     def __init__(self, config: DutyCycledLoggingConfig, soc: PulpissimoSoc) -> None:
         self.config = config
         self.soc = soc
 
-    @property
-    def simulator(self):
-        return self.soc.simulator
-
-    def result(self, elapsed_cycles: int) -> DutyCycledLoggingResult:
-        """Summarise the run as of ``elapsed_cycles`` simulated cycles
-        (identical to finishing a run of exactly that horizon — the setup
-        does not depend on the horizon)."""
+    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
+        """The run as of ``elapsed_cycles`` simulated cycles (identical to
+        finishing a run of exactly that horizon — the setup does not depend
+        on the horizon)."""
         soc = self.soc
-        return DutyCycledLoggingResult(
-            samples_taken=soc.adc.conversions,
-            readouts_completed=soc.spi.transfers_completed,
-            words_logged=soc.udma.total_words_moved,
-            duty_updates=soc.pwm.duty_updates,
-            watchdog_kicks=soc.wdt.kicks,
-            watchdog_barks=soc.wdt.barks,
-            cpu_interrupts=soc.cpu.interrupts_serviced,
-            horizon_cycles=elapsed_cycles,
-            soc=soc,
-        )
+        stats = {
+            "samples_taken": soc.adc.conversions,
+            "readouts_completed": soc.spi.transfers_completed,
+            "words_logged": soc.udma.total_words_moved,
+            "duty_updates": soc.pwm.duty_updates,
+            "watchdog_kicks": soc.wdt.kicks,
+            "watchdog_barks": soc.wdt.barks,
+            "cpu_interrupts": soc.cpu.interrupts_serviced,
+            "horizon_cycles": elapsed_cycles,
+        }
+        return ScenarioOutcome(stats=stats, soc=soc)
 
 
 def prepare_duty_cycled_logging(
@@ -184,15 +157,6 @@ def prepare_duty_cycled_logging(
     return PreparedDutyCycledLogging(config, soc)
 
 
-def run_duty_cycled_logging(
-    config: DutyCycledLoggingConfig = DutyCycledLoggingConfig(),
-) -> DutyCycledLoggingResult:
-    """Run the duty-cycled multi-sensor logging scenario (see
-    :func:`prepare_duty_cycled_logging` for the wiring)."""
-    horizon = config.horizon_cycles
-    return run_prepared(prepare_duty_cycled_logging(config), horizon).result(horizon)
-
-
 # -------------------------------------------------------------------- bursting
 
 
@@ -214,57 +178,26 @@ class BurstStreamConfig:
             raise ValueError("the burst period must exceed the burst itself")
 
 
-@dataclass
-class BurstStreamResult:
-    """Outcome of one burst-streaming run."""
-
-    bursts_completed: int
-    words_streamed: int
-    rx_overflows: int
-    watchdog_kicks: int
-    watchdog_barks: int
-    cpu_interrupts: int
-    horizon_cycles: int
-    soc: Optional[PulpissimoSoc] = None
-
-    def summary(self) -> dict:
-        """Scalar statistics (used by the batch runner)."""
-        return {
-            "bursts_completed": self.bursts_completed,
-            "words_streamed": self.words_streamed,
-            "rx_overflows": self.rx_overflows,
-            "watchdog_kicks": self.watchdog_kicks,
-            "watchdog_barks": self.watchdog_barks,
-            "cpu_interrupts": self.cpu_interrupts,
-            "horizon_cycles": self.horizon_cycles,
-        }
-
-
-class PreparedBurstStream:
-    """A programmed burst-streaming system, ready to run — everything of
-    :func:`run_burst_stream` except the simulation itself."""
+class PreparedBurstStream(PreparedScenario):
+    """A programmed burst-streaming system, ready to run."""
 
     def __init__(self, config: BurstStreamConfig, soc: PulpissimoSoc) -> None:
         self.config = config
         self.soc = soc
 
-    @property
-    def simulator(self):
-        return self.soc.simulator
-
-    def result(self, elapsed_cycles: int) -> BurstStreamResult:
-        """Summarise the run as of ``elapsed_cycles`` simulated cycles."""
+    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
+        """The run as of ``elapsed_cycles`` simulated cycles."""
         soc = self.soc
-        return BurstStreamResult(
-            bursts_completed=soc.spi.transfers_completed,
-            words_streamed=soc.udma.total_words_moved,
-            rx_overflows=soc.spi.rx_overflows,
-            watchdog_kicks=soc.wdt.kicks,
-            watchdog_barks=soc.wdt.barks,
-            cpu_interrupts=soc.cpu.interrupts_serviced,
-            horizon_cycles=elapsed_cycles,
-            soc=soc,
-        )
+        stats = {
+            "bursts_completed": soc.spi.transfers_completed,
+            "words_streamed": soc.udma.total_words_moved,
+            "rx_overflows": soc.spi.rx_overflows,
+            "watchdog_kicks": soc.wdt.kicks,
+            "watchdog_barks": soc.wdt.barks,
+            "cpu_interrupts": soc.cpu.interrupts_serviced,
+            "horizon_cycles": elapsed_cycles,
+        }
+        return ScenarioOutcome(stats=stats, soc=soc)
 
 
 def prepare_burst_stream(config: BurstStreamConfig = BurstStreamConfig()) -> PreparedBurstStream:
@@ -305,13 +238,6 @@ def prepare_burst_stream(config: BurstStreamConfig = BurstStreamConfig()) -> Pre
     soc.timer.regs.reg("COMPARE").hw_write(config.burst_period_cycles)
     soc.timer.start()
     return PreparedBurstStream(config, soc)
-
-
-def run_burst_stream(config: BurstStreamConfig = BurstStreamConfig()) -> BurstStreamResult:
-    """Run the burst SPI→DMA streaming scenario (see
-    :func:`prepare_burst_stream` for the wiring)."""
-    horizon = config.horizon_cycles
-    return run_prepared(prepare_burst_stream(config), horizon).result(horizon)
 
 
 # -------------------------------------------------------------------- recovery
@@ -363,33 +289,7 @@ def seeded_watchdog_recovery_config(
     )
 
 
-@dataclass
-class WatchdogRecoveryResult:
-    """Outcome of one watchdog-recovery run."""
-
-    samples_before_stall: int
-    samples_total: int
-    watchdog_barks: int
-    watchdog_bites: int
-    recovered: bool
-    cpu_interrupts: int
-    horizon_cycles: int
-    soc: Optional[PulpissimoSoc] = None
-
-    def summary(self) -> dict:
-        """Scalar statistics (used by the batch runner)."""
-        return {
-            "samples_before_stall": self.samples_before_stall,
-            "samples_total": self.samples_total,
-            "watchdog_barks": self.watchdog_barks,
-            "watchdog_bites": self.watchdog_bites,
-            "recovered": self.recovered,
-            "cpu_interrupts": self.cpu_interrupts,
-            "horizon_cycles": self.horizon_cycles,
-        }
-
-
-class PreparedWatchdogRecovery:
+class PreparedWatchdogRecovery(PreparedScenario):
     """A programmed watchdog-recovery system plus its fault-injection drive.
 
     Unlike the other long-run workloads this scenario is *two-segment*: the
@@ -404,12 +304,8 @@ class PreparedWatchdogRecovery:
         self.config = config
         self.soc = soc
         #: Healthy sample count recorded by :meth:`inject_stall`; the
-        #: recovery verdict in :meth:`result` is relative to it.
+        #: recovery verdict in :meth:`outcome` is relative to it.
         self.samples_before_stall: Optional[int] = None
-
-    @property
-    def simulator(self):
-        return self.soc.simulator
 
     @property
     def stall_cycles(self) -> int:
@@ -430,8 +326,9 @@ class PreparedWatchdogRecovery:
         """The scenario's mid-run interference as ``(cycle, callback)``."""
         return ((self.stall_cycles, self.inject_stall),)
 
-    def result(self, elapsed_cycles: int) -> WatchdogRecoveryResult:
-        """Summarise the run as of ``elapsed_cycles`` simulated cycles.
+    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
+        """The run as of ``elapsed_cycles`` simulated cycles, plus the
+        resolved drive parameters (a seeded point derives them from the seed).
 
         Only meaningful after :meth:`inject_stall` has fired (every valid
         horizon lies beyond the stall instant — the config validation
@@ -447,22 +344,33 @@ class PreparedWatchdogRecovery:
         recovered = (
             soc.timer.enabled and soc.adc.conversions > samples_before and soc.wdt.bites == 0
         )
-        return WatchdogRecoveryResult(
-            samples_before_stall=samples_before,
-            samples_total=soc.adc.conversions,
-            watchdog_barks=soc.wdt.barks,
-            watchdog_bites=soc.wdt.bites,
-            recovered=recovered,
-            cpu_interrupts=soc.cpu.interrupts_serviced,
-            horizon_cycles=elapsed_cycles,
-            soc=soc,
-        )
+        stats = {
+            "samples_before_stall": samples_before,
+            "samples_total": soc.adc.conversions,
+            "watchdog_barks": soc.wdt.barks,
+            "watchdog_bites": soc.wdt.bites,
+            "recovered": recovered,
+            "cpu_interrupts": soc.cpu.interrupts_serviced,
+            "horizon_cycles": elapsed_cycles,
+            "sample_period_cycles": self.config.sample_period_cycles,
+            "stall_after_samples": self.config.stall_after_samples,
+        }
+        return ScenarioOutcome(stats=stats, soc=soc)
 
 
 def prepare_watchdog_recovery(
     config: WatchdogRecoveryConfig = WatchdogRecoveryConfig(),
 ) -> PreparedWatchdogRecovery:
-    """Build and program the watchdog-recovery scenario without running it."""
+    """Build and program the watchdog-recovery scenario without running it.
+
+    A timer-paced ADC sampling loop kicks the watchdog on every conversion.
+    After ``stall_after_samples`` samples the testbench stops the timer
+    (injecting the fault the supervision exists for).  The watchdog counts
+    down and *barks*; the bark event is linked to the timer's ``start``
+    input, so PELS restarts the loop autonomously — the *bite* (system
+    reset) never fires and the CPU never wakes.  The injection is the
+    prepared instance's drive stop, fired on the stall cycle.
+    """
     soc = _soc_for(
         config.dense,
         SensorWaveform(kind="constant", amplitude=config.sensor_amplitude),
@@ -495,20 +403,3 @@ def prepare_watchdog_recovery(
     soc.timer.regs.reg("COMPARE").hw_write(period)
     soc.timer.start()
     return PreparedWatchdogRecovery(config, soc)
-
-
-def run_watchdog_recovery(
-    config: WatchdogRecoveryConfig = WatchdogRecoveryConfig(),
-) -> WatchdogRecoveryResult:
-    """Run the watchdog-recovery scenario.
-
-    A timer-paced ADC sampling loop kicks the watchdog on every conversion.
-    After ``stall_after_samples`` samples the testbench stops the timer
-    (injecting the fault the supervision exists for).  The watchdog counts
-    down and *barks*; the bark event is linked to the timer's ``start``
-    input, so PELS restarts the loop autonomously — the *bite* (system
-    reset) never fires and the CPU never wakes.  The injection is the
-    prepared instance's drive stop, fired on the stall cycle.
-    """
-    horizon = config.horizon_cycles
-    return run_prepared(prepare_watchdog_recovery(config), horizon).result(horizon)

@@ -21,12 +21,11 @@ shows when the pipeline's service time overruns the sampling period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.assembler import Assembler
 from repro.core.config import PelsConfig
 from repro.soc.pulpissimo import PulpissimoSoc, SocConfig, build_soc
-from repro.workloads.registry import run_prepared
+from repro.workloads.registry import PreparedScenario, ScenarioOutcome
 
 #: Base service times at clock ratio 1 (in base-clock cycles).
 BASE_ADC_CONVERSION_CYCLES = 8
@@ -58,49 +57,16 @@ class MultiLinkPipelineConfig:
             raise ValueError("the horizon must cover at least two sampling periods")
 
 
-@dataclass
-class MultiLinkPipelineResult:
-    """Outcome of one multi-link pipeline run."""
-
-    timer_overflows: int
-    adc_conversions: int
-    uart_bytes: int
-    gpio_toggles: int
-    link_events_serviced: int
-    instant_actions: int
-    cpu_interrupts: int
-    horizon_cycles: int
-    soc: Optional[PulpissimoSoc] = None
-
-    def summary(self) -> dict:
-        """Scalar statistics (used by the batch runner and the sweep worker)."""
-        return {
-            "timer_overflows": self.timer_overflows,
-            "adc_conversions": self.adc_conversions,
-            "uart_bytes": self.uart_bytes,
-            "gpio_toggles": self.gpio_toggles,
-            "link_events_serviced": self.link_events_serviced,
-            "instant_actions": self.instant_actions,
-            "cpu_interrupts": self.cpu_interrupts,
-            "horizon_cycles": self.horizon_cycles,
-        }
-
-
-class PreparedPipeline:
+class PreparedPipeline(PreparedScenario):
     """A programmed multi-link pipeline, ready to run (or to be advanced by
-    the batched executor) — everything of :func:`run_multi_link_pipeline`
-    except the simulation itself."""
+    the batched executor)."""
 
     def __init__(self, config: MultiLinkPipelineConfig, soc: PulpissimoSoc) -> None:
         self.config = config
         self.soc = soc
 
-    @property
-    def simulator(self):
-        return self.soc.simulator
-
-    def result(self, elapsed_cycles: int) -> MultiLinkPipelineResult:
-        """Summarise the pipeline as of ``elapsed_cycles`` simulated cycles.
+    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
+        """The pipeline as of ``elapsed_cycles`` simulated cycles.
 
         Reading the counters at an intermediate cycle of a longer run is
         identical to finishing a run of exactly that horizon: the simulation
@@ -109,17 +75,17 @@ class PreparedPipeline:
         soc = self.soc
         pels = soc.pels
         assert pels is not None
-        return MultiLinkPipelineResult(
-            timer_overflows=soc.timer.overflow_count,
-            adc_conversions=soc.adc.conversions,
-            uart_bytes=len(soc.uart.transmitted),
-            gpio_toggles=soc.gpio.toggle_count,
-            link_events_serviced=sum(link.events_serviced for link in pels.links),
-            instant_actions=pels.instant_actions_delivered,
-            cpu_interrupts=soc.cpu.interrupts_serviced,
-            horizon_cycles=elapsed_cycles,
-            soc=soc,
-        )
+        stats = {
+            "timer_overflows": soc.timer.overflow_count,
+            "adc_conversions": soc.adc.conversions,
+            "uart_bytes": len(soc.uart.transmitted),
+            "gpio_toggles": soc.gpio.toggle_count,
+            "link_events_serviced": sum(link.events_serviced for link in pels.links),
+            "instant_actions": pels.instant_actions_delivered,
+            "cpu_interrupts": soc.cpu.interrupts_serviced,
+            "horizon_cycles": elapsed_cycles,
+        }
+        return ScenarioOutcome(stats=stats, soc=soc)
 
 
 def prepare_multi_link_pipeline(
@@ -182,11 +148,3 @@ def prepare_multi_link_pipeline(
     soc.timer.regs.reg("COMPARE").hw_write(config.timer_period_cycles)
     soc.timer.start()
     return PreparedPipeline(config, soc)
-
-
-def run_multi_link_pipeline(
-    config: MultiLinkPipelineConfig = MultiLinkPipelineConfig(),
-) -> MultiLinkPipelineResult:
-    """Run the multi-link pipeline scenario."""
-    horizon = config.horizon_cycles
-    return run_prepared(prepare_multi_link_pipeline(config), horizon).result(horizon)

@@ -12,11 +12,15 @@ shapes:
 * a **prepare hook** ``(horizons, dense, **params) -> PreparedScenario``
   (``prepared=True``): it validates every requested horizon, builds the
   scenario once for the largest, and returns the ready-to-advance instance.
-  The scenario's solo runner is derived from it — prepare with ``[h]``,
-  :func:`run_prepared` to ``h``, read :meth:`PreparedScenario.outcome` —
-  and the sweep layer advances one prepared instance per shared-prefix
-  group through :class:`repro.sim.batch.BatchSimulator`, snapshotting the
-  outcome at each point's horizon.  That is byte-identical to running each
+  That instance is the scenario's one record: its
+  :meth:`PreparedScenario.outcome` builds the stats dict.  The workload
+  modules' ``prepare_*`` functions return such instances directly, so a
+  hook is config validation plus one call.  The scenario's solo runner is
+  derived from it — prepare with ``[h]``, :func:`run_prepared` to ``h``,
+  read :meth:`PreparedScenario.outcome` — and the sweep layer advances one
+  prepared instance per shared-prefix group through
+  :class:`repro.sim.batch.BatchSimulator`, snapshotting the outcome at each
+  point's horizon.  That is byte-identical to running each
   point alone: the simulation is deterministic and a shorter horizon is a
   strict prefix of a longer one.  Only scenarios whose setup does not depend
   on the horizon can take this shape.
@@ -59,18 +63,22 @@ class BatchUnsupported(ValueError):
 
 
 class PreparedScenario:
-    """One built, ready-to-advance scenario instance.
+    """One built, ready-to-advance scenario instance — the scenario's record.
 
-    Subclasses expose the system under simulation and summarise it at any
-    *elapsed* cycle count — which must equal what a standalone run with
+    Subclasses hold the system under simulation in ``self.soc`` and build
+    the scenario's statistics once, in :meth:`outcome`, at any *elapsed*
+    cycle count — which must equal what a standalone run with
     ``horizon_cycles=elapsed`` would report, because the batch executor
     snapshots the outcome mid-run at every shared point's horizon.
     """
 
+    soc: Any
+
     @property
     def simulator(self):
-        """The :class:`repro.sim.Simulator` the drivers advance."""
-        raise NotImplementedError
+        """The :class:`repro.sim.Simulator` the drivers advance (by default
+        the one of ``self.soc``)."""
+        return self.soc.simulator
 
     def outcome(self, elapsed_cycles: int) -> "ScenarioOutcome":
         """The scenario outcome as of ``elapsed_cycles`` simulated cycles.
@@ -95,29 +103,22 @@ class PreparedScenario:
 BatchPrepare = Callable[..., PreparedScenario]
 
 
-def run_prepared(prepared, horizon_cycles: int):
+def run_prepared(prepared: PreparedScenario, horizon_cycles: int) -> PreparedScenario:
     """Advance a prepared instance to ``horizon_cycles``; return it.
 
-    The solo driver: steps to each drive stop at or before the horizon and
-    fires it (a drive on the horizon itself fires before the caller
-    observes, as in the batch executor), then steps to the horizon.  Works
-    on anything with a ``simulator`` and an optional ``drive_stops()`` — the
-    registry's :class:`PreparedScenario` and the workload modules' prepared
-    objects alike.
+    The solo driver: steps to each of its :meth:`PreparedScenario.drive_stops`
+    at or before the horizon and fires it (a drive on the horizon itself
+    fires before the caller observes, as in the batch executor), then steps
+    to the horizon.  Read the result with ``outcome(horizon_cycles)``.
     """
     simulator = prepared.simulator
-    for cycle, drive in sorted(_drive_stops(prepared), key=lambda stop: stop[0]):
+    for cycle, drive in sorted(prepared.drive_stops(), key=lambda stop: stop[0]):
         if cycle > horizon_cycles:
             break
         simulator.step(cycle - simulator.current_cycle)
         drive(cycle)
     simulator.step(horizon_cycles - simulator.current_cycle)
     return prepared
-
-
-def _drive_stops(prepared) -> Tuple[DriveStop, ...]:
-    stops = getattr(prepared, "drive_stops", None)
-    return tuple(stops()) if stops is not None else ()
 
 
 @dataclass
@@ -337,31 +338,11 @@ def _run_threshold_pels(
 # drivers fire at the exact stall cycle.
 
 
-class _PreparedFromRunner(PreparedScenario):
-    """Adapter from a workload's prepared object (``.simulator`` +
-    ``.result(elapsed)``, optionally ``.drive_stops()``) to the registry's
-    outcome contract."""
-
-    def __init__(self, prepared) -> None:
-        self._prepared = prepared
-
-    @property
-    def simulator(self):
-        return self._prepared.simulator
-
-    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
-        result = self._prepared.result(elapsed_cycles)
-        return ScenarioOutcome(stats=result.summary(), soc=result.soc)
-
-    def drive_stops(self) -> Sequence[DriveStop]:
-        return _drive_stops(self._prepared)
-
-
 def _prepare_workload(config_cls, prepare, horizons, dense, params) -> PreparedScenario:
     """Validate a config per horizon (as a solo run of it would) and prepare
     one instance for the largest."""
     configs = [config_cls(horizon_cycles=horizon, dense=dense, **params) for horizon in horizons]
-    return _PreparedFromRunner(prepare(configs[-1]))
+    return prepare(configs[-1])
 
 
 @register_scenario(
@@ -407,18 +388,6 @@ def _prepare_multi_link_pipeline(horizons, dense: bool, **params: object) -> Pre
     )
 
 
-class _PreparedWatchdogRecoveryScenario(_PreparedFromRunner):
-    """Watchdog-recovery adapter: the summary also names the resolved drive
-    parameters (a seeded point derives them from the seed)."""
-
-    def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
-        outcome = super().outcome(elapsed_cycles)
-        config = self._prepared.config
-        outcome.stats["sample_period_cycles"] = config.sample_period_cycles
-        outcome.stats["stall_after_samples"] = config.stall_after_samples
-        return outcome
-
-
 @register_scenario(
     "watchdog-recovery",
     "Stalled sampling loop detected by the watchdog and restarted by PELS",
@@ -461,7 +430,7 @@ def _prepare_watchdog_recovery(
             f"drives across horizons {sorted(horizons)}; the points cannot "
             f"share one prepared instance"
         )
-    return _PreparedWatchdogRecoveryScenario(prepare_watchdog_recovery(configs[-1]))
+    return prepare_watchdog_recovery(configs[-1])
 
 
 class _PreparedFigure5Idle(PreparedScenario):
@@ -472,10 +441,6 @@ class _PreparedFigure5Idle(PreparedScenario):
         self.mode = mode
         self.frequency_mhz = frequency_mhz
         self.pwm_period = pwm_period
-
-    @property
-    def simulator(self):
-        return self.soc.simulator
 
     def outcome(self, elapsed_cycles: int) -> ScenarioOutcome:
         soc = self.soc

@@ -149,6 +149,16 @@ class TestStatsCommand:
         assert main(["stats", str(plain)]) == 2
         assert "wall_seconds is not a number" in capsys.readouterr().err
 
+    def test_stats_on_a_non_numeric_n_points_exits_2(self, tmp_path, capsys):
+        plain = _run_sweep(tmp_path / "out")
+        manifest = _manifest(plain)
+        manifest["n_points"] = "abc"
+        (plain / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", str(plain)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {plain / 'manifest.json'}: n_points is not a number: 'abc'" in err
+
     def test_stats_on_a_non_campaign_dir_exits_2(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path)]) == 2
         assert "manifest.json" in capsys.readouterr().err

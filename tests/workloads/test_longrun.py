@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.core.pels import LINK_REG_ENABLE, LINK_WINDOW_BASE, LINK_WINDOW_STRIDE
 from repro.run import main as run_main
 from repro.workloads.longrun import (
     BurstStreamConfig,
     DutyCycledLoggingConfig,
     WatchdogRecoveryConfig,
-    run_burst_stream,
-    run_duty_cycled_logging,
-    run_watchdog_recovery,
+    prepare_burst_stream,
+    prepare_duty_cycled_logging,
+    prepare_watchdog_recovery,
 )
 from repro.workloads.registry import (
     register_scenario,
+    run_prepared,
     run_scenario,
     scenario,
     scenario_names,
@@ -20,20 +22,25 @@ from repro.workloads.registry import (
 )
 
 
+def _run(prepared, horizon):
+    """Drive a prepared workload to ``horizon``; return its stats."""
+    return run_prepared(prepared, horizon).outcome(horizon).stats
+
+
 class TestDutyCycledLogging:
     def test_loop_runs_autonomously(self):
         config = DutyCycledLoggingConfig(
             sample_period_cycles=1_000, horizon_cycles=50_000, words_per_readout=4
         )
-        result = run_duty_cycled_logging(config)
+        stats = _run(prepare_duty_cycled_logging(config), config.horizon_cycles)
         expected_samples = config.horizon_cycles // config.sample_period_cycles
-        assert result.samples_taken in (expected_samples - 1, expected_samples)
-        assert result.readouts_completed == result.samples_taken
-        assert result.words_logged == config.words_per_readout * result.readouts_completed
-        assert result.duty_updates == result.samples_taken
-        assert result.watchdog_kicks == result.readouts_completed
-        assert result.watchdog_barks == 0
-        assert result.cpu_interrupts == 0
+        assert stats["samples_taken"] in (expected_samples - 1, expected_samples)
+        assert stats["readouts_completed"] == stats["samples_taken"]
+        assert stats["words_logged"] == config.words_per_readout * stats["readouts_completed"]
+        assert stats["duty_updates"] == stats["samples_taken"]
+        assert stats["watchdog_kicks"] == stats["readouts_completed"]
+        assert stats["watchdog_barks"] == 0
+        assert stats["cpu_interrupts"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -47,14 +54,14 @@ class TestBurstStream:
         config = BurstStreamConfig(
             burst_period_cycles=5_000, horizon_cycles=60_000, words_per_burst=16
         )
-        result = run_burst_stream(config)
+        stats = _run(prepare_burst_stream(config), config.horizon_cycles)
         expected_bursts = config.horizon_cycles // config.burst_period_cycles
-        assert result.bursts_completed in (expected_bursts - 1, expected_bursts)
-        assert result.words_streamed == config.words_per_burst * result.bursts_completed
-        assert result.rx_overflows == 0
-        assert result.watchdog_kicks == result.bursts_completed
-        assert result.watchdog_barks == 0
-        assert result.cpu_interrupts == 0
+        assert stats["bursts_completed"] in (expected_bursts - 1, expected_bursts)
+        assert stats["words_streamed"] == config.words_per_burst * stats["bursts_completed"]
+        assert stats["rx_overflows"] == 0
+        assert stats["watchdog_kicks"] == stats["bursts_completed"]
+        assert stats["watchdog_barks"] == 0
+        assert stats["cpu_interrupts"] == 0
 
     def test_burst_must_fit_in_period(self):
         with pytest.raises(ValueError):
@@ -66,26 +73,27 @@ class TestWatchdogRecovery:
         config = WatchdogRecoveryConfig(
             sample_period_cycles=1_000, stall_after_samples=4, horizon_cycles=60_000
         )
-        result = run_watchdog_recovery(config)
-        assert result.samples_before_stall == config.stall_after_samples
-        assert result.watchdog_barks == 1
-        assert result.watchdog_bites == 0
-        assert result.recovered
-        assert result.samples_total > result.samples_before_stall
-        assert result.cpu_interrupts == 0
+        stats = _run(prepare_watchdog_recovery(config), config.horizon_cycles)
+        assert stats["samples_before_stall"] == config.stall_after_samples
+        assert stats["watchdog_barks"] == 1
+        assert stats["watchdog_bites"] == 0
+        assert stats["recovered"] is True
+        assert stats["samples_total"] > stats["samples_before_stall"]
+        assert stats["cpu_interrupts"] == 0
 
     def test_without_recovery_link_the_watchdog_bites(self):
-        # Differential control: the same stall with the grace period too
-        # short for the restarted loop to kick in time ends in a bite.
+        # Differential control: the same stall with the bark->timer.start
+        # recovery link (link 2) disabled through the PELS configuration
+        # window ends in a bite, and the loop never samples again.
         config = WatchdogRecoveryConfig(
             sample_period_cycles=1_000, stall_after_samples=4, horizon_cycles=60_000
         )
-        result = run_watchdog_recovery(config)
-        soc = result.soc
-        assert soc is not None
-        # Sanity: after the horizon the loop is still healthy and kicking.
-        assert soc.timer.enabled
-        assert soc.wdt.enabled
+        prepared = prepare_watchdog_recovery(config)
+        prepared.soc.pels.bus_write(LINK_WINDOW_BASE + 2 * LINK_WINDOW_STRIDE + LINK_REG_ENABLE, 0)
+        stats = _run(prepared, config.horizon_cycles)
+        assert stats["watchdog_bites"] == 1
+        assert stats["recovered"] is False
+        assert stats["samples_total"] == stats["samples_before_stall"]
 
 
 class TestRegistry:

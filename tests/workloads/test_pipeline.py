@@ -3,34 +3,38 @@
 import pytest
 
 from repro.workloads.longrun import seeded_watchdog_recovery_config
-from repro.workloads.pipeline import MultiLinkPipelineConfig, run_multi_link_pipeline
-from repro.workloads.registry import run_scenario
+from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
+from repro.workloads.registry import run_prepared, run_scenario
+
+
+def _run(config):
+    """Run the pipeline to its configured horizon; return its stats."""
+    horizon = config.horizon_cycles
+    return run_prepared(prepare_multi_link_pipeline(config), horizon).outcome(horizon).stats
 
 
 class TestMultiLinkPipeline:
     def test_pipeline_chains_all_three_links_autonomously(self):
-        result = run_multi_link_pipeline(
-            MultiLinkPipelineConfig(timer_period_cycles=150, horizon_cycles=5_000)
-        )
-        assert result.timer_overflows > 0
-        assert result.adc_conversions > 0
-        assert result.uart_bytes > 0
+        stats = _run(MultiLinkPipelineConfig(timer_period_cycles=150, horizon_cycles=5_000))
+        assert stats["timer_overflows"] > 0
+        assert stats["adc_conversions"] > 0
+        assert stats["uart_bytes"] > 0
         # Each pipeline event blinks the GPIO pad blink_count + 1 times
         # (the loop body runs once before the loop counter is consulted).
-        assert result.gpio_toggles >= result.uart_bytes
-        assert result.cpu_interrupts == 0  # the CPU never wakes
+        assert stats["gpio_toggles"] >= stats["uart_bytes"]
+        assert stats["cpu_interrupts"] == 0  # the CPU never wakes
 
     def test_clock_ratio_slows_the_service_chain(self):
-        fast = run_multi_link_pipeline(
+        fast = _run(
             MultiLinkPipelineConfig(timer_period_cycles=600, clock_ratio=1, horizon_cycles=30_000)
         )
-        slow = run_multi_link_pipeline(
+        slow = _run(
             MultiLinkPipelineConfig(timer_period_cycles=600, clock_ratio=8, horizon_cycles=30_000)
         )
         # The sampling pace is unchanged, but every conversion/byte takes 8x
         # as many base-clock cycles, so fewer pipeline events complete.
-        assert fast.timer_overflows == slow.timer_overflows
-        assert slow.uart_bytes <= fast.uart_bytes
+        assert fast["timer_overflows"] == slow["timer_overflows"]
+        assert slow["uart_bytes"] <= fast["uart_bytes"]
 
     def test_dense_and_event_kernels_agree(self):
         event = run_scenario("multi-link-pipeline", 8_000, params={"clock_ratio": 2})
