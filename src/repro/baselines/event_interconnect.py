@@ -149,7 +149,12 @@ class EventInterconnect(Component):
     def route_to_peripheral(self, index: int, peripheral, port: str) -> None:
         """Attach a peripheral's built-in event input as a channel task."""
         channel = self.channel(index)
-        channel.add_task(f"{peripheral.name}.{port}", lambda: peripheral.on_event_input(port))
+
+        def deliver() -> None:
+            peripheral.sync()
+            peripheral.on_event_input(port)
+
+        channel.add_task(f"{peripheral.name}.{port}", deliver)
 
     def route_to_callback(self, index: int, label: str, callback: Callable[[], None]) -> None:
         """Attach an arbitrary callback as a channel task (tests, co-simulation)."""

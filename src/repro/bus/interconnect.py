@@ -58,6 +58,8 @@ class SystemInterconnect(Component):
         return request
 
     def tick(self, cycle: int) -> None:
+        if not self._in_flight:
+            return
         still_pending: list[_InFlight] = []
         for entry in self._in_flight:
             entry.remaining -= 1
@@ -76,6 +78,7 @@ class SystemInterconnect(Component):
 
     def _complete_local(self, request: BusRequest, cycle: int) -> None:
         slave, offset = self.local_decoder.decode(request.address)
+        self.simulator.state.sync(slave)
         if request.kind is TransferKind.READ:
             rdata = slave.bus_read(offset) & WORD_MASK
             self.record("memory_reads")

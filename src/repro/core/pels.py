@@ -122,6 +122,7 @@ class _PeripheralDelivery:
         self.port = port
 
     def __call__(self) -> None:
+        self.peripheral.sync()
         self.peripheral.on_event_input(self.port)
 
 

@@ -104,6 +104,7 @@ class MicroDma(Component):
             self.record("busy_cycles")
 
     def _move_word(self, channel: DmaChannel, cycle: int) -> None:
+        channel.source.sync()
         word = channel.source.pop_rx()
         progress = self._progress[channel.channel_id]
         address = channel.destination_address + 4 * progress

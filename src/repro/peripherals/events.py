@@ -28,7 +28,11 @@ from typing import Callable, Dict, List, Protocol, Tuple
 
 
 class _WakeProducer(Protocol):
-    """What the fabric needs from a producer: a wake invalidation hook."""
+    """What the fabric needs from a producer: a catch-up hook and a wake
+    invalidation hook (see :class:`~repro.sim.component.Component`)."""
+
+    def sync(self) -> None:  # pragma: no cover - protocol stub
+        ...
 
     def wake_changed(self) -> None:  # pragma: no cover - protocol stub
         ...
@@ -158,12 +162,16 @@ class EventFabric:
         which checks its enabled-line table — passes ``observe_all=False``
         and registers its interest per line with :meth:`observe`.
         """
+        flips = observe_all and self._global_observers == 0
+        if flips:
+            for producer in self._producers.values():
+                producer.sync()
         self._subscribers.append(callback)
         if observe_all:
             self._global_observers += 1
-            if self._global_observers == 1:
-                for producer in self._producers.values():
-                    producer.wake_changed()
+        if flips:
+            for producer in self._producers.values():
+                producer.wake_changed()
 
     # ------------------------------------------------------- consumer awareness
 
@@ -183,12 +191,7 @@ class EventFabric:
         be configured before the producer declares its events.
         """
         name = self._line_name(name_or_index)
-        count = self._observer_counts.get(name, 0) + 1
-        self._observer_counts[name] = count
-        if count == 1:
-            producer = self._producers.get(name)
-            if producer is not None:
-                producer.wake_changed()
+        self._set_observers(name, self._observer_counts.get(name, 0) + 1)
 
     def unobserve(self, name_or_index: str | int) -> None:
         """Retract one :meth:`observe` declaration for a line."""
@@ -196,11 +199,20 @@ class EventFabric:
         count = self._observer_counts.get(name, 0)
         if count <= 0:
             raise ValueError(f"event line {name!r} has no observers to remove")
-        self._observer_counts[name] = count - 1
-        if count == 1:
-            producer = self._producers.get(name)
-            if producer is not None:
-                producer.wake_changed()
+        self._set_observers(name, count - 1)
+
+    def _set_observers(self, name: str, count: int) -> None:
+        """Set the observer count of ``name``.  When the line gains its first
+        observer or loses its last, its producer is caught up *before* the
+        flip (ticks it still owes ran while the line was unobserved) and
+        re-bounded after it."""
+        flips = (count == 0) != (self._observer_counts.get(name, 0) == 0)
+        producer = self._producers.get(name) if flips else None
+        if producer is not None:
+            producer.sync()
+        self._observer_counts[name] = count
+        if producer is not None:
+            producer.wake_changed()
 
     def is_observed(self, name_or_index: str | int) -> bool:
         """Whether any consumer would notice a pulse on this line."""

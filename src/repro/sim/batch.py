@@ -83,6 +83,8 @@ class BatchInstance:
 
     def _fire_due_stops(self) -> None:
         while not self.done and self._stops[self._next][0] == self.elapsed:
+            # A host boundary: callbacks see no owed ticks.
+            self.simulator.state.settle()
             cycles, callback = self._stops[self._next]
             self._next += 1
             before = self.simulator.current_cycle

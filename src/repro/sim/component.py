@@ -59,6 +59,13 @@ class Component:
     *reactive* wakes — horizons that can flip because of what another
     component did (a bus request landing, a FIFO filling, an interrupt
     pending) — must leave :attr:`wake_cacheable` at ``False``.
+
+    **Owed ticks.**  The event-driven scheduler does not tick a cached
+    component until it is due; its quiescent ticks pile up as a debt paid
+    with one :meth:`skip`.  Anything that reads, writes or signals another
+    component from inside the simulation (a bus master, an event delivery,
+    a DMA pop, an observer change) calls that component's :meth:`sync`
+    first, so it sees current state.
     """
 
     #: Opt-in flag for the cached wake-horizon scheduler (see class
@@ -160,6 +167,17 @@ class Component:
         if simulator is not None:
             simulator._notify_wake_changed(self)
 
+    def sync(self) -> None:
+        """Catch up on the ticks the scheduler still owes this component.
+
+        A master calls it on its target before reading, writing or
+        signalling it from inside the simulation.  Cheap when nothing is
+        owed; a no-op before attachment.
+        """
+        simulator = self._simulator
+        if simulator is not None:
+            simulator._state.sync(self)
+
     def skip(self, cycles: int) -> None:
         """Apply ``cycles`` quiescent ticks in one batch.
 
@@ -169,6 +187,11 @@ class Component:
         tick is a pure no-op; components that account per-cycle activity while
         idle (sleep counters, idle-cycle counters) must override this and
         batch-record it.
+
+        For a :attr:`wake_cacheable` component the call may come late — when
+        it is next due or touched (:meth:`sync`), possibly from inside
+        another component's tick — and may cover dense ticks as well as
+        skipped spans.  It must not rely on the simulator's current cycle.
         """
 
     def reset(self) -> None:

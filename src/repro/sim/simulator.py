@@ -27,7 +27,9 @@ The event-driven mode resolves wakes in two tiers:
   is only recomputed when the component itself invalidates it through
   :meth:`~repro.sim.component.Component.wake_changed` (register writes, event
   inputs) or when its deadline fires — so a quiescent span costs O(active
-  components), not O(all components);
+  components), not O(all components).  A dense tick runs such a component
+  only when it is due; the ticks it skips are *owed* and paid back through
+  one ``skip`` when something touches it (see :class:`SimState`);
 * all other hinted components are *volatile* and re-polled at every wake
   boundary, which is exactly the pre-cache behaviour and the safe default
   for reactive wakes (buses, DMA, CPU, PELS).
@@ -286,6 +288,7 @@ class Simulator:
         if tracer is None:
             while remaining > 0:
                 remaining -= state.advance_span(remaining, dense)
+            state.settle()
             return
         name = "kernel.dense" if dense else "kernel.span"
         stats = state.kernel_stats
@@ -301,6 +304,7 @@ class Simulator:
                 {"cycles": advanced, "skipped": stats["cycles_skipped"] - skipped_before},
             )
             remaining -= advanced
+        state.settle()
 
     def run_until(
         self,
@@ -325,7 +329,10 @@ class Simulator:
             try:
                 self._schedule_plan()
                 event_driven = not (self.dense or state.forces_dense)
-                while not condition():
+                while True:
+                    state.settle()
+                    if condition():
+                        break
                     elapsed = state.base_tick - start
                     if elapsed >= max_cycles:
                         raise SimulationError(f"{label} not reached within {max_cycles} cycles")
@@ -334,7 +341,7 @@ class Simulator:
                         if span > 0:
                             state.skip_span(span)
                             continue
-                    state.dense_tick()
+                    state.dense_tick(event_driven)
             finally:
                 args["cycles"] = state.base_tick - start
         return state.base_tick - start
@@ -415,6 +422,18 @@ class SimState:
     next boundary.  Absolute deadlines survive skips unchanged — only firing
     (deadline expiry, detected in :meth:`dense_tick`) or an explicit
     :meth:`invalidate_wake` moves them.
+
+    **Owed ticks.**  In event-driven stepping a cached component is only
+    ticked when it is *due*: its deadline is this base tick, or it was
+    invalidated since the last poll.  Every other tick is, by its wake
+    promise, a quiescent tick, so instead of running it the state adds it to
+    ``owed[i]`` (domain ticks), and :meth:`skip_span` does the same for a
+    skipped span.  The debt is paid with one ``skip(owed)`` (:meth:`sync`)
+    before anything looks at the component: its own tick, a re-poll, every
+    cross-component access (the masters call
+    :meth:`~repro.sim.component.Component.sync`), and every host boundary
+    (:meth:`settle`).  A cross-component :meth:`invalidate_wake` on a
+    component that still owes ticks raises, so a missed sync fails loudly.
     """
 
     def __init__(self) -> None:
@@ -426,10 +445,14 @@ class SimState:
         # and the batch loop; writing an undeclared key raises at the
         # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
         self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
-        self.ticking: List[Tuple[Component, ClockDomain]] = []
+        #: ``(component, clock, cached index or None)`` in registration order.
+        self.ticking: List[Tuple[Component, ClockDomain, Optional[int]]] = []
         self.volatile: List[Tuple[Component, ClockDomain]] = []
         self.cached: List[Tuple[Component, ClockDomain]] = []
+        #: Skippers replayed on every skipped span (everything not cached).
         self.skippers: List[Tuple[Component, ClockDomain]] = []
+        #: ``(cached index, clock)`` of cached skippers: a span is owed.
+        self.owing: List[Tuple[int, ClockDomain]] = []
         self.forces_dense = False
         self.clocks: List[ClockDomain] = []
         self.divisors: Dict[str, int] = {}
@@ -437,6 +460,7 @@ class SimState:
         self._freq_snapshot: Optional[Tuple[float, ...]] = None
         self._cache_index: Dict[Component, int] = {}
         self.deadlines: List[Optional[int]] = []
+        self.owed: List[int] = []
         self._dirty: set = set()
         self._heap: List[Tuple[int, int]] = []
         #: Component whose tick()/skip() is currently executing; its *self*
@@ -458,31 +482,37 @@ class SimState:
           horizons live in the deadline heap and are recomputed only on
           invalidation or deadline expiry;
         * ``skippers`` — components with a real :meth:`Component.skip` (the
-          only ones a skipped span must be replayed on).
+          only ones a skipped span must be replayed on); cached ones go to
+          ``owing`` instead, where a span is owed rather than replayed.
 
         A component that ticks but gives no wake hint forces dense stepping
         (``forces_dense``), in which case the event-driven loops are
         bypassed entirely instead of recomputing a zero-length span every
         cycle.
         """
+        self.settle()
         cached_wakes, entries = fingerprint
-        self.ticking, self.volatile, self.cached, self.skippers = [], [], [], []
+        ticking, skippers = [], []
+        self.volatile, self.cached = [], []
         self.forces_dense = False
         for pair, (ticks, hinted, skips, cacheable) in zip(pairs, entries):
             if ticks:
-                self.ticking.append(pair)
+                ticking.append(pair)
                 if not hinted:
                     self.forces_dense = True
             if hinted:
                 (self.cached if cached_wakes and cacheable else self.volatile).append(pair)
             if skips:
-                self.skippers.append(pair)
+                skippers.append(pair)
         clocks: Dict[str, ClockDomain] = {}
         for _, clock in pairs:
             clocks.setdefault(clock.name, clock)
         self.clocks = list(clocks.values())
         self._freq_snapshot = None  # divisors refreshed on next resolution
-        self._cache_index = {component: index for index, (component, _) in enumerate(self.cached)}
+        index_of = self._cache_index = {component: index for index, (component, _) in enumerate(self.cached)}
+        self.ticking = [(component, clock, index_of.get(component)) for component, clock in ticking]
+        self.skippers = [pair for pair in skippers if pair[0] not in index_of]
+        self.owing = [(index_of[component], clock) for component, clock in skippers if component in index_of]
         self.clear_wake_cache()
 
     def refresh_divisors(self, simulator: Simulator) -> None:
@@ -518,22 +548,65 @@ class SimState:
         register), and the deadline tick itself is re-polled through the
         expiry sweep in :meth:`dense_tick`.  Cross-component invalidations
         (PELS delivering an event input, a CPU store hitting a peripheral
-        register) are always honoured.
+        register) are always honoured, and raise :class:`SimulationError`
+        when the component still owes ticks: whoever touched it did not
+        :meth:`sync` it first, and would have acted on stale state.
         """
         if component is self._active_component:
             return
         index = self._cache_index.get(component)
         if index is not None:
+            owed = self.owed[index]
+            if owed:
+                raise SimulationError(
+                    f"component {component.name!r} was touched by another component "
+                    f"while {owed} ticks were still owed to it; sync it first"
+                )
             self._dirty.add(index)
+
+    # -------------------------------------------------------------- owed ticks
+
+    def sync(self, component: object) -> None:
+        """Pay back the ticks still owed to ``component``: a no-op unless it
+        is a cached component that owes some (bus slaves need not be
+        components at all)."""
+        index = self._cache_index.get(component)
+        if index is not None and self.owed[index]:
+            self._pay(index)
+
+    def settle(self) -> None:
+        """Pay back every owed tick (a host boundary)."""
+        owed = self.owed
+        for index in range(len(owed)):
+            if owed[index]:
+                self._pay(index)
+
+    def _pay(self, index: int) -> None:
+        """Replay cached component ``index``'s owed ticks in one ``skip``.
+
+        It may run inside another component's tick (a master touching it),
+        so the active component is restored afterwards.
+        """
+        component = self.cached[index][0]
+        owed = self.owed[index]
+        self.owed[index] = 0
+        active = self._active_component
+        self._active_component = component
+        component.skip(owed)
+        self._active_component = active
 
     def clear_wake_cache(self) -> None:
         """Drop every cached deadline (component set unchanged)."""
+        self.settle()
+        self.owed = [0] * len(self.cached)
         self.deadlines = [None] * len(self.cached)
         self._dirty = set(range(len(self.cached)))
         self._heap = []
 
     def _repoll(self, index: int) -> None:
         """Recompute one cached component's absolute deadline."""
+        if self.owed[index]:
+            self._pay(index)
         component, clock = self.cached[index]
         horizon = component.next_event()
         if horizon is None:
@@ -562,28 +635,38 @@ class SimState:
 
     # ------------------------------------------------------------------ dense
 
-    def dense_tick(self) -> None:
-        """One base tick of the reference cycle-driven semantics."""
-        if self.single_rate:
-            for component, clock in self.ticking:
-                self._active_component = component
-                component.tick(clock.cycles)
-            self._active_component = None
+    def dense_tick(self, owe: bool = False) -> None:
+        """One base tick of the reference cycle-driven semantics.
+
+        With ``owe`` (event-driven stepping) a cached component that is not
+        due — its deadline is after this tick and nothing invalidated it —
+        owes the tick instead of running it (see the class docstring).
+        """
+        base_tick = self.base_tick
+        single_rate = self.single_rate
+        divisors = self.divisors
+        deadlines, dirty, owed = self.deadlines, self._dirty, self.owed
+        for component, clock, index in self.ticking:
+            if not single_rate and base_tick % divisors[clock.name]:
+                continue
+            if owe and index is not None:
+                deadline = deadlines[index]
+                if (deadline is None or deadline > base_tick) and index not in dirty:
+                    owed[index] += 1
+                    continue
+                if owed[index]:
+                    self._pay(index)
+            self._active_component = component
+            component.tick(clock.cycles)
+        self._active_component = None
+        if single_rate:
             for clock in self.clocks:
                 clock.advance()
-            self.base_tick += 1
         else:
-            base_tick = self.base_tick
-            divisors = self.divisors
-            for component, clock in self.ticking:
-                if base_tick % divisors[clock.name] == 0:
-                    self._active_component = component
-                    component.tick(clock.cycles)
-            self._active_component = None
             for clock in self.clocks:
                 if base_tick % divisors[clock.name] == 0:
                     clock.advance()
-            self.base_tick += 1
+        self.base_tick = base_tick + 1
         self.kernel_stats["dense_ticks"] += 1
         # Expire cached deadlines the tick just serviced: the component fired
         # (or was due), so its old promise is used up and it must be
@@ -623,7 +706,7 @@ class SimState:
         if span > 0:
             self.skip_span(span)
         if span < limit:
-            self.dense_tick()
+            self.dense_tick(True)
             span += 1
         return span
 
@@ -716,11 +799,17 @@ class SimState:
         return span
 
     def skip_span(self, span: int) -> None:
-        """Jump ``span`` quiescent base ticks, batch-applying skipped ticks."""
+        """Jump ``span`` quiescent base ticks, batch-applying skipped ticks.
+
+        Cached skippers owe the span instead (see the class docstring).
+        """
         stats = self.kernel_stats
         stats["spans_skipped"] += 1
         stats["cycles_skipped"] += span
+        owed = self.owed
         if self.single_rate:
+            for index, _ in self.owing:
+                owed[index] += span
             for component, _ in self.skippers:
                 self._active_component = component
                 component.skip(span)
@@ -741,6 +830,8 @@ class SimState:
             else:
                 count = (base_tick + span - 1 - first) // divisor + 1
             domain_ticks[clock.name] = count
+        for index, clock in self.owing:
+            owed[index] += domain_ticks[clock.name]
         for component, clock in self.skippers:
             count = domain_ticks[clock.name]
             if count:
@@ -760,12 +851,14 @@ class SimState:
 
         The activity counters and trace recorder are cleared *in place* so
         references held by callers keep observing the simulator.  Cached
-        deadlines are absolute base ticks; rewinding time voids them.
+        deadlines are absolute base ticks; rewinding time voids them, and
+        owed ticks are dropped, not paid: the components were reset.
         """
         self.activity.clear()
         self.traces.clear()
         self.base_tick = 0
         self.kernel_stats.reset()
+        self.owed = [0] * len(self.cached)
         self.clear_wake_cache()
 
 

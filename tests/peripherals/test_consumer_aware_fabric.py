@@ -176,6 +176,9 @@ class TestFabricObserverBookkeeping:
             def __init__(self):
                 self.calls = 0
 
+            def sync(self):
+                pass
+
             def wake_changed(self):
                 self.calls += 1
 

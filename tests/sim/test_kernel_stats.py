@@ -15,7 +15,16 @@ whole horizon in one span; the legacy (uncached, fully observed) kernel
 must wake exactly once per PWM period.
 """
 
+from repro.peripherals.adc import Adc
+from repro.peripherals.i2c import I2cController
+from repro.peripherals.pwm import Pwm
+from repro.peripherals.spi import SpiController
+from repro.peripherals.timer import Timer
+from repro.peripherals.uart import Uart
+from repro.peripherals.watchdog import Watchdog
 from repro.power.scenarios import build_idle_measurement_soc
+from repro.sweep import campaign
+from repro.sweep.execute import execute_campaign
 from repro.workloads.pipeline import MultiLinkPipelineConfig, prepare_multi_link_pipeline
 
 HORIZON = 50_000
@@ -113,3 +122,51 @@ class TestMultiLinkPipelineCounts:
     def test_time_accounting_is_complete(self):
         stats = self._run()
         assert stats["dense_ticks"] + stats["cycles_skipped"] == self.PIPELINE_HORIZON
+
+
+class TestOwedTickCounts:
+    """Pinned ``tick`` calls per peripheral type over the whole
+    ``pipeline-clock-ratio`` campaign.
+
+    The event kernel ticks a wake-cached peripheral only on the dense ticks
+    where it is due (its deadline, or an invalidation); every other tick is
+    owed and paid back in one ``skip``.  Before owed ticks every one of them
+    ran on all 27,942 dense ticks.  The scheduler counters must not move:
+    owing a tick changes who runs it, never when the kernel wakes.
+    """
+
+    PERIPHERALS = (Timer, Adc, Uart, Pwm, Watchdog, SpiController, I2cController)
+    KERNEL = {
+        "dense_ticks": 27_942,
+        "spans_skipped": 9_350,
+        "cycles_skipped": 532_058,
+        "next_event_calls": 77_085,
+    }
+
+    def test_only_due_peripherals_tick(self, monkeypatch):
+        calls = {cls.__name__: 0 for cls in self.PERIPHERALS}
+
+        def counting(cls):
+            tick = cls.tick
+
+            def wrapper(self, cycle):
+                calls[cls.__name__] += 1
+                tick(self, cycle)
+
+            return wrapper
+
+        for cls in self.PERIPHERALS:
+            monkeypatch.setattr(cls, "tick", counting(cls))
+        result = execute_campaign(campaign("pipeline-clock-ratio"))
+        assert calls == {
+            "Timer": 2_328,
+            "Adc": 2_328,
+            "Uart": 2_327,
+            "Pwm": 0,
+            "Watchdog": 0,
+            "SpiController": 0,
+            "I2cController": 0,
+        }
+        counters = result.telemetry["metrics"]["counter"]
+        assert {key: counters[f"kernel.{key}"] for key in self.KERNEL} == self.KERNEL
+
