@@ -33,7 +33,14 @@ class BusError(RuntimeError):
 
 
 class ApbBus(Component):
-    """Single-channel APB fabric with round-robin arbitration."""
+    """Single-channel APB fabric with round-robin arbitration.
+
+    Its wake moves only in its own ticks and in :meth:`submit`, which every
+    master goes through, so the bus is wake-cacheable: while idle it is
+    never polled and its idle cycles are owed, not ticked.
+    """
+
+    wake_cacheable = True
 
     def __init__(self, name: str = "apb", decoder: Optional[AddressDecoder] = None) -> None:
         super().__init__(name)
@@ -61,10 +68,13 @@ class ApbBus(Component):
         """
         if request.done:
             raise BusError("cannot submit an already-completed request")
+        # Catch up on owed idle cycles before the queue stops being empty.
+        self.sync()
         queue = self._pending.setdefault(request.master, deque())
         queue.append(request)
         self.arbiter.add_requestor(request.master)
         request.issued_cycle = self.clock.cycles if self.is_attached else 0
+        self.wake_changed()
         return request
 
     @property

@@ -30,7 +30,12 @@ class SystemInterconnect(Component):
     ``SRAM_ACCESS_CYCLES``.  Accesses that decode to the peripheral bus are
     forwarded through a bridge that adds ``BRIDGE_CYCLES`` before the APB
     transfer starts.
+
+    Like the APB bus it is wake-cacheable: only its own ticks and
+    :meth:`submit` move its wake.
     """
+
+    wake_cacheable = True
 
     def __init__(self, name: str = "soc_interconnect", peripheral_bus: Optional[ApbBus] = None) -> None:
         super().__init__(name)
@@ -44,17 +49,20 @@ class SystemInterconnect(Component):
 
     def submit(self, request: BusRequest) -> BusRequest:
         """Post a transfer from a SoC-side master (CPU or µDMA)."""
-        region = self.local_decoder.region_for(request.address)
-        if region is not None:
-            self._in_flight.append(_InFlight(request, remaining=SRAM_ACCESS_CYCLES, local=True))
-            self.record("memory_requests")
-            return request
-        if self.peripheral_bus is None or self.peripheral_bus.decoder.region_for(request.address) is None:
+        local = self.local_decoder.region_for(request.address) is not None
+        if not local and (
+            self.peripheral_bus is None or self.peripheral_bus.decoder.region_for(request.address) is None
+        ):
             raise DecodeError(
                 f"address 0x{request.address:08x} is neither local memory nor peripheral space"
             )
-        self._in_flight.append(_InFlight(request, remaining=BRIDGE_CYCLES, local=False))
-        self.record("bridge_requests")
+        # Catch up on owed countdown cycles before the new entry joins them.
+        self.sync()
+        self._in_flight.append(
+            _InFlight(request, remaining=SRAM_ACCESS_CYCLES if local else BRIDGE_CYCLES, local=local)
+        )
+        self.record("memory_requests" if local else "bridge_requests")
+        self.wake_changed()
         return request
 
     def tick(self, cycle: int) -> None:

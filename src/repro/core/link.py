@@ -148,11 +148,10 @@ class Link:
         the trigger FIFO is empty and no completed-event record awaits
         closing (record closing is a per-step side effect the latency
         analysis depends on): no trigger can fire on an empty event vector,
-        so the only per-cycle trigger effects of :meth:`step` are the
-        evaluation counter and the (zero) masked-vector history.
+        so the only per-cycle trigger effect of :meth:`step` is the
+        evaluation counter.
         """
         self.trigger.evaluations += cycles
-        self.trigger._previous_masked = 0
 
     # ------------------------------------------------------------------- status
 

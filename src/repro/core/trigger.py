@@ -39,7 +39,6 @@ class TriggerUnit:
         self.evaluations = 0
         self.triggers = 0
         self.last_trigger_cycle: Optional[int] = None
-        self._previous_masked = 0
 
     # ------------------------------------------------------------ configuration
 
@@ -68,14 +67,12 @@ class TriggerUnit:
         """
         self.evaluations += 1
         if not self.enabled or self.mask == 0:
-            self._previous_masked = events & self.mask
             return False
         masked = events & self.mask
         if self.condition is TriggerCondition.ANY_SELECTED_ACTIVE:
             fired = masked != 0
         else:
             fired = masked == self.mask
-        self._previous_masked = masked
         if not fired:
             return False
         self.triggers += 1
@@ -108,4 +105,3 @@ class TriggerUnit:
         self.evaluations = 0
         self.triggers = 0
         self.last_trigger_cycle = None
-        self._previous_masked = 0

@@ -56,7 +56,14 @@ class CpuState(enum.Enum):
 
 
 class IbexCore(Component):
-    """Timing-level model of the Ibex core servicing linking interrupts."""
+    """Timing-level model of the Ibex core servicing linking interrupts.
+
+    Wake-cacheable: a sleeping core wakes only when its interrupt
+    controller latches a new interrupt or an ISR is registered, and both
+    notify it; while it sleeps its WFI cycles are owed, not ticked.
+    """
+
+    wake_cacheable = True
 
     def __init__(
         self,
@@ -70,6 +77,8 @@ class IbexCore(Component):
         super().__init__(name)
         self.interconnect = interconnect
         self.irq_controller = irq_controller
+        if irq_controller is not None:
+            irq_controller.add_core(self)
         self.interrupt_entry_cycles = interrupt_entry_cycles
         self.mret_cycles = mret_cycles
         self.instruction_memory = instruction_memory
@@ -109,9 +118,12 @@ class IbexCore(Component):
         """Install the handler executed when ``irq_number`` is taken."""
         if irq_number < 0:
             raise ValueError("irq number must be non-negative")
+        # A handler for an already pending interrupt wakes a sleeping core.
+        self.sync()
         self._isr_table[irq_number] = list(instructions)
         if on_done is not None:
             self._isr_done_callbacks[irq_number] = on_done
+        self.wake_changed()
 
     # ---------------------------------------------------------------- behaviour
 

@@ -8,7 +8,7 @@ lines, and presents the highest-priority pending line to the core.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.peripherals.events import EventFabric, EventLine
 from repro.sim.component import Component
@@ -22,6 +22,9 @@ class InterruptController(Component):
         self._fabric: Optional[EventFabric] = None
         self._enabled_lines: Dict[str, int] = {}
         self._pending: Dict[int, bool] = {}
+        #: Cores served by this controller (they register themselves): a
+        #: newly latched interrupt moves their wake.
+        self._cores: List[Component] = []
         self.total_interrupts = 0
         if fabric is not None:
             self.connect_fabric(fabric)
@@ -55,13 +58,22 @@ class InterruptController(Component):
         if removed is not None and self._fabric is not None:
             self._fabric.unobserve(event_line_name)
 
+    def add_core(self, core: Component) -> None:
+        """Register a core whose wake depends on the pending interrupts."""
+        self._cores.append(core)
+
     def _on_event(self, line: EventLine) -> None:
         irq_number = self._enabled_lines.get(line.name)
         if irq_number is None:
             return
         if not self._pending.get(irq_number, False):
             self.total_interrupts += 1
-        self._pending[irq_number] = True
+            # The latch may wake a sleeping core: catch it up first.
+            for core in self._cores:
+                core.sync()
+            self._pending[irq_number] = True
+            for core in self._cores:
+                core.wake_changed()
         self.record("interrupts_raised")
 
     # ------------------------------------------------------------- core facing

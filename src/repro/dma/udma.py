@@ -10,7 +10,6 @@ the interrupt controller, in the baseline) links on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.bus.interconnect import SystemInterconnect
@@ -20,25 +19,49 @@ from repro.peripherals.spi import SpiController
 from repro.sim.component import Component
 
 
-@dataclass
 class DmaChannel:
-    """Configuration and progress state of one µDMA channel."""
+    """Configuration and progress state of one µDMA channel.
 
-    channel_id: int
-    source: SpiController
-    destination_address: int
-    length_words: int
-    enabled: bool = True
-    words_moved: int = field(default=0, init=False)
-    transfers_completed: int = field(default=0, init=False)
+    ``enabled`` is a property: flipping it moves the owning µDMA's wake, so
+    the setter catches the µDMA up first and re-polls it afterwards.
+    """
 
-    def __post_init__(self) -> None:
-        if self.channel_id < 0:
+    def __init__(
+        self,
+        channel_id: int,
+        source: SpiController,
+        destination_address: int,
+        length_words: int,
+        dma: Optional[MicroDma] = None,
+    ) -> None:
+        if channel_id < 0:
             raise ValueError("channel id must be non-negative")
-        if self.destination_address % 4 != 0:
+        if destination_address % 4 != 0:
             raise ValueError("destination address must be word aligned")
-        if self.length_words < 1:
+        if length_words < 1:
             raise ValueError("transfer length must be at least one word")
+        self.channel_id = channel_id
+        self.source = source
+        self.destination_address = destination_address
+        self.length_words = length_words
+        self.dma = dma
+        self._enabled = True
+        self.words_moved = 0
+        self.transfers_completed = 0
+
+    @property
+    def enabled(self) -> bool:
+        """Whether the channel moves words out of its source FIFO."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, enabled: bool) -> None:
+        dma = self.dma
+        if dma is not None:
+            dma.sync()
+        self._enabled = enabled
+        if dma is not None:
+            dma.wake_changed()
 
     def restart(self) -> None:
         """Re-arm the channel for another transfer of ``length_words``."""
@@ -46,7 +69,14 @@ class DmaChannel:
 
 
 class MicroDma(Component):
-    """The µDMA engine: moves peripheral data to memory and signals completion."""
+    """The µDMA engine: moves peripheral data to memory and signals completion.
+
+    Wake-cacheable: besides its own ticks, only a word landing in a source
+    FIFO (the SPI notifies its readers), a channel enable and
+    :meth:`add_channel` move its wake.
+    """
+
+    wake_cacheable = True
 
     def __init__(
         self,
@@ -75,8 +105,10 @@ class MicroDma(Component):
             source=source,
             destination_address=destination_address,
             length_words=length_words,
+            dma=self,
         )
         self.channels.append(channel)
+        source.add_rx_reader(self)
         self._progress[channel.channel_id] = 0
         if self.fabric is not None:
             line = self.fabric.add_line(f"{self.name}.ch{channel.channel_id}_eot", producer=self.name)
@@ -131,8 +163,8 @@ class MicroDma(Component):
 
     def next_event(self):
         # Quiescent only with no writes in flight and no channel that could
-        # move a word; source FIFOs fill only in dense ticks, so this cannot
-        # change inside a skipped span.
+        # move a word.  A source FIFO fills only in its SPI's dense tick,
+        # which notifies this engine (SpiController.add_rx_reader).
         if self._in_flight:
             return 1
         for channel in self.channels:

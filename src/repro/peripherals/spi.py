@@ -12,11 +12,12 @@ completes.  The serial counterparty is a :class:`SyntheticSensor`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, List, Optional
 
 from repro.peripherals.base import Peripheral
 from repro.peripherals.events import EventFabric
 from repro.peripherals.sensor import SyntheticSensor
+from repro.sim.component import Component
 
 CTRL_START = 0x1
 STATUS_EOT = 0x1
@@ -69,6 +70,9 @@ class SpiController(Peripheral):
         self.regs.define("CLK_DIV", 0x10, reset=cycles_per_word)
         self.regs.define("AFLAG", 0x14)
         self._rx_fifo: Deque[int] = deque()
+        #: Components that drain the RX FIFO (µDMA engines): a received
+        #: word moves their wake.
+        self._rx_readers: List[Component] = []
         self._words_remaining = 0
         self._word_timer = 0
         self.transfers_completed = 0
@@ -146,6 +150,9 @@ class SpiController(Peripheral):
         self.regs.reg("RXDATA").hw_write(word)
         if self._fabric is not None:
             self.emit_event("rx_ready")
+        for reader in self._rx_readers:
+            reader.sync()
+            reader.wake_changed()
 
     # ------------------------------------------------------------ wake protocol
 
@@ -173,6 +180,12 @@ class SpiController(Peripheral):
     def rx_level(self) -> int:
         """Number of words currently waiting in the RX FIFO."""
         return len(self._rx_fifo)
+
+    def add_rx_reader(self, reader: Component) -> None:
+        """Register a component that drains the RX FIFO, so that every
+        received word catches it up and re-polls its wake."""
+        if reader not in self._rx_readers:
+            self._rx_readers.append(reader)
 
     def pop_rx(self) -> int:
         """µDMA-side helper: pop the oldest received word."""

@@ -55,10 +55,12 @@ class Component:
     component while it is idle — a quiescent-span computation costs
     O(active components) instead of O(all components).  Peripherals get the
     :meth:`wake_changed` calls for free: every register mutation notifies it
-    (see :class:`~repro.peripherals.regfile.Register`).  Components with
-    *reactive* wakes — horizons that can flip because of what another
-    component did (a bus request landing, a FIFO filling, an interrupt
-    pending) — must leave :attr:`wake_cacheable` at ``False``.
+    (see :class:`~repro.peripherals.regfile.Register`).  A *reactive*
+    wake — a horizon that can flip because of what another component did
+    (a bus request landing, a FIFO filling, an interrupt pending) — is
+    cacheable only if every such path syncs the component and then calls
+    :meth:`wake_changed` (the bus fabrics, the µDMA and the Ibex core do);
+    otherwise leave :attr:`wake_cacheable` at ``False``.
 
     **Owed ticks.**  The event-driven scheduler does not tick a cached
     component until it is due; its quiescent ticks pile up as a debt paid

@@ -32,7 +32,8 @@ The event-driven mode resolves wakes in two tiers:
   one ``skip`` when something touches it (see :class:`SimState`);
 * all other hinted components are *volatile* and re-polled at every wake
   boundary, which is exactly the pre-cache behaviour and the safe default
-  for reactive wakes (buses, DMA, CPU, PELS).
+  for wakes that other components move without notifying (in the SoC only
+  PELS, whose horizon reads the event fabric).
 
 **Plan vs. state.**  Each simulator classifies its own components: which
 tick, which are volatile/cached, which must be replayed on a skip, and

@@ -13,9 +13,9 @@ land mid-wait (the FIFO fills and the horizon must fall back to 1) — under
 the dense kernel, the event kernel, and the batch round loop, at several I/O
 clock divisors and ``step()`` chunkings.  At every boundary they compare the
 activity counters, the traced instant actions, the link records, the
-execution units' statistics and wait counters, the trigger evaluations and
-masked-vector history, the FIFO counters, and the GPIO latch, toggle count
-and edge-detection history.
+execution units' statistics and wait counters, the trigger state and
+evaluations, the FIFO counters, and the GPIO latch, toggle count and
+edge-detection history.
 """
 
 from bisect import bisect_left

@@ -15,6 +15,10 @@ whole horizon in one span; the legacy (uncached, fully observed) kernel
 must wake exactly once per PWM period.
 """
 
+from repro.bus.apb import ApbBus
+from repro.bus.interconnect import SystemInterconnect
+from repro.cpu.ibex import IbexCore
+from repro.dma.udma import MicroDma
 from repro.peripherals.adc import Adc
 from repro.peripherals.i2c import I2cController
 from repro.peripherals.pwm import Pwm
@@ -48,10 +52,11 @@ class TestCachedSchedulerCounts:
     def test_unobserved_pwm_crosses_the_horizon_in_one_span(self):
         soc = _armed_idle_soc(legacy=False)
         stats = soc.simulator.kernel_stats
-        # One initial poll sweep over the hinted components (13 peripherals +
-        # the CPU's volatile hint), then silence: the armed-but-unobserved
-        # PWM never forces a boundary.
-        assert stats["next_event_calls"] == 14
+        # One initial poll of each of the 11 wake-cached components (seven
+        # peripherals, the µDMA, the core and both bus fabrics) plus PELS,
+        # the only volatile one, at both boundaries; then silence: the
+        # armed-but-unobserved PWM never forces a boundary.
+        assert stats["next_event_calls"] == 13
         assert stats["spans_skipped"] == 1
         assert stats["dense_ticks"] == 1
         assert stats["cycles_skipped"] == HORIZON - 1
@@ -125,26 +130,41 @@ class TestMultiLinkPipelineCounts:
 
 
 class TestOwedTickCounts:
-    """Pinned ``tick`` calls per peripheral type over the whole
+    """Pinned ``tick`` calls per component type over the whole
     ``pipeline-clock-ratio`` campaign.
 
-    The event kernel ticks a wake-cached peripheral only on the dense ticks
+    The event kernel ticks a wake-cached component only on the dense ticks
     where it is due (its deadline, or an invalidation); every other tick is
-    owed and paid back in one ``skip``.  Before owed ticks every one of them
-    ran on all 27,942 dense ticks.  The scheduler counters must not move:
-    owing a tick changes who runs it, never when the kernel wakes.
+    owed and paid back in one ``skip``.  Before owed ticks every peripheral
+    ran on all 27,942 dense ticks, and so did the SoC fabric (APB bus, SoC
+    interconnect, µDMA, Ibex) until it was made wake-cacheable too.  The
+    wake counters must not move: owing a tick changes who runs it, never
+    when the kernel wakes.  Only ``next_event_calls`` fell (77,085 →
+    44,365), because the fabric is no longer re-polled at every boundary.
     """
 
-    PERIPHERALS = (Timer, Adc, Uart, Pwm, Watchdog, SpiController, I2cController)
+    COMPONENTS = (
+        Timer,
+        Adc,
+        Uart,
+        Pwm,
+        Watchdog,
+        SpiController,
+        I2cController,
+        ApbBus,
+        SystemInterconnect,
+        MicroDma,
+        IbexCore,
+    )
     KERNEL = {
         "dense_ticks": 27_942,
         "spans_skipped": 9_350,
         "cycles_skipped": 532_058,
-        "next_event_calls": 77_085,
+        "next_event_calls": 44_365,
     }
 
     def test_only_due_peripherals_tick(self, monkeypatch):
-        calls = {cls.__name__: 0 for cls in self.PERIPHERALS}
+        calls = {cls.__name__: 0 for cls in self.COMPONENTS}
 
         def counting(cls):
             tick = cls.tick
@@ -155,7 +175,7 @@ class TestOwedTickCounts:
 
             return wrapper
 
-        for cls in self.PERIPHERALS:
+        for cls in self.COMPONENTS:
             monkeypatch.setattr(cls, "tick", counting(cls))
         result = execute_campaign(campaign("pipeline-clock-ratio"))
         assert calls == {
@@ -166,6 +186,10 @@ class TestOwedTickCounts:
             "Watchdog": 0,
             "SpiController": 0,
             "I2cController": 0,
+            "ApbBus": 4_656,
+            "SystemInterconnect": 0,
+            "MicroDma": 0,
+            "IbexCore": 0,
         }
         counters = result.telemetry["metrics"]["counter"]
         assert {key: counters[f"kernel.{key}"] for key in self.KERNEL} == self.KERNEL

@@ -10,8 +10,12 @@ owed raises instead of serving stale state.
 import pytest
 
 from repro.baselines.event_interconnect import EventInterconnect
+from repro.bus.apb import ApbBus
 from repro.bus.interconnect import SystemInterconnect
-from repro.bus.transaction import read_request
+from repro.bus.transaction import read_request, write_request
+from repro.cpu.ibex import IbexCore
+from repro.cpu.instructions import Li, Nop
+from repro.cpu.irq import InterruptController
 from repro.dma.udma import MicroDma
 from repro.peripherals.events import EventFabric
 from repro.peripherals.sensor import SensorWaveform, SyntheticSensor
@@ -21,6 +25,7 @@ from repro.peripherals.watchdog import Watchdog
 from repro.sim.component import Component
 from repro.sim.simulator import SimulationError, Simulator
 from repro.soc.memory import SramBank
+from repro.soc.pulpissimo import SocConfig, build_soc
 
 
 class CompareWriter(Component):
@@ -169,6 +174,209 @@ class TestMasterPaths:
             outcomes[dense] = (timer.overflow_count, fabric.total_pulses, simulator.activity.as_dict())
         assert outcomes[True] == outcomes[False]
         assert outcomes[False][0] == 12
+
+
+class TestFabricWakeHooks:
+    """The SoC fabric (APB bus, SoC interconnect, µDMA, Ibex) is
+    wake-cacheable: each cross-component change to its wake catches the
+    target up and re-polls it.  Each test below drives one such change and
+    fails without it: the idle target is never woken (the event kernel
+    diverges from dense), or it is touched while it owes ticks (the guard
+    raises)."""
+
+    def test_pels_is_the_only_volatile_component_of_the_soc(self):
+        soc = build_soc(SocConfig())
+        state = soc.simulator._schedule_plan()
+        assert [component.name for component, _ in state.volatile] == ["pels"]
+        assert {"apb", "soc_interconnect", "udma", "ibex"} <= {component.name for component, _ in state.cached}
+
+    def test_an_apb_submit_wakes_the_idle_bus(self):
+        outcomes = {}
+        for dense in (True, False):
+            simulator = Simulator(dense=dense)
+            timer = simulator.add_component(Timer("timer", compare=10_000))
+            bus = ApbBus("apb")
+            bus.attach_slave(0x1000, 0x100, timer)
+            request = read_request("pels", 0x1000 + timer.regs.offset_of("COUNT"))
+            simulator.add_component(_Hook(100, lambda: bus.submit(request)))
+            simulator.add_component(bus)
+            timer.start()
+            simulator.step(200)
+            outcomes[dense] = (_response(request), simulator.activity.as_dict())
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][0] == (102, 101)
+
+    def test_an_interconnect_submit_wakes_the_idle_crossbar(self):
+        outcomes = {}
+        for dense in (True, False):
+            simulator = Simulator(dense=dense)
+            sram = SramBank("sram", size_bytes=256)
+            interconnect = SystemInterconnect("soc_interconnect")
+            interconnect.attach_memory(0x1000, 256, sram)
+            request = write_request("ibex", 0x1010, 0xBEEF)
+            simulator.add_component(_Hook(100, lambda: interconnect.submit(request)))
+            simulator.add_component(interconnect)
+            simulator.add_component(sram)
+            simulator.step(200)
+            outcomes[dense] = (_response(request), sram.peek(0x10), simulator.activity.as_dict())
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][:2] == ((0, 100), 0xBEEF)
+
+    def test_a_received_spi_word_wakes_the_idle_dma(self):
+        """The µDMA sleeps between words; every word the SPI receives must
+        wake it on the push tick, after catching up the dense ticks a busy
+        neighbour forced while it was not due."""
+        outcomes = {}
+        for dense in (True, False):
+            simulator, spi, udma, _, sram = _dma_system(dense)
+            spi.regs.reg("CTRL").write(1)
+            simulator.step(40)
+            outcomes[dense] = (
+                [sram.peek(4 * word) for word in range(3)],
+                udma.total_words_moved,
+                simulator.activity.as_dict(),
+            )
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][1] == 3
+
+    def test_a_latched_interrupt_wakes_the_sleeping_core(self):
+        outcomes = {}
+        for dense in (True, False):
+            simulator, core, _ = _irq_system(dense)
+            core.register_isr(3, [Li("t0", 1), Nop()])
+            simulator.step(300)
+            outcomes[dense] = (
+                core.interrupts_serviced,
+                core.last_interrupt_cycle,
+                core.last_handler_done_cycle,
+                simulator.activity.as_dict(),
+            )
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][:2] == (6, 299)
+
+    @pytest.mark.parametrize("where", ["host", "tick"])
+    def test_registering_the_isr_of_a_pending_interrupt_wakes_the_core(self, where):
+        """The timer's interrupt is pending from its first overflow with no
+        handler, so the core sleeps on; a handler installed at cycle 120
+        (between steps, or from another component's tick) must wake it."""
+        outcomes = {}
+        for dense in (True, False):
+            simulator, core, irq = _irq_system(dense)
+
+            def install():
+                core.register_isr(3, [Nop()])
+
+            if where == "tick":
+                simulator.add_component(_Hook(120, install))
+            simulator.step(121)
+            if where == "host":
+                install()
+            simulator.step(19)
+            outcomes[dense] = (
+                core.interrupts_serviced,
+                core.last_interrupt_cycle,
+                irq.total_interrupts,
+                simulator.activity.as_dict(),
+            )
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][:3] == (1, 121, 1)
+
+    @pytest.mark.parametrize("where", ["host", "tick"])
+    def test_re_enabling_a_channel_over_a_full_fifo_drains_it_on_the_same_cycle(self, where):
+        """Words land in the SPI FIFO while the channel is off; the µDMA's
+        wake moves when the channel is re-enabled at cycle 30 (between
+        steps, or from another component's tick): it moves one word per
+        cycle from cycle 31 on."""
+        outcomes = {}
+        for dense in (True, False):
+            simulator, spi, udma, channel, _ = _dma_system(dense)
+            channel.enabled = False
+            spi.regs.reg("CTRL").write(1)
+
+            def enable():
+                channel.enabled = True
+
+            if where == "tick":
+                simulator.add_component(_Hook(30, enable))
+            simulator.step(31)
+            if where == "host":
+                enable()
+            levels = []
+            for _ in range(6):
+                simulator.step(1)
+                levels.append((simulator.current_cycle, spi.rx_level, udma.total_words_moved))
+            outcomes[dense] = (levels, simulator.activity.as_dict())
+        assert outcomes[True] == outcomes[False]
+        assert outcomes[False][0][:4] == [(32, 2, 1), (33, 1, 2), (34, 0, 3), (35, 0, 3)]
+
+
+def _response(request):
+    """``(rdata, completion cycle)``, or None while the request is open."""
+    response = request.response
+    return None if response is None else (response.rdata, response.completed_cycle)
+
+
+def _dma_system(dense):
+    """SPI → µDMA → SRAM, plus a neighbour that keeps every tick dense, so
+    the µDMA owes the ticks it is not due for."""
+    simulator = Simulator(dense=dense)
+    sram = SramBank("sram", size_bytes=256)
+    interconnect = SystemInterconnect("soc_interconnect")
+    interconnect.attach_memory(0x1000, 256, sram)
+    spi = SpiController("spi", sensor=SyntheticSensor(waveform=SensorWaveform(kind="ramp")), cycles_per_word=5)
+    spi.regs.reg("LEN").write(3)
+    udma = MicroDma("udma", interconnect=interconnect)
+    channel = udma.add_channel(source=spi, destination_address=0x1000, length_words=3)
+    for component in (spi, udma, _Busy(), interconnect, sram):
+        simulator.add_component(component)
+    return simulator, spi, udma, channel, sram
+
+
+def _irq_system(dense):
+    """A timer whose overflow every 50 cycles (from cycle 49) raises
+    interrupt 3 on a sleeping core."""
+    simulator = Simulator(dense=dense)
+    fabric = EventFabric()
+    timer = Timer("timer", compare=50)
+    timer.connect_events(fabric)
+    irq = InterruptController("irq_ctrl", fabric=fabric)
+    irq.enable_line(timer.event_line_name("overflow"), 3)
+    core = IbexCore("ibex", irq_controller=irq)
+    for component in (timer, _FabricCloser(fabric), irq, core):
+        simulator.add_component(component)
+    timer.start()
+    return simulator, core, irq
+
+
+class _Hook(Component):
+    """Runs ``action`` from its own tick at local cycle ``at``: another
+    component touching its target from inside the simulation."""
+
+    def __init__(self, at, action):
+        super().__init__(f"hook{at}")
+        self._at = at
+        self._action = action
+
+    def tick(self, cycle):
+        if cycle == self._at:
+            self._action()
+
+    def next_event(self):
+        remaining = self._at - self.clock.cycles
+        return remaining + 1 if remaining >= 0 else None
+
+
+class _Busy(Component):
+    """Always due: every tick is a dense tick."""
+
+    def __init__(self):
+        super().__init__("busy")
+
+    def tick(self, cycle):
+        pass
+
+    def next_event(self):
+        return 1
 
 
 class _Observer(Component):
