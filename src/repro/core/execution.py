@@ -18,12 +18,12 @@ reported in Section IV-B): trigger (1) + fetch (1) + bus read (2) + modify
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.bus.transaction import BusRequest, TransferKind, WORD_MASK
 from repro.core.fifo import TriggerEntry
 from repro.core.isa import Command, Opcode
-from repro.core.scm import ScmMemory
+from repro.core.scm import QUIET_RUN_TABLE_LIMIT, ScmMemory
 
 # An action sink receives (group, mask, toggle, cycle) when an instant action fires.
 # It may also offer ``passive(group, mask) -> bool`` (see ExecutionUnit.quiet_ticks);
@@ -32,10 +32,13 @@ ActionSink = Callable[[int, int, bool, int], None]
 # A bus submit function queues a request on the peripheral interconnect.
 BusSubmit = Callable[[BusRequest], BusRequest]
 
-#: Most commands :meth:`ExecutionUnit.quiet_ticks` walks ahead.  A shorter
+#: Most commands :meth:`ExecutionUnit._walk_quiet_run` walks ahead.  A shorter
 #: quiet run is always a valid horizon; the cap bounds the walk's cost and
 #: ends a ``jump_if`` loop that never leaves PELS.
 QUIET_WALK_LIMIT = 64
+#: Quiet-run table entry under ``(pc, loop counter)`` for a run that crosses
+#: a ``jump_if``: its length is entered under ``(pc, loop counter, capture)``.
+_READS_CAPTURE = -1
 
 
 class ExecutionState(enum.Enum):
@@ -48,6 +51,11 @@ class ExecutionState(enum.Enum):
     ISSUE_WRITE = "issue_write"
     WRITE_WAIT = "write_wait"
     WAITING = "waiting"
+
+    # Members are singletons, so identity hashing is exact, and it runs in C:
+    # ``Enum.__hash__`` is Python code, paid on every busy-link tick's
+    # handler lookup.
+    __hash__ = object.__hash__
 
 
 class ExecutionUnit:
@@ -129,16 +137,15 @@ class ExecutionUnit:
         """Leading ticks from now that touch nothing outside PELS.
 
         Those are the rest of a ``wait`` countdown (including the tick that
-        moves to FETCH ``pc + 1``), then the fetches of ``wait d`` (``1 + d``
-        ticks), ``loop``, ``jump_if`` and every ``action`` the action sink
-        calls ``passive`` (one that only reaches passive peripheral inputs)
-        along the program's path.  The walk stops before the fetch of any
-        other command or of a line past the SCM, and after
-        :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM
-        with :meth:`ScmMemory.peek`, so it counts no SCM reads, and steps the
-        loop counter on a copy; the capture register cannot change inside
-        the run (only ``capture``, where the walk stops, writes it).
-        Returns 0 unless the unit is counting down or fetching.
+        moves to FETCH ``pc + 1``), then the quiet run the program walks from
+        there (:meth:`_walk_quiet_run`).  Returns 0 unless the unit is
+        counting down or fetching.
+
+        The run is looked up in the SCM's :attr:`~ScmMemory.quiet_runs`
+        table, keyed on what the walk reads: the start ``pc`` and the loop
+        counter, plus the capture register when the run crosses a
+        ``jump_if`` (the entry under the short key then says so).  A miss
+        walks the program once and fills the table.
         """
         state = self.state
         if state is ExecutionState.WAITING:
@@ -149,9 +156,46 @@ class ExecutionUnit:
             pc = self.pc
         else:
             return 0
+        runs = self.scm.quiet_runs
+        run = runs.get((pc, self._loop_remaining))
+        if run == _READS_CAPTURE:
+            run = runs.get((pc, self._loop_remaining, self.capture_register))
+        if run is None:
+            run = self._learn_quiet_run(pc)
+        return ticks + run
+
+    def _learn_quiet_run(self, pc: int) -> int:
+        """Walk the quiet run from ``pc`` and enter it in the SCM's table."""
+        loop_remaining = self._loop_remaining
+        run, reads_capture = self._walk_quiet_run(pc, loop_remaining)
+        runs = self.scm.quiet_runs
+        if len(runs) >= QUIET_RUN_TABLE_LIMIT:
+            runs.clear()
+        if reads_capture:
+            runs[(pc, loop_remaining)] = _READS_CAPTURE
+            runs[(pc, loop_remaining, self.capture_register)] = run
+        else:
+            runs[(pc, loop_remaining)] = run
+        return run
+
+    def _walk_quiet_run(self, pc: int, loop_remaining: Optional[int]) -> Tuple[int, bool]:
+        """Ticks of the quiet run whose first fetch is line ``pc``, uncached.
+
+        The run holds the fetches of ``wait d`` (``1 + d`` ticks), ``loop``,
+        ``jump_if`` and every ``action`` the action sink calls ``passive``
+        (one that only reaches passive peripheral inputs) along the
+        program's path.  The walk stops before the fetch of any other
+        command or of a line past the SCM, and after
+        :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM with
+        :meth:`ScmMemory.peek`, so it counts no SCM reads, and steps the
+        loop counter on a copy; the capture register cannot change inside
+        the run (only ``capture``, where the walk stops, writes it).
+        Returns the ticks and whether a ``jump_if`` read the capture register.
+        """
         scm = self.scm
         lines = scm.lines
-        loop_remaining = self._loop_remaining
+        ticks = 0
+        reads_capture = False
         for _ in range(QUIET_WALK_LIMIT):
             if pc >= lines:
                 break
@@ -173,6 +217,7 @@ class ExecutionUnit:
                     pc += 1
             elif opcode is Opcode.JUMP_IF:
                 ticks += 1
+                reads_capture = True
                 taken = command.jump_condition.evaluate(self.capture_register, command.data)
                 pc = command.jump_target if taken else pc + 1
             elif opcode is Opcode.ACTION:
@@ -183,7 +228,7 @@ class ExecutionUnit:
                 pc += 1
             else:
                 break
-        return ticks
+        return ticks, reads_capture
 
     def skip_quiet(self, cycles: int, cycle: int) -> None:
         """Replay the first ``cycles`` of :meth:`quiet_ticks`, the first at ``cycle``.

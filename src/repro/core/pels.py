@@ -53,6 +53,10 @@ LINK_SCM_WINDOW = 0x40  # each SCM line occupies two words: data word, then {opc
 
 GLOBAL_ENABLE_BIT = 0x1
 
+#: Most entries :attr:`Pels._deliveries` holds; a full table starts over, so
+#: microcode rewritten with ever new action masks cannot grow it.
+DELIVERY_TABLE_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class ActionTarget:
@@ -68,6 +72,13 @@ class ActionTarget:
 
     label: str
     deliver: Callable[[], None]
+
+
+#: What one ``action group mask`` of one link does under the current routes:
+#: the link's ``instant_actions_link{i}`` activity name, the routed bits'
+#: ``(deliver, trace label)`` pairs in bit order, and how many set bits have
+#: no route.
+_Delivery = Tuple[str, Tuple[Tuple[Callable[[], None], str], ...], int]
 
 
 # The wiring callables below are module-level classes rather than closures:
@@ -169,6 +180,9 @@ class Pels(Component):
         ]
         # (group, bit) -> ActionTarget
         self._action_routes: Dict[Tuple[int, int], ActionTarget] = {}
+        #: (link, group, mask) -> the delivery :meth:`_deliver_action` makes,
+        #: derived from the routes (see ``_Delivery``).
+        self._deliveries: Dict[Tuple[int, int, int], _Delivery] = {}
         #: group -> bits routed to a passive peripheral input.
         self._passive_masks: Dict[int, int] = {}
         #: ``(cycle, label)`` of the actions a :meth:`skip` replays, traced
@@ -221,25 +235,46 @@ class Pels(Component):
         if passive:
             passive_mask |= 1 << bit
         self._passive_masks[group] = passive_mask
+        # Both tables derive from the routes.
+        self._deliveries.clear()
+        for link in self.links:
+            link.scm.quiet_runs.clear()
 
     def _deliver_action(self, link_index: int, group: int, mask: int, toggle: bool, cycle: int) -> None:
+        key = (link_index, group, mask)
+        delivery = self._deliveries.get(key)
+        if delivery is None:
+            delivery = self._learn_delivery(key)
+        counter, targets, unrouted = delivery
         self.record("instant_actions")
-        self.record(f"instant_actions_link{link_index}")
+        self.record(counter)
+        self.unrouted_actions += unrouted
+        for deliver, label in targets:
+            deliver()
+            self.instant_actions_delivered += 1
+            if self.is_attached:
+                if self._replayed_actions is None:
+                    self.simulator.trace(f"{self.name}.action", label)
+                else:
+                    self._replayed_actions.append((cycle, label))
+
+    def _learn_delivery(self, key: Tuple[int, int, int]) -> _Delivery:
+        """Resolve ``mask``'s bits in ``group`` against the routes and enter the result."""
+        link_index, group, mask = key
+        targets = []
+        unrouted = 0
         for bit in range(self.config.action_group_width):
             if not mask & (1 << bit):
                 continue
             target = self._action_routes.get((group, bit))
             if target is None:
-                self.unrouted_actions += 1
-                continue
-            target.deliver()
-            self.instant_actions_delivered += 1
-            if self.is_attached:
-                label = f"link{link_index}->{target.label}"
-                if self._replayed_actions is None:
-                    self.simulator.trace(f"{self.name}.action", label)
-                else:
-                    self._replayed_actions.append((cycle, label))
+                unrouted += 1
+            else:
+                targets.append((target.deliver, f"link{link_index}->{target.label}"))
+        if len(self._deliveries) >= DELIVERY_TABLE_LIMIT:
+            self._deliveries.clear()
+        delivery = self._deliveries[key] = (f"instant_actions_link{link_index}", tuple(targets), unrouted)
+        return delivery
 
     # ------------------------------------------------------- host-side configuration
 

@@ -10,13 +10,17 @@ would dominate [Teman et al.].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.isa import COMMAND_BITS, Command, decode_command, encode_command
 
 # Decoding is a pure function of the 48-bit line and commands are immutable,
 # so fetches share one memo: a looping program decodes each line once.
 _decode_line = lru_cache(maxsize=4096)(decode_command)
+
+#: Most entries :attr:`ScmMemory.quiet_runs` holds; a full table starts over.
+#: Entries keyed on a captured value would otherwise grow with sensor data.
+QUIET_RUN_TABLE_LIMIT = 256
 
 
 class ScmTraffic:
@@ -42,6 +46,12 @@ class ScmMemory:
     ``read_count``/``write_count`` are this memory's own (reset by
     :meth:`clear`), and every access also bumps :attr:`traffic`, which PELS
     points at the one total its links share.
+
+    :attr:`quiet_runs` is the execution unit's table of quiet-run lengths
+    (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`), derived from
+    the lines it stores.  Every write and :meth:`clear` empties it, and so
+    does PELS when it re-routes an action line (which moves what counts as
+    a passive action).  It is a cache: it never changes a result.
     """
 
     def __init__(self, lines: int) -> None:
@@ -52,6 +62,7 @@ class ScmMemory:
         self.read_count = 0
         self.write_count = 0
         self.traffic = ScmTraffic()
+        self.quiet_runs: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------ access
 
@@ -76,6 +87,7 @@ class ScmMemory:
         if not 0 <= encoded < (1 << COMMAND_BITS):
             raise ValueError(f"encoded command 0x{encoded:x} does not fit in {COMMAND_BITS} bits")
         self._storage[index] = encoded
+        self.quiet_runs.clear()
         self.write_count += 1
         self.traffic.writes += 1
 
@@ -107,6 +119,7 @@ class ScmMemory:
     def clear(self) -> None:
         """Zero the memory and reset its own access counts (:attr:`traffic` keeps counting)."""
         self._storage = [0] * self.lines
+        self.quiet_runs.clear()
         self.read_count = 0
         self.write_count = 0
 

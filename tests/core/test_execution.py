@@ -261,3 +261,11 @@ class TestStatistics:
         assert unit.idle
         assert unit.busy_cycles == 0
         assert unit.pc == 0
+
+
+class TestStateDispatch:
+    def test_states_hash_by_identity_in_c(self):
+        """``tick`` looks its handler up by state on every busy cycle;
+        ``Enum.__hash__`` is Python code, identity hashing is not."""
+        assert ExecutionState.__hash__ is object.__hash__
+        assert len({state: state.value for state in ExecutionState}) == len(ExecutionState)

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 from repro.bus.apb import ApbBus
 from repro.core.config import PelsConfig
 from repro.core.execution import ExecutionState
-from repro.core.isa import Command, JumpCondition
-from repro.core.pels import Pels
+from repro.core.isa import Command, JumpCondition, encode_command
+from repro.core.pels import LINK_SCM_WINDOW, LINK_WINDOW_BASE, LINK_WINDOW_STRIDE, Pels
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
@@ -203,23 +203,36 @@ def observe(simulator, pels, gpio):
     )
 
 
-def run_stepped(scenario, dense):
+def run_stepped(scenario, dense, between=None):
+    """Step ``scenario`` chunk by chunk, observing at every boundary.
+
+    ``between(boundary, pels, gpio)``, when given, then reconfigures PELS
+    from the host before the next chunk (``boundary`` counts from 0).
+    """
     simulator, pels, gpio = _build(scenario, dense=dense)
     observations = []
-    for chunk in scenario["chunks"]:
+    for boundary, chunk in enumerate(scenario["chunks"]):
         simulator.step(chunk)
         observations.append(observe(simulator, pels, gpio))
+        if between is not None:
+            between(boundary, pels, gpio)
     return observations, simulator.kernel_stats
 
 
-def run_batched(scenario):
+def run_batched(scenario, between=None):
     simulator, pels, gpio = _build(scenario)
     observations = []
+
+    def stop(boundary):
+        def at_stop(elapsed):
+            observations.append(observe(simulator, pels, gpio))
+            if between is not None:
+                between(boundary, pels, gpio)
+
+        return at_stop
+
     batch = BatchSimulator()
-    stops = accumulate(scenario["chunks"])
-    batch.add(
-        simulator, [(stop, lambda elapsed: observations.append(observe(simulator, pels, gpio))) for stop in stops]
-    )
+    batch.add(simulator, [(cycle, stop(boundary)) for boundary, cycle in enumerate(accumulate(scenario["chunks"]))])
     batch.run()
     return observations
 
@@ -374,3 +387,84 @@ class TestWaitWindowHorizon:
             assert pels.next_event() == 1, (group, mask)
             dense, _ = run_stepped(scenario, dense=True)
             assert run_stepped(scenario, dense=False)[0] == dense, (group, mask)
+
+
+class TestMidRunReconfiguration:
+    """The host rewrites microcode or re-routes an action line between
+    steps while a link is inside a quiet run.  PELS's lookup tables (quiet
+    runs per SCM, deliveries per route) must forget what the change made
+    stale, so the event and batched kernels still match dense stepping."""
+
+    @staticmethod
+    def _blinkers():
+        """Link 0 blinks a pad (``BLINK: action 2 0x1; wait 10; loop BLINK 6;
+        end``) on each ``ext.a`` pulse, at cycles 0 and 200; link 1 listens
+        to the ``pels.loop0`` loopback line and runs ``action 2 0x2; end``.
+        The first boundary falls inside link 0's first quiet run, and the
+        second run starts from the table entries the first one filled."""
+        blinker = [Command.action(2, 0x1), Command.wait(10), Command.loop(0, 6), Command.end()]
+        listener = [Command.action(2, 0x2), Command.end()]
+        links = [
+            {"program": program, "mask": mask, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
+            for program, mask in ((blinker, 0x1), (listener, 0x4))
+        ]
+        return {"links": links, "divisor": 2, "pulses": [(0, "ext.a"), (200, "ext.a")], "chunks": [20, 25, 300, 300]}
+
+    @staticmethod
+    def _window_write(pels, link, line, command):
+        """Store ``command`` through the configuration window, high word first."""
+        encoded = encode_command(command)
+        offset = LINK_WINDOW_BASE + link * LINK_WINDOW_STRIDE + LINK_SCM_WINDOW + line * 8
+        pels.bus_write(offset + 4, encoded >> 32)
+        pels.bus_write(offset, encoded & 0xFFFF_FFFF)
+
+    def _assert_kernels_agree(self, scenario, between):
+        dense, _ = run_stepped(scenario, dense=True, between=between)
+        event, stats = run_stepped(scenario, dense=False, between=between)
+        assert event == dense
+        assert run_batched(scenario, between=between) == dense
+        return dense, stats
+
+    def test_the_blinker_is_in_a_quiet_run_at_the_first_boundary(self):
+        simulator, pels, _ = _build(self._blinkers())
+        simulator.step(20)
+        execution = pels.links[0].execution
+        assert execution.state is ExecutionState.WAITING
+        assert execution.quiet_ticks() > 0
+        assert execution.scm.quiet_runs
+
+    def test_a_microcode_rewrite_through_the_config_window_mid_run(self):
+        """Shorten the ``wait``, turn the ``loop`` into a loopback action (a
+        wake that triggers link 1) or into ``write`` (a bus transfer), or
+        make the pad action a loopback one, while link 0 counts down."""
+        rewrites = (
+            (1, Command.wait(3)),
+            (2, Command.action(0, 0x1)),
+            (2, Command.write(6, 0x1)),
+            (0, Command.action(0, 0x1)),
+        )
+        for line, command in rewrites:
+
+            def between(boundary, pels, gpio, line=line, command=command):
+                if boundary == 0:
+                    self._window_write(pels, 0, line, command)
+
+            dense, _ = self._assert_kernels_agree(self._blinkers(), between)
+            unchanged, _ = run_stepped(self._blinkers(), dense=True)
+            assert dense[-1] != unchanged[-1], (line, command)
+
+    def test_re_routing_a_passive_bit_to_a_loopback_mid_run(self):
+        """The blinker's pad bit is re-routed to the loopback line (the
+        action becomes a wake that triggers link 1) for the second run, then
+        back to the pad."""
+
+        def between(boundary, pels, gpio):
+            if boundary == 0:
+                pels.route_action_to_fabric(group=2, bit=0, line_name="pels.loop0")
+            elif boundary == 2:
+                pels.route_action_to_peripheral(group=2, bit=0, peripheral=gpio, port="toggle_pad0")
+
+        dense, stats = self._assert_kernels_agree(self._blinkers(), between)
+        events_serviced = dense[-1][3][1][0]
+        assert events_serviced > 0  # the loopback reached link 1
+        assert stats["cycles_skipped"] > 0
