@@ -26,7 +26,7 @@ from repro.core.isa import Command, Opcode
 from repro.core.scm import QUIET_RUN_TABLE_LIMIT, ScmMemory
 
 # An action sink receives (group, mask, toggle, cycle) when an instant action fires.
-# It may also offer ``passive(group, mask) -> bool`` (see ExecutionUnit.quiet_ticks);
+# It may also offer ``passive(group, mask) -> bool`` (see ExecutionUnit.quiet_run);
 # a sink without it has no passive actions.
 ActionSink = Callable[[int, int, bool, int], None]
 # A bus submit function queues a request on the peripheral interconnect.
@@ -37,8 +37,10 @@ BusSubmit = Callable[[BusRequest], BusRequest]
 #: ends a ``jump_if`` loop that never leaves PELS.
 QUIET_WALK_LIMIT = 64
 #: Quiet-run table entry under ``(pc, loop counter)`` for a run that crosses
-#: a ``jump_if``: its length is entered under ``(pc, loop counter, capture)``.
+#: a ``jump_if``: its run is entered under ``(pc, loop counter, capture)``.
 _READS_CAPTURE = -1
+#: :meth:`ExecutionUnit.quiet_run` of a unit neither counting down nor fetching.
+_NO_RUN = (0, False)
 
 
 class ExecutionState(enum.Enum):
@@ -133,12 +135,14 @@ class ExecutionUnit:
 
     # ------------------------------------------------------------- quiet runs
 
-    def quiet_ticks(self) -> int:
-        """Leading ticks from now that touch nothing outside PELS.
+    def quiet_run(self) -> Tuple[int, bool]:
+        """Leading ticks from now that touch nothing outside PELS, and whether they finish.
 
         Those are the rest of a ``wait`` countdown (including the tick that
         moves to FETCH ``pc + 1``), then the quiet run the program walks from
-        there (:meth:`_walk_quiet_run`).  Returns 0 unless the unit is
+        there (:meth:`_walk_quiet_run`).  ``finishes`` says that the run's
+        last tick is the fetch of ``end`` or of a line past the SCM, after
+        which the unit is idle.  Returns ``(0, False)`` unless the unit is
         counting down or fetching.
 
         The run is looked up in the SCM's :attr:`~ScmMemory.quiet_runs`
@@ -149,25 +153,28 @@ class ExecutionUnit:
         """
         state = self.state
         if state is ExecutionState.WAITING:
-            ticks = self._wait_remaining
+            wait = self._wait_remaining
             pc = self.pc + 1
         elif state is ExecutionState.FETCH:
-            ticks = 0
+            wait = 0
             pc = self.pc
         else:
-            return 0
+            return _NO_RUN
         runs = self.scm.quiet_runs
         run = runs.get((pc, self._loop_remaining))
         if run == _READS_CAPTURE:
             run = runs.get((pc, self._loop_remaining, self.capture_register))
         if run is None:
             run = self._learn_quiet_run(pc)
-        return ticks + run
+        if wait:
+            return wait + run[0], run[1]
+        return run
 
-    def _learn_quiet_run(self, pc: int) -> int:
+    def _learn_quiet_run(self, pc: int) -> Tuple[int, bool]:
         """Walk the quiet run from ``pc`` and enter it in the SCM's table."""
         loop_remaining = self._loop_remaining
-        run, reads_capture = self._walk_quiet_run(pc, loop_remaining)
+        ticks, finishes, reads_capture = self._walk_quiet_run(pc, loop_remaining)
+        run = (ticks, finishes)
         runs = self.scm.quiet_runs
         if len(runs) >= QUIET_RUN_TABLE_LIMIT:
             runs.clear()
@@ -178,19 +185,20 @@ class ExecutionUnit:
             runs[(pc, loop_remaining)] = run
         return run
 
-    def _walk_quiet_run(self, pc: int, loop_remaining: Optional[int]) -> Tuple[int, bool]:
+    def _walk_quiet_run(self, pc: int, loop_remaining: Optional[int]) -> Tuple[int, bool, bool]:
         """Ticks of the quiet run whose first fetch is line ``pc``, uncached.
 
         The run holds the fetches of ``wait d`` (``1 + d`` ticks), ``loop``,
         ``jump_if`` and every ``action`` the action sink calls ``passive``
         (one that only reaches passive peripheral inputs) along the
-        program's path.  The walk stops before the fetch of any other
-        command or of a line past the SCM, and after
-        :data:`QUIET_WALK_LIMIT` commands.  It reads the SCM with
-        :meth:`ScmMemory.peek`, so it counts no SCM reads, and steps the
-        loop counter on a copy; the capture register cannot change inside
-        the run (only ``capture``, where the walk stops, writes it).
-        Returns the ticks and whether a ``jump_if`` read the capture register.
+        program's path, and ends with the fetch of ``end`` or of a line past
+        the SCM when the path gets there.  The walk stops before the fetch
+        of any other command, and after :data:`QUIET_WALK_LIMIT` commands.
+        It reads the SCM with :meth:`ScmMemory.peek`, so it counts no SCM
+        reads, and steps the loop counter on a copy; the capture register
+        cannot change inside the run (only ``capture``, where the walk
+        stops, writes it).  Returns the ticks, whether the run finishes the
+        sequence, and whether a ``jump_if`` read the capture register.
         """
         scm = self.scm
         lines = scm.lines
@@ -198,7 +206,7 @@ class ExecutionUnit:
         reads_capture = False
         for _ in range(QUIET_WALK_LIMIT):
             if pc >= lines:
-                break
+                return ticks + 1, True, reads_capture
             command = scm.peek(pc)
             opcode = command.opcode
             if opcode is Opcode.WAIT:
@@ -226,19 +234,25 @@ class ExecutionUnit:
                     break
                 ticks += 1
                 pc += 1
+            elif opcode is Opcode.END:
+                return ticks + 1, True, reads_capture
             else:
                 break
-        return ticks, reads_capture
+        return ticks, False, reads_capture
 
-    def skip_quiet(self, cycles: int, cycle: int) -> None:
-        """Replay the first ``cycles`` of :meth:`quiet_ticks`, the first at ``cycle``.
+    def skip_quiet(self, cycles: int, cycle: int) -> int:
+        """Replay the first ``cycles`` ticks of :meth:`quiet_run`, the first at ``cycle``.
 
         Countdowns go in bulk; each fetch runs the dense tick's own handler
         with its cycle number, so state and statistics match ``cycles``
         calls of :meth:`tick`, and a passive action reaches the sink with
-        its own cycle.
+        its own cycle.  A run that finishes stops at its last fetch; the
+        unit then stays idle.  Returns how many of the ticks ended with the
+        unit still busy: ``cycles``, or the index of the finishing tick.
         """
-        self.busy_cycles += cycles
+        if self.state is ExecutionState.IDLE:
+            return 0
+        start = cycle
         end = cycle + cycles
         while cycle < end:
             if self.state is ExecutionState.WAITING:
@@ -251,6 +265,11 @@ class ExecutionUnit:
             else:
                 self._tick_fetch(cycle)
                 cycle += 1
+                if self.state is ExecutionState.IDLE:
+                    self.busy_cycles += cycle - start
+                    return cycle - start - 1
+        self.busy_cycles += cycles
+        return cycles
 
     # ------------------------------------------------------------------- states
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,9 @@ class TriggerFifo:
     and counted, so the rest of the system keeps running and the loss is
     observable (``dropped`` counter) — an important property for the
     worst-case analyses in the tests.
+
+    ``on_push``, when set, is called after every buffered trigger: PELS
+    uses it to learn that a link it does not step has work queued.
     """
 
     def __init__(self, depth: int) -> None:
@@ -40,6 +43,7 @@ class TriggerFifo:
         self.popped = 0
         self.dropped = 0
         self.high_watermark = 0
+        self.on_push: Optional[Callable[[], None]] = None
 
     def push(self, cycle: int, events_snapshot: int) -> bool:
         """Buffer a trigger; returns ``False`` (and counts a drop) when full."""
@@ -49,6 +53,8 @@ class TriggerFifo:
         self._entries.append(TriggerEntry(cycle=cycle, events_snapshot=events_snapshot))
         self.pushed += 1
         self.high_watermark = max(self.high_watermark, len(self._entries))
+        if self.on_push is not None:
+            self.on_push()
         return True
 
     def pop(self) -> Optional[TriggerEntry]:

@@ -47,9 +47,9 @@ class LinkEventRecord:
 class Link:
     """One of PELS's independent linking units.
 
-    The link is *not* a simulator component itself: the PELS top level ticks
-    all of its links so it can broadcast the event vector and route instant
-    actions consistently.
+    The link is *not* a simulator component itself: the PELS top level steps
+    its links so it can broadcast the event vector and route instant actions
+    consistently.
     """
 
     def __init__(
@@ -114,20 +114,14 @@ class Link:
     def step_idle(self, events: int) -> bool:
         """Take this cycle as an idle step if :meth:`step` would do no more.
 
-        With the execution unit idle, the FIFO empty, no open record, and no
-        selected event line active, :meth:`step` can only count one trigger
-        evaluation: exactly ``skip_idle(1)``.  Returns whether that fast path
-        applied; if not, the caller must :meth:`step` the link.
+        With the link not :attr:`live` and no selected event line active,
+        :meth:`step` can only count one trigger evaluation.  Returns whether
+        that fast path applied; if not, the caller must :meth:`step` the
+        link.
         """
-        trigger = self.trigger
-        if (
-            events & trigger.mask
-            or self.execution.state is not ExecutionState.IDLE
-            or self._open_record is not None
-            or not trigger.fifo.empty
-        ):
+        if events & self.trigger.mask or self.live:
             return False
-        self.skip_idle(1)
+        self.trigger.evaluations += 1
         return True
 
     def _close_record_if_done(self) -> None:
@@ -140,18 +134,22 @@ class Link:
         self.records.append(record)
         self._open_record = None
 
-    def skip_idle(self, cycles: int) -> None:
-        """Replay ``cycles`` idle steps (``events == 0``) in one batch.
+    def skip_quiet(self, cycles: int, cycle: int) -> int:
+        """Replay ``cycles`` steps (``events == 0``) of the execution unit's quiet run.
 
-        Only valid while the execution unit is idle or running quiet
-        microcode (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`),
-        the trigger FIFO is empty and no completed-event record awaits
-        closing (record closing is a per-step side effect the latency
-        analysis depends on): no trigger can fire on an empty event vector,
-        so the only per-cycle trigger effect of :meth:`step` is the
-        evaluation counter.
+        Only valid inside the run
+        (:meth:`~repro.core.execution.ExecutionUnit.quiet_run`) with the
+        trigger FIFO empty: no trigger can fire on an empty event vector,
+        so the trigger only counts its evaluations.  A run that finishes
+        closes its event record on its last tick, as :meth:`step` does.
+        Returns the ticks after which the link was still busy
+        (:meth:`~repro.core.execution.ExecutionUnit.skip_quiet`).
         """
+        busy = self.execution.skip_quiet(cycles, cycle)
+        if busy < cycles:
+            self._close_record_if_done()
         self.trigger.evaluations += cycles
+        return busy
 
     # ------------------------------------------------------------------- status
 
@@ -159,6 +157,19 @@ class Link:
     def busy(self) -> bool:
         """Whether the execution unit is servicing a linking event."""
         return not self.execution.idle
+
+    @property
+    def live(self) -> bool:
+        """Whether a step can do more than evaluate the trigger on a quiet vector.
+
+        True while the link is busy, has a queued trigger, or has an event
+        record awaiting closure.
+        """
+        return (
+            self.execution.state is not ExecutionState.IDLE
+            or not self.trigger.fifo.empty
+            or self._open_record is not None
+        )
 
     @property
     def last_record(self) -> Optional[LinkEventRecord]:

@@ -31,7 +31,7 @@ from repro.core.execution import ExecutionState
 from repro.core.isa import Command, decode_command
 from repro.core.link import Link
 from repro.core.scm import ScmTraffic
-from repro.core.trigger import TriggerCondition
+from repro.core.trigger import TriggerCondition, TriggerUnit
 from repro.peripherals.events import EventFabric
 from repro.sim.component import Component
 from repro.sim.simulator import SimulationError
@@ -123,6 +123,19 @@ class _ActionSink:
         return mask != 0 and mask & self.pels._passive_masks.get(group, 0) == mask
 
 
+class _LiveLinkWatch:
+    """FIFO push hook: a link with a queued trigger is live (:meth:`Pels._revive`)."""
+
+    __slots__ = ("pels", "link")
+
+    def __init__(self, pels: "Pels", link: Link) -> None:
+        self.pels = pels
+        self.link = link
+
+    def __call__(self) -> None:
+        self.pels._revive(self.link)
+
+
 class _PeripheralDelivery:
     """Routed instant action: pulse one peripheral event input."""
 
@@ -185,9 +198,16 @@ class Pels(Component):
         self._deliveries: Dict[Tuple[int, int, int], _Delivery] = {}
         #: group -> bits routed to a passive peripheral input.
         self._passive_masks: Dict[int, int] = {}
-        #: ``(cycle, label)`` of the actions a :meth:`skip` replays, traced
-        #: once the skip has run every link; ``None`` outside a skip.
-        self._replayed_actions: Optional[List[Tuple[int, str]]] = None
+        #: ``(cycle, deliver, label)`` of the actions a :meth:`skip` replays,
+        #: delivered and traced once the skip has run every link; ``None``
+        #: outside a skip.
+        self._replayed_actions: Optional[List[Tuple[int, Callable[[], None], str]]] = None
+        #: The links a tick steps, in index order (see :attr:`Link.live`),
+        #: and the triggers of the others, which only count evaluations.
+        self._live: List[Link] = []
+        self._idle_triggers: List[TriggerUnit] = [link.trigger for link in self.links]
+        for link in self.links:
+            link.trigger.fifo.on_push = _LiveLinkWatch(self, link)
         self._pending_loopback: List[str] = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0
@@ -249,14 +269,15 @@ class Pels(Component):
         self.record("instant_actions")
         self.record(counter)
         self.unrouted_actions += unrouted
+        replayed = self._replayed_actions
         for deliver, label in targets:
-            deliver()
             self.instant_actions_delivered += 1
+            if replayed is not None:
+                replayed.append((cycle, deliver, label))
+                continue
+            deliver()
             if self.is_attached:
-                if self._replayed_actions is None:
-                    self.simulator.trace(f"{self.name}.action", label)
-                else:
-                    self._replayed_actions.append((cycle, label))
+                self.simulator.trace(f"{self.name}.action", label)
 
     def _learn_delivery(self, key: Tuple[int, int, int]) -> _Delivery:
         """Resolve ``mask``'s bits in ``group`` against the routes and enter the result."""
@@ -350,15 +371,27 @@ class Pels(Component):
                 self.fabric.pulse(line_name)
                 self.record("loopback_pulses")
             self._pending_loopback = []
-        # 2. Broadcast the current event vector to every link.
+        # 2. Broadcast the current event vector.  Only live links can do
+        #    more than count a trigger evaluation, unless the vector hits a
+        #    line some enabled trigger selects: then every link is walked.
         events = self.fabric.active_mask() if self.enabled else 0
+        live = self._live
+        if events & self._observed_mask:
+            for link in self.links:
+                if not link.step_idle(events):
+                    link.step(events, cycle)
+            live = self._live  # with the links that triggered (see _revive)
+        else:
+            for trigger in self._idle_triggers:
+                trigger.evaluations += 1
+            for link in live:
+                link.step(events, cycle)
         busy_links = 0
-        for link in self.links:
-            if link.step_idle(events):
-                continue
-            link.step(events, cycle)
+        for link in live:
             if link.busy:
                 busy_links += 1
+            else:
+                self._park(link)
         if busy_links:
             self.record("busy_cycles")
             self.record("link_busy_cycles", busy_links)
@@ -368,6 +401,23 @@ class Pels(Component):
         self._record_scm_traffic()
         # 4. Event pulses are single-cycle: clear them after all links sampled.
         self.fabric.end_cycle()
+
+    def _revive(self, link: Link) -> None:
+        """Step ``link`` on every tick: a trigger was queued in its FIFO.
+
+        Called by the FIFO (``TriggerFifo.on_push``), so a trigger pushed
+        from the host between steps is serviced too.  A link only becomes
+        :attr:`~Link.live` through a trigger, so no other path needs this.
+        """
+        if link not in self._live:
+            self._live = [other for other in self.links if other is link or other in self._live]
+            self._idle_triggers = [trigger for trigger in self._idle_triggers if trigger is not link.trigger]
+
+    def _park(self, link: Link) -> None:
+        """Stop stepping ``link`` once it is no longer :attr:`~Link.live`."""
+        if not link.live and link in self._live:
+            self._live = [other for other in self._live if other is not link]
+            self._idle_triggers = [*self._idle_triggers, link.trigger]
 
     def _record_scm_traffic(self) -> None:
         traffic = self._scm_traffic
@@ -384,29 +434,34 @@ class Pels(Component):
         """Cycles until the next tick that does more than run quiet microcode.
 
         ``None`` when every link is quiescent.  When every busy link is in a
-        quiet run (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`:
+        quiet run (:meth:`~repro.core.execution.ExecutionUnit.quiet_run`:
         ``wait`` countdowns and the fetches of ``wait``, ``loop``,
         ``jump_if`` and passive ``action`` commands, which :meth:`skip`
         replays), one past the shortest run.  An ``action`` is passive when
         its mask is non-zero and every set bit is routed to a peripheral's
         passive input (:meth:`_ActionSink.passive`); an unrouted bit, a
-        loopback or a callback keeps it a wake.  ``1`` whenever anything
-        else is in motion: a registered loopback pulse to apply, an event on
-        the fabric to broadcast (PELS also owns the end-of-cycle pulse
-        clearing), a link about to fetch any other command or on the bus,
-        queued triggers, a completed event record awaiting closure, or SCM
-        traffic (e.g. host-side microcode programming) not yet attributed to
-        the activity counters.  A fetch of ``end`` stays a wake because it
-        changes what ``run_until`` conditions poll: ``busy``,
-        ``last_record`` and ``events_serviced``.
+        loopback or a callback keeps it a wake.  A run that ends in the
+        fetch of ``end`` (or of a line past the SCM) sets no bound: the
+        link is idle after it, and :meth:`skip` replays the finish at its
+        own cycle.  While :meth:`~repro.sim.simulator.Simulator.run_until`
+        polls a condition (``SimState.polling``) that fetch stays a wake,
+        because it changes what such conditions read on the exact cycle:
+        ``busy``, ``last_record`` and ``events_serviced``.  ``1`` whenever
+        anything else is in motion: a registered loopback pulse to apply,
+        an event on the fabric to broadcast (PELS also owns the
+        end-of-cycle pulse clearing), a link about to fetch any other
+        command or on the bus, queued triggers, a completed event record
+        awaiting closure, or SCM traffic (e.g. host-side microcode
+        programming) not yet attributed to the activity counters.  Only
+        live links (:attr:`Link.live`) are visited.
         """
         if self._pending_loopback or self.fabric.active_mask():
             return 1
         traffic = self._scm_traffic
         if traffic.reads != self._scm_reads_seen or traffic.writes != self._scm_writes_seen:
             return 1
-        quiet = None
-        for link in self.links:
+        horizon = None
+        for link in self._live:
             if not link.trigger.fifo.empty:
                 return 1
             execution = link.execution
@@ -414,58 +469,83 @@ class Pels(Component):
                 if link._open_record is not None:
                     return 1
                 continue
-            ticks = execution.quiet_ticks()
-            if ticks == 0:
+            ticks, finishes = execution.quiet_run()
+            if not finishes:
+                bound = ticks + 1
+            elif self._polling():
+                bound = ticks
+            else:
+                continue
+            if bound <= 1:
                 return 1
-            if quiet is None or ticks < quiet:
-                quiet = ticks
-        return None if quiet is None else quiet + 1
+            if horizon is None or bound < horizon:
+                horizon = bound
+        return horizon
+
+    def _polling(self) -> bool:
+        """Whether ``run_until`` is polling a condition on this PELS's simulator."""
+        simulator = self._simulator
+        return simulator is not None and simulator._state.polling
 
     def skip(self, cycles: int) -> None:
         """Replay ``cycles`` ticks inside the horizon :meth:`next_event` promised.
 
-        Every busy link stays busy for the whole span and idle links stay
-        idle, and links do not interact, so each busy link replays its quiet
-        run on its own; idle links only count trigger evaluations.  A passive
-        action is delivered at its own cycle and traced at its own base tick,
-        in the order dense ticks trace them (by cycle, then link).  The
-        activity matches what the dense ticks record: busy and per-link busy
-        cycles while any link is busy, idle cycles otherwise, and the SCM
-        reads of the replayed fetches.  Raises :class:`SimulationError` when
-        asked to replay a tick that would do real work, so a scheduler bug
-        cannot silently drop cycles.
+        Each live link replays its quiet run on its own (links do not
+        interact inside it), finishing at its own cycle when the run ends
+        in ``end``; the other links only count trigger evaluations.  The
+        passive actions replayed are delivered at their own cycles and
+        traced at their own base ticks, in the order dense ticks make them
+        (by cycle, then link), so one link's ``set_pad0`` and another's
+        ``toggle_pad0`` leave the pad as dense mode does.  The activity
+        matches what the dense ticks record: ``busy_cycles`` for the longest
+        busy prefix, ``link_busy_cycles`` for the sum of the links' busy
+        prefixes, ``idle_cycles`` for the rest, and the SCM reads of the
+        replayed fetches.  Raises :class:`SimulationError` when asked to
+        replay a tick that would do real work, so a scheduler bug cannot
+        silently drop cycles.
         """
         horizon = self.next_event()
         if horizon is not None and cycles >= horizon:
             raise SimulationError(
                 f"{self.name}: cannot skip {cycles} cycles; its next tick that does work is {horizon} away"
             )
-        busy = 0
+        for trigger in self._idle_triggers:
+            trigger.evaluations += cycles
+        live = self._live
+        if not live:
+            self.record("idle_cycles", cycles)
+            return
+        longest = total = 0
         replayed = self._replayed_actions = []
         try:
-            for link in self.links:
-                execution = link.execution
-                if execution.state is not ExecutionState.IDLE:
-                    execution.skip_quiet(cycles, self.clock.cycles)
-                    busy += 1
-                link.skip_idle(cycles)
+            first = self.clock.cycles
+            for link in live:
+                busy = link.skip_quiet(cycles, first)
+                total += busy
+                if busy > longest:
+                    longest = busy
+                if busy < cycles:
+                    self._park(link)
         finally:
             self._replayed_actions = None
         if replayed:
             replayed.sort(key=itemgetter(0))  # stable: links in order within a cycle
             signal = f"{self.name}.action"
-            for cycle, label in replayed:
+            for cycle, deliver, label in replayed:
+                deliver()
                 self.simulator.trace_at(self.clock, cycle, signal, label)
-        if busy:
-            self.record("busy_cycles", cycles)
-            self.record("link_busy_cycles", busy * cycles)
-            self._record_scm_traffic()
-        else:
-            self.record("idle_cycles", cycles)
+        if longest:
+            self.record("busy_cycles", longest)
+            self.record("link_busy_cycles", total)
+        if longest < cycles:
+            self.record("idle_cycles", cycles - longest)
+        self._record_scm_traffic()
 
     def reset(self) -> None:
         for link in self.links:
             link.reset()
+        self._live = []
+        self._idle_triggers = [link.trigger for link in self.links]
         self._pending_loopback = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0

@@ -10,7 +10,7 @@ would dominate [Teman et al.].
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.core.isa import COMMAND_BITS, Command, decode_command, encode_command
 
@@ -47,8 +47,9 @@ class ScmMemory:
     :meth:`clear`), and every access also bumps :attr:`traffic`, which PELS
     points at the one total its links share.
 
-    :attr:`quiet_runs` is the execution unit's table of quiet-run lengths
-    (:meth:`~repro.core.execution.ExecutionUnit.quiet_ticks`), derived from
+    :attr:`quiet_runs` is the execution unit's table of quiet runs, each a
+    length and whether the run finishes the sequence
+    (:meth:`~repro.core.execution.ExecutionUnit.quiet_run`), derived from
     the lines it stores.  Every write and :meth:`clear` empties it, and so
     does PELS when it re-routes an action line (which moves what counts as
     a passive action).  It is a cache: it never changes a result.
@@ -62,7 +63,7 @@ class ScmMemory:
         self.read_count = 0
         self.write_count = 0
         self.traffic = ScmTraffic()
-        self.quiet_runs: Dict[Tuple, int] = {}
+        self.quiet_runs: Dict[Tuple, Union[Tuple[int, bool], int]] = {}
 
     # ------------------------------------------------------------------ access
 

@@ -326,6 +326,8 @@ class Simulator:
         """
         state = self._state
         start = state.base_tick
+        polling = state.polling
+        state.polling = True
         with tracing.span("kernel.run_until", "kernel", label=label) as args:
             try:
                 self._schedule_plan()
@@ -344,6 +346,7 @@ class Simulator:
                             continue
                     state.dense_tick(event_driven)
             finally:
+                state.polling = polling
                 args["cycles"] = state.base_tick - start
         return state.base_tick - start
 
@@ -467,6 +470,10 @@ class SimState:
         #: Component whose tick()/skip() is currently executing; its *self*
         #: invalidations are suppressed (see invalidate_wake).
         self._active_component: Optional[Component] = None
+        #: True while :meth:`Simulator.run_until` polls a condition.  A
+        #: horizon may then not reach past a change such conditions read on
+        #: the exact cycle (PELS keeps the fetch of ``end`` a wake).
+        self.polling = False
 
     # ----------------------------------------------------------------- binding
 

@@ -391,32 +391,67 @@ class TestSkipReplay:
         assert simulator.activity.get("pels", "idle_cycles") == 1_001
 
     def test_wait_window_replays_up_to_the_horizon(self):
+        """The countdown runs into ``end``, so the horizon is open: a skip
+        replays the countdown and the finish, then idles."""
         simulator, _, pels = self._waiting_pels(wait=10)
-        execution = pels.link(0).execution
-        # The whole countdown is quiet; the fetch of ``end`` is the wake.
-        assert pels.next_event() == 11
-        with pytest.raises(SimulationError):
-            pels.skip(11)
-        busy = simulator.activity.get("pels", "busy_cycles")
-        pels.skip(10)
-        assert execution._wait_remaining == 0
-        assert execution.state is ExecutionState.FETCH
-        assert simulator.activity.get("pels", "busy_cycles") == busy + 10
-        with pytest.raises(SimulationError):
-            pels.skip(1)
+        link = pels.link(0)
+        execution = link.execution
+        # The countdown and the fetch of ``end`` form one quiet run that
+        # finishes the sequence, so it sets no bound.
+        assert execution.quiet_run() == (11, True)
+        assert pels.next_event() is None
+        activity = simulator.activity
+        busy, link_busy, idle = (activity.get("pels", name) for name in ("busy_cycles", "link_busy_cycles", "idle_cycles"))
+        executed = execution.busy_cycles
+        first = pels.clock.cycles
+        pels.skip(15)
+        assert execution.state is ExecutionState.IDLE
+        assert link.last_record.completion_cycle == first + 10
+        assert execution.busy_cycles == executed + 11  # the ``end`` tick counts
+        # The ``end`` tick leaves the link idle, so PELS records it idle.
+        assert activity.get("pels", "busy_cycles") == busy + 10
+        assert activity.get("pels", "link_busy_cycles") == link_busy + 10
+        assert activity.get("pels", "idle_cycles") == idle + 5
+        assert not pels.busy
+        assert pels.next_event() is None
+
+    def test_wait_window_ends_in_a_wake_inside_run_until(self):
+        """While ``run_until`` polls, the fetch of ``end`` is the wake."""
+        simulator, _, pels = self._waiting_pels(wait=10)
+
+        def probe():
+            horizons.append(pels.next_event())
+            with pytest.raises(SimulationError):
+                pels.skip(11)
+            return True
+
+        horizons = []
+        simulator.run_until(probe)
+        assert horizons == [11]
+        assert pels.next_event() is None
 
     def test_busy_states_refuse_to_skip(self):
+        """Every state of a sequenced ``set`` is a wake; the fetch of ``end``
+        after it is not."""
         simulator, fabric, _, _, pels = build_pels()
         pels.program_link(0, assemble("set 0x401 0x1\nend"), trigger_mask=0b1)
         fabric.pulse("ext.event0")
         seen = set()
+        fetches_of_end = 0
         for _ in range(12):
             simulator.step(1)
-            state = pels.link(0).execution.state
-            if state is not ExecutionState.IDLE:
-                seen.add(state)
+            execution = pels.link(0).execution
+            state = execution.state
+            if state is ExecutionState.IDLE:
+                continue
+            seen.add(state)
+            if state is ExecutionState.FETCH and execution.pc == 1:
+                fetches_of_end += 1
+                assert pels.next_event() is None
+            else:
                 with pytest.raises(SimulationError):
                     pels.skip(1)
+        assert fetches_of_end == 1
         assert {
             ExecutionState.FETCH,
             ExecutionState.ISSUE_READ,
@@ -424,6 +459,21 @@ class TestSkipReplay:
             ExecutionState.ISSUE_WRITE,
             ExecutionState.WRITE_WAIT,
         } <= seen
+
+    def test_the_fetch_of_end_is_a_wake_inside_run_until(self):
+        simulator, fabric, _, _, pels = build_pels()
+        link = pels.program_link(0, assemble("set 0x401 0x1\nend"), trigger_mask=0b1)
+        fabric.pulse("ext.event0")
+
+        def probe():
+            execution = link.execution
+            if execution.state is ExecutionState.FETCH and execution.pc == 1:
+                horizons.append(pels.next_event())
+            return link.last_record is not None
+
+        horizons = []
+        simulator.run_until(probe, max_cycles=50)
+        assert horizons == [1]
 
     def test_queued_trigger_refuses_to_skip(self):
         simulator, fabric, pels = self._waiting_pels()

@@ -1,14 +1,14 @@
 """PELS's lookup tables agree with a fresh walk of the configuration.
 
-``ExecutionUnit.quiet_ticks`` looks quiet runs up in the SCM's
+``ExecutionUnit.quiet_run`` looks quiet runs up in the SCM's
 ``quiet_runs`` table and ``Pels._deliver_action`` looks routes up in
 ``Pels._deliveries``.  Both are caches of a walk over the SCM lines and the
 action routes, so every SCM write (line store, config window, program load,
 ``clear``) and every re-route must invalidate them.  The property test here
 drives random sequences of those changes and deliveries and, after each,
-compares a grid of lookups with the uncached walk
-(``ExecutionUnit._walk_quiet_run``); each delivery is compared with one
-resolved from the routes by hand.
+compares a grid of lookups, the run's length and whether it finishes the
+sequence, with the uncached walk (``ExecutionUnit._walk_quiet_run``); each
+delivery is compared with one resolved from the routes by hand.
 """
 
 from itertools import count, product
@@ -33,6 +33,10 @@ SCM_LINES = 6
 GROUPS = 2
 BITS = 3
 PAD_PORTS = ("toggle_pad0", "set_pad0", "clear_pad0")
+#: ``BLINK: action 0 0x1; wait 10; loop BLINK 3; end`` from its first fetch:
+#: four turns of action (1) + wait 10 (11) + loop (1), then the fetch of
+#: ``end``, which finishes the sequence.
+BLINKER_RUN = (4 * 13 + 1, True)
 
 
 def commands():
@@ -106,10 +110,10 @@ def _probe(execution):
         execution.capture_register = capture
         execution._wait_remaining = 5
         start = pc + 1 if state is ExecutionState.WAITING else pc
-        expected = execution._walk_quiet_run(start, loop_remaining)[0]
+        ticks, finishes, _ = execution._walk_quiet_run(start, loop_remaining)
         if state is ExecutionState.WAITING:
-            expected += 5
-        assert execution.quiet_ticks() == expected, (state, pc, loop_remaining, capture)
+            ticks += 5
+        assert execution.quiet_run() == (ticks, finishes), (state, pc, loop_remaining, capture)
 
 
 class TestTablesMatchAFreshWalk:
@@ -198,17 +202,36 @@ class TestQuietRunTableKeys:
             link = pels.links[0]
             link.load_program(blinker)
             link.execution.state = ExecutionState.FETCH
-            assert link.execution.quiet_ticks() == 4 * 13
+            assert link.execution.quiet_run() == BLINKER_RUN
             change(pels, gpio)
             assert link.scm.quiet_runs == {}
-            assert link.execution.quiet_ticks() == link.execution._walk_quiet_run(0, None)[0] != 4 * 13
+            assert link.execution.quiet_run() == link.execution._walk_quiet_run(0, None)[:2] != BLINKER_RUN
 
     def test_a_run_without_jump_if_ignores_the_capture_register(self):
         execution = self._link([Command.action(0, 0x1), Command.wait(10), Command.loop(0, 3), Command.end()])
         for capture in range(1_000):
             execution.capture_register = capture
-            assert execution.quiet_ticks() == 4 * 13
-        assert execution.scm.quiet_runs == {(0, None): 4 * 13}
+            assert execution.quiet_run() == BLINKER_RUN
+        assert execution.scm.quiet_runs == {(0, None): BLINKER_RUN}
+
+    def test_the_finishing_run_is_a_horizon_only_inside_run_until(self):
+        """The blinker's run ends in ``end``: no bound while stepping, and
+        the ``end`` fetch as the wake while ``run_until`` polls."""
+        pels, gpio, _ = _build()
+        pels.route_action_to_peripheral(0, 0, gpio, "toggle_pad0")
+        simulator = Simulator()
+        simulator.add_component(pels)
+        link = pels.links[0]
+        link.load_program([Command.action(0, 0x1), Command.wait(10), Command.loop(0, 3), Command.end()])
+        simulator.step(1)  # attribute the programming traffic
+        link.trigger.fifo.push(0, 0)
+        simulator.step(1)  # the queued trigger starts the link
+        assert link.execution.quiet_run() == BLINKER_RUN
+        assert pels.next_event() is None
+        horizons = []
+        simulator.run_until(lambda: horizons.append(pels.next_event()) or True)
+        assert horizons == [BLINKER_RUN[0]]
+        assert link.scm.quiet_runs == {(0, None): BLINKER_RUN}
 
     def test_captured_values_cannot_grow_the_table_past_its_bound(self):
         """A run crossing ``jump_if`` is keyed on the capture register too;
@@ -216,21 +239,22 @@ class TestQuietRunTableKeys:
         execution = self._link([Command.wait(2), Command.jump_if(0, JumpCondition.GT, 500), Command.end()])
         for capture in range(3 * QUIET_RUN_TABLE_LIMIT):
             execution.capture_register = capture
-            expected = execution._walk_quiet_run(0, None)[0]
-            assert execution.quiet_ticks() == expected
+            expected = execution._walk_quiet_run(0, None)[:2]
+            assert execution.quiet_run() == expected
             assert len(execution.scm.quiet_runs) <= QUIET_RUN_TABLE_LIMIT + 1
-        # A capture at or below 500 falls through to ``end`` after one turn;
-        # above it the jump loops until the walk cap (32 turns of 4 ticks).
+        # A capture at or below 500 falls through to ``end`` after one turn
+        # (4 ticks, then the fetch of ``end``); above it the jump loops until
+        # the walk cap (32 turns of 4 ticks) and the run does not finish.
         execution.capture_register = 500
-        assert execution.quiet_ticks() == 4
+        assert execution.quiet_run() == (5, True)
         execution.capture_register = 501
-        assert execution.quiet_ticks() == 32 * 4
+        assert execution.quiet_run() == (32 * 4, False)
 
 
 class TestSkipGuard:
-    def test_skip_raises_when_a_rewrite_turns_a_quiet_command_into_write(self):
-        """The horizon PELS promised is stale once ``wait`` becomes ``write``:
-        ``skip`` must re-derive it from the rewritten SCM and refuse."""
+    @staticmethod
+    def _waiting():
+        """``wait 20; wait 30; end`` on one link, counting down ``wait 20``."""
         simulator = Simulator()
         fabric = EventFabric()
         fabric.add_line("ext", producer="test")
@@ -243,10 +267,32 @@ class TestSkipGuard:
         simulator.step(3)  # trigger, start, fetch ``wait 20``
         execution = pels.links[0].execution
         assert execution.state is ExecutionState.WAITING
-        promised = pels.next_event()
-        assert promised == execution._wait_remaining + 31 + 1
+        return simulator, pels, execution
+
+    def test_skip_raises_when_a_rewrite_turns_a_quiet_command_into_write(self):
+        """The run ends in ``end``, so PELS promised no bound; once ``wait``
+        becomes ``write`` the promise is stale: ``skip`` must re-derive it
+        from the rewritten SCM and refuse."""
+        _, pels, execution = self._waiting()
+        assert execution.quiet_run() == (execution._wait_remaining + 31 + 1, True)
+        assert pels.next_event() is None
         pels.links[0].scm.store(1, Command.write(0, 0x1))
         pels._record_scm_traffic()  # the write is attributed: only the run decides now
         assert pels.next_event() == execution._wait_remaining + 1
         with pytest.raises(SimulationError):
-            pels.skip(promised - 1)
+            pels.skip(execution._wait_remaining + 31)
+
+    def test_inside_run_until_the_promise_ends_at_the_end_fetch(self):
+        simulator, pels, execution = self._waiting()
+
+        def probe():
+            promised = pels.next_event()
+            assert promised == execution._wait_remaining + 31 + 1
+            pels.links[0].scm.store(1, Command.write(0, 0x1))
+            pels._record_scm_traffic()
+            assert pels.next_event() == execution._wait_remaining + 1
+            with pytest.raises(SimulationError):
+                pels.skip(promised - 1)
+            return True
+
+        simulator.run_until(probe)

@@ -28,7 +28,14 @@ from repro.bus.apb import ApbBus
 from repro.core.config import PelsConfig
 from repro.core.execution import ExecutionState
 from repro.core.isa import Command, JumpCondition, encode_command
-from repro.core.pels import LINK_SCM_WINDOW, LINK_WINDOW_BASE, LINK_WINDOW_STRIDE, Pels
+from repro.core.pels import (
+    LINK_REG_ENABLE,
+    LINK_REG_MASK,
+    LINK_SCM_WINDOW,
+    LINK_WINDOW_BASE,
+    LINK_WINDOW_STRIDE,
+    Pels,
+)
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.peripherals.gpio import Gpio
@@ -347,21 +354,45 @@ class TestWaitWindowHorizon:
         execution = pels.links[0].execution
         assert (execution.state, execution.pc) == (ExecutionState.FETCH, 0)
         # Four turns of action (1) + wait 10 (11) + loop (1); the tick after
-        # them fetches ``end``.
-        assert pels.next_event() == 4 * 13 + 1
+        # them fetches ``end`` and finishes, so the run sets no bound.
+        assert execution.quiet_run() == (4 * 13 + 1, True)
+        assert pels.next_event() is None
         for divisor in (1, 2, 4):
             scenario = self._blinker(2, 0x1, divisor)
             dense, _ = run_stepped(scenario, dense=True)
             event, stats = run_stepped(scenario, dense=False)
             assert event == dense, divisor
             assert run_batched(scenario) == dense, divisor
-            # Only the trigger and the ``end`` fetch are dense ticks.
-            assert stats["dense_ticks"] <= 2, divisor
+            # Only the trigger is a dense tick.
+            assert stats["dense_ticks"] <= 1, divisor
             simulator, _, gpio = _build(scenario)
             simulator.step(sum(scenario["chunks"]))
             actions = simulator.traces.trace("pels.action").changes()
             assert [action.cycle for action in actions] == [divisor * cycle for cycle in (1, 14, 27, 40)]
             assert gpio.toggle_count == 4
+
+    def test_inside_run_until_the_blinker_ends_in_a_wake(self):
+        """While ``run_until`` polls, the fetch of ``end`` bounds the horizon
+        and is a dense tick, so the condition sees the record on its cycle."""
+        for divisor in (1, 2):
+            scenario = self._blinker(2, 0x1, divisor)
+            results = []
+            for dense in (True, False):
+                simulator, pels, _ = _build(scenario, dense=dense)
+                simulator.step(1)
+                horizons = []
+                link = pels.links[0]
+
+                def finished(pels=pels, link=link, horizons=horizons):
+                    horizons.append(pels.next_event())
+                    return link.last_record is not None
+
+                cycles = simulator.run_until(finished, max_cycles=500)
+                results.append((cycles, link.last_record, simulator.activity.as_dict()))
+                if not dense:
+                    assert horizons[0] == 4 * 13 + 1, divisor
+                    assert simulator.kernel_stats["dense_ticks"] <= 2, divisor
+            assert results[0] == results[1], divisor
 
     def test_two_blinkers_trace_their_toggles_in_dense_order(self):
         """Links replay one after another inside a skip; their interleaved
@@ -383,10 +414,101 @@ class TestWaitWindowHorizon:
             scenario = self._blinker(group, mask)
             simulator, pels, _ = _build(scenario)
             simulator.step(1)
-            assert pels.links[0].execution.quiet_ticks() == 0, (group, mask)
+            assert pels.links[0].execution.quiet_run() == (0, False), (group, mask)
             assert pels.next_event() == 1, (group, mask)
             dense, _ = run_stepped(scenario, dense=True)
             assert run_stepped(scenario, dense=False)[0] == dense, (group, mask)
+
+
+def _link(program, mask=0x1):
+    return {"program": program, "mask": mask, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
+
+
+class TestCrossLinkActionOrder:
+    def test_set_and_toggle_from_two_links_leave_the_pad_as_dense(self):
+        """Link 0 toggles pad 0 six times (``action 2 0x1; wait 3; loop 0 5;
+        end``) while link 1 sets it once (``action 2 0x2; wait 40; end``),
+        both started on cycle 0.  Inside a skip each link replays on its own,
+        so the pad is only right when the replayed deliveries are made in
+        dense order, by cycle and then link: toggle, set, then five toggles
+        leave it low.  Delivering link 0's six toggles before link 1's set
+        left it high."""
+        toggler = [Command.action(2, 0x1), Command.wait(3), Command.loop(0, 5), Command.end()]
+        setter = [Command.action(2, 0x2), Command.wait(40), Command.end()]
+        scenario = {
+            "links": [_link(toggler), _link(setter)],
+            "divisor": 1,
+            "pulses": [(0, "ext.a")],
+            "chunks": [60, 60],
+        }
+        dense, _ = run_stepped(scenario, dense=True)
+        event, stats = run_stepped(scenario, dense=False)
+        assert dense[-1][-1] == (0, 6, 0)
+        assert event == dense
+        assert run_batched(scenario) == dense
+        assert stats["dense_ticks"] <= 2
+
+
+class TestLiveLinks:
+    """PELS steps only its live links (busy, with a queued trigger, or with an
+    open record); every host path that can change which links those are must
+    leave the event and batched kernels equal to dense stepping."""
+
+    @staticmethod
+    def _scenario():
+        """Link 0 blinks pad 0 on ``ext.a``; link 1 sets pad 0 and waits on
+        ``ext.b``.  No ``ext.b`` pulse lands before cycle 250."""
+        blinker = [Command.action(2, 0x1), Command.wait(10), Command.loop(0, 3), Command.end()]
+        setter = [Command.action(2, 0x2), Command.wait(5), Command.end()]
+        pulses = [(0, "ext.a"), (250, "ext.b"), (300, "ext.a"), (420, "ext.b"), (700, "ext.a"), (900, "ext.a")]
+        return {
+            "links": [_link(blinker, 0x1), _link(setter, 0x2)],
+            "divisor": 2,
+            "pulses": pulses,
+            "chunks": [60, 80, 150, 200, 250, 300],
+        }
+
+    @staticmethod
+    def _window_write(pels, link, register, value):
+        pels.bus_write(LINK_WINDOW_BASE + link * LINK_WINDOW_STRIDE + register, value)
+
+    def test_host_paths_between_steps_match_dense(self):
+        def between(boundary, pels, gpio):
+            if boundary == 0:
+                # A trigger pushed straight into an idle link's FIFO.
+                pels.links[1].trigger.fifo.push(0, 0)
+            elif boundary == 1:
+                # Disable link 0 and point link 1 at ``ext.a``.
+                self._window_write(pels, 0, LINK_REG_ENABLE, 0)
+                self._window_write(pels, 1, LINK_REG_MASK, 1 << pels.fabric.index_of("ext.a"))
+            elif boundary == 2:
+                # Link 1's set now loops back instead of reaching the pad.
+                pels.route_action_to_fabric(group=2, bit=1, line_name="pels.loop0")
+                self._window_write(pels, 0, LINK_REG_ENABLE, 1)
+            elif boundary == 3:
+                pels.program_link(0, [Command.action(2, 0x1), Command.wait(3), Command.end()], trigger_mask=0x1)
+            elif boundary == 4:
+                pels.reset()
+                pels.program_link(1, [Command.action(2, 0x1), Command.wait(7), Command.end()], trigger_mask=0x1)
+
+        scenario = self._scenario()
+        dense, _ = run_stepped(scenario, dense=True, between=between)
+        event, stats = run_stepped(scenario, dense=False, between=between)
+        assert event == dense
+        assert run_batched(scenario, between=between) == dense
+        # The pushed trigger was serviced before any ``ext.b`` pulse.
+        events_serviced = [observation[3][1][0] for observation in dense]
+        assert events_serviced[:2] == [0, 1]
+        assert stats["cycles_skipped"] > stats["dense_ticks"]
+
+    def test_idle_links_count_every_evaluation(self):
+        """Idle links are not stepped but their triggers still count one
+        evaluation per PELS tick, dense or skipped."""
+        scenario = self._scenario()
+        simulator, pels, _ = _build(scenario)
+        simulator.step(sum(scenario["chunks"]))
+        ticks = pels.clock.cycles
+        assert [link.trigger.evaluations for link in pels.links] == [ticks, ticks]
 
 
 class TestMidRunReconfiguration:
@@ -430,7 +552,7 @@ class TestMidRunReconfiguration:
         simulator.step(20)
         execution = pels.links[0].execution
         assert execution.state is ExecutionState.WAITING
-        assert execution.quiet_ticks() > 0
+        assert execution.quiet_run()[0] > 0
         assert execution.scm.quiet_runs
 
     def test_a_microcode_rewrite_through_the_config_window_mid_run(self):

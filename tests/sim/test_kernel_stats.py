@@ -105,10 +105,11 @@ class TestMultiLinkPipelineCounts:
     those runs as horizons and its ``skip`` replays them, so the kernel skips
     them instead of ticking every cycle; idle links are not stepped either.
     The blinker's GPIO pad toggles are passive actions, replayed inside
-    those runs too.  ``dense_ticks`` is the load-independent proxy for the
-    PELS dense-tick cost (4,159 before WAIT windows were skipped, 1,849
-    while only the middle of each WAIT window was, 1,057 before passive
-    actions were replayed).
+    those runs too, and so is each link's closing ``end`` fetch.
+    ``dense_ticks`` is the load-independent proxy for the PELS dense-tick
+    cost (4,159 before WAIT windows were skipped, 1,849 while only the
+    middle of each WAIT window was, 1,057 before passive actions were
+    replayed, 793 before the ``end`` fetch was).
     """
 
     PIPELINE_HORIZON = 10_000
@@ -120,9 +121,9 @@ class TestMultiLinkPipelineCounts:
 
     def test_wait_windows_are_skipped(self):
         stats = self._run()
-        assert stats["dense_ticks"] == 793
-        assert stats["cycles_skipped"] == 9207
-        assert stats["spans_skipped"] == 265
+        assert stats["dense_ticks"] == 661
+        assert stats["cycles_skipped"] == 9339
+        assert stats["spans_skipped"] == 199
 
     def test_time_accounting_is_complete(self):
         stats = self._run()
@@ -137,10 +138,14 @@ class TestOwedTickCounts:
     where it is due (its deadline, or an invalidation); every other tick is
     owed and paid back in one ``skip``.  Before owed ticks every peripheral
     ran on all 27,942 dense ticks, and so did the SoC fabric (APB bus, SoC
-    interconnect, µDMA, Ibex) until it was made wake-cacheable too.  The
-    wake counters must not move: owing a tick changes who runs it, never
-    when the kernel wakes.  Only ``next_event_calls`` fell (77,085 →
-    44,365), because the fabric is no longer re-polled at every boundary.
+    interconnect, µDMA, Ibex) until it was made wake-cacheable too.  Owing
+    a tick changes who runs it, never when the kernel wakes: only
+    ``next_event_calls`` fell then (77,085 → 44,365), because the fabric
+    is no longer re-polled at every boundary.  Replaying each link's
+    closing ``end`` fetch inside PELS's skips then moved the wake counters
+    (dense ticks 27,942 → 23,287, spans 9,350 → 7,023, skipped cycles
+    532,058 → 536,713, ``next_event`` calls 44,365 → 39,710) and left every
+    per-peripheral ``tick`` count alone.
     """
 
     COMPONENTS = (
@@ -157,10 +162,10 @@ class TestOwedTickCounts:
         IbexCore,
     )
     KERNEL = {
-        "dense_ticks": 27_942,
-        "spans_skipped": 9_350,
-        "cycles_skipped": 532_058,
-        "next_event_calls": 44_365,
+        "dense_ticks": 23_287,
+        "spans_skipped": 7_023,
+        "cycles_skipped": 536_713,
+        "next_event_calls": 39_710,
     }
 
     def test_only_due_peripherals_tick(self, monkeypatch):
