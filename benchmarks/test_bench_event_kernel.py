@@ -5,15 +5,14 @@ Two experiments, one per layer of the scheduler:
 * **dense vs event-driven** (PR 1's claim): the duty-cycled logging workload
   under the legacy cycle-driven kernel and the event-driven kernel, with
   identical statistics and an asserted wall-clock floor.
-* **legacy vs cached scheduler** (this PR's claim): the figure5-idle
+* **every line observed vs the consumer-aware fabric**: the figure5-idle
   long-horizon scenario with the PWM actuator armed — the workload whose
-  128-cycle period used to bound every idle span.  The legacy configuration
-  re-polls every hinted component per boundary and treats every event line
-  as observed (``cached_wakes=False`` + a blanket fabric subscription); the
-  cached configuration uses the deadline cache and the consumer-aware
-  fabric.  Both must agree on the PWM period count cycle-exactly, the
-  speedup floor is asserted, and ``next_event()`` call counts are recorded
-  before/after.
+  128-cycle period used to bound every idle span.  With a blanket fabric
+  subscription every event line is observed, so the cached scheduler must
+  wake the PWM once per period; the consumer-aware fabric lets the PWM's
+  unobserved deadline lapse and crosses the horizon in one span.  Both must
+  agree on the PWM period count cycle-exactly, the speedup floor is
+  asserted, and ``next_event()`` call counts are recorded for both.
 
 Results land in ``results/event_kernel_speedup.txt`` (human-readable) and
 ``results/BENCH_kernel.json`` (machine-readable, consumed by the CI
@@ -31,9 +30,9 @@ SAMPLE_PERIOD = 2_000
 
 IDLE_HORIZON_CYCLES = 2_000_000
 IDLE_PWM_PERIOD = 128
-#: Wall-clock floor for the cached scheduler over the legacy event kernel on
-#: the figure5-idle long-horizon scenario.  Measured speedups are >100x; 2x
-#: is the acceptance floor and keeps the assert robust on loaded CI.
+#: Wall-clock floor for the consumer-aware fabric over every line observed
+#: on the figure5-idle long-horizon scenario.  Measured speedups are >1000x;
+#: 2x is the acceptance floor and keeps the assert robust on loaded CI.
 CACHED_MIN_SPEEDUP = 2.0
 DENSE_MIN_SPEEDUP = 3.0
 
@@ -84,21 +83,20 @@ def test_bench_event_kernel_speedup(benchmark, save_result, save_kernel_json):
     assert speedup >= DENSE_MIN_SPEEDUP
 
 
-def _idle_soc(legacy: bool):
+def _idle_soc(observe_all: bool):
     """The figure5-idle scenario with the PWM actuator armed."""
     soc = build_idle_measurement_soc("pels", frequency_hz=27e6)
-    if legacy:
-        # PR-1 kernel: no deadline cache, every event line observed (the
-        # pre-consumer-aware fabric woke for every PWM period pulse).
-        soc.simulator.cached_wakes = False
+    if observe_all:
+        # A blanket subscriber observes every event line, as the fabric did
+        # before it knew its consumers: the PWM wakes for every period pulse.
         soc.fabric.subscribe(lambda line: None)
     soc.pwm.regs.reg("PERIOD").write(IDLE_PWM_PERIOD)
     soc.pwm.start()
     return soc
 
 
-def _timed_idle_run(legacy: bool):
-    soc = _idle_soc(legacy)
+def _timed_idle_run(observe_all: bool):
+    soc = _idle_soc(observe_all)
     start = time.perf_counter()
     soc.run(IDLE_HORIZON_CYCLES)
     seconds = time.perf_counter() - start
@@ -106,49 +104,49 @@ def _timed_idle_run(legacy: bool):
 
 
 def test_bench_cached_scheduler_speedup(save_result, save_kernel_json):
-    legacy_seconds, legacy_soc = _timed_idle_run(legacy=True)
-    cached_seconds, cached_soc = _timed_idle_run(legacy=False)
+    observed_seconds, observed_soc = _timed_idle_run(observe_all=True)
+    aware_seconds, aware_soc = _timed_idle_run(observe_all=False)
 
-    legacy_stats = legacy_soc.simulator.kernel_stats
-    cached_stats = cached_soc.simulator.kernel_stats
-    speedup = legacy_seconds / max(cached_seconds, 1e-9)
+    observed_stats = observed_soc.simulator.kernel_stats
+    aware_stats = aware_soc.simulator.kernel_stats
+    speedup = observed_seconds / max(aware_seconds, 1e-9)
     lines = [
         f"Cached wake-horizon scheduler on figure5-idle + {IDLE_PWM_PERIOD}-cycle PWM "
         f"({IDLE_HORIZON_CYCLES} cycles):",
-        f"  legacy event kernel : {legacy_seconds * 1e3:8.1f} ms wall-clock, "
-        f"{legacy_stats['next_event_calls']} next_event() calls, "
-        f"{legacy_stats['dense_ticks']} dense ticks",
-        f"  cached scheduler    : {cached_seconds * 1e3:8.1f} ms wall-clock, "
-        f"{cached_stats['next_event_calls']} next_event() calls, "
-        f"{cached_stats['dense_ticks']} dense ticks",
-        f"  speedup             : {speedup:8.1f}x",
-        f"  pwm periods elapsed : {cached_soc.pwm.periods_elapsed} (identical under both)",
+        f"  every line observed     : {observed_seconds * 1e3:8.1f} ms wall-clock, "
+        f"{observed_stats['next_event_calls']} next_event() calls, "
+        f"{observed_stats['dense_ticks']} dense ticks",
+        f"  consumer-aware fabric   : {aware_seconds * 1e3:8.1f} ms wall-clock, "
+        f"{aware_stats['next_event_calls']} next_event() calls, "
+        f"{aware_stats['dense_ticks']} dense ticks",
+        f"  speedup                 : {speedup:8.1f}x",
+        f"  pwm periods elapsed     : {aware_soc.pwm.periods_elapsed} (identical under both)",
     ]
     save_result("cached_scheduler_speedup", "\n".join(lines))
     save_kernel_json(
-        "legacy_vs_cached",
+        "observed_vs_consumer_aware",
         {
             "scenario": "figure5-idle + armed PWM",
             "horizon_cycles": IDLE_HORIZON_CYCLES,
             "pwm_period": IDLE_PWM_PERIOD,
-            "legacy_seconds": legacy_seconds,
-            "cached_seconds": cached_seconds,
+            "observed_seconds": observed_seconds,
+            "consumer_aware_seconds": aware_seconds,
             "speedup": speedup,
             "floor": CACHED_MIN_SPEEDUP,
-            "legacy_next_event_calls": legacy_stats["next_event_calls"],
-            "cached_next_event_calls": cached_stats["next_event_calls"],
-            "legacy_dense_ticks": legacy_stats["dense_ticks"],
-            "cached_dense_ticks": cached_stats["dense_ticks"],
+            "observed_next_event_calls": observed_stats["next_event_calls"],
+            "consumer_aware_next_event_calls": aware_stats["next_event_calls"],
+            "observed_dense_ticks": observed_stats["dense_ticks"],
+            "consumer_aware_dense_ticks": aware_stats["dense_ticks"],
         },
     )
 
-    # Cycle-exactness first: both kernels replay the same hardware history.
-    assert legacy_soc.pwm.periods_elapsed == cached_soc.pwm.periods_elapsed
+    # Cycle-exactness first: both fabrics replay the same hardware history.
+    assert observed_soc.pwm.periods_elapsed == aware_soc.pwm.periods_elapsed
     assert (
-        legacy_soc.pwm.regs.reg("COUNT").value == cached_soc.pwm.regs.reg("COUNT").value
+        observed_soc.pwm.regs.reg("COUNT").value == aware_soc.pwm.regs.reg("COUNT").value
     )
-    assert legacy_soc.cpu.sleep_cycles == cached_soc.cpu.sleep_cycles
-    # The cached scheduler must eliminate the per-period polling...
-    assert cached_stats["next_event_calls"] * 100 < legacy_stats["next_event_calls"]
+    assert observed_soc.cpu.sleep_cycles == aware_soc.cpu.sleep_cycles
+    # The consumer-aware fabric must eliminate the per-period wakes...
+    assert aware_stats["next_event_calls"] * 100 < observed_stats["next_event_calls"]
     # ...and convert that into wall-clock.
     assert speedup >= CACHED_MIN_SPEEDUP

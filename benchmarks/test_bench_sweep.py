@@ -12,11 +12,21 @@ execution-policy contract:
   by cost, :data:`~repro.sweep.execute.TASKS_PER_WORKER` per worker) must
   deliver near-linear throughput (floor 1.5x).
 
+Both are wall-clock ratios, so another busy process on the host could fail
+them.  Each pass therefore also measures the CPU that the rest of the host
+took from this process's CPUs while it ran (``/proc/stat`` less this
+process tree's own CPU time), and only passes with less than
+:data:`NEIGHBOUR_LIMIT` cores taken are scored.  When either configuration
+has no such pass, the run is recorded with ``"scored": false`` and asserts
+only that the results are identical.  Where ``/proc/stat`` cannot be read,
+every pass counts as uncontended.
+
 The measurements are appended to ``results/BENCH_kernel.json`` for the CI
 perf-regression job, next to the human-readable txt artifact.
 """
 
 import os
+import resource
 import time
 
 from repro.sweep import CampaignSpec, batch_groups, cut_groups, execute_campaign, expand_campaign, results_payload
@@ -44,12 +54,47 @@ MIN_MULTICORE_SPEEDUP = 1.5
 # Single-core hosts run both configurations through the identical serial
 # path; the margin only absorbs timing noise between the two passes.
 MIN_SINGLE_CORE_SPEEDUP = 0.9
+# Cores other processes may take, on average over a pass, for it to be
+# scored.  An idle host reads about 0.02; a neighbour that takes a quarter
+# of a core already pulls a 2-worker pass below the 1.5x floor.
+NEIGHBOUR_LIMIT = 0.1
+
+
+def _host_busy_seconds():
+    """CPU seconds this process's CPUs have spent busy (steal included), or
+    ``None`` where ``/proc/stat`` cannot be read."""
+    cpus = {f"cpu{index}" for index in os.sched_getaffinity(0)}
+    try:
+        with open("/proc/stat", encoding="ascii") as stat:
+            ticks = 0
+            for line in stat:
+                name, *fields = line.split()
+                if name in cpus:
+                    values = [int(field) for field in fields[:8]]
+                    ticks += sum(values) - values[3] - values[4]  # less idle and iowait
+    except OSError:
+        return None
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+def _own_cpu_seconds():
+    """CPU seconds of this process and of its reaped children (the pool workers)."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
 
 
 def _timed(jobs):
+    """One pass: its wall seconds, the cores other processes took meanwhile,
+    and the result."""
+    host, own = _host_busy_seconds(), _own_cpu_seconds()
     start = time.perf_counter()
     result = execute_campaign(BENCH_SPEC, jobs=jobs)
-    return time.perf_counter() - start, result
+    seconds = time.perf_counter() - start
+    if host is None:
+        return seconds, 0.0, result
+    taken = _host_busy_seconds() - host - (_own_cpu_seconds() - own)
+    return seconds, max(taken, 0.0) / seconds, result
 
 
 def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
@@ -57,22 +102,31 @@ def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
 
     # PAIRS passes per configuration, interleaved in counterbalanced order
     # (serial, sharded, sharded, serial, serial, sharded, ...) and scored by
-    # the min: dense campaigns are seconds-long, and shared hosts drift tens
-    # of percent between back-to-back passes — always measuring one
-    # configuration second would bias the ratio, and two passes each left
-    # the 1.5x floor within reach of one slow pass.
+    # the min over the uncontended ones: dense campaigns are seconds-long,
+    # and shared hosts drift tens of percent between back-to-back passes —
+    # always measuring one configuration second would bias the ratio, and
+    # two passes each left the 1.5x floor within reach of one slow pass.
     walls = {1: [], JOBS: []}
+    neighbours = {1: [], JOBS: []}
     results = {}
     for pair in range(PAIRS):
         for jobs in (1, JOBS) if pair % 2 == 0 else (JOBS, 1):
-            seconds, results[jobs] = _timed(jobs)
+            seconds, taken, results[jobs] = _timed(jobs)
             walls[jobs].append(seconds)
+            neighbours[jobs].append(taken)
     serial, sharded = results[1], results[JOBS]
-    serial_seconds = min(walls[1])
-    sharded_seconds = min(walls[JOBS])
+    clean = {
+        jobs: [wall for wall, taken in zip(walls[jobs], neighbours[jobs]) if taken < NEIGHBOUR_LIMIT]
+        for jobs in walls
+    }
+    scored = all(clean.values())
+    scored_walls = clean if scored else walls
+    serial_seconds = min(scored_walls[1])
+    sharded_seconds = min(scored_walls[JOBS])
 
     speedup = serial_seconds / max(sharded_seconds, 1e-9)
     cores = os.cpu_count() or 1
+    floor = MIN_MULTICORE_SPEEDUP if cores >= JOBS else MIN_SINGLE_CORE_SPEEDUP
     # The pool's task count, as execute_campaign cuts it for this host.
     workers = min(JOBS, cores)
     groups = batch_groups(expand_campaign(BENCH_SPEC))
@@ -83,7 +137,8 @@ def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
         f"best of {PAIRS} interleaved pairs):",
         f"  serial (--jobs 1)   : {serial_seconds * 1e3:8.1f} ms wall-clock",
         f"  sharded (--jobs {JOBS})  : {sharded_seconds * 1e3:8.1f} ms wall-clock",
-        f"  speedup             : {speedup:8.2f}x",
+        f"  speedup             : {speedup:8.2f}x"
+        + ("" if scored else f" (not scored: others took >= {NEIGHBOUR_LIMIT} cores in every pass of one side)"),
         f"  aggregated results  : identical ({serial.n_points} points)",
     ]
     save_result("sweep_sharding_speedup", "\n".join(lines))
@@ -98,14 +153,20 @@ def test_bench_sweep_sharding_speedup(save_result, save_kernel_json):
             "serial_seconds": serial_seconds,
             "sharded_seconds": sharded_seconds,
             "speedup": speedup,
-            "floor": MIN_MULTICORE_SPEEDUP if cores >= JOBS else MIN_SINGLE_CORE_SPEEDUP,
+            "floor": floor,
+            "scored": scored,
+            "neighbour_limit": NEIGHBOUR_LIMIT,
+            "neighbour_cores": {
+                "serial": [round(taken, 3) for taken in neighbours[1]],
+                "sharded": [round(taken, 3) for taken in neighbours[JOBS]],
+            },
         },
     )
 
     # Sharding must never change the results...
     assert results_payload(serial) == results_payload(sharded)
-    # ...must never lose to serial (the PR-2 dispatcher did, 0.86x on 1 core)...
-    assert speedup >= MIN_SINGLE_CORE_SPEEDUP
-    # ...and must deliver near-linear throughput where the cores exist.
-    if cores >= JOBS:
-        assert speedup >= MIN_MULTICORE_SPEEDUP
+    if scored:
+        # ...must never lose to serial (an earlier dispatcher did, 0.86x on
+        # 1 core), and must deliver near-linear throughput where the cores
+        # exist.
+        assert speedup >= floor

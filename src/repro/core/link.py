@@ -111,19 +111,6 @@ class Link:
             self._open_record = LinkEventRecord(trigger_cycle=entry.cycle)
             self.events_serviced += 1
 
-    def step_idle(self, events: int) -> bool:
-        """Take this cycle as an idle step if :meth:`step` would do no more.
-
-        With the link not :attr:`live` and no selected event line active,
-        :meth:`step` can only count one trigger evaluation.  Returns whether
-        that fast path applied; if not, the caller must :meth:`step` the
-        link.
-        """
-        if events & self.trigger.mask or self.live:
-            return False
-        self.trigger.evaluations += 1
-        return True
-
     def _close_record_if_done(self) -> None:
         record = self._open_record
         if record is None or self.execution.state is not ExecutionState.IDLE:
@@ -140,7 +127,7 @@ class Link:
         Only valid inside the run
         (:meth:`~repro.core.execution.ExecutionUnit.quiet_run`) with the
         trigger FIFO empty: no trigger can fire on an empty event vector,
-        so the trigger only counts its evaluations.  A run that finishes
+        so the trigger has nothing to replay.  A run that finishes
         closes its event record on its last tick, as :meth:`step` does.
         Returns the ticks after which the link was still busy
         (:meth:`~repro.core.execution.ExecutionUnit.skip_quiet`).
@@ -148,7 +135,6 @@ class Link:
         busy = self.execution.skip_quiet(cycles, cycle)
         if busy < cycles:
             self._close_record_if_done()
-        self.trigger.evaluations += cycles
         return busy
 
     # ------------------------------------------------------------------- status
@@ -160,7 +146,7 @@ class Link:
 
     @property
     def live(self) -> bool:
-        """Whether a step can do more than evaluate the trigger on a quiet vector.
+        """Whether a step can change anything on a vector that misses the mask.
 
         True while the link is busy, has a queued trigger, or has an event
         record awaiting closure.

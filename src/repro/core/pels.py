@@ -31,7 +31,7 @@ from repro.core.execution import ExecutionState
 from repro.core.isa import Command, decode_command
 from repro.core.link import Link
 from repro.core.scm import ScmTraffic
-from repro.core.trigger import TriggerCondition, TriggerUnit
+from repro.core.trigger import TriggerCondition
 from repro.peripherals.events import EventFabric
 from repro.sim.component import Component
 from repro.sim.simulator import SimulationError
@@ -202,10 +202,8 @@ class Pels(Component):
         #: delivered and traced once the skip has run every link; ``None``
         #: outside a skip.
         self._replayed_actions: Optional[List[Tuple[int, Callable[[], None], str]]] = None
-        #: The links a tick steps, in index order (see :attr:`Link.live`),
-        #: and the triggers of the others, which only count evaluations.
+        #: The links a tick steps, in index order (see :attr:`Link.live`).
         self._live: List[Link] = []
-        self._idle_triggers: List[TriggerUnit] = [link.trigger for link in self.links]
         for link in self.links:
             link.trigger.fifo.on_push = _LiveLinkWatch(self, link)
         self._pending_loopback: List[str] = []
@@ -371,19 +369,17 @@ class Pels(Component):
                 self.fabric.pulse(line_name)
                 self.record("loopback_pulses")
             self._pending_loopback = []
-        # 2. Broadcast the current event vector.  Only live links can do
-        #    more than count a trigger evaluation, unless the vector hits a
-        #    line some enabled trigger selects: then every link is walked.
+        # 2. Broadcast the current event vector.  A step of a link that is
+        #    not live does nothing unless the vector hits its mask, so only
+        #    the live links and those the vector hits are stepped.
         events = self.fabric.active_mask() if self.enabled else 0
         live = self._live
         if events & self._observed_mask:
             for link in self.links:
-                if not link.step_idle(events):
+                if events & link.trigger.mask or link.live:
                     link.step(events, cycle)
             live = self._live  # with the links that triggered (see _revive)
         else:
-            for trigger in self._idle_triggers:
-                trigger.evaluations += 1
             for link in live:
                 link.step(events, cycle)
         busy_links = 0
@@ -411,13 +407,11 @@ class Pels(Component):
         """
         if link not in self._live:
             self._live = [other for other in self.links if other is link or other in self._live]
-            self._idle_triggers = [trigger for trigger in self._idle_triggers if trigger is not link.trigger]
 
     def _park(self, link: Link) -> None:
         """Stop stepping ``link`` once it is no longer :attr:`~Link.live`."""
         if not link.live and link in self._live:
             self._live = [other for other in self._live if other is not link]
-            self._idle_triggers = [*self._idle_triggers, link.trigger]
 
     def _record_scm_traffic(self) -> None:
         traffic = self._scm_traffic
@@ -492,7 +486,7 @@ class Pels(Component):
 
         Each live link replays its quiet run on its own (links do not
         interact inside it), finishing at its own cycle when the run ends
-        in ``end``; the other links only count trigger evaluations.  The
+        in ``end``; the other links have nothing to replay.  The
         passive actions replayed are delivered at their own cycles and
         traced at their own base ticks, in the order dense ticks make them
         (by cycle, then link), so one link's ``set_pad0`` and another's
@@ -509,8 +503,6 @@ class Pels(Component):
             raise SimulationError(
                 f"{self.name}: cannot skip {cycles} cycles; its next tick that does work is {horizon} away"
             )
-        for trigger in self._idle_triggers:
-            trigger.evaluations += cycles
         live = self._live
         if not live:
             self.record("idle_cycles", cycles)
@@ -545,7 +537,6 @@ class Pels(Component):
         for link in self.links:
             link.reset()
         self._live = []
-        self._idle_triggers = [link.trigger for link in self.links]
         self._pending_loopback = []
         self.instant_actions_delivered = 0
         self.unrouted_actions = 0

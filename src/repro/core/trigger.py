@@ -36,7 +36,6 @@ class TriggerUnit:
         self.condition = TriggerCondition.ANY_SELECTED_ACTIVE
         self.enabled = False
         self.fifo = TriggerFifo(fifo_depth)
-        self.evaluations = 0
         self.triggers = 0
         self.last_trigger_cycle: Optional[int] = None
 
@@ -65,7 +64,6 @@ class TriggerUnit:
         which the masked vector satisfies the condition.  Returns whether a
         trigger was pushed this cycle.
         """
-        self.evaluations += 1
         if not self.enabled or self.mask == 0:
             return False
         masked = events & self.mask
@@ -102,6 +100,5 @@ class TriggerUnit:
         self.condition = TriggerCondition.ANY_SELECTED_ACTIVE
         self.enabled = False
         self.fifo.clear()
-        self.evaluations = 0
         self.triggers = 0
         self.last_trigger_cycle = None

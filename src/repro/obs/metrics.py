@@ -5,7 +5,7 @@ Two consumers shape this module:
 * the **simulation kernel** needs a fixed, canonical set of integer
   counters (``kernel_stats``) that is cheap to increment on the hot path,
   comparable with ``==`` in the parity tests, and identical across the
-  dense, event-driven, and cached kernels and the batch loop.
+  dense and event-driven kernels and the batch loop.
   That is :class:`CounterSet` plus :data:`KERNEL_STAT_KEYS` — the *single*
   definition of which keys exist (``tests/sim/test_kernel_stat_keys.py``
   asserts every kernel mode produces exactly this set);
@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 #: The canonical scheduler-instrumentation key set.  Every
-#: ``SimState.kernel_stats`` mapping — dense kernel, event-driven kernel
-#: with or without cached wakes, batched or not — carries exactly these
+#: ``SimState.kernel_stats`` mapping — dense or event-driven kernel,
+#: batched or not — carries exactly these
 #: keys, in this order.  Grow the kernel's instrumentation *here*, never by
 #: sprinkling ad-hoc keys at increment sites.
 KERNEL_STAT_KEYS: Tuple[str, ...] = (

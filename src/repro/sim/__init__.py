@@ -6,11 +6,13 @@ offers two cycle-exact scheduling modes:
 
 * **dense** (``Simulator(dense=True)``): each component's
   :meth:`Component.tick` is called exactly once per cycle of the clock domain
-  it belongs to — the legacy cycle-driven semantics;
+  it belongs to — the reference cycle-driven semantics;
 * **event-driven** (the default): components advertise their next wake via
   :meth:`Component.next_event` and the scheduler jumps over provably
   quiescent spans, batch-replaying the skipped ticks through
-  :meth:`Component.skip`.  Final state, activity counters, and traces are
+  :meth:`Component.skip`.  It caches the wakes of components flagged
+  :attr:`Component.wake_cacheable` and re-polls the others at every
+  boundary.  Final state, activity counters, and traces are
   identical to dense stepping (the property suite in
   ``tests/property/test_differential.py`` enforces this), but idle-heavy
   scenarios run orders of magnitude fewer Python-level calls.

@@ -44,10 +44,16 @@ class ClockDomain:
         return 1e9 / self.frequency_hz
 
     def cycles_for_time(self, seconds: float) -> int:
-        """Number of full cycles elapsed in ``seconds`` of wall-clock time."""
+        """Number of full cycles elapsed in ``seconds`` of wall-clock time.
+
+        Within a relative ``1e-9`` of a whole count it is that count, so
+        ``7 * period_s`` is 7 cycles, not the 6 a truncated product gives.
+        """
         if seconds < 0:
             raise ValueError("time must be non-negative")
-        return int(seconds * self.frequency_hz)
+        exact = seconds * self.frequency_hz
+        cycles = round(exact)
+        return cycles if abs(exact - cycles) <= 1e-9 * cycles else int(exact)
 
     def time_for_cycles(self, cycles: int) -> float:
         """Wall-clock time in seconds taken by ``cycles`` clock cycles."""

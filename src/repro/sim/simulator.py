@@ -7,7 +7,7 @@ tick on the cycles where their (integer) divisor divides the base tick index.
 
 Two scheduling modes share that time base:
 
-* **Dense mode** (``dense=True``) is the legacy cycle-driven kernel: every
+* **Dense mode** (``dense=True``) is the cycle-driven kernel: every
   component's :meth:`~repro.sim.component.Component.tick` is called on every
   cycle of its domain.  It is the reference semantics and the baseline the
   differential test-suite compares against.
@@ -31,23 +31,19 @@ The event-driven mode resolves wakes in two tiers:
   only when it is due; the ticks it skips are *owed* and paid back through
   one ``skip`` when something touches it (see :class:`SimState`);
 * all other hinted components are *volatile* and re-polled at every wake
-  boundary, which is exactly the pre-cache behaviour and the safe default
-  for wakes that other components move without notifying (in the SoC only
-  PELS, whose horizon reads the event fabric).
+  boundary, the safe default for wakes that other components move without
+  notifying (in the SoC only PELS, whose horizon reads the event fabric).
+  A component's own ``wake_cacheable`` is the only switch between the tiers.
 
 **Plan vs. state.**  Each simulator classifies its own components: which
 tick, which are volatile/cached, which must be replayed on a skip, and
 whether anything forces dense stepping.  :meth:`SimState.bind` derives that
 classification from a structural *fingerprint* of the component set (hook
-overrides, cacheability, the cache toggle) and stores it next to the rest
+overrides and cacheability) and stores it next to the rest
 of the per-instance, mutable state: the base-tick counter, the deadline
 heap and dirty set of the wake cache, the clock divisors, and the
 activity/trace recorders.  The simulator re-binds only when the
 fingerprint changes.
-
-``cached_wakes=False`` disables the deadline cache (every hinted component
-becomes volatile), which is how the benchmarks A/B the cached scheduler
-against the legacy poll-everything kernel.
 
 For the scenarios in this repository all active components share one domain,
 but the multi-domain support is what lets the iso-latency experiment clock
@@ -62,7 +58,7 @@ and the dense-vs-event equivalence guarantee.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
@@ -83,17 +79,12 @@ class Simulator:
         self,
         default_frequency_hz: float = 55e6,
         dense: bool = False,
-        cached_wakes: bool = True,
     ) -> None:
-        #: When True, use the legacy cycle-driven kernel (tick every component
+        #: When True, use the reference cycle-driven kernel (tick every component
         #: on every cycle of its domain).  When False (default), skip over
         #: quiescent spans using the components' wake hints.  May be toggled
         #: between :meth:`step` calls; both modes produce identical state.
         self.dense = dense
-        #: When False, disable the cached wake-horizon scheduler and re-poll
-        #: every hinted component at every wake boundary (the pre-cache
-        #: kernel).  Exists for A/B benchmarking and as an escape hatch.
-        self.cached_wakes = cached_wakes
         self._domains: Dict[str, ClockDomain] = {}
         self._components: List[Tuple[Component, ClockDomain]] = []
         self._components_by_name: Dict[str, Component] = {}
@@ -101,7 +92,6 @@ class Simulator:
         #: Fingerprint the state's classification was bound from (None =
         #: never bound).
         self._fingerprint: Optional[Tuple] = None
-        self._fastest_hz: float = 0.0
         self._default_domain = self.add_clock_domain("default", default_frequency_hz)
 
     # ------------------------------------------------------------- delegation
@@ -138,8 +128,6 @@ class Simulator:
             raise SimulationError(f"clock domain {name!r} already exists")
         domain = ClockDomain(name, frequency_hz)
         self._domains[name] = domain
-        if frequency_hz > self._fastest_hz:
-            self._fastest_hz = frequency_hz
         return domain
 
     def clock_domain(self, name: str) -> ClockDomain:
@@ -192,54 +180,22 @@ class Simulator:
         """Base-tick counter (cycles of the fastest domain)."""
         return self._state.base_tick
 
-    def _fastest_frequency(self) -> float:
-        # Domains are dataclasses whose frequency is mutable, and this is
-        # only called from run_for_time (once per call) — recompute live so
-        # a frequency change before the next step cannot go stale.  The hot
-        # paths use the state's divisors, refreshed on snapshot change.
-        fastest = max(domain.frequency_hz for domain in self._domains.values())
-        self._fastest_hz = fastest
-        return fastest
-
-    def _divisor(self, domain: ClockDomain, fastest_hz: Optional[float] = None) -> int:
-        """Integer ratio between the fastest clock and ``domain``.
-
-        The integrality check uses a *relative* tolerance: the float error of
-        a legitimate large ratio (e.g. 1 GHz against a 32.768 kHz RTC domain,
-        a 30518:1 ratio) grows with the ratio itself, so an absolute window
-        would wrongly reject valid integer ratios at large divisors — and the
-        same fixed window is far too forgiving at small ones, accepting
-        near-miss frequencies (55 MHz against 27.500014 MHz) that silently
-        drift the slow domain by a cycle over long horizons.
-        """
-        fastest = self._fastest_hz if fastest_hz is None else fastest_hz
-        ratio = fastest / domain.frequency_hz
-        divisor = round(ratio)
-        if divisor < 1 or abs(ratio - divisor) > 1e-9 * divisor:
-            raise SimulationError(
-                f"clock domain {domain.name!r} frequency must divide the fastest domain"
-            )
-        return divisor
-
     def _fingerprint_now(self) -> Tuple:
         """Everything the classification in :meth:`SimState.bind` depends on.
 
         Per component: which hooks it overrides (via its class *or* as an
         instance attribute — test doubles, monkey-patches) and whether it is
-        wake-cacheable; plus the ``cached_wakes`` toggle, so flipping it
-        between steps takes effect like the ``dense`` flag does.
+        wake-cacheable, so flipping an instance's ``wake_cacheable`` between
+        steps re-binds like the ``dense`` flag takes effect.
         """
-        return (
-            self.cached_wakes,
-            tuple(
-                (
-                    _overrides(component, "tick"),
-                    _overrides(component, "next_event"),
-                    _overrides(component, "skip"),
-                    bool(component.wake_cacheable),
-                )
-                for component, _ in self._components
-            ),
+        return tuple(
+            (
+                _overrides(component, "tick"),
+                _overrides(component, "next_event"),
+                _overrides(component, "skip"),
+                bool(component.wake_cacheable),
+            )
+            for component, _ in self._components
         )
 
     def _schedule_plan(self) -> "SimState":
@@ -248,7 +204,8 @@ class Simulator:
         The classification goes stale when the component set or a
         component's hook overrides change — e.g. a test double assigning
         ``tick`` on the instance after registration — which the fingerprint
-        check detects at the next :meth:`step`/:meth:`run_until` entry.  Each re-bind counts one ``plan_builds``.  Clock ratios are
+        check detects at the next :meth:`step`/:meth:`run_until` entry.
+        Each re-bind counts one ``plan_builds``.  Clock ratios are
         re-validated on every call (frequencies are mutable), but recomputed
         only when they actually changed.
         """
@@ -259,7 +216,7 @@ class Simulator:
                 state.bind(fingerprint, self._components)
                 self._fingerprint = fingerprint
                 state.kernel_stats["plan_builds"] += 1
-        state.refresh_divisors(self)
+        state.refresh_divisors(self._domains.values())
         return state
 
     def _notify_wake_changed(self, component: Component) -> None:
@@ -282,18 +239,16 @@ class Simulator:
         state = self._schedule_plan()
         dense = self.dense or state.forces_dense
         remaining = cycles
-        # One global fetch per step() call; when no tracer is installed the
-        # loop below is the whole hot path (the disabled-telemetry overhead
+        # One global fetch per step() call; with no tracer installed each
+        # span costs one extra branch (the disabled-telemetry overhead
         # benchmark holds this to <5% of the raw span loop).
         tracer = tracing.TRACER
-        if tracer is None:
-            while remaining > 0:
-                remaining -= state.advance_span(remaining, dense)
-            state.settle()
-            return
         name = "kernel.dense" if dense else "kernel.span"
         stats = state.kernel_stats
         while remaining > 0:
+            if tracer is None:
+                remaining -= state.advance_span(remaining, dense)
+                continue
             start_ns = tracer.now_ns()
             skipped_before = stats["cycles_skipped"]
             advanced = state.advance_span(remaining, dense)
@@ -356,9 +311,10 @@ class Simulator:
         The duration is converted with ``round()`` so a period that is an
         exact multiple of the clock period never loses a cycle to binary
         floating-point truncation (e.g. ``3 * (1 / 55e6)`` seconds is exactly
-        3 cycles, not 2).
+        3 cycles, not 2).  Frequencies are mutable, so the fastest is read
+        live.
         """
-        cycles = int(round(seconds * self._fastest_frequency()))
+        cycles = int(round(seconds * max(domain.frequency_hz for domain in self._domains.values())))
         self.step(cycles)
         return cycles
 
@@ -409,6 +365,26 @@ def _overrides(component: Component, name: str) -> bool:
     """Whether ``component`` provides its own ``name`` hook — via its class
     *or* as an instance attribute (test doubles, monkey-patches)."""
     return getattr(type(component), name) is not getattr(Component, name) or name in component.__dict__
+
+
+def _divisor(domain: ClockDomain, fastest_hz: float) -> int:
+    """Integer ratio between the fastest clock and ``domain``.
+
+    The integrality check uses a *relative* tolerance: the float error of
+    a legitimate large ratio (e.g. 1 GHz against a 32.768 kHz RTC domain,
+    a 30518:1 ratio) grows with the ratio itself, so an absolute window
+    would wrongly reject valid integer ratios at large divisors — and the
+    same fixed window is far too forgiving at small ones, accepting
+    near-miss frequencies (55 MHz against 27.500014 MHz) that silently
+    drift the slow domain by a cycle over long horizons.
+    """
+    ratio = fastest_hz / domain.frequency_hz
+    divisor = round(ratio)
+    if divisor < 1 or abs(ratio - divisor) > 1e-9 * divisor:
+        raise SimulationError(
+            f"clock domain {domain.name!r} frequency must divide the fastest domain"
+        )
+    return divisor
 
 
 class SimState:
@@ -485,7 +461,7 @@ class SimState:
         * ``ticking`` — components with a real :meth:`Component.tick` (a
           default tick is a no-op by definition and is never called);
         * ``volatile`` — hinted components re-polled at every wake boundary
-          (reactive wakes, plus everything when ``cached_wakes`` is off);
+          (reactive wakes that others move without notifying);
         * ``cached`` — hinted components flagged ``wake_cacheable``, whose
           horizons live in the deadline heap and are recomputed only on
           invalidation or deadline expiry;
@@ -499,17 +475,16 @@ class SimState:
         cycle.
         """
         self.settle()
-        cached_wakes, entries = fingerprint
         ticking, skippers = [], []
         self.volatile, self.cached = [], []
         self.forces_dense = False
-        for pair, (ticks, hinted, skips, cacheable) in zip(pairs, entries):
+        for pair, (ticks, hinted, skips, cacheable) in zip(pairs, fingerprint):
             if ticks:
                 ticking.append(pair)
                 if not hinted:
                     self.forces_dense = True
             if hinted:
-                (self.cached if cached_wakes and cacheable else self.volatile).append(pair)
+                (self.cached if cacheable else self.volatile).append(pair)
             if skips:
                 skippers.append(pair)
         clocks: Dict[str, ClockDomain] = {}
@@ -523,22 +498,19 @@ class SimState:
         self.owing = [(index_of[component], clock) for component, clock in skippers if component in index_of]
         self.clear_wake_cache()
 
-    def refresh_divisors(self, simulator: Simulator) -> None:
+    def refresh_divisors(self, domains: Iterable[ClockDomain]) -> None:
         """Recompute clock ratios only when a frequency actually changed.
 
-        The snapshot covers *all* simulator domains, not just those with
+        ``domains`` are *all* simulator domains, not just those with
         components: the base tick is defined by the fastest domain overall,
         so a frequency change on a component-less domain still moves every
         divisor.
         """
-        snapshot = tuple(domain.frequency_hz for domain in simulator._domains.values())
+        snapshot = tuple(domain.frequency_hz for domain in domains)
         if snapshot == self._freq_snapshot:
             return
-        fastest = max(snapshot, default=simulator._fastest_hz)
-        simulator._fastest_hz = fastest
-        self.divisors = {
-            clock.name: simulator._divisor(clock, fastest) for clock in self.clocks
-        }
+        fastest = max(snapshot)
+        self.divisors = {clock.name: _divisor(clock, fastest) for clock in self.clocks}
         self.single_rate = all(divisor == 1 for divisor in self.divisors.values())
         self._freq_snapshot = snapshot
         # Deadlines were computed with the old ratios; recompute lazily.
@@ -775,12 +747,6 @@ class SimState:
                 horizon = component.next_event()
                 if horizon is not None and horizon <= span:
                     if horizon <= 1:
-                        # Move the blocking component to the front: in a busy
-                        # stretch the same component usually blocks for many
-                        # consecutive cycles, and probing it first turns the
-                        # full wake sweep into a single call.
-                        if index:
-                            volatile.insert(0, volatile.pop(index))
                         stats["next_event_calls"] += index + 1
                         return 0
                     span = horizon - 1
@@ -798,8 +764,6 @@ class SimState:
                 bound = first + (horizon - 1) * divisor - base_tick
                 if bound < span:
                     if bound <= 0:
-                        if index:
-                            volatile.insert(0, volatile.pop(index))
                         stats["next_event_calls"] += index + 1
                         return 0
                     span = bound

@@ -479,8 +479,8 @@ def _prepare_figure5_idle(
     if pwm_period:
         # Arm the PWM actuator (as the always-on monitor keeps it running
         # while idle).  Nothing consumes its ``period`` event line here, so
-        # this is the workload the consumer-aware fabric exists for: the
-        # legacy kernel wakes every period, the cached kernel free-runs.
+        # this is the workload the consumer-aware fabric exists for: with
+        # every line observed it wakes every period, here it free-runs.
         soc.pwm.regs.reg("PERIOD").write(int(pwm_period))
         soc.pwm.start()
     return _PreparedFigure5Idle(soc, mode, frequency_mhz, pwm_period)

@@ -1,12 +1,10 @@
 """Tests for the Link composition and the PELS top level."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bus.apb import ApbBus
 from repro.core.assembler import assemble
-from repro.core.config import LinkConfig, PelsConfig
+from repro.core.config import PelsConfig
 from repro.core.execution import ExecutionState
 from repro.core.isa import Command
 from repro.core.pels import (
@@ -24,7 +22,6 @@ from repro.core.pels import (
     REG_SCM_LINES,
     Pels,
 )
-from repro.core.link import Link
 from repro.core.trigger import TriggerCondition
 from repro.peripherals.adc import Adc
 from repro.peripherals.events import EventFabric
@@ -321,55 +318,6 @@ class TestReset:
         pels.reset()
         assert pels.total_events_serviced() == 0
         assert not pels.busy
-
-
-def _link_state(link):
-    """Trigger, FIFO, execution, and record state of one link."""
-    trigger = {key: value for key, value in vars(link.trigger).items() if key != "fifo"}
-    fifo = {key: value for key, value in vars(link.trigger.fifo).items() if key != "_entries"}
-    execution = {
-        key: value
-        for key, value in vars(link.execution).items()
-        if key not in ("scm", "bus_submit", "action_sink", "_pending_request")
-    }
-    return (
-        trigger,
-        fifo,
-        tuple(link.trigger.fifo._entries),
-        execution,
-        link.events_serviced,
-        tuple(link.records),
-        link._open_record,
-    )
-
-
-class TestIdleLinkFastPath:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        program=st.sampled_from(("end", "wait 2\nend", "action 0 0x1\nwait 1\nend")),
-        mask=st.integers(min_value=0, max_value=0xF),
-        condition=st.sampled_from(tuple(TriggerCondition)),
-        enabled=st.booleans(),
-        vectors=st.lists(st.integers(min_value=0, max_value=0xF), min_size=1, max_size=12),
-    )
-    def test_fast_path_leaves_the_same_state_as_step(self, program, mask, condition, enabled, vectors):
-        fast, reference = (Link(0, LinkConfig(scm_lines=4, fifo_depth=2)) for _ in range(2))
-        for link in (fast, reference):
-            link.load_program(assemble(program))
-            link.configure_trigger(mask, condition, enabled)
-        for cycle, events in enumerate(vectors):
-            eligible = (
-                fast.execution.idle
-                and fast.trigger.fifo.empty
-                and fast._open_record is None
-                and not events & mask
-            )
-            took_fast_path = fast.step_idle(events)
-            assert took_fast_path == eligible
-            if not took_fast_path:
-                fast.step(events, cycle)
-            reference.step(events, cycle)
-            assert _link_state(fast) == _link_state(reference)
 
 
 class TestSkipReplay:

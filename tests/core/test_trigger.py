@@ -71,13 +71,6 @@ class TestTriggerUnit:
         assert TriggerCondition.ANY_SELECTED_ACTIVE.mnemonic == "OR"
         assert TriggerCondition.ALL_SELECTED_ACTIVE.mnemonic == "AND"
 
-    def test_evaluation_counter(self):
-        trigger = TriggerUnit()
-        trigger.configure(mask=0b1)
-        for cycle in range(5):
-            trigger.evaluate(0, cycle)
-        assert trigger.evaluations == 5
-
     def test_reset(self):
         trigger = TriggerUnit()
         trigger.configure(mask=0b1)

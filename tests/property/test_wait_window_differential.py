@@ -13,8 +13,8 @@ land mid-wait (the FIFO fills and the horizon must fall back to 1) — under
 the dense kernel, the event kernel, and the batch round loop, at several I/O
 clock divisors and ``step()`` chunkings.  At every boundary they compare the
 activity counters, the traced instant actions, the link records, the
-execution units' statistics and wait counters, the trigger state and
-evaluations, the FIFO counters, and the GPIO latch, toggle count and
+execution units' statistics and wait counters, the trigger state, the
+FIFO counters, and the GPIO latch, toggle count and
 edge-detection history.
 """
 
@@ -500,15 +500,6 @@ class TestLiveLinks:
         events_serviced = [observation[3][1][0] for observation in dense]
         assert events_serviced[:2] == [0, 1]
         assert stats["cycles_skipped"] > stats["dense_ticks"]
-
-    def test_idle_links_count_every_evaluation(self):
-        """Idle links are not stepped but their triggers still count one
-        evaluation per PELS tick, dense or skipped."""
-        scenario = self._scenario()
-        simulator, pels, _ = _build(scenario)
-        simulator.step(sum(scenario["chunks"]))
-        ticks = pels.clock.cycles
-        assert [link.trigger.evaluations for link in pels.links] == [ticks, ticks]
 
 
 class TestMidRunReconfiguration:

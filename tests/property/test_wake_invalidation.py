@@ -4,9 +4,9 @@ The deadline cache claims cycle-exactness under *arbitrary interleavings* of
 stepping and wake-moving mutations: every register write, software helper,
 and event input must invalidate exactly enough for the cached kernel to stay
 equal to dense stepping.  These tests drive randomized mutation/step
-sequences through three kernels — dense, event-driven with the legacy
-re-poll-everything scheduler (``cached_wakes=False``), and event-driven with
-the deadline cache — and require identical observable state from all three.
+sequences through the dense kernel and the event-driven kernel, whose
+wake-cacheable peripherals keep their horizons in the deadline cache, and
+require identical observable state from both.
 """
 
 from hypothesis import given, settings
@@ -75,8 +75,8 @@ def _apply(soc_like, op, value):
         simulator.step(value)
 
 
-def _run_bare(ops, dense, cached_wakes):
-    simulator = Simulator(dense=dense, cached_wakes=cached_wakes)
+def _run_bare(ops, dense):
+    simulator = Simulator(dense=dense)
     timer = Timer(compare=97)
     wdt = Watchdog(timeout=450, grace=40)
     pwm = Pwm(period=33, duty=11)
@@ -109,12 +109,10 @@ def _state(parts):
 class TestBareKernelInvalidation:
     @settings(max_examples=60, deadline=None)
     @given(ops=sequence)
-    def test_cached_kernel_equals_dense_and_legacy(self, ops):
-        dense = _state(_run_bare(ops, dense=True, cached_wakes=True))
-        legacy = _state(_run_bare(ops, dense=False, cached_wakes=False))
-        cached = _state(_run_bare(ops, dense=False, cached_wakes=True))
+    def test_cached_kernel_equals_dense(self, ops):
+        dense = _state(_run_bare(ops, dense=True))
+        cached = _state(_run_bare(ops, dense=False))
         assert cached == dense
-        assert legacy == dense
 
 
 soc_sequence = st.lists(mutation, min_size=1, max_size=15)

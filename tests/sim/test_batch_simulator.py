@@ -85,11 +85,11 @@ class TestPlanSharing:
         assert sim_a.current_cycle == 95
         assert sim_b.current_cycle == 25
 
-    def test_cached_wakes_toggle_selects_a_different_plan(self):
-        sim_a, _ = _build([10])
+    def test_wake_cacheable_toggle_selects_a_different_plan(self):
+        sim_a, (a,) = _build([10])
         sim_a.step(5)
         assert len(sim_a.state.cached) == 1
-        sim_a.cached_wakes = False
+        a.wake_cacheable = False  # the instance's own escape hatch
         sim_a.step(5)
         assert (len(sim_a.state.cached), len(sim_a.state.volatile)) == (0, 1)
         assert sim_a.kernel_stats["plan_builds"] == 2

@@ -24,6 +24,13 @@ class TestClockDomain:
         clock = ClockDomain("soc", 55e6)
         assert clock.cycles_for_time(500e-9) == 27  # the paper's 500 ns target
 
+    @pytest.mark.parametrize("frequency_hz", [55e6, 27e6])
+    def test_cycles_for_time_keeps_exact_multiples_of_the_period(self, frequency_hz):
+        # Truncating the float product dropped a cycle on 180 of these
+        # multiples at 55 MHz and 254 at 27 MHz (7 periods gave 6 cycles).
+        clock = ClockDomain("soc", frequency_hz)
+        assert [clock.cycles_for_time(n * clock.period_s) for n in range(1, 2000)] == list(range(1, 2000))
+
     def test_cycles_for_time_rejects_negative(self):
         clock = ClockDomain("soc", 1e6)
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """One canonical kernel_stats key set across every kernel mode.
 
 ``repro.obs.metrics.KERNEL_STAT_KEYS`` is the single definition of the
-scheduler-counter contract: the dense kernel, the cached event-driven
-kernel, the legacy uncached kernel, and the batch round loop must produce
+scheduler-counter contract: the dense kernel, the event-driven kernel,
+and the batch round loop must produce
 ``kernel_stats`` with exactly this key set — no more, no fewer.  The
 telemetry layer (``MetricsRegistry.absorb_kernel_stats``, sweep manifests,
 ``repro.run stats``) aggregates these dicts blindly across workers and
@@ -61,9 +61,6 @@ class TestCanonicalKeySet:
 
     def test_event_driven_cached_kernel(self):
         assert tuple(_run_kernel()) == KERNEL_STAT_KEYS
-
-    def test_event_driven_legacy_uncached_kernel(self):
-        assert tuple(_run_kernel(cached_wakes=False)) == KERNEL_STAT_KEYS
 
     def test_dense_kernel(self):
         assert tuple(_run_kernel(dense=True)) == KERNEL_STAT_KEYS

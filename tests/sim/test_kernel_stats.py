@@ -11,8 +11,8 @@ polls or extra wakes.
 The scenario is the benchmark's ``figure5-idle`` SoC with the PWM actuator
 armed at a 128-cycle period: under the consumer-aware fabric nothing
 observes the PWM's ``period`` line, so the cached scheduler must cross the
-whole horizon in one span; the legacy (uncached, fully observed) kernel
-must wake exactly once per PWM period.
+whole horizon in one span; with every fabric line observed (as the fabric
+was before it knew its consumers) it must wake exactly once per PWM period.
 """
 
 from repro.bus.apb import ApbBus
@@ -35,12 +35,12 @@ HORIZON = 50_000
 PWM_PERIOD = 128
 
 
-def _armed_idle_soc(legacy: bool):
+def _armed_idle_soc(observe_all: bool):
     soc = build_idle_measurement_soc("pels", frequency_hz=27e6)
-    if legacy:
-        # PR-1 kernel: no deadline cache, every event line observed (the
-        # pre-consumer-aware fabric woke for every PWM period pulse).
-        soc.simulator.cached_wakes = False
+    if observe_all:
+        # A blanket subscriber observes every event line, so the PWM must
+        # wake for every period pulse, as before the fabric knew its
+        # consumers.
         soc.fabric.subscribe(lambda line: None)
     soc.pwm.regs.reg("PERIOD").write(PWM_PERIOD)
     soc.pwm.start()
@@ -50,7 +50,7 @@ def _armed_idle_soc(legacy: bool):
 
 class TestCachedSchedulerCounts:
     def test_unobserved_pwm_crosses_the_horizon_in_one_span(self):
-        soc = _armed_idle_soc(legacy=False)
+        soc = _armed_idle_soc(observe_all=False)
         stats = soc.simulator.kernel_stats
         # One initial poll of each of the 11 wake-cached components (seven
         # peripherals, the µDMA, the core and both bus fabrics) plus PELS,
@@ -63,37 +63,36 @@ class TestCachedSchedulerCounts:
         assert stats["plan_builds"] == 1
 
     def test_pwm_state_is_exact_despite_the_single_span(self):
-        soc = _armed_idle_soc(legacy=False)
+        soc = _armed_idle_soc(observe_all=False)
         # 50_000 cycles = 390 full 128-cycle periods plus the armed cycle:
         # the O(1) multi-period skip replay must account every wrap.
         assert soc.pwm.periods_elapsed == HORIZON // PWM_PERIOD - 0 == 390
 
     def test_time_accounting_is_complete(self):
-        soc = _armed_idle_soc(legacy=False)
+        soc = _armed_idle_soc(observe_all=False)
         stats = soc.simulator.kernel_stats
         assert stats["dense_ticks"] + stats["cycles_skipped"] == HORIZON
 
 
-class TestLegacyKernelCounts:
+class TestEveryLineObservedCounts:
     def test_observed_pwm_wakes_once_per_period(self):
-        soc = _armed_idle_soc(legacy=True)
+        soc = _armed_idle_soc(observe_all=True)
         stats = soc.simulator.kernel_stats
         periods = HORIZON // PWM_PERIOD  # 390
         # One dense tick per period wake plus the arming tick.
         assert stats["dense_ticks"] == periods + 1
         assert stats["spans_skipped"] == periods + 1
         assert stats["dense_ticks"] + stats["cycles_skipped"] == HORIZON
-        # Every boundary re-polls all 12 hinted peripherals plus the CPU
-        # (the poll-reorder heuristic trims the count slightly below
-        # 13 * boundaries; pin the exact total).
-        assert stats["next_event_calls"] == 4701
+        # The 13 polls of the consumer-aware run, then two per period wake:
+        # the PWM, whose deadline fired, and PELS, the only volatile one.
+        assert stats["next_event_calls"] == 13 + 2 * periods == 793
 
-    def test_both_kernels_agree_on_the_pwm(self):
-        cached = _armed_idle_soc(legacy=False)
-        legacy = _armed_idle_soc(legacy=True)
-        assert cached.pwm.periods_elapsed == legacy.pwm.periods_elapsed == 390
+    def test_both_fabrics_agree_on_the_pwm(self):
+        consumer_aware = _armed_idle_soc(observe_all=False)
+        observed = _armed_idle_soc(observe_all=True)
+        assert consumer_aware.pwm.periods_elapsed == observed.pwm.periods_elapsed == 390
         assert (
-            cached.pwm.regs.reg("COUNT").value == legacy.pwm.regs.reg("COUNT").value
+            consumer_aware.pwm.regs.reg("COUNT").value == observed.pwm.regs.reg("COUNT").value
         )
 
 

@@ -19,7 +19,7 @@ def _pels_state(simulator, pels):
     return (
         simulator.current_cycle,
         simulator.activity.as_dict(),
-        tuple((tuple(link.records), link.events_serviced, link.trigger.evaluations) for link in pels.links),
+        tuple((tuple(link.records), link.events_serviced) for link in pels.links),
     )
 
 

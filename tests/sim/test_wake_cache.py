@@ -78,31 +78,6 @@ class TestDeadlineCache:
         # ~2 boundaries per pulse (span end + post-dense-tick).
         assert idler.polls >= 100
 
-    def test_cached_wakes_flag_disables_the_cache(self):
-        simulator = Simulator(cached_wakes=False)
-        fast = simulator.add_component(CountingBlinker(period=10, name="fast"))
-        slow = simulator.add_component(CountingBlinker(period=10_000, name="slow"))
-        simulator.step(5_000)
-        assert fast.pulses == 500
-        assert slow.polls >= 100  # legacy kernel: re-polled per boundary
-
-    def test_cached_wakes_toggle_takes_effect_mid_run(self):
-        # Regression: the toggle is part of the plan fingerprint, so flipping
-        # it between steps must reclassify components (like `dense` does).
-        simulator = Simulator()
-        simulator.add_component(CountingBlinker(period=10, name="fast"))
-        slow = simulator.add_component(CountingBlinker(period=10_000, name="slow"))
-        simulator.step(1_000)
-        cached_polls = slow.polls
-        assert cached_polls == 1
-        simulator.cached_wakes = False
-        simulator.step(1_000)
-        assert slow.polls >= cached_polls + 100  # volatile again
-        simulator.cached_wakes = True
-        legacy_polls = slow.polls
-        simulator.step(1_000)
-        assert slow.polls <= legacy_polls + 1  # back to one re-poll on rebuild
-
     def test_wake_changed_moves_the_deadline(self):
         simulator = Simulator()
         blinker = simulator.add_component(CountingBlinker(period=1_000))
@@ -195,21 +170,28 @@ class TestPeripheralInvalidation:
         assert dogs[0].regs.reg("COUNT").value == dogs[1].regs.reg("COUNT").value
 
     def test_next_event_calls_drop_with_cache(self):
-        def run(cached):
-            simulator = Simulator(cached_wakes=cached)
+        class VolatileWatchdog(Watchdog):
+            """The same watchdog, re-polled at every wake boundary."""
+
+            wake_cacheable = False
+
+        def run(watchdog_type):
+            simulator = Simulator()
             timer = Timer(compare=500)
             simulator.add_component(timer)
-            for name in ("wdt_a", "wdt_b", "wdt_c"):
-                wdt = Watchdog(name=name, timeout=1_000_000)
+            dogs = [watchdog_type(name=name, timeout=1_000_000) for name in ("wdt_a", "wdt_b", "wdt_c")]
+            for wdt in dogs:
                 simulator.add_component(wdt)
                 wdt.start()
             timer.start()
             simulator.step(100_000)
-            return simulator.kernel_stats["next_event_calls"]
+            assert len(simulator.state.cached) == 1 + 3 * watchdog_type.wake_cacheable
+            return simulator.kernel_stats["next_event_calls"], [wdt.regs.reg("COUNT").value for wdt in dogs]
 
-        cached_calls = run(True)
-        legacy_calls = run(False)
-        assert cached_calls < legacy_calls / 2
+        cached_calls, cached_counts = run(Watchdog)
+        volatile_calls, volatile_counts = run(VolatileWatchdog)
+        assert cached_counts == volatile_counts
+        assert cached_calls < volatile_calls / 2
 
 
 class TestMicroFixes:
