@@ -5,8 +5,8 @@ The kernel intentionally stays small: components register themselves with a
 offers two cycle-exact scheduling modes:
 
 * **dense** (``Simulator(dense=True)``): each component's
-  :meth:`Component.tick` is called exactly once per cycle of the clock domain
-  it belongs to — the reference cycle-driven semantics;
+  :meth:`Component.tick` is called exactly once per cycle of the simulator's
+  one clock domain — the reference cycle-driven semantics;
 * **event-driven** (the default): components advertise their next wake via
   :meth:`Component.next_event` and the scheduler jumps over provably
   quiescent spans, batch-replaying the skipped ticks through

@@ -1,11 +1,11 @@
 """Clock-domain abstraction.
 
-Every component belongs to a :class:`ClockDomain`.  The simulator advances a
-global *tick* counter at the frequency of the fastest domain; a domain whose
-frequency is an integer divisor of the fastest frequency simply ticks less
-often.  This is sufficient for the paper's evaluation, where the two relevant
-operating points are 27 MHz and 55 MHz and only one domain is active per
-scenario.
+A :class:`~repro.sim.simulator.Simulator` runs every component on one
+:class:`ClockDomain`: it counts the cycles components receive in
+:meth:`~repro.sim.component.Component.tick` and converts between cycles and
+wall-clock time for the power model.  One clock is all the paper's
+evaluation needs: its two operating points, 27 MHz and 55 MHz, are each a
+whole SoC at one frequency.
 """
 
 from __future__ import annotations

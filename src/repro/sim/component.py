@@ -26,7 +26,7 @@ class Component:
     is *quiescent* instead of ticking each one cycle by cycle.  A component
     takes part by overriding two hooks:
 
-    * :meth:`next_event` returns how many domain-local cycles from now the
+    * :meth:`next_event` returns how many clock cycles from now the
       component next needs a real :meth:`tick` call — because an externally
       observable effect (an event pulse, a bus transfer, an interrupt, a
       register value another agent may act on) happens in that tick.  ``None``
@@ -137,12 +137,12 @@ class Component:
     def tick(self, cycle: int) -> None:
         """Advance the component by one clock cycle.
 
-        ``cycle`` is the domain-local cycle index.  The default implementation
+        ``cycle`` is the clock's cycle index.  The default implementation
         does nothing; purely combinational helpers may choose not to override.
         """
 
     def next_event(self) -> Optional[int]:
-        """Domain-local cycles until this component next needs a real tick.
+        """Clock cycles until this component next needs a real tick.
 
         Contract (see the class docstring): returning ``k >= 1`` guarantees
         the next ``k - 1`` ticks are quiescent and can be replayed by

@@ -1,21 +1,22 @@
 """The simulation kernel: dense (cycle-driven) and event-driven stepping.
 
-The simulator owns the set of components, their clock domains, the activity
-counters, and the trace recorder.  A simulation advances in *base ticks*: one
-base tick corresponds to one cycle of the fastest clock domain; slower domains
-tick on the cycles where their (integer) divisor divides the base tick index.
+The simulator owns the components, their one clock domain, the activity
+counters, and the trace recorder.  A simulation advances in *base ticks*:
+one base tick is one cycle of that clock.  The paper's operating points
+(27 MHz and 55 MHz) are each a whole SoC at one frequency, so every
+component runs on the same clock.
 
 Two scheduling modes share that time base:
 
 * **Dense mode** (``dense=True``) is the cycle-driven kernel: every
   component's :meth:`~repro.sim.component.Component.tick` is called on every
-  cycle of its domain.  It is the reference semantics and the baseline the
-  differential test-suite compares against.
+  cycle.  It is the reference semantics and the baseline the differential
+  test-suite compares against.
 * **Event-driven mode** (the default) computes the earliest pending wake
-  across all clock domains and jumps the base-tick counter over the provably
-  quiescent span in between.  The skipped ticks are replayed in one batch per
-  component through :meth:`~repro.sim.component.Component.skip`, so final
-  state, activity counters, and traces are cycle-exact — identical to dense
+  and jumps the base-tick counter over the provably quiescent span in
+  between.  The skipped ticks are replayed in one batch per component
+  through :meth:`~repro.sim.component.Component.skip`, so final state,
+  activity counters, and traces are cycle-exact — identical to dense
   stepping — while idle-heavy scenarios (the always-on monitoring workloads
   the paper is about) run orders of magnitude fewer Python-level tick calls.
 
@@ -40,16 +41,9 @@ tick, which are volatile/cached, which must be replayed on a skip, and
 whether anything forces dense stepping.  :meth:`SimState.bind` derives that
 classification from a structural *fingerprint* of the component set (hook
 overrides and cacheability) and stores it next to the rest
-of the per-instance, mutable state: the base-tick counter, the deadline
-heap and dirty set of the wake cache, the clock divisors, and the
-activity/trace recorders.  The simulator re-binds only when the
-fingerprint changes.
-
-For the scenarios in this repository all active components share one domain,
-but the multi-domain support is what lets the iso-latency experiment clock
-PELS at 27 MHz while the reference Ibex system runs at 55 MHz; wake horizons
-are expressed in domain-local cycles and converted to base ticks by the
-scheduler.
+of the per-instance, mutable state: the base-tick counter, the clock, the
+deadline heap and dirty set of the wake cache, and the activity/trace
+recorders.  The simulator re-binds only when the fingerprint changes.
 
 See ``docs/simulator.md`` for the wake protocol, the invalidation contract,
 and the dense-vs-event equivalence guarantee.
@@ -58,7 +52,7 @@ and the dense-vs-event equivalence guarantee.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
@@ -73,7 +67,7 @@ class SimulationError(RuntimeError):
 
 
 class Simulator:
-    """Coordinates clock domains and components and advances simulated time."""
+    """Coordinates one clock domain and its components and advances simulated time."""
 
     def __init__(
         self,
@@ -81,18 +75,17 @@ class Simulator:
         dense: bool = False,
     ) -> None:
         #: When True, use the reference cycle-driven kernel (tick every component
-        #: on every cycle of its domain).  When False (default), skip over
-        #: quiescent spans using the components' wake hints.  May be toggled
-        #: between :meth:`step` calls; both modes produce identical state.
+        #: on every cycle).  When False (default), skip over quiescent spans
+        #: using the components' wake hints.  May be toggled between
+        #: :meth:`step` calls; both modes produce identical state.
         self.dense = dense
-        self._domains: Dict[str, ClockDomain] = {}
-        self._components: List[Tuple[Component, ClockDomain]] = []
+        self._default_domain = ClockDomain("default", default_frequency_hz)
+        self._components: List[Component] = []
         self._components_by_name: Dict[str, Component] = {}
-        self._state = SimState()
+        self._state = SimState(self._default_domain)
         #: Fingerprint the state's classification was bound from (None =
         #: never bound).
         self._fingerprint: Optional[Tuple] = None
-        self._default_domain = self.add_clock_domain("default", default_frequency_hz)
 
     # ------------------------------------------------------------- delegation
 
@@ -120,44 +113,19 @@ class Simulator:
         """This instance's mutable scheduling state."""
         return self._state
 
-    # ----------------------------------------------------------------- domains
-
-    def add_clock_domain(self, name: str, frequency_hz: float) -> ClockDomain:
-        """Create and register a clock domain."""
-        if name in self._domains:
-            raise SimulationError(f"clock domain {name!r} already exists")
-        domain = ClockDomain(name, frequency_hz)
-        self._domains[name] = domain
-        return domain
-
-    def clock_domain(self, name: str) -> ClockDomain:
-        """Look up a registered clock domain by name."""
-        try:
-            return self._domains[name]
-        except KeyError as exc:
-            raise SimulationError(f"unknown clock domain {name!r}") from exc
-
     @property
     def default_domain(self) -> ClockDomain:
-        """The domain components are added to when none is specified."""
+        """The one clock domain every component runs in."""
         return self._default_domain
-
-    @property
-    def domains(self) -> Tuple[ClockDomain, ...]:
-        """All registered clock domains."""
-        return tuple(self._domains.values())
 
     # -------------------------------------------------------------- components
 
-    def add_component(self, component: Component, domain: Optional[ClockDomain] = None) -> Component:
-        """Register a component with the simulator and a clock domain."""
+    def add_component(self, component: Component) -> Component:
+        """Register a component with the simulator and its clock domain."""
         if component.name in self._components_by_name:
             raise SimulationError(f"a component named {component.name!r} is already registered")
-        clock = domain if domain is not None else self._default_domain
-        if clock.name not in self._domains:
-            raise SimulationError(f"clock domain {clock.name!r} is not registered with this simulator")
-        component.attach(self, clock)
-        self._components.append((component, clock))
+        component.attach(self, self._default_domain)
+        self._components.append(component)
         self._components_by_name[component.name] = component
         return component
 
@@ -171,13 +139,13 @@ class Simulator:
     @property
     def components(self) -> Tuple[Component, ...]:
         """All registered components, in registration order."""
-        return tuple(component for component, _ in self._components)
+        return tuple(self._components)
 
     # ------------------------------------------------------------------ timing
 
     @property
     def current_cycle(self) -> int:
-        """Base-tick counter (cycles of the fastest domain)."""
+        """Base-tick counter (cycles of the clock domain)."""
         return self._state.base_tick
 
     def _fingerprint_now(self) -> Tuple:
@@ -195,7 +163,7 @@ class Simulator:
                 _overrides(component, "skip"),
                 bool(component.wake_cacheable),
             )
-            for component, _ in self._components
+            for component in self._components
         )
 
     def _schedule_plan(self) -> "SimState":
@@ -205,9 +173,7 @@ class Simulator:
         component's hook overrides change — e.g. a test double assigning
         ``tick`` on the instance after registration — which the fingerprint
         check detects at the next :meth:`step`/:meth:`run_until` entry.
-        Each re-bind counts one ``plan_builds``.  Clock ratios are
-        re-validated on every call (frequencies are mutable), but recomputed
-        only when they actually changed.
+        Each re-bind counts one ``plan_builds``.
         """
         state = self._state
         fingerprint = self._fingerprint_now()
@@ -216,7 +182,6 @@ class Simulator:
                 state.bind(fingerprint, self._components)
                 self._fingerprint = fingerprint
                 state.kernel_stats["plan_builds"] += 1
-        state.refresh_divisors(self._domains.values())
         return state
 
     def _notify_wake_changed(self, component: Component) -> None:
@@ -228,8 +193,8 @@ class Simulator:
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` base ticks.
 
-        In dense mode every component is ticked on every cycle of its domain.
-        In event-driven mode quiescent spans are skipped; the end state after
+        In dense mode every component is ticked on every cycle.  In
+        event-driven mode quiescent spans are skipped; the end state after
         ``step(n)`` is identical in both modes.
         """
         if cycles < 0:
@@ -306,29 +271,26 @@ class Simulator:
         return state.base_tick - start
 
     def run_for_time(self, seconds: float) -> int:
-        """Run for a wall-clock duration measured in the fastest domain.
+        """Run for the full clock cycles that fit in ``seconds``.
 
-        The duration is converted with ``round()`` so a period that is an
-        exact multiple of the clock period never loses a cycle to binary
-        floating-point truncation (e.g. ``3 * (1 / 55e6)`` seconds is exactly
-        3 cycles, not 2).  Frequencies are mutable, so the fastest is read
-        live.
+        The conversion is :meth:`ClockDomain.cycles_for_time`: whole cycles
+        only, so ``500e-9`` seconds at 55 MHz is 27 cycles, but an exact
+        multiple of the period never loses a cycle to binary floating-point
+        truncation (``7 * (1 / 55e6)`` seconds is 7 cycles, not 6).
         """
-        cycles = int(round(seconds * max(domain.frequency_hz for domain in self._domains.values())))
+        cycles = self._default_domain.cycles_for_time(seconds)
         self.step(cycles)
         return cycles
 
     def reset(self) -> None:
-        """Reset every component, clock domain, and all bookkeeping.
+        """Reset every component, the clock domain, and all bookkeeping.
 
         The trace recorder is cleared *in place* so references held by
         callers (analysis code, open timelines) keep observing the simulator
         instead of silently going stale.
         """
-        for component, _ in self._components:
+        for component in self._components:
             component.reset()
-        for domain in self._domains.values():
-            domain.reset()
         self._state.reset()
 
     # ------------------------------------------------------------------- trace
@@ -342,23 +304,15 @@ class Simulator:
         """Record a value change of ``signal`` at the base tick of ``clock``'s local ``cycle``.
 
         For the ticks a component's :meth:`~Component.skip` replays: inside a
-        skip the base tick still marks the span's start, and the component's
-        first replayed tick is local cycle ``clock.cycles`` at the first base
-        tick of its domain from there.
+        skip the base tick and ``clock.cycles`` still mark the span's start,
+        so local ``cycle`` lies ``cycle - clock.cycles`` ticks past it.
         """
         state = self._state
-        divisor = state.divisors.get(clock.name, 1)
-        base_tick = state.base_tick
-        remainder = base_tick % divisor
-        first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
-        state.traces.record(first + (cycle - clock.cycles) * divisor, signal, value)
+        state.traces.record(state.base_tick + cycle - clock.cycles, signal, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "dense" if self.dense else "event-driven"
-        return (
-            f"Simulator(cycle={self._state.base_tick}, components={len(self._components)}, "
-            f"domains={[d.name for d in self._domains.values()]}, mode={mode})"
-        )
+        return f"Simulator(cycle={self._state.base_tick}, components={len(self._components)}, mode={mode})"
 
 
 def _overrides(component: Component, name: str) -> bool:
@@ -367,32 +321,12 @@ def _overrides(component: Component, name: str) -> bool:
     return getattr(type(component), name) is not getattr(Component, name) or name in component.__dict__
 
 
-def _divisor(domain: ClockDomain, fastest_hz: float) -> int:
-    """Integer ratio between the fastest clock and ``domain``.
-
-    The integrality check uses a *relative* tolerance: the float error of
-    a legitimate large ratio (e.g. 1 GHz against a 32.768 kHz RTC domain,
-    a 30518:1 ratio) grows with the ratio itself, so an absolute window
-    would wrongly reject valid integer ratios at large divisors — and the
-    same fixed window is far too forgiving at small ones, accepting
-    near-miss frequencies (55 MHz against 27.500014 MHz) that silently
-    drift the slow domain by a cycle over long horizons.
-    """
-    ratio = fastest_hz / domain.frequency_hz
-    divisor = round(ratio)
-    if divisor < 1 or abs(ratio - divisor) > 1e-9 * divisor:
-        raise SimulationError(
-            f"clock domain {domain.name!r} frequency must divide the fastest domain"
-        )
-    return divisor
-
-
 class SimState:
     """Per-instance mutable scheduling state.
 
-    Owns the base-tick counter, the component classification bound by
-    :meth:`bind`, the wake-deadline cache, the clock-ratio snapshot, and the
-    activity/trace recorders.
+    Owns the base-tick counter, the clock, the component classification
+    bound by :meth:`bind`, the wake-deadline cache, and the activity/trace
+    recorders.
 
     **Deadline cache.**  ``deadlines[i]`` is the authoritative absolute base
     tick at which cached component ``i`` next needs a dense tick (``None`` =
@@ -407,8 +341,8 @@ class SimState:
     ticked when it is *due*: its deadline is this base tick, or it was
     invalidated since the last poll.  Every other tick is, by its wake
     promise, a quiescent tick, so instead of running it the state adds it to
-    ``owed[i]`` (domain ticks), and :meth:`skip_span` does the same for a
-    skipped span.  The debt is paid with one ``skip(owed)`` (:meth:`sync`)
+    ``owed[i]``, and :meth:`skip_span` does the same for a skipped span.
+    The debt is paid with one ``skip(owed)`` (:meth:`sync`)
     before anything looks at the component: its own tick, a re-poll, every
     cross-component access (the masters call
     :meth:`~repro.sim.component.Component.sync`), and every host boundary
@@ -416,8 +350,10 @@ class SimState:
     component that still owes ticks raises, so a missed sync fails loudly.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: ClockDomain) -> None:
         self.base_tick = 0
+        #: The one clock every component runs in; advances with ``base_tick``.
+        self.clock = clock
         self.activity = ActivityCounters()
         self.traces = TraceRecorder()
         # The canonical scheduler counters: the key set is defined once in
@@ -425,19 +361,15 @@ class SimState:
         # and the batch loop; writing an undeclared key raises at the
         # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
         self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
-        #: ``(component, clock, cached index or None)`` in registration order.
-        self.ticking: List[Tuple[Component, ClockDomain, Optional[int]]] = []
-        self.volatile: List[Tuple[Component, ClockDomain]] = []
-        self.cached: List[Tuple[Component, ClockDomain]] = []
+        #: ``(component, cached index or None)`` in registration order.
+        self.ticking: List[Tuple[Component, Optional[int]]] = []
+        self.volatile: List[Component] = []
+        self.cached: List[Component] = []
         #: Skippers replayed on every skipped span (everything not cached).
-        self.skippers: List[Tuple[Component, ClockDomain]] = []
-        #: ``(cached index, clock)`` of cached skippers: a span is owed.
-        self.owing: List[Tuple[int, ClockDomain]] = []
+        self.skippers: List[Component] = []
+        #: Cached indexes of cached skippers: a span is owed.
+        self.owing: List[int] = []
         self.forces_dense = False
-        self.clocks: List[ClockDomain] = []
-        self.divisors: Dict[str, int] = {}
-        self.single_rate = True
-        self._freq_snapshot: Optional[Tuple[float, ...]] = None
         self._cache_index: Dict[Component, int] = {}
         self.deadlines: List[Optional[int]] = []
         self.owed: List[int] = []
@@ -453,8 +385,8 @@ class SimState:
 
     # ----------------------------------------------------------------- binding
 
-    def bind(self, fingerprint: Tuple, pairs: Sequence[Tuple[Component, ClockDomain]]) -> None:
-        """Classify ``pairs`` by ``fingerprint`` (see
+    def bind(self, fingerprint: Tuple, components: Sequence[Component]) -> None:
+        """Classify ``components`` by ``fingerprint`` (see
         :meth:`Simulator._fingerprint_now`) so the hot loops only visit
         components that can have an effect:
 
@@ -478,42 +410,19 @@ class SimState:
         ticking, skippers = [], []
         self.volatile, self.cached = [], []
         self.forces_dense = False
-        for pair, (ticks, hinted, skips, cacheable) in zip(pairs, fingerprint):
+        for component, (ticks, hinted, skips, cacheable) in zip(components, fingerprint):
             if ticks:
-                ticking.append(pair)
+                ticking.append(component)
                 if not hinted:
                     self.forces_dense = True
             if hinted:
-                (self.cached if cacheable else self.volatile).append(pair)
+                (self.cached if cacheable else self.volatile).append(component)
             if skips:
-                skippers.append(pair)
-        clocks: Dict[str, ClockDomain] = {}
-        for _, clock in pairs:
-            clocks.setdefault(clock.name, clock)
-        self.clocks = list(clocks.values())
-        self._freq_snapshot = None  # divisors refreshed on next resolution
-        index_of = self._cache_index = {component: index for index, (component, _) in enumerate(self.cached)}
-        self.ticking = [(component, clock, index_of.get(component)) for component, clock in ticking]
-        self.skippers = [pair for pair in skippers if pair[0] not in index_of]
-        self.owing = [(index_of[component], clock) for component, clock in skippers if component in index_of]
-        self.clear_wake_cache()
-
-    def refresh_divisors(self, domains: Iterable[ClockDomain]) -> None:
-        """Recompute clock ratios only when a frequency actually changed.
-
-        ``domains`` are *all* simulator domains, not just those with
-        components: the base tick is defined by the fastest domain overall,
-        so a frequency change on a component-less domain still moves every
-        divisor.
-        """
-        snapshot = tuple(domain.frequency_hz for domain in domains)
-        if snapshot == self._freq_snapshot:
-            return
-        fastest = max(snapshot)
-        self.divisors = {clock.name: _divisor(clock, fastest) for clock in self.clocks}
-        self.single_rate = all(divisor == 1 for divisor in self.divisors.values())
-        self._freq_snapshot = snapshot
-        # Deadlines were computed with the old ratios; recompute lazily.
+                skippers.append(component)
+        index_of = self._cache_index = {component: index for index, component in enumerate(self.cached)}
+        self.ticking = [(component, index_of.get(component)) for component in ticking]
+        self.skippers = [component for component in skippers if component not in index_of]
+        self.owing = [index_of[component] for component in skippers if component in index_of]
         self.clear_wake_cache()
 
     # ------------------------------------------------------------- invalidation
@@ -567,7 +476,7 @@ class SimState:
         It may run inside another component's tick (a master touching it),
         so the active component is restored afterwards.
         """
-        component = self.cached[index][0]
+        component = self.cached[index]
         owed = self.owed[index]
         self.owed[index] = 0
         active = self._active_component
@@ -587,21 +496,13 @@ class SimState:
         """Recompute one cached component's absolute deadline."""
         if self.owed[index]:
             self._pay(index)
-        component, clock = self.cached[index]
-        horizon = component.next_event()
+        horizon = self.cached[index].next_event()
         if horizon is None:
             self.deadlines[index] = None
             return
         if horizon < 1:
             horizon = 1
-        base_tick = self.base_tick
-        if self.single_rate:
-            deadline = base_tick + horizon - 1
-        else:
-            divisor = self.divisors[clock.name]
-            remainder = base_tick % divisor
-            first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
-            deadline = first + (horizon - 1) * divisor
+        deadline = self.base_tick + horizon - 1
         self.deadlines[index] = deadline
         heappush(self._heap, (deadline, index))
         # Lazy heaps accumulate stale entries; compact when they dominate.
@@ -623,12 +524,10 @@ class SimState:
         owes the tick instead of running it (see the class docstring).
         """
         base_tick = self.base_tick
-        single_rate = self.single_rate
-        divisors = self.divisors
+        clock = self.clock
+        cycle = clock.cycles
         deadlines, dirty, owed = self.deadlines, self._dirty, self.owed
-        for component, clock, index in self.ticking:
-            if not single_rate and base_tick % divisors[clock.name]:
-                continue
+        for component, index in self.ticking:
             if owe and index is not None:
                 deadline = deadlines[index]
                 if (deadline is None or deadline > base_tick) and index not in dirty:
@@ -637,15 +536,9 @@ class SimState:
                 if owed[index]:
                     self._pay(index)
             self._active_component = component
-            component.tick(clock.cycles)
+            component.tick(cycle)
         self._active_component = None
-        if single_rate:
-            for clock in self.clocks:
-                clock.advance()
-        else:
-            for clock in self.clocks:
-                if base_tick % divisors[clock.name] == 0:
-                    clock.advance()
+        clock.advance()
         self.base_tick = base_tick + 1
         self.kernel_stats["dense_ticks"] += 1
         # Expire cached deadlines the tick just serviced: the component fired
@@ -694,8 +587,7 @@ class SimState:
         """Base ticks until the earliest pending wake, capped at ``limit``.
 
         Returns 0 when some component needs a dense tick right now.  A wake of
-        ``k`` domain cycles from a component whose domain next ticks at base
-        tick ``first`` pins the wake to base tick ``first + (k - 1) * div``;
+        ``k`` cycles pins the wake to base tick ``base_tick + k - 1``;
         everything before that is quiescent by the component's promise.
 
         Composed from :meth:`poll_dirty` + :meth:`volatile_bound` + the lazy
@@ -739,34 +631,15 @@ class SimState:
         combines the two.
         """
         stats = self.kernel_stats
-        base_tick = self.base_tick
         span = limit
         volatile = self.volatile
-        if self.single_rate:
-            for index, (component, _) in enumerate(volatile):
-                horizon = component.next_event()
-                if horizon is not None and horizon <= span:
-                    if horizon <= 1:
-                        stats["next_event_calls"] += index + 1
-                        return 0
-                    span = horizon - 1
-        else:
-            divisors = self.divisors
-            for index, (component, clock) in enumerate(volatile):
-                horizon = component.next_event()
-                if horizon is None:
-                    continue
-                if horizon < 1:
-                    horizon = 1
-                divisor = divisors[clock.name]
-                remainder = base_tick % divisor
-                first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
-                bound = first + (horizon - 1) * divisor - base_tick
-                if bound < span:
-                    if bound <= 0:
-                        stats["next_event_calls"] += index + 1
-                        return 0
-                    span = bound
+        for index, component in enumerate(volatile):
+            horizon = component.next_event()
+            if horizon is not None and horizon <= span:
+                if horizon <= 1:
+                    stats["next_event_calls"] += index + 1
+                    return 0
+                span = horizon - 1
         stats["next_event_calls"] += len(volatile)
         return span
 
@@ -779,47 +652,19 @@ class SimState:
         stats["spans_skipped"] += 1
         stats["cycles_skipped"] += span
         owed = self.owed
-        if self.single_rate:
-            for index, _ in self.owing:
-                owed[index] += span
-            for component, _ in self.skippers:
-                self._active_component = component
-                component.skip(span)
-            self._active_component = None
-            for clock in self.clocks:
-                clock.advance(span)
-            self.base_tick += span
-            return
-        base_tick = self.base_tick
-        divisors = self.divisors
-        domain_ticks: Dict[str, int] = {}
-        for clock in self.clocks:
-            divisor = divisors[clock.name]
-            remainder = base_tick % divisor
-            first = base_tick if remainder == 0 else base_tick + (divisor - remainder)
-            if first >= base_tick + span:
-                count = 0
-            else:
-                count = (base_tick + span - 1 - first) // divisor + 1
-            domain_ticks[clock.name] = count
-        for index, clock in self.owing:
-            owed[index] += domain_ticks[clock.name]
-        for component, clock in self.skippers:
-            count = domain_ticks[clock.name]
-            if count:
-                self._active_component = component
-                component.skip(count)
+        for index in self.owing:
+            owed[index] += span
+        for component in self.skippers:
+            self._active_component = component
+            component.skip(span)
         self._active_component = None
-        for clock in self.clocks:
-            count = domain_ticks[clock.name]
-            if count:
-                clock.advance(count)
+        self.clock.advance(span)
         self.base_tick += span
 
     # ------------------------------------------------------------------- reset
 
     def reset(self) -> None:
-        """Rewind to cycle 0: clear counters, traces, stats, and deadlines.
+        """Rewind to cycle 0: clear the clock, counters, traces, stats, and deadlines.
 
         The activity counters and trace recorder are cleared *in place* so
         references held by callers keep observing the simulator.  Cached
@@ -829,6 +674,7 @@ class SimState:
         self.activity.clear()
         self.traces.clear()
         self.base_tick = 0
+        self.clock.reset()
         self.kernel_stats.reset()
         self.owed = [0] * len(self.cached)
         self.clear_wake_cache()

@@ -349,7 +349,9 @@ class TestSkipReplay:
         assert execution.quiet_run() == (11, True)
         assert pels.next_event() is None
         activity = simulator.activity
-        busy, link_busy, idle = (activity.get("pels", name) for name in ("busy_cycles", "link_busy_cycles", "idle_cycles"))
+        busy, link_busy, idle = (
+            activity.get("pels", name) for name in ("busy_cycles", "link_busy_cycles", "idle_cycles")
+        )
         executed = execution.busy_cycles
         first = pels.clock.cycles
         pels.skip(15)

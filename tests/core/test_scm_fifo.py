@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.fifo import TriggerFifo
-from repro.core.isa import Command, Opcode, encode_command
+from repro.core.isa import Command, Opcode
 from repro.core.scm import ScmMemory, scm_bits
 
 

@@ -7,8 +7,6 @@ event.  These tests inject such faults and check the system degrades
 gracefully.
 """
 
-import pytest
-
 from repro.bus.apb import ApbBus
 from repro.bus.transaction import read_request
 from repro.core.assembler import assemble
@@ -105,8 +103,6 @@ class TestMisprogrammedLink:
 
 class TestIbexBusError:
     def test_handler_survives_error_response(self):
-        from repro.cpu.instructions import Alu, AluOp, Load, Store
-
         soc = build_soc(SocConfig(with_pels=False))
         # The handler loads from a valid peripheral, then stores to a hole
         # behind the peripheral bridge region... there is none reachable via
@@ -114,8 +110,6 @@ class TestIbexBusError:
         # APB directly instead: a PELS-less SoC has no master doing that, so
         # simply check that a load of a valid address after an injected APB
         # error still works.
-        from repro.bus.transaction import read_request
-
         bad = soc.peripheral_bus.submit(read_request("probe", 0x1A10_0FF0 + 0x10000))
         soc.run(3)
         assert bad.done and bad.error

@@ -5,10 +5,7 @@ GPIO, multi-link pipelines — through the public API, the way a user of the
 library would.
 """
 
-import pytest
-
 from repro.core.assembler import Assembler
-from repro.core.trigger import TriggerCondition
 from repro.peripherals.sensor import SensorWaveform
 from repro.soc.pulpissimo import SocConfig, build_soc
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.components import EnergyCoefficients, TECH_65NM_LP, TechnologyProfile
+from repro.power.components import EnergyCoefficients, TECH_65NM_LP
 from repro.power.model import COMPONENTS, PowerBreakdown, PowerModel, diff_activity
 from repro.power.report import format_breakdown, format_figure5, summarize_totals
 from repro.power.scenarios import (

@@ -176,7 +176,6 @@ component_scenario = st.fixed_dictionaries(
         "wdt_grace": st.integers(min_value=1, max_value=30),
         "uart_bytes": st.integers(min_value=0, max_value=3),
         "uart_baud": st.integers(min_value=1, max_value=12),
-        "slow_divisor": st.sampled_from([1, 2, 4]),
         "horizon": st.integers(min_value=1, max_value=400),
         "chunks": st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=4),
     }
@@ -184,9 +183,8 @@ component_scenario = st.fixed_dictionaries(
 
 
 def _run_component_scenario(params, dense):
-    """Bare multi-domain simulator with free-running peripherals (no SoC)."""
+    """Bare simulator with free-running peripherals (no SoC)."""
     simulator = Simulator(default_frequency_hz=40e6, dense=dense)
-    slow = simulator.add_clock_domain("slow", 40e6 / params["slow_divisor"])
 
     timer = Timer(compare=params["timer_compare"])
     timer.regs.reg("PRESCALER").hw_write(params["timer_prescaler"])
@@ -194,11 +192,11 @@ def _run_component_scenario(params, dense):
     timer.start()
 
     pwm = Pwm(period=params["pwm_period"], duty=min(params["pwm_duty"], params["pwm_period"]))
-    simulator.add_component(pwm, domain=slow)
+    simulator.add_component(pwm)
     pwm.start()
 
     wdt = Watchdog(timeout=params["wdt_timeout"], grace=params["wdt_grace"])
-    simulator.add_component(wdt, domain=slow)
+    simulator.add_component(wdt)
     wdt.start()
 
     uart = Uart(cycles_per_byte=params["uart_baud"])
@@ -218,13 +216,12 @@ def _run_component_scenario(params, dense):
 class TestComponentDifferential:
     @settings(max_examples=40, deadline=None)
     @given(params=component_scenario)
-    def test_multi_domain_peripherals_equal_dense(self, params):
+    def test_free_running_peripherals_equal_dense(self, params):
         dense_sim, dense_parts = _run_component_scenario(params, dense=True)
         event_sim, event_parts = _run_component_scenario(params, dense=False)
 
         assert dense_sim.current_cycle == event_sim.current_cycle
-        for domain in ("default", "slow"):
-            assert dense_sim.clock_domain(domain).cycles == event_sim.clock_domain(domain).cycles
+        assert dense_sim.default_domain.cycles == event_sim.default_domain.cycles
         assert dense_sim.activity.as_dict() == event_sim.activity.as_dict()
         for dense_part, event_part in zip(dense_parts, event_parts):
             dense_regs = {r.name: r.value for r in dense_part.regs.registers()}

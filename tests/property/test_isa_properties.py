@@ -1,6 +1,6 @@
 """Property-based tests for the microcode encoding (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.isa import (

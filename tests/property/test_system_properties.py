@@ -7,7 +7,7 @@ from repro.area.model import PelsAreaModel
 from repro.bus.apb import ApbBus
 from repro.core.assembler import Assembler
 from repro.core.config import PelsConfig
-from repro.core.isa import Command, Opcode, decode_command
+from repro.core.isa import Opcode
 from repro.core.pels import Pels
 from repro.core.scm import ScmMemory
 from repro.peripherals.events import EventFabric
@@ -49,7 +49,11 @@ class TestAssemblerProperties:
 
 class TestExecutionProperties:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=0xFF), st.integers(min_value=0, max_value=0xFF), st.sampled_from(["set", "clear", "toggle"]))
+    @given(
+        st.integers(min_value=0, max_value=0xFF),
+        st.integers(min_value=0, max_value=0xFF),
+        st.sampled_from(["set", "clear", "toggle"]),
+    )
     def test_rmw_commands_compute_correct_result(self, initial, mask, mnemonic):
         """Whatever the initial register value, the RMW datapath matches the bitwise semantics."""
         simulator = Simulator()

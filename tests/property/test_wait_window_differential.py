@@ -10,8 +10,8 @@ microcode on 1–4 links — with ANY/ALL trigger conditions, loopback routes
 between links, GPIO pad actions (passive, so replayed inside quiet runs)
 alone and mixed with loopback bits in one mask, and external triggers that
 land mid-wait (the FIFO fills and the horizon must fall back to 1) — under
-the dense kernel, the event kernel, and the batch round loop, at several I/O
-clock divisors and ``step()`` chunkings.  At every boundary they compare the
+the dense kernel, the event kernel, and the batch round loop, at several
+``step()`` chunkings.  At every boundary they compare the
 activity counters, the traced instant actions, the link records, the
 execution units' statistics and wait counters, the trigger state, the
 FIFO counters, and the GPIO latch, toggle count and
@@ -49,7 +49,7 @@ GPIO_BASE = 0x1000
 
 
 class Stimulus(Component):
-    """Pulses external fabric lines at fixed cycles of its (base) domain."""
+    """Pulses external fabric lines at fixed cycles."""
 
     def __init__(self, fabric, pulses):
         super().__init__("stimulus")
@@ -125,7 +125,6 @@ links = st.fixed_dictionaries(
 scenarios = st.fixed_dictionaries(
     {
         "links": st.lists(links, min_size=1, max_size=4),
-        "divisor": st.sampled_from((1, 2, 4)),
         # Whether a rising edge on GPIO pad 0 pulses ``gpio.rise``.
         "rise_evt": st.integers(min_value=0, max_value=1),
         # Always an ``ext.a`` pulse at cycle 0, so that most draws start a
@@ -141,7 +140,6 @@ scenarios = st.fixed_dictionaries(
 
 def _build(scenario, dense=False):
     simulator = Simulator(default_frequency_hz=BASE_HZ, dense=dense)
-    io = simulator.add_clock_domain("io", BASE_HZ / scenario["divisor"])
     fabric = EventFabric()
     for line in EXTERNAL_LINES:
         fabric.add_line(line, producer="stimulus")
@@ -174,7 +172,7 @@ def _build(scenario, dense=False):
     pels._sync_observed_lines()
     simulator.add_component(Stimulus(fabric, scenario["pulses"]))
     for component in (gpio, pels, bus):
-        simulator.add_component(component, io)
+        simulator.add_component(component)
     return simulator, pels, gpio
 
 
@@ -272,7 +270,7 @@ class TestWaitWindowHorizon:
             }
             for wait in waits
         ]
-        return {"links": links, "divisor": 1, "pulses": pulses, "chunks": [200]}
+        return {"links": links, "pulses": pulses, "chunks": [200]}
 
     def test_a_wait_window_is_skipped_in_one_span(self):
         scenario = self._scenario([40], [(0, "ext.a")])
@@ -298,7 +296,7 @@ class TestWaitWindowHorizon:
         """``L: wait 3; jump_if L always`` never reaches an external command."""
         program = [Command.wait(3), Command.jump_if(0, JumpCondition.ALWAYS, 0)]
         link = {"program": program, "mask": 0x1, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
-        scenario = {"links": [link], "divisor": 1, "pulses": [(0, "ext.a")], "chunks": [1_000] * 5}
+        scenario = {"links": [link], "pulses": [(0, "ext.a")], "chunks": [1_000] * 5}
         dense, _ = run_stepped(scenario, dense=True)
         event, stats = run_stepped(scenario, dense=False)
         assert event == dense
@@ -325,7 +323,7 @@ class TestWaitWindowHorizon:
                     "condition": TriggerCondition.ANY_SELECTED_ACTIVE,
                     "enabled": True,
                 }
-                scenario = {"links": [link], "divisor": 1, "pulses": [(0, "ext.a")], "chunks": [150, 150]}
+                scenario = {"links": [link], "pulses": [(0, "ext.a")], "chunks": [150, 150]}
                 dense, _ = run_stepped(scenario, dense=True)
                 assert run_stepped(scenario, dense=False)[0] == dense, (condition, operand)
                 assert run_batched(scenario) == dense, (condition, operand)
@@ -341,12 +339,12 @@ class TestWaitWindowHorizon:
         assert run_stepped(scenario, dense=False)[0] == run_stepped(scenario, dense=True)[0]
 
     @staticmethod
-    def _blinker(group, mask, divisor=1):
+    def _blinker(group, mask):
         """The paper's blinker, ``BLINK: action <group> <mask>; wait 10;
         loop BLINK 3; end``, started by an ``ext.a`` pulse at cycle 0."""
         program = [Command.action(group, mask), Command.wait(10), Command.loop(0, 3), Command.end()]
         link = {"program": program, "mask": 0x1, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
-        return {"links": [link], "divisor": divisor, "pulses": [(0, "ext.a")], "chunks": [30, 300]}
+        return {"links": [link], "pulses": [(0, "ext.a")], "chunks": [30, 300]}
 
     def test_a_blinker_toggling_a_pad_runs_to_end_in_one_horizon(self):
         simulator, pels, _ = _build(self._blinker(2, 0x1))
@@ -357,42 +355,40 @@ class TestWaitWindowHorizon:
         # them fetches ``end`` and finishes, so the run sets no bound.
         assert execution.quiet_run() == (4 * 13 + 1, True)
         assert pels.next_event() is None
-        for divisor in (1, 2, 4):
-            scenario = self._blinker(2, 0x1, divisor)
-            dense, _ = run_stepped(scenario, dense=True)
-            event, stats = run_stepped(scenario, dense=False)
-            assert event == dense, divisor
-            assert run_batched(scenario) == dense, divisor
-            # Only the trigger is a dense tick.
-            assert stats["dense_ticks"] <= 1, divisor
-            simulator, _, gpio = _build(scenario)
-            simulator.step(sum(scenario["chunks"]))
-            actions = simulator.traces.trace("pels.action").changes()
-            assert [action.cycle for action in actions] == [divisor * cycle for cycle in (1, 14, 27, 40)]
-            assert gpio.toggle_count == 4
+        scenario = self._blinker(2, 0x1)
+        dense, _ = run_stepped(scenario, dense=True)
+        event, stats = run_stepped(scenario, dense=False)
+        assert event == dense
+        assert run_batched(scenario) == dense
+        # Only the trigger is a dense tick.
+        assert stats["dense_ticks"] <= 1
+        simulator, _, gpio = _build(scenario)
+        simulator.step(sum(scenario["chunks"]))
+        actions = simulator.traces.trace("pels.action").changes()
+        assert [action.cycle for action in actions] == [1, 14, 27, 40]
+        assert gpio.toggle_count == 4
 
     def test_inside_run_until_the_blinker_ends_in_a_wake(self):
         """While ``run_until`` polls, the fetch of ``end`` bounds the horizon
         and is a dense tick, so the condition sees the record on its cycle."""
-        for divisor in (1, 2):
-            scenario = self._blinker(2, 0x1, divisor)
-            results = []
-            for dense in (True, False):
-                simulator, pels, _ = _build(scenario, dense=dense)
-                simulator.step(1)
-                horizons = []
-                link = pels.links[0]
+        scenario = self._blinker(2, 0x1)
+        results = []
+        for dense in (True, False):
+            simulator, pels, _ = _build(scenario, dense=dense)
+            simulator.step(1)
+            horizons = []
+            link = pels.links[0]
 
-                def finished(pels=pels, link=link, horizons=horizons):
-                    horizons.append(pels.next_event())
-                    return link.last_record is not None
+            def finished(pels=pels, link=link, horizons=horizons):
+                horizons.append(pels.next_event())
+                return link.last_record is not None
 
-                cycles = simulator.run_until(finished, max_cycles=500)
-                results.append((cycles, link.last_record, simulator.activity.as_dict()))
-                if not dense:
-                    assert horizons[0] == 4 * 13 + 1, divisor
-                    assert simulator.kernel_stats["dense_ticks"] <= 2, divisor
-            assert results[0] == results[1], divisor
+            cycles = simulator.run_until(finished, max_cycles=500)
+            results.append((cycles, link.last_record, simulator.activity.as_dict()))
+            if not dense:
+                assert horizons[0] == 4 * 13 + 1
+                assert simulator.kernel_stats["dense_ticks"] <= 2
+        assert results[0] == results[1]
 
     def test_two_blinkers_trace_their_toggles_in_dense_order(self):
         """Links replay one after another inside a skip; their interleaved
@@ -437,7 +433,6 @@ class TestCrossLinkActionOrder:
         setter = [Command.action(2, 0x2), Command.wait(40), Command.end()]
         scenario = {
             "links": [_link(toggler), _link(setter)],
-            "divisor": 1,
             "pulses": [(0, "ext.a")],
             "chunks": [60, 60],
         }
@@ -463,7 +458,6 @@ class TestLiveLinks:
         pulses = [(0, "ext.a"), (250, "ext.b"), (300, "ext.a"), (420, "ext.b"), (700, "ext.a"), (900, "ext.a")]
         return {
             "links": [_link(blinker, 0x1), _link(setter, 0x2)],
-            "divisor": 2,
             "pulses": pulses,
             "chunks": [60, 80, 150, 200, 250, 300],
         }
@@ -521,7 +515,7 @@ class TestMidRunReconfiguration:
             {"program": program, "mask": mask, "condition": TriggerCondition.ANY_SELECTED_ACTIVE, "enabled": True}
             for program, mask in ((blinker, 0x1), (listener, 0x4))
         ]
-        return {"links": links, "divisor": 2, "pulses": [(0, "ext.a"), (200, "ext.a")], "chunks": [20, 25, 300, 300]}
+        return {"links": links, "pulses": [(0, "ext.a"), (200, "ext.a")], "chunks": [20, 25, 300, 300]}
 
     @staticmethod
     def _window_write(pels, link, line, command):

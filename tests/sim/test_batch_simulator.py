@@ -61,8 +61,8 @@ class TestPlanSharing:
         # Equal fingerprints classify identically, but each simulator binds
         # its own lists of its own components.
         assert sim_a._fingerprint == sim_b._fingerprint
-        assert [c.name for c, _ in sim_a.state.cached] == [c.name for c, _ in sim_b.state.cached]
-        assert sim_a.state.cached[0][0] is not sim_b.state.cached[0][0]
+        assert [c.name for c in sim_a.state.cached] == [c.name for c in sim_b.state.cached]
+        assert sim_a.state.cached[0] is not sim_b.state.cached[0]
         assert sim_a.kernel_stats["plan_builds"] == 1
         assert sim_b.kernel_stats["plan_builds"] == 1
 

@@ -131,16 +131,6 @@ class TestQuiescenceSkipping:
         assert a.pulses == b.pulses
         assert a.countdown == b.countdown
 
-    def test_slow_domain_wakes_convert_to_base_ticks(self):
-        simulator = Simulator(default_frequency_hz=50e6)
-        slow = simulator.add_clock_domain("slow", 25e6)
-        blinker = simulator.add_component(HintedBlinker(period=10), domain=slow)
-        simulator.step(100)
-        # 100 base ticks = 50 slow-domain cycles = 5 pulses.
-        assert blinker.pulses == 5
-        assert blinker.tick_calls == 5
-        assert simulator.clock_domain("slow").cycles == 50
-
     def test_dense_flag_can_be_toggled_mid_run(self):
         simulator = Simulator()
         blinker = simulator.add_component(HintedBlinker(period=10))
@@ -235,6 +225,19 @@ class TestSatelliteFixes:
         simulator = Simulator(default_frequency_hz=55e6)
         assert simulator.run_for_time(7 * (1 / 55e6)) == 7
         assert simulator.current_cycle == 7
+
+    @pytest.mark.parametrize(
+        "frequency_hz, seconds, cycles",
+        [(55e6, 500e-9, 27), (27e6, 500e-9, 13), (55e6, 0.6 / 55e6, 0)],
+        ids=["500ns-55MHz", "500ns-27MHz", "under-one-period"],
+    )
+    def test_run_for_time_steps_whole_cycles_like_the_clock(self, frequency_hz, seconds, cycles):
+        # 500 ns is 27.5 cycles at 55 MHz and 13.5 at 27 MHz: only the full
+        # cycles fit, the same count the clock's own conversion gives.
+        simulator = Simulator(default_frequency_hz=frequency_hz)
+        assert simulator.default_domain.cycles_for_time(seconds) == cycles
+        assert simulator.run_for_time(seconds) == cycles
+        assert simulator.current_cycle == cycles
 
     def test_reset_clears_traces_in_place(self):
         simulator = Simulator()

@@ -91,62 +91,6 @@ class TestSimulatorBasics:
         assert simulator.default_domain.frequency_hz == 10e6
 
 
-class TestClockDomains:
-    def test_slow_domain_ticks_less_often(self):
-        simulator = Simulator(default_frequency_hz=50e6)
-        slow_domain = simulator.add_clock_domain("slow", 25e6)
-        fast = simulator.add_component(CycleCounter("fast"))
-        slow = simulator.add_component(CycleCounter("slow_counter"), domain=slow_domain)
-        simulator.step(10)
-        assert fast.ticks == 10
-        assert slow.ticks == 5
-
-    def test_duplicate_domain_rejected(self):
-        simulator = Simulator()
-        with pytest.raises(SimulationError):
-            simulator.add_clock_domain("default", 1e6)
-
-    def test_unknown_domain_lookup(self):
-        simulator = Simulator()
-        with pytest.raises(SimulationError):
-            simulator.clock_domain("missing")
-
-    def test_non_divisor_frequency_rejected(self):
-        simulator = Simulator(default_frequency_hz=50e6)
-        odd = simulator.add_clock_domain("odd", 33e6)
-        simulator.add_component(CycleCounter("c"), domain=odd)
-        simulator.add_component(CycleCounter("fast"))
-        with pytest.raises(SimulationError):
-            simulator.step(1)
-
-    def test_large_exact_ratio_survives_float_noise(self):
-        # A 30518:1 divide (a 1 GHz SoC clock against a ~32.77 kHz RTC-ish
-        # domain) carries float derivation noise proportional to the ratio:
-        # here ~1.5e-5 absolute, which the old fixed 1e-6 window wrongly
-        # rejected while the relative tolerance (1e-9 per unit of divisor)
-        # accepts it as the exact integer ratio it is.
-        base = 1e9
-        divisor = 30_518
-        simulator = Simulator(default_frequency_hz=base)
-        slow = simulator.add_clock_domain("slow", base / divisor * (1 + 5e-10))
-        simulator.add_component(CycleCounter("s"), domain=slow)
-        simulator.add_component(CycleCounter("fast"))
-        simulator.step(5)
-        assert simulator.state.divisors["slow"] == divisor
-
-    def test_small_near_miss_ratio_rejected(self):
-        # 50 MHz against 50e6 / 2.0000005 is a ratio of 2 + 5e-7: inside the
-        # old absolute 1e-6 window (silently drifting the slow domain by a
-        # cycle every ~2M cycles) but 250x over the relative tolerance.
-        base = 50e6
-        simulator = Simulator(default_frequency_hz=base)
-        near = simulator.add_clock_domain("near", base / (2 + 5e-7))
-        simulator.add_component(CycleCounter("c"), domain=near)
-        simulator.add_component(CycleCounter("fast"))
-        with pytest.raises(SimulationError, match="must divide"):
-            simulator.step(1)
-
-
 class TestComponentActivity:
     def test_record_before_attach_is_preserved(self):
         counter = CycleCounter()

@@ -1,7 +1,5 @@
 """Tests for the cached wake-horizon scheduler (deadline cache + invalidation)."""
 
-import pytest
-
 from repro.peripherals.timer import Timer
 from repro.peripherals.watchdog import Watchdog
 from repro.sim.component import Component
@@ -200,25 +198,3 @@ class TestMicroFixes:
         blinker = simulator.add_component(CountingBlinker(period=3))
         assert simulator.component("blinker") is blinker
         assert simulator._components_by_name["blinker"] is blinker
-
-    def test_divisors_recomputed_only_on_frequency_change(self):
-        simulator = Simulator(default_frequency_hz=50e6)
-        slow = simulator.add_clock_domain("slow", 25e6)
-        blinker = simulator.add_component(CountingBlinker(period=10), domain=slow)
-        simulator.step(100)
-        state = simulator.state
-        assert state.divisors == {"slow": 2}  # only domains with components
-        snapshot = state._freq_snapshot
-        simulator.step(100)
-        assert simulator.state._freq_snapshot is snapshot  # untouched
-        assert blinker.pulses == 10
-
-    def test_frequency_change_mid_run_stays_exact(self):
-        simulator = Simulator(default_frequency_hz=50e6)
-        slow = simulator.add_clock_domain("slow", 25e6)
-        blinker = simulator.add_component(CountingBlinker(period=10), domain=slow)
-        simulator.step(100)
-        assert blinker.pulses == 5
-        slow.frequency_hz = 50e6  # domain catches up to the base clock
-        simulator.step(100)
-        assert blinker.pulses == 15

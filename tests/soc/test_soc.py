@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import PelsConfig
-from repro.soc.address_map import DEFAULT_ADDRESS_MAP, AddressMap
+from repro.soc.address_map import DEFAULT_ADDRESS_MAP
 from repro.soc.memory import SramBank
 from repro.soc.pulpissimo import PulpissimoSoc, SocConfig, build_soc
 

@@ -51,7 +51,9 @@ class TestPelsDriver:
 
     def test_configure_trigger_and_enable(self):
         soc, driver = make_driver()
-        driver.configure_trigger(1, mask=0b110, condition=TriggerCondition.ALL_SELECTED_ACTIVE, base_address=0x1A10_1000)
+        driver.configure_trigger(
+            1, mask=0b110, condition=TriggerCondition.ALL_SELECTED_ACTIVE, base_address=0x1A10_1000
+        )
         driver.enable_link(1)
         link = soc.pels.link(1)
         assert link.trigger.mask == 0b110
