@@ -73,7 +73,7 @@ class ApbBus(Component):
         queue = self._pending.setdefault(request.master, deque())
         queue.append(request)
         self.arbiter.add_requestor(request.master)
-        request.issued_cycle = self.clock.cycles if self.is_attached else 0
+        request.issued_cycle = self.simulator.current_cycle if self.is_attached else 0
         self.wake_changed()
         return request
 

@@ -510,7 +510,7 @@ class Pels(Component):
         longest = total = 0
         replayed = self._replayed_actions = []
         try:
-            first = self.clock.cycles
+            first = self.simulator.current_cycle
             for link in live:
                 busy = link.skip_quiet(cycles, first)
                 total += busy
@@ -523,9 +523,10 @@ class Pels(Component):
         if replayed:
             replayed.sort(key=itemgetter(0))  # stable: links in order within a cycle
             signal = f"{self.name}.action"
+            record = self.simulator.traces.record
             for cycle, deliver, label in replayed:
                 deliver()
-                self.simulator.trace_at(self.clock, cycle, signal, label)
+                record(cycle, signal, label)
         if longest:
             self.record("busy_cycles", longest)
             self.record("link_busy_cycles", total)

@@ -2,9 +2,10 @@
 
 Runs any scenario from :mod:`repro.workloads.registry` over a configurable
 simulated horizon and prints its statistics together with wall-clock timing.
-``--compare`` runs the same scenario under both kernels (legacy dense and
-event-driven) and reports the speedup, which is also how the quiescence
-skipping is validated end to end from the command line.
+``--compare`` runs the same scenario under both kernels (the reference
+dense kernel and the event-driven one) and reports the speedup, which is
+also how the quiescence skipping is validated end to end from the command
+line.
 
 The ``sweep`` subcommand executes a whole campaign of scenario points
 (:mod:`repro.sweep`), sharded across a process pool, and writes JSON + CSV
@@ -95,12 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--frequency-mhz",
         type=float,
         default=DEFAULT_FREQUENCY_MHZ,
-        help="clock frequency used to convert --horizon-ms (default: %(default)s)",
+        help="clock frequency used only to convert --horizon-ms to cycles; the "
+        "scenario's SoC keeps its own frequency (default: %(default)s)",
     )
     parser.add_argument(
         "--dense",
         action="store_true",
-        help="use the legacy cycle-driven kernel instead of event-driven scheduling",
+        help="use the reference cycle-driven kernel instead of event-driven scheduling",
     )
     parser.add_argument(
         "--compare",
@@ -118,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _horizon_cycles(args: argparse.Namespace) -> Optional[int]:
+    if args.frequency_mhz <= 0:
+        raise SystemExit("--frequency-mhz must be positive")
     if args.horizon_cycles is not None:
         if args.horizon_cycles < 1:
             raise SystemExit("--horizon-cycles must be at least 1")

@@ -5,8 +5,8 @@ The kernel intentionally stays small: components register themselves with a
 offers two cycle-exact scheduling modes:
 
 * **dense** (``Simulator(dense=True)``): each component's
-  :meth:`Component.tick` is called exactly once per cycle of the simulator's
-  one clock domain — the reference cycle-driven semantics;
+  :meth:`Component.tick` is called exactly once per base tick — the
+  reference cycle-driven semantics;
 * **event-driven** (the default): components advertise their next wake via
   :meth:`Component.next_event` and the scheduler jumps over provably
   quiescent spans, batch-replaying the skipped ticks through
@@ -22,7 +22,6 @@ model can consume them after a run.  See ``docs/simulator.md`` for the wake
 protocol.
 """
 
-from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.activity import ActivityCounters
 from repro.sim.batch import BatchInstance, BatchSimulator
@@ -33,7 +32,6 @@ __all__ = [
     "ActivityCounters",
     "BatchInstance",
     "BatchSimulator",
-    "ClockDomain",
     "Component",
     "SignalTrace",
     "SimState",

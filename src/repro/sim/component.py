@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.activity import ActivityCounters
-from repro.sim.clock import ClockDomain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.sim.simulator import Simulator
@@ -79,13 +78,12 @@ class Component:
             raise ValueError("component name must be non-empty")
         self.name = name
         self._simulator: Optional["Simulator"] = None
-        self._clock: Optional[ClockDomain] = None
         self._local_activity = ActivityCounters()
 
     # ------------------------------------------------------------------ wiring
 
-    def attach(self, simulator: "Simulator", clock: ClockDomain) -> None:
-        """Bind the component to a simulator and clock domain.
+    def attach(self, simulator: "Simulator") -> None:
+        """Bind the component to a simulator.
 
         Called by :meth:`Simulator.add_component`; not meant to be called by
         user code directly.
@@ -93,7 +91,6 @@ class Component:
         if self._simulator is not None:
             raise RuntimeError(f"component {self.name!r} is already attached")
         self._simulator = simulator
-        self._clock = clock
         simulator.activity.merge(self._local_activity)
         self._local_activity.clear()
 
@@ -103,13 +100,6 @@ class Component:
         if self._simulator is None:
             raise RuntimeError(f"component {self.name!r} is not attached to a simulator")
         return self._simulator
-
-    @property
-    def clock(self) -> ClockDomain:
-        """The clock domain this component runs in."""
-        if self._clock is None:
-            raise RuntimeError(f"component {self.name!r} is not attached to a clock domain")
-        return self._clock
 
     @property
     def is_attached(self) -> bool:
@@ -137,8 +127,9 @@ class Component:
     def tick(self, cycle: int) -> None:
         """Advance the component by one clock cycle.
 
-        ``cycle`` is the clock's cycle index.  The default implementation
-        does nothing; purely combinational helpers may choose not to override.
+        ``cycle`` is the simulator's base tick (its ``current_cycle``).  The
+        default implementation does nothing; purely combinational helpers may
+        choose not to override.
         """
 
     def next_event(self) -> Optional[int]:
@@ -204,5 +195,5 @@ class Component:
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        domain = self._clock.name if self._clock is not None else "unattached"
-        return f"{type(self).__name__}(name={self.name!r}, clock={domain})"
+        state = "attached" if self._simulator is not None else "unattached"
+        return f"{type(self).__name__}(name={self.name!r}, {state})"

@@ -1,10 +1,11 @@
 """The simulation kernel: dense (cycle-driven) and event-driven stepping.
 
-The simulator owns the components, their one clock domain, the activity
-counters, and the trace recorder.  A simulation advances in *base ticks*:
-one base tick is one cycle of that clock.  The paper's operating points
-(27 MHz and 55 MHz) are each a whole SoC at one frequency, so every
-component runs on the same clock.
+The simulator owns the components, the activity counters, and the trace
+recorder.  A simulation advances in *base ticks*: one base tick is one
+cycle of the SoC clock, and the base-tick counter is the only time base.
+The kernel holds no frequency: the paper's operating points (27 MHz and
+55 MHz) are each a whole SoC at one frequency, and the power model reads
+that from ``SocConfig.frequency_hz``.
 
 Two scheduling modes share that time base:
 
@@ -41,7 +42,7 @@ tick, which are volatile/cached, which must be replayed on a skip, and
 whether anything forces dense stepping.  :meth:`SimState.bind` derives that
 classification from a structural *fingerprint* of the component set (hook
 overrides and cacheability) and stores it next to the rest
-of the per-instance, mutable state: the base-tick counter, the clock, the
+of the per-instance, mutable state: the base-tick counter, the
 deadline heap and dirty set of the wake cache, and the activity/trace
 recorders.  The simulator re-binds only when the fingerprint changes.
 
@@ -57,7 +58,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
 from repro.sim.activity import ActivityCounters
-from repro.sim.clock import ClockDomain
 from repro.sim.component import Component
 from repro.sim.trace import TraceRecorder
 
@@ -67,22 +67,17 @@ class SimulationError(RuntimeError):
 
 
 class Simulator:
-    """Coordinates one clock domain and its components and advances simulated time."""
+    """Coordinates the components and advances simulated time in base ticks."""
 
-    def __init__(
-        self,
-        default_frequency_hz: float = 55e6,
-        dense: bool = False,
-    ) -> None:
+    def __init__(self, dense: bool = False) -> None:
         #: When True, use the reference cycle-driven kernel (tick every component
         #: on every cycle).  When False (default), skip over quiescent spans
         #: using the components' wake hints.  May be toggled between
         #: :meth:`step` calls; both modes produce identical state.
         self.dense = dense
-        self._default_domain = ClockDomain("default", default_frequency_hz)
         self._components: List[Component] = []
         self._components_by_name: Dict[str, Component] = {}
-        self._state = SimState(self._default_domain)
+        self._state = SimState()
         #: Fingerprint the state's classification was bound from (None =
         #: never bound).
         self._fingerprint: Optional[Tuple] = None
@@ -113,18 +108,13 @@ class Simulator:
         """This instance's mutable scheduling state."""
         return self._state
 
-    @property
-    def default_domain(self) -> ClockDomain:
-        """The one clock domain every component runs in."""
-        return self._default_domain
-
     # -------------------------------------------------------------- components
 
     def add_component(self, component: Component) -> Component:
-        """Register a component with the simulator and its clock domain."""
+        """Register a component with the simulator."""
         if component.name in self._components_by_name:
             raise SimulationError(f"a component named {component.name!r} is already registered")
-        component.attach(self, self._default_domain)
+        component.attach(self)
         self._components.append(component)
         self._components_by_name[component.name] = component
         return component
@@ -145,7 +135,8 @@ class Simulator:
 
     @property
     def current_cycle(self) -> int:
-        """Base-tick counter (cycles of the clock domain)."""
+        """The base-tick counter, the kernel's only time base: the ``cycle``
+        every :meth:`Component.tick` of this base tick receives."""
         return self._state.base_tick
 
     def _fingerprint_now(self) -> Tuple:
@@ -270,20 +261,8 @@ class Simulator:
                 args["cycles"] = state.base_tick - start
         return state.base_tick - start
 
-    def run_for_time(self, seconds: float) -> int:
-        """Run for the full clock cycles that fit in ``seconds``.
-
-        The conversion is :meth:`ClockDomain.cycles_for_time`: whole cycles
-        only, so ``500e-9`` seconds at 55 MHz is 27 cycles, but an exact
-        multiple of the period never loses a cycle to binary floating-point
-        truncation (``7 * (1 / 55e6)`` seconds is 7 cycles, not 6).
-        """
-        cycles = self._default_domain.cycles_for_time(seconds)
-        self.step(cycles)
-        return cycles
-
     def reset(self) -> None:
-        """Reset every component, the clock domain, and all bookkeeping.
+        """Reset every component, the base-tick counter, and all bookkeeping.
 
         The trace recorder is cleared *in place* so references held by
         callers (analysis code, open timelines) keep observing the simulator
@@ -300,16 +279,6 @@ class Simulator:
         state = self._state
         state.traces.record(state.base_tick, signal, value)
 
-    def trace_at(self, clock: ClockDomain, cycle: int, signal: str, value: object) -> None:
-        """Record a value change of ``signal`` at the base tick of ``clock``'s local ``cycle``.
-
-        For the ticks a component's :meth:`~Component.skip` replays: inside a
-        skip the base tick and ``clock.cycles`` still mark the span's start,
-        so local ``cycle`` lies ``cycle - clock.cycles`` ticks past it.
-        """
-        state = self._state
-        state.traces.record(state.base_tick + cycle - clock.cycles, signal, value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "dense" if self.dense else "event-driven"
         return f"Simulator(cycle={self._state.base_tick}, components={len(self._components)}, mode={mode})"
@@ -324,7 +293,7 @@ def _overrides(component: Component, name: str) -> bool:
 class SimState:
     """Per-instance mutable scheduling state.
 
-    Owns the base-tick counter, the clock, the component classification
+    Owns the base-tick counter, the component classification
     bound by :meth:`bind`, the wake-deadline cache, and the activity/trace
     recorders.
 
@@ -350,10 +319,8 @@ class SimState:
     component that still owes ticks raises, so a missed sync fails loudly.
     """
 
-    def __init__(self, clock: ClockDomain) -> None:
+    def __init__(self) -> None:
         self.base_tick = 0
-        #: The one clock every component runs in; advances with ``base_tick``.
-        self.clock = clock
         self.activity = ActivityCounters()
         self.traces = TraceRecorder()
         # The canonical scheduler counters: the key set is defined once in
@@ -524,8 +491,6 @@ class SimState:
         owes the tick instead of running it (see the class docstring).
         """
         base_tick = self.base_tick
-        clock = self.clock
-        cycle = clock.cycles
         deadlines, dirty, owed = self.deadlines, self._dirty, self.owed
         for component, index in self.ticking:
             if owe and index is not None:
@@ -536,9 +501,8 @@ class SimState:
                 if owed[index]:
                     self._pay(index)
             self._active_component = component
-            component.tick(cycle)
+            component.tick(base_tick)
         self._active_component = None
-        clock.advance()
         self.base_tick = base_tick + 1
         self.kernel_stats["dense_ticks"] += 1
         # Expire cached deadlines the tick just serviced: the component fired
@@ -658,13 +622,12 @@ class SimState:
             self._active_component = component
             component.skip(span)
         self._active_component = None
-        self.clock.advance(span)
         self.base_tick += span
 
     # ------------------------------------------------------------------- reset
 
     def reset(self) -> None:
-        """Rewind to cycle 0: clear the clock, counters, traces, stats, and deadlines.
+        """Rewind to cycle 0: clear the counters, traces, stats, and deadlines.
 
         The activity counters and trace recorder are cleared *in place* so
         references held by callers keep observing the simulator.  Cached
@@ -674,17 +637,7 @@ class SimState:
         self.activity.clear()
         self.traces.clear()
         self.base_tick = 0
-        self.clock.reset()
         self.kernel_stats.reset()
         self.owed = [0] * len(self.cached)
         self.clear_wake_cache()
 
-
-def build_simulator(
-    frequency_hz: float, components: Sequence[Component] = (), dense: bool = False
-) -> Simulator:
-    """Convenience helper: create a simulator and register ``components``."""
-    simulator = Simulator(default_frequency_hz=frequency_hz, dense=dense)
-    for component in components:
-        simulator.add_component(component)
-    return simulator

@@ -74,10 +74,14 @@ class SocConfig:
     sensor_waveform: Optional[SensorWaveform] = None
     spi_cycles_per_word: int = 4
     adc_conversion_cycles: int = 8
-    #: Use the legacy cycle-driven kernel instead of event-driven scheduling
-    #: with quiescence skipping.  Both produce identical state; dense mode
-    #: exists for differential testing and cycle-level polling.
+    #: Use the reference cycle-driven kernel instead of event-driven
+    #: scheduling with quiescence skipping.  Both produce identical state;
+    #: dense mode exists for differential testing and cycle-level polling.
     dense: bool = False
+
+    def __post_init__(self) -> None:
+        if self.frequency_hz <= 0:
+            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz!r}")
 
 
 class PulpissimoSoc:
@@ -160,7 +164,7 @@ class PulpissimoSoc:
 
 def build_soc(config: SocConfig = SocConfig()) -> PulpissimoSoc:
     """Instantiate and wire a complete PULPissimo + PELS system."""
-    simulator = Simulator(default_frequency_hz=config.frequency_hz, dense=config.dense)
+    simulator = Simulator(dense=config.dense)
     address_map = config.address_map
     fabric = EventFabric(capacity=64)
 

@@ -54,7 +54,7 @@ class CampaignSpec:
     #: simulated horizon; all other axes are scenario parameters.
     grid: Mapping[str, Tuple[object, ...]]
     base_seed: int = 0xC0FFEE
-    #: Run every point under the legacy dense kernel (A/B studies only).
+    #: Run every point under the reference dense kernel (A/B studies only).
     dense: bool = False
 
     def __post_init__(self) -> None:

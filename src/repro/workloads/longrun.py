@@ -3,9 +3,9 @@
 The paper's motivating applications — always-on monitoring, duty-cycled
 sensing, supervised autonomous loops — spend almost all of their time idle:
 the interesting activity is a few tens of cycles around each linking event,
-separated by thousands to millions of quiescent cycles.  Under the legacy
-cycle-driven kernel these horizons were impractical to simulate (every
-component ticked on every cycle); with quiescence skipping they cost time
+separated by thousands to millions of quiescent cycles.  Under the reference
+cycle-driven kernel (dense mode) these horizons are impractical to simulate
+(every component ticks on every cycle); with quiescence skipping they cost time
 proportional to the *events*, not the horizon.
 
 Three scenarios, all fully autonomous (the Ibex core sleeps throughout):

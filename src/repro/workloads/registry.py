@@ -31,7 +31,7 @@ shapes:
   runs their points one at a time.
 
 ``horizon_cycles`` is the simulated horizon in base-clock cycles, ``dense``
-selects the legacy cycle-driven kernel (:mod:`repro.sim.simulator`) for A/B
+selects the reference cycle-driven kernel (:mod:`repro.sim.simulator`) for A/B
 comparisons, and ``params`` are the scenario's declared sweepable parameters
 (see :class:`ScenarioSpec.params`).  The outcome carries the flat scalar
 statistics plus (where available) the SoC itself, so downstream consumers —

@@ -353,7 +353,7 @@ class TestSkipReplay:
             activity.get("pels", name) for name in ("busy_cycles", "link_busy_cycles", "idle_cycles")
         )
         executed = execution.busy_cycles
-        first = pels.clock.cycles
+        first = simulator.current_cycle
         pels.skip(15)
         assert execution.state is ExecutionState.IDLE
         assert link.last_record.completion_cycle == first + 10

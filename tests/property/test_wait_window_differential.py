@@ -44,7 +44,6 @@ from repro.sim.component import Component
 
 EXTERNAL_LINES = ("ext.a", "ext.b")
 SCM_LINES = 8
-BASE_HZ = 48e6
 GPIO_BASE = 0x1000
 
 
@@ -64,7 +63,7 @@ class Stimulus(Component):
             self.fabric.pulse(line)
 
     def next_event(self):
-        now = self.clock.cycles
+        now = self.simulator.current_cycle
         index = bisect_left(self.cycles, now)
         return self.cycles[index] - now + 1 if index < len(self.cycles) else None
 
@@ -139,7 +138,7 @@ scenarios = st.fixed_dictionaries(
 
 
 def _build(scenario, dense=False):
-    simulator = Simulator(default_frequency_hz=BASE_HZ, dense=dense)
+    simulator = Simulator(dense=dense)
     fabric = EventFabric()
     for line in EXTERNAL_LINES:
         fabric.add_line(line, producer="stimulus")

@@ -219,26 +219,6 @@ class TestRunUntilEventDriven:
 
 
 class TestSatelliteFixes:
-    def test_run_for_time_does_not_truncate(self):
-        # 7 clock periods at 55 MHz: 7 * (1 / 55e6) * 55e6 evaluates to
-        # 6.999999... in binary floating point, so int() used to drop a cycle.
-        simulator = Simulator(default_frequency_hz=55e6)
-        assert simulator.run_for_time(7 * (1 / 55e6)) == 7
-        assert simulator.current_cycle == 7
-
-    @pytest.mark.parametrize(
-        "frequency_hz, seconds, cycles",
-        [(55e6, 500e-9, 27), (27e6, 500e-9, 13), (55e6, 0.6 / 55e6, 0)],
-        ids=["500ns-55MHz", "500ns-27MHz", "under-one-period"],
-    )
-    def test_run_for_time_steps_whole_cycles_like_the_clock(self, frequency_hz, seconds, cycles):
-        # 500 ns is 27.5 cycles at 55 MHz and 13.5 at 27 MHz: only the full
-        # cycles fit, the same count the clock's own conversion gives.
-        simulator = Simulator(default_frequency_hz=frequency_hz)
-        assert simulator.default_domain.cycles_for_time(seconds) == cycles
-        assert simulator.run_for_time(seconds) == cycles
-        assert simulator.current_cycle == cycles
-
     def test_reset_clears_traces_in_place(self):
         simulator = Simulator()
         held_reference = simulator.traces

@@ -46,7 +46,7 @@ class CompareWriter(Component):
             compare.write(self.timer.regs.reg("COUNT").value + 25)
 
     def next_event(self):
-        remaining = self.at - self.clock.cycles
+        remaining = self.at - self.simulator.current_cycle
         return remaining + 1 if remaining >= 0 else None
 
 
@@ -333,7 +333,7 @@ class _Hook(Component):
             self._action()
 
     def next_event(self):
-        remaining = self._at - self.clock.cycles
+        remaining = self._at - self.simulator.current_cycle
         return remaining + 1 if remaining >= 0 else None
 
 
@@ -368,7 +368,7 @@ class _Observer(Component):
                 self._fabric.observe(self._line)
 
     def next_event(self):
-        remaining = self._at - self.clock.cycles
+        remaining = self._at - self.simulator.current_cycle
         return remaining + 1 if remaining >= 0 else None
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.component import Component
-from repro.sim.simulator import SimulationError, Simulator, build_simulator
+from repro.sim.simulator import SimulationError, Simulator
 
 
 class CycleCounter(Component):
@@ -67,13 +67,6 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             simulator.run_until(lambda: False, max_cycles=10, label="never")
 
-    def test_run_for_time(self):
-        simulator = Simulator(default_frequency_hz=1e6)
-        counter = simulator.add_component(CycleCounter())
-        cycles = simulator.run_for_time(10e-6)
-        assert cycles == 10
-        assert counter.ticks == 10
-
     def test_reset_clears_everything(self):
         simulator = Simulator()
         counter = simulator.add_component(CycleCounter())
@@ -84,11 +77,74 @@ class TestSimulatorBasics:
         assert counter.ticks == 0
         assert simulator.activity.get("x", "y") == 0
 
-    def test_build_simulator_helper(self):
-        counter = CycleCounter()
-        simulator = build_simulator(10e6, [counter])
-        assert counter.is_attached
-        assert simulator.default_domain.frequency_hz == 10e6
+
+class Pulse(Component):
+    """Wakes every ``period`` cycles and records the cycle each tick receives
+    next to the simulator's own ``current_cycle`` at that tick."""
+
+    def __init__(self, period, cacheable=False):
+        super().__init__("pulse")
+        self.period = period
+        self.wake_cacheable = cacheable
+        self.reset()
+
+    def tick(self, cycle):
+        self.seen.append((cycle, self.simulator.current_cycle))
+        self.countdown -= 1
+        if self.countdown == 0:
+            self.countdown = self.period
+            self.fired.append(cycle)
+
+    def next_event(self):
+        return self.countdown
+
+    def skip(self, cycles):
+        self.countdown -= cycles
+
+    def reset(self):
+        self.countdown = self.period
+        self.seen = []
+        self.fired = []
+
+
+class TestOneTimeBase:
+    """The base tick is the only time base: ``tick`` receives it."""
+
+    @pytest.mark.parametrize("cacheable", [False, True], ids=["volatile", "cached"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "event"])
+    def test_tick_cycle_is_the_current_cycle(self, dense, cacheable):
+        simulator = Simulator(dense=dense)
+        pulse = simulator.add_component(Pulse(7, cacheable))
+        simulator.step(30)
+        assert pulse.seen and all(cycle == now for cycle, now in pulse.seen)
+        assert pulse.fired == [6, 13, 20, 27]
+        if dense:
+            assert [cycle for cycle, _ in pulse.seen] == list(range(30))
+        else:
+            assert [cycle for cycle, _ in pulse.seen] == pulse.fired
+        assert simulator.current_cycle == 30
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "event"])
+    def test_run_until_ticks_at_the_current_cycle(self, dense):
+        simulator = Simulator(dense=dense)
+        pulse = simulator.add_component(Pulse(5))
+        elapsed = simulator.run_until(lambda: len(pulse.fired) == 3, max_cycles=100)
+        assert elapsed == 15
+        assert pulse.fired == [4, 9, 14]
+        assert all(cycle == now for cycle, now in pulse.seen)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "event"])
+    def test_count_starts_again_at_zero_after_reset(self, dense):
+        simulator = Simulator(dense=dense)
+        pulse = simulator.add_component(Pulse(4))
+        simulator.step(10)
+        simulator.reset()
+        assert simulator.current_cycle == 0
+        assert pulse.seen == []
+        simulator.step(10)
+        assert pulse.fired == [3, 7]
+        assert all(cycle == now for cycle, now in pulse.seen)
+        assert pulse.seen[0][0] == (0 if dense else 3)
 
 
 class TestComponentActivity:
@@ -116,8 +172,6 @@ class TestComponentActivity:
         counter = CycleCounter()
         with pytest.raises(RuntimeError):
             _ = counter.simulator
-        with pytest.raises(RuntimeError):
-            _ = counter.clock
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

@@ -96,6 +96,11 @@ class TestBuildSoc:
         soc = build_soc(SocConfig(with_pels=False))
         assert soc.pels is None
 
+    @pytest.mark.parametrize("frequency_hz", [0, -55e6], ids=["zero", "negative"])
+    def test_non_positive_frequency_rejected(self, frequency_hz):
+        with pytest.raises(ValueError, match="frequency_hz must be positive"):
+            SocConfig(frequency_hz=frequency_hz)
+
     def test_custom_pels_configuration(self):
         soc = build_soc(SocConfig(pels_config=PelsConfig(n_links=1, scm_lines=4)))
         assert len(soc.pels.links) == 1

@@ -161,6 +161,12 @@ class TestRunnerCli:
         assert code == 0
         assert "20000 cycles simulated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("frequency_mhz", ["0", "-55"], ids=["zero", "negative"])
+    def test_non_positive_frequency_rejected(self, frequency_mhz):
+        # A negative frequency used to clamp the horizon to 1 cycle and run.
+        with pytest.raises(SystemExit, match="--frequency-mhz must be positive"):
+            run_main(["always-on-monitor", "--horizon-ms", "1", "--frequency-mhz", frequency_mhz])
+
     def test_compare_mode_reports_speedup_and_agreement(self, capsys):
         assert run_main(["always-on-monitor", "--horizon-cycles", "20000", "--compare"]) == 0
         out = capsys.readouterr().out
