@@ -6,6 +6,10 @@ word per cycle and channel when data is available, writes it to memory
 through the SoC interconnect, and pulses a per-channel ``eot`` event line on
 the event fabric when the programmed length completes — the event PELS (or
 the interrupt controller, in the baseline) links on.
+
+Writes are posted: the engine hands each word to the interconnect, which
+completes it in its own tick, and never looks at the request again.  So the
+µDMA needs no tick after a move; it wakes only when a word can move.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ class DmaChannel:
 class MicroDma(Component):
     """The µDMA engine: moves peripheral data to memory and signals completion.
 
-    Wake-cacheable: besides its own ticks, only a word landing in a source
-    FIFO (the SPI notifies its readers), a channel enable and
-    :meth:`add_channel` move its wake.
+    Its SRAM writes are posted (the interconnect completes them), so it
+    needs no tick after a move.  Wake-cacheable: besides its own ticks,
+    only a word landing in a source FIFO (the SPI notifies its readers), a
+    channel enable and :meth:`add_channel` move its wake.
     """
 
     wake_cacheable = True
@@ -89,7 +94,6 @@ class MicroDma(Component):
         self.fabric = fabric
         self.channels: List[DmaChannel] = []
         self._event_lines: dict[int, str] = {}
-        self._in_flight: List[tuple[DmaChannel, BusRequest]] = []
         self._progress: dict[int, int] = {}
         self.total_words_moved = 0
 
@@ -125,7 +129,6 @@ class MicroDma(Component):
             raise RuntimeError("µDMA has no event fabric connected") from exc
 
     def tick(self, cycle: int) -> None:
-        self._retire_writes()
         moved_any = False
         for channel in self.channels:
             if not channel.enabled or channel.source.rx_level == 0:
@@ -141,9 +144,7 @@ class MicroDma(Component):
         progress = self._progress[channel.channel_id]
         address = channel.destination_address + 4 * progress
         if self.interconnect is not None:
-            request = BusRequest(master=self.name, kind=TransferKind.WRITE, address=address, wdata=word)
-            self.interconnect.submit(request)
-            self._in_flight.append((channel, request))
+            self.interconnect.submit(BusRequest(master=self.name, kind=TransferKind.WRITE, address=address, wdata=word))
         channel.words_moved += 1
         self.total_words_moved += 1
         self.record("words_moved")
@@ -156,17 +157,12 @@ class MicroDma(Component):
                 self.fabric.pulse(self._event_lines[channel.channel_id])
         self._progress[channel.channel_id] = progress
 
-    def _retire_writes(self) -> None:
-        self._in_flight = [(channel, request) for channel, request in self._in_flight if not request.done]
-
     # ------------------------------------------------------------ wake protocol
 
     def next_event(self):
-        # Quiescent only with no writes in flight and no channel that could
-        # move a word.  A source FIFO fills only in its SPI's dense tick,
-        # which notifies this engine (SpiController.add_rx_reader).
-        if self._in_flight:
-            return 1
+        # Quiescent while no channel could move a word.  A source FIFO fills
+        # only in its SPI's dense tick, which notifies this engine
+        # (SpiController.add_rx_reader).
         for channel in self.channels:
             if channel.enabled and channel.source.rx_level > 0:
                 return 1
@@ -176,7 +172,6 @@ class MicroDma(Component):
         for channel in self.channels:
             channel.words_moved = 0
             channel.transfers_completed = 0
-        self._in_flight.clear()
         for channel_id in self._progress:
             self._progress[channel_id] = 0
         self.total_words_moved = 0

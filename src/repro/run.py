@@ -119,16 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _horizon_cycles(args: argparse.Namespace) -> Optional[int]:
+def _horizon_cycles(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Optional[int]:
+    # parser.error prints the usage and an ``error:`` line and exits 2.
     if args.frequency_mhz <= 0:
-        raise SystemExit("--frequency-mhz must be positive")
+        parser.error("--frequency-mhz must be positive")
     if args.horizon_cycles is not None:
         if args.horizon_cycles < 1:
-            raise SystemExit("--horizon-cycles must be at least 1")
+            parser.error("--horizon-cycles must be at least 1")
         return args.horizon_cycles
     if args.horizon_ms is not None:
         if args.horizon_ms <= 0:
-            raise SystemExit("--horizon-ms must be positive")
+            parser.error("--horizon-ms must be positive")
         return max(int(round(args.horizon_ms * 1e-3 * args.frequency_mhz * 1e6)), 1)
     return None
 
@@ -795,7 +796,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return store_main(arguments[1:])
 
-    args = _build_parser().parse_args(arguments)
+    parser = _build_parser()
+    args = parser.parse_args(arguments)
 
     if args.list:
         for spec in scenarios():
@@ -803,7 +805,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.scenario is None:
-        _build_parser().print_usage()
+        parser.print_usage()
         return 2
     try:
         spec = scenario(args.scenario)
@@ -811,7 +813,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    horizon = _horizon_cycles(args)
+    horizon = _horizon_cycles(parser, args)
     effective = horizon if horizon is not None else spec.default_horizon_cycles
 
     try:

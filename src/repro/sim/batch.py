@@ -76,25 +76,19 @@ class BatchInstance:
         """Whether every stop has fired."""
         return self._next >= len(self._stops)
 
-    @property
-    def next_stop(self) -> int:
-        """The next pending stop (raises when :attr:`done`)."""
-        return self._stops[self._next][0]
-
-    def _fire_due_stops(self) -> None:
-        while not self.done and self._stops[self._next][0] == self.elapsed:
-            # A host boundary: callbacks see no owed ticks.
-            self.simulator.state.settle()
-            cycles, callback = self._stops[self._next]
-            self._next += 1
-            before = self.simulator.current_cycle
-            with tracing.span("batch.stop", "batch", label=self.label, cycle=cycles):
-                callback(cycles)
-            if self.simulator.current_cycle != before:
-                raise SimulationError(
-                    f"batch stop callback at cycle {cycles} of {self.label} "
-                    f"advanced the simulator; callbacks must only observe"
-                )
+    def _fire_stop(self, cycles: int, callback: StopCallback) -> None:
+        """Fire the next stop; the simulator is paused exactly on ``cycles``."""
+        # A host boundary: callbacks see no owed ticks.
+        self.simulator.state.settle()
+        self._next += 1
+        before = self.simulator.current_cycle
+        with tracing.span("batch.stop", "batch", label=self.label, cycle=cycles):
+            callback(cycles)
+        if self.simulator.current_cycle != before:
+            raise SimulationError(
+                f"batch stop callback at cycle {cycles} of {self.label} "
+                f"advanced the simulator; callbacks must only observe"
+            )
 
 
 class BatchSimulator:
@@ -139,22 +133,31 @@ class BatchSimulator:
 
         Each instance in turn takes
         :meth:`~repro.sim.simulator.SimState.advance_span` steps, each capped
-        at its next stop, and fires the stops each step reaches.
+        at its next stop, and fires each stop as the steps reach it.
+        :attr:`rounds` and each :attr:`BatchInstance.elapsed` are exact on
+        every exit, also when a step or a stop callback raises.
         """
         with tracing.span("batch.run", "batch", instances=len(self.instances)) as args:
+            rounds = self.rounds
             try:
                 for instance in self.instances:
                     simulator = instance.simulator
                     # Bind the instance's classification once; the loop then
                     # drives the bound state directly, exactly like
-                    # Simulator.step does.
+                    # Simulator.step does, and keeps its counters in locals.
                     state = simulator._schedule_plan()
                     dense = simulator.dense or state.forces_dense
-                    while not instance.done:
-                        self.rounds += 1
-                        instance.elapsed += state.advance_span(
-                            instance.next_stop - instance.elapsed, dense
-                        )
-                        instance._fire_due_stops()
+                    advance_span = state.advance_span
+                    elapsed = instance.elapsed
+                    try:
+                        for stop, callback in instance._stops[instance._next :]:
+                            while elapsed < stop:
+                                rounds += 1
+                                elapsed += advance_span(stop - elapsed, dense)
+                            # A span never crosses the stop it is capped at.
+                            instance.elapsed = elapsed
+                            instance._fire_stop(stop, callback)
+                    finally:
+                        instance.elapsed = elapsed
             finally:
-                args["rounds"] = self.rounds
+                self.rounds = args["rounds"] = rounds

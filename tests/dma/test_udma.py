@@ -60,6 +60,20 @@ class TestMicroDma:
         simulator.step(20)
         assert simulator.activity.get("ibex", "active_cycles") == 0
 
+    def test_next_event_is_none_once_the_source_fifo_is_empty(self):
+        # Writes are posted: after the last word the engine has nothing
+        # left to do, not even a write to retire.
+        simulator, _, spi, udma, _, _ = make_dma_system()
+        assert udma.next_event() is None
+        spi.on_event_input("start")
+        seen = []
+        for _ in range(20):
+            simulator.step(1)
+            seen.append((spi.rx_level, udma.next_event()))
+        assert udma.total_words_moved == 4
+        assert all(wake is None for level, wake in seen if level == 0)
+        assert (0, None) in seen
+
     def test_channel_validation(self):
         _, _, spi, udma, _, _ = make_dma_system()
         with pytest.raises(ValueError):

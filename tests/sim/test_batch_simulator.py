@@ -186,3 +186,56 @@ class TestBatchSimulator:
         batch.add(simulator, [(50, lambda elapsed: simulator.step(1))])
         with pytest.raises(SimulationError, match="advanced the simulator"):
             batch.run()
+
+
+class Failing(Blinker):
+    """A blinker whose tick raises on one cycle."""
+
+    def __init__(self, period, fail_at):
+        super().__init__(period)
+        self.fail_at = fail_at
+
+    def tick(self, cycle):
+        if cycle == self.fail_at:
+            raise RuntimeError(f"tick failed at cycle {cycle}")
+        super().tick(cycle)
+
+
+class TestBatchLoopBookkeeping:
+    """``rounds`` and each instance's ``elapsed`` are exact on every exit of
+    :meth:`BatchSimulator.run`, including when a round or a stop callback
+    raises.  ``elapsed`` counts the cycles of the rounds that returned."""
+
+    def test_multi_stop_batch_takes_the_pinned_rounds(self):
+        batch = BatchSimulator()
+        for periods, stops in (([7, 50], (311, 1_000, 2_048)), ([13, 990], (5, 2_500)), ([1, 3], (40, 311))):
+            simulator, _ = _build(periods)
+            batch.add(simulator, [(cycles, lambda elapsed: None) for cycles in stops])
+        batch.run()
+        assert batch.rounds == 836
+        assert [instance.elapsed for instance in batch.instances] == [2_048, 2_500, 311]
+        assert all(instance.done for instance in batch.instances)
+        # A second run finds every instance done and takes no round.
+        batch.run()
+        assert batch.rounds == 836
+
+    def test_a_callback_that_advances_the_simulator_leaves_exact_counts(self):
+        simulator, _ = _build([10])
+        batch = BatchSimulator()
+        instance = batch.add(simulator, [(50, lambda elapsed: simulator.step(1)), (100, lambda elapsed: None)])
+        with pytest.raises(SimulationError, match="advanced the simulator"):
+            batch.run()
+        assert (batch.rounds, instance.elapsed, instance.done) == (5, 50, False)
+        assert simulator.current_cycle == 51
+
+    def test_a_round_that_raises_leaves_exact_counts(self):
+        simulator = Simulator()
+        simulator.add_component(Failing(10, fail_at=69))
+        batch = BatchSimulator()
+        instance = batch.add(simulator, [(30, lambda elapsed: None), (100, lambda elapsed: None)])
+        with pytest.raises(RuntimeError, match="tick failed at cycle 69"):
+            batch.run()
+        # The failing round skipped cycles 60..68 and raised in the dense
+        # tick of cycle 69: it counts as a round but adds no elapsed cycles.
+        assert (batch.rounds, instance.elapsed, instance.done) == (7, 60, False)
+        assert simulator.current_cycle == 69

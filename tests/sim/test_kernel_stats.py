@@ -198,3 +198,28 @@ class TestOwedTickCounts:
         counters = result.telemetry["metrics"]["counter"]
         assert {key: counters[f"kernel.{key}"] for key in self.KERNEL} == self.KERNEL
 
+
+class TestSmokeCampaignCounts:
+    """Pinned scheduler counters of the ``smoke`` campaign, whose SPI
+    readouts run through the µDMA.
+
+    The µDMA posts its SRAM writes, so it ticks once per word it moves and
+    never again to retire a finished write.  That tick used to force 43
+    extra dense ticks here (606 dense ticks, 119,394 skipped cycles, 1,789
+    ``next_event`` calls and 606 batch rounds); a µDMA that polls its own
+    writes again fails this pin.
+    """
+
+    KERNEL = {
+        "dense_ticks": 563,
+        "spans_skipped": 131,
+        "cycles_skipped": 119_437,
+        "next_event_calls": 1_574,
+    }
+
+    def test_scheduler_counters(self):
+        counters = execute_campaign(campaign("smoke")).telemetry["metrics"]["counter"]
+        assert {key: counters[f"kernel.{key}"] for key in self.KERNEL} == self.KERNEL
+        # A round (one advance_span call) skips a span, takes a dense tick,
+        # or both; on this campaign every round takes a dense tick.
+        assert counters["batch.rounds"] == 563

@@ -26,6 +26,8 @@ from repro.sim.component import Component
 from repro.sim.simulator import SimulationError, Simulator
 from repro.soc.memory import SramBank
 from repro.soc.pulpissimo import SocConfig, build_soc
+from repro.sweep import campaign
+from repro.sweep.execute import execute_campaign
 
 
 class CompareWriter(Component):
@@ -279,6 +281,68 @@ class TestFabricWakeHooks:
             outcomes[dense] = (levels, simulator.activity.as_dict())
         assert outcomes[True] == outcomes[False]
         assert outcomes[False][0][:4] == [(32, 2, 1), (33, 1, 2), (34, 0, 3), (35, 0, 3)]
+
+
+class TestPostedDmaWrites:
+    """The µDMA posts its SRAM writes: the interconnect completes each one
+    in its own tick, so the engine needs no tick after a move and the
+    kernel may start a span on the cycle after a burst's last word."""
+
+    def test_a_burst_ending_mid_span_matches_dense(self):
+        outcomes = {}
+        for dense in (True, False):
+            simulator = Simulator(dense=dense)
+            fabric = EventFabric()
+            sram = SramBank("sram", size_bytes=256)
+            interconnect = SystemInterconnect("soc_interconnect")
+            interconnect.attach_memory(0x1000, 256, sram)
+            spi = SpiController("spi", sensor=SyntheticSensor(waveform=SensorWaveform(kind="ramp")), cycles_per_word=5)
+            spi.connect_events(fabric)
+            spi.regs.reg("LEN").write(4)
+            udma = MicroDma("udma", interconnect=interconnect, fabric=fabric)
+            channel = udma.add_channel(source=spi, destination_address=0x1000, length_words=4)
+            for component in (spi, udma, interconnect, sram):
+                simulator.add_component(component)
+            eot = udma.channel_event_line(channel)
+            pulses = []
+
+            def on_pulse(line, simulator=simulator, eot=eot, pulses=pulses):
+                if line.name == eot:
+                    pulses.append(simulator.current_cycle)
+
+            fabric.subscribe(on_pulse, observe_all=False)
+            fabric.observe(eot)
+            spi.regs.reg("CTRL").write(1)
+            simulator.step(200)
+            outcomes[dense] = (
+                [sram.peek(4 * word) for word in range(5)],
+                channel.words_moved,
+                fabric.line(eot).pulse_count,
+                pulses,
+                simulator.activity.as_dict(),
+            )
+            if not dense:
+                stats = simulator.kernel_stats
+        assert outcomes[True] == outcomes[False]
+        # Four words, one every 5 cycles; the eot pulse lands with the last
+        # one at cycle 19 and the span that follows runs to the horizon.
+        assert outcomes[False][:4] == ([0, 1, 2, 3, 0], 4, 1, [19])
+        # One dense tick per word: no tick is spent retiring a write.
+        assert stats["dense_ticks"] == 4
+        assert stats["dense_ticks"] + stats["cycles_skipped"] == 200
+
+    def test_the_dma_ticks_once_per_word_on_smoke(self, monkeypatch):
+        moved_per_tick = []
+        tick = MicroDma.tick
+
+        def counting(self, cycle):
+            before = self.total_words_moved
+            tick(self, cycle)
+            moved_per_tick.append(self.total_words_moved - before)
+
+        monkeypatch.setattr(MicroDma, "tick", counting)
+        execute_campaign(campaign("smoke"))
+        assert moved_per_tick and set(moved_per_tick) == {1}
 
 
 def _response(request):

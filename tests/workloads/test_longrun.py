@@ -162,10 +162,27 @@ class TestRunnerCli:
         assert "20000 cycles simulated" in capsys.readouterr().out
 
     @pytest.mark.parametrize("frequency_mhz", ["0", "-55"], ids=["zero", "negative"])
-    def test_non_positive_frequency_rejected(self, frequency_mhz):
+    def test_non_positive_frequency_rejected(self, frequency_mhz, capsys):
         # A negative frequency used to clamp the horizon to 1 cycle and run.
-        with pytest.raises(SystemExit, match="--frequency-mhz must be positive"):
+        with pytest.raises(SystemExit) as excinfo:
             run_main(["always-on-monitor", "--horizon-ms", "1", "--frequency-mhz", frequency_mhz])
+        assert excinfo.value.code == 2
+        assert "error: --frequency-mhz must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--horizon-cycles", "0", "--horizon-cycles must be at least 1"),
+            ("--horizon-ms", "0", "--horizon-ms must be positive"),
+        ],
+        ids=["cycles", "ms"],
+    )
+    def test_non_positive_horizon_is_a_usage_error(self, flag, value, message, capsys):
+        # Exit 2 is the usage/validation code; 1 means a --compare mismatch.
+        with pytest.raises(SystemExit) as excinfo:
+            run_main(["always-on-monitor", flag, value])
+        assert excinfo.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_compare_mode_reports_speedup_and_agreement(self, capsys):
         assert run_main(["always-on-monitor", "--horizon-cycles", "20000", "--compare"]) == 0
