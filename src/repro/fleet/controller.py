@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import fold_telemetry
 from repro.sweep.artifacts import RESULTS_JSON, ArtifactDir, read_campaign_artifacts, shard_dirname
 from repro.sweep.campaign import CampaignSpec, ShardSpec, batch_groups, cut_shards, estimate_costs, expand_campaign
 from repro.sweep.merge import (
@@ -455,21 +456,16 @@ def _validate_attempt(attempt: Attempt, spec: CampaignSpec) -> Optional[Artifact
 
 
 def _absorb_shard_telemetry(ledger: FleetLedger, artifacts: ArtifactDir) -> None:
-    """Fold one accepted shard manifest's kernel counters into the ledger's
-    metrics registry.
+    """Fold one accepted shard manifest's ``kernel.*`` counters into the
+    ledger's metrics registry.
 
-    This is where the ``kernel.*`` counters become visible *fleet-wide*:
-    each worker sums its own counters into its manifest, and the ledger
-    sums across accepted shards.  The manifest is the one validation
-    already read; a killed worker's checkpoint carries no telemetry.
+    This is where the kernel counters become visible *fleet-wide*: each
+    worker sums its own counters into its manifest, and the ledger sums
+    across accepted shards.  The block is the one validation already read
+    and checked; a killed worker's checkpoint carries no telemetry.
     """
-    execution = artifacts.manifest.get("execution")
-    telemetry = execution.get("telemetry") if isinstance(execution, dict) else None
-    if isinstance(telemetry, dict):
-        counters = (telemetry.get("metrics") or {}).get("counter") or {}
-        for name, value in counters.items():
-            if name.startswith("kernel."):
-                ledger.metrics.counter(name).inc(int(value))
+    if artifacts.telemetry is not None:
+        fold_telemetry([artifacts.telemetry], ledger.metrics, prefix="kernel.")
 
 
 def _prune_superseded(ledger: FleetLedger, merged: MergedCampaign, campaign_dir: Path) -> None:

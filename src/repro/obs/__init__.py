@@ -1,14 +1,15 @@
 """repro.obs — the unified telemetry layer.
 
-Three small, dependency-free pieces give every layer of the system (the
+Four small, dependency-free pieces give every layer of the system (the
 simulation kernel, the batch loop, the sweep executor, the CLI) one
 observability vocabulary:
 
 * :mod:`repro.obs.metrics` — a **metrics registry**: counters and
-  histograms with labels, plus the fixed-key :class:`~repro.obs.metrics.CounterSet`
-  the kernel's ``kernel_stats`` is built from.  ``KERNEL_STAT_KEYS`` is the
-  canonical key set every kernel mode must agree on, and the
-  snapshot/diff protocol is what the stats-parity tests compare.
+  histograms with labels, ``KERNEL_STAT_KEYS`` (the one key set of the
+  kernel's plain-dict ``kernel_stats``, which every kernel mode must
+  agree on), and :func:`~repro.obs.metrics.fold_telemetry`, the one fold
+  of ``{"profile": …, "metrics": …}`` blocks that the sweep executor, the
+  shard merge and the fleet ledger share.
 * :mod:`repro.obs.tracing` — **structured span tracing**: a process-global
   :class:`~repro.obs.tracing.SpanTracer` that instrumented code consults
   through ``tracing.TRACER``.  Every cold region is one
@@ -39,11 +40,7 @@ the trace file, and stderr.
 Full documentation: ``docs/observability.md``.
 """
 
-from repro.obs.metrics import (
-    KERNEL_STAT_KEYS,
-    CounterSet,
-    MetricsRegistry,
-)
+from repro.obs.metrics import KERNEL_STAT_KEYS, MetricsRegistry, fold_telemetry
 from repro.obs.profile import SWEEP_PHASES, PhaseTimer, format_profile
 from repro.obs.tracing import SpanTracer, capture, install, uninstall
 from repro.obs.traceio import (
@@ -58,13 +55,13 @@ from repro.obs.traceio import (
 
 __all__ = [
     "KERNEL_STAT_KEYS",
-    "CounterSet",
     "MetricsRegistry",
     "PhaseTimer",
     "SWEEP_PHASES",
     "SpanTracer",
     "TRACE_SCHEMA",
     "capture",
+    "fold_telemetry",
     "format_profile",
     "install",
     "merge_trace_documents",

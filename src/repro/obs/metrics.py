@@ -1,19 +1,24 @@
-"""Metrics registry: counters and histograms with labels.
+"""Metrics registry: counters and histograms with labels, and the one fold.
 
 Two consumers shape this module:
 
-* the **simulation kernel** needs a fixed, canonical set of integer
-  counters (``kernel_stats``) that is cheap to increment on the hot path,
-  comparable with ``==`` in the parity tests, and identical across the
-  dense and event-driven kernels and the batch loop.
-  That is :class:`CounterSet` plus :data:`KERNEL_STAT_KEYS` — the *single*
-  definition of which keys exist (``tests/sim/test_kernel_stat_keys.py``
-  asserts every kernel mode produces exactly this set);
-* the **sweep executor** needs to aggregate heterogeneous measurements —
-  kernel counters summed across points, batch round counts,
-  per-point wall-time distributions — into one deterministic, JSON-ready
-  structure for the manifest's ``execution.telemetry`` block.  That is
+* the **simulation kernel** keeps a fixed, canonical set of integer
+  counters (``SimState.kernel_stats``): a plain ``dict`` over
+  :data:`KERNEL_STAT_KEYS`, the *single* definition of which keys exist
+  (``tests/sim/test_kernel_stat_keys.py`` asserts every kernel mode
+  produces exactly this set).  The hot-path idiom ``stats[key] += n``
+  reads the key first, so an undeclared key raises ``KeyError`` at the
+  increment site;
+* the **sweep executor** aggregates heterogeneous measurements — kernel
+  counters summed across points, batch round counts, per-point wall-time
+  distributions — into one deterministic, JSON-ready structure for the
+  manifest's ``execution.telemetry`` block.  That is
   :class:`MetricsRegistry`.
+
+The manifest's ``{"profile": …, "metrics": …}`` block is the only
+telemetry shape, from a sweep chunk to the fleet ledger, and
+:func:`fold_telemetry` is its one fold: chunk → campaign (the executor),
+shard → merged manifest (``sweep merge``), shard → ledger (the fleet).
 
 Everything here is stdlib-only and import-light: :mod:`repro.sim` imports
 this module, so it must never import back into the simulator.
@@ -22,6 +27,8 @@ this module, so it must never import back into the simulator.
 from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+from repro.obs.profile import PhaseTimer
 
 #: The canonical scheduler-instrumentation key set.  Every
 #: ``SimState.kernel_stats`` mapping — dense or event-driven kernel,
@@ -35,55 +42,6 @@ KERNEL_STAT_KEYS: Tuple[str, ...] = (
     "cycles_skipped",
     "plan_builds",
 )
-
-
-class CounterSet(dict):
-    """A dict of integer counters over a fixed key set.
-
-    Subclasses ``dict`` so the hot-path idiom (``stats["dense_ticks"] += 1``)
-    and the parity-test idiom (``stats_a == stats_b``, comparison against a
-    plain dict literal) keep working unchanged, and adds the snapshot/diff
-    protocol the stats-parity tests and the metrics registry consume:
-
-    * :meth:`snapshot` — an immutable point-in-time copy;
-    * :meth:`diff` — the per-key delta against an earlier snapshot (what a
-      region of execution *added*);
-    * :meth:`reset` — zero every counter in place (same key set).
-
-    Keys are fixed at construction: reading or writing an undeclared key
-    raises ``KeyError``, which is how key-set drift between kernels is
-    caught at the increment site instead of in a downstream comparison.
-    """
-
-    def __init__(self, keys: Iterable[str] = KERNEL_STAT_KEYS) -> None:
-        super().__init__((key, 0) for key in keys)
-
-    def __setitem__(self, key: str, value: int) -> None:
-        if key not in self:
-            raise KeyError(
-                f"counter {key!r} is not declared in this CounterSet "
-                f"(declared: {', '.join(self)}); add it to the canonical key set"
-            )
-        super().__setitem__(key, value)
-
-    def snapshot(self) -> Dict[str, int]:
-        """A plain-dict point-in-time copy of every counter."""
-        return dict(self)
-
-    def diff(self, since: Mapping[str, int]) -> Dict[str, int]:
-        """Per-key delta relative to an earlier :meth:`snapshot`."""
-        return {key: value - since.get(key, 0) for key, value in self.items()}
-
-    def reset(self) -> None:
-        """Zero every counter in place (key set unchanged)."""
-        for key in self:
-            super().__setitem__(key, 0)
-
-    def add(self, other: Mapping[str, int]) -> None:
-        """Accumulate another mapping's counts into this set (shared keys)."""
-        for key, value in other.items():
-            if key in self:
-                super().__setitem__(key, self[key] + value)
 
 
 Labels = Tuple[Tuple[str, str], ...]
@@ -175,14 +133,11 @@ class MetricsRegistry:
     def histogram(self, name: str, labels: Optional[Mapping[str, object]] = None) -> Histogram:
         return self._histograms.setdefault((name, _labels_key(labels)), Histogram())
 
-    def absorb_kernel_stats(
-        self, stats: Mapping[str, int], labels: Optional[Mapping[str, object]] = None
-    ) -> None:
+    def absorb_kernel_stats(self, stats: Mapping[str, int]) -> None:
         """Accumulate one simulator's ``kernel_stats`` into ``kernel.*``
-        counters — the registry-side half of the :class:`CounterSet`
-        protocol (sweep workers sum per-point kernel stats this way)."""
+        counters (sweep chunks sum per-point kernel stats this way)."""
         for key, value in stats.items():
-            self.counter(f"kernel.{key}", labels).inc(int(value))
+            self.counter(f"kernel.{key}").inc(value)
 
     @staticmethod
     def _render(name: str, labels: Labels) -> str:
@@ -207,23 +162,51 @@ class MetricsRegistry:
     def merge_dict(self, rendered: Mapping[str, Mapping[str, object]]) -> None:
         """Accumulate an :meth:`as_dict` payload from another process.
 
-        Counters add and histograms merge their summaries — which is how the sweep executor folds each worker
-        chunk's metrics into the campaign-level registry.  Rendered label
-        strings round-trip as opaque names (they only need to stay stable
-        and sorted, not to be re-parsed).
+        Counters add and histograms merge their summaries (see
+        :func:`fold_telemetry`).  Rendered label strings round-trip as
+        opaque names (they only need to stay stable and sorted, not to be
+        re-parsed).
         """
         for name, value in rendered.get("counter", {}).items():
-            self.counter(name).inc(int(value))
+            self.counter(name).inc(value)
         for name, summary in rendered.get("histogram", {}).items():
             histogram = self.histogram(name)
-            count = int(summary.get("count", 0))
+            count = summary["count"]
             if count == 0:
                 continue
             if histogram.count == 0:
-                histogram.min = float(summary["min"])
-                histogram.max = float(summary["max"])
+                histogram.min, histogram.max = summary["min"], summary["max"]
             else:
-                histogram.min = min(histogram.min, float(summary["min"]))
-                histogram.max = max(histogram.max, float(summary["max"]))
+                histogram.min = min(histogram.min, summary["min"])
+                histogram.max = max(histogram.max, summary["max"])
             histogram.count += count
-            histogram.total += float(summary["sum"])
+            histogram.total += summary["sum"]
+
+
+def fold_telemetry(
+    blocks: Iterable[Mapping[str, Mapping]],
+    registry: Optional[MetricsRegistry] = None,
+    prefix: str = "",
+) -> Dict[str, object]:
+    """Fold ``{"profile": …, "metrics": …}`` blocks into one such block.
+
+    Phase profiles sum phase by phase; metrics merge into ``registry`` (a
+    new one when ``None``) by :meth:`MetricsRegistry.merge_dict`, keeping
+    only the metrics whose name starts with ``prefix``.  Every hop folds
+    this way: the executor its chunks, ``sweep merge`` its shards, and the
+    fleet ledger each accepted shard's ``kernel.*`` counters.  The blocks
+    must be well formed: artifact readers check a manifest's block before
+    it gets here.
+    """
+    timer = PhaseTimer()
+    registry = MetricsRegistry() if registry is None else registry
+    for block in blocks:
+        timer.merge(block["profile"])
+        metrics = block["metrics"]
+        if prefix:
+            metrics = {
+                kind: {name: value for name, value in instruments.items() if name.startswith(prefix)}
+                for kind, instruments in metrics.items()
+            }
+        registry.merge_dict(metrics)
+    return {"profile": timer.as_dict(), "metrics": registry.as_dict()}

@@ -323,7 +323,7 @@ def _build_stats_parser() -> argparse.ArgumentParser:
 def _stats_main(argv: Sequence[str]) -> int:
     from repro.obs.profile import SWEEP_PHASES, format_profile
     from repro.obs.traceio import summarize_trace, validate_trace_file
-    from repro.sweep.artifacts import MANIFEST_JSON
+    from repro.sweep.artifacts import MANIFEST_JSON, manifest_telemetry
     from repro.sweep.resume import ResumeError, load_artifact_json
 
     args = _build_stats_parser().parse_args(argv)
@@ -358,35 +358,34 @@ def _stats_main(argv: Sequence[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    try:
+        telemetry = manifest_telemetry(manifest, str(manifest_path))
+    except ResumeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rate = f", {points / wall:.1f} points/s" if wall > 0 and points is not None else ""
     print(f"campaign {name}: {n_points} points, {wall:.2f} s wall{rate}")
-    telemetry = execution.get("telemetry")
-    if not isinstance(telemetry, dict):
+    if telemetry is None:
         print(
             "no telemetry recorded — the manifest predates always-on telemetry; "
             "re-run the sweep to record it (see docs/observability.md)"
         )
         return 1
-    profile = telemetry.get("profile")
-    if isinstance(profile, dict) and any(profile.get(phase) for phase in SWEEP_PHASES):
+    profile = telemetry["profile"]
+    if any(profile.get(phase) for phase in SWEEP_PHASES):
         print()
-        print(format_profile({k: float(v) for k, v in profile.items()}, wall))
-    metrics = telemetry.get("metrics")
-    if isinstance(metrics, dict):
-        counters = metrics.get("counter", {})
-        if counters:
-            print()
-            print("counters")
-            width = max(len(key) for key in counters)
-            for key in sorted(counters):
-                print(f"  {key:<{width}} : {counters[key]}")
-        histograms = metrics.get("histogram", {})
-        for key in sorted(histograms):
-            summary = histograms[key]
-            print(
-                f"  {key}: n={summary.get('count')} mean={summary.get('mean', 0.0):.4f}s "
-                f"min={summary.get('min', 0.0):.4f}s max={summary.get('max', 0.0):.4f}s"
-            )
+        print(format_profile(profile, wall))
+    counters = telemetry["metrics"].get("counter", {})
+    if counters:
+        print()
+        print("counters")
+        width = max(len(key) for key in counters)
+        for key in sorted(counters):
+            print(f"  {key:<{width}} : {counters[key]}")
+    for key, summary in sorted(telemetry["metrics"].get("histogram", {}).items()):
+        count = summary["count"]
+        mean, low, high = (summary["sum"] / count, summary["min"], summary["max"]) if count else (0.0, 0.0, 0.0)
+        print(f"  {key}: n={count} mean={mean:.4f}s min={low:.4f}s max={high:.4f}s")
     trace = telemetry.get("trace")
     if isinstance(trace, dict) and trace.get("file"):
         trace_path = directory / str(trace["file"])

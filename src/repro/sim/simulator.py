@@ -56,7 +56,7 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import tracing
-from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
+from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.sim.activity import ActivityCounters
 from repro.sim.component import Component
 from repro.sim.trace import TraceRecorder
@@ -325,9 +325,10 @@ class SimState:
         self.traces = TraceRecorder()
         # The canonical scheduler counters: the key set is defined once in
         # repro.obs.metrics (KERNEL_STAT_KEYS) and shared by every kernel
-        # and the batch loop; writing an undeclared key raises at the
-        # increment site (tests/sim/test_kernel_stat_keys.py pins the set).
-        self.kernel_stats: CounterSet = CounterSet(KERNEL_STAT_KEYS)
+        # and the batch loop; ``stats[key] += n`` reads the key first, so an
+        # undeclared key raises at the increment site
+        # (tests/sim/test_kernel_stat_keys.py pins the set).
+        self.kernel_stats: Dict[str, int] = dict.fromkeys(KERNEL_STAT_KEYS, 0)
         #: ``(component, cached index or None)`` in registration order.
         self.ticking: List[Tuple[Component, Optional[int]]] = []
         self.volatile: List[Component] = []
@@ -629,15 +630,16 @@ class SimState:
     def reset(self) -> None:
         """Rewind to cycle 0: clear the counters, traces, stats, and deadlines.
 
-        The activity counters and trace recorder are cleared *in place* so
-        references held by callers keep observing the simulator.  Cached
-        deadlines are absolute base ticks; rewinding time voids them, and
-        owed ticks are dropped, not paid: the components were reset.
+        The activity counters, trace recorder and kernel stats are cleared
+        *in place* so references held by callers keep observing the
+        simulator.  Cached deadlines are absolute base ticks; rewinding time
+        voids them, and owed ticks are dropped, not paid: the components
+        were reset.
         """
         self.activity.clear()
         self.traces.clear()
         self.base_tick = 0
-        self.kernel_stats.reset()
+        self.kernel_stats.update(dict.fromkeys(KERNEL_STAT_KEYS, 0))
         self.owed = [0] * len(self.cached)
         self.clear_wake_cache()
 

@@ -487,6 +487,9 @@ class ArtifactDir:
     points: List[PointResult]
     #: ``execution.point_wall_seconds`` by point index.
     walls: Dict[int, float]
+    #: The checked ``execution.telemetry`` block (None when the manifest has
+    #: none: a checkpoint, or a manifest older than always-on telemetry).
+    telemetry: Optional[Dict[str, object]]
     #: Read from a killed run's ``checkpoint.jsonl`` rather than its JSON files.
     from_checkpoint: bool = False
 
@@ -534,6 +537,10 @@ class ArtifactDir:
         return str(self.directory)
 
 
+def _is_number(value: object) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def point_walls(manifest: Mapping[str, object], source: str) -> Dict[int, float]:
     """The manifest's ``execution.point_wall_seconds``, parsed once into
     ``index -> seconds``.  An absent block is empty; a non-numeric entry is
@@ -546,13 +553,50 @@ def point_walls(manifest: Mapping[str, object], source: str) -> Dict[int, float]
         raise ResumeError(f"{source}: point_wall_seconds is not a mapping — the manifest is corrupt")
     parsed: Dict[int, float] = {}
     for key, value in walls.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not key.isdigit():
+        if not _is_number(value) or not key.isdigit():
             raise ResumeError(
                 f"{source}: point_wall_seconds entry {key!r}: {value!r} is not numeric — "
                 f"the manifest is corrupt"
             )
         parsed[int(key)] = float(value)
     return parsed
+
+
+def manifest_telemetry(manifest: Mapping[str, object], source: str) -> Optional[Dict[str, object]]:
+    """The manifest's ``execution.telemetry`` block, checked so that
+    :func:`~repro.obs.metrics.fold_telemetry` can fold it as it is: a
+    ``profile`` of numeric phase seconds and ``metrics`` whose counters are
+    integers and whose histograms are count/sum/min/max summaries.  An
+    absent block is None; a malformed one is damage and raises
+    :class:`ResumeError`."""
+    execution = manifest.get("execution")
+    if not isinstance(execution, dict) or "telemetry" not in execution:
+        return None
+    block = execution["telemetry"]
+    where = f"{source}: execution.telemetry"
+    corrupt = "the manifest is corrupt"
+    if not isinstance(block, dict) or not isinstance(block.get("profile"), dict):
+        raise ResumeError(f"{where} has no profile mapping — {corrupt}")
+    metrics = block.get("metrics")
+    counters = metrics.get("counter", {}) if isinstance(metrics, dict) else None
+    histograms = metrics.get("histogram", {}) if isinstance(metrics, dict) else None
+    if not isinstance(counters, dict) or not isinstance(histograms, dict):
+        raise ResumeError(f"{where} has no counter/histogram metrics mapping — {corrupt}")
+    for phase, seconds in block["profile"].items():
+        if not _is_number(seconds):
+            raise ResumeError(f"{where}: profile phase {phase!r}: {seconds!r} is not numeric — {corrupt}")
+    for name, value in counters.items():
+        # type() rather than isinstance(): a bool is not a count.
+        if type(value) is not int:
+            raise ResumeError(f"{where}: counter {name!r}: {value!r} is not an integer — {corrupt}")
+    for name, summary in histograms.items():
+        if not (
+            isinstance(summary, dict)
+            and type(summary.get("count")) is int
+            and (summary["count"] == 0 or all(_is_number(summary.get(key)) for key in ("sum", "min", "max")))
+        ):
+            raise ResumeError(f"{where}: histogram {name!r}: {summary!r} is not a count/sum/min/max — {corrupt}")
+    return block
 
 
 def _declared_points(manifest: Mapping[str, object], spec: CampaignSpec, source: str) -> Optional[FrozenSet[int]]:
@@ -637,6 +681,7 @@ def parse_artifact_dir(
     if not isinstance(records, list):
         raise ResumeError(f"{results_path}: has no points list")
     walls = point_walls(manifest, manifest_path)
+    telemetry = manifest_telemetry(manifest, manifest_path)
     points = []
     seen = set()
     for record in records:
@@ -648,7 +693,7 @@ def parse_artifact_dir(
         seen.add(point.index)
         point.wall_seconds = walls.get(point.index, 0.0)
         points.append(point)
-    return ArtifactDir(directory, manifest, spec, declared, points, walls, from_checkpoint)
+    return ArtifactDir(directory, manifest, spec, declared, points, walls, telemetry, from_checkpoint)
 
 
 def read_artifact_dir(directory: Path) -> ArtifactDir:
@@ -662,7 +707,8 @@ def read_artifact_dir(directory: Path) -> ArtifactDir:
     scenario; a ``shard`` or ``partial`` block's ``points_total`` must match
     the spec's grid (:func:`_declared_points`); every record must decode
     (:func:`point_from_record`) with an index in range, inside any declared
-    shard index set, and not duplicated; and the walls must be numeric.  A
+    shard index set, and not duplicated; the walls must be numeric; and a
+    telemetry block must be well formed (:func:`manifest_telemetry`).  A
     checkpoint goes through the same checks (:func:`load_artifact_pair`).
     Every failure raises :class:`ResumeError` naming the file.
     """

@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.area.model import PelsAreaModel
 from repro.obs import tracing
-from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
+from repro.obs.metrics import KERNEL_STAT_KEYS, MetricsRegistry, fold_telemetry
 from repro.obs.profile import PhaseTimer
 from repro.power.model import PowerModel
 from repro.sim.batch import BatchSimulator
@@ -227,9 +227,10 @@ class ChunkOutcome:
     """What one pool task produced: the chunk's point records plus the
     batching bookkeeping (how many points actually shared a prepared
     simulation, and why any group fell back to solo runs).
-    The task also ships its telemetry home: worker-summed phase seconds,
-    summed kernel stats, batch rounds, and (when this process owned its
-    tracer under ``trace=``) the buffered trace events."""
+    The task also ships its telemetry home: one ``{"profile": …,
+    "metrics": …}`` block (phase seconds, summed ``kernel.*`` counters,
+    ``batch.rounds``) and, when this process owned its tracer under
+    ``trace=``, the buffered trace events."""
 
     results: List[PointResult] = field(default_factory=list)
     fallbacks: List[Dict[str, object]] = field(default_factory=list)
@@ -238,12 +239,8 @@ class ChunkOutcome:
     #: the chunk — the rest of the chunk's results still ship home.
     failures: List[Dict[str, object]] = field(default_factory=list)
     batched_points: int = 0
-    #: Worker-side per-phase wall seconds (phases that took no time omitted).
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Summed ``kernel_stats`` across the chunk's simulations.
-    kernel_stats: Dict[str, int] = field(default_factory=dict)
-    #: Batch boundary steps (``BatchSimulator.rounds``) this chunk took.
-    rounds: int = 0
+    #: The chunk's telemetry block, folded by :func:`execute_campaign`.
+    telemetry: Dict[str, object] = field(default_factory=dict)
     #: Buffered Chrome trace events from a worker-owned tracer (empty when
     #: the parent owns the tracer — serial mode — or tracing is off).
     trace_events: List[Dict[str, object]] = field(default_factory=list)
@@ -252,15 +249,14 @@ class ChunkOutcome:
 
 
 class _ChunkTelemetry:
-    """One chunk task's telemetry accumulators (phase timer, kernel-stat
-    totals, batch rounds)."""
+    """One chunk task's telemetry: a phase timer and a metrics registry
+    (``kernel.*`` counters and ``batch.rounds``)."""
 
-    __slots__ = ("timer", "kernel", "rounds")
+    __slots__ = ("timer", "metrics")
 
     def __init__(self) -> None:
         self.timer = PhaseTimer()
-        self.kernel = CounterSet(KERNEL_STAT_KEYS)
-        self.rounds = 0
+        self.metrics = MetricsRegistry()
 
 
 def _chunk_scope(trace: bool):
@@ -282,9 +278,7 @@ def _chunk_scope(trace: bool):
 
 def _finish_chunk(outcome: ChunkOutcome, tele: _ChunkTelemetry, owned_tracer) -> ChunkOutcome:
     """Stamp a chunk task's telemetry onto its outcome before it ships."""
-    outcome.phase_seconds = {name: s for name, s in tele.timer.as_dict().items() if s > 0.0}
-    outcome.kernel_stats = tele.kernel.snapshot()
-    outcome.rounds = tele.rounds
+    outcome.telemetry = {"profile": tele.timer.as_dict(), "metrics": tele.metrics.as_dict()}
     if owned_tracer is not None:
         outcome.trace_events = owned_tracer.drain()
         outcome.dropped_events = owned_tracer.dropped
@@ -315,7 +309,7 @@ def run_point(point: SweepPoint, tele: Optional[_ChunkTelemetry] = None) -> Poin
             tele.timer.add("simulate", sim_seconds)
             tele.timer.add("finalize", time.perf_counter() - start - sim_seconds)
             if outcome.soc is not None:
-                tele.kernel.add(outcome.soc.simulator.kernel_stats)
+                tele.metrics.absorb_kernel_stats(outcome.soc.simulator.kernel_stats)
     return result
 
 
@@ -473,9 +467,9 @@ def _run_group(group: Sequence[SweepPoint], outcome: ChunkOutcome, tele: _ChunkT
     # already charged to "finalize", so "simulate" gets the rest.
     finalized = tele.timer.seconds["finalize"] - finalize_before
     tele.timer.add("simulate", max(time.perf_counter() - start - finalized, 0.0))
-    tele.rounds += batch.rounds
+    tele.metrics.counter("batch.rounds").inc(batch.rounds)
     for instance in batch.instances:
-        tele.kernel.add(instance.simulator.kernel_stats)
+        tele.metrics.absorb_kernel_stats(instance.simulator.kernel_stats)
 
 
 def run_point_groups(
@@ -555,7 +549,6 @@ def execute_campaign(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     timer = PhaseTimer()
-    kernel_totals = CounterSet(KERNEL_STAT_KEYS)
     with tracing.span("sweep.campaign", "sweep", campaign=spec.name, jobs=jobs) as args:
         with timer.phase("expand"):
             all_points = expand_campaign(spec)
@@ -596,7 +589,7 @@ def execute_campaign(
         # Pool workers trace exactly when this process does (--trace-out).
         task = partial(run_point_groups, trace=tracing.TRACER is not None)
         batched_points = 0
-        batch_rounds = 0
+        chunk_telemetry: List[Dict[str, object]] = []
         trace_events: List[Dict[str, object]] = []
         trace_dropped = 0
 
@@ -607,13 +600,11 @@ def execute_campaign(
                     progress(len(results), total, result)
 
         def collect(outcome: ChunkOutcome) -> None:
-            nonlocal batched_points, batch_rounds, trace_dropped
+            nonlocal batched_points, trace_dropped
             batched_points += outcome.batched_points
             fallbacks.extend(outcome.fallbacks)
             failed.extend(outcome.failures)
-            timer.merge(outcome.phase_seconds)
-            kernel_totals.add(outcome.kernel_stats)
-            batch_rounds += outcome.rounds
+            chunk_telemetry.append(outcome.telemetry)
             trace_events.extend(outcome.trace_events)
             trace_dropped += outcome.dropped_events
 
@@ -631,18 +622,21 @@ def execute_campaign(
         failed.sort(key=lambda record: record["index"])
         wall_seconds = time.perf_counter() - start
         registry = MetricsRegistry()
-        registry.absorb_kernel_stats(kernel_totals)
+        # Every manifest carries the full counter key set, zero when nothing
+        # was computed (a fully resumed run).
+        registry.absorb_kernel_stats(dict.fromkeys(KERNEL_STAT_KEYS, 0))
+        registry.counter("batch.rounds")
         computed = sum(1 for result in results if not result.reused)
         registry.counter("sweep.points", {"kind": "computed"}).inc(computed)
         registry.counter("sweep.points", {"kind": "reused"}).inc(len(results) - computed)
         registry.counter("sweep.points", {"kind": "batched"}).inc(batched_points)
         registry.counter("sweep.points", {"kind": "failed"}).inc(len(failed))
-        registry.counter("batch.rounds").inc(batch_rounds)
         walls = registry.histogram("sweep.point_wall_seconds")
         for result in results:
             if not result.reused:
                 walls.observe(result.wall_seconds)
         args["points"] = len(results)
+        telemetry = fold_telemetry([{"profile": timer.as_dict(), "metrics": registry.as_dict()}, *chunk_telemetry])
     return CampaignResult(
         campaign=spec.name,
         scenario=spec.scenario,
@@ -654,7 +648,7 @@ def execute_campaign(
         batched_points=batched_points,
         batch_fallbacks=fallbacks,
         failed_points=failed,
-        telemetry={"profile": timer.as_dict(), "metrics": registry.as_dict()},
+        telemetry=telemetry,
         trace_events=trace_events,
         trace_dropped=trace_dropped,
     )

@@ -52,8 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PhaseTimer
+from repro.obs.metrics import fold_telemetry
 from repro.obs.traceio import merge_trace_documents, validate_trace_file, write_trace
 from repro.sweep.artifacts import SCHEMA_VERSION, ArtifactDir, read_artifact_dir, shard_dirname, write_artifacts
 from repro.sweep.campaign import CampaignSpec, batch_groups, cut_shards, estimate_costs, expand_campaign, index_runs
@@ -238,7 +237,8 @@ def merge_shards(shards: Sequence[ArtifactDir], allow_missing: bool = False) -> 
         wall_seconds=wall_seconds,
         shard=None,
         points_total=points_total,
-        telemetry=_merged_telemetry(shards),
+        # A shard whose manifest predates always-on telemetry contributes nothing.
+        telemetry=fold_telemetry(shard.telemetry for shard in shards if shard.telemetry is not None),
         merged_from=[
             {
                 "directory": str(shard.directory),
@@ -250,37 +250,6 @@ def merge_shards(shards: Sequence[ArtifactDir], allow_missing: bool = False) -> 
         missing=missing,
     )
     return MergedCampaign(spec=spec, result=result, sources=shards)
-
-
-def _shard_telemetry(shard: ArtifactDir) -> Optional[Dict[str, object]]:
-    """The shard manifest's ``execution.telemetry`` block, when present."""
-    execution = shard.manifest.get("execution")
-    if isinstance(execution, dict):
-        telemetry = execution.get("telemetry")
-        if isinstance(telemetry, dict):
-            return telemetry
-    return None
-
-
-def _merged_telemetry(shards: Sequence[ArtifactDir]) -> Dict[str, object]:
-    """Fold the shards' telemetry blocks into one campaign-level block.
-
-    Phase profiles sum (worker-summed semantics carry straight through),
-    metrics merge by the registry's counter/histogram rules.  A shard whose
-    manifest predates always-on telemetry has no block and contributes
-    nothing.
-    """
-    timer = PhaseTimer()
-    registry = MetricsRegistry()
-    for shard in shards:
-        block = _shard_telemetry(shard) or {}
-        profile = block.get("profile")
-        if isinstance(profile, dict):
-            timer.merge({name: float(seconds) for name, seconds in profile.items()})
-        metrics = block.get("metrics")
-        if isinstance(metrics, dict):
-            registry.merge_dict(metrics)
-    return {"profile": timer.as_dict(), "metrics": registry.as_dict()}
 
 
 def _shard_lane_label(shard: ArtifactDir) -> str:
@@ -303,8 +272,7 @@ def merge_shard_traces(merged: MergedCampaign) -> Optional[Dict[str, object]]:
     documents: List[Dict[str, object]] = []
     labels: List[str] = []
     for shard in merged.sources:
-        telemetry = _shard_telemetry(shard)
-        trace = telemetry.get("trace") if telemetry else None
+        trace = shard.telemetry.get("trace") if shard.telemetry else None
         if not isinstance(trace, dict) or not trace.get("file"):
             continue
         path = shard.directory / str(trace["file"])

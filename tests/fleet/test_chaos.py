@@ -248,6 +248,45 @@ class TestAcceptance:
         assert "seed 12.7 is not an integer" in rejected[0]["detail"]
         assert_byte_identical(result.campaign_dir, serial_dir)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("profile", "simulate"), "fast"), (("metrics", "counter", "kernel.dense_ticks"), 1.5)],
+        ids=["text-profile", "float-counter"],
+    )
+    def test_malformed_telemetry_is_rejected_and_rerun(self, tmp_path, serial_dir, monkeypatch, path, value):
+        # A malformed telemetry block is damage like a malformed record: the
+        # shard is rejected and re-run, and the ledger folds only the
+        # accepted shards' kernel counters.
+        from repro.fleet import controller
+
+        validate = controller.validate_shard_dir
+        damaged = []
+
+        def damage_first_shard(directory, spec):
+            if not damaged:
+                manifest_path = Path(directory) / "manifest.json"
+                manifest = json.loads(manifest_path.read_text())
+                block = manifest["execution"]["telemetry"]
+                for key in path[:-1]:
+                    block = block[key]
+                block[path[-1]] = value
+                manifest_path.write_text(json.dumps(manifest))
+                damaged.append(directory)
+            return validate(directory, spec)
+
+        monkeypatch.setattr(controller, "validate_shard_dir", damage_first_shard)
+        result = run_fleet(make_config(tmp_path))
+        assert result.status == "complete" and result.rounds == 2
+        rejected = [a for a in round_attempts(result, 0) if not a["accepted"]]
+        assert len(rejected) == 1
+        assert rejected[0]["outcome"] == "corrupt-artifacts"
+        assert "execution.telemetry" in rejected[0]["detail"]
+        assert_byte_identical(result.campaign_dir, serial_dir)
+        ledger = json.loads(result.ledger_path.read_text())["metrics"]["counter"]
+        serial = json.loads((serial_dir / "manifest.json").read_text())["execution"]["telemetry"]
+        kernel = {name: count for name, count in serial["metrics"]["counter"].items() if name.startswith("kernel.")}
+        assert {name: count for name, count in ledger.items() if name.startswith("kernel.")} == kernel
+
 
 class TestGracefulDegradation:
     def test_budget_exhaustion_writes_partial_artifacts(self, tmp_path):

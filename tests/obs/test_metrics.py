@@ -1,61 +1,9 @@
-"""The metrics registry and the canonical kernel CounterSet."""
+"""The metrics registry and the one telemetry fold."""
 
 import pytest
 
-from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet, MetricsRegistry
-
-
-class TestCounterSet:
-    def test_starts_zeroed_over_the_declared_keys(self):
-        counters = CounterSet(("a", "b"))
-        assert counters == {"a": 0, "b": 0}
-
-    def test_defaults_to_the_canonical_kernel_keys(self):
-        assert tuple(CounterSet()) == KERNEL_STAT_KEYS
-
-    def test_increment_idiom_works(self):
-        counters = CounterSet(("hits",))
-        counters["hits"] += 1
-        counters["hits"] += 2
-        assert counters["hits"] == 3
-
-    def test_undeclared_key_raises_at_the_increment_site(self):
-        counters = CounterSet(("hits",))
-        with pytest.raises(KeyError, match="misses"):
-            counters["misses"] = 1
-
-    def test_compares_equal_to_plain_dicts(self):
-        counters = CounterSet(("a",))
-        counters["a"] = 7
-        assert counters == {"a": 7}
-
-    def test_snapshot_is_a_detached_copy(self):
-        counters = CounterSet(("a",))
-        snap = counters.snapshot()
-        counters["a"] = 5
-        assert snap == {"a": 0}
-        assert type(snap) is dict
-
-    def test_diff_reports_what_a_region_added(self):
-        counters = CounterSet(("a", "b"))
-        counters["a"] = 2
-        snap = counters.snapshot()
-        counters["a"] = 5
-        counters["b"] = 1
-        assert counters.diff(snap) == {"a": 3, "b": 1}
-
-    def test_reset_zeroes_in_place_with_the_same_keys(self):
-        counters = CounterSet(("a",))
-        counters["a"] = 9
-        counters.reset()
-        assert counters == {"a": 0}
-        counters["a"] += 1  # key set survived the reset
-
-    def test_add_accumulates_shared_keys_only(self):
-        counters = CounterSet(("a", "b"))
-        counters.add({"a": 3, "unknown": 99})
-        counters.add({"a": 2, "b": 1})
-        assert counters == {"a": 5, "b": 1}
+from repro.obs.metrics import KERNEL_STAT_KEYS, MetricsRegistry, fold_telemetry
+from repro.obs.profile import SWEEP_PHASES
 
 
 class TestMetricsRegistry:
@@ -82,7 +30,7 @@ class TestMetricsRegistry:
 
     def test_absorb_kernel_stats_prefixes_kernel(self):
         registry = MetricsRegistry()
-        stats = CounterSet(KERNEL_STAT_KEYS)
+        stats = dict.fromkeys(KERNEL_STAT_KEYS, 0)
         stats["dense_ticks"] = 4
         registry.absorb_kernel_stats(stats)
         counters = registry.as_dict()["counter"]
@@ -116,3 +64,39 @@ class TestMetricsRegistry:
         registry.counter("zeta").inc()
         registry.counter("alpha").inc()
         assert list(registry.as_dict()["counter"]) == ["alpha", "zeta"]
+
+
+def _block(profile, counters, walls=()):
+    registry = MetricsRegistry()
+    for name, value in counters.items():
+        registry.counter(name).inc(value)
+    for value in walls:
+        registry.histogram("wall").observe(value)
+    return {"profile": profile, "metrics": registry.as_dict()}
+
+
+class TestFoldTelemetry:
+    def test_profiles_sum_and_metrics_merge(self):
+        folded = fold_telemetry(
+            [
+                _block({"expand": 1.0}, {"kernel.dense_ticks": 0, "sweep.points{kind=computed}": 2}, [2.0]),
+                _block({"simulate": 2.0, "expand": 0.5}, {"kernel.dense_ticks": 7}, [1.0, 4.0]),
+            ]
+        )
+        assert folded["profile"] == {**dict.fromkeys(SWEEP_PHASES, 0.0), "expand": 1.5, "simulate": 2.0}
+        assert folded["metrics"]["counter"] == {"kernel.dense_ticks": 7, "sweep.points{kind=computed}": 2}
+        wall = folded["metrics"]["histogram"]["wall"]
+        assert (wall["count"], wall["sum"], wall["min"], wall["max"]) == (3, 7.0, 1.0, 4.0)
+
+    def test_no_blocks_fold_to_an_empty_block(self):
+        assert fold_telemetry([]) == {
+            "profile": dict.fromkeys(SWEEP_PHASES, 0.0),
+            "metrics": {"counter": {}, "histogram": {}},
+        }
+
+    def test_prefix_keeps_matching_metrics_in_the_given_registry(self):
+        ledger = MetricsRegistry()
+        ledger.counter("fleet.rounds").inc()
+        block = _block({"simulate": 1.0}, {"kernel.dense_ticks": 5, "batch.rounds": 3}, [1.0])
+        fold_telemetry([block, block], ledger, prefix="kernel.")
+        assert ledger.as_dict() == {"counter": {"fleet.rounds": 1, "kernel.dense_ticks": 10}, "histogram": {}}

@@ -225,7 +225,7 @@ class TestKernelEmitsSpans:
             soc.pwm.regs.reg("PERIOD").write(128)
             soc.pwm.start()
             soc.run(50_000)
-            return soc.simulator.kernel_stats.snapshot()
+            return dict(soc.simulator.kernel_stats)
 
         plain = run()
         with tracing.capture():

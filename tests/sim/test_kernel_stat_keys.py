@@ -8,12 +8,13 @@ telemetry layer (``MetricsRegistry.absorb_kernel_stats``, sweep manifests,
 ``repro.run stats``) aggregates these dicts blindly across workers and
 shards, so a kernel that grows or drops a counter without updating the
 canonical tuple would silently corrupt the aggregation.  This module pins
-the set and the fail-fast behaviour of the fixed-key ``CounterSet``.
+the set and the plain-dict contract: ``+=`` on an undeclared key raises,
+and ``reset()`` zeroes the counters in place.
 """
 
 import pytest
 
-from repro.obs.metrics import KERNEL_STAT_KEYS, CounterSet
+from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.sim import BatchSimulator, Simulator
 from repro.sim.component import Component
 
@@ -77,9 +78,10 @@ class TestCanonicalKeySet:
 
 
 class TestFixedKeyContract:
-    def test_kernel_stats_is_a_fixed_key_counter_set(self):
-        simulator = Simulator()
-        assert isinstance(simulator.kernel_stats, CounterSet)
+    def test_kernel_stats_is_a_plain_dict(self):
+        stats = Simulator().kernel_stats
+        assert type(stats) is dict
+        assert stats == dict.fromkeys(KERNEL_STAT_KEYS, 0)
 
     def test_undeclared_counter_raises_at_the_increment_site(self):
         simulator = Simulator()
@@ -87,8 +89,20 @@ class TestFixedKeyContract:
             simulator.kernel_stats["mystery_counter"] += 1
 
     def test_reset_preserves_the_canonical_keys(self):
-        stats = _run_kernel()
+        simulator = Simulator()
+        simulator.add_component(Pulse(7))
+        simulator.step(HORIZON)
+        stats = simulator.kernel_stats
         assert stats["plan_builds"] == 1
-        stats.reset()
+        simulator.reset()
         assert tuple(stats) == KERNEL_STAT_KEYS
         assert set(stats.values()) == {0}
+
+    def test_reset_zeroes_in_place(self):
+        simulator = Simulator()
+        simulator.add_component(Pulse(7))
+        held = simulator.kernel_stats
+        simulator.step(HORIZON)
+        simulator.reset()
+        assert simulator.kernel_stats is held
+        assert held == dict.fromkeys(KERNEL_STAT_KEYS, 0)

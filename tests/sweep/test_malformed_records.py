@@ -5,7 +5,8 @@ ingest`` all read artifact directories through one reader
 (:func:`repro.sweep.artifacts.read_artifact_dir`).  Each row below damages
 one record (or one wall timing) of a valid artifact directory, and each
 entry point must reject it with its own error type and a message naming the
-damaged file.
+damaged file.  A manifest's telemetry block is checked the same way, so
+the folds that sum it (merge, the fleet ledger) can trust it.
 """
 
 import json
@@ -55,7 +56,20 @@ def _text_wall(results, manifest):
     manifest["execution"]["point_wall_seconds"]["1"] = "fast"
 
 
+def _text_profile(results, manifest):
+    manifest["execution"]["telemetry"]["profile"]["simulate"] = "fast"
+
+
+def _float_counter(results, manifest):
+    manifest["execution"]["telemetry"]["metrics"]["counter"]["kernel.dense_ticks"] = 1.5
+
+
+def _text_histogram(results, manifest):
+    manifest["execution"]["telemetry"]["metrics"]["histogram"]["sweep.point_wall_seconds"]["max"] = "slow"
+
+
 RECORD_DAMAGE = r"results\.json.*malformed"
+TELEMETRY_DAMAGE = r"manifest\.json: execution\.telemetry"
 CASES = [
     pytest.param(_drop_seed, RECORD_DAMAGE, id="missing-key"),
     pytest.param(_extra_key, RECORD_DAMAGE, id="extra-key"),
@@ -63,6 +77,9 @@ CASES = [
     pytest.param(_bool_index, RECORD_DAMAGE, id="bool-index"),
     pytest.param(_list_stats, RECORD_DAMAGE, id="list-stats"),
     pytest.param(_text_wall, r"manifest\.json.*not numeric", id="text-wall"),
+    pytest.param(_text_profile, rf"{TELEMETRY_DAMAGE}: profile phase 'simulate'", id="text-profile"),
+    pytest.param(_float_counter, rf"{TELEMETRY_DAMAGE}: counter 'kernel\.dense_ticks'", id="float-counter"),
+    pytest.param(_text_histogram, rf"{TELEMETRY_DAMAGE}: histogram", id="text-histogram"),
 ]
 
 

@@ -12,6 +12,9 @@ The observability contract (``docs/observability.md``):
 * **Worker drainage** — a chunk executed without an inherited tracer (the
   forked-pool case) installs its own and ships events back through
   :class:`~repro.sweep.execute.ChunkOutcome`, never leaking a global.
+* **One fold** — the serial, pooled, merged and fleet paths fold the same
+  telemetry blocks with one function, so they report the same counters; a
+  malformed block is damage every reader rejects.
 """
 
 import json
@@ -19,6 +22,7 @@ import os
 
 import pytest
 
+from repro.fleet import FleetConfig, run_fleet
 from repro.obs import tracing
 from repro.obs.metrics import KERNEL_STAT_KEYS
 from repro.obs.profile import SWEEP_PHASES
@@ -40,6 +44,10 @@ def _no_leaked_tracer():
 def _run_sweep(out_dir, *extra):
     assert main(["sweep", "smoke", "--out", str(out_dir), *extra]) == 0
     return out_dir / "smoke"
+
+
+def _kernel_counters(outcome):
+    return {name for name in outcome.telemetry["metrics"]["counter"] if name.startswith("kernel.")}
 
 
 def _manifest(campaign_dir):
@@ -238,8 +246,8 @@ class TestWorkerOwnedTracer:
         assert len(outcome.results) == 2
         names = {event["name"] for event in outcome.trace_events}
         assert "sweep.point" in names and "kernel.plan" in names
-        assert outcome.phase_seconds["simulate"] > 0
-        assert set(outcome.kernel_stats) == set(KERNEL_STAT_KEYS)
+        assert outcome.telemetry["profile"]["simulate"] > 0
+        assert _kernel_counters(outcome) == {f"kernel.{key}" for key in KERNEL_STAT_KEYS}
 
     def test_solo_groups_defer_to_an_inherited_tracer(self):
         tracer = tracing.install()
@@ -255,23 +263,24 @@ class TestWorkerOwnedTracer:
         assert len(outcome.results) == 2
         names = {event["name"] for event in outcome.trace_events}
         assert "sweep.enroll" in names and "batch.run" in names
-        assert outcome.phase_seconds["prepare"] > 0
-        assert outcome.phase_seconds["simulate"] > 0
-        assert outcome.rounds > 0
+        assert outcome.telemetry["profile"]["prepare"] > 0
+        assert outcome.telemetry["profile"]["simulate"] > 0
+        assert outcome.telemetry["metrics"]["counter"]["batch.rounds"] > 0
 
     def test_profile_only_chunks_carry_no_trace_events(self):
         outcome = run_point_groups(batch_groups(self._points()), trace=False)
         assert outcome.trace_events == []
-        assert outcome.phase_seconds["simulate"] > 0
+        assert outcome.telemetry["profile"]["simulate"] > 0
 
     def test_every_chunk_reports_phases_and_kernel_stats(self):
         outcome = run_point_groups(batch_groups(self._points()))
         assert outcome.trace_events == []
-        assert outcome.phase_seconds["prepare"] > 0
-        assert outcome.phase_seconds["simulate"] > 0
-        assert set(outcome.kernel_stats) == set(KERNEL_STAT_KEYS)
-        assert outcome.kernel_stats["dense_ticks"] > 0
-        assert outcome.rounds > 0
+        profile, counters = outcome.telemetry["profile"], outcome.telemetry["metrics"]["counter"]
+        assert profile["prepare"] > 0
+        assert profile["simulate"] > 0
+        assert _kernel_counters(outcome) == {f"kernel.{key}" for key in KERNEL_STAT_KEYS}
+        assert counters["kernel.dense_ticks"] > 0
+        assert counters["batch.rounds"] > 0
 
     def test_a_campaign_traces_its_pool_workers_exactly_when_a_tracer_is_installed(self):
         # No trace switch: an installed tracer is what makes pool workers
@@ -282,3 +291,93 @@ class TestWorkerOwnedTracer:
         names = {event["name"] for event in tracer.events + traced.trace_events}
         assert {"sweep.campaign", "sweep.enroll", "batch.run"} <= names
         assert execute_campaign(campaign("smoke"), jobs=2).trace_events == []
+
+
+#: The ``smoke`` campaign's scheduler counters (``tests/sim/test_kernel_stats.py``
+#: pins the kernel ones), which every hop must report unchanged.
+SMOKE_COUNTERS = {
+    "kernel.next_event_calls": 1_574,
+    "kernel.dense_ticks": 563,
+    "kernel.spans_skipped": 131,
+    "kernel.cycles_skipped": 119_437,
+    "kernel.plan_builds": 2,
+    "batch.rounds": 563,
+}
+
+
+def _scheduler_counters(campaign_dir):
+    counters = _manifest(campaign_dir)["execution"]["telemetry"]["metrics"]["counter"]
+    return {name: value for name, value in counters.items() if name.startswith(("kernel.", "batch."))}
+
+
+def _merge_two_shards(tmp_path):
+    for index in range(2):
+        _run_sweep(tmp_path / "shards", "--shard", f"{index}/2")
+    return [tmp_path / "shards" / "smoke" / f"shard-{index}-of-2" for index in range(2)]
+
+
+class TestOneFold:
+    def test_every_hop_reports_the_same_counters(self, tmp_path):
+        assert _scheduler_counters(_run_sweep(tmp_path / "serial")) == SMOKE_COUNTERS
+        assert _scheduler_counters(_run_sweep(tmp_path / "pool", "--jobs", "2")) == SMOKE_COUNTERS
+        shards = _merge_two_shards(tmp_path)
+        assert main(["sweep", "merge", *map(str, shards), "--out", str(tmp_path / "merged")]) == 0
+        assert _scheduler_counters(tmp_path / "merged" / "smoke") == SMOKE_COUNTERS
+        fleet = run_fleet(
+            FleetConfig(campaign="smoke", workers=2, out=tmp_path / "fleet", timeout=30.0, poll_interval=0.02)
+        )
+        assert fleet.status == "complete"
+        assert _scheduler_counters(fleet.campaign_dir) == SMOKE_COUNTERS
+        ledger = json.loads(fleet.ledger_path.read_text())["metrics"]["counter"]
+        kernel = {name: value for name, value in SMOKE_COUNTERS.items() if name.startswith("kernel.")}
+        assert {name: value for name, value in ledger.items() if name.startswith("kernel.")} == kernel
+
+    def test_a_fully_resumed_run_keeps_every_counter_at_zero(self, tmp_path):
+        _run_sweep(tmp_path)
+        resumed = _run_sweep(tmp_path, "--resume")
+        assert _scheduler_counters(resumed) == dict.fromkeys(SMOKE_COUNTERS, 0)
+        counters = _manifest(resumed)["execution"]["telemetry"]["metrics"]["counter"]
+        assert counters["sweep.points{kind=reused}"] == 4
+        assert counters["sweep.points{kind=failed}"] == 0
+
+
+def _text_profile(telemetry):
+    telemetry["profile"]["simulate"] = "fast"
+
+
+def _float_counter(telemetry):
+    telemetry["metrics"]["counter"]["kernel.dense_ticks"] = 1.5
+
+
+def _damage_telemetry(campaign_dir, damage):
+    manifest = _manifest(campaign_dir)
+    damage(manifest["execution"]["telemetry"])
+    (campaign_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_text_profile, _float_counter], ids=["text-profile", "float-counter"])
+class TestMalformedTelemetry:
+    """A telemetry block that is present but malformed is damage: the
+    artifact reader rejects it naming the manifest, so no fold sees it."""
+
+    def test_merge_exits_2(self, tmp_path, capsys, damage):
+        shards = _merge_two_shards(tmp_path)
+        _damage_telemetry(shards[1], damage)
+        capsys.readouterr()
+        assert main(["sweep", "merge", *map(str, shards), "--out", str(tmp_path / "merged")]) == 2
+        assert f"error: {shards[1] / 'manifest.json'}: execution.telemetry" in capsys.readouterr().err
+        assert not (tmp_path / "merged").exists()
+
+    def test_resume_exits_2(self, tmp_path, capsys, damage):
+        campaign_dir = _run_sweep(tmp_path)
+        _damage_telemetry(campaign_dir, damage)
+        capsys.readouterr()
+        assert main(["sweep", "smoke", "--resume", "--out", str(tmp_path)]) == 2
+        assert "execution.telemetry" in capsys.readouterr().err
+
+    def test_stats_exits_2(self, tmp_path, capsys, damage):
+        campaign_dir = _run_sweep(tmp_path)
+        _damage_telemetry(campaign_dir, damage)
+        capsys.readouterr()
+        assert main(["stats", str(campaign_dir)]) == 2
+        assert "execution.telemetry" in capsys.readouterr().err
